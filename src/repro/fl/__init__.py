@@ -23,7 +23,6 @@ from repro.fl.async_ import (
 )
 from repro.fl.client import Client, ClientUpdate
 from repro.fl.env import FederatedEnv
-from repro.fl.hierarchical import HierarchicalAggregator, HierarchicalStrategy
 from repro.fl.selection import (
     PowerOfChoiceSelection,
     RoundRobinSelection,
@@ -51,11 +50,8 @@ from repro.fl.strategies import (
 from repro.fl.timing import Timer, measure_server_overhead
 from repro.fl.wire import (
     WIRE_CODECS,
-    CompressedClients,
     WireFormat,
     WirePayload,
-    compress_update,
-    decompress_update,
     get_codec,
 )
 
@@ -93,15 +89,10 @@ __all__ = [
     "fairness_series",
     "Timer",
     "measure_server_overhead",
-    "CompressedClients",
-    "compress_update",
-    "decompress_update",
     "WIRE_CODECS",
     "WireFormat",
     "WirePayload",
     "get_codec",
-    "HierarchicalAggregator",
-    "HierarchicalStrategy",
     "UniformSelection",
     "RoundRobinSelection",
     "PowerOfChoiceSelection",

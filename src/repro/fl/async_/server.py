@@ -36,37 +36,33 @@ round-trip — that is where parallel backends earn their keep.
 
 from __future__ import annotations
 
-import pickle
-import time
-
 import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.fl.async_.events import ClientJob, EventQueue
 from repro.fl.async_.staleness import PolynomialStaleness, StalenessWeighting
 from repro.fl.client import Client, ClientUpdate
-from repro.fl.hierarchical import fold_edges
-from repro.fl.simulation import EventRecord, FLConfig, History, RoundRecord
-from repro.fl.strategies.base import Strategy, combine_updates
-from repro.fleet.columnar import FleetState
-from repro.fleet.scale import is_client_provider
-from repro.fleet.simulator import FleetSimulator
-from repro.nn.losses import SoftmaxCrossEntropy, evaluate_loss
-from repro.nn.metrics import top1_accuracy
-from repro.obs.trace import (
-    CAT_AGGREGATION,
-    CAT_COMM,
-    CAT_COMPUTE,
-    CAT_FLEET,
-    CAT_IDLE,
-    CAT_QUEUE_WAIT,
-    CAT_RUNTIME,
-    CAT_WINDOW,
-    Tracer,
+# The window path lives in repro.fl.simulation and calls these four through
+# that module's globals; they stay bound here only because the frozen
+# benchmark (benchmarks/e2e/spans.py) also rebinds them in this namespace.
+from repro.fl.simulation import (  # noqa: F401
+    EventRecord,
+    FederatedEngine,
+    FLConfig,
+    History,
+    RoundRecord,
+    WindowResult,
+    combine_updates,
+    evaluate_loss,
+    fold_edges,
+    top1_accuracy,
 )
+from repro.fl.strategies.base import Strategy
+from repro.fleet.simulator import FleetSimulator
+from repro.obs.trace import CAT_FLEET, CAT_IDLE, CAT_QUEUE_WAIT, CAT_WINDOW, Tracer
 from repro.runtime.clock import VirtualClock, n_local_batches
-from repro.runtime.executor import Executor, RoundContext, SerialExecutor
-from repro.runtime.faults import FaultPlan, FaultStats, absorb_fault_stats
+from repro.runtime.executor import Executor
+from repro.runtime.faults import FaultPlan
 
 AGGREGATION_MODES = ("fedbuff", "fedasync")
 # How free concurrency slots are assigned to idle online clients:
@@ -88,8 +84,16 @@ _DEFAULT_MIX = {"fedbuff": 1.0, "fedasync": 0.6}
 DELTA_MIX = "delta"
 
 
-class AsyncFederatedServer:
-    """Buffered-asynchronous FL over a fixed client population."""
+class AsyncFederatedServer(FederatedEngine):
+    """Buffered-asynchronous FL over a fixed client population: an
+    event-queue scheduler.
+
+    Every flush is one window whose staleness factors weigh the impact
+    factors and scale the ``server_mix`` step; under ``server_mix="delta"``
+    each update is anchored on the weights its job was dispatched with."""
+
+    engine = "async"
+    window_label = "aggregation"
 
     def __init__(
         self,
@@ -115,12 +119,10 @@ class AsyncFederatedServer:
         n_edges: int = 2,
         wire=None,
     ) -> None:
-        if len(clients) == 0:
-            raise ValueError("need at least one client")
-        if topology not in ("flat", "hier"):
-            raise ValueError(f"topology must be 'flat' or 'hier', got {topology!r}")
-        if topology == "hier" and n_edges <= 0:
-            raise ValueError("n_edges must be positive")
+        super().__init__(
+            clients, test_set, model_factory, strategy, config, executor,
+            clock, fleet, tracer, attack, defense, faults, topology, n_edges, wire,
+        )
         if clock is None:
             raise ValueError(
                 "asynchronous aggregation needs a VirtualClock — arrival "
@@ -155,17 +157,6 @@ class AsyncFederatedServer:
             raise ValueError(
                 f"dispatch must be one of {DISPATCH_POLICIES}, got {dispatch!r}"
             )
-
-        self.clients = clients
-        self.topology = topology
-        self.n_edges = n_edges
-        # Lazy providers (repro.fleet.scale) materialize participants per
-        # executor batch; a plain list is the historical eager population.
-        self._lazy = is_client_provider(clients)
-        self.test_set = test_set
-        self.strategy = strategy
-        self.config = config
-        self.clock = clock
         self.mode = mode
         # FedAsync is exactly a buffer of one.
         self.flush_size = 1 if mode == "fedasync" else buffer_size
@@ -174,71 +165,22 @@ class AsyncFederatedServer:
         self.server_mix = float(server_mix)
         # Total local-work budget: identical to the synchronous loop's.
         self.total_jobs = config.rounds * config.clients_per_round
-        self.model = model_factory(np.random.default_rng(config.seed))
-        self.global_weights = self.model.get_flat_weights()
-        if executor is None:
-            executor = SerialExecutor(clients, model_factory, model=self.model)
-        self.executor = executor
-        self.fleet = fleet
         self.dispatch = dispatch
-        # Adversarial fleet (repro.fl.robust): `attack` perturbs malicious
-        # arrivals relative to the weights their job was dispatched
-        # against (so it bites identically under weight- and delta-form
-        # mixing); `defense` replaces the buffer's weighted mean with a
-        # robust combination rule.  Both None on the historical path.
-        self.attack = attack
-        self.defense = defense
-        # Wire subsystem (repro.fl.wire.WireFormat): arrivals decode before
-        # buffering, and the a-priori payload sizes below let dispatch
-        # charge bandwidth-accurate durations before any encoding happens.
-        # None keeps the historical bit-exact path untouched.
-        self.wire = wire
-        self._up_nbytes: int | None = None
-        self._down_nbytes: int | None = None
-        if wire is not None:
-            dim = self.global_weights.shape[0]
-            dtype = self.global_weights.dtype
-            self._up_nbytes = wire.upload_nbytes(dim, dtype)
-            self._down_nbytes = wire.download_nbytes(dim, dtype)
-        self.backdoor_test = None
-        if attack is not None and test_set is not None:
-            self.backdoor_test = attack.backdoor_test_set(test_set)
         # Dispatch choices are consumed strictly in event order, so one
         # sequential stream is deterministic under every backend.
         self._dispatch_rng = np.random.default_rng(config.seed + 29)
-        # Columnar per-client state; its ``jobs_served`` column drives the
-        # fairness policy with one partial sort instead of a Python
-        # min-scan over the pool.
-        self.fleet_state = FleetState(
-            len(clients),
-            config.seed,
-            availability=fleet.availability.columnar if fleet is not None else None,
-            shard_sizes=(
-                clients.shard_sizes if self._lazy
-                else np.array([c.n_samples for c in clients], dtype=np.int64)
-            ),
-        )
-        self.history = History()
+        # The columnar ``jobs_served`` column drives the fairness policy
+        # with one partial sort instead of a Python min-scan over the pool.
+        self.fleet_state = self._columnar_state()
         self.discarded_updates = 0
         # Arrivals whose upload was lost to fleet connectivity dropout.
         self.dropped_arrivals = 0
-        # Observability is opt-in: tracer=None keeps every hot-path call
-        # site at one `is not None` branch and allocates nothing.
-        self.tracer = tracer
-        if tracer is not None and fleet is not None:
-            fleet.metrics = tracer.metrics
         # Simulated time each client went idle (its last arrival), so the
         # tracer can draw the gap before its next dispatch.
         self._idle_since: dict[int, float] = {}
-        # Fault tolerance: the optional seeded fault plan rides with every
-        # executor batch; recovery accounting accumulates here.  The event
-        # loop's mutable state lives in one dict (`_loop`) so a
+        # The event loop's mutable state lives in one dict so a
         # checkpointer can snapshot it between aggregation flushes.
-        self.faults = faults
-        self.fault_totals = FaultStats()
-        self.checkpointer = None
         self._loop: dict | None = None
-        self._loss = SoftmaxCrossEntropy()
 
     @property
     def jobs_dispatched(self) -> dict[int, int]:
@@ -358,40 +300,17 @@ class AsyncFederatedServer:
             client_batches = None
             if self.fleet is not None:
                 client_batches = {j.client_id: j.n_batches for j in group}
-            ctx = RoundContext(
-                round_idx=job.job_idx,
-                global_weights=job.global_weights,
-                epochs=self.config.local_epochs,
-                lr=self.config.lr,
-                batch_size=self.config.batch_size,
-                base_seed=self.config.seed,
-                client_kwargs=self.strategy.client_kwargs(),
-                job_rounds={j.client_id: j.job_idx for j in group},
-                client_batches=client_batches,
-                trace=self.tracer is not None,
-                fault_plan=self.faults,
-            )
-            tr = self.tracer
             ids = [j.client_id for j in group]
             if self._lazy:
                 # Materialize the batch parent-side, release after: the
                 # resident Client set stays O(batch), not O(N).
                 self.clients.ensure(ids)
-            if tr is None:
-                updates = self.executor.run_round(ctx, ids)
-                absorb_fault_stats(self.executor, self.fault_totals, self.clock)
-            else:
-                with tr.wall_span("executor.batch", CAT_RUNTIME,
-                                  version=job.model_version, jobs=len(group)):
-                    updates = self.executor.run_round(ctx, ids)
-                absorb_fault_stats(
-                    self.executor, self.fault_totals, self.clock, tr.metrics
-                )
-                tr.add_worker_spans(self.executor.take_worker_spans())
-                ipc = getattr(self.executor, "last_ipc_bytes", None)
-                if ipc is not None:
-                    tr.metrics.inc("rt.ipc.bytes_out", ipc["out"])
-                    tr.metrics.inc("rt.ipc.bytes_in", ipc["in"])
+            updates = self._train(
+                "executor.batch", job.job_idx, job.global_weights, ids,
+                client_batches=client_batches,
+                job_rounds={j.client_id: j.job_idx for j in group},
+                version=job.model_version, jobs=len(group),
+            )
             for j, update in zip(group, updates):
                 computed[j.job_idx] = update
             if self._lazy:
@@ -399,169 +318,30 @@ class AsyncFederatedServer:
         return computed.pop(job.job_idx)
 
     # -- aggregation --------------------------------------------------------
-    def _aggregate(
-        self,
-        buffer: list[tuple[ClientJob, ClientUpdate, int, float]],
-        agg_idx: int,
-        now: float,
-        last_agg_t: float,
-        bytes_up: int = 0,
-        bytes_down: int = 0,
-    ) -> RoundRecord:
-        """One buffer flush: staleness-composed impact factors, eq. (4),
-        and a staleness-scaled server mixing step."""
-        updates = [u for _, u, _, _ in buffer]
-        stalenesses = [s for _, _, s, _ in buffer]
+    def _flush(self, st: dict, now: float) -> None:
+        """Aggregate the buffer as one window, record it, advance the
+        model version."""
+        buffer, agg_idx = st["buffer"], st["version"]
+        bytes_up = bytes_down = 0
+        if self.wire is not None:
+            # Uploads of the buffered arrivals, and one broadcast per job
+            # dispatched since the window opened.
+            bytes_up = st.get("window_bytes_up", 0)
+            bytes_down = (st["next_job"] - st.get("window_job0", 0)) * self._down_nbytes
+            st["window_bytes_up"] = 0
+            st["window_job0"] = st["next_job"]
         factors = np.array([f for _, _, _, f in buffer])
-
-        w0 = time.time()
-        t0 = time.perf_counter()
-        # Hierarchical topology: fold the window into per-edge FedAvg
-        # pseudo-updates first.  Staleness factors and (delta-form)
-        # dispatch anchors fold with the same sample weights, so the
-        # cloud-level strategy — and any robust defense — runs over the
-        # edges exactly as it runs over clients in the flat topology.
-        agg_updates = updates
-        agg_factors = factors
-        anchors = shares = members = None
-        if self.topology == "hier":
-            agg_updates, agg_factors, anchors, shares, members = fold_edges(
-                updates, self.n_edges, factors=factors,
-                anchors=[job.global_weights for job, _, _, _ in buffer],
-            )
-        base = np.asarray(
-            self.strategy.impact_factors(agg_updates, agg_idx), dtype=float
-        )
-        t1 = time.perf_counter()
-        alphas = base * agg_factors
-        total = float(alphas.sum())
-        agg_info = None
-        if not total > 0:
-            # Staleness decay (or a defense upstream) zeroed every update
-            # in the window: skip the mix step entirely — normalizing a
-            # zero-mass vector would NaN the arena.  The flush is still
-            # recorded (version advances, the window tiles the timeline).
-            mix = 0.0
-        else:
-            # FedAsync's adaptive alpha, generalized: the step size is
-            # server_mix scaled with the buffer's average staleness factor
-            # (base sums to 1, so the weighted mean is just alphas.sum()).
-            mix = min(1.0, self.server_mix * total)
-            if self.defense is not None:
-                # Robust rules act on deltas: the job's dispatch weights
-                # anchor the delta form, the current global weights the
-                # weight form (mixing toward w + combined is exactly the
-                # (1-mix)·w + mix·combined step of the mean path).
-                if self.delta_mix:
-                    if anchors is not None:
-                        rows = np.stack([
-                            u.weights - a for u, a in zip(agg_updates, anchors)
-                        ])
-                    else:
-                        rows = np.stack([
-                            u.weights - job.global_weights for job, u, _, _ in buffer
-                        ])
-                else:
-                    rows = (
-                        np.stack([u.weights for u in agg_updates])
-                        - self.global_weights
-                    )
-                # One vote per client per window: a fast client can land
-                # several updates in one buffer, so row-wise statistics
-                # would let a 20%-malicious fleet occupy half a flush
-                # simply by responding quickly.  Coalesce each client's
-                # rows (alpha-weighted, summing its alpha mass) so every
-                # robust estimator sees one voice per participant.  For
-                # the mean rule this is a no-op by associativity.
-                grouped: dict[int, list[int]] = {}
-                for pos, u in enumerate(agg_updates):
-                    grouped.setdefault(u.client_id, []).append(pos)
-                defense_clients = list(grouped)
-                voice_rows = []
-                voice_alphas = []
-                for positions in grouped.values():
-                    a = alphas[positions]
-                    mass = float(a.sum())
-                    if mass > 0:
-                        voice_rows.append(
-                            (a / mass).astype(rows.dtype, copy=False)
-                            @ rows[positions]
-                        )
-                    else:
-                        voice_rows.append(rows[positions].mean(axis=0))
-                    voice_alphas.append(mass)
-                combined, agg_info = self.defense.combine(
-                    np.stack(voice_rows), np.asarray(voice_alphas)
-                )
-                self.global_weights = self.global_weights + mix * combined
-            elif self.delta_mix:
-                # FedBuff's delta form: w <- w + eta * sum_i a_i (w_i - w_i^0),
-                # where w_i^0 is the model version the job was dispatched
-                # against (the edge's sample-weighted anchor under hier).
-                # Staleness decays the step through `mix` and the
-                # normalized per-update weights.
-                normalized = np.asarray(alphas, dtype=float)
-                normalized = normalized / normalized.sum()
-                if anchors is not None:
-                    deltas = np.stack([
-                        u.weights - a for u, a in zip(agg_updates, anchors)
-                    ])
-                else:
-                    deltas = np.stack([
-                        u.weights - job.global_weights for job, u, _, _ in buffer
-                    ])
-                combined_delta = normalized.astype(deltas.dtype, copy=False) @ deltas
-                self.global_weights = self.global_weights + mix * combined_delta
-            else:
-                combined = combine_updates(agg_updates, alphas, normalize=True)
-                self.global_weights = (1.0 - mix) * self.global_weights + mix * combined
-        t2 = time.perf_counter()
-        self.strategy.on_round_end(agg_updates, agg_idx)
-
-        if total > 0 and shares is not None:
-            # Effective per-client factors implied by (edge FedAvg) x
-            # (cloud alphas): cloud weight times within-edge sample share.
-            record_alphas = np.empty(len(updates))
-            for e, positions in enumerate(members):
-                for p in positions:
-                    record_alphas[p] = alphas[e] * shares[p]
-            mass = record_alphas.sum()
-            record_alphas = (
-                record_alphas / mass if mass > 0 else np.zeros(len(updates))
-            )
-        elif total > 0:
-            record_alphas = alphas / total
-        else:
-            record_alphas = np.zeros(len(updates))
-
-        record = RoundRecord(
-            round_idx=agg_idx,
-            participants=[u.client_id for u in updates],
-            impact_factors=record_alphas,
-            client_losses_before=np.array([u.loss_before for u in updates]),
-            client_losses_after=np.array([u.loss_after for u in updates]),
-            client_sizes=np.array([u.n_samples for u in updates]),
-            impact_time_s=t1 - t0,
-            aggregation_time_s=t2 - t1,
-            sim_makespan_s=now - last_agg_t,
-            staleness=stalenesses,
+        record, result = self._aggregate(
+            [u for _, u, _, _ in buffer], agg_idx,
+            anchors=(
+                [job.global_weights for job, _, _, _ in buffer]
+                if self.delta_mix else None
+            ),
+            factors=factors,
+            server_mix=self.server_mix,
+            sim_makespan_s=now - st["last_agg_t"],
+            staleness=[s for _, _, s, _ in buffer],
             staleness_factors=[float(f) for f in factors],
-            malicious_selected=(
-                [u.client_id for u in updates if self.attack.is_malicious(u.client_id)]
-                if self.attack is not None else []
-            ),
-            rejected_updates=(
-                self._voice_clients(
-                    agg_info.rejected, defense_clients, updates, members
-                )
-                if agg_info is not None else []
-            ),
-            clipped_updates=(
-                self._voice_clients(
-                    agg_info.clipped, defense_clients, updates, members
-                )
-                if agg_info is not None else []
-            ),
             payload_bytes_up=bytes_up,
             payload_bytes_down=bytes_down,
             dense_bytes_up=(
@@ -569,35 +349,17 @@ class AsyncFederatedServer:
             ),
         )
         if self.tracer is not None:
-            self._trace_aggregation(record, now, last_agg_t, (w0, t0, t1, t2))
+            self._trace_aggregation(record, result, now, st["last_agg_t"])
         if self.test_set is not None and agg_idx % self.config.eval_every == 0:
-            if self.tracer is not None:
-                with self.tracer.wall_span("evaluate", CAT_RUNTIME,
-                                           aggregation=agg_idx):
-                    self._evaluate(record)
-            else:
-                self._evaluate(record)
+            self._evaluate(record)
         self.history.append(record)
-        return record
-
-    @staticmethod
-    def _voice_clients(indices, defense_clients, updates, members) -> list[int]:
-        """Defense verdict voices → client ids.  Flat: a voice is one
-        client.  Hier: a voice is an edge, standing for every client
-        folded into it."""
-        if members is None:
-            return [defense_clients[i] for i in indices]
-        out: list[int] = []
-        for i in indices:
-            out.extend(updates[p].client_id for p in members[defense_clients[i]])
-        return out
+        st["buffer"] = []
+        st["version"] += 1
+        st["last_agg_t"] = now
 
     def _trace_aggregation(
-        self,
-        record: RoundRecord,
-        now: float,
+        self, record: RoundRecord, result: WindowResult, now: float,
         last_agg_t: float,
-        wall: tuple[float, float, float, float],
     ) -> None:
         """Emit one buffer flush's spans and metrics (tracer != None only).
 
@@ -607,86 +369,32 @@ class AsyncFederatedServer:
         engine's ``round`` windows.
         """
         tr = self.tracer
-        w0, t0, t1, t2 = wall
         tr.span("agg_window", CAT_WINDOW, track="server",
                 sim_t0=last_agg_t, sim_dur=now - last_agg_t,
                 aggregation=record.round_idx, updates=len(record.participants))
-        tr.span("impact_factors", CAT_AGGREGATION, track="server",
-                wall_t0=w0, wall_dur=t1 - t0, aggregation=record.round_idx)
-        tr.span("aggregate", CAT_AGGREGATION, track="server",
-                wall_t0=w0 + (t1 - t0), wall_dur=t2 - t1,
-                aggregation=record.round_idx, updates=len(record.participants))
+        self._trace_window(record, result, "sim.aggregations")
         m = tr.metrics
-        m.inc("sim.aggregations")
-        m.inc("sim.updates.aggregated", len(record.participants))
-        if self.attack is not None:
-            m.inc("sim.attack.malicious_aggregated", len(record.malicious_selected))
-        if self.defense is not None:
-            m.inc("sim.defense.updates_rejected", len(record.rejected_updates))
-            m.inc("sim.defense.updates_clipped", len(record.clipped_updates))
         m.observe("sim.window.span_s", record.sim_makespan_s)
-        m.set_gauge("rt.fleet.state_bytes", self.fleet_state.nbytes)
-        if self.wire is not None:
-            m.inc("sim.wire.bytes_up", record.payload_bytes_up)
-            m.inc("sim.wire.bytes_down", record.payload_bytes_down)
-            m.set_gauge(
-                "sim.wire.compression_ratio", self.wire.stats.compression_ratio()
-            )
-        for s in record.staleness or ():
+        for s in record.staleness:
             m.observe("sim.staleness", s)
         tr.maybe_snapshot(now)
 
     def _trace_arrival(
         self, job: ClientJob, now: float, staleness: int, dropped: bool
     ) -> None:
-        """Emit one finished job's client-side spans (tracer != None only).
-
-        The job's simulated duration is decomposed into the device
-        profile's download / compute / upload shares — pure arithmetic on
-        already-drawn times, so tracing consumes no RNG.
-        """
+        """Emit one finished job's client-side spans (tracer != None only)."""
         tr = self.tracer
-        cid = job.client_id
-        track = f"client/{cid}"
-        download, compute, upload = self.clock.decompose(
-            cid, job.n_batches, job.duration_s, self._up_nbytes, self._down_nbytes
+        self._trace_client_phases(
+            job.client_id, job.dispatch_time_s, job.duration_s, job.n_batches,
+            {"job": job.job_idx}, staleness=staleness,
         )
-        comm_args: dict = {}
-        up_args: dict = {}
-        if self.wire is not None:
-            comm_args = {"bytes": self._down_nbytes}
-            up_args = {"bytes": self._up_nbytes}
-        start = job.dispatch_time_s
-        tr.span("download", CAT_COMM, track=track,
-                sim_t0=start, sim_dur=download, job=job.job_idx, client=cid,
-                **comm_args)
-        tr.span("local_train", CAT_COMPUTE, track=track,
-                sim_t0=start + download, sim_dur=compute,
-                job=job.job_idx, client=cid, batches=job.n_batches,
-                staleness=staleness)
-        tr.span("upload", CAT_COMM, track=track,
-                sim_t0=start + download + compute, sim_dur=upload,
-                job=job.job_idx, client=cid, **up_args)
         m = tr.metrics
-        m.inc("sim.comm.payload_s", download + upload)
         m.inc("sim.jobs.arrived")
         if dropped:
-            tr.instant("connectivity_drop", CAT_FLEET, track=track,
-                       sim_t=now, job=job.job_idx, client=cid)
+            tr.instant("connectivity_drop", CAT_FLEET,
+                       track=f"client/{job.client_id}", sim_t=now,
+                       job=job.job_idx, client=job.client_id)
             m.inc("sim.updates.dropped_connectivity")
-
-    def _evaluate(self, record: RoundRecord) -> None:
-        self.model.set_flat_weights(self.global_weights)
-        record.test_accuracy = top1_accuracy(
-            self.model, self.test_set.x, self.test_set.y
-        )
-        record.test_loss = evaluate_loss(
-            self.model, self._loss, self.test_set.x, self.test_set.y
-        )
-        if self.backdoor_test is not None:
-            record.backdoor_accuracy = top1_accuracy(
-                self.model, self.backdoor_test.x, self.backdoor_test.y
-            )
 
     # -- the event loop ------------------------------------------------------
     def _init_loop_state(self) -> dict:
@@ -711,17 +419,6 @@ class AsyncFederatedServer:
             "window_bytes_up": 0,
             "window_job0": 0,
         }
-
-    def _window_bytes(self, st: dict) -> tuple[int, int]:
-        """(upload, download) bytes of the closing aggregation window, and
-        reset the window counters."""
-        if self.wire is None:
-            return 0, 0
-        bytes_up = st.get("window_bytes_up", 0)
-        bytes_down = (st["next_job"] - st.get("window_job0", 0)) * self._down_nbytes
-        st["window_bytes_up"] = 0
-        st["window_job0"] = st["next_job"]
-        return bytes_up, bytes_down
 
     def run(self) -> History:
         """Process all ``total_jobs`` arrivals in virtual-time order.
@@ -822,17 +519,9 @@ class AsyncFederatedServer:
                         "sim.fleet.online", len(self.fleet.online_ids(now))
                     )
 
-            flushed = False
-            if len(st["buffer"]) >= self.flush_size:
-                bytes_up, bytes_down = self._window_bytes(st)
-                self._aggregate(
-                    st["buffer"], st["version"], now, st["last_agg_t"],
-                    bytes_up, bytes_down,
-                )
-                st["buffer"] = []
-                st["version"] += 1
-                st["last_agg_t"] = now
-                flushed = True
+            flushed = len(st["buffer"]) >= self.flush_size
+            if flushed:
+                self._flush(st, now)
             st["next_job"] = self._dispatch_until_full(
                 now, st["version"], st["queue"], st["idle"],
                 st["in_flight"], st["next_job"],
@@ -849,13 +538,7 @@ class AsyncFederatedServer:
             if getattr(self.strategy, "fixed_k", False):
                 self.discarded_updates += len(st["buffer"])
             else:
-                bytes_up, bytes_down = self._window_bytes(st)
-                self._aggregate(
-                    st["buffer"], st["version"], st["now"], st["last_agg_t"],
-                    bytes_up, bytes_down,
-                )
-                st["buffer"] = []
-                st["version"] += 1
+                self._flush(st, st["now"])
         # The final model always gets an evaluation, whatever eval_every is.
         if (
             self.test_set is not None
@@ -872,57 +555,27 @@ class AsyncFederatedServer:
         Captures the event loop mid-timeline: the pending arrival heap
         (in-flight jobs carry their dispatch-version weights), slot and
         buffer state, the model-version counter, the dispatch RNG, and
-        the fairness/drop tallies — everything a fresh process needs to
-        continue the run bit-identically.
+        the fairness/drop tallies — with the shared ledgers, everything a
+        fresh process needs to continue the run bit-identically.
         """
-        state = {
-            "engine": "async",
-            "loop": self._loop,
-            "history": self.history,
-            "global_weights": self.global_weights,
-            "strategy": self.strategy,
-            "dispatch_rng_state": self._dispatch_rng.bit_generator.state,
-            "jobs_dispatched": self.jobs_dispatched,
-            "discarded_updates": self.discarded_updates,
-            "dropped_arrivals": self.dropped_arrivals,
-            "idle_since": self._idle_since,
-            "fault_totals": self.fault_totals,
-            "wire": None if self.wire is None else self.wire.snapshot(),
-            "clock": {
-                "elapsed_s": self.clock.elapsed_s,
-                "fault_recovery_s": self.clock.fault_recovery_s,
-                "timings": self.clock.timings,
-            },
-        }
-        return pickle.loads(pickle.dumps(state))
+        return self._snapshot(
+            loop=self._loop,
+            dispatch_rng_state=self._dispatch_rng.bit_generator.state,
+            jobs_dispatched=self.jobs_dispatched,
+            discarded_updates=self.discarded_updates,
+            dropped_arrivals=self.dropped_arrivals,
+            idle_since=self._idle_since,
+        )
 
     def restore_state(self, state: dict) -> None:
         """Restore a :meth:`snapshot_state` dict; run() then continues."""
-        if state.get("engine") != "async":
-            raise ValueError(
-                f"cannot restore {state.get('engine')!r} state into the async engine"
-            )
+        self._restore(state)
         self._loop = state["loop"]
-        self.history = state["history"]
-        self.global_weights = np.asarray(
-            state["global_weights"], dtype=self.global_weights.dtype
-        )
-        self.strategy = state["strategy"]
         self._dispatch_rng.bit_generator.state = state["dispatch_rng_state"]
         self.jobs_dispatched = state["jobs_dispatched"]
         self.discarded_updates = state["discarded_updates"]
         self.dropped_arrivals = state["dropped_arrivals"]
         self._idle_since = state["idle_since"]
-        self.fault_totals = state["fault_totals"]
-        # Old snapshots predate the wire subsystem: .get keeps them loadable.
-        wire_state = state.get("wire")
-        if wire_state is not None and self.wire is not None:
-            self.wire.restore(wire_state)
-        clock_state = state.get("clock")
-        if clock_state is not None:
-            self.clock.elapsed_s = clock_state["elapsed_s"]
-            self.clock.fault_recovery_s = clock_state["fault_recovery_s"]
-            self.clock.timings = clock_state["timings"]
 
     def checkpoint(self) -> dict:
         """Lightweight server checkpoint: weights + model-version counter
@@ -957,9 +610,3 @@ class AsyncFederatedServer:
     def close(self) -> None:
         """Release the execution backend's workers (idempotent)."""
         self.executor.close()
-
-    def __enter__(self) -> "AsyncFederatedServer":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

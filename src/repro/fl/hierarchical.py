@@ -15,7 +15,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fl.client import ClientUpdate
-from repro.fl.strategies.base import Strategy, combine_updates
+from repro.fl.strategies.base import combine_updates
 
 
 def edge_aggregate(updates: list[ClientUpdate], edge_id: int) -> ClientUpdate:
@@ -95,81 +95,3 @@ def fold_edges(
             stacked = np.stack([anchors[p] for p in positions])
             edge_anchors.append(w.astype(stacked.dtype, copy=False) @ stacked)
     return edge_updates, edge_factors, edge_anchors, shares, members
-
-
-class HierarchicalAggregator:
-    """Two-level aggregation: per-edge FedAvg, pluggable cloud strategy.
-
-    ``cloud_strategy`` sees exactly ``n_edges`` pseudo-updates per round;
-    a FedDRL cloud strategy must therefore be built with
-    ``clients_per_round = n_edges``.
-    """
-
-    def __init__(self, cloud_strategy: Strategy, n_edges: int) -> None:
-        if n_edges <= 0:
-            raise ValueError("n_edges must be positive")
-        self.cloud_strategy = cloud_strategy
-        self.n_edges = n_edges
-
-    def aggregate(
-        self, updates: list[ClientUpdate], round_idx: int
-    ) -> tuple[np.ndarray, list[ClientUpdate]]:
-        """Group updates by edge, aggregate per edge, then at the cloud.
-
-        Returns ``(new_global_weights, edge_pseudo_updates)``.
-        """
-        if len(updates) < self.n_edges:
-            raise ValueError(
-                f"need at least {self.n_edges} updates to populate every edge"
-            )
-        edge_of = assign_edges([u.client_id for u in updates], self.n_edges)
-        groups: dict[int, list[ClientUpdate]] = {e: [] for e in range(self.n_edges)}
-        for u in updates:
-            groups[edge_of[u.client_id]].append(u)
-        edge_updates = [
-            edge_aggregate(groups[e], edge_id=e) for e in range(self.n_edges)
-        ]
-        alphas = self.cloud_strategy.impact_factors(edge_updates, round_idx)
-        new_weights = combine_updates(edge_updates, alphas)
-        self.cloud_strategy.on_round_end(edge_updates, round_idx)
-        return new_weights, edge_updates
-
-
-class HierarchicalStrategy(Strategy):
-    """Adapter: run a :class:`HierarchicalAggregator` inside the flat
-    simulation loop, so hierarchical FedDRL reuses all existing tooling."""
-
-    name = "hierarchical"
-
-    def __init__(self, cloud_strategy: Strategy, n_edges: int) -> None:
-        self.aggregator = HierarchicalAggregator(cloud_strategy, n_edges)
-        self._edge_updates: list[ClientUpdate] | None = None
-
-    def impact_factors(self, updates: list[ClientUpdate], round_idx: int) -> np.ndarray:
-        # The flat interface wants per-client alphas; expose the effective
-        # ones implied by (edge FedAvg) x (cloud alphas).
-        edge_of = assign_edges([u.client_id for u in updates],
-                               self.aggregator.n_edges)
-        groups: dict[int, list[ClientUpdate]] = {}
-        for u in updates:
-            groups.setdefault(edge_of[u.client_id], []).append(u)
-        edge_updates = [
-            edge_aggregate(groups[e], edge_id=e)
-            for e in sorted(groups)
-        ]
-        cloud_alphas = self.aggregator.cloud_strategy.impact_factors(
-            edge_updates, round_idx
-        )
-        self._edge_updates = edge_updates
-        alphas = np.empty(len(updates))
-        for i, u in enumerate(updates):
-            e = edge_of[u.client_id]
-            members = groups[e]
-            n = np.array([m.n_samples for m in members], dtype=float)
-            within = u.n_samples / n.sum()
-            alphas[i] = cloud_alphas[sorted(groups).index(e)] * within
-        return alphas / alphas.sum()
-
-    def on_round_end(self, updates: list[ClientUpdate], round_idx: int) -> None:
-        if self._edge_updates is not None:
-            self.aggregator.cloud_strategy.on_round_end(self._edge_updates, round_idx)

@@ -22,12 +22,11 @@ or fully manually::
 
 from __future__ import annotations
 
-import time
-
 import numpy as np
 
 from repro.fl.client import ClientUpdate
-from repro.fl.strategies.base import Strategy, combine_updates
+from repro.fl.simulation import aggregate_window
+from repro.fl.strategies.base import Strategy
 from repro.runtime.executor import Executor, RoundContext
 
 
@@ -52,7 +51,9 @@ class FederatedServer:
         return self.global_weights.copy()
 
     def aggregate(self, updates: list[ClientUpdate]) -> np.ndarray:
-        """One server step: impact factors, eq. (4), side-thread hook."""
+        """One server step — a flat synchronous window through the shared
+        :func:`~repro.fl.simulation.aggregate_window`: impact factors,
+        eq. (4), side-thread hook."""
         if not updates:
             raise ValueError("aggregate needs at least one client update")
         for u in updates:
@@ -61,14 +62,12 @@ class FederatedServer:
                     f"client {u.client_id} uploaded {u.weights.shape[0]} weights, "
                     f"server model has {self.model_dim}"
                 )
-        t0 = time.perf_counter()
-        alphas = self.strategy.impact_factors(updates, self.round_idx)
-        t1 = time.perf_counter()
-        self.global_weights = combine_updates(updates, alphas)
-        t2 = time.perf_counter()
-        self.strategy.on_round_end(updates, self.round_idx)
-        self.impact_times.append(t1 - t0)
-        self.aggregation_times.append(t2 - t1)
+        result = aggregate_window(
+            self.global_weights, self.strategy, updates, self.round_idx
+        )
+        self.global_weights = result.weights
+        self.impact_times.append(result.impact_time_s)
+        self.aggregation_times.append(result.aggregation_time_s)
         self.round_idx += 1
         return self.global_weights
 

@@ -1,9 +1,16 @@
-"""The synchronous federated-learning round loop (Algorithm 2).
+"""The shared window-aggregation path and the synchronous round loop.
 
-:class:`FederatedSimulation` drives N clients through T communication
-rounds: sample K participants, broadcast the global weights, collect local
-updates, ask the strategy for impact factors, aggregate, and evaluate.
-Per-round records capture everything the paper's figures need — test
+One server step — Algorithm 2's impact factors followed by eq. (4) — is
+implemented once, in :func:`aggregate_window`, over a *window* of client
+updates.  The two engines are schedulers that decide which updates form a
+window and when: :class:`FederatedSimulation` (here) runs a barrier —
+sample K participants, broadcast, collect, aggregate, evaluate — and
+:class:`~repro.fl.async_.server.AsyncFederatedServer` reacts to arrivals
+in virtual-time order.  What both need around the window (construction,
+executor dispatch, records, evaluation, trace counters, checkpoint
+ledgers) lives in :class:`FederatedEngine`.
+
+Per-window records capture everything the paper's figures need — test
 accuracy (Fig. 5/7/8), per-client inference-loss statistics (Fig. 6),
 impact factors, and the server-side timing split (Fig. 9).
 
@@ -26,6 +33,7 @@ from __future__ import annotations
 
 import pickle
 import time
+from contextlib import nullcontext
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -35,6 +43,7 @@ from repro.fl.client import Client, ClientUpdate
 from repro.fl.hierarchical import fold_edges
 from repro.fl.strategies.base import Strategy, combine_updates
 from repro.fleet.columnar import FleetState
+from repro.fleet.scale import is_client_provider
 from repro.fleet.simulator import FleetSimulator
 from repro.nn.losses import SoftmaxCrossEntropy, evaluate_loss
 from repro.nn.metrics import top1_accuracy
@@ -344,8 +353,499 @@ class History:
         return sum(len(r.malicious_selected) for r in self.records)
 
 
-class FederatedSimulation:
-    """Synchronous FL over a fixed client population."""
+class NonFiniteUpdateError(ValueError):
+    """An upload carried NaN/inf weights.
+
+    Raised before the window writes anything to ``global_weights`` — under
+    the mean rule one such upload would silently poison the whole arena,
+    and distance-based defenses give no guarantee on NaN rows.
+    """
+
+    def __init__(self, client_ids: list[int]) -> None:
+        self.client_ids = client_ids
+        super().__init__(
+            f"non-finite weights uploaded by client(s) {client_ids}; "
+            "the window was not aggregated"
+        )
+
+
+@dataclass
+class WindowResult:
+    """Outcome of one :func:`aggregate_window` call."""
+
+    weights: np.ndarray        # the new global weights
+    alphas: np.ndarray         # effective per-client impact factors
+    rejected: list[int]        # client ids the defense rejected outright ...
+    clipped: list[int]         # ... or norm-clipped
+    wall_t0: float             # epoch seconds when the window started
+    impact_time_s: float       # strategy.impact_factors (Fig. 9 'DRL')
+    aggregation_time_s: float  # combine + mix (Fig. 9 'Aggregation')
+
+
+def _coalesce_voices(rows: np.ndarray, alphas, ids: list[int]):
+    """One vote per client per window.
+
+    A fast client can land several updates in one async buffer, so
+    row-wise robust statistics would let a 20%-malicious fleet occupy half
+    a flush simply by responding quickly.  Each client's rows are merged
+    (alpha-weighted, summing its alpha mass) so every estimator sees one
+    voice per participant; for the mean rule this is a no-op by
+    associativity.  Windows of distinct voices — every sync round, every
+    hier window (edges are distinct) — pass through untouched.
+    """
+    grouped: dict[int, list[int]] = {}
+    for pos, cid in enumerate(ids):
+        grouped.setdefault(cid, []).append(pos)
+    if len(grouped) == len(ids):
+        return rows, alphas, ids
+    voices, masses = [], []
+    for positions in grouped.values():
+        a = alphas[positions]
+        mass = float(a.sum())
+        if mass > 0:
+            voices.append((a / mass).astype(rows.dtype, copy=False) @ rows[positions])
+        else:
+            voices.append(rows[positions].mean(axis=0))
+        masses.append(mass)
+    return np.stack(voices), np.asarray(masses), list(grouped)
+
+
+def aggregate_window(
+    global_weights: np.ndarray,
+    strategy: Strategy,
+    updates: list[ClientUpdate],
+    index: int,
+    *,
+    defense=None,
+    n_edges: int | None = None,
+    anchors: list[np.ndarray] | None = None,
+    factors: np.ndarray | None = None,
+    server_mix: float | None = None,
+) -> WindowResult:
+    """The one server step both engines (and ``FederatedServer``) run.
+
+    fold (hier) → ``strategy.impact_factors`` × staleness factors →
+    coalesce one voice per client → combine (weighted mean | delta mean |
+    ``defense.combine``) → mix → ``strategy.on_round_end`` → effective
+    per-client alphas and verdict → client-id expansion.  ``global_weights``
+    is never written; the caller installs ``result.weights``.
+
+    Everything that distinguishes a synchronous round from an async flush
+    is a window input:
+
+    * ``n_edges`` — fold the window into that many edge FedAvg
+      pseudo-updates first (staleness factors and anchors fold with the
+      same sample weights); the strategy and any defense then run over
+      the edges exactly as they run over clients.  ``None`` is flat.
+    * ``anchors`` — per-update dispatch weights: rows become
+      ``w_i - anchor_i`` (FedBuff's delta form), so a stale update
+      contributes its own progress.  ``None`` means every anchor is the
+      current global weights — the weight form.
+    * ``factors`` — per-update staleness factors multiplied into the
+      impact factors, which are then renormalized; a window they zero
+      out skips the mix (normalizing a zero-mass vector would NaN the
+      arena) but is still recorded.  ``None`` means no multiply, no
+      renormalization, and the strict sum-to-1 check on the strategy's
+      alphas.
+    * ``server_mix`` — the step toward the combination, scaled by the
+      window's total alpha mass and capped at 1 (FedAsync's adaptive
+      alpha, generalized to buffers).  ``None`` replaces the model.
+
+    A sync round passes none of the four.  ``defense`` rules act on
+    deltas (translation-equivariant for median/Krum, essential for norm
+    clipping); the combined delta is re-anchored on ``global_weights``.
+    """
+    bad = [u.client_id for u in updates if not np.isfinite(u.weights).all()]
+    if bad:
+        raise NonFiniteUpdateError(bad)
+    wall_t0 = time.time()
+    t0 = time.perf_counter()
+    agg, shares, members = updates, None, None
+    if n_edges is not None:
+        agg, factors, anchors, shares, members = fold_edges(
+            updates, n_edges, factors=factors, anchors=anchors
+        )
+    alphas = strategy.impact_factors(agg, index)
+    t1 = time.perf_counter()
+    weighted = factors is not None
+    if weighted:
+        alphas = np.asarray(alphas, dtype=float) * factors
+    total = float(alphas.sum()) if weighted else 1.0
+    new_weights, info = global_weights, None
+    if total > 0:
+        step = 1.0 if server_mix is None else min(1.0, server_mix * total)
+        if anchors is not None:
+            rows = np.stack([u.weights - a for u, a in zip(agg, anchors)])
+        elif defense is not None:
+            rows = np.stack([u.weights for u in agg]) - global_weights
+        if defense is not None:
+            voices, voice_alphas, voice_ids = _coalesce_voices(
+                rows, alphas, [u.client_id for u in agg]
+            )
+            combined, info = defense.combine(voices, voice_alphas)
+            new_weights = global_weights + step * combined
+        elif anchors is not None:
+            normalized = np.asarray(alphas, dtype=float)
+            normalized = normalized / normalized.sum()
+            new_weights = global_weights + step * (
+                normalized.astype(rows.dtype, copy=False) @ rows
+            )
+        else:
+            combined = combine_updates(agg, alphas, normalize=weighted)
+            new_weights = combined if server_mix is None else (
+                (1.0 - step) * global_weights + step * combined
+            )
+    t2 = time.perf_counter()
+    strategy.on_round_end(agg, index)
+
+    if not total > 0:
+        record_alphas = np.zeros(len(updates))
+    elif shares is not None:
+        # Effective per-client factors implied by (edge FedAvg) x (cloud
+        # alphas): cloud weight times within-edge sample share.
+        edge_alphas = np.asarray(alphas, dtype=float)
+        record_alphas = np.empty(len(updates))
+        for e, positions in enumerate(members):
+            for p in positions:
+                record_alphas[p] = edge_alphas[e] * shares[p]
+        mass = record_alphas.sum()
+        record_alphas = record_alphas / mass if mass > 0 else np.zeros(len(updates))
+    elif weighted:
+        record_alphas = alphas / total
+    else:
+        record_alphas = np.asarray(alphas)
+
+    def clients_of(verdict: list[int]) -> list[int]:
+        # A voice is a client (flat) or an edge standing for every client
+        # folded into it (hier).
+        if members is None:
+            return [voice_ids[i] for i in verdict]
+        return [updates[p].client_id for i in verdict for p in members[voice_ids[i]]]
+
+    return WindowResult(
+        weights=new_weights,
+        alphas=record_alphas,
+        rejected=clients_of(info.rejected) if info is not None else [],
+        clipped=clients_of(info.clipped) if info is not None else [],
+        wall_t0=wall_t0,
+        impact_time_s=t1 - t0,
+        aggregation_time_s=t2 - t1,
+    )
+
+
+class FederatedEngine:
+    """What the two schedulers share around :func:`aggregate_window`.
+
+    Construction of the common parts, executor dispatch, the window's
+    record / trace counters / evaluation, and the checkpoint ledgers.
+    Subclasses decide which updates form a window and when:
+    :class:`FederatedSimulation` is a barrier scheduler,
+    :class:`~repro.fl.async_.server.AsyncFederatedServer` an event-queue
+    scheduler.
+    """
+
+    engine = ""        # snapshot tag
+    window_label = ""  # what the trace calls a window: round | aggregation
+
+    def __init__(
+        self, clients, test_set, model_factory, strategy, config, executor,
+        clock, fleet, tracer, attack, defense, faults, topology, n_edges, wire,
+    ) -> None:
+        if len(clients) == 0:
+            raise ValueError("need at least one client")
+        if topology not in ("flat", "hier"):
+            raise ValueError(f"topology must be 'flat' or 'hier', got {topology!r}")
+        if topology == "hier" and n_edges <= 0:
+            raise ValueError("n_edges must be positive")
+        self.clients = clients
+        self.topology = topology
+        self.n_edges = n_edges
+        # Lazy providers (repro.fleet.scale) materialize participants per
+        # executor batch; a plain list is the historical eager population.
+        self._lazy = is_client_provider(clients)
+        self.test_set = test_set
+        self.strategy = strategy
+        self.config = config
+        # The evaluation model also seeds the initial global weights; the
+        # serial backend reuses it as its workspace (memory stays O(1) in N).
+        self.model: Sequential = model_factory(np.random.default_rng(config.seed))
+        self.global_weights = self.model.get_flat_weights()
+        if executor is None:
+            executor = SerialExecutor(clients, model_factory, model=self.model)
+        self.executor = executor
+        self.clock = clock
+        self.fleet = fleet
+        # Adversarial fleet (repro.fl.robust): `attack` perturbs malicious
+        # clients' uploads relative to the weights they were dispatched
+        # (their data was already poisoned at build time); `defense`
+        # replaces the weighted mean with a robust combination rule.
+        self.attack = attack
+        self.defense = defense
+        # Wire subsystem (repro.fl.wire.WireFormat): uploads pass through
+        # delta → error feedback → encode → decode before aggregation.  The
+        # a-priori payload sizes are pure functions of the arena shape, so
+        # the clock charges comm time before any encoding happens.
+        self.wire = wire
+        self._up_nbytes: int | None = None
+        self._down_nbytes: int | None = None
+        if wire is not None:
+            dim, dtype = self.global_weights.shape[0], self.global_weights.dtype
+            self._up_nbytes = wire.upload_nbytes(dim, dtype)
+            self._down_nbytes = wire.download_nbytes(dim, dtype)
+        self.backdoor_test = None
+        if attack is not None and test_set is not None:
+            self.backdoor_test = attack.backdoor_test_set(test_set)
+        # Observability is opt-in: tracer=None keeps every hot-path call
+        # site at one `is not None` branch and allocates nothing.
+        self.tracer = tracer
+        if tracer is not None and fleet is not None:
+            fleet.metrics = tracer.metrics
+        # Fault tolerance (repro.runtime.faults): an optional seeded fault
+        # plan rides with every executor batch; recovery accounting
+        # accumulates here.  The checkpointer (attached by the harness)
+        # snapshots full run state between windows.
+        self.faults = faults
+        self.fault_totals = FaultStats()
+        self.checkpointer = None
+        self.history = History()
+        self._loss = SoftmaxCrossEntropy()
+
+    def _columnar_state(self) -> FleetState:
+        """Per-client state as one array per attribute: shard sizes answered
+        without touching Client objects, plus the availability engine's
+        whole-fleet view."""
+        if self._lazy:
+            shard_sizes = self.clients.shard_sizes
+        else:
+            shard_sizes = np.array([c.n_samples for c in self.clients], dtype=np.int64)
+        return FleetState(
+            len(self.clients),
+            self.config.seed,
+            availability=(
+                self.fleet.availability.columnar if self.fleet is not None else None
+            ),
+            shard_sizes=shard_sizes,
+        )
+
+    def _train(
+        self, span: str, index: int, weights: np.ndarray, ids: list[int],
+        client_batches: dict[int, int] | None = None,
+        job_rounds: dict[int, int] | None = None, **span_args,
+    ) -> list[ClientUpdate]:
+        """Broadcast ``weights`` + local training via the execution backend.
+
+        Updates come back in ``ids`` order regardless of the backend's
+        physical schedule, and each client's batch RNG is keyed on its
+        ``(round | job, client)`` cell, so every backend is bit-identical.
+        """
+        cfg = self.config
+        ctx = RoundContext(
+            round_idx=index,
+            global_weights=weights,
+            epochs=cfg.local_epochs,
+            lr=cfg.lr,
+            batch_size=cfg.batch_size,
+            base_seed=cfg.seed,
+            client_kwargs=self.strategy.client_kwargs(),
+            job_rounds=job_rounds,
+            client_batches=client_batches,
+            trace=self.tracer is not None,
+            fault_plan=self.faults,
+        )
+        tr = self.tracer
+        if tr is None:
+            updates = self.executor.run_round(ctx, ids)
+            absorb_fault_stats(self.executor, self.fault_totals, self.clock)
+            return updates
+        with tr.wall_span(span, CAT_RUNTIME, **span_args):
+            updates = self.executor.run_round(ctx, ids)
+        absorb_fault_stats(self.executor, self.fault_totals, self.clock, tr.metrics)
+        tr.add_worker_spans(self.executor.take_worker_spans())
+        ipc = getattr(self.executor, "last_ipc_bytes", None)
+        if ipc is not None:
+            tr.metrics.inc("rt.ipc.bytes_out", ipc["out"])
+            tr.metrics.inc("rt.ipc.bytes_in", ipc["in"])
+        return updates
+
+    def _aggregate(
+        self, updates: list[ClientUpdate], index: int, anchors=None,
+        factors=None, server_mix=None, **record_fields,
+    ) -> tuple[RoundRecord, WindowResult]:
+        """Run one window (see :func:`aggregate_window` for its inputs),
+        install the new weights, and start the window's record: the fields
+        every window has, plus the scheduler's ``record_fields``."""
+        result = aggregate_window(
+            self.global_weights, self.strategy, updates, index,
+            defense=self.defense,
+            n_edges=self.n_edges if self.topology == "hier" else None,
+            anchors=anchors, factors=factors, server_mix=server_mix,
+        )
+        self.global_weights = result.weights
+        ids = [u.client_id for u in updates]
+        record = RoundRecord(
+            round_idx=index,
+            participants=ids,
+            impact_factors=result.alphas,
+            client_losses_before=np.array([u.loss_before for u in updates]),
+            client_losses_after=np.array([u.loss_after for u in updates]),
+            client_sizes=np.array([u.n_samples for u in updates]),
+            impact_time_s=result.impact_time_s,
+            aggregation_time_s=result.aggregation_time_s,
+            malicious_selected=(
+                [cid for cid in ids if self.attack.is_malicious(cid)]
+                if self.attack is not None else []
+            ),
+            rejected_updates=result.rejected,
+            clipped_updates=result.clipped,
+            **record_fields,
+        )
+        return record, result
+
+    def _trace_window(self, record: RoundRecord, result: WindowResult,
+                      counter: str) -> None:
+        """The server-side spans and ``sim.*`` counters every window emits
+        (tracer != None only).  The wall fields are this host's real cost."""
+        tr = self.tracer
+        label = {self.window_label: record.round_idx}
+        tr.span("impact_factors", CAT_AGGREGATION, track="server",
+                wall_t0=result.wall_t0, wall_dur=result.impact_time_s, **label)
+        tr.span("aggregate", CAT_AGGREGATION, track="server",
+                wall_t0=result.wall_t0 + result.impact_time_s,
+                wall_dur=result.aggregation_time_s,
+                **label, updates=len(record.participants))
+        m = tr.metrics
+        m.inc(counter)
+        m.inc("sim.updates.aggregated", len(record.participants))
+        if self.attack is not None:
+            m.inc("sim.attack.malicious_aggregated", len(record.malicious_selected))
+        if self.defense is not None:
+            m.inc("sim.defense.updates_rejected", len(record.rejected_updates))
+            m.inc("sim.defense.updates_clipped", len(record.clipped_updates))
+        if self.fleet_state is not None:
+            m.set_gauge("rt.fleet.state_bytes", self.fleet_state.nbytes)
+        if self.wire is not None:
+            m.inc("sim.wire.bytes_up", record.payload_bytes_up)
+            m.inc("sim.wire.bytes_down", record.payload_bytes_down)
+            m.set_gauge(
+                "sim.wire.compression_ratio", self.wire.stats.compression_ratio()
+            )
+
+    def _trace_client_phases(
+        self, cid: int, start: float, duration: float, batches: int,
+        key: dict, **train_args,
+    ) -> None:
+        """One finished job's download / local_train / upload spans.
+
+        ``duration`` is decomposed into the device profile's shares — pure
+        arithmetic on already-drawn times, so tracing consumes no RNG and
+        the simulated fields are bit-identical across backends.
+        """
+        tr = self.tracer
+        download, compute, upload = self.clock.decompose(
+            cid, batches, duration, self._up_nbytes, self._down_nbytes
+        )
+        down_args: dict = {}
+        up_args: dict = {}
+        if self.wire is not None:
+            down_args = {"bytes": self._down_nbytes}
+            up_args = {"bytes": self._up_nbytes}
+        track = f"client/{cid}"
+        tr.span("download", CAT_COMM, track=track, sim_t0=start,
+                sim_dur=download, **key, client=cid, **down_args)
+        tr.span("local_train", CAT_COMPUTE, track=track,
+                sim_t0=start + download, sim_dur=compute,
+                **key, client=cid, batches=batches, **train_args)
+        tr.span("upload", CAT_COMM, track=track,
+                sim_t0=start + download + compute, sim_dur=upload,
+                **key, client=cid, **up_args)
+        tr.metrics.inc("sim.comm.payload_s", download + upload)
+
+    def _evaluate(self, record: RoundRecord) -> None:
+        """Score the current global weights on the test set into ``record``."""
+        span = nullcontext()
+        if self.tracer is not None:
+            # One span covers the arena broadcast (set_flat_weights) plus
+            # the forward passes it feeds.
+            span = self.tracer.wall_span(
+                "evaluate", CAT_RUNTIME, **{self.window_label: record.round_idx}
+            )
+        with span:
+            self.model.set_flat_weights(self.global_weights)
+            record.test_accuracy = top1_accuracy(
+                self.model, self.test_set.x, self.test_set.y
+            )
+            record.test_loss = evaluate_loss(
+                self.model, self._loss, self.test_set.x, self.test_set.y
+            )
+            if self.backdoor_test is not None:
+                # Attack-task accuracy: how often the triggered samples land
+                # on the attacker's target class (the attack success rate).
+                record.backdoor_accuracy = top1_accuracy(
+                    self.model, self.backdoor_test.x, self.backdoor_test.y
+                )
+
+    # -- checkpoint/resume ---------------------------------------------------
+    def _snapshot(self, **scheduler_state) -> dict:
+        """The scheduler's own state plus everything the engines share
+        (weights, History, strategy, fault / wire / clock ledgers), as a
+        self-contained dict — deep-copied via pickle so in-process
+        snapshots do not alias live state."""
+        state = {
+            "engine": self.engine,
+            **scheduler_state,
+            "global_weights": self.global_weights,
+            "history": self.history,
+            "strategy": self.strategy,
+            "fault_totals": self.fault_totals,
+            "wire": None if self.wire is None else self.wire.snapshot(),
+            "clock": None if self.clock is None else {
+                "elapsed_s": self.clock.elapsed_s,
+                "fault_recovery_s": self.clock.fault_recovery_s,
+                "timings": self.clock.timings,
+            },
+        }
+        return pickle.loads(pickle.dumps(state))
+
+    def _restore(self, state: dict) -> None:
+        """Inverse of :meth:`_snapshot` for the shared part."""
+        if state.get("engine") != self.engine:
+            raise ValueError(
+                f"cannot restore {state.get('engine')!r} state into the "
+                f"{self.engine} engine"
+            )
+        # Cast to the current compute dtype (dtype is fingerprinted at the
+        # harness level, but direct callers may legitimately move).
+        self.global_weights = np.asarray(
+            state["global_weights"], dtype=self.global_weights.dtype
+        )
+        self.history = state["history"]
+        self.strategy = state["strategy"]
+        self.fault_totals = state["fault_totals"]
+        # Old snapshots predate the wire subsystem: .get keeps them loadable.
+        wire_state = state.get("wire")
+        if wire_state is not None and self.wire is not None:
+            self.wire.restore(wire_state)
+        clock_state = state.get("clock")
+        if clock_state is not None and self.clock is not None:
+            self.clock.elapsed_s = clock_state["elapsed_s"]
+            self.clock.fault_recovery_s = clock_state["fault_recovery_s"]
+            self.clock.timings = clock_state["timings"]
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc) -> None:
+        self.close()
+
+
+class FederatedSimulation(FederatedEngine):
+    """Synchronous FL over a fixed client population: a barrier scheduler.
+
+    Every round is one window with no anchors, no staleness factors and a
+    replace-form mix."""
+
+    engine = "sync"
+    window_label = "round"
 
     def __init__(
         self,
@@ -366,84 +866,27 @@ class FederatedSimulation:
         n_edges: int = 2,
         wire=None,
     ) -> None:
-        if len(clients) == 0:
-            raise ValueError("need at least one client")
+        super().__init__(
+            clients, test_set, model_factory, strategy, config, executor,
+            clock, fleet, tracer, attack, defense, faults, topology, n_edges, wire,
+        )
         if config.clients_per_round > len(clients):
             raise ValueError(
                 f"clients_per_round={config.clients_per_round} exceeds population "
                 f"{len(clients)}"
             )
-        if topology not in ("flat", "hier"):
-            raise ValueError(f"topology must be 'flat' or 'hier', got {topology!r}")
-        if topology == "hier" and n_edges <= 0:
-            raise ValueError("n_edges must be positive")
-        self.clients = clients
-        self.topology = topology
-        self.n_edges = n_edges
-        # Lazy providers (repro.fleet.scale) materialize participants per
-        # round; a plain list is the historical eager population.
-        self._lazy = hasattr(clients, "ensure") and hasattr(clients, "release")
-        # Columnar per-client state: shard sizes answered without touching
-        # Client objects, plus the availability engine's whole-fleet view.
+        # Without a fleet or a lazy pool, shard sizes come straight from
+        # the (already resident) Client objects.
         self.fleet_state = None
         if fleet is not None or self._lazy:
-            if self._lazy:
-                shard_sizes = clients.shard_sizes
-            else:
-                shard_sizes = np.array([c.n_samples for c in clients], dtype=np.int64)
-            self.fleet_state = FleetState(
-                len(clients),
-                config.seed,
-                availability=fleet.availability.columnar if fleet is not None else None,
-                shard_sizes=shard_sizes,
-            )
-        self.test_set = test_set
-        self.strategy = strategy
-        self.config = config
+            self.fleet_state = self._columnar_state()
         self.rng = np.random.default_rng(config.seed)
         if selector is None:
             from repro.fl.selection import UniformSelection
 
             selector = UniformSelection(np.random.default_rng(config.seed + 17))
         self.selector = selector
-        # The evaluation model also seeds the initial global weights; the
-        # serial backend reuses it as its workspace (memory stays O(1) in N).
-        self.model: Sequential = model_factory(np.random.default_rng(config.seed))
-        self.global_weights = self.model.get_flat_weights()
-        if executor is None:
-            executor = SerialExecutor(clients, model_factory, model=self.model)
-        self.executor = executor
-        self.clock = clock
-        self.fleet = fleet
-        # Adversarial fleet (repro.fl.robust): `attack` perturbs malicious
-        # clients' submitted updates (their data was already poisoned at
-        # build time); `defense` replaces the weighted mean with a robust
-        # combination rule.  Both None on the historical bit-exact path.
-        self.attack = attack
-        self.defense = defense
-        # Wire subsystem (repro.fl.wire.WireFormat): uploads pass through
-        # delta → error feedback → encode → decode before aggregation, and
-        # exact payload bytes drive the clock when it has bandwidth.  None
-        # keeps the historical bit-exact path untouched.
-        self.wire = wire
-        self.backdoor_test = None
-        if attack is not None and test_set is not None:
-            self.backdoor_test = attack.backdoor_test_set(test_set)
-        # Observability is opt-in: tracer=None keeps every hot-path call
-        # site at one `is not None` branch and allocates nothing.
-        self.tracer = tracer
-        if tracer is not None and fleet is not None:
-            fleet.metrics = tracer.metrics
-        # Fault tolerance (repro.runtime.faults): an optional seeded fault
-        # plan flows to the executor with every round; recovery accounting
-        # accumulates here.  The checkpointer (attached by the harness)
-        # snapshots full run state after every `every` completed rounds.
-        self.faults = faults
-        self.fault_totals = FaultStats()
-        self.checkpointer = None
         self._next_round = 0
-        self.history = History()
-        self._loss = SoftmaxCrossEntropy()
 
     def _n_samples(self, cid: int) -> int:
         """A client's shard size — from the columnar state when present,
@@ -502,57 +945,6 @@ class FederatedSimulation:
             for cid in participants
         }
 
-    def collect_updates(
-        self, participants: list[int], round_idx: int,
-        client_batches: dict[int, int] | None = None,
-    ) -> list[ClientUpdate]:
-        """Broadcast + local training via the execution backend.
-
-        Updates come back in participant order regardless of the backend's
-        physical schedule, and each client's batch RNG is keyed on
-        ``(round_idx, client_id)`` so every backend is bit-identical.
-        """
-        cfg = self.config
-        ctx = RoundContext(
-            round_idx=round_idx,
-            global_weights=self.global_weights,
-            epochs=cfg.local_epochs,
-            lr=cfg.lr,
-            batch_size=cfg.batch_size,
-            base_seed=cfg.seed,
-            client_kwargs=self.strategy.client_kwargs(),
-            client_batches=client_batches,
-            trace=self.tracer is not None,
-            fault_plan=self.faults,
-        )
-        tr = self.tracer
-        if tr is None:
-            updates = self.executor.run_round(ctx, participants)
-            absorb_fault_stats(self.executor, self.fault_totals, self.clock)
-            return updates
-        with tr.wall_span("executor.round", CAT_RUNTIME,
-                          round=round_idx, participants=len(participants)):
-            updates = self.executor.run_round(ctx, participants)
-        absorb_fault_stats(self.executor, self.fault_totals, self.clock, tr.metrics)
-        tr.add_worker_spans(self.executor.take_worker_spans())
-        ipc = getattr(self.executor, "last_ipc_bytes", None)
-        if ipc is not None:
-            tr.metrics.inc("rt.ipc.bytes_out", ipc["out"])
-            tr.metrics.inc("rt.ipc.bytes_in", ipc["in"])
-        return updates
-
-    def _wire_nbytes(self) -> tuple[int | None, int | None]:
-        """A-priori per-transfer payload sizes (None without a wire).
-
-        Pure functions of the arena shape, so they are known before any
-        encoding happens — the clock charges comm time from them.
-        """
-        if self.wire is None:
-            return None, None
-        dim = self.global_weights.shape[0]
-        dtype = self.global_weights.dtype
-        return self.wire.upload_nbytes(dim, dtype), self.wire.download_nbytes(dim, dtype)
-
     def _observe_clock(
         self,
         round_idx: int,
@@ -577,9 +969,8 @@ class FederatedSimulation:
         }
         if client_batches:
             batches.update(client_batches)
-        up_nbytes, down_nbytes = self._wire_nbytes()
         timing = self.clock.observe_round(
-            round_idx, participants, batches, up_nbytes, down_nbytes
+            round_idx, participants, batches, self._up_nbytes, self._down_nbytes
         )
         if timing.dropped:
             dropped = set(timing.dropped)
@@ -612,7 +1003,11 @@ class FederatedSimulation:
             # Materialize the round's participants parent-side, before the
             # executor dispatches; everything else stays virtual.
             self.clients.ensure(participants)
-        updates = self.collect_updates(participants, round_idx, budgets)
+        updates = self._train(
+            "executor.round", round_idx, self.global_weights, participants,
+            client_batches=budgets,
+            round=round_idx, participants=len(participants),
+        )
         if self.attack is not None:
             # The upload leaves the device poisoned; timing is unchanged
             # (a malicious client looks like any other on the wire).
@@ -627,101 +1022,40 @@ class FederatedSimulation:
             # (round, client), so no executor schedule can reorder them.
             # Error feedback is updated even for uploads a deadline later
             # drops: the client-side encoding already happened.
-            dim = self.global_weights.shape[0]
-            dtype = self.global_weights.dtype
-            payload_down = self.wire.record_downloads(len(participants), dim, dtype)
-            dense_each = self.wire.download_nbytes(dim, dtype)
-            transmitted = []
-            for u in updates:
-                u, nbytes = self.wire.transmit(u, round_idx, self.global_weights)
-                transmitted.append(u)
-                payload_up += nbytes
-                dense_up += dense_each
-            updates = transmitted
+            payload_down = self.wire.record_downloads(
+                len(participants), self.global_weights.shape[0],
+                self.global_weights.dtype,
+            )
+            sent = [
+                self.wire.transmit(u, round_idx, self.global_weights)
+                for u in updates
+            ]
+            updates = [u for u, _ in sent]
+            payload_up = sum(nbytes for _, nbytes in sent)
+            dense_up = len(sent) * self._down_nbytes
         updates, timing, batches = self._observe_clock(
             round_idx, participants, updates, budgets
         )
-        sim_makespan = timing.makespan_s if timing is not None else None
-        dropped = timing.dropped if timing is not None else []
         updates, conn_dropped = self._fleet_dropout(round_idx, updates)
-        kept = [u.client_id for u in updates]
         self.selector.observe(
-            kept, np.array([u.loss_before for u in updates])
+            [u.client_id for u in updates],
+            np.array([u.loss_before for u in updates]),
         )
-
-        w0 = time.time()
-        t0 = time.perf_counter()
-        # Hierarchical topology: fold updates into per-edge FedAvg
-        # aggregates; the strategy — and any robust defense — then runs at
-        # the cloud level over the edge aggregates, exactly as H-FL
-        # deploys it.  The flat path aggregates the raw updates.
-        agg_updates = updates
-        shares = members = None
-        if self.topology == "hier":
-            agg_updates, _, _, shares, members = fold_edges(updates, self.n_edges)
-        alphas = self.strategy.impact_factors(agg_updates, round_idx)
-        t1 = time.perf_counter()
-        agg_info = None
-        if self.defense is None:
-            self.global_weights = combine_updates(agg_updates, alphas)
-        else:
-            # Robust rules act on deltas relative to the round's global
-            # weights (translation-equivariant for median/Krum, essential
-            # for norm clipping); the combined delta is re-anchored here.
-            deltas = np.stack([u.weights for u in agg_updates]) - self.global_weights
-            combined, agg_info = self.defense.combine(deltas, alphas)
-            self.global_weights = self.global_weights + combined
-        t2 = time.perf_counter()
-        self.strategy.on_round_end(agg_updates, round_idx)
-        if shares is not None:
-            # Effective per-client factors implied by (edge FedAvg) x
-            # (cloud alphas): cloud weight times within-edge sample share.
-            edge_alpha = np.asarray(alphas, dtype=float)
-            expanded = np.empty(len(updates))
-            for e, positions in enumerate(members):
-                for p in positions:
-                    expanded[p] = edge_alpha[e] * shares[p]
-            total_alpha = expanded.sum()
-            if total_alpha > 0:
-                expanded /= total_alpha
-            record_alphas = expanded
-        else:
-            record_alphas = alphas
-
         work_fractions = {}
         if budgets is not None:
             work_fractions = {
                 cid: self.fleet.work_fraction(round_idx, cid) for cid in participants
             }
-        record = RoundRecord(
-            round_idx=round_idx,
-            participants=kept,
-            impact_factors=np.asarray(record_alphas),
-            client_losses_before=np.array([u.loss_before for u in updates]),
-            client_losses_after=np.array([u.loss_after for u in updates]),
-            client_sizes=np.array([u.n_samples for u in updates]),
-            impact_time_s=t1 - t0,
-            aggregation_time_s=t2 - t1,
+        record, result = self._aggregate(
+            updates, round_idx,
             # The round's simulated cost includes any time the server spent
             # waiting for an online client before it could even select.
-            sim_makespan_s=None if sim_makespan is None else sim_makespan + wait_s,
-            dropped_clients=dropped,
+            sim_makespan_s=None if timing is None else timing.makespan_s + wait_s,
+            dropped_clients=timing.dropped if timing is not None else [],
             online_count=online_count,
             wait_s=wait_s,
             connectivity_dropped=conn_dropped,
             work_fractions=work_fractions,
-            malicious_selected=(
-                [cid for cid in kept if self.attack.is_malicious(cid)]
-                if self.attack is not None else []
-            ),
-            rejected_updates=(
-                self._expand_edge_ids(agg_info.rejected, updates, members)
-                if agg_info is not None else []
-            ),
-            clipped_updates=(
-                self._expand_edge_ids(agg_info.clipped, updates, members)
-                if agg_info is not None else []
-            ),
             payload_bytes_up=payload_up,
             payload_bytes_down=payload_down,
             dense_bytes_up=dense_up,
@@ -729,142 +1063,66 @@ class FederatedSimulation:
         if self._lazy:
             self.clients.release()
         if self.tracer is not None:
-            self._trace_round(record, timing, sim0, batches, (w0, t0, t1, t2))
+            self._trace_round(record, result, timing, sim0, batches)
         if self.test_set is not None and (
             round_idx % self.config.eval_every == 0
             or round_idx == self.config.rounds - 1
         ):
-            if self.tracer is not None:
-                # One span covers the arena broadcast (set_flat_weights)
-                # plus the forward passes it feeds.
-                with self.tracer.wall_span("evaluate", CAT_RUNTIME,
-                                           round=round_idx):
-                    self._eval_into(record)
-            else:
-                self._eval_into(record)
+            self._evaluate(record)
         self.history.append(record)
         return record
-
-    @staticmethod
-    def _expand_edge_ids(indices, updates, members) -> list[int]:
-        """Map defense verdict indices back to client ids.
-
-        Flat topology: index i names ``updates[i]`` directly.  Hier: the
-        defense judged edge aggregates, so a rejected/clipped edge stands
-        for every client folded into it.
-        """
-        if members is None:
-            return [updates[i].client_id for i in indices]
-        out: list[int] = []
-        for e in indices:
-            out.extend(updates[p].client_id for p in members[e])
-        return out
-
-    def _eval_into(self, record: RoundRecord) -> None:
-        self.model.set_flat_weights(self.global_weights)
-        record.test_accuracy = top1_accuracy(
-            self.model, self.test_set.x, self.test_set.y
-        )
-        record.test_loss = evaluate_loss(
-            self.model, self._loss, self.test_set.x, self.test_set.y
-        )
-        if self.backdoor_test is not None:
-            # Attack-task accuracy: how often the triggered samples land
-            # on the attacker's target class (the attack success rate).
-            record.backdoor_accuracy = top1_accuracy(
-                self.model, self.backdoor_test.x, self.backdoor_test.y
-            )
 
     def _trace_round(
         self,
         record: RoundRecord,
+        result: WindowResult,
         timing: RoundTiming | None,
         sim0: float | None,
         batches: dict[int, int],
-        wall: tuple[float, float, float, float],
     ) -> None:
         """Emit one round's spans and metrics (tracer != None only).
 
         Simulated-time fields derive from the virtual clock's timings —
         already pure functions of the seed — so the trace is
-        bit-identical across execution backends; the wall fields (server
-        aggregation) are this host's real cost.  Without a clock only
+        bit-identical across execution backends.  Without a clock only
         wall spans are emitted.
         """
         tr = self.tracer
-        w0, t0, t1, t2 = wall
-        tr.span("impact_factors", CAT_AGGREGATION, track="server",
-                wall_t0=w0, wall_dur=t1 - t0, round=record.round_idx)
-        tr.span("aggregate", CAT_AGGREGATION, track="server",
-                wall_t0=w0 + (t1 - t0), wall_dur=t2 - t1,
-                round=record.round_idx, updates=len(record.participants))
+        self._trace_window(record, result, "sim.rounds")
         m = tr.metrics
-        m.inc("sim.rounds")
-        m.inc("sim.updates.aggregated", len(record.participants))
         m.inc("sim.updates.dropped_deadline", len(record.dropped_clients))
         m.inc("sim.updates.dropped_connectivity", len(record.connectivity_dropped))
-        if self.attack is not None:
-            m.inc("sim.attack.malicious_aggregated", len(record.malicious_selected))
-        if self.defense is not None:
-            m.inc("sim.defense.updates_rejected", len(record.rejected_updates))
-            m.inc("sim.defense.updates_clipped", len(record.clipped_updates))
         if record.online_count is not None:
             m.set_gauge("sim.fleet.online", record.online_count)
-        if self.fleet_state is not None:
-            m.set_gauge("rt.fleet.state_bytes", self.fleet_state.nbytes)
-        if self.wire is not None:
-            m.inc("sim.wire.bytes_up", record.payload_bytes_up)
-            m.inc("sim.wire.bytes_down", record.payload_bytes_down)
-            m.set_gauge(
-                "sim.wire.compression_ratio", self.wire.stats.compression_ratio()
-            )
         if timing is None or sim0 is None:
             return
+        key = {"round": record.round_idx}
         tr.span("round", CAT_WINDOW, track="server",
                 sim_t0=sim0, sim_dur=record.sim_makespan_s,
-                round=record.round_idx, participants=len(record.participants))
+                **key, participants=len(record.participants))
         m.observe("sim.round.makespan_s", record.sim_makespan_s)
         if record.wait_s > 0:
             tr.span("fleet.wait", CAT_QUEUE_WAIT, track="server",
-                    sim_t0=sim0, sim_dur=record.wait_s, round=record.round_idx)
+                    sim_t0=sim0, sim_dur=record.wait_s, **key)
         start = sim0 + record.wait_s
         deadline_dropped = set(timing.dropped)
         conn_dropped = set(record.connectivity_dropped)
-        up_nbytes, down_nbytes = self._wire_nbytes()
-        comm_args: dict = {}
-        up_args: dict = {}
-        if self.wire is not None:
-            comm_args = {"bytes": down_nbytes}
-            up_args = {"bytes": up_nbytes}
         for cid, total in timing.client_times_s.items():
-            download, compute, upload = self.clock.decompose(
-                cid, batches[cid], total, up_nbytes, down_nbytes
-            )
+            self._trace_client_phases(cid, start, total, batches[cid], key)
             track = f"client/{cid}"
-            tr.span("download", CAT_COMM, track=track,
-                    sim_t0=start, sim_dur=download,
-                    round=record.round_idx, client=cid, **comm_args)
-            tr.span("local_train", CAT_COMPUTE, track=track,
-                    sim_t0=start + download, sim_dur=compute,
-                    round=record.round_idx, client=cid, batches=batches[cid])
-            tr.span("upload", CAT_COMM, track=track,
-                    sim_t0=start + download + compute, sim_dur=upload,
-                    round=record.round_idx, client=cid, **up_args)
-            m.inc("sim.comm.payload_s", download + upload)
             if cid in deadline_dropped:
                 tr.instant("deadline_drop", CAT_FLEET, track=track,
                            sim_t=start + min(total, timing.deadline_s or total),
-                           round=record.round_idx, client=cid)
+                           **key, client=cid)
             elif cid in conn_dropped:
                 tr.instant("connectivity_drop", CAT_FLEET, track=track,
-                           sim_t=start + total,
-                           round=record.round_idx, client=cid)
+                           sim_t=start + total, **key, client=cid)
             else:
                 idle = timing.makespan_s - total
                 if idle > 0:
                     tr.span("barrier.wait", CAT_IDLE, track=track,
                             sim_t0=start + total, sim_dur=idle,
-                            round=record.round_idx, client=cid)
+                            **key, client=cid)
         tr.maybe_snapshot(self.clock.elapsed_s)
 
     def run(self) -> History:
@@ -884,65 +1142,23 @@ class FederatedSimulation:
 
     # -- checkpoint/resume ---------------------------------------------------
     def snapshot_state(self) -> dict:
-        """Full engine state as a self-contained (deep-copied) dict.
-
-        Everything a resumed process needs to continue bit-identically:
-        round cursor, global weights, History, the stateful policies
-        (selector, strategy), the engine RNG, and the virtual clock's
-        ledgers.  Deep-copied via pickle so in-process snapshots do not
-        alias live state.
-        """
-        state = {
-            "engine": "sync",
-            "next_round": self._next_round,
-            "global_weights": self.global_weights,
-            "history": self.history,
-            "selector": self.selector,
-            "strategy": self.strategy,
-            "rng_state": self.rng.bit_generator.state,
-            "fault_totals": self.fault_totals,
-            "wire": None if self.wire is None else self.wire.snapshot(),
-            "clock": None if self.clock is None else {
-                "elapsed_s": self.clock.elapsed_s,
-                "fault_recovery_s": self.clock.fault_recovery_s,
-                "timings": self.clock.timings,
-            },
-        }
-        return pickle.loads(pickle.dumps(state))
+        """Full engine state as a self-contained (deep-copied) dict:
+        everything a resumed process needs to continue bit-identically —
+        the shared ledgers plus the round cursor, the selector and the
+        engine RNG."""
+        return self._snapshot(
+            next_round=self._next_round,
+            selector=self.selector,
+            rng_state=self.rng.bit_generator.state,
+        )
 
     def restore_state(self, state: dict) -> None:
         """Restore a :meth:`snapshot_state` dict; run() then continues."""
-        if state.get("engine") != "sync":
-            raise ValueError(
-                f"cannot restore {state.get('engine')!r} state into the sync engine"
-            )
+        self._restore(state)
         self._next_round = state["next_round"]
-        # Cast to the current compute dtype (dtype is fingerprinted at the
-        # harness level, but direct callers may legitimately move).
-        self.global_weights = np.asarray(
-            state["global_weights"], dtype=self.global_weights.dtype
-        )
-        self.history = state["history"]
         self.selector = state["selector"]
-        self.strategy = state["strategy"]
         self.rng.bit_generator.state = state["rng_state"]
-        self.fault_totals = state["fault_totals"]
-        # Old snapshots predate the wire subsystem: .get keeps them loadable.
-        wire_state = state.get("wire")
-        if wire_state is not None and self.wire is not None:
-            self.wire.restore(wire_state)
-        clock_state = state.get("clock")
-        if clock_state is not None and self.clock is not None:
-            self.clock.elapsed_s = clock_state["elapsed_s"]
-            self.clock.fault_recovery_s = clock_state["fault_recovery_s"]
-            self.clock.timings = clock_state["timings"]
 
     def close(self) -> None:
         """Release the execution backend's workers (idempotent)."""
         self.executor.close()
-
-    def __enter__(self) -> "FederatedSimulation":
-        return self
-
-    def __exit__(self, *exc) -> None:
-        self.close()

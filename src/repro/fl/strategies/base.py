@@ -96,11 +96,6 @@ class Strategy:
         """Return the length-K impact-factor vector for this round."""
         raise NotImplementedError
 
-    def aggregate(self, updates: list[ClientUpdate], round_idx: int) -> np.ndarray:
-        """Full aggregation: impact factors then eq. (4)."""
-        alphas = self.impact_factors(updates, round_idx)
-        return combine_updates(updates, alphas)
-
     def client_kwargs(self) -> dict:
         """Extra keyword args passed to ``Client.local_train``."""
         return {}

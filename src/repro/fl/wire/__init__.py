@@ -1,10 +1,9 @@
 """Wire-efficient upload subsystem.
 
 The layer between training and aggregation: codecs that compress the
-client→server delta (:mod:`repro.fl.wire.codecs`), the transport
+client→server delta (:mod:`repro.fl.wire.codecs`) and the transport
 pipeline with error feedback and byte-exact accounting
-(:mod:`repro.fl.wire.format`), and the legacy top-k API the subsystem
-absorbed (:mod:`repro.fl.wire.legacy`).
+(:mod:`repro.fl.wire.format`).
 """
 
 from repro.fl.wire.codecs import (
@@ -23,13 +22,6 @@ from repro.fl.wire.codecs import (
     topk_indices,
 )
 from repro.fl.wire.format import ErrorFeedback, WireFormat, WireStats
-from repro.fl.wire.legacy import (
-    CompressedClients,
-    SparseUpdate,
-    compress_round,
-    compress_update,
-    decompress_update,
-)
 
 __all__ = [
     "DEFAULT_CHUNK",
@@ -37,19 +29,14 @@ __all__ = [
     "QUANT_BITS",
     "WIRE_CODECS",
     "Codec",
-    "CompressedClients",
     "DenseCodec",
     "ErrorFeedback",
     "QSGDCodec",
-    "SparseUpdate",
     "TopKCodec",
     "TopKQSGDCodec",
     "WireFormat",
     "WirePayload",
     "WireStats",
-    "compress_round",
-    "compress_update",
-    "decompress_update",
     "get_codec",
     "payload_from_bytes",
     "topk_indices",

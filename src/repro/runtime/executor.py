@@ -76,7 +76,9 @@ def _client_lookup(clients):
     materialize the whole fleet), so they pass through unchanged;
     materialized lists become the historical dict.
     """
-    if hasattr(clients, "ensure") and hasattr(clients, "release"):
+    from repro.fleet.scale import is_client_provider
+
+    if is_client_provider(clients):
         return clients
     return {c.client_id: c for c in clients}
 
@@ -527,8 +529,9 @@ class ProcessExecutor(Executor):
         retry: RetryPolicy | None = None,
     ) -> None:
         from repro.data.shm import share_clients
+        from repro.fleet.scale import is_client_provider
 
-        if hasattr(clients, "ensure") and hasattr(clients, "release"):
+        if is_client_provider(clients):
             raise ValueError(
                 "the process backend ships every client to its workers at "
                 "pool construction — a lazy client pool would be fully "

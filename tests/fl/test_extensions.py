@@ -5,19 +5,7 @@ import numpy as np
 import pytest
 
 from repro.fl.client import ClientUpdate
-from repro.fl.compression import (
-    CompressedClients,
-    SparseUpdate,
-    compress_round,
-    compress_update,
-    decompress_update,
-)
-from repro.fl.hierarchical import (
-    HierarchicalAggregator,
-    HierarchicalStrategy,
-    assign_edges,
-    edge_aggregate,
-)
+from repro.fl.hierarchical import assign_edges, edge_aggregate
 from repro.fl.selection import (
     PowerOfChoiceSelection,
     RoundRobinSelection,
@@ -25,6 +13,7 @@ from repro.fl.selection import (
 )
 from repro.fl.simulation import FederatedSimulation, FLConfig
 from repro.fl.strategies import FedAvg, FedDRL
+from repro.fl.wire import HEADER_NBYTES, TopKCodec, WireFormat, WirePayload
 
 
 def dense_update(dim=50, seed=0, cid=0, n=10):
@@ -32,18 +21,23 @@ def dense_update(dim=50, seed=0, cid=0, n=10):
     return ClientUpdate(cid, rng.normal(size=dim), 1.0, 0.5, n)
 
 
+def topk_wire(k, dim):
+    """Top-k uploads without error feedback (the bare sparsifier)."""
+    return WireFormat(TopKCodec(frac=k / dim), base_seed=0, error_feedback=False)
+
+
 class TestCompression:
     def test_topk_keeps_largest_deltas(self):
         g = np.zeros(6)
         u = ClientUpdate(0, np.array([0.1, -5.0, 0.2, 3.0, 0.0, -0.3]), 1.0, 0.5, 10)
-        s = compress_update(u, g, k=2)
-        assert set(s.indices.tolist()) == {1, 3}
-        assert s.nnz == 2
+        payload = TopKCodec(frac=2 / 6).encode(u.weights - g)
+        assert set(payload.indices.tolist()) == {1, 3}
+        assert payload.nnz == 2
 
     def test_roundtrip_exact_when_k_equals_dim(self):
         g = np.random.default_rng(1).normal(size=30)
         u = dense_update(30, seed=2)
-        restored = decompress_update(compress_update(u, g, k=30), g)
+        restored, _ = topk_wire(30, 30).transmit(u, 0, g)
         np.testing.assert_allclose(restored.weights, u.weights)
 
     def test_lossy_reconstruction_error_decreases_with_k(self):
@@ -51,49 +45,65 @@ class TestCompression:
         u = dense_update(100, seed=3)
         errs = []
         for k in (5, 20, 80):
-            restored = decompress_update(compress_update(u, g, k), g)
+            restored, _ = topk_wire(k, 100).transmit(u, 0, g)
             errs.append(float(np.linalg.norm(restored.weights - u.weights)))
         assert errs[0] > errs[1] > errs[2]
 
     def test_metadata_preserved(self):
         g = np.zeros(10)
         u = dense_update(10, seed=4, cid=7, n=42)
-        restored = decompress_update(compress_update(u, g, 3), g)
+        restored, _ = topk_wire(3, 10).transmit(u, 0, g)
         assert restored.client_id == 7
         assert restored.n_samples == 42
         assert restored.loss_before == u.loss_before
 
     def test_compression_ratio(self):
-        g = np.zeros(1000)
-        s = compress_update(dense_update(1000, seed=5), g, k=10)
-        assert s.compression_ratio() == pytest.approx(1000 / 20)
+        """Exact bytes: dense float64 arena over k (uint32 index, float64
+        value) pairs, each behind one payload header."""
+        wire = topk_wire(10, 1000)
+        wire.transmit(dense_update(1000, seed=5), 0, np.zeros(1000))
+        assert wire.stats.compression_ratio() == pytest.approx(
+            (HEADER_NBYTES + 1000 * 8) / (HEADER_NBYTES + 10 * (4 + 8))
+        )
 
     def test_compress_round(self):
         g = np.zeros(40)
-        ups = [dense_update(40, seed=i, cid=i) for i in range(3)]
-        restored, ratio = compress_round(ups, g, k=4)
-        assert len(restored) == 3
-        assert ratio == pytest.approx(40 / 8)
+        wire = topk_wire(4, 40)
+        restored = [
+            wire.transmit(dense_update(40, seed=i, cid=i), 0, g)[0] for i in range(3)
+        ]
+        assert [u.client_id for u in restored] == [0, 1, 2]
+        assert all(np.count_nonzero(u.weights) == 4 for u in restored)
+        assert wire.stats.uploads == 3
+        assert wire.stats.bytes_up == 3 * (HEADER_NBYTES + 4 * (4 + 8))
 
     def test_invalid_k(self):
         with pytest.raises(ValueError):
-            compress_update(dense_update(), np.zeros(50), k=0)
+            TopKCodec(frac=0.0)
 
     def test_sparse_update_validation(self):
-        with pytest.raises(ValueError):
-            SparseUpdate(0, np.array([99]), np.array([1.0]), 10, 1.0, 0.5, 5)
+        """A sparse payload naming a coordinate outside the arena fails
+        loudly at decode."""
+        bad = WirePayload(
+            codec="topk", dim=10, dtype=np.dtype("float64"), nbytes=0,
+            indices=np.array([99]), values=np.array([1.0]),
+        )
+        with pytest.raises(IndexError):
+            TopKCodec().decode(bad)
 
     def test_compressed_clients_in_simulation(self, tiny_clients, tiny_data, tiny_model_factory):
         """The full loop runs with lossy uploads and still learns."""
         _, test = tiny_data
-        pool = CompressedClients(tiny_clients, k=50)
+        dim = tiny_model_factory(np.random.default_rng(0)).get_flat_weights().size
+        wire = topk_wire(50, dim)
         cfg = FLConfig(rounds=6, clients_per_round=4, local_epochs=1, lr=0.05,
                        batch_size=16, seed=0)
-        sim = FederatedSimulation(pool, test, tiny_model_factory, FedAvg(), cfg)
+        sim = FederatedSimulation(tiny_clients, test, tiny_model_factory, FedAvg(),
+                                  cfg, wire=wire)
         hist = sim.run()
         assert hist.best_accuracy() > 0.3
-        assert len(pool.ratios) == 6 * 4
-        assert all(r > 1.0 for r in pool.ratios)
+        assert wire.stats.uploads == 6 * 4
+        assert hist.wire_compression_ratio() > 1.0
 
 
 class TestHierarchical:
@@ -110,28 +120,35 @@ class TestHierarchical:
         assert set(edges.values()) <= {0, 1}
         assert sorted(edges) == [0, 2, 5, 9]
 
-    def test_aggregator_two_levels(self):
-        ups = [dense_update(20, seed=i, cid=i) for i in range(6)]
-        agg = HierarchicalAggregator(FedAvg(), n_edges=3)
-        weights, edge_ups = agg.aggregate(ups, 0)
-        assert weights.shape == (20,)
-        assert len(edge_ups) == 3
-        assert sum(e.n_samples for e in edge_ups) == sum(u.n_samples for u in ups)
+    def hier_sim(self, clients, test, factory, strategy, n_edges, k, rounds=1):
+        cfg = FLConfig(rounds=rounds, clients_per_round=k, local_epochs=1, lr=0.05,
+                       batch_size=16, seed=0)
+        return FederatedSimulation(clients, test, factory, strategy, cfg,
+                                   topology="hier", n_edges=n_edges)
 
-    def test_aggregator_needs_enough_updates(self):
-        agg = HierarchicalAggregator(FedAvg(), n_edges=5)
-        with pytest.raises(ValueError):
-            agg.aggregate([dense_update()], 0)
+    def test_aggregator_two_levels(self, tiny_clients, tiny_data, tiny_model_factory):
+        """Edge FedAvg then cloud FedAvg: every client is recorded with
+        cloud alpha x within-edge share, which for FedAvg is its flat
+        sample share."""
+        _, test = tiny_data
+        sim = self.hier_sim(tiny_clients, test, tiny_model_factory, FedAvg(),
+                            n_edges=3, k=6)
+        rec = sim.run().records[0]
+        assert sim.global_weights.shape == sim.model.get_flat_weights().shape
+        assert len(rec.participants) == 6
+        np.testing.assert_allclose(
+            rec.impact_factors, rec.client_sizes / rec.client_sizes.sum()
+        )
 
-    def test_hierarchical_equals_flat_for_fedavg(self):
-        """FedAvg is associative over sample counts, so (edge FedAvg +
-        cloud FedAvg) must equal flat FedAvg exactly."""
-        from repro.fl.strategies.base import combine_updates
-
-        ups = [dense_update(15, seed=i, cid=i, n=5 * (i + 1)) for i in range(6)]
-        flat = combine_updates(ups, FedAvg().impact_factors(ups, 0))
-        hier, _ = HierarchicalAggregator(FedAvg(), n_edges=2).aggregate(ups, 0)
-        np.testing.assert_allclose(hier, flat, atol=1e-12)
+    def test_thin_round_caps_edge_count(self, tiny_clients, tiny_data, tiny_model_factory):
+        """Fewer participants than edges: the fold populates one edge per
+        distinct client instead of refusing the round."""
+        _, test = tiny_data
+        sim = self.hier_sim(tiny_clients, test, tiny_model_factory, FedAvg(),
+                            n_edges=5, k=2, rounds=2)
+        for rec in sim.run().records:
+            assert len(rec.participants) == 2
+            assert rec.impact_factors.sum() == pytest.approx(1.0)
 
     def test_hierarchical_strategy_in_simulation(self, tiny_clients, tiny_data, tiny_model_factory):
         """Hierarchical FedDRL (Sec. 3.5 claim): cloud FedDRL over 2 edges."""
@@ -141,10 +158,8 @@ class TestHierarchical:
         cloud = FedDRL(clients_per_round=2,  # = n_edges
                        drl_config=DRLConfig(min_buffer=2, batch_size=2, updates_per_round=1),
                        seed=0)
-        strat = HierarchicalStrategy(cloud, n_edges=2)
-        cfg = FLConfig(rounds=5, clients_per_round=4, local_epochs=1, lr=0.05,
-                       batch_size=16, seed=0)
-        sim = FederatedSimulation(tiny_clients, test, tiny_model_factory, strat, cfg)
+        sim = self.hier_sim(tiny_clients, test, tiny_model_factory, cloud,
+                            n_edges=2, k=4, rounds=5)
         hist = sim.run()
         assert len(hist.records) == 5
         # Cloud agent collected transitions over edge pseudo-clients.

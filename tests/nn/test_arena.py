@@ -177,15 +177,15 @@ class TestDtypePlumbing:
             assert u.weights.dtype == get_default_dtype()
 
     def test_decompress_accepts_integer_global_weights(self):
-        from repro.fl.compression import SparseUpdate, decompress_update
+        from repro.fl.client import ClientUpdate
+        from repro.fl.wire import TopKCodec, WireFormat
 
-        sparse = SparseUpdate(
-            client_id=0, indices=np.array([1, 3]), values=np.array([0.5, -0.5]),
-            dim=6, loss_before=1.0, loss_after=0.5, n_samples=2,
-        )
-        u = decompress_update(sparse, [0, 0, 0, 0, 0, 0])
-        assert u.weights.dtype.kind == "f"
-        assert u.weights[1] == pytest.approx(0.5)
+        u = ClientUpdate(client_id=0, weights=[0, 0.5, 0, -0.5, 0, 0],
+                         loss_before=1.0, loss_after=0.5, n_samples=2)
+        wire = WireFormat(TopKCodec(frac=2 / 6), base_seed=0)
+        restored, _ = wire.transmit(u, 0, [0, 0, 0, 0, 0, 0])
+        assert restored.weights.dtype.kind == "f"
+        assert restored.weights[1] == pytest.approx(0.5)
 
     def test_combine_updates_stays_float32(self):
         from repro.fl.client import ClientUpdate
