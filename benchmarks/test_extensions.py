@@ -11,10 +11,9 @@ import numpy as np
 import pytest
 
 from repro.drl.agent import DRLConfig
-from repro.fl.compression import CompressedClients
-from repro.fl.hierarchical import HierarchicalStrategy
 from repro.fl.simulation import FederatedSimulation
 from repro.fl.strategies import FedDRL
+from repro.fl.wire import TopKCodec, WireFormat
 from repro.harness.config import ExperimentConfig
 from repro.harness.runner import (
     build_dataset,
@@ -51,12 +50,13 @@ def test_feddrl_under_sparse_compression(benchmark, once):
         for mode, k_fraction in (("dense", None), ("top10pct", 0.10)):
             cfg = BASE.with_(rounds=40)
             clients, test, factory = build_pieces(cfg)
-            dim = factory(np.random.default_rng(0)).get_flat_weights().size
+            wire = None
             if k_fraction is not None:
-                clients = CompressedClients(clients, k=max(1, int(dim * k_fraction)))
+                wire = WireFormat(TopKCodec(frac=k_fraction), cfg.seed,
+                                  error_feedback=False)
             strat = FedDRL(clients_per_round=10, drl_config=drl_cfg(), seed=13)
             sim = FederatedSimulation(clients, test, factory, strat,
-                                      build_fl_config(cfg))
+                                      build_fl_config(cfg), wire=wire)
             results[mode] = sim.run().best_accuracy()
         return results
 
@@ -78,9 +78,9 @@ def test_feddrl_hierarchical_topology(benchmark, once):
         clients, test, factory = build_pieces(cfg)
         cloud = FedDRL(clients_per_round=5,  # = n_edges
                        drl_config=drl_cfg(), seed=13)
-        strat = HierarchicalStrategy(cloud, n_edges=5)
-        sim = FederatedSimulation(clients, test, factory, strat,
-                                  build_fl_config(cfg))
+        sim = FederatedSimulation(clients, test, factory, cloud,
+                                  build_fl_config(cfg),
+                                  topology="hier", n_edges=5)
         hier = sim.run().best_accuracy()
 
         clients2, test2, factory2 = build_pieces(cfg)

@@ -51,7 +51,6 @@ from repro.fl.simulation import (  # noqa: F401
     FLConfig,
     History,
     RoundRecord,
-    WindowResult,
     combine_updates,
     evaluate_loss,
     fold_edges,
@@ -60,7 +59,7 @@ from repro.fl.simulation import (  # noqa: F401
 from repro.fl.strategies.base import Strategy
 from repro.fleet.simulator import FleetSimulator
 from repro.obs.trace import CAT_FLEET, CAT_IDLE, CAT_QUEUE_WAIT, CAT_WINDOW, Tracer
-from repro.runtime.clock import VirtualClock, n_local_batches
+from repro.runtime.clock import VirtualClock
 from repro.runtime.executor import Executor
 from repro.runtime.faults import FaultPlan
 
@@ -94,6 +93,7 @@ class AsyncFederatedServer(FederatedEngine):
 
     engine = "async"
     window_label = "aggregation"
+    window_counter = "sim.aggregations"
 
     def __init__(
         self,
@@ -169,9 +169,6 @@ class AsyncFederatedServer(FederatedEngine):
         # Dispatch choices are consumed strictly in event order, so one
         # sequential stream is deterministic under every backend.
         self._dispatch_rng = np.random.default_rng(config.seed + 29)
-        # The columnar ``jobs_served`` column drives the fairness policy
-        # with one partial sort instead of a Python min-scan over the pool.
-        self.fleet_state = self._columnar_state()
         self.discarded_updates = 0
         # Arrivals whose upload was lost to fleet connectivity dropout.
         self.dropped_arrivals = 0
@@ -216,52 +213,42 @@ class AsyncFederatedServer(FederatedEngine):
             return int(self.fleet_state.fairest(pool, 1)[0])
         return int(pool[self._dispatch_rng.integers(pool.size)])
 
-    def _dispatch_until_full(
-        self,
-        now: float,
-        version: int,
-        queue: EventQueue,
-        idle: set[int],
-        in_flight: dict[int, ClientJob],
-        next_job: int,
-    ) -> int:
+    def _dispatch_until_full(self, st: dict) -> None:
         """Fill free concurrency slots with jobs against the current model.
 
         Only *online* clients receive jobs; when every idle client is
         offline the slots stay open and are retried at the next arrival
         (or, if nothing is in flight, after a clock wait in ``run``).
         """
-        cfg = self.config
-        while next_job < self.total_jobs and len(in_flight) < self.max_concurrency and idle:
+        now, idle, in_flight = st["now"], st["idle"], st["in_flight"]
+        while (
+            st["next_job"] < self.total_jobs
+            and len(in_flight) < self.max_concurrency and idle
+        ):
             cid = self._pick_client(idle, now)
             if cid is None:
                 break
-            batches = n_local_batches(
-                self.fleet_state.n_samples(cid), cfg.local_epochs, cfg.batch_size
-            )
+            job_idx = st["next_job"]
+            batches = self._local_batches(cid)
             if self.fleet is not None:
-                batches = self.fleet.batch_budget(next_job, cid, batches)
+                batches = self.fleet.batch_budget(job_idx, cid, batches)
             job = ClientJob(
-                job_idx=next_job,
+                job_idx=job_idx,
                 client_id=cid,
                 dispatch_time_s=now,
                 duration_s=self.clock.client_time(
-                    next_job, cid, batches, self._up_nbytes, self._down_nbytes
+                    job_idx, cid, batches, self._up_nbytes, self._down_nbytes
                 ),
-                model_version=version,
+                model_version=st["version"],
                 global_weights=self.global_weights,
                 n_batches=batches,
             )
-            queue.push(job)
-            in_flight[job.job_idx] = job
+            st["queue"].push(job)
+            in_flight[job_idx] = job
             idle.discard(cid)
             self.fleet_state.record_jobs([cid])
-            if self.wire is not None:
-                # Every dispatch broadcasts the current dense global model.
-                self.wire.record_downloads(
-                    1, self.global_weights.shape[0], self.global_weights.dtype
-                )
-            next_job += 1
+            self._broadcast(1)  # every dispatch ships the current model
+            st["next_job"] += 1
             if self.tracer is not None:
                 idle_t0 = self._idle_since.pop(cid, None)
                 if idle_t0 is not None and now > idle_t0:
@@ -269,7 +256,6 @@ class AsyncFederatedServer(FederatedEngine):
                         "between_jobs", CAT_IDLE, track=f"client/{cid}",
                         sim_t0=idle_t0, sim_dur=now - idle_t0, client=cid,
                     )
-        return next_job
 
     def _wait_for_fleet(self, now: float) -> float:
         """Advance simulated time until some client is online again.
@@ -300,39 +286,33 @@ class AsyncFederatedServer(FederatedEngine):
             client_batches = None
             if self.fleet is not None:
                 client_batches = {j.client_id: j.n_batches for j in group}
-            ids = [j.client_id for j in group]
-            if self._lazy:
-                # Materialize the batch parent-side, release after: the
-                # resident Client set stays O(batch), not O(N).
-                self.clients.ensure(ids)
             updates = self._train(
-                "executor.batch", job.job_idx, job.global_weights, ids,
+                "executor.batch", job.job_idx, job.global_weights,
+                [j.client_id for j in group],
                 client_batches=client_batches,
                 job_rounds={j.client_id: j.job_idx for j in group},
                 version=job.model_version, jobs=len(group),
             )
             for j, update in zip(group, updates):
                 computed[j.job_idx] = update
-            if self._lazy:
-                self.clients.release(ids)
         return computed.pop(job.job_idx)
 
     # -- aggregation --------------------------------------------------------
-    def _flush(self, st: dict, now: float) -> None:
+    def _flush(self, st: dict) -> None:
         """Aggregate the buffer as one window, record it, advance the
         model version."""
-        buffer, agg_idx = st["buffer"], st["version"]
-        bytes_up = bytes_down = 0
-        if self.wire is not None:
-            # Uploads of the buffered arrivals, and one broadcast per job
-            # dispatched since the window opened.
-            bytes_up = st.get("window_bytes_up", 0)
-            bytes_down = (st["next_job"] - st.get("window_job0", 0)) * self._down_nbytes
-            st["window_bytes_up"] = 0
-            st["window_job0"] = st["next_job"]
+        buffer, agg_idx, now = st["buffer"], st["version"], st["now"]
+        # The window's wire bytes (all 0 without a wire): uploads of the
+        # buffered arrivals, and one broadcast per job dispatched since the
+        # window opened.
+        bytes_up = st.get("window_bytes_up", 0)
+        broadcasts = st["next_job"] - st.get("window_job0", 0)
+        st["window_bytes_up"] = 0
+        st["window_job0"] = st["next_job"]
         factors = np.array([f for _, _, _, f in buffer])
-        record, result = self._aggregate(
+        record = self._aggregate(
             [u for _, u, _, _ in buffer], agg_idx,
+            agg_idx % self.config.eval_every == 0,
             anchors=(
                 [job.global_weights for job, _, _, _ in buffer]
                 if self.delta_mix else None
@@ -343,41 +323,25 @@ class AsyncFederatedServer(FederatedEngine):
             staleness=[s for _, _, s, _ in buffer],
             staleness_factors=[float(f) for f in factors],
             payload_bytes_up=bytes_up,
-            payload_bytes_down=bytes_down,
-            dense_bytes_up=(
-                len(buffer) * self._down_nbytes if self.wire is not None else 0
-            ),
+            payload_bytes_down=broadcasts * (self._down_nbytes or 0),
+            dense_bytes_up=len(buffer) * (self._down_nbytes or 0),
         )
-        if self.tracer is not None:
-            self._trace_aggregation(record, result, now, st["last_agg_t"])
-        if self.test_set is not None and agg_idx % self.config.eval_every == 0:
-            self._evaluate(record)
-        self.history.append(record)
+        tr = self.tracer
+        if tr is not None:
+            # The agg_window spans tile the simulated timeline between
+            # consecutive flushes, so their durations sum to the run's
+            # total simulated time — the async counterpart of the
+            # synchronous engine's ``round`` windows.
+            tr.span("agg_window", CAT_WINDOW, track="server",
+                    sim_t0=st["last_agg_t"], sim_dur=record.sim_makespan_s,
+                    aggregation=agg_idx, updates=len(buffer))
+            tr.metrics.observe("sim.window.span_s", record.sim_makespan_s)
+            for s in record.staleness:
+                tr.metrics.observe("sim.staleness", s)
+            tr.maybe_snapshot(now)
         st["buffer"] = []
         st["version"] += 1
         st["last_agg_t"] = now
-
-    def _trace_aggregation(
-        self, record: RoundRecord, result: WindowResult, now: float,
-        last_agg_t: float,
-    ) -> None:
-        """Emit one buffer flush's spans and metrics (tracer != None only).
-
-        The ``agg_window`` spans tile the simulated timeline between
-        consecutive flushes, so their durations sum to the run's total
-        simulated time — the async counterpart of the synchronous
-        engine's ``round`` windows.
-        """
-        tr = self.tracer
-        tr.span("agg_window", CAT_WINDOW, track="server",
-                sim_t0=last_agg_t, sim_dur=now - last_agg_t,
-                aggregation=record.round_idx, updates=len(record.participants))
-        self._trace_window(record, result, "sim.aggregations")
-        m = tr.metrics
-        m.observe("sim.window.span_s", record.sim_makespan_s)
-        for s in record.staleness:
-            m.observe("sim.staleness", s)
-        tr.maybe_snapshot(now)
 
     def _trace_arrival(
         self, job: ClientJob, now: float, staleness: int, dropped: bool
@@ -431,10 +395,7 @@ class AsyncFederatedServer(FederatedEngine):
             self._loop = self._init_loop_state()
         st = self._loop
         if not st["primed"]:
-            st["next_job"] = self._dispatch_until_full(
-                st["now"], st["version"], st["queue"], st["idle"],
-                st["in_flight"], st["next_job"],
-            )
+            self._dispatch_until_full(st)
             st["primed"] = True
 
         while st["queue"] or st["next_job"] < self.total_jobs:
@@ -449,10 +410,7 @@ class AsyncFederatedServer(FederatedEngine):
                         "fleet.wait", CAT_QUEUE_WAIT, track="server",
                         sim_t0=waited_from, sim_dur=st["now"] - waited_from,
                     )
-                st["next_job"] = self._dispatch_until_full(
-                    st["now"], st["version"], st["queue"], st["idle"],
-                    st["in_flight"], st["next_job"],
-                )
+                self._dispatch_until_full(st)
                 if not st["queue"]:
                     break  # pathological availability; give up cleanly
                 continue
@@ -471,24 +429,13 @@ class AsyncFederatedServer(FederatedEngine):
                 st["computed"].pop(job.job_idx, None)
                 self.dropped_arrivals += 1
             else:
-                update = self._materialize(job, st["in_flight"], st["computed"])
-                if self.attack is not None:
-                    # The upload is poisoned in transit, relative to the
-                    # weights this job was dispatched against.
-                    update = self.attack.perturb(
-                        update, job.job_idx, job.global_weights
-                    )
-                if self.wire is not None:
-                    # Decode against the weights this job was dispatched
-                    # with — the same anchor delta-form mixing uses.  The
-                    # STREAM_WIRE cell is (job_idx, client), drawn here in
-                    # arrival order, itself a pure function of the seed.
-                    update, payload_bytes = self.wire.transmit(
-                        update, job.job_idx, job.global_weights
-                    )
-                    st["window_bytes_up"] = (
-                        st.get("window_bytes_up", 0) + payload_bytes
-                    )
+                # Anchored on the weights this job was dispatched with —
+                # the same anchor delta-form mixing uses.
+                update, payload_bytes = self._upload(
+                    self._materialize(job, st["in_flight"], st["computed"]),
+                    job.job_idx, job.global_weights,
+                )
+                st["window_bytes_up"] = st.get("window_bytes_up", 0) + payload_bytes
             del st["in_flight"][job.job_idx]
             st["idle"].add(job.client_id)
 
@@ -521,11 +468,8 @@ class AsyncFederatedServer(FederatedEngine):
 
             flushed = len(st["buffer"]) >= self.flush_size
             if flushed:
-                self._flush(st, now)
-            st["next_job"] = self._dispatch_until_full(
-                now, st["version"], st["queue"], st["idle"],
-                st["in_flight"], st["next_job"],
-            )
+                self._flush(st)
+            self._dispatch_until_full(st)
             if flushed and self.checkpointer is not None:
                 # Snapshot at the end of the flushing iteration — after
                 # the refill dispatch, so a resumed loop re-enters exactly
@@ -538,7 +482,7 @@ class AsyncFederatedServer(FederatedEngine):
             if getattr(self.strategy, "fixed_k", False):
                 self.discarded_updates += len(st["buffer"])
             else:
-                self._flush(st, st["now"])
+                self._flush(st)
         # The final model always gets an evaluation, whatever eval_every is.
         if (
             self.test_set is not None

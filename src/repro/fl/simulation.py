@@ -361,13 +361,6 @@ class NonFiniteUpdateError(ValueError):
     and distance-based defenses give no guarantee on NaN rows.
     """
 
-    def __init__(self, client_ids: list[int]) -> None:
-        self.client_ids = client_ids
-        super().__init__(
-            f"non-finite weights uploaded by client(s) {client_ids}; "
-            "the window was not aggregated"
-        )
-
 
 @dataclass
 class WindowResult:
@@ -377,7 +370,6 @@ class WindowResult:
     alphas: np.ndarray         # effective per-client impact factors
     rejected: list[int]        # client ids the defense rejected outright ...
     clipped: list[int]         # ... or norm-clipped
-    wall_t0: float             # epoch seconds when the window started
     impact_time_s: float       # strategy.impact_factors (Fig. 9 'DRL')
     aggregation_time_s: float  # combine + mix (Fig. 9 'Aggregation')
 
@@ -457,8 +449,10 @@ def aggregate_window(
     """
     bad = [u.client_id for u in updates if not np.isfinite(u.weights).all()]
     if bad:
-        raise NonFiniteUpdateError(bad)
-    wall_t0 = time.time()
+        raise NonFiniteUpdateError(
+            f"non-finite weights uploaded by client(s) {bad}; the window was "
+            "not aggregated"
+        )
     t0 = time.perf_counter()
     agg, shares, members = updates, None, None
     if n_edges is not None:
@@ -527,7 +521,6 @@ def aggregate_window(
         alphas=record_alphas,
         rejected=clients_of(info.rejected) if info is not None else [],
         clipped=clients_of(info.clipped) if info is not None else [],
-        wall_t0=wall_t0,
         impact_time_s=t1 - t0,
         aggregation_time_s=t2 - t1,
     )
@@ -544,8 +537,9 @@ class FederatedEngine:
     scheduler.
     """
 
-    engine = ""        # snapshot tag
-    window_label = ""  # what the trace calls a window: round | aggregation
+    engine = ""          # snapshot tag
+    window_label = ""    # what the trace calls a window
+    window_counter = ""  # the sim.* counter of closed windows
 
     def __init__(
         self, clients, test_set, model_factory, strategy, config, executor,
@@ -609,23 +603,55 @@ class FederatedEngine:
         self.checkpointer = None
         self.history = History()
         self._loss = SoftmaxCrossEntropy()
-
-    def _columnar_state(self) -> FleetState:
-        """Per-client state as one array per attribute: shard sizes answered
-        without touching Client objects, plus the availability engine's
-        whole-fleet view."""
-        if self._lazy:
-            shard_sizes = self.clients.shard_sizes
-        else:
-            shard_sizes = np.array([c.n_samples for c in self.clients], dtype=np.int64)
-        return FleetState(
-            len(self.clients),
-            self.config.seed,
-            availability=(
-                self.fleet.availability.columnar if self.fleet is not None else None
+        # Columnar per-client state: shard sizes answered without touching
+        # (possibly lazy) Client objects, the availability engine's
+        # whole-fleet view, and the jobs-served column.
+        self.fleet_state = FleetState(
+            len(clients),
+            config.seed,
+            availability=fleet.availability.columnar if fleet is not None else None,
+            shard_sizes=(
+                clients.shard_sizes if self._lazy
+                else np.array([c.n_samples for c in clients], dtype=np.int64)
             ),
-            shard_sizes=shard_sizes,
         )
+
+    def _local_batches(self, cid: int) -> int:
+        """A client's full local-training budget, in batches."""
+        cfg = self.config
+        return n_local_batches(
+            self.fleet_state.n_samples(cid), cfg.local_epochs, cfg.batch_size
+        )
+
+    def _broadcast(self, n: int) -> int:
+        """Charge ``n`` dense global-model downloads to the wire ledger;
+        returns the bytes they moved (0 without a wire)."""
+        if self.wire is None:
+            return 0
+        return self.wire.record_downloads(
+            n, self.global_weights.shape[0], self.global_weights.dtype
+        )
+
+    def _upload(
+        self, update: ClientUpdate, index: int, anchor: np.ndarray
+    ) -> tuple[ClientUpdate, int]:
+        """One upload's trip to the server, relative to the weights the
+        client was dispatched (``anchor``): poisoned on the device if the
+        client is malicious — timing is unchanged, it looks like any other
+        on the wire — then through the wire format.  Both draw from their
+        own ``(index, client)`` RNG cell, so no schedule can reorder them.
+        Returns the server-side update and the exact payload bytes."""
+        if self.attack is not None:
+            update = self.attack.perturb(update, index, anchor)
+        if self.wire is None:
+            return update, 0
+        return self.wire.transmit(update, index, anchor)
+
+    def _wall_span(self, name: str, **args):
+        """A wall-time span around a block; a no-op without a tracer."""
+        if self.tracer is None:
+            return nullcontext()
+        return self.tracer.wall_span(name, CAT_RUNTIME, **args)
 
     def _train(
         self, span: str, index: int, weights: np.ndarray, ids: list[int],
@@ -652,28 +678,37 @@ class FederatedEngine:
             trace=self.tracer is not None,
             fault_plan=self.faults,
         )
+        if self._lazy:
+            # Materialize the batch parent-side, release after: the
+            # resident Client set stays O(batch), not O(N).
+            self.clients.ensure(ids)
+        with self._wall_span(span, **span_args):
+            updates = self.executor.run_round(ctx, ids)
         tr = self.tracer
-        if tr is None:
-            updates = self.executor.run_round(ctx, ids)
-            absorb_fault_stats(self.executor, self.fault_totals, self.clock)
-            return updates
-        with tr.wall_span(span, CAT_RUNTIME, **span_args):
-            updates = self.executor.run_round(ctx, ids)
-        absorb_fault_stats(self.executor, self.fault_totals, self.clock, tr.metrics)
-        tr.add_worker_spans(self.executor.take_worker_spans())
-        ipc = getattr(self.executor, "last_ipc_bytes", None)
-        if ipc is not None:
-            tr.metrics.inc("rt.ipc.bytes_out", ipc["out"])
-            tr.metrics.inc("rt.ipc.bytes_in", ipc["in"])
+        absorb_fault_stats(
+            self.executor, self.fault_totals, self.clock,
+            None if tr is None else tr.metrics,
+        )
+        if tr is not None:
+            tr.add_worker_spans(self.executor.take_worker_spans())
+            ipc = getattr(self.executor, "last_ipc_bytes", None)
+            if ipc is not None:
+                tr.metrics.inc("rt.ipc.bytes_out", ipc["out"])
+                tr.metrics.inc("rt.ipc.bytes_in", ipc["in"])
+        if self._lazy:
+            self.clients.release(ids)
         return updates
 
     def _aggregate(
-        self, updates: list[ClientUpdate], index: int, anchors=None,
-        factors=None, server_mix=None, **record_fields,
-    ) -> tuple[RoundRecord, WindowResult]:
-        """Run one window (see :func:`aggregate_window` for its inputs),
-        install the new weights, and start the window's record: the fields
-        every window has, plus the scheduler's ``record_fields``."""
+        self, updates: list[ClientUpdate], index: int, evaluate: bool,
+        anchors=None, factors=None, server_mix=None, **record_fields,
+    ) -> RoundRecord:
+        """Close one window: run :func:`aggregate_window` over it (see
+        there for ``anchors`` / ``factors`` / ``server_mix``), install the
+        new weights, and append the window's record — the fields every
+        window has plus the scheduler's ``record_fields`` — traced and,
+        on request, evaluated."""
+        wall_t0 = time.time()
         result = aggregate_window(
             self.global_weights, self.strategy, updates, index,
             defense=self.defense,
@@ -699,30 +734,33 @@ class FederatedEngine:
             clipped_updates=result.clipped,
             **record_fields,
         )
-        return record, result
+        if self.tracer is not None:
+            self._trace_window(record, wall_t0)
+        if evaluate and self.test_set is not None:
+            self._evaluate(record)
+        self.history.append(record)
+        return record
 
-    def _trace_window(self, record: RoundRecord, result: WindowResult,
-                      counter: str) -> None:
+    def _trace_window(self, record: RoundRecord, wall_t0: float) -> None:
         """The server-side spans and ``sim.*`` counters every window emits
         (tracer != None only).  The wall fields are this host's real cost."""
         tr = self.tracer
         label = {self.window_label: record.round_idx}
         tr.span("impact_factors", CAT_AGGREGATION, track="server",
-                wall_t0=result.wall_t0, wall_dur=result.impact_time_s, **label)
+                wall_t0=wall_t0, wall_dur=record.impact_time_s, **label)
         tr.span("aggregate", CAT_AGGREGATION, track="server",
-                wall_t0=result.wall_t0 + result.impact_time_s,
-                wall_dur=result.aggregation_time_s,
+                wall_t0=wall_t0 + record.impact_time_s,
+                wall_dur=record.aggregation_time_s,
                 **label, updates=len(record.participants))
         m = tr.metrics
-        m.inc(counter)
+        m.inc(self.window_counter)
         m.inc("sim.updates.aggregated", len(record.participants))
         if self.attack is not None:
             m.inc("sim.attack.malicious_aggregated", len(record.malicious_selected))
         if self.defense is not None:
             m.inc("sim.defense.updates_rejected", len(record.rejected_updates))
             m.inc("sim.defense.updates_clipped", len(record.clipped_updates))
-        if self.fleet_state is not None:
-            m.set_gauge("rt.fleet.state_bytes", self.fleet_state.nbytes)
+        m.set_gauge("rt.fleet.state_bytes", self.fleet_state.nbytes)
         if self.wire is not None:
             m.inc("sim.wire.bytes_up", record.payload_bytes_up)
             m.inc("sim.wire.bytes_down", record.payload_bytes_down)
@@ -762,14 +800,9 @@ class FederatedEngine:
 
     def _evaluate(self, record: RoundRecord) -> None:
         """Score the current global weights on the test set into ``record``."""
-        span = nullcontext()
-        if self.tracer is not None:
-            # One span covers the arena broadcast (set_flat_weights) plus
-            # the forward passes it feeds.
-            span = self.tracer.wall_span(
-                "evaluate", CAT_RUNTIME, **{self.window_label: record.round_idx}
-            )
-        with span:
+        # One span covers the arena broadcast (set_flat_weights) plus the
+        # forward passes it feeds.
+        with self._wall_span("evaluate", **{self.window_label: record.round_idx}):
             self.model.set_flat_weights(self.global_weights)
             record.test_accuracy = top1_accuracy(
                 self.model, self.test_set.x, self.test_set.y
@@ -846,6 +879,7 @@ class FederatedSimulation(FederatedEngine):
 
     engine = "sync"
     window_label = "round"
+    window_counter = "sim.rounds"
 
     def __init__(
         self,
@@ -875,11 +909,6 @@ class FederatedSimulation(FederatedEngine):
                 f"clients_per_round={config.clients_per_round} exceeds population "
                 f"{len(clients)}"
             )
-        # Without a fleet or a lazy pool, shard sizes come straight from
-        # the (already resident) Client objects.
-        self.fleet_state = None
-        if fleet is not None or self._lazy:
-            self.fleet_state = self._columnar_state()
         self.rng = np.random.default_rng(config.seed)
         if selector is None:
             from repro.fl.selection import UniformSelection
@@ -887,13 +916,6 @@ class FederatedSimulation(FederatedEngine):
             selector = UniformSelection(np.random.default_rng(config.seed + 17))
         self.selector = selector
         self._next_round = 0
-
-    def _n_samples(self, cid: int) -> int:
-        """A client's shard size — from the columnar state when present,
-        so size queries never materialize a lazy client."""
-        if self.fleet_state is not None:
-            return self.fleet_state.n_samples(cid)
-        return self.clients[cid].n_samples
 
     # -- one round ----------------------------------------------------------
     def sample_participants(
@@ -934,14 +956,8 @@ class FederatedSimulation(FederatedEngine):
         """Per-client batch caps from the fleet's completeness draws."""
         if self.fleet is None or self.fleet.completeness >= 1.0:
             return None
-        cfg = self.config
         return {
-            cid: self.fleet.batch_budget(
-                round_idx,
-                cid,
-                n_local_batches(self._n_samples(cid), cfg.local_epochs,
-                                cfg.batch_size),
-            )
+            cid: self.fleet.batch_budget(round_idx, cid, self._local_batches(cid))
             for cid in participants
         }
 
@@ -960,13 +976,7 @@ class FederatedSimulation(FederatedEngine):
         """
         if self.clock is None:
             return updates, None, {}
-        cfg = self.config
-        batches = {
-            cid: n_local_batches(
-                self._n_samples(cid), cfg.local_epochs, cfg.batch_size
-            )
-            for cid in participants
-        }
+        batches = {cid: self._local_batches(cid) for cid in participants}
         if client_batches:
             batches.update(client_batches)
         timing = self.clock.observe_round(
@@ -999,40 +1009,18 @@ class FederatedSimulation(FederatedEngine):
         pool, wait_s, online_count = self._fleet_pool(round_idx)
         participants = self.sample_participants(round_idx, available=pool)
         budgets = self._fleet_budgets(round_idx, participants)
-        if self._lazy:
-            # Materialize the round's participants parent-side, before the
-            # executor dispatches; everything else stays virtual.
-            self.clients.ensure(participants)
         updates = self._train(
             "executor.round", round_idx, self.global_weights, participants,
             client_batches=budgets,
             round=round_idx, participants=len(participants),
         )
-        if self.attack is not None:
-            # The upload leaves the device poisoned; timing is unchanged
-            # (a malicious client looks like any other on the wire).
-            updates = [
-                self.attack.perturb(u, round_idx, self.global_weights)
-                for u in updates
-            ]
-        payload_up = payload_down = dense_up = 0
-        if self.wire is not None:
-            # Each upload passes through the wire here, parent-side and in
-            # participant order — encoding draws its STREAM_WIRE cell per
-            # (round, client), so no executor schedule can reorder them.
-            # Error feedback is updated even for uploads a deadline later
-            # drops: the client-side encoding already happened.
-            payload_down = self.wire.record_downloads(
-                len(participants), self.global_weights.shape[0],
-                self.global_weights.dtype,
-            )
-            sent = [
-                self.wire.transmit(u, round_idx, self.global_weights)
-                for u in updates
-            ]
-            updates = [u for u, _ in sent]
-            payload_up = sum(nbytes for _, nbytes in sent)
-            dense_up = len(sent) * self._down_nbytes
+        # Uploads arrive parent-side, in participant order.  Error feedback
+        # is updated even for uploads a deadline later drops: the
+        # client-side encoding already happened.
+        sent = [self._upload(u, round_idx, self.global_weights) for u in updates]
+        updates = [u for u, _ in sent]
+        payload_up = sum(nbytes for _, nbytes in sent)
+        payload_down = self._broadcast(len(participants))
         updates, timing, batches = self._observe_clock(
             round_idx, participants, updates, budgets
         )
@@ -1046,8 +1034,10 @@ class FederatedSimulation(FederatedEngine):
             work_fractions = {
                 cid: self.fleet.work_fraction(round_idx, cid) for cid in participants
             }
-        record, result = self._aggregate(
+        record = self._aggregate(
             updates, round_idx,
+            round_idx % self.config.eval_every == 0
+            or round_idx == self.config.rounds - 1,
             # The round's simulated cost includes any time the server spent
             # waiting for an online client before it could even select.
             sim_makespan_s=None if timing is None else timing.makespan_s + wait_s,
@@ -1058,37 +1048,26 @@ class FederatedSimulation(FederatedEngine):
             work_fractions=work_fractions,
             payload_bytes_up=payload_up,
             payload_bytes_down=payload_down,
-            dense_bytes_up=dense_up,
+            # What the same uploads would have cost uncompressed.
+            dense_bytes_up=len(sent) * (self._down_nbytes or 0),
         )
-        if self._lazy:
-            self.clients.release()
         if self.tracer is not None:
-            self._trace_round(record, result, timing, sim0, batches)
-        if self.test_set is not None and (
-            round_idx % self.config.eval_every == 0
-            or round_idx == self.config.rounds - 1
-        ):
-            self._evaluate(record)
-        self.history.append(record)
+            self._trace_round(record, timing, sim0, batches)
         return record
 
     def _trace_round(
         self,
         record: RoundRecord,
-        result: WindowResult,
         timing: RoundTiming | None,
         sim0: float | None,
         batches: dict[int, int],
     ) -> None:
-        """Emit one round's spans and metrics (tracer != None only).
-
-        Simulated-time fields derive from the virtual clock's timings —
-        already pure functions of the seed — so the trace is
-        bit-identical across execution backends.  Without a clock only
-        wall spans are emitted.
+        """Emit one round's simulated-time spans and metrics (tracer !=
+        None only).  They derive from the virtual clock's timings —
+        already pure functions of the seed — so the trace is bit-identical
+        across execution backends.  Without a clock there are none.
         """
         tr = self.tracer
-        self._trace_window(record, result, "sim.rounds")
         m = tr.metrics
         m.inc("sim.updates.dropped_deadline", len(record.dropped_clients))
         m.inc("sim.updates.dropped_connectivity", len(record.connectivity_dropped))

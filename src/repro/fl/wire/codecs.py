@@ -12,8 +12,7 @@ four families:
   exactly one vectorized uniform draw per coordinate from the caller's
   ``STREAM_WIRE`` generator.
 * ``topk`` — magnitude sparsification keeping ``round(frac * dim)``
-  coordinates, selected with one O(d) ``argpartition`` pass (this is the
-  codec that absorbs the legacy ``repro.fl.compression`` module).
+  coordinates, selected with one O(d) ``argpartition`` pass.
 * ``topk+qsgd{8,4}`` — the composition: sparsify, then quantize the
   kept values (indices ride uncompressed).
 
