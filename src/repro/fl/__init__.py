@@ -35,7 +35,9 @@ from repro.fl.simulation import (
     FederatedSimulation,
     FLConfig,
     History,
+    NonFiniteUpdateError,
     RoundRecord,
+    aggregate_window,
 )
 from repro.fl.singleset import SingleSetResult, train_singleset
 from repro.fl.strategies import (
@@ -76,6 +78,8 @@ __all__ = [
     "FLConfig",
     "History",
     "RoundRecord",
+    "NonFiniteUpdateError",
+    "aggregate_window",
     "SingleSetResult",
     "train_singleset",
     "Strategy",

@@ -9,12 +9,12 @@ virtual-time order:
 2. Buffer the arrived update together with its staleness (how many
    aggregations happened since the job was dispatched).
 3. When the buffer holds ``buffer_size`` updates (``mode="fedbuff"``) or
-   on every arrival (``mode="fedasync"``), aggregate: the strategy's
-   impact factors are composed with a staleness decay, renormalized
-   inside :func:`~repro.fl.strategies.combine_updates`, and the global
-   model moves toward the buffered combination by a ``server_mix`` step
-   scaled by the buffer's average staleness factor (FedAsync's adaptive
-   alpha, generalized to buffers).
+   on every arrival (``mode="fedasync"``), flush it as one window through
+   the shared :func:`~repro.fl.simulation.aggregate_window`: the
+   strategy's impact factors are composed with a staleness decay and
+   renormalized, and the global model moves toward the buffered
+   combination by a ``server_mix`` step scaled by the buffer's average
+   staleness factor (FedAsync's adaptive alpha, generalized to buffers).
 4. Refill the free slot by dispatching a new job against the *current*
    global weights.
 
@@ -312,7 +312,7 @@ class AsyncFederatedServer(FederatedEngine):
         factors = np.array([f for _, _, _, f in buffer])
         record = self._aggregate(
             [u for _, u, _, _ in buffer], agg_idx,
-            agg_idx % self.config.eval_every == 0,
+            evaluate=agg_idx % self.config.eval_every == 0,
             anchors=(
                 [job.global_weights for job, _, _, _ in buffer]
                 if self.delta_mix else None

@@ -464,6 +464,7 @@ def aggregate_window(
     weighted = factors is not None
     if weighted:
         alphas = np.asarray(alphas, dtype=float) * factors
+    # Unweighted alphas already sum to 1 (combine_updates checks it).
     total = float(alphas.sum()) if weighted else 1.0
     new_weights, info = global_weights, None
     if total > 0:
@@ -1036,7 +1037,7 @@ class FederatedSimulation(FederatedEngine):
             }
         record = self._aggregate(
             updates, round_idx,
-            round_idx % self.config.eval_every == 0
+            evaluate=round_idx % self.config.eval_every == 0
             or round_idx == self.config.rounds - 1,
             # The round's simulated cost includes any time the server spent
             # waiting for an online client before it could even select.

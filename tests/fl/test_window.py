@@ -85,9 +85,8 @@ class TestSyncIsANeutralFlush:
 class PoisonedUpload:
     """Duck-typed attack: one client's upload arrives carrying a NaN."""
 
-    def __init__(self, client_id: int, value: float = np.nan) -> None:
+    def __init__(self, client_id: int) -> None:
         self.client_id = client_id
-        self.value = value
 
     def backdoor_test_set(self, test_set):
         return None
@@ -99,7 +98,7 @@ class PoisonedUpload:
         if update.client_id != self.client_id:
             return update
         weights = update.weights.copy()
-        weights[3] = self.value
+        weights[3] = np.nan
         return replace(update, weights=weights)
 
 
