@@ -11,8 +11,10 @@ script CI can run:
 3. ``--resume`` from the surviving snapshot and compare hashes.
 
 Equal hashes mean the resumed training trajectory is bit-identical to
-never having been killed.  Exercises both engines: the synchronous
-barrier loop and the event-driven FedBuff engine.
+never having been killed.  Three cells: the synchronous barrier loop, the
+event-driven FedBuff engine, and FedBuff with everything on
+(``benchmarks/e2e``'s ``fedbuff_full`` in miniature), whose snapshot
+carries live error-feedback residuals and the dispatcher's idle column.
 """
 
 from __future__ import annotations
@@ -56,24 +58,35 @@ VICTIM = textwrap.dedent("""
 """)
 
 
-def base_config(aggregation: str, rounds: int) -> dict:
+FEDBUFF = dict(aggregation="fedbuff", latency_model="lognormal", buffer_size=4)
+CELLS = {
+    "sync": {},
+    "fedbuff": FEDBUFF,
+    "fedbuff-full": dict(
+        FEDBUFF, n_clients=24, partition="IID", fleet_mode="lazy",
+        availability="markov", dropout_prob=0.05, topology="hier", n_edges=3,
+        codec="topk+qsgd8", topk_frac=0.05, bandwidth_model="lognormal",
+        aggregator="krum", server_mix="delta",
+    ),
+}
+
+
+def base_config(cell: str, rounds: int) -> dict:
     cfg = dict(
         method="fedavg", scale="ci", n_clients=8, clients_per_round=8,
         seed=0, rounds=rounds,
     )
-    if aggregation != "sync":
-        cfg.update(aggregation=aggregation, latency_model="lognormal",
-                   buffer_size=4)
+    cfg.update(CELLS[cell])
     return cfg
 
 
-def smoke_engine(aggregation: str, rounds: int, kill_after: int,
+def smoke_engine(cell: str, rounds: int, kill_after: int,
                  workdir: str) -> bool:
-    clean = run_experiment(ExperimentConfig(**base_config(aggregation, rounds)))
+    clean = run_experiment(ExperimentConfig(**base_config(cell, rounds)))
     clean_hash = history_digest(clean.history)
 
-    ck = os.path.join(workdir, f"{aggregation}.ckpt")
-    victim_cfg = dict(base_config(aggregation, rounds), checkpoint_path=ck)
+    ck = os.path.join(workdir, f"{cell}.ckpt")
+    victim_cfg = dict(base_config(cell, rounds), checkpoint_path=ck)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
     proc = subprocess.run(
@@ -89,12 +102,12 @@ def smoke_engine(aggregation: str, rounds: int, kill_after: int,
         return False
 
     resumed = run_experiment(
-        ExperimentConfig(**dict(base_config(aggregation, rounds), resume=ck))
+        ExperimentConfig(**dict(base_config(cell, rounds), resume=ck))
     )
     resumed_hash = history_digest(resumed.history)
     identical = resumed_hash == clean_hash
     verdict = "bit-identical" if identical else "DIVERGED"
-    print(f"  {aggregation}: killed after {kill_after} saves, resumed -> "
+    print(f"  {cell}: killed after {kill_after} saves, resumed -> "
           f"{verdict} ({resumed_hash[:12]} vs {clean_hash[:12]})")
     return identical
 
@@ -108,8 +121,8 @@ def main(argv=None) -> int:
 
     ok = True
     with tempfile.TemporaryDirectory(prefix="kill-resume-") as workdir:
-        for aggregation in ("sync", "fedbuff"):
-            ok = smoke_engine(aggregation, args.rounds, args.kill_after,
+        for cell in CELLS:
+            ok = smoke_engine(cell, args.rounds, args.kill_after,
                               workdir) and ok
     print("kill-and-resume smoke:", "PASS" if ok else "FAIL")
     return 0 if ok else 1

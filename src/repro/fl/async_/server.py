@@ -183,8 +183,7 @@ class AsyncFederatedServer(FederatedEngine):
     def jobs_dispatched(self) -> dict[int, int]:
         """Dict view of the columnar jobs-served counts (checkpoint/API
         compatible with the pre-columnar per-client dict)."""
-        col = self.fleet_state.jobs_served
-        return {cid: int(col[cid]) for cid in range(len(self.clients))}
+        return dict(enumerate(self.fleet_state.jobs_served.tolist()))
 
     @jobs_dispatched.setter
     def jobs_dispatched(self, counts: dict[int, int]) -> None:
@@ -193,20 +192,21 @@ class AsyncFederatedServer(FederatedEngine):
             self.fleet_state.jobs_served[int(cid)] = int(n)
 
     # -- dispatch -----------------------------------------------------------
-    def _pick_client(self, idle: set[int], now: float) -> int | None:
+    def _pick_client(self, idle: np.ndarray, now: float) -> int | None:
         """One idle client to dispatch to, or None when nobody is reachable.
 
-        With a fleet attached the candidate pool is the *online* idle
-        clients; the fairness policy hands the slot to the candidate with
-        the fewest dispatched jobs (ties by id) instead of a uniform draw,
-        so slow-but-reachable devices keep getting work.
+        ``idle`` is a boolean column over client ids.  With a fleet
+        attached the candidate pool is the *online* idle clients; the
+        fairness policy hands the slot to the candidate with the fewest
+        dispatched jobs (ties by id) instead of a uniform draw, so
+        slow-but-reachable devices keep getting work.
         """
-        pool = np.fromiter(idle, dtype=np.int64, count=len(idle))
-        pool.sort()
         if self.fleet is not None:
-            pool = self.fleet.online_ids(now, pool)
-            if pool.size == 0:
-                return None
+            pool = self.fleet.online_ids(now, idle)
+        else:
+            pool = np.flatnonzero(idle)
+        if pool.size == 0:
+            return None
         if self.dispatch == "fairness":
             # One partial sort over the jobs-served column — same winner
             # as the historical min((jobs, id)) scan.
@@ -223,7 +223,7 @@ class AsyncFederatedServer(FederatedEngine):
         now, idle, in_flight = st["now"], st["idle"], st["in_flight"]
         while (
             st["next_job"] < self.total_jobs
-            and len(in_flight) < self.max_concurrency and idle
+            and len(in_flight) < self.max_concurrency
         ):
             cid = self._pick_client(idle, now)
             if cid is None:
@@ -245,7 +245,7 @@ class AsyncFederatedServer(FederatedEngine):
             )
             st["queue"].push(job)
             in_flight[job_idx] = job
-            idle.discard(cid)
+            idle[cid] = False
             self.fleet_state.record_jobs([cid])
             self._broadcast(1)  # every dispatch ships the current model
             st["next_job"] += 1
@@ -366,7 +366,7 @@ class AsyncFederatedServer(FederatedEngine):
         captures all of it (queue, slots, buffer, cursors) at once."""
         return {
             "queue": EventQueue(),
-            "idle": set(range(len(self.clients))),
+            "idle": np.ones(len(self.clients), dtype=bool),  # no job in flight
             "in_flight": {},   # job_idx -> ClientJob
             "computed": {},    # job_idx -> ClientUpdate (trained, unpopped)
             "buffer": [],      # (job, update, staleness, factor)
@@ -437,7 +437,7 @@ class AsyncFederatedServer(FederatedEngine):
                 )
                 st["window_bytes_up"] = st.get("window_bytes_up", 0) + payload_bytes
             del st["in_flight"][job.job_idx]
-            st["idle"].add(job.client_id)
+            st["idle"][job.client_id] = True
 
             staleness = st["version"] - job.model_version
             factor = self.staleness.factor(staleness)
@@ -474,7 +474,7 @@ class AsyncFederatedServer(FederatedEngine):
                 # Snapshot at the end of the flushing iteration — after
                 # the refill dispatch, so a resumed loop re-enters exactly
                 # where an uninterrupted one would be.
-                self.checkpointer.step(self.snapshot_state)
+                self.checkpointer.step(self._state_view)
 
         if st["buffer"]:
             # A partial final buffer: flush it unless the strategy needs a
@@ -493,16 +493,13 @@ class AsyncFederatedServer(FederatedEngine):
         return self.history
 
     # -- checkpoint/resume ---------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Full engine state as a self-contained (deep-copied) dict.
-
-        Captures the event loop mid-timeline: the pending arrival heap
-        (in-flight jobs carry their dispatch-version weights), slot and
-        buffer state, the model-version counter, the dispatch RNG, and
-        the fairness/drop tallies — with the shared ledgers, everything a
-        fresh process needs to continue the run bit-identically.
-        """
-        return self._snapshot(
+    def _state_view(self) -> dict:
+        """Borrowed engine state, the event loop mid-timeline: the
+        pending arrival heap (in-flight jobs carry their dispatch-version
+        weights), slot and buffer state, the model-version counter, the
+        dispatch RNG, and the fairness/drop tallies, with the shared
+        ledgers."""
+        return self._borrow_state(
             loop=self._loop,
             dispatch_rng_state=self._dispatch_rng.bit_generator.state,
             jobs_dispatched=self.jobs_dispatched,
@@ -514,7 +511,10 @@ class AsyncFederatedServer(FederatedEngine):
     def restore_state(self, state: dict) -> None:
         """Restore a :meth:`snapshot_state` dict; run() then continues."""
         self._restore(state)
-        self._loop = state["loop"]
+        self._loop = st = state["loop"]
+        if st is not None and isinstance(st["idle"], set):
+            # Snapshots from before the idle column carry a set of ids.
+            st["idle"] = np.isin(np.arange(len(self.clients)), list(st["idle"]))
         self._dispatch_rng.bit_generator.state = state["dispatch_rng_state"]
         self.jobs_dispatched = state["jobs_dispatched"]
         self.discarded_updates = state["discarded_updates"]

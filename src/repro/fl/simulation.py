@@ -819,12 +819,12 @@ class FederatedEngine:
                 )
 
     # -- checkpoint/resume ---------------------------------------------------
-    def _snapshot(self, **scheduler_state) -> dict:
+    def _borrow_state(self, **scheduler_state) -> dict:
         """The scheduler's own state plus everything the engines share
-        (weights, History, strategy, fault / wire / clock ledgers), as a
-        self-contained dict — deep-copied via pickle so in-process
-        snapshots do not alias live state."""
-        state = {
+        (weights, History, strategy, fault / wire / clock ledgers), by
+        *reference*: valid only until the engine next advances.  The
+        checkpointer pickles it at once, between windows."""
+        return {
             "engine": self.engine,
             **scheduler_state,
             "global_weights": self.global_weights,
@@ -838,10 +838,16 @@ class FederatedEngine:
                 "timings": self.clock.timings,
             },
         }
-        return pickle.loads(pickle.dumps(state))
+
+    def snapshot_state(self) -> dict:
+        """Full engine state as a self-contained dict: everything a fresh
+        process needs to continue bit-identically, deep-copied (a pickle
+        round trip of :meth:`_state_view` — what a checkpoint file
+        restores to), never aliasing live state."""
+        return pickle.loads(pickle.dumps(self._state_view()))
 
     def _restore(self, state: dict) -> None:
-        """Inverse of :meth:`_snapshot` for the shared part."""
+        """Inverse of :meth:`_borrow_state` for the shared part."""
         if state.get("engine") != self.engine:
             raise ValueError(
                 f"cannot restore {state.get('engine')!r} state into the "
@@ -1117,16 +1123,14 @@ class FederatedSimulation(FederatedEngine):
             self.run_round(t)
             self._next_round = t + 1
             if self.checkpointer is not None:
-                self.checkpointer.step(self.snapshot_state)
+                self.checkpointer.step(self._state_view)
         return self.history
 
     # -- checkpoint/resume ---------------------------------------------------
-    def snapshot_state(self) -> dict:
-        """Full engine state as a self-contained (deep-copied) dict:
-        everything a resumed process needs to continue bit-identically —
-        the shared ledgers plus the round cursor, the selector and the
-        engine RNG."""
-        return self._snapshot(
+    def _state_view(self) -> dict:
+        """Borrowed engine state: the shared ledgers plus the round
+        cursor, the selector and the engine RNG."""
+        return self._borrow_state(
             next_round=self._next_round,
             selector=self.selector,
             rng_state=self.rng.bit_generator.state,

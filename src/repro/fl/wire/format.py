@@ -48,7 +48,7 @@ class ErrorFeedback:
         residual = self.residuals.get(client_id)
         if residual is None:
             return delta
-        return delta + residual.astype(delta.dtype)
+        return delta + residual.astype(delta.dtype, copy=False)
 
     def absorb(
         self, client_id: int, compensated: np.ndarray, decoded: np.ndarray
@@ -56,7 +56,9 @@ class ErrorFeedback:
         self.residuals[client_id] = compensated - decoded
 
     def snapshot(self) -> dict:
-        return {cid: r.copy() for cid, r in self.residuals.items()}
+        """The residuals by reference: :meth:`absorb` replaces an array,
+        nothing ever writes into one, so a snapshot needs no copies."""
+        return dict(self.residuals)
 
     def restore(self, state: dict) -> None:
         self.residuals = {cid: np.asarray(r).copy() for cid, r in state.items()}

@@ -39,7 +39,7 @@ import math
 
 import numpy as np
 
-from repro.fleet.columnar import ColumnarAvailability
+from repro.fleet.columnar import ColumnarAvailability, ids_within
 from repro.runtime.seeding import (
     STREAM_AVAILABILITY,
     client_round_rng,
@@ -96,16 +96,9 @@ class AvailabilityModel:
         return self.columnar.mask(slot)
 
     def online_ids(self, slot: int, ids: np.ndarray | None = None) -> np.ndarray:
-        """Sorted online ids for one slot, optionally within ``ids``."""
-        if slot < 0:
-            raise ValueError("slot must be non-negative")
-        if self.columnar is None:
-            mask = self.online_mask(slot)
-            if ids is None:
-                return np.flatnonzero(mask)
-            ids = np.sort(np.asarray(ids, dtype=np.int64))
-            return ids[mask[ids]]
-        return self.columnar.online_ids(slot, ids)
+        """Sorted online ids for one slot, optionally within ``ids`` (an
+        id array or a boolean column over the fleet)."""
+        return ids_within(self.online_mask(slot), ids)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}(n_clients={self.n_clients})"

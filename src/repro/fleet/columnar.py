@@ -50,6 +50,21 @@ _MASK_CACHE_MIN_SLOTS = 8
 _MASK_CACHE_BYTES = 16 << 20
 
 
+def ids_within(mask: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
+    """Sorted client ids set in the boolean column ``mask``, optionally
+    restricted to ``ids`` — an id array, or a second boolean column over
+    the fleet (one AND, no sort: the async dispatcher's idle column)."""
+    if ids is None:
+        return np.flatnonzero(mask)
+    ids = np.asarray(ids)
+    if ids.dtype == np.bool_:
+        return np.flatnonzero(mask & ids)
+    ids = ids.astype(np.int64, copy=False)
+    if ids.size > 1 and not (ids[1:] >= ids[:-1]).all():
+        ids = np.sort(ids)
+    return ids[mask[ids]]
+
+
 class ColumnarAvailability:
     """Whole-fleet availability masks, bit-identical to the scalar models."""
 
@@ -188,13 +203,7 @@ class ColumnarAvailability:
 
     def online_ids(self, slot: int, ids: np.ndarray | None = None) -> np.ndarray:
         """Sorted online client ids, optionally restricted to ``ids``."""
-        mask = self.mask(slot)
-        if ids is None:
-            return np.flatnonzero(mask)
-        ids = np.asarray(ids, dtype=np.int64)
-        if ids.size > 1 and not (ids[1:] >= ids[:-1]).all():
-            ids = np.sort(ids)
-        return ids[mask[ids]]
+        return ids_within(self.mask(slot), ids)
 
     def online_count(self, slot: int) -> int:
         return int(self.mask(slot).sum())

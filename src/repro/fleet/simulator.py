@@ -83,7 +83,8 @@ class FleetSimulator:
         return self.availability.online(client_id, self.slot(time_s))
 
     def online_ids(self, time_s: float, ids=None) -> np.ndarray:
-        """The online subset of ``ids`` (default: all clients) at ``time_s``.
+        """The online subset of ``ids`` (default: all clients) at ``time_s``;
+        ``ids`` is an id array or a boolean column over the fleet.
 
         Returns a sorted int64 id array; callers thread it straight into
         the selectors so a million-client pool never materializes Python

@@ -10,6 +10,7 @@ deadlines) independently of the host's real speed.
 
 from repro.runtime.checkpoint import (
     SNAPSHOT_SCHEMA,
+    CheckpointError,
     Checkpointer,
     load_snapshot,
     save_snapshot,
@@ -63,6 +64,7 @@ __all__ = [
     "LATENCY_MODELS",
     "SNAPSHOT_SCHEMA",
     "BandwidthModel",
+    "CheckpointError",
     "Checkpointer",
     "DeviceProfile",
     "HomogeneousBandwidth",

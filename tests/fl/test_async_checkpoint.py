@@ -8,6 +8,8 @@ a mid-timeline snapshot must finish bit-identical to an uninterrupted
 one.
 """
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -85,7 +87,9 @@ class TestAsyncServerCheckpoint:
 
 
 class _GrabSnapshot:
-    """A checkpointer stand-in that captures the state at one step."""
+    """A checkpointer stand-in that captures the state at one step — by
+    pickling it before ``step`` returns, as the real one does: the engine
+    hands over live state."""
 
     def __init__(self, at: int) -> None:
         self.at = at
@@ -95,7 +99,7 @@ class _GrabSnapshot:
     def step(self, state_fn) -> bool:
         self.steps += 1
         if self.steps == self.at:
-            self.state = state_fn()
+            self.state = pickle.loads(pickle.dumps(state_fn()))
             return True
         return False
 

@@ -10,8 +10,10 @@ import pickle
 import signal
 import subprocess
 import sys
+import tempfile
 import textwrap
 
+import numpy as np
 import pytest
 
 from repro.harness.checkpoint import (
@@ -24,7 +26,9 @@ from repro.harness.reporting import history_digest
 from repro.harness.runner import run_experiment
 from repro.runtime.checkpoint import (
     SNAPSHOT_SCHEMA,
+    CheckpointError,
     Checkpointer,
+    _tmp_prefix,
     load_snapshot,
     save_snapshot,
 )
@@ -70,6 +74,28 @@ class TestSnapshotIO:
             save_snapshot(path, {"bad": lambda: None})  # unpicklable
         assert list(tmp_path.iterdir()) == []
 
+    @pytest.mark.parametrize("damage", ["empty", "truncated", "bit_flipped"])
+    def test_damaged_file_raises_checkpoint_error(self, tmp_path, damage):
+        """Hostile input: one typed error naming the file, never a leaked
+        EOFError / UnpicklingError."""
+        path = tmp_path / "snap.ckpt"
+        save_snapshot(str(path), {"w": np.arange(64.0), "history": list(range(50))})
+        blob = bytearray(path.read_bytes())
+        if damage == "empty":
+            blob = bytearray()
+        elif damage == "truncated":
+            blob = blob[: len(blob) // 2]
+        else:
+            blob[0] ^= 0x40  # the PROTO opcode: no longer a pickle stream
+        path.write_bytes(bytes(blob))
+        with pytest.raises(CheckpointError, match="snap.ckpt") as err:
+            load_snapshot(str(path))
+        assert isinstance(err.value, ValueError)
+
+    def test_missing_file_is_still_an_oserror(self, tmp_path):
+        with pytest.raises(FileNotFoundError):
+            load_snapshot(str(tmp_path / "nope.ckpt"))
+
 
 class TestCheckpointer:
     def test_saves_on_interval(self, tmp_path):
@@ -85,6 +111,30 @@ class TestCheckpointer:
     def test_interval_must_be_positive(self, tmp_path):
         with pytest.raises(ValueError):
             Checkpointer(str(tmp_path / "x"), every=0)
+
+    def test_init_removes_only_its_own_stale_temp_files(self, tmp_path):
+        """A SIGKILL mid-write strands the temp file; the next
+        Checkpointer on the same target sweeps it — and nothing else."""
+        path = str(tmp_path / "run.ckpt")
+        save_snapshot(path, {"i": 0})
+        fd, stale = tempfile.mkstemp(
+            dir=tmp_path, prefix=_tmp_prefix(path), suffix=".tmp")
+        os.write(fd, b"half a snapshot")
+        os.close(fd)
+
+        bystanders = {
+            "notes.txt": b"unrelated",
+            ".ckpt-other.ckpt-abc123.tmp": b"a neighbour's in-flight write",
+            "run.ckpt.bak": b"user copy",
+        }
+        for name, blob in bystanders.items():
+            (tmp_path / name).write_bytes(blob)
+
+        Checkpointer(path)
+        assert not os.path.exists(stale)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["run.ckpt", *bystanders])
+        assert load_snapshot(path)["state"] == {"i": 0}
 
 
 class TestFingerprint:

@@ -95,3 +95,15 @@ class TestMain:
         ])
         payload = json.loads(capsys.readouterr().out)
         assert "accuracy_series" not in payload
+
+    def test_resume_from_truncated_checkpoint_is_one_line(self, tmp_path, capsys):
+        cell = ["--method", "fedavg", "--scale", "ci", "--clients", "5",
+                "--per-round", "5", "--rounds", "2"]
+        ck = tmp_path / "run.ckpt"
+        assert main([*cell, "--checkpoint", str(ck)]) == 0
+        ck.write_bytes(ck.read_bytes()[:100])
+        capsys.readouterr()
+        assert main([*cell, "--resume", str(ck)]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("python -m repro: error: --resume:")
+        assert "run.ckpt" in err and "\n" not in err
