@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Substrate benchmark: arena weight transfer + dtype round wall-clock.
 
-Two measurements, written to ``BENCH_substrate.json``:
+Three measurements, written to ``BENCH_substrate.json``:
 
 1. **Weight-transfer microbench** — ``set_flat_weights`` /
    ``get_flat_weights`` / ``zero_grad`` / one SGD step against faithful
@@ -18,6 +18,11 @@ Two measurements, written to ``BENCH_substrate.json``:
    payload in bytes (the process backend ships exactly one flat vector
    per direction, so float32 halves it).
 
+3. **Per-layer conv path** — ``simple_cnn`` at float32 on a batch of 25
+   32x32 images (the shape a ``sync_cnn_process`` client evaluates): each
+   layer's inference forward, training forward and backward in
+   microseconds, so a change to one layer shows in its own row.
+
 Run ``python benchmarks/bench_substrate.py`` for the full numbers
 (tens of seconds) or ``--smoke`` for a seconds-long CI pass with the
 same JSON shape.
@@ -31,6 +36,7 @@ import os
 import platform
 import sys
 import time
+from functools import partial
 
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
@@ -42,7 +48,7 @@ from repro.fl.client import make_clients
 from repro.fl.simulation import FederatedSimulation, FLConfig
 from repro.fl.strategies import FedAvg
 from repro.nn.dtypes import set_default_dtype
-from repro.nn.models import mlp, vgg_mini
+from repro.nn.models import mlp, simple_cnn, vgg_mini
 from repro.nn.optim import SGD
 from repro.runtime.executor import make_executor
 
@@ -189,10 +195,7 @@ def bench_rounds(rounds: int, n_train: int, image_size: int, workers: int) -> di
         train, _ = make_synthetic_dataset(spec, n_train, 64, np.random.default_rng(0))
         parts = iid_partition(train.y, n_clients, np.random.default_rng(1))
 
-        from repro.nn.models import simple_cnn as _cnn
-        from functools import partial
-
-        factory = partial(_cnn, 1, image_size, 10)
+        factory = partial(simple_cnn, 1, image_size, 10)
         dtype_entry: dict = {}
         for backend in ("serial", "process"):
             clients = make_clients(train, parts, seed=2)
@@ -230,6 +233,40 @@ def bench_rounds(rounds: int, n_train: int, image_size: int, workers: int) -> di
     return out
 
 
+def bench_conv_layers(reps: int, trials: int) -> dict:
+    """Per-layer microseconds of ``simple_cnn`` (float32, N = 25, 32x32)."""
+    batch, image_size = 25, 32
+    set_default_dtype("float32")
+    try:
+        rng = np.random.default_rng(0)
+        model = simple_cnn(1, image_size, 10, rng)
+        x = rng.normal(size=(batch, 1, image_size, image_size)).astype(np.float32)
+
+        def micros(fn) -> float:
+            return round(best_of(fn, reps, trials) * 1e6, 1)
+
+        rows = []
+        for i, layer in enumerate(model.layers):
+            out = layer.forward(x, training=True)
+            grad = rng.normal(size=out.shape).astype(np.float32)
+            rows.append({
+                "layer": f"{i}:{type(layer).__name__}",
+                "forward_inference_us": micros(lambda: layer.forward(x)),
+                "forward_training_us": micros(lambda: layer.forward(x, training=True)),
+                # The training cache survives repeated backwards.
+                "backward_us": micros(lambda: layer.backward(grad)),
+            })
+            x = out
+    finally:
+        set_default_dtype("float64")
+    columns = ("forward_inference_us", "forward_training_us", "backward_us")
+    return {
+        "model": "simple_cnn", "dtype": "float32", "batch": batch,
+        "image_size": image_size, "layers": rows,
+        "total": {c: round(sum(r[c] for r in rows), 1) for c in columns},
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
@@ -240,14 +277,17 @@ def main(argv=None) -> int:
 
     if args.smoke:
         reps, trials = 300, 3
+        layer_reps = 5
         rounds, n_train, image_size, workers = 2, 400, 8, 2
     else:
         reps, trials = 3000, 7
+        layer_reps = 50
         rounds, n_train, image_size, workers = 4, 4000, 16, 4
 
     t_start = time.perf_counter()
     transfer = bench_transfer(reps, trials)
     rounds_result = bench_rounds(rounds, n_train, image_size, workers)
+    conv_layers = bench_conv_layers(layer_reps, trials)
 
     payload = {
         "schema": "bench_substrate/v1",
@@ -257,6 +297,7 @@ def main(argv=None) -> int:
         "cpu_count": os.cpu_count(),
         "transfer": transfer,
         "round": rounds_result,
+        "conv_layers": conv_layers,
         "bench_wall_s": round(time.perf_counter() - t_start, 2),
     }
     out_path = os.path.abspath(args.out)
@@ -276,6 +317,11 @@ def main(argv=None) -> int:
         f64 = rounds_result["float64"][backend]["mean_round_s"]
         f32 = rounds_result["float32"][backend]["mean_round_s"]
         print(f"round/{backend}: {f64:.3f}s (f64) -> {f32:.3f}s (f32) = {s}x")
+    print(f"simple_cnn float32 N={conv_layers['batch']} per layer (us): "
+          "forward-inference / forward-training / backward")
+    for row in conv_layers["layers"] + [{"layer": "total", **conv_layers["total"]}]:
+        print(f"  {row['layer']:<12} {row['forward_inference_us']:>9.1f} "
+              f"{row['forward_training_us']:>9.1f} {row['backward_us']:>9.1f}")
     return 0
 
 

@@ -49,13 +49,14 @@ from repro.fl.strategies import (
     combine_updates,
     get_strategy,
 )
-from repro.fl.timing import Timer, measure_server_overhead
+from repro.fl.timing import measure_server_overhead
 from repro.fl.wire import (
     WIRE_CODECS,
     WireFormat,
     WirePayload,
     get_codec,
 )
+from repro.obs.metrics import Timer
 
 __all__ = [
     "AGGREGATION_MODES",

@@ -805,11 +805,9 @@ class FederatedEngine:
         # forward passes it feeds.
         with self._wall_span("evaluate", **{self.window_label: record.round_idx}):
             self.model.set_flat_weights(self.global_weights)
-            record.test_accuracy = top1_accuracy(
-                self.model, self.test_set.x, self.test_set.y
-            )
-            record.test_loss = evaluate_loss(
-                self.model, self._loss, self.test_set.x, self.test_set.y
+            record.test_loss, record.test_accuracy = evaluate_loss(
+                self.model, self._loss, self.test_set.x, self.test_set.y,
+                with_accuracy=True,
             )
             if self.backdoor_test is not None:
                 # Attack-task accuracy: how often the triggered samples land

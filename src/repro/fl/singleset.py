@@ -12,7 +12,6 @@ import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.nn.losses import SoftmaxCrossEntropy, evaluate_loss
-from repro.nn.metrics import top1_accuracy
 from repro.nn.optim import SGD
 
 
@@ -52,6 +51,9 @@ def train_singleset(
             model.zero_grad()
             model.train_batch(loss, xb, yb)
             optimizer.step()
-        result.accuracies.append(top1_accuracy(model, test_set.x, test_set.y))
-        result.losses.append(evaluate_loss(model, loss, test_set.x, test_set.y))
+        test_loss, accuracy = evaluate_loss(
+            model, loss, test_set.x, test_set.y, with_accuracy=True
+        )
+        result.accuracies.append(accuracy)
+        result.losses.append(test_loss)
     return result

@@ -7,8 +7,7 @@ for any strategy, outside of a full simulation, so the Fig. 9 bench can
 sweep model sizes cheaply.
 
 Timing primitives live in :mod:`repro.obs.metrics` (one stopwatch
-implementation for the whole codebase); :class:`Timer` is re-exported
-here for its historical callers.
+implementation for the whole codebase).
 """
 
 from __future__ import annotations
@@ -21,7 +20,7 @@ from repro.fl.client import ClientUpdate
 from repro.fl.strategies.base import Strategy, combine_updates
 from repro.obs.metrics import Histogram, Timer
 
-__all__ = ["Timer", "OverheadReport", "synthetic_updates", "measure_server_overhead"]
+__all__ = ["OverheadReport", "synthetic_updates", "measure_server_overhead"]
 
 
 @dataclass

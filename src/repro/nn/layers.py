@@ -93,12 +93,16 @@ class Dense(Layer):
             out += self.params["b"]
         return out
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """``input_grad=False`` accumulates the parameter grads only and
+        returns ``None`` (the model's first layer: nobody reads ``dL/dx``)."""
         if self._x is None:
             raise RuntimeError("backward called without a training forward pass")
         self.grads["W"] += self._x.T @ grad
         if self.use_bias:
             self.grads["b"] += grad.sum(axis=0)
+        if not input_grad:
+            return None
         return grad @ self.params["W"].T
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
@@ -160,15 +164,18 @@ class Conv2D(Layer):
             self._x_shape = None
         return np.ascontiguousarray(out)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """``input_grad=False``: parameter grads only, as in :meth:`Dense.backward`."""
         if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward called without a training forward pass")
         n, o, oh, ow = grad.shape
         gmat = grad.transpose(0, 2, 3, 1).reshape(n * oh * ow, o)  # (N*OH*OW, O)
-        wmat = self.params["W"].reshape(self.out_channels, -1)
         self.grads["W"] += (gmat.T @ self._cols).reshape(self.params["W"].shape)
         if self.use_bias:
             self.grads["b"] += gmat.sum(axis=0)
+        if not input_grad:
+            return None
+        wmat = self.params["W"].reshape(self.out_channels, -1)
         gcols = gmat @ wmat  # (N*OH*OW, C*k*k)
         return F.col2im(
             gcols, self._x_shape, self.kernel_size, self.kernel_size, self.stride, self.padding
@@ -181,8 +188,23 @@ class Conv2D(Layer):
         )
 
 
+def _tiles(x: np.ndarray, k: int, oh: int, ow: int) -> list[np.ndarray]:
+    """The ``k*k`` strided views of ``x`` holding entry ``(i, j)`` of every
+    non-overlapping ``k x k`` window, in row-major ``(i, j)`` order."""
+    return [
+        x[:, :, i : k * oh : k, j : k * ow : k] for i in range(k) for j in range(k)
+    ]
+
+
 class MaxPool2D(Layer):
-    """Max pooling over non-overlapping (or strided) windows."""
+    """Max pooling over non-overlapping (or strided) windows.
+
+    Non-overlapping pools (``stride == kernel_size``, every model in the
+    zoo) work on the strided tile views of the input directly; only
+    overlapping pools unfold through im2col.  Ties go to the first window
+    entry in row-major order on both paths (post-ReLU windows are often
+    all-zero, so the rule decides where the gradient lands).
+    """
 
     def __init__(self, kernel_size: int, stride: int | None = None) -> None:
         super().__init__()
@@ -196,24 +218,50 @@ class MaxPool2D(Layer):
         k, s = self.kernel_size, self.stride
         oh = F.conv_out_size(h, k, s, 0)
         ow = F.conv_out_size(w, k, s, 0)
-        cols = F.im2col(x.reshape(n * c, 1, h, w), k, k, s, 0)  # (N*C*OH*OW, k*k)
-        arg = cols.argmax(axis=1)
-        out = cols[np.arange(cols.shape[0]), arg]
-        if training:
-            self._x_shape = x.shape
-            self._argmax = arg
-        return out.reshape(n, c, oh, ow)
+        arg = None
+        if s != k:
+            cols = F.im2col(x.reshape(n * c, 1, h, w), k, k, s, 0)  # (N*C*OH*OW, k*k)
+            arg = cols.argmax(axis=1)
+            out = cols[np.arange(cols.shape[0]), arg].reshape(n, c, oh, ow)
+        else:
+            if oh <= 0 or ow <= 0:
+                raise ValueError(
+                    f"kernel ({k}x{k}, stride={s}, pad=0) too large for input {h}x{w}"
+                )
+            tiles = _tiles(x, k, oh, ow)
+            out = np.maximum(tiles[0], tiles[1]) if k > 1 else tiles[0].copy()
+            for tile in tiles[2:]:
+                np.maximum(out, tile, out=out)
+            if training:
+                # First entry equal to the maximum = how many leading
+                # entries differ from it.
+                differs = tiles[0] != out
+                arg = differs.astype(np.min_scalar_type(k * k - 1))
+                for tile in tiles[1:-1]:
+                    differs &= tile != out
+                    arg += differs
+        self._x_shape = x.shape if training else None
+        self._argmax = arg if training else None
+        return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._x_shape is None or self._argmax is None:
             raise RuntimeError("backward called without a training forward pass")
         n, c, h, w = self._x_shape
         k, s = self.kernel_size, self.stride
-        gflat = grad.reshape(-1)
-        cols = np.zeros((gflat.shape[0], k * k), dtype=grad.dtype)
-        cols[np.arange(gflat.shape[0]), self._argmax] = gflat
-        gx = F.col2im(cols, (n * c, 1, h, w), k, k, s, 0)
-        return gx.reshape(n, c, h, w)
+        if s != k:
+            gflat = grad.reshape(-1)
+            cols = np.zeros((gflat.shape[0], k * k), dtype=grad.dtype)
+            cols[np.arange(gflat.shape[0]), self._argmax] = gflat
+            gx = F.col2im(cols, (n * c, 1, h, w), k, k, s, 0)
+            return gx.reshape(n, c, h, w)
+        oh, ow = grad.shape[2:]
+        # Rows/columns past the last whole window were never pooled.
+        alloc = np.empty if (h, w) == (k * oh, k * ow) else np.zeros
+        gx = alloc((n, c, h, w), dtype=grad.dtype)
+        for idx, tile in enumerate(_tiles(gx, k, oh, ow)):
+            np.multiply(grad, self._argmax == idx, out=tile)
+        return gx
 
 
 class AvgPool2D(Layer):
@@ -232,8 +280,7 @@ class AvgPool2D(Layer):
         ow = F.conv_out_size(w, k, s, 0)
         cols = F.im2col(x.reshape(n * c, 1, h, w), k, k, s, 0)
         out = cols.mean(axis=1)
-        if training:
-            self._x_shape = x.shape
+        self._x_shape = x.shape if training else None
         return out.reshape(n, c, oh, ow)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -255,8 +302,7 @@ class Flatten(Layer):
         self._shape: tuple[int, ...] | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if training:
-            self._shape = x.shape
+        self._shape = x.shape if training else None
         return x.reshape(x.shape[0], -1)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -331,8 +377,7 @@ class _BatchNorm(Layer):
             var = self.buffers["running_var"]
         inv_std = 1.0 / np.sqrt(var + self.eps)
         xhat = (x2 - mean) * inv_std
-        if training:
-            self._cache = (xhat, inv_std)
+        self._cache = (xhat, inv_std) if training else None
         return xhat * self.params["gamma"] + self.params["beta"]
 
     def _backward2(self, g2: np.ndarray) -> np.ndarray:
@@ -396,8 +441,7 @@ class _Activation(Layer):
 
 class ReLU(_Activation):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if training:
-            self._x = x
+        self._x = x if training else None
         return np.maximum(x, 0.0)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -414,8 +458,7 @@ class LeakyReLU(_Activation):
         self.alpha = alpha
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if training:
-            self._x = x
+        self._x = x if training else None
         return F.leaky_relu(x, self.alpha)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -427,8 +470,7 @@ class LeakyReLU(_Activation):
 class Tanh(_Activation):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         out = np.tanh(x)
-        if training:
-            self._x = out  # cache output: tanh' = 1 - tanh^2
+        self._x = out if training else None  # cache output: tanh' = 1 - tanh^2
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -440,8 +482,7 @@ class Tanh(_Activation):
 class Sigmoid(_Activation):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         out = F.sigmoid(x)
-        if training:
-            self._x = out
+        self._x = out if training else None
         return out
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
@@ -454,8 +495,7 @@ class Softplus(_Activation):
     """Softplus; used for the DRL sigma head (strictly positive outputs)."""
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        if training:
-            self._x = x
+        self._x = x if training else None
         return F.softplus(x)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:

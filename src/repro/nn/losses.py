@@ -86,20 +86,32 @@ def evaluate_loss(
     x: np.ndarray,
     y: np.ndarray,
     batch_size: int = 256,
-) -> float:
+    *,
+    with_accuracy: bool = False,
+) -> float | tuple[float, float]:
     """Average ``loss`` of ``model`` over a dataset without storing activations.
 
     This is the inference pass clients run to produce the ``l_b`` / ``l_a``
     state components of FedDRL; it is deliberately batched so large local
     datasets do not blow up memory.
+
+    ``with_accuracy=True`` is the server's test pass: the same logits also
+    feed the arg-max count and the result is ``(loss, top-1 accuracy)`` —
+    exactly ``(evaluate_loss(...), top1_accuracy(...))`` from one forward
+    pass per batch instead of two.
     """
     n = x.shape[0]
     if n == 0:
         raise ValueError("cannot evaluate loss on an empty dataset")
     total = 0.0
+    hits = 0
     for start in range(0, n, batch_size):
         xb = x[start : start + batch_size]
         yb = y[start : start + batch_size]
         logits = model.forward(xb, training=False)
         total += loss.forward(logits, yb) * xb.shape[0]
+        if with_accuracy:
+            hits += np.count_nonzero(logits.argmax(axis=1) == yb)
+    if with_accuracy:
+        return total / n, hits / n
     return total / n

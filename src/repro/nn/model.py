@@ -29,8 +29,22 @@ from __future__ import annotations
 import numpy as np
 
 from repro.nn.dtypes import get_default_dtype
-from repro.nn.layers import Layer
+from repro.nn.layers import Conv2D, Dense, Flatten, Layer
 from repro.nn.losses import Loss
+
+
+def _head_index(layers: list[Layer]) -> int | None:
+    """Index of the first ``Dense``/``Conv2D`` when only ``Flatten`` precedes it.
+
+    That layer's input gradient is the model's own, which
+    :meth:`Sequential.train_batch` never reads.
+    """
+    for i, layer in enumerate(layers):
+        if isinstance(layer, (Dense, Conv2D)):
+            return i
+        if not isinstance(layer, Flatten):
+            break
+    return None
 
 
 class Sequential:
@@ -40,6 +54,7 @@ class Sequential:
         if not layers:
             raise ValueError("Sequential needs at least one layer")
         self.layers = list(layers)
+        self._head = _head_index(self.layers)
         self._alloc_arenas()
 
     # -- arena construction --------------------------------------------------
@@ -115,10 +130,23 @@ class Sequential:
             x = layer.forward(x, training=training)
         return x
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        for layer in reversed(self.layers):
+    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
+        """Accumulate every parameter grad; return the gradient w.r.t. the input.
+
+        ``input_grad=False`` is for callers that only want the parameter
+        grads: the first parameterised layer then skips its input-gradient
+        product (and the Flatten layers in front of it are not visited), and
+        the result is ``None``.  Models that do not start with
+        ``Flatten* -> Dense | Conv2D`` run the full backward either way.
+        """
+        if input_grad or self._head is None:
+            for layer in reversed(self.layers):
+                grad = layer.backward(grad)
+            return grad
+        for layer in reversed(self.layers[self._head + 1 :]):
             grad = layer.backward(grad)
-        return grad
+        self.layers[self._head].backward(grad, input_grad=False)
+        return None
 
     def __call__(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         return self.forward(x, training=training)
@@ -205,7 +233,7 @@ class Sequential:
         """One forward/backward pass; caller applies the optimiser step."""
         logits = self.forward(x, training=True)
         value = loss.forward(logits, y)
-        self.backward(loss.backward())
+        self.backward(loss.backward(), input_grad=False)
         return value
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic

@@ -22,8 +22,7 @@ Nothing in this module draws random numbers or reads the clock on its
 own — instruments are pure accumulators, so recording a metric can never
 perturb an experiment's RNG streams.
 
-:class:`Timer` is the codebase's one stopwatch (``perf_counter`` based);
-:mod:`repro.fl.timing` re-exports it for its historical callers.
+:class:`Timer` is the codebase's one stopwatch (``perf_counter`` based).
 """
 
 from __future__ import annotations

@@ -7,7 +7,8 @@ from repro.fl.client import ClientUpdate
 from repro.fl.fairness import client_loss_stats, fairness_series, normalized_fairness
 from repro.fl.simulation import History, RoundRecord
 from repro.fl.strategies import FedAvg, FedDRL
-from repro.fl.timing import Timer, measure_server_overhead, synthetic_updates
+from repro.fl.timing import measure_server_overhead, synthetic_updates
+from repro.obs.metrics import Timer
 
 
 def history_with_losses(loss_rows):

@@ -70,6 +70,25 @@ class TestRunRound:
         evaluated = [r.round_idx for r in hist.records if r.test_accuracy is not None]
         assert evaluated == [0, 2, 3]  # every 2nd + always the final round
 
+    def test_evaluation_is_one_forward_pass(
+        self, tiny_clients, tiny_data, tiny_model_factory, monkeypatch
+    ):
+        from repro.nn.losses import evaluate_loss
+        from repro.nn.metrics import top1_accuracy
+
+        sim = make_sim(tiny_clients, tiny_data, tiny_model_factory)
+        rec = sim.run_round(0)
+        _, test = tiny_data
+        calls = []
+        forward = sim.model.forward
+        monkeypatch.setattr(
+            sim.model, "forward", lambda *a, **kw: calls.append(1) or forward(*a, **kw)
+        )
+        sim._evaluate(rec)
+        assert len(calls) == 1  # 80 test samples: one batch, scored once
+        assert rec.test_loss == evaluate_loss(sim.model, sim._loss, test.x, test.y)
+        assert rec.test_accuracy == top1_accuracy(sim.model, test.x, test.y)
+
     def test_no_test_set_skips_eval(self, tiny_clients, tiny_data, tiny_model_factory):
         sim = FederatedSimulation(
             tiny_clients, None, tiny_model_factory, FedAvg(),

@@ -263,3 +263,40 @@ class TestActivations:
     def test_tanh_bounded(self, rng):
         out = Tanh().forward(rng.normal(scale=10, size=(5, 5)))
         assert np.all(np.abs(out) <= 1.0)
+
+
+# (layer factory, input shape): every layer class the substrate exports.
+_LAYER_CASES = {
+    "Dense": (lambda rng: Dense(4, 3, rng), (5, 4)),
+    "Conv2D": (lambda rng: Conv2D(2, 3, 3, rng, padding=1), (2, 2, 4, 4)),
+    "MaxPool2D": (lambda rng: MaxPool2D(2), (2, 2, 4, 4)),
+    "MaxPool2D-overlapping": (lambda rng: MaxPool2D(2, stride=1), (2, 2, 4, 4)),
+    "AvgPool2D": (lambda rng: AvgPool2D(2), (2, 2, 4, 4)),
+    "Flatten": (lambda rng: Flatten(), (2, 2, 4, 4)),
+    "Dropout": (lambda rng: Dropout(0.5, rng), (5, 4)),
+    "BatchNorm1d": (lambda rng: BatchNorm1d(4), (5, 4)),
+    "BatchNorm2d": (lambda rng: BatchNorm2d(2), (2, 2, 4, 4)),
+    "ReLU": (lambda rng: ReLU(), (5, 4)),
+    "LeakyReLU": (lambda rng: LeakyReLU(), (5, 4)),
+    "Tanh": (lambda rng: Tanh(), (5, 4)),
+    "Sigmoid": (lambda rng: Sigmoid(), (5, 4)),
+    "Softplus": (lambda rng: Softplus(), (5, 4)),
+}
+
+
+@pytest.mark.parametrize("name", _LAYER_CASES)
+def test_inference_forward_clears_the_training_cache(name, rng):
+    """A backward after an inference pass must not reuse the previous
+    training batch's cache: it would be a gradient for the wrong batch."""
+    make, shape = _LAYER_CASES[name]
+    layer = make(rng)
+    out = layer.forward(rng.normal(size=shape), training=True)
+    layer.backward(np.ones_like(out))  # the cache is live
+    out = layer.forward(rng.normal(size=shape), training=False)
+    if isinstance(layer, Dropout):
+        # No mask in inference mode: backward is the identity, as forward was.
+        grad = rng.normal(size=shape)
+        assert layer.backward(grad) is grad
+        return
+    with pytest.raises(RuntimeError, match="without a training forward pass"):
+        layer.backward(np.ones_like(out))

@@ -5,7 +5,9 @@ import pytest
 
 from repro.nn.layers import Dense
 from repro.nn.losses import MSELoss, SoftmaxCrossEntropy, evaluate_loss
+from repro.nn.metrics import top1_accuracy
 from repro.nn.model import Sequential
+from repro.nn.models import mlp, simple_cnn
 from repro.nn.optim import SGD, Adam, ProximalSGD
 from tests.conftest import assert_grad_close, numerical_gradient
 
@@ -89,6 +91,30 @@ class TestEvaluateLoss:
         model = Sequential([Dense(4, 3, rng)])
         with pytest.raises(ValueError):
             evaluate_loss(model, SoftmaxCrossEntropy(), np.empty((0, 4)), np.empty(0, dtype=int))
+
+    @pytest.mark.parametrize("factory", [
+        lambda rng: mlp(64, 5, rng, hidden=(16,)),
+        lambda rng: simple_cnn(1, 8, 5, rng, channels=(2, 3), dense=8),
+    ], ids=["mlp", "simple_cnn"])
+    def test_with_accuracy_is_one_pass_with_both_results(self, factory, rng, monkeypatch):
+        model = factory(rng)
+        loss = SoftmaxCrossEntropy()
+        n, batch_size = 37, 8  # not a multiple: the last batch is short
+        x = rng.normal(size=(n, 1, 8, 8))
+        y = rng.integers(0, 5, size=n)
+        expected = (
+            evaluate_loss(model, loss, x, y, batch_size=batch_size),
+            top1_accuracy(model, x, y, batch_size=batch_size),
+        )
+        calls = []
+        forward = model.forward
+        monkeypatch.setattr(
+            model, "forward", lambda *a, **kw: calls.append(1) or forward(*a, **kw)
+        )
+        assert evaluate_loss(
+            model, loss, x, y, batch_size=batch_size, with_accuracy=True
+        ) == expected
+        assert len(calls) == -(-n // batch_size)
 
 
 def quadratic_problem(rng):

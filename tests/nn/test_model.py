@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.layers import BatchNorm1d, Dense, Flatten, ReLU
+from repro.nn.layers import BatchNorm1d, Conv2D, Dense, Flatten, ReLU
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.nn.models import mlp, simple_cnn, vgg11, vgg_mini
@@ -56,6 +56,70 @@ class TestSequential:
         )
         assert value > 0
         assert any(np.abs(g).sum() > 0 for _, g in model.parameters())
+
+
+def _full_backward_grads(model, loss, x, y):
+    """The grad arena after ``forward -> loss -> backward(grad)``, and the
+    input gradient that full backward returns."""
+    model.zero_grad()
+    loss.forward(model.forward(x, training=True), y)
+    gx = model.backward(loss.backward())
+    return model.flat_grads().copy(), gx
+
+
+class TestTrainBatchSkipsInputGradient:
+    """``train_batch`` drops the first layer's input-gradient product; the
+    parameter gradients it leaves must be the full backward's, bit for bit."""
+
+    @pytest.mark.parametrize("factory,x_shape", [
+        (lambda rng: mlp(48, 5, rng, hidden=(16, 8)), (6, 3, 4, 4)),
+        (lambda rng: simple_cnn(1, 8, 5, rng, channels=(2, 3), dense=8), (6, 1, 8, 8)),
+        (lambda rng: vgg_mini(3, 8, 5, rng, width=2), (6, 3, 8, 8)),
+    ], ids=["mlp", "simple_cnn", "vgg_mini"])
+    def test_grad_arena_equals_full_backward(self, factory, x_shape, rng):
+        model = factory(rng)
+        assert model._head is not None
+        loss = SoftmaxCrossEntropy()
+        x = rng.normal(size=x_shape)
+        y = rng.integers(0, 5, size=x_shape[0])
+        full, gx = _full_backward_grads(model, loss, x, y)
+        assert gx.shape == x.shape
+        model.zero_grad()
+        model.train_batch(loss, x, y)
+        assert np.array_equal(model.flat_grads(), full)
+
+    @pytest.mark.parametrize("factory,x_shape", [
+        (lambda rng: mlp(12, 3, rng, hidden=(5,)), (2, 3, 2, 2)),
+        (lambda rng: Sequential(
+            [Conv2D(1, 2, 3, rng, padding=1), ReLU(), Flatten(), Dense(32, 3, rng)]
+        ), (2, 1, 4, 4)),
+    ], ids=["flatten-dense", "conv"])
+    def test_backward_still_returns_the_input_gradient(self, factory, x_shape, rng):
+        model = factory(rng)
+        loss = SoftmaxCrossEntropy()
+        x = rng.normal(size=x_shape)
+        y = rng.integers(0, 3, size=x_shape[0])
+
+        def f():
+            return loss.forward(model.forward(x, training=True), y)
+
+        f()
+        gx = model.backward(loss.backward())
+        assert_grad_close(gx, numerical_gradient(f, x))
+
+    def test_other_first_layers_fall_back_to_the_full_backward(self, rng):
+        # ReLU first: Dense is not the head, so nothing may be skipped.
+        model = Sequential([ReLU(), Dense(4, 3, rng)])
+        assert model._head is None
+        loss = SoftmaxCrossEntropy()
+        x = rng.normal(size=(5, 4))
+        y = rng.integers(0, 3, size=5)
+        full, _ = _full_backward_grads(model, loss, x, y)
+        model.zero_grad()
+        model.train_batch(loss, x, y)
+        assert np.array_equal(model.flat_grads(), full)
+        loss.forward(model.forward(x, training=True), y)
+        assert model.backward(loss.backward(), input_grad=False).shape == x.shape
 
 
 class TestFlatWeights:
