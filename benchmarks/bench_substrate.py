@@ -1,7 +1,7 @@
 #!/usr/bin/env python
 """Substrate benchmark: arena weight transfer + dtype round wall-clock.
 
-Three measurements, written to ``BENCH_substrate.json``:
+Four measurements, written to ``BENCH_substrate.json``:
 
 1. **Weight-transfer microbench** — ``set_flat_weights`` /
    ``get_flat_weights`` / ``zero_grad`` / one SGD step against faithful
@@ -23,6 +23,12 @@ Three measurements, written to ``BENCH_substrate.json``:
    layer's inference forward, training forward and backward in
    microseconds, so a change to one layer shows in its own row.
 
+4. **Training step** — microseconds per batch-10 SGD step of the bench
+   MLP (192 -> 64 -> 32 -> 30, what a ``sync_mlp_serial`` client trains)
+   split into forward / loss / backward / optimizer / batch fetch, and per
+   Adam step and per ``soft_update`` at the DDPG critic's 79 k-parameter
+   arena (what ``sync_feddrl_hier``'s agent updates).
+
 Run ``python benchmarks/bench_substrate.py`` for the full numbers
 (tens of seconds) or ``--smoke`` for a seconds-long CI pass with the
 same JSON shape.
@@ -42,14 +48,17 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 import numpy as np
 
+from repro.data.dataset import ArrayDataset
 from repro.data.partition import iid_partition
 from repro.data.synthetic import SyntheticImageSpec, make_synthetic_dataset
+from repro.drl.networks import make_value_network, soft_update
 from repro.fl.client import make_clients
 from repro.fl.simulation import FederatedSimulation, FLConfig
 from repro.fl.strategies import FedAvg
 from repro.nn.dtypes import set_default_dtype
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.models import mlp, simple_cnn, vgg_mini
-from repro.nn.optim import SGD
+from repro.nn.optim import SGD, Adam
 from repro.runtime.executor import make_executor
 
 
@@ -267,6 +276,66 @@ def bench_conv_layers(reps: int, trials: int) -> dict:
     }
 
 
+def bench_train_step(reps: int, trials: int) -> dict:
+    """Microseconds per part of one training step (float64, warm caches)."""
+    rng = np.random.default_rng(0)
+    batch, shard = 10, 200
+
+    def micros(fn, reps=reps) -> float:
+        return round(best_of(fn, reps, trials) * 1e6, 2)
+
+    model = mlp(192, 30, rng, hidden=(64, 32))
+    data = ArrayDataset(
+        rng.normal(size=(shard, 3, 8, 8)), rng.integers(0, 30, size=shard), 30
+    )
+    loss, opt = SoftmaxCrossEntropy(), SGD(model, lr=0.01)
+    xb, yb = next(data.batches(batch, rng=rng))
+    logits = model.forward(xb, training=True)
+
+    def loss_pass():
+        loss.forward(logits, yb)
+        return loss.backward()
+
+    grad = loss_pass()
+
+    def step():
+        model.train_batch(loss, xb, yb)
+        opt.step()
+
+    def epoch():
+        for _ in data.batches(batch, rng=rng):
+            pass
+
+    mlp_rows = {
+        "forward_us": micros(lambda: model.forward(xb, training=True)),
+        "loss_us": micros(loss_pass),  # forward + backward of the loss
+        "backward_us": micros(lambda: model.backward(grad, input_grad=False)),
+        "optimizer_us": micros(opt.step),
+        # One epoch over the shard (permutation included), per batch.
+        "batch_fetch_us": round(
+            micros(epoch, reps=max(1, reps // 20)) / (shard // batch), 2
+        ),
+        "step_us": micros(step),  # train_batch + optimizer step, batch in hand
+    }
+
+    critic = make_value_network(30, 10, rng)  # the agent of sync_feddrl_hier
+    target = make_value_network(30, 10, rng)
+    adam = Adam(critic, lr=1e-3)
+    critic.flat_grads()[:] = rng.normal(size=critic.num_parameters())
+    arena_reps = max(1, reps // 10)
+    return {
+        "mlp": {"layout": "192-64-32-30", "batch": batch, "shard": shard,
+                "dim": model.num_parameters(), **mlp_rows},
+        "ddpg_arena": {
+            "dim": critic.num_parameters(),
+            "adam_step_us": micros(adam.step, reps=arena_reps),
+            "soft_update_us": micros(
+                lambda: soft_update(target, critic, 0.02), reps=arena_reps
+            ),
+        },
+    }
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
@@ -288,6 +357,7 @@ def main(argv=None) -> int:
     transfer = bench_transfer(reps, trials)
     rounds_result = bench_rounds(rounds, n_train, image_size, workers)
     conv_layers = bench_conv_layers(layer_reps, trials)
+    train_step = bench_train_step(reps, trials)
 
     payload = {
         "schema": "bench_substrate/v1",
@@ -298,6 +368,7 @@ def main(argv=None) -> int:
         "transfer": transfer,
         "round": rounds_result,
         "conv_layers": conv_layers,
+        "train_step": train_step,
         "bench_wall_s": round(time.perf_counter() - t_start, 2),
     }
     out_path = os.path.abspath(args.out)
@@ -322,6 +393,11 @@ def main(argv=None) -> int:
     for row in conv_layers["layers"] + [{"layer": "total", **conv_layers["total"]}]:
         print(f"  {row['layer']:<12} {row['forward_inference_us']:>9.1f} "
               f"{row['forward_training_us']:>9.1f} {row['backward_us']:>9.1f}")
+    step, arena = train_step["mlp"], train_step["ddpg_arena"]
+    print(f"mlp {step['layout']} batch-{step['batch']} step (us): "
+          + ", ".join(f"{k[:-3]} {step[k]}" for k in step if k.endswith("_us")))
+    print(f"ddpg arena (D={arena['dim']}): adam step {arena['adam_step_us']} us, "
+          f"soft_update {arena['soft_update_us']} us")
     return 0
 
 

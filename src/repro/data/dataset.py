@@ -9,6 +9,12 @@ import numpy as np
 from repro.nn.dtypes import get_default_dtype
 
 
+#: Rows :meth:`ArrayDataset.batches` gathers per fancy-index call (rounded
+#: down to whole batches); fixed, so an epoch over a set of any size holds
+#: one chunk of it, never a second copy.
+GATHER_ROWS = 256
+
+
 class ArrayDataset:
     """An in-memory labelled dataset: features ``x`` and integer labels ``y``.
 
@@ -49,14 +55,22 @@ class ArrayDataset:
     def batches(
         self, batch_size: int, rng: np.random.Generator | None = None
     ) -> Iterator[tuple[np.ndarray, np.ndarray]]:
-        """Yield ``(x, y)`` mini-batches, shuffled when ``rng`` is given."""
+        """Yield ``(x, y)`` mini-batches, shuffled when ``rng`` is given.
+
+        Rows are gathered :data:`GATHER_ROWS` at a time and the batches are
+        slices of that copy: ``x[order[start:stop]]`` without two gathers
+        per batch.  Consumers must not write into a batch.
+        """
         if batch_size <= 0:
             raise ValueError("batch_size must be positive")
         n = len(self)
         order = rng.permutation(n) if rng is not None else np.arange(n)
-        for start in range(0, n, batch_size):
-            idx = order[start : start + batch_size]
-            yield self.x[idx], self.y[idx]
+        chunk = max(1, GATHER_ROWS // batch_size) * batch_size
+        for lo in range(0, n, chunk):
+            idx = order[lo : lo + chunk]
+            x, y = self.x[idx], self.y[idx]
+            for start in range(0, idx.shape[0], batch_size):
+                yield x[start : start + batch_size], y[start : start + batch_size]
 
     def label_counts(self) -> np.ndarray:
         """Per-class sample counts, shape ``(num_classes,)``."""

@@ -85,8 +85,6 @@ class DDPGAgent:
         self.value_target = make_value_network(state_dim, n_clients, self.rng, hidden=c.hidden)
         hard_copy(self.policy_target, self.policy_main)
         hard_copy(self.value_target, self.value_main)
-        # Arena-backed Adam: moment estimates are flat arrays and every
-        # update is a handful of whole-network vector ops.
         self.policy_opt = Adam(self.policy_main, lr=c.policy_lr)
         self.value_opt = Adam(self.value_main, lr=c.value_lr)
         self.buffer = ReplayBuffer(c.buffer_capacity)
@@ -139,7 +137,6 @@ class DDPGAgent:
         # Rewards arrive as float64 scalars; keep the TD target in the
         # critic's dtype so the regression stays in one precision.
         y = (r + c.gamma * q_next).astype(q_next.dtype, copy=False)
-        self.value_main.zero_grad()
         q = self.value_main.forward(np.concatenate([s, a], axis=1), training=True).ravel()
         diff = q - y
         grad = (2.0 * diff / diff.shape[0])[:, None]
@@ -148,16 +145,13 @@ class DDPGAgent:
         return float(np.mean(diff**2))
 
     def _actor_update(self, s: np.ndarray) -> float:
-        self.policy_main.zero_grad()
         actions = self.policy_main.forward(s, training=True)
         q_in = np.concatenate([s, actions], axis=1)
-        self.value_main.zero_grad()
         q = self.value_main.forward(q_in, training=True)
         # Gradient *ascent* on mean Q == descent on -mean Q.
         grad_out = np.full_like(q, -1.0 / q.shape[0])
-        grad_in = self.value_main.backward(grad_out)
-        # The critic only provides dQ/da here; its own grads are discarded.
-        self.value_main.zero_grad()
+        # The critic only provides dQ/da here; its own grads are not computed.
+        grad_in = self.value_main.backward(grad_out, param_grads=False)
         self.policy_main.backward(grad_in[:, self.state_dim :])
         self.policy_opt.step()
         return float(q.mean())

@@ -20,6 +20,7 @@ import numpy as np
 from repro.nn import functional as F
 from repro.nn.layers import Dense, Layer, LeakyReLU
 from repro.nn.model import Sequential
+from repro.nn.optim import BLOCK, blocks
 
 
 class GaussianPolicyHead(Layer):
@@ -121,16 +122,15 @@ def soft_update(target: Sequential, main: Sequential, rho: float) -> None:
     if not 0.0 < rho <= 1.0:
         raise ValueError("rho must be in (0, 1]")
     t_flat, m_flat = target.flat_state(), main.flat_state()
-    t_arrays = target._all_arrays(include_buffers=True)
-    m_arrays = main._all_arrays(include_buffers=True)
-    if len(t_arrays) != len(m_arrays) or any(
-        t.shape != m.shape for t, m in zip(t_arrays, m_arrays)
-    ):
+    if t_flat.size != m_flat.size or target.num_parameters() != main.num_parameters():
         raise ValueError("target and main networks have different structure")
-    # One fused lerp over the whole value arena (params + buffers) instead
-    # of a per-array loop; bit-identical to the per-array update.
-    t_flat *= 1.0 - rho
-    t_flat += rho * m_flat
+    # One lerp over the whole value arena (params + buffers), a block at a
+    # time through block-sized scratch; bit-identical to
+    # ``t *= 1 - rho; t += rho * m`` per array.
+    scratch = np.empty_like(t_flat[:BLOCK])
+    for t, m in blocks(t_flat, m_flat):
+        t *= 1.0 - rho
+        t += np.multiply(m, rho, out=scratch[: t.size])
 
 
 def hard_copy(target: Sequential, main: Sequential) -> None:

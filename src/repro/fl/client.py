@@ -133,7 +133,6 @@ class Client:
             if steps >= budget:
                 break
             for xb, yb in self.dataset.batches(batch_size, rng=rng):
-                model.zero_grad()
                 model.train_batch(loss, xb, yb)
                 optimizer.step()
                 steps += 1

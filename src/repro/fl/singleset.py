@@ -48,7 +48,6 @@ def train_singleset(
     result = SingleSetResult()
     for _ in range(epochs):
         for xb, yb in train_set.batches(batch_size, rng=rng):
-            model.zero_grad()
             model.train_batch(loss, xb, yb)
             optimizer.step()
         test_loss, accuracy = evaluate_loss(

@@ -102,8 +102,11 @@ def col2im(
 
 
 def leaky_relu(x: np.ndarray, alpha: float = 0.01) -> np.ndarray:
-    """Element-wise LeakyReLU."""
-    return np.where(x >= 0, x, alpha * x)
+    """Element-wise LeakyReLU as ``max(x, alpha * x)``, which needs a slope
+    in ``[0, 1]``.  (At ``alpha == 0`` an input of ``+inf`` gives NaN.)"""
+    if not 0.0 <= alpha <= 1.0:
+        raise ValueError("leaky_relu slope alpha must be in [0, 1]")
+    return np.maximum(x, alpha * x)
 
 
 def leaky_relu_grad(x: np.ndarray, alpha: float = 0.01) -> np.ndarray:

@@ -10,6 +10,13 @@ same contract to rebind these arrays to views into its contiguous arenas
 at build time.)  All state is allocated in the configured compute dtype
 (:mod:`repro.nn.dtypes`).
 
+``backward`` **writes** the parameter gradients: each call replaces what
+``self.grads`` held (``np.matmul(..., out=grads["W"])``), it does not add
+to it.  Every training loop in the repo runs one backward per optimiser
+step, so a step needs no ``zero_grad()`` first; ``zero_grad`` stays for
+callers that want a known-zero gradient.  Parameterised layers also take
+``param_grads=False`` — input gradient only, ``self.grads`` untouched.
+
 Shapes follow the NCHW convention for images and ``(batch, features)`` for
 dense inputs.
 """
@@ -40,7 +47,7 @@ class Layer:
         raise NotImplementedError
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
-        """Accumulate parameter grads and return the gradient w.r.t. input."""
+        """Write the parameter grads and return the gradient w.r.t. input."""
         raise NotImplementedError
 
     # -- helpers -----------------------------------------------------------
@@ -93,14 +100,18 @@ class Dense(Layer):
             out += self.params["b"]
         return out
 
-    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        """``input_grad=False`` accumulates the parameter grads only and
-        returns ``None`` (the model's first layer: nobody reads ``dL/dx``)."""
+    def backward(
+        self, grad: np.ndarray, input_grad: bool = True, param_grads: bool = True
+    ) -> np.ndarray | None:
+        """``input_grad=False`` writes the parameter grads only and returns
+        ``None`` (the model's first layer: nobody reads ``dL/dx``);
+        ``param_grads=False`` leaves ``self.grads`` alone."""
         if self._x is None:
             raise RuntimeError("backward called without a training forward pass")
-        self.grads["W"] += self._x.T @ grad
-        if self.use_bias:
-            self.grads["b"] += grad.sum(axis=0)
+        if param_grads:
+            np.matmul(self._x.T, grad, out=self.grads["W"])
+            if self.use_bias:
+                np.add.reduce(grad, axis=0, out=self.grads["b"])
         if not input_grad:
             return None
         return grad @ self.params["W"].T
@@ -164,15 +175,18 @@ class Conv2D(Layer):
             self._x_shape = None
         return np.ascontiguousarray(out)
 
-    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        """``input_grad=False``: parameter grads only, as in :meth:`Dense.backward`."""
+    def backward(
+        self, grad: np.ndarray, input_grad: bool = True, param_grads: bool = True
+    ) -> np.ndarray | None:
+        """Both flags as in :meth:`Dense.backward`."""
         if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward called without a training forward pass")
         n, o, oh, ow = grad.shape
         gmat = grad.transpose(0, 2, 3, 1).reshape(n * oh * ow, o)  # (N*OH*OW, O)
-        self.grads["W"] += (gmat.T @ self._cols).reshape(self.params["W"].shape)
-        if self.use_bias:
-            self.grads["b"] += gmat.sum(axis=0)
+        if param_grads:
+            np.matmul(gmat.T, self._cols, out=self.grads["W"].reshape(o, -1))
+            if self.use_bias:
+                np.add.reduce(gmat, axis=0, out=self.grads["b"])
         if not input_grad:
             return None
         wmat = self.params["W"].reshape(self.out_channels, -1)
@@ -380,13 +394,14 @@ class _BatchNorm(Layer):
         self._cache = (xhat, inv_std) if training else None
         return xhat * self.params["gamma"] + self.params["beta"]
 
-    def _backward2(self, g2: np.ndarray) -> np.ndarray:
+    def _backward2(self, g2: np.ndarray, param_grads: bool) -> np.ndarray:
         if self._cache is None:
             raise RuntimeError("backward called without a training forward pass")
         xhat, inv_std = self._cache
         m = g2.shape[0]
-        self.grads["gamma"] += (g2 * xhat).sum(axis=0)
-        self.grads["beta"] += g2.sum(axis=0)
+        if param_grads:
+            np.add.reduce(g2 * xhat, axis=0, out=self.grads["gamma"])
+            np.add.reduce(g2, axis=0, out=self.grads["beta"])
         gxhat = g2 * self.params["gamma"]
         # Standard batchnorm backward in one vectorised expression.
         return (
@@ -406,8 +421,8 @@ class BatchNorm1d(_BatchNorm):
             )
         return self._normalize(x, training)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        return self._backward2(grad)
+    def backward(self, grad: np.ndarray, param_grads: bool = True) -> np.ndarray:
+        return self._backward2(grad, param_grads)
 
 
 class BatchNorm2d(_BatchNorm):
@@ -424,10 +439,10 @@ class BatchNorm2d(_BatchNorm):
         out = self._normalize(x2, training)
         return out.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
-    def backward(self, grad: np.ndarray) -> np.ndarray:
+    def backward(self, grad: np.ndarray, param_grads: bool = True) -> np.ndarray:
         n, c, h, w = self._spatial
         g2 = grad.transpose(0, 2, 3, 1).reshape(-1, c)
-        gx = self._backward2(g2)
+        gx = self._backward2(g2, param_grads)
         return gx.reshape(n, h, w, c).transpose(0, 3, 1, 2)
 
 
@@ -455,6 +470,8 @@ class LeakyReLU(_Activation):
 
     def __init__(self, alpha: float = 0.01) -> None:
         super().__init__()
+        if not 0.0 <= alpha <= 1.0:
+            raise ValueError("LeakyReLU slope alpha must be in [0, 1]")
         self.alpha = alpha
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:

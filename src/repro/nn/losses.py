@@ -10,8 +10,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn import functional as F
-
 
 class Loss:
     """Interface: ``forward`` returns a scalar, ``backward`` the logit grad."""
@@ -31,37 +29,43 @@ class SoftmaxCrossEntropy(Loss):
 
     ``forward`` takes raw logits of shape ``(batch, classes)`` and integer
     labels of shape ``(batch,)``.  The combined softmax+CE backward is the
-    classic ``(p - y) / batch``.
+    classic ``(p - y) / batch``, built in the probability buffer ``forward``
+    left behind — so one ``backward`` per ``forward``.
     """
 
     def __init__(self) -> None:
         self._probs: np.ndarray | None = None
         self._target: np.ndarray | None = None
+        self._rows = np.arange(0)  # row index, rebuilt when the batch size changes
 
     def forward(self, pred: np.ndarray, target: np.ndarray) -> float:
         if pred.ndim != 2:
             raise ValueError(f"logits must be 2-D, got shape {pred.shape}")
         target = np.asarray(target)
-        if target.shape != (pred.shape[0],):
-            raise ValueError(
-                f"labels shape {target.shape} does not match batch {pred.shape[0]}"
-            )
-        logp = F.log_softmax(pred, axis=1)
-        self._probs = np.exp(logp)
+        n = pred.shape[0]
+        if target.shape != (n,):
+            raise ValueError(f"labels shape {target.shape} does not match batch {n}")
+        if self._rows.shape[0] != n:
+            self._rows = np.arange(n)
+        # functional.log_softmax, then exp, in one buffer.
+        buf = pred - np.maximum.reduce(pred, axis=1, keepdims=True)
+        buf -= np.log(np.add.reduce(np.exp(buf), axis=1, keepdims=True))
+        picked = buf[self._rows, target]
+        self._probs = np.exp(buf, out=buf)
         self._target = target
-        return float(-logp[np.arange(pred.shape[0]), target].mean())
+        return float(-(picked.sum() / n))
 
     def backward(self) -> np.ndarray:
         if self._probs is None or self._target is None:
-            raise RuntimeError("backward called before forward")
-        n = self._probs.shape[0]
-        grad = self._probs.copy()
-        grad[np.arange(n), self._target] -= 1.0
-        return grad / n
+            raise RuntimeError("backward needs a forward it has not consumed yet")
+        grad, self._probs = self._probs, None
+        grad[self._rows, self._target] -= 1.0
+        grad /= grad.shape[0]
+        return grad
 
 
 class MSELoss(Loss):
-    """Mean squared error; used by the DDPG critic update."""
+    """Mean squared error; ``backward`` consumes ``forward``'s difference."""
 
     def __init__(self) -> None:
         self._diff: np.ndarray | None = None
@@ -76,8 +80,11 @@ class MSELoss(Loss):
 
     def backward(self) -> np.ndarray:
         if self._diff is None:
-            raise RuntimeError("backward called before forward")
-        return 2.0 * self._diff / self._diff.size
+            raise RuntimeError("backward needs a forward it has not consumed yet")
+        grad, self._diff = self._diff, None
+        grad *= 2.0
+        grad /= grad.size
+        return grad
 
 
 def evaluate_loss(

@@ -20,6 +20,11 @@ and the optimisers in :mod:`repro.nn.optim` step the entire model with one
 fused axpy over the arenas.  Arenas are allocated in the configured
 compute dtype (:func:`repro.nn.dtypes.get_default_dtype`).
 
+A training step is ``train_batch`` (forward, loss, ``backward``) then
+``optimizer.step()``.  ``backward`` writes the grad arena — it overwrites
+what the previous step left, it does not accumulate — so ``zero_grad`` is
+API for callers that want zeros, not part of a step.
+
 Two models built by the same factory share the same layout and can be
 aggregated index-wise, exactly as before.
 """
@@ -130,15 +135,28 @@ class Sequential:
             x = layer.forward(x, training=training)
         return x
 
-    def backward(self, grad: np.ndarray, input_grad: bool = True) -> np.ndarray | None:
-        """Accumulate every parameter grad; return the gradient w.r.t. the input.
+    def backward(
+        self, grad: np.ndarray, input_grad: bool = True, param_grads: bool = True
+    ) -> np.ndarray | None:
+        """Write every parameter grad; return the gradient w.r.t. the input.
 
         ``input_grad=False`` is for callers that only want the parameter
         grads: the first parameterised layer then skips its input-gradient
         product (and the Flatten layers in front of it are not visited), and
         the result is ``None``.  Models that do not start with
         ``Flatten* -> Dense | Conv2D`` run the full backward either way.
+
+        ``param_grads=False`` is the opposite request (the DDPG actor step
+        reading ``dQ/da`` off the critic): only the input gradient is
+        computed and :meth:`flat_grads` keeps what it held.
         """
+        if not param_grads:
+            for layer in reversed(self.layers):
+                if layer.params:
+                    grad = layer.backward(grad, param_grads=False)
+                else:
+                    grad = layer.backward(grad)
+            return grad
         if input_grad or self._head is None:
             for layer in reversed(self.layers):
                 grad = layer.backward(grad)

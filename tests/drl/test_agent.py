@@ -101,6 +101,33 @@ class TestTraining:
         for name in before:
             assert not np.array_equal(before[name], after[name]), name
 
+    def test_actor_update_reads_dq_da_without_touching_the_critic_grads(self):
+        """The old actor step ran the critic's full backward and zeroed its
+        grads afterwards; ``param_grads=False`` must give the same policy
+        step and leave the critic's gradient arena alone."""
+        agents = [make_agent(), make_agent()]
+        for agent in agents:
+            self.fill_buffer(agent)
+        s = agents[0].buffer.snapshot()[0][:8]
+
+        old = agents[0]
+        old.policy_main.zero_grad()
+        actions = old.policy_main.forward(s, training=True)
+        old.value_main.zero_grad()
+        q = old.value_main.forward(np.concatenate([s, actions], axis=1), training=True)
+        grad_in = old.value_main.backward(np.full_like(q, -1.0 / q.shape[0]))
+        old.value_main.zero_grad()
+        old.policy_main.backward(grad_in[:, old.state_dim :])
+        old.policy_opt.step()
+
+        new = agents[1]
+        new.value_main.flat_grads().fill(7.0)
+        assert new._actor_update(s) == float(q.mean())
+        assert np.all(new.value_main.flat_grads() == 7.0)
+        assert np.array_equal(
+            new.policy_main.flat_parameters(), old.policy_main.flat_parameters()
+        )
+
     def test_target_moves_less_than_main(self):
         agent = make_agent()
         self.fill_buffer(agent)

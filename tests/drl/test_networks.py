@@ -10,6 +10,10 @@ from repro.drl.networks import (
     make_value_network,
     soft_update,
 )
+from repro.nn.dtypes import default_dtype
+from repro.nn.layers import BatchNorm1d, Dense
+from repro.nn.model import Sequential
+from repro.nn.optim import BLOCK
 from tests.conftest import assert_grad_close, numerical_gradient
 
 
@@ -118,6 +122,35 @@ class TestSoftUpdate:
         arrays_before = [id(arr) for arr in b._all_arrays(True)]
         soft_update(b, a, rho=0.5)
         assert [id(arr) for arr in b._all_arrays(True)] == arrays_before
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("rho", [0.02, 1.0])
+    def test_blocked_lerp_equals_the_whole_arena_lerp(self, rng, dtype, rho):
+        with default_dtype(dtype):
+            a = make_value_network(30, 10, rng)
+            b = make_value_network(30, 10, rng)
+        n = a.flat_state().size
+        assert n > 4 * BLOCK and n % BLOCK != 0  # whole blocks and a tail
+        expected = b.get_flat_weights()
+        expected *= 1.0 - rho
+        expected += rho * a.flat_state()
+        main = a.get_flat_weights()
+        soft_update(b, a, rho=rho)
+        assert b.flat_state().dtype == np.dtype(dtype)
+        assert np.array_equal(b.flat_state(), expected)
+        assert np.array_equal(a.flat_state(), main)
+
+    def test_structure_mismatch_raises(self, rng):
+        a = make_value_network(6, 2, rng)
+        with pytest.raises(ValueError, match="structure"):
+            soft_update(make_value_network(7, 2, rng), a, rho=0.5)
+        with pytest.raises(ValueError, match="structure"):
+            hard_copy(make_policy_network(6, 2, rng), a)
+        # Same arena size (8), different split into parameters and buffers.
+        dense, norm = Sequential([Dense(3, 2, rng)]), Sequential([BatchNorm1d(2)])
+        assert dense.flat_state().size == norm.flat_state().size
+        with pytest.raises(ValueError, match="structure"):
+            soft_update(norm, dense, rho=0.5)
 
     def test_invalid_rho(self, rng):
         a = make_value_network(6, 2, rng)

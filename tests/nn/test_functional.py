@@ -96,6 +96,26 @@ class TestActivationKernels:
         x = np.array([-2.0, 0.0, 3.0])
         np.testing.assert_allclose(F.leaky_relu(x, 0.1), [-0.2, 0.0, 3.0])
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    @pytest.mark.parametrize("alpha", [0.01, 0.2, 1.0])
+    def test_leaky_relu_equals_the_where_form(self, rng, dtype, alpha):
+        edge = [np.nan, 0.0, -0.0, np.inf, -np.inf, 1e-310, -1e-310, 5e-324, -5e-324]
+        x = np.concatenate([edge, rng.normal(size=64) * 10]).astype(dtype)
+        got = F.leaky_relu(x, alpha)
+        want = np.where(x >= 0, x, alpha * x)
+        assert got.dtype == want.dtype == dtype
+        assert np.array_equal(got, want, equal_nan=True)
+        assert np.array_equal(np.signbit(got), np.signbit(want))  # -0.0 stays -0.0
+
+    def test_leaky_relu_zero_slope_is_relu_on_finite_input(self, rng):
+        x = rng.normal(size=32)
+        assert np.array_equal(F.leaky_relu(x, 0.0), np.where(x >= 0, x, 0.0 * x))
+
+    def test_leaky_relu_rejects_slopes_outside_unit_interval(self):
+        for alpha in (-0.01, 1.01, np.nan):
+            with pytest.raises(ValueError, match=r"\[0, 1\]"):
+                F.leaky_relu(np.zeros(3), alpha)
+
     def test_sigmoid_extremes(self):
         assert F.sigmoid(np.array([500.0]))[0] == pytest.approx(1.0)
         assert F.sigmoid(np.array([-500.0]))[0] == pytest.approx(0.0)

@@ -23,6 +23,7 @@ from repro.nn.layers import (
     Softplus,
     Tanh,
 )
+from repro.nn.dtypes import default_dtype
 from tests.conftest import assert_grad_close, numerical_gradient
 
 
@@ -86,17 +87,6 @@ class TestDense:
         layer.forward(rng.normal(size=(5, 4)), training=False)
         with pytest.raises(RuntimeError):
             layer.backward(np.zeros((5, 3)))
-
-    def test_grad_accumulates_across_backwards(self, rng):
-        layer = Dense(2, 2, rng)
-        x = rng.normal(size=(3, 2))
-        layer.forward(x, training=True)
-        g = rng.normal(size=(3, 2))
-        layer.backward(g)
-        first = layer.grads["W"].copy()
-        layer.forward(x, training=True)
-        layer.backward(g)
-        np.testing.assert_allclose(layer.grads["W"], 2 * first)
 
 
 class TestConv2D:
@@ -300,3 +290,100 @@ def test_inference_forward_clears_the_training_cache(name, rng):
         return
     with pytest.raises(RuntimeError, match="without a training forward pass"):
         layer.backward(np.ones_like(out))
+
+
+# -- backward writes the parameter grads (it used to accumulate) -------------
+# The accumulate expressions the layers replaced, kept as the oracle.
+
+def _accumulate_dense(layer, grad):
+    layer.grads["W"] += layer._x.T @ grad
+    if layer.use_bias:
+        layer.grads["b"] += grad.sum(axis=0)
+
+
+def _accumulate_conv(layer, grad):
+    n, o, oh, ow = grad.shape
+    gmat = grad.transpose(0, 2, 3, 1).reshape(n * oh * ow, o)
+    layer.grads["W"] += (gmat.T @ layer._cols).reshape(layer.params["W"].shape)
+    if layer.use_bias:
+        layer.grads["b"] += gmat.sum(axis=0)
+
+
+def _accumulate_batchnorm(layer, grad):
+    if grad.ndim == 4:
+        grad = grad.transpose(0, 2, 3, 1).reshape(-1, grad.shape[1])
+    xhat, _ = layer._cache
+    layer.grads["gamma"] += (grad * xhat).sum(axis=0)
+    layer.grads["beta"] += grad.sum(axis=0)
+
+
+_PARAM_LAYER_CASES = {
+    "Dense": (lambda rng: Dense(4, 3, rng), (10, 4), _accumulate_dense),
+    "Dense-no-bias": (lambda rng: Dense(4, 3, rng, bias=False), (1, 4), _accumulate_dense),
+    "Conv2D": (lambda rng: Conv2D(2, 3, 3, rng, padding=1), (2, 2, 4, 4), _accumulate_conv),
+    "Conv2D-strided": (
+        lambda rng: Conv2D(2, 3, 3, rng, stride=2, bias=False), (3, 2, 5, 5), _accumulate_conv
+    ),
+    "BatchNorm1d": (lambda rng: BatchNorm1d(4), (5, 4), _accumulate_batchnorm),
+    "BatchNorm2d": (lambda rng: BatchNorm2d(2), (2, 2, 4, 4), _accumulate_batchnorm),
+}
+
+
+@pytest.fixture(params=["float64", "float32"])
+def compute_dtype(request):
+    with default_dtype(request.param):
+        yield np.dtype(request.param)
+
+
+@pytest.mark.parametrize("name", _PARAM_LAYER_CASES)
+def test_second_backward_overwrites_the_parameter_grads(name, rng, compute_dtype):
+    make, shape, _ = _PARAM_LAYER_CASES[name]
+    layer = make(rng)
+    x = rng.normal(size=shape).astype(compute_dtype)
+    out = layer.forward(x, training=True)
+    g1 = rng.normal(size=out.shape).astype(compute_dtype)
+    g2 = rng.normal(size=out.shape).astype(compute_dtype)
+    layer.backward(g2)
+    alone = {k: v.copy() for k, v in layer.grads.items()}
+    layer.backward(g1)
+    layer.backward(g2)
+    for key, value in layer.grads.items():
+        assert value.dtype == compute_dtype
+        assert np.array_equal(value, alone[key]), key
+
+
+@pytest.mark.parametrize("name", _PARAM_LAYER_CASES)
+def test_written_grads_equal_zero_then_accumulate(name, rng, compute_dtype):
+    make, shape, accumulate = _PARAM_LAYER_CASES[name]
+    layer = make(rng)
+    x = rng.normal(size=shape).astype(compute_dtype)
+    out = layer.forward(x, training=True)
+    grad = rng.normal(size=out.shape).astype(compute_dtype)
+    for g in layer.grads.values():
+        g.fill(7.0)  # stale values a write must not see
+    layer.backward(grad)
+    written = {k: v.copy() for k, v in layer.grads.items()}
+    layer.zero_grad()
+    accumulate(layer, grad)
+    for key, value in layer.grads.items():
+        assert np.array_equal(written[key], value), key
+
+
+@pytest.mark.parametrize("name", _PARAM_LAYER_CASES)
+def test_param_grads_false_gives_the_input_gradient_only(name, rng):
+    make, shape, _ = _PARAM_LAYER_CASES[name]
+    layer = make(rng)
+    out = layer.forward(rng.normal(size=shape), training=True)
+    grad = rng.normal(size=out.shape)
+    expected = layer.backward(grad)
+    for g in layer.grads.values():
+        g.fill(7.0)
+    assert np.array_equal(layer.backward(grad, param_grads=False), expected)
+    assert all(np.all(g == 7.0) for g in layer.grads.values())
+
+
+def test_leaky_relu_slope_must_be_in_unit_interval():
+    for alpha in (-0.1, 1.5, float("nan")):
+        with pytest.raises(ValueError, match=r"\[0, 1\]"):
+            LeakyReLU(alpha)
+    assert LeakyReLU(0.0).alpha == 0.0 and LeakyReLU(1.0).alpha == 1.0

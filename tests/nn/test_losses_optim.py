@@ -3,6 +3,9 @@
 import numpy as np
 import pytest
 
+from repro.nn import functional as F
+from repro.nn import optim
+from repro.nn.dtypes import default_dtype
 from repro.nn.layers import Dense
 from repro.nn.losses import MSELoss, SoftmaxCrossEntropy, evaluate_loss
 from repro.nn.metrics import top1_accuracy
@@ -56,6 +59,38 @@ class TestSoftmaxCrossEntropy:
         with pytest.raises(RuntimeError):
             SoftmaxCrossEntropy().backward()
 
+    def test_backward_consumes_the_forward(self, rng):
+        """``backward`` builds the gradient in ``forward``'s probability
+        buffer, so a second call has nothing left to read."""
+        loss = SoftmaxCrossEntropy()
+        logits, y = rng.normal(size=(5, 4)), rng.integers(0, 4, size=5)
+        loss.forward(logits, y)
+        first = loss.backward()
+        with pytest.raises(RuntimeError, match="forward"):
+            loss.backward()
+        loss.forward(logits, y)
+        assert np.array_equal(loss.backward(), first)
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_one_pass_matches_the_log_softmax_expressions(self, rng, dtype):
+        """Bit for bit, on one instance across batch sizes: 10 after 256
+        and the ragged 3 after a full 10 resize the cached row index."""
+        loss = SoftmaxCrossEntropy()
+        for n in (1, 10, 256, 10, 3, 10):
+            logits = (rng.normal(size=(n, 30)) * 4).astype(dtype)
+            y = rng.integers(0, 30, size=n)
+            keep = logits.copy()
+            value = loss.forward(logits, y)
+            logp = F.log_softmax(logits, axis=1)
+            assert value == float(-logp[np.arange(n), y].mean())
+            expected = np.exp(logp)
+            expected[np.arange(n), y] -= 1.0
+            expected = expected / n
+            grad = loss.backward()
+            assert grad.dtype == dtype
+            assert np.array_equal(grad, expected)
+            assert np.array_equal(logits, keep)  # the caller's logits are read only
+
 
 class TestMSE:
     def test_value(self):
@@ -76,6 +111,22 @@ class TestMSE:
     def test_shape_mismatch_raises(self):
         with pytest.raises(ValueError):
             MSELoss().forward(np.zeros(3), np.zeros(4))
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.float32])
+    def test_backward_consumes_the_forward(self, rng, dtype):
+        loss = MSELoss()
+        with pytest.raises(RuntimeError):
+            loss.backward()
+        pred = rng.normal(size=(4, 2)).astype(dtype)
+        target = rng.normal(size=(4, 2)).astype(dtype)
+        keep = pred.copy()
+        loss.forward(pred, target)
+        grad = loss.backward()
+        diff = pred - target
+        assert grad.dtype == dtype and np.array_equal(grad, 2.0 * diff / diff.size)
+        assert np.array_equal(pred, keep)
+        with pytest.raises(RuntimeError, match="forward"):
+            loss.backward()
 
 
 class TestEvaluateLoss:
@@ -263,3 +314,38 @@ class TestAdam:
         g[...] = 1e6  # huge gradient
         opt.step()
         assert np.max(np.abs(p - before)) < 0.011
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32"])
+    @pytest.mark.parametrize("widths,block", [
+        ((130, 130, 7), None),   # 17 947 parameters: one whole block and a tail
+        ((6, 5, 3), None),       # smaller than a block
+        ((20, 10, 4), 64),       # four blocks and a tail of 10
+    ], ids=["two-blocks", "sub-block", "many-blocks"])
+    def test_blocked_arena_step_equals_the_per_array_path(
+        self, rng, monkeypatch, dtype, widths, block
+    ):
+        if block is not None:
+            monkeypatch.setattr(optim, "BLOCK", block)
+        with default_dtype(dtype):
+            a, b, c = widths
+            seed = int(rng.integers(1 << 30))
+            models = [
+                Sequential([Dense(a, b, np.random.default_rng(seed)),
+                            Dense(b, c, np.random.default_rng(seed + 1))])
+                for _ in range(2)
+            ]
+        n = models[0].num_parameters()
+        assert n % optim.BLOCK != 0
+        arena = Adam(models[0], lr=1e-3)
+        assert arena._flat is not None
+        assert arena._scratch.shape == (2, min(optim.BLOCK, n))
+        pairs = Adam(models[1].parameters(), lr=1e-3)
+        assert pairs._flat is None
+        for _ in range(4):
+            grads = rng.normal(size=n).astype(dtype)
+            for model in models:
+                np.copyto(model.flat_grads(), grads)
+            arena.step()
+            pairs.step()
+            assert np.array_equal(models[0].flat_parameters(), models[1].flat_parameters())
+        assert models[0].flat_parameters().dtype == np.dtype(dtype)

@@ -122,6 +122,72 @@ class TestTrainBatchSkipsInputGradient:
         assert model.backward(loss.backward(), input_grad=False).shape == x.shape
 
 
+_MODEL_CASES = {
+    "mlp": (lambda rng: mlp(48, 5, rng, hidden=(16, 8)), (6, 3, 4, 4)),
+    "critic": (
+        lambda rng: mlp(12, 1, rng, hidden=(8, 8), activation="leaky_relu"), (6, 12)
+    ),
+    "simple_cnn": (
+        lambda rng: simple_cnn(1, 8, 5, rng, channels=(2, 3), dense=8), (6, 1, 8, 8)
+    ),
+    "vgg_mini": (lambda rng: vgg_mini(3, 8, 5, rng, width=2), (6, 3, 8, 8)),
+    "batchnorm1d": (
+        lambda rng: Sequential([Dense(4, 6, rng), BatchNorm1d(6), ReLU(), Dense(6, 5, rng)]),
+        (6, 4),
+    ),
+}
+
+
+class TestBackwardWritesTheGradArena:
+    """No step zeroes the arena any more: ``backward`` must leave exactly
+    what ``zero_grad(); backward`` left when layers accumulated."""
+
+    @pytest.mark.parametrize("name", _MODEL_CASES)
+    def test_stale_arena_does_not_leak_into_the_next_step(self, name, rng):
+        factory, x_shape = _MODEL_CASES[name]
+        model = factory(rng)
+        out = model.forward(rng.normal(size=x_shape), training=True)
+        grad = rng.normal(size=out.shape)
+        model.zero_grad()
+        model.backward(grad)
+        clean = model.flat_grads().copy()
+        model.flat_grads().fill(7.0)
+        model.backward(grad)
+        assert np.array_equal(model.flat_grads(), clean)
+
+    @pytest.mark.parametrize("name", _MODEL_CASES)
+    def test_training_without_zero_grad_matches_training_with_it(self, name):
+        factory, x_shape = _MODEL_CASES[name]
+        data = np.random.default_rng(3)
+        x = data.normal(size=(4, *x_shape))
+        weights = []
+        for zero in (True, False):
+            model = factory(np.random.default_rng(7))
+            n_out = model.forward(x[0]).shape[1]
+            y = np.random.default_rng(4).integers(0, n_out, size=(4, x_shape[0]))
+            opt = SGD(model, lr=0.05)
+            loss = SoftmaxCrossEntropy()
+            for xb, yb in zip(x, y):
+                if zero:
+                    model.zero_grad()
+                model.train_batch(loss, xb, yb)
+                opt.step()
+            weights.append(model.get_flat_weights())
+        assert np.array_equal(*weights)
+
+    @pytest.mark.parametrize("name", _MODEL_CASES)
+    def test_param_grads_false_returns_the_input_gradient_only(self, name, rng):
+        factory, x_shape = _MODEL_CASES[name]
+        model = factory(rng)
+        out = model.forward(rng.normal(size=x_shape), training=True)
+        grad = rng.normal(size=out.shape)
+        expected = model.backward(grad)
+        model.flat_grads().fill(7.0)
+        gx = model.backward(grad, param_grads=False)
+        assert gx.shape == x_shape and np.array_equal(gx, expected)
+        assert np.all(model.flat_grads() == 7.0)
+
+
 class TestFlatWeights:
     def test_roundtrip(self, rng):
         model = small_net(rng)
