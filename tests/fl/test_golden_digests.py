@@ -8,6 +8,13 @@ plus one cell per feature that feeds the window (update attack, lossy codec
 with error feedback, markov fleet + dropout, ``drop`` deadline, lazy
 clients, FedDRL flat and hier).  A refactor of the aggregation path must
 leave this file untouched: a changed digest is a changed behaviour.
+
+``scale="ci"`` builds an MLP, so none of those cells runs a ``Conv2D`` or a
+pooling layer.  The ``simple_cnn`` cells at the bottom pin the conv path
+(float64 and float32, sync engine) and hold it to the two system-wide
+invariants: serial == thread == process, killed/resumed == uninterrupted.
+A change that reorders conv arithmetic moves these — and only these — once,
+in a commit that lists old -> new.
 """
 
 from __future__ import annotations
@@ -17,6 +24,7 @@ import pytest
 from repro.harness.config import ExperimentConfig
 from repro.harness.reporting import history_digest
 from repro.harness.runner import run_experiment
+from repro.runtime.checkpoint import Checkpointer
 
 BASE = dict(
     scale="ci", dataset="mnist", partition="CE", method="fedavg",
@@ -182,3 +190,51 @@ def test_matrix_is_fully_pinned():
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_history_digest_matches_parent_commit(name):
     assert digest(CELLS[name]) == GOLDEN[name]
+
+
+# -- the conv path ------------------------------------------------------------
+
+CNN_CELLS = {
+    f"sync-simple_cnn-{dtype}": dict(model="simple_cnn", dtype=dtype)
+    for dtype in ("float64", "float32")
+}
+GOLDEN_CNN: dict[str, str] = {
+    "sync-simple_cnn-float64":
+        "ed511e6445abff8a93802cfcf2477df5c3202b489f6431c99257c4de073370e3",
+    "sync-simple_cnn-float32":
+        "c7818a19c526add3cf1bf5f3ff15dde321cd6251d0911653a2d06ae0cc8c62d4",
+}
+
+
+@pytest.mark.parametrize("name", sorted(CNN_CELLS))
+def test_simple_cnn_digest_is_pinned(name):
+    assert digest(CNN_CELLS[name]) == GOLDEN_CNN[name]
+
+
+@pytest.mark.parametrize("backend", ["thread", "process"])
+@pytest.mark.parametrize("name", sorted(CNN_CELLS))
+def test_simple_cnn_backends_agree_with_serial(name, backend):
+    cell = {**CNN_CELLS[name], "backend": backend, "workers": 2}
+    assert digest(cell) == GOLDEN_CNN[name]
+
+
+class _Killed(Exception):
+    """Stands in for a crash right after a checkpoint save."""
+
+
+@pytest.mark.parametrize("name", sorted(CNN_CELLS))
+def test_simple_cnn_killed_and_resumed_equals_uninterrupted(name, tmp_path, monkeypatch):
+    original = Checkpointer.step
+
+    def step_then_die(self, state_fn):
+        saved = original(self, state_fn)
+        if self.saves == 2:
+            raise _Killed
+        return saved
+
+    ck = str(tmp_path / "run.ckpt")
+    monkeypatch.setattr(Checkpointer, "step", step_then_die)
+    with pytest.raises(_Killed):
+        digest({**CNN_CELLS[name], "checkpoint_path": ck})
+    monkeypatch.undo()
+    assert digest({**CNN_CELLS[name], "resume": ck}) == GOLDEN_CNN[name]
