@@ -21,7 +21,10 @@ Four measurements, written to ``BENCH_substrate.json``:
 3. **Per-layer conv path** — ``simple_cnn`` at float32 on a batch of 25
    32x32 images (the shape a ``sync_cnn_process`` client evaluates): each
    layer's inference forward, training forward and backward in
-   microseconds, so a change to one layer shows in its own row.
+   microseconds, so a change to one layer shows in its own row.  Beside
+   it, each ``Conv2D`` split into its parts at N = 20 (a training batch)
+   and N = 25: ``unfold`` fill / forward GEMM / output copy, and ``dW``
+   GEMM / ``gcols`` GEMM / ``fold``.
 
 4. **Training step** — microseconds per batch-10 SGD step of the bench
    MLP (192 -> 64 -> 32 -> 30, what a ``sync_mlp_serial`` client trains)
@@ -55,7 +58,9 @@ from repro.drl.networks import make_value_network, soft_update
 from repro.fl.client import make_clients
 from repro.fl.simulation import FederatedSimulation, FLConfig
 from repro.fl.strategies import FedAvg
+from repro.nn import functional as F
 from repro.nn.dtypes import set_default_dtype
+from repro.nn.layers import Conv2D
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.models import mlp, simple_cnn, vgg_mini
 from repro.nn.optim import SGD, Adam
@@ -242,8 +247,34 @@ def bench_rounds(rounds: int, n_train: int, image_size: int, workers: int) -> di
     return out
 
 
+CONV_SPLIT_BATCHES = (20, 25)
+
+
+def conv_split(layer: Conv2D, x: np.ndarray, grad: np.ndarray, micros) -> dict:
+    """One ``Conv2D``'s forward and backward part by part, each part the
+    expression ``Conv2D.forward`` / ``backward`` runs, in microseconds."""
+    k, s, p, o = layer.kernel_size, layer.stride, layer.padding, layer.out_channels
+    w2d = layer.params["W"].reshape(o, -1)
+    cols = F.unfold(x, k, k, s, p)
+    out = (w2d @ cols).reshape(o, x.shape[0], *grad.shape[2:])
+    g = np.ascontiguousarray(grad.transpose(1, 0, 2, 3)).reshape(o, -1)
+    dw = np.empty_like(w2d)
+    gcols = w2d.T @ g
+    return {  # in this order: the timed backward reads the timed forward's cache
+        "forward_training_us": micros(lambda: layer.forward(x, training=True)),
+        "fill_us": micros(lambda: F.unfold(x, k, k, s, p)),
+        "forward_gemm_us": micros(lambda: w2d @ cols),
+        "output_copy_us": micros(lambda: np.ascontiguousarray(out.transpose(1, 0, 2, 3))),
+        "backward_us": micros(lambda: layer.backward(grad)),
+        "dw_gemm_us": micros(lambda: np.matmul(g, cols.T, out=dw)),
+        "gcols_gemm_us": micros(lambda: w2d.T @ g),
+        "fold_us": micros(lambda: F.fold(gcols, x.shape, k, k, s, p)),
+    }
+
+
 def bench_conv_layers(reps: int, trials: int) -> dict:
-    """Per-layer microseconds of ``simple_cnn`` (float32, N = 25, 32x32)."""
+    """Per-layer microseconds of ``simple_cnn`` (float32, N = 25, 32x32),
+    and each ``Conv2D`` part by part at every ``CONV_SPLIT_BATCHES`` size."""
     batch, image_size = 25, 32
     set_default_dtype("float32")
     try:
@@ -254,12 +285,18 @@ def bench_conv_layers(reps: int, trials: int) -> dict:
         def micros(fn) -> float:
             return round(best_of(fn, reps, trials) * 1e6, 1)
 
-        rows = []
+        rows, split = [], []
         for i, layer in enumerate(model.layers):
             out = layer.forward(x, training=True)
             grad = rng.normal(size=out.shape).astype(np.float32)
+            name = f"{i}:{type(layer).__name__}"
+            if isinstance(layer, Conv2D):
+                split += [
+                    {"layer": name, "batch": n, **conv_split(layer, x[:n], grad[:n], micros)}
+                    for n in CONV_SPLIT_BATCHES
+                ]
             rows.append({
-                "layer": f"{i}:{type(layer).__name__}",
+                "layer": name,
                 "forward_inference_us": micros(lambda: layer.forward(x)),
                 "forward_training_us": micros(lambda: layer.forward(x, training=True)),
                 # The training cache survives repeated backwards.
@@ -273,6 +310,7 @@ def bench_conv_layers(reps: int, trials: int) -> dict:
         "model": "simple_cnn", "dtype": "float32", "batch": batch,
         "image_size": image_size, "layers": rows,
         "total": {c: round(sum(r[c] for r in rows), 1) for c in columns},
+        "conv_split": split,
     }
 
 
@@ -393,6 +431,11 @@ def main(argv=None) -> int:
     for row in conv_layers["layers"] + [{"layer": "total", **conv_layers["total"]}]:
         print(f"  {row['layer']:<12} {row['forward_inference_us']:>9.1f} "
               f"{row['forward_training_us']:>9.1f} {row['backward_us']:>9.1f}")
+    parts = [k for k in conv_layers["conv_split"][0] if k.endswith("_us")]
+    print("Conv2D split (us): " + " / ".join(k[:-3] for k in parts))
+    for row in conv_layers["conv_split"]:
+        print(f"  {row['layer']:<10} N={row['batch']:<3} "
+              + " ".join(f"{row[k]:>8.1f}" for k in parts))
     step, arena = train_step["mlp"], train_step["ddpg_arena"]
     print(f"mlp {step['layout']} batch-{step['batch']} step (us): "
           + ", ".join(f"{k[:-3]} {step[k]}" for k in step if k.endswith("_us")))

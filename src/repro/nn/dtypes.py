@@ -1,10 +1,11 @@
 """Configurable compute dtype for the whole NumPy substrate.
 
 Every allocation the substrate makes on a hot path — parameter arenas,
-initial weights, one-hot targets, im2col padding, BatchNorm statistics,
-dataset arrays, client upload vectors — asks this module for the current
-default dtype instead of inheriting NumPy's float64.  Running at float32
-roughly halves memory bandwidth on the im2col GEMMs and halves the
+initial weights, one-hot targets, BatchNorm statistics, dataset arrays,
+client upload vectors — asks this module for the current default dtype
+instead of inheriting NumPy's float64 (the conv ``unfold`` / ``fold``
+buffers take the dtype of the array they are given).  Running at float32
+roughly halves memory bandwidth on the conv GEMMs and halves the
 process-backend IPC payload; the default stays float64 so existing
 results (and the tier-1 golden histories) are bit-identical.
 

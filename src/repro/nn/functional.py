@@ -2,9 +2,9 @@
 
 These are the hot paths of the substrate, so everything is expressed as
 batched NumPy array operations (no per-sample Python loops).  Convolutions
-use the im2col/col2im lowering: the input is unfolded into a matrix of
-receptive-field columns so the convolution becomes a single GEMM, which is
-the standard CPU strategy for small models.
+use the K-major lowering (Chetlur et al., cuDNN): :func:`unfold` lays the
+receptive fields out as a ``(C*kh*kw, N*OH*OW)`` matrix so the convolution
+is a single GEMM each way, and :func:`fold` is its adjoint.
 """
 
 from __future__ import annotations
@@ -47,14 +47,14 @@ def conv_out_size(size: int, kernel: int, stride: int, pad: int) -> int:
     return (size + 2 * pad - kernel) // stride + 1
 
 
-def im2col(
+def unfold(
     x: np.ndarray, kh: int, kw: int, stride: int = 1, pad: int = 0
 ) -> np.ndarray:
-    """Unfold ``x`` (N, C, H, W) into columns of shape (N*OH*OW, C*kh*kw).
+    """Unfold ``x`` (N, C, H, W) into K-major columns (C*kh*kw, N*OH*OW).
 
-    Built with :func:`numpy.lib.stride_tricks.as_strided` so the unfold is a
-    zero-copy view of the (padded) input; only the final ``reshape``
-    materialises memory.
+    Row ``(c, i, j)`` holds entry ``(i, j)`` of every receptive field of
+    channel ``c``, so the fill is ``kh*kw`` slab copies out of a zero-padded
+    channel-major copy of the input, and a convolution is ``W2d @ cols``.
     """
     n, c, h, w = x.shape
     oh = conv_out_size(h, kh, stride, pad)
@@ -63,18 +63,16 @@ def im2col(
         raise ValueError(
             f"kernel ({kh}x{kw}, stride={stride}, pad={pad}) too large for input {h}x{w}"
         )
-    if pad > 0:
-        x = np.pad(x, ((0, 0), (0, 0), (pad, pad), (pad, pad)), mode="constant")
-    sn, sc, sh, sw = x.strides
-    shape = (n, c, oh, ow, kh, kw)
-    strides = (sn, sc, sh * stride, sw * stride, sh, sw)
-    windows = np.lib.stride_tricks.as_strided(x, shape=shape, strides=strides)
-    # (N, OH, OW, C, kh, kw) -> rows are receptive fields.
-    cols = windows.transpose(0, 2, 3, 1, 4, 5).reshape(n * oh * ow, c * kh * kw)
-    return np.ascontiguousarray(cols)
+    xp = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=x.dtype)
+    xp[:, :, pad : pad + h, pad : pad + w] = x.transpose(1, 0, 2, 3)
+    cols = np.empty((c, kh, kw, n, oh, ow), dtype=x.dtype)
+    for i in range(kh):
+        for j in range(kw):
+            cols[:, i, j] = xp[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
+    return cols.reshape(c * kh * kw, n * oh * ow)
 
 
-def col2im(
+def fold(
     cols: np.ndarray,
     x_shape: tuple[int, int, int, int],
     kh: int,
@@ -82,23 +80,17 @@ def col2im(
     stride: int = 1,
     pad: int = 0,
 ) -> np.ndarray:
-    """Fold columns back onto an image, accumulating overlaps (im2col adjoint)."""
+    """Adjoint of :func:`unfold`: accumulate K-major columns onto an
+    (N, C, H, W) image, overlaps summed in row-major ``(i, j)`` order."""
     n, c, h, w = x_shape
     oh = conv_out_size(h, kh, stride, pad)
     ow = conv_out_size(w, kw, stride, pad)
-    hp, wp = h + 2 * pad, w + 2 * pad
-    cols6 = cols.reshape(n, oh, ow, c, kh, kw).transpose(0, 3, 1, 2, 4, 5)
-    out = np.zeros((n, c, hp, wp), dtype=cols.dtype)
-    # Accumulate per kernel offset: kh*kw vectorised scatters instead of a
-    # per-window loop.
+    cols6 = cols.reshape(c, kh, kw, n, oh, ow)
+    out = np.zeros((c, n, h + 2 * pad, w + 2 * pad), dtype=cols.dtype)
     for i in range(kh):
         for j in range(kw):
-            out[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols6[
-                :, :, :, :, i, j
-            ]
-    if pad > 0:
-        out = out[:, :, pad : pad + h, pad : pad + w]
-    return out
+            out[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride] += cols6[:, i, j]
+    return out[:, :, pad : pad + h, pad : pad + w].transpose(1, 0, 2, 3)
 
 
 def leaky_relu(x: np.ndarray, alpha: float = 0.01) -> np.ndarray:

@@ -121,7 +121,8 @@ class Dense(Layer):
 
 
 class Conv2D(Layer):
-    """2-D convolution (cross-correlation) lowered to GEMM via im2col."""
+    """2-D convolution (cross-correlation) as one GEMM over the K-major
+    columns of :func:`repro.nn.functional.unfold`; NCHW in and out."""
 
     def __init__(
         self,
@@ -135,6 +136,8 @@ class Conv2D(Layer):
         bias: bool = True,
     ) -> None:
         super().__init__()
+        if in_channels <= 0 or out_channels <= 0:
+            raise ValueError("channel counts must be positive")
         if kernel_size <= 0 or stride <= 0 or padding < 0:
             raise ValueError("invalid conv hyper-parameters")
         self.in_channels = in_channels
@@ -159,21 +162,15 @@ class Conv2D(Layer):
             )
         n, _, h, w = x.shape
         k, s, p = self.kernel_size, self.stride, self.padding
-        oh = F.conv_out_size(h, k, s, p)
-        ow = F.conv_out_size(w, k, s, p)
-        cols = F.im2col(x, k, k, s, p)  # (N*OH*OW, C*k*k)
-        wmat = self.params["W"].reshape(self.out_channels, -1)  # (O, C*k*k)
-        out = cols @ wmat.T  # (N*OH*OW, O)
+        o = self.out_channels
+        cols = F.unfold(x, k, k, s, p)  # (C*k*k, N*OH*OW)
+        out = self.params["W"].reshape(o, -1) @ cols  # (O, N*OH*OW)
         if self.use_bias:
-            out += self.params["b"]
-        out = out.reshape(n, oh, ow, self.out_channels).transpose(0, 3, 1, 2)
-        if training:
-            self._cols = cols
-            self._x_shape = x.shape
-        else:
-            self._cols = None
-            self._x_shape = None
-        return np.ascontiguousarray(out)
+            out += self.params["b"][:, None]
+        self._cols = cols if training else None
+        self._x_shape = x.shape if training else None
+        out = out.reshape(o, n, F.conv_out_size(h, k, s, p), F.conv_out_size(w, k, s, p))
+        return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
 
     def backward(
         self, grad: np.ndarray, input_grad: bool = True, param_grads: bool = True
@@ -181,17 +178,16 @@ class Conv2D(Layer):
         """Both flags as in :meth:`Dense.backward`."""
         if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward called without a training forward pass")
-        n, o, oh, ow = grad.shape
-        gmat = grad.transpose(0, 2, 3, 1).reshape(n * oh * ow, o)  # (N*OH*OW, O)
+        o = self.out_channels
+        g = np.ascontiguousarray(grad.transpose(1, 0, 2, 3)).reshape(o, -1)  # (O, N*OH*OW)
         if param_grads:
-            np.matmul(gmat.T, self._cols, out=self.grads["W"].reshape(o, -1))
+            np.matmul(g, self._cols.T, out=self.grads["W"].reshape(o, -1))
             if self.use_bias:
-                np.add.reduce(gmat, axis=0, out=self.grads["b"])
+                np.add.reduce(g, axis=1, out=self.grads["b"])
         if not input_grad:
             return None
-        wmat = self.params["W"].reshape(self.out_channels, -1)
-        gcols = gmat @ wmat  # (N*OH*OW, C*k*k)
-        return F.col2im(
+        gcols = self.params["W"].reshape(o, -1).T @ g  # (C*k*k, N*OH*OW)
+        return F.fold(
             gcols, self._x_shape, self.kernel_size, self.kernel_size, self.stride, self.padding
         )
 
@@ -210,21 +206,30 @@ def _tiles(x: np.ndarray, k: int, oh: int, ow: int) -> list[np.ndarray]:
     ]
 
 
-class MaxPool2D(Layer):
-    """Max pooling over non-overlapping (or strided) windows.
-
-    Non-overlapping pools (``stride == kernel_size``, every model in the
-    zoo) work on the strided tile views of the input directly; only
-    overlapping pools unfold through im2col.  Ties go to the first window
-    entry in row-major order on both paths (post-ReLU windows are often
-    all-zero, so the rule decides where the gradient lands).
-    """
+class _Pool2D(Layer):
+    """Shared constructor of the (unpadded) pooling layers."""
 
     def __init__(self, kernel_size: int, stride: int | None = None) -> None:
         super().__init__()
         self.kernel_size = kernel_size
         self.stride = stride if stride is not None else kernel_size
+        if kernel_size <= 0 or self.stride <= 0:
+            raise ValueError("pool kernel size and stride must be positive")
         self._x_shape: tuple[int, int, int, int] | None = None
+
+
+class MaxPool2D(_Pool2D):
+    """Max pooling over non-overlapping (or strided) windows.
+
+    Non-overlapping pools (``stride == kernel_size``, every model in the
+    zoo) work on the strided tile views of the input directly; only
+    overlapping pools go through :func:`repro.nn.functional.unfold`.  Ties
+    go to the first window entry in row-major order on both paths (post-ReLU
+    windows are often all-zero, so the rule decides where the gradient lands).
+    """
+
+    def __init__(self, kernel_size: int, stride: int | None = None) -> None:
+        super().__init__(kernel_size, stride)
         self._argmax: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -234,9 +239,9 @@ class MaxPool2D(Layer):
         ow = F.conv_out_size(w, k, s, 0)
         arg = None
         if s != k:
-            cols = F.im2col(x.reshape(n * c, 1, h, w), k, k, s, 0)  # (N*C*OH*OW, k*k)
-            arg = cols.argmax(axis=1)
-            out = cols[np.arange(cols.shape[0]), arg].reshape(n, c, oh, ow)
+            cols = F.unfold(x.reshape(n * c, 1, h, w), k, k, s, 0)  # (k*k, N*C*OH*OW)
+            arg = cols.argmax(axis=0)
+            out = cols[arg, np.arange(cols.shape[1])].reshape(n, c, oh, ow)
         else:
             if oh <= 0 or ow <= 0:
                 raise ValueError(
@@ -264,11 +269,9 @@ class MaxPool2D(Layer):
         n, c, h, w = self._x_shape
         k, s = self.kernel_size, self.stride
         if s != k:
-            gflat = grad.reshape(-1)
-            cols = np.zeros((gflat.shape[0], k * k), dtype=grad.dtype)
-            cols[np.arange(gflat.shape[0]), self._argmax] = gflat
-            gx = F.col2im(cols, (n * c, 1, h, w), k, k, s, 0)
-            return gx.reshape(n, c, h, w)
+            cols = np.zeros((k * k, grad.size), dtype=grad.dtype)
+            cols[self._argmax, np.arange(grad.size)] = grad.reshape(-1)
+            return F.fold(cols, (n * c, 1, h, w), k, k, s, 0).reshape(n, c, h, w)
         oh, ow = grad.shape[2:]
         # Rows/columns past the last whole window were never pooled.
         alloc = np.empty if (h, w) == (k * oh, k * ow) else np.zeros
@@ -278,34 +281,25 @@ class MaxPool2D(Layer):
         return gx
 
 
-class AvgPool2D(Layer):
+class AvgPool2D(_Pool2D):
     """Average pooling; also usable as a cheap global pool with k=H."""
-
-    def __init__(self, kernel_size: int, stride: int | None = None) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-        self._x_shape: tuple[int, int, int, int] | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         n, c, h, w = x.shape
         k, s = self.kernel_size, self.stride
         oh = F.conv_out_size(h, k, s, 0)
         ow = F.conv_out_size(w, k, s, 0)
-        cols = F.im2col(x.reshape(n * c, 1, h, w), k, k, s, 0)
-        out = cols.mean(axis=1)
+        cols = F.unfold(x.reshape(n * c, 1, h, w), k, k, s, 0)  # (k*k, N*C*OH*OW)
         self._x_shape = x.shape if training else None
-        return out.reshape(n, c, oh, ow)
+        return cols.mean(axis=0).reshape(n, c, oh, ow)
 
     def backward(self, grad: np.ndarray) -> np.ndarray:
         if self._x_shape is None:
             raise RuntimeError("backward called without a training forward pass")
         n, c, h, w = self._x_shape
         k, s = self.kernel_size, self.stride
-        gflat = grad.reshape(-1)
-        cols = np.repeat(gflat[:, None] / (k * k), k * k, axis=1)
-        gx = F.col2im(cols, (n * c, 1, h, w), k, k, s, 0)
-        return gx.reshape(n, c, h, w)
+        cols = np.broadcast_to(grad.reshape(-1) / (k * k), (k * k, grad.size))
+        return F.fold(cols, (n * c, 1, h, w), k, k, s, 0).reshape(n, c, h, w)
 
 
 class Flatten(Layer):

@@ -24,7 +24,7 @@ import pytest
 from repro.harness.config import ExperimentConfig
 from repro.harness.reporting import history_digest
 from repro.harness.runner import run_experiment
-from repro.runtime.checkpoint import Checkpointer
+from tests.harness.test_checkpoint import _Interrupted, interrupt_after_saves
 
 BASE = dict(
     scale="ci", dataset="mnist", partition="CE", method="fedavg",
@@ -200,9 +200,9 @@ CNN_CELLS = {
 }
 GOLDEN_CNN: dict[str, str] = {
     "sync-simple_cnn-float64":
-        "ed511e6445abff8a93802cfcf2477df5c3202b489f6431c99257c4de073370e3",
+        "2105da0472286acf88c3391dc2594f025042cf8c4bc74bad369e83d963160de1",
     "sync-simple_cnn-float32":
-        "c7818a19c526add3cf1bf5f3ff15dde321cd6251d0911653a2d06ae0cc8c62d4",
+        "22bfb7f9519b031b7f015be84cc495283da2cf386d1b28d637e41d10afda4695",
 }
 
 
@@ -218,23 +218,11 @@ def test_simple_cnn_backends_agree_with_serial(name, backend):
     assert digest(cell) == GOLDEN_CNN[name]
 
 
-class _Killed(Exception):
-    """Stands in for a crash right after a checkpoint save."""
-
-
 @pytest.mark.parametrize("name", sorted(CNN_CELLS))
 def test_simple_cnn_killed_and_resumed_equals_uninterrupted(name, tmp_path, monkeypatch):
-    original = Checkpointer.step
-
-    def step_then_die(self, state_fn):
-        saved = original(self, state_fn)
-        if self.saves == 2:
-            raise _Killed
-        return saved
-
     ck = str(tmp_path / "run.ckpt")
-    monkeypatch.setattr(Checkpointer, "step", step_then_die)
-    with pytest.raises(_Killed):
+    interrupt_after_saves(monkeypatch, 2)
+    with pytest.raises(_Interrupted):
         digest({**CNN_CELLS[name], "checkpoint_path": ck})
     monkeypatch.undo()
     assert digest({**CNN_CELLS[name], "resume": ck}) == GOLDEN_CNN[name]

@@ -1,7 +1,7 @@
 """Extra Conv2D/pooling coverage: every stride/padding/kernel combination
 is checked against the direct (loop) convolution and for gradient-mass
-conservation.  These guard the im2col lowering, which every model in the
-repo depends on."""
+conservation.  These guard the unfold/fold lowering, which every model in
+the repo depends on."""
 
 import numpy as np
 import pytest
@@ -42,7 +42,7 @@ def test_conv_matches_naive_for_all_geometries(kernel, stride, pad, rng):
 @pytest.mark.parametrize("kernel,stride,pad", [(3, 1, 1), (3, 2, 0), (2, 2, 1)])
 def test_conv_gradient_mass_conserved(kernel, stride, pad, rng):
     """Sum of dL/dx over an all-ones upstream gradient equals the sum of
-    kernel applications — a cheap exactness check on col2im."""
+    kernel applications — a cheap exactness check on fold."""
     layer = Conv2D(1, 1, kernel, rng, stride=stride, padding=pad, bias=False)
     x = rng.normal(size=(1, 1, 6, 6))
     out = layer.forward(x, training=True)
@@ -84,13 +84,13 @@ def test_avgpool_gradient_mass_conserved(rng):
     assert gx.sum() == pytest.approx(out.size)
 
 
-def test_im2col_stride_larger_than_kernel(rng):
+def test_unfold_stride_larger_than_kernel(rng):
     """Dilated-style sampling: stride 3 with kernel 2 skips pixels."""
     x = rng.normal(size=(1, 1, 8, 8))
-    cols = F.im2col(x, 2, 2, stride=3, pad=0)
-    assert cols.shape == (1 * 3 * 3, 4)
+    cols = F.unfold(x, 2, 2, stride=3, pad=0)
+    assert cols.shape == (4, 1 * 3 * 3)
     # First window must be the top-left 2x2 block.
-    np.testing.assert_allclose(cols[0], x[0, 0, :2, :2].ravel())
+    np.testing.assert_array_equal(cols[:, 0], x[0, 0, :2, :2].ravel())
 
 
 def test_conv_dtype_is_float64(rng):

@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from repro.nn import functional as F
+from tests.nn import reference_conv as R
 
 
 class TestSoftmax:
@@ -50,14 +51,16 @@ class TestOneHot:
 
 
 class TestIm2col:
+    """The row-major reference the conv tests compare against."""
+
     def test_shape(self, rng):
         x = rng.normal(size=(2, 3, 6, 6))
-        cols = F.im2col(x, 3, 3, stride=1, pad=0)
+        cols = R.im2col(x, 3, 3, stride=1, pad=0)
         assert cols.shape == (2 * 4 * 4, 3 * 9)
 
     def test_identity_kernel_1x1(self, rng):
         x = rng.normal(size=(2, 3, 4, 4))
-        cols = F.im2col(x, 1, 1)
+        cols = R.im2col(x, 1, 1)
         # 1x1 im2col is a transpose-reshape of the input.
         expected = x.transpose(0, 2, 3, 1).reshape(-1, 3)
         np.testing.assert_allclose(cols, expected)
@@ -65,7 +68,7 @@ class TestIm2col:
     def test_values_against_naive(self, rng):
         x = rng.normal(size=(1, 2, 5, 5))
         kh = kw = 3
-        cols = F.im2col(x, kh, kw, stride=2, pad=1)
+        cols = R.im2col(x, kh, kw, stride=2, pad=1)
         xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
         row = 0
         for i in range(0, 5 + 2 - kh + 1, 2):
@@ -77,18 +80,90 @@ class TestIm2col:
     def test_too_large_kernel_raises(self, rng):
         x = rng.normal(size=(1, 1, 3, 3))
         with pytest.raises(ValueError):
-            F.im2col(x, 5, 5)
+            R.im2col(x, 5, 5)
 
     def test_col2im_is_adjoint(self, rng):
         """<im2col(x), y> == <x, col2im(y)> — the defining adjoint identity."""
         x = rng.normal(size=(2, 3, 6, 6))
         for stride, pad in [(1, 0), (2, 1), (1, 1)]:
-            cols = F.im2col(x, 3, 3, stride, pad)
+            cols = R.im2col(x, 3, 3, stride, pad)
             y = rng.normal(size=cols.shape)
             lhs = float(np.sum(cols * y))
-            back = F.col2im(y, x.shape, 3, 3, stride, pad)
+            back = R.col2im(y, x.shape, 3, 3, stride, pad)
             rhs = float(np.sum(x * back))
             assert abs(lhs - rhs) < 1e-8
+
+
+@st.composite
+def unfold_cases(draw):
+    kh, kw = draw(st.integers(1, 4)), draw(st.integers(1, 4))
+    stride, pad = draw(st.integers(1, 4)), draw(st.integers(0, 2))
+    # At least one window each way; non-square inputs included.
+    h = draw(st.integers(max(1, kh - 2 * pad), 9))
+    w = draw(st.integers(max(1, kw - 2 * pad), 9))
+    shape = (draw(st.integers(1, 3)), draw(st.integers(1, 3)), h, w)
+    dtype = draw(st.sampled_from([np.float32, np.float64]))
+    return shape, kh, kw, stride, pad, dtype, draw(st.integers(0, 2**16))
+
+
+class TestUnfoldFold:
+    def test_shape(self, rng):
+        x = rng.normal(size=(2, 3, 6, 6))
+        cols = F.unfold(x, 3, 3, stride=1, pad=0)
+        assert cols.shape == (3 * 9, 2 * 4 * 4)
+        assert cols.flags.c_contiguous
+
+    def test_identity_kernel_1x1(self, rng):
+        x = rng.normal(size=(2, 3, 4, 4))
+        # A 1x1 unfold is the channel-major reshape of the input.
+        expected = x.transpose(1, 0, 2, 3).reshape(3, -1)
+        np.testing.assert_array_equal(F.unfold(x, 1, 1), expected)
+
+    def test_values_against_naive(self, rng):
+        x = rng.normal(size=(1, 2, 5, 5))
+        kh = kw = 3
+        cols = F.unfold(x, kh, kw, stride=2, pad=1)
+        xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
+        col = 0
+        for i in range(0, 5 + 2 - kh + 1, 2):
+            for j in range(0, 5 + 2 - kw + 1, 2):
+                patch = xp[0, :, i : i + kh, j : j + kw].ravel()
+                np.testing.assert_array_equal(cols[:, col], patch)
+                col += 1
+
+    @pytest.mark.parametrize("pad", [0, 1])
+    def test_too_large_kernel_raises(self, rng, pad):
+        x = rng.normal(size=(1, 1, 3, 3))
+        with pytest.raises(ValueError, match="too large for input 3x3"):
+            F.unfold(x, 6, 6, pad=pad)
+
+    @given(unfold_cases())
+    @settings(max_examples=150, deadline=None)
+    def test_is_the_transposed_reference_and_fold_is_its_adjoint(self, case):
+        shape, kh, kw, stride, pad, dtype, seed = case
+        rng = np.random.default_rng(seed)
+        x = rng.normal(size=shape).astype(dtype)
+        cols = F.unfold(x, kh, kw, stride, pad)
+        assert cols.dtype == dtype
+        # Same entries as the row-major columns, K-major.
+        assert np.array_equal(cols.T, R.im2col(x, kh, kw, stride, pad))
+        c = rng.normal(size=cols.shape).astype(dtype)
+        back = F.fold(c, shape, kh, kw, stride, pad)
+        assert back.shape == shape and back.dtype == dtype
+        # Overlaps are summed in the same (i, j) order: bit-equal.
+        assert np.array_equal(back, R.col2im(c.T, shape, kh, kw, stride, pad))
+        # <unfold(x), c> == <x, fold(c)>, in float64 so only fold's own sums round.
+        lhs = np.sum(cols.astype(np.float64) * c)
+        rhs = np.sum(x.astype(np.float64) * back)
+        assert lhs == pytest.approx(rhs, rel=0, abs=1e-9 if dtype == np.float64 else 1e-3)
+
+    def test_non_contiguous_input(self, rng):
+        big = rng.normal(size=(6, 2, 5, 7))
+        x = big[::2]
+        assert not x.flags.c_contiguous
+        np.testing.assert_array_equal(
+            F.unfold(x, 3, 3, 1, 1), F.unfold(np.ascontiguousarray(x), 3, 3, 1, 1)
+        )
 
 
 class TestActivationKernels:

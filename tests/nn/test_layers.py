@@ -126,6 +126,12 @@ class TestConv2D:
         with pytest.raises(ValueError):
             Conv2D(1, 1, 3, rng, stride=0)
 
+    @pytest.mark.parametrize("channels", [(0, 4), (2, 0), (-1, 4)])
+    def test_non_positive_channel_counts_raise(self, channels, rng):
+        """They used to build a zero-parameter layer without complaint."""
+        with pytest.raises(ValueError, match="channel counts must be positive"):
+            Conv2D(*channels, 3, rng)
+
 
 class TestPooling:
     def test_maxpool_values(self):
@@ -158,6 +164,13 @@ class TestPooling:
     def test_overlapping_stride(self, rng):
         layer = MaxPool2D(2, stride=1)
         assert layer.forward(rng.normal(size=(1, 1, 4, 4))).shape == (1, 1, 3, 3)
+
+    @pytest.mark.parametrize("pool_cls", [MaxPool2D, AvgPool2D])
+    @pytest.mark.parametrize("kernel,stride", [(0, None), (-2, None), (2, 0), (2, -1)])
+    def test_non_positive_kernel_or_stride_raises(self, pool_cls, kernel, stride):
+        """A zero kernel used to construct and then divide by zero in forward."""
+        with pytest.raises(ValueError, match="kernel size and stride must be positive"):
+            pool_cls(kernel, stride=stride)
 
 
 class TestFlattenDropout:
@@ -302,11 +315,10 @@ def _accumulate_dense(layer, grad):
 
 
 def _accumulate_conv(layer, grad):
-    n, o, oh, ow = grad.shape
-    gmat = grad.transpose(0, 2, 3, 1).reshape(n * oh * ow, o)
-    layer.grads["W"] += (gmat.T @ layer._cols).reshape(layer.params["W"].shape)
+    g = grad.transpose(1, 0, 2, 3).reshape(grad.shape[1], -1)  # (O, N*OH*OW)
+    layer.grads["W"] += (g @ layer._cols.T).reshape(layer.params["W"].shape)
     if layer.use_bias:
-        layer.grads["b"] += gmat.sum(axis=0)
+        layer.grads["b"] += g.sum(axis=1)
 
 
 def _accumulate_batchnorm(layer, grad):

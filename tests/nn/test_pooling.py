@@ -1,10 +1,12 @@
 """MaxPool2D against its im2col reference, bit for bit.
 
-Non-overlapping pools work on strided tile views of the input; the
-im2col + ``argmax`` + ``col2im`` implementation they replaced is kept here
-as the oracle.  Outputs and input gradients must be ``array_equal`` — the
-federated digests hash every weight — including where whole windows tie
-(post-ReLU zeros): the first entry in row-major order takes the gradient.
+Non-overlapping pools work on strided tile views of the input and
+overlapping ones on K-major ``unfold`` columns; the row-major im2col +
+``argmax`` + ``col2im`` implementation both replaced is kept
+(``tests/nn/reference_conv.py``) as the oracle.  Outputs, argmax and input
+gradients must be ``array_equal`` — the federated digests hash every
+weight — including where whole windows tie (post-ReLU zeros): the first
+entry in row-major order takes the gradient.
 """
 
 import numpy as np
@@ -14,29 +16,31 @@ from hypothesis import strategies as st
 
 from repro.nn import functional as F
 from repro.nn.layers import AvgPool2D, MaxPool2D
+from tests.nn.reference_conv import col2im, im2col
 from tests.nn.test_layers import check_input_grad
 
 
 def reference_maxpool(x: np.ndarray, k: int, s: int, grad_seed: int = 0):
-    """``(out, grad, input_grad)`` of max pooling through im2col/col2im."""
+    """``(out, argmax, grad, input_grad)`` of max pooling through im2col/col2im."""
     n, c, h, w = x.shape
     oh = F.conv_out_size(h, k, s, 0)
     ow = F.conv_out_size(w, k, s, 0)
-    cols = F.im2col(x.reshape(n * c, 1, h, w), k, k, s, 0)
+    cols = im2col(x.reshape(n * c, 1, h, w), k, k, s, 0)
     arg = cols.argmax(axis=1)
     rows = np.arange(cols.shape[0])
     out = cols[rows, arg].reshape(n, c, oh, ow)
     grad = np.random.default_rng(grad_seed).normal(size=out.shape).astype(x.dtype)
     gcols = np.zeros_like(cols)
     gcols[rows, arg] = grad.reshape(-1)
-    gx = F.col2im(gcols, (n * c, 1, h, w), k, k, s, 0).reshape(x.shape)
-    return out, grad, gx
+    gx = col2im(gcols, (n * c, 1, h, w), k, k, s, 0).reshape(x.shape)
+    return out, arg, grad, gx
 
 
 def assert_matches_reference(x: np.ndarray, k: int, s: int | None = None) -> None:
     layer = MaxPool2D(k, stride=s)
-    ref_out, grad, ref_gx = reference_maxpool(x, k, layer.stride)
+    ref_out, ref_arg, grad, ref_gx = reference_maxpool(x, k, layer.stride)
     out = layer.forward(x, training=True)
+    assert np.array_equal(layer._argmax.reshape(-1), ref_arg)
     gx = layer.backward(grad)
     assert out.dtype == ref_out.dtype and gx.dtype == ref_gx.dtype
     assert np.array_equal(out, ref_out)
@@ -102,9 +106,12 @@ def test_inference_forward_records_nothing(rng):
 
 
 @pytest.mark.parametrize("k,s", [(2, 1), (3, 1), (3, 2)])
-def test_overlapping_stride_keeps_im2col_path(k, s, rng):
+def test_overlapping_stride_equals_im2col_reference(k, s, rng):
     x = rng.permutation(2 * 49).astype(float).reshape(1, 2, 7, 7)
     assert_matches_reference(x, k, s)
+    # Through ReLU, overlapping windows share their tied zeros.
+    relu = np.maximum(rng.normal(size=(3, 2, 7, 6)), 0.0).astype(np.float32)
+    assert_matches_reference(relu, k, s)
     # Distinct values: the argmax is stable under the probe.
     check_input_grad(MaxPool2D(k, stride=s), x, tol=1e-3)
 
