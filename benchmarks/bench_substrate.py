@@ -403,6 +403,8 @@ def main(argv=None) -> int:
         "numpy": np.__version__,
         "python": platform.python_version(),
         "cpu_count": os.cpu_count(),
+        # BLAS threads the GEMM rows ran with (unset = the library's default).
+        "openblas_num_threads": os.environ.get("OPENBLAS_NUM_THREADS"),
         "transfer": transfer,
         "round": rounds_result,
         "conv_layers": conv_layers,
