@@ -1,13 +1,14 @@
 """Runtime bench: round wall-clock per execution backend.
 
 Records the end-to-end time of the same federated run under the serial,
-thread, and process backends, and re-asserts the load-bearing invariant
-that they are bit-identical.  On a multi-core host the process backend's
-round wall-clock must beat serial; on a single core the comparison is
-recorded but not asserted (a worker pool cannot beat a loop without
-parallel hardware).
+thread, and process backends beside the host it ran on, and asserts the
+load-bearing invariant that their histories are bit-identical.  Nothing
+about speed is asserted: whether a worker pool beats a loop depends on
+the host (``cpu_count >= 2`` does not mean separate cores — two vCPUs
+sharing one core measured process vs serial anywhere from 0.61x to
+1.87x), so the timings are a record to read next to the host block.
 
-Run:  PYTHONPATH=src python -m pytest benchmarks/test_runtime_speedup.py -q -s
+Run:  PYTHONPATH=src OPENBLAS_NUM_THREADS=1 python -m pytest benchmarks/test_runtime_speedup.py -q -s
 """
 
 from __future__ import annotations
@@ -24,6 +25,7 @@ from repro.data.synthetic import SyntheticImageSpec, make_synthetic_dataset
 from repro.fl.client import make_clients
 from repro.fl.simulation import FederatedSimulation, FLConfig
 from repro.fl.strategies import FedAvg
+from repro.harness.reporting import history_digest
 from repro.nn.models import mlp
 from repro.runtime import make_executor
 
@@ -66,10 +68,16 @@ def _compare_backends():
 @pytest.mark.benchmark(group="runtime")
 def test_runtime_speedup(benchmark, once):
     out, workers = once(benchmark, _compare_backends)
-    cores = os.cpu_count() or 1
+    host = {
+        "cpu_count": os.cpu_count(),
+        "sched_getaffinity": len(os.sched_getaffinity(0)),
+        **{pin: os.environ.get(pin) for pin in
+           ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
+    }
 
-    print(f"\nRuntime speedup — {N_CLIENTS} clients x {ROUNDS} rounds, "
-          f"{workers} workers, {cores} cores")
+    print(f"\nRuntime backends — {N_CLIENTS} clients x {ROUNDS} rounds, "
+          f"{workers} workers")
+    print(f"  host: {host}")
     print(f"  {'backend':>8} {'wall (s)':>10} {'per-round (s)':>14} {'vs serial':>10}")
     serial_s = out["serial"]["wall_s"]
     for name, row in out.items():
@@ -77,14 +85,6 @@ def test_runtime_speedup(benchmark, once):
               f"{serial_s / row['wall_s']:>9.2f}x")
 
     # Bit-identical histories, always, on any host.
-    ref = out["serial"]["history"].accuracy_series()
-    assert out["thread"]["history"].accuracy_series() == ref
-    assert out["process"]["history"].accuracy_series() == ref
-
-    # The speedup claim needs parallel hardware to be falsifiable.
-    if cores >= 2:
-        assert out["process"]["per_round_s"] < out["serial"]["per_round_s"], (
-            f"process backend ({out['process']['per_round_s']:.3f}s/round) not "
-            f"faster than serial ({out['serial']['per_round_s']:.3f}s/round) "
-            f"on a {cores}-core host"
-        )
+    ref = history_digest(out["serial"]["history"])
+    assert history_digest(out["thread"]["history"]) == ref
+    assert history_digest(out["process"]["history"]) == ref

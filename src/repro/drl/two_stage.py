@@ -18,6 +18,7 @@ takes ``n_workers`` as a parameter so the ablation bench can sweep it.
 from __future__ import annotations
 
 from collections.abc import Callable
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +66,7 @@ def collect_worker_experience(
     n_workers: int,
     rounds_per_worker: int,
     seed: int = 0,
-    executor=None,
+    threads: int = 1,
 ) -> tuple[ReplayBuffer, list[WorkerResult]]:
     """Stage 1: run ``n_workers`` online workers and merge their buffers.
 
@@ -73,11 +74,11 @@ def collect_worker_experience(
     worker; each worker gets its own seeded RNG so the initially identical
     agents diverge through exploration, as the paper describes.
 
-    ``executor`` (a :class:`repro.runtime.executor.Executor`) dispatches
-    the workers through its ``map_tasks`` side-channel so they roll out in
-    parallel.  Workers share nothing — each builds its own environment and
-    agent from its own seed — and buffers merge in worker-id order, so the
-    pooled experience is bit-identical to the sequential default.
+    The workers roll out on a pool of ``threads`` threads (env steps are
+    NumPy kernels that release the GIL).  Workers share nothing — each
+    builds its own environment and agent from its own seed — and buffers
+    merge in worker-id order, so the pooled experience is bit-identical
+    for every thread count.
     """
     if n_workers <= 0:
         raise ValueError("n_workers must be positive")
@@ -92,10 +93,8 @@ def collect_worker_experience(
         result.worker_id = worker_id
         return result
 
-    if executor is None:
-        results = [run_one(w) for w in range(n_workers)]
-    else:
-        results = executor.map_tasks(run_one, list(range(n_workers)))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        results = list(pool.map(run_one, range(n_workers)))
     merged = ReplayBuffer(config.buffer_capacity)
     for result in results:
         merged.merge(result.buffer)
@@ -141,13 +140,13 @@ class TwoStageTrainer:
         config: DRLConfig | None = None,
         n_workers: int = 2,
         seed: int = 0,
-        executor=None,
+        threads: int = 1,
     ) -> None:
         self.env_factory = env_factory
         self.config = config or DRLConfig()
         self.n_workers = n_workers
         self.seed = seed
-        self.executor = executor
+        self.threads = threads
         self.worker_results: list[WorkerResult] = []
         self.merged_buffer: ReplayBuffer | None = None
 
@@ -155,7 +154,7 @@ class TwoStageTrainer:
         """Run stage 1 then stage 2; return the offline-trained main agent."""
         merged, results = collect_worker_experience(
             self.env_factory, self.config, self.n_workers, rounds_per_worker,
-            self.seed, executor=self.executor,
+            self.seed, threads=self.threads,
         )
         self.worker_results = results
         self.merged_buffer = merged

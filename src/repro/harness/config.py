@@ -210,8 +210,10 @@ class ExperimentConfig:
     # Fault tolerance (repro.runtime.faults): seeded per-(round|job, client)
     # fault injection — a cell's *first* attempt crashes / raises / blips /
     # hangs with the given probabilities — plus the parent-side recovery
-    # knobs (per-task timeout, bounded retry).  All-zero probabilities keep
-    # every backend on the historical fault-free path.
+    # knobs (per-task timeout, bounded retry).  All-zero probabilities
+    # inject nothing; the executors' task path is the same either way (the
+    # process backend chunks its first wave only while no fault rate and
+    # no task timeout is set).
     fault_crash_prob: float = 0.0
     fault_exception_prob: float = 0.0
     fault_transient_prob: float = 0.0

@@ -29,7 +29,6 @@ from repro.runtime import (
     Checkpointer,
     FaultPlan,
     RetryPolicy,
-    ThreadExecutor,
     VirtualClock,
     get_bandwidth_model,
     get_latency_model,
@@ -175,21 +174,14 @@ def pretrain_feddrl_agent(cfg: ExperimentConfig, drl_cfg):
         )
 
     # Worker rollouts are independent, so any pooled backend parallelizes
-    # them through the executor's map_tasks side-channel.  Env factories
-    # are closures (unpicklable), so the process backend also pretrains on
-    # threads — env steps are NumPy kernels that release the GIL.
-    executor = None
-    if cfg.backend != "serial":
-        executor = ThreadExecutor(workers=cfg.drl_pretrain_workers)
-    try:
-        trainer = TwoStageTrainer(
-            env_factory, drl_cfg, n_workers=cfg.drl_pretrain_workers,
-            seed=cfg.seed, executor=executor,
-        )
-        agent = trainer.train(cfg.drl_pretrain_rounds, cfg.drl_offline_updates)
-    finally:
-        if executor is not None:
-            executor.close()
+    # them.  Env factories are closures (unpicklable), so the process
+    # backend also pretrains on threads — env steps are NumPy kernels that
+    # release the GIL.
+    trainer = TwoStageTrainer(
+        env_factory, drl_cfg, n_workers=cfg.drl_pretrain_workers, seed=cfg.seed,
+        threads=1 if cfg.backend == "serial" else cfg.drl_pretrain_workers,
+    )
+    agent = trainer.train(cfg.drl_pretrain_rounds, cfg.drl_offline_updates)
     agent.noise_scale = min(agent.noise_scale, 0.05)
     return agent
 

@@ -13,8 +13,7 @@ that contract; three backends implement it:
 * :class:`ProcessExecutor` — a process pool with one long-lived model
   replica per worker.  Clients are shipped to the workers **once** at
   pool construction; each round only the flat weight vector crosses the
-  process boundary, and participants are dispatched in ``workers`` strided
-  chunks so uneven client sizes balance out.
+  process boundary, once per submitted future.
 
 All three produce bit-identical updates for the same experiment seed
 because per-client batch schedules *and* forward-time randomness (Dropout
@@ -24,18 +23,29 @@ fully determined by ``set_flat_weights`` (parameters and buffers alike).
 This holds for every model in the zoo, including ``vgg11``'s Dropout
 layers.
 
-**Fault tolerance.**  Every backend retries failed tasks under a
+**One task path.**  Every task on every backend is one
+:func:`_train_one` call, and every failure — injected or real — goes
+through one rule, :meth:`Executor._next_attempt`, under a
 :class:`~repro.runtime.faults.RetryPolicy`: a retried attempt re-derives
 the *same* ``(round, client)`` RNG cell, so a faulted-and-recovered run
 is bit-identical to a clean one.  Injected faults (a seeded
 :class:`~repro.runtime.faults.FaultPlan` on the round context) are
 accounted in the deterministic ``sim`` domain — the schedule is
 pre-computed parent-side from the plan's pure draws, identically on all
-backends; real recovery work (pool rebuilds after ``BrokenProcessPool``,
-per-task timeouts, collateral re-dispatch) lands in the backend-dependent
-``rt`` domain.  The process backend rebuilds its pool on breakage and,
-after ``max_pool_rebuilds`` failures, degrades to in-parent serial
-execution for the remaining work — results unchanged either way.
+backends; real recovery work (task errors, pool rebuilds after
+``BrokenProcessPool``, per-task timeouts, collateral re-dispatch) lands
+in the backend-dependent ``rt`` domain.
+
+The process backend has one dispatch loop, and the fault-tolerant loop
+*is* the fast path: the first wave is ``min(workers, K)`` strided chunks
+(one weight pickle per worker, uneven client sizes balance out) — or K
+single-task futures when a fault plan is active or a task timeout is set,
+so that recovery is per task — and whatever fails afterwards is
+re-dispatched one task per future.  A chunk that fails costs a re-run of
+every task it carried, finished or not (recomputing is bit-identical).  A
+dead or stuck pool is rebuilt and, after ``max_pool_rebuilds`` failures,
+the executor degrades to in-parent serial execution for the remaining
+work — results unchanged either way.
 """
 
 from __future__ import annotations
@@ -46,6 +56,7 @@ import threading
 import time
 from concurrent.futures import (
     FIRST_COMPLETED,
+    Future,
     ProcessPoolExecutor,
     ThreadPoolExecutor,
     wait,
@@ -98,14 +109,15 @@ class RoundContext:
     (the fleet simulator's completeness axis); clients absent from the
     mapping run their full ``epochs`` budget.
 
-    ``trace`` asks the backend to measure a wall-time span around each
-    client's local training and ship it back with the results (see
-    :meth:`Executor.take_worker_spans`); the default leaves the hot path
-    untouched.
+    ``trace`` asks :func:`_train_one` to measure a wall-time span around
+    each client's local training and ship it back with the result (see
+    :meth:`Executor.take_worker_spans`); untraced tasks carry ``None``.
 
     ``fault_plan`` injects seeded failures into each cell's *first*
-    attempt (see :mod:`repro.runtime.faults`); ``None`` keeps every
-    backend on its historical fault-free path.
+    attempt (see :mod:`repro.runtime.faults`).  ``None`` or an inactive
+    plan injects nothing; the task path is the same either way — an
+    active plan only makes the process backend's first wave per-task
+    instead of chunked.
     """
 
     round_idx: int
@@ -129,10 +141,15 @@ def _cell_index(ctx: RoundContext, client_id: int) -> int:
     return ctx.round_idx
 
 
+def _worker_label() -> str:
+    """A stable label for the executing worker (process or thread)."""
+    return f"pid{os.getpid()}/{threading.current_thread().name}"
+
+
 def _train_one(
     client: Client, model, loss, ctx: RoundContext,
     attempt: int = 0, real_crash: bool = False,
-) -> ClientUpdate:
+) -> tuple[ClientUpdate, dict | None]:
     """One client's local training with its (round, client)-keyed RNGs.
 
     Batch shuffling and forward-time randomness (Dropout masks) draw from
@@ -141,8 +158,20 @@ def _train_one(
     happens to serve the client.  An attached fault plan may fail the
     cell's first attempt *before* any training RNG is touched, so the
     retry trains with pristine streams and recovery is bit-identical.
+
+    Returns ``(update, span)``.  Under ``ctx.trace`` the span is a
+    wall-time measurement taken *in the worker*: a plain dict in the
+    ``repro-trace/v1`` schema, so it can cross the process boundary with
+    the task result and merge into the parent's tracer — the obs layer
+    never writes shared state from worker processes.  Wall timestamps
+    are epoch seconds, comparable across processes; the span carries no
+    simulated-time fields (those are derived deterministically on the
+    server side).  Untraced, the span is ``None``.
     """
     seed_round = _cell_index(ctx, client.client_id)
+    if ctx.trace:
+        t0 = time.time()
+        p0 = time.perf_counter()
     if ctx.fault_plan is not None:
         ctx.fault_plan.inject(
             seed_round, client.client_id, attempt, real_crash=real_crash
@@ -154,7 +183,7 @@ def _train_one(
     max_batches = None
     if ctx.client_batches is not None:
         max_batches = ctx.client_batches.get(client.client_id)
-    return client.local_train(
+    update = client.local_train(
         model,
         ctx.global_weights,
         epochs=ctx.epochs,
@@ -166,42 +195,19 @@ def _train_one(
         max_batches=max_batches,
         **ctx.client_kwargs,
     )
-
-
-def _train_one_traced(
-    client: Client, model, loss, ctx: RoundContext, worker: str,
-    attempt: int = 0, real_crash: bool = False,
-) -> tuple[ClientUpdate, dict]:
-    """:func:`_train_one` plus a wall-time span measured *in the worker*.
-
-    The span is a plain dict in the ``repro-trace/v1`` schema so it can
-    cross the process boundary with the task result and merge into the
-    parent's tracer — the obs layer never writes shared state from
-    worker processes.  Wall timestamps are epoch seconds, comparable
-    across processes; the span carries no simulated-time fields (those
-    are derived deterministically on the server side).
-    """
-    t0 = time.time()
-    p0 = time.perf_counter()
-    update = _train_one(client, model, loss, ctx, attempt, real_crash)
-    seed_round = _cell_index(ctx, client.client_id)
-    span = {
+    if not ctx.trace:
+        return update, None
+    return update, {
         "type": "span",
         "name": "worker.local_train",
         "cat": "runtime",
-        "track": f"worker/{worker}",
+        "track": f"worker/{_worker_label()}",
         "sim_t0": None,
         "sim_dur": None,
         "wall_t0": t0,
         "wall_dur": time.perf_counter() - p0,
         "args": {"client": client.client_id, "round": seed_round},
     }
-    return update, span
-
-
-def _worker_label() -> str:
-    """A stable label for the executing worker (process or thread)."""
-    return f"pid{os.getpid()}/{threading.current_thread().name}"
 
 
 class Executor:
@@ -251,37 +257,52 @@ class Executor:
             if kind is not None:
                 stats.record_injected(kind, self.retry.backoff_s(0))
 
-    def _run_retrying(self, ctx: RoundContext, cid: int, attempt_fn):
-        """Bounded in-process retry around one task.
+    def _next_attempt(self, exc: Exception, attempt: int, cid: int) -> int:
+        """The one retry rule: attempt ``attempt`` of ``cid``'s task failed
+        with ``exc``; return the attempt number to re-run it with, or
+        re-raise once the budget is spent.
 
-        ``attempt_fn(attempt)`` runs the work; injected faults retry
-        without further accounting (the schedule was pre-recorded), real
-        exceptions count one ``rt`` retry each and re-raise once the
-        budget is spent.
+        Injected faults retry without further accounting (the schedule
+        was pre-recorded), a ``concurrent.futures`` timeout counts one
+        ``rt`` timeout, every other exception one ``rt`` retry.  A dead
+        pool never spends the task's budget — the victim did nothing
+        wrong, and ``max_pool_rebuilds`` bounds that loop instead.
         """
-        policy = self.retry
-        attempt = 0
+        timed_out = isinstance(exc, FuturesTimeout)
+        if timed_out:
+            self._stats().rt_timeouts += 1
+        if attempt >= self.retry.max_retries and not isinstance(exc, BrokenProcessPool):
+            if timed_out:
+                raise TimeoutError(
+                    f"client {cid} task exceeded {self.retry.task_timeout_s}s "
+                    f"on each of {attempt + 1} attempts"
+                ) from None
+            raise exc
+        if not timed_out and not isinstance(exc, FaultInjected):
+            self._stats().rt_retries += 1
+        return attempt + 1
+
+    def _train_in_parent(
+        self, client: Client, model, loss, ctx: RoundContext, attempt: int = 0
+    ) -> tuple[ClientUpdate, dict | None]:
+        """One task in the calling thread, retried under the one rule.
+
+        Injected crashes surface as :class:`InjectedCrash` here (never
+        ``os._exit`` — the parent must survive) and are retried like any
+        other injected fault.
+        """
         while True:
             try:
-                return attempt_fn(attempt)
-            except FaultInjected:
-                if attempt >= policy.max_retries:
-                    raise
-            except Exception:
-                if attempt >= policy.max_retries:
-                    raise
-                self._stats().rt_retries += 1
-            attempt += 1
+                return _train_one(client, model, loss, ctx, attempt)
+            except Exception as exc:
+                attempt = self._next_attempt(exc, attempt, client.client_id)
 
-    def map_tasks(self, fn, items: list) -> list:
-        """Run an arbitrary task over ``items``, results in item order.
-
-        A generic side-channel for non-FL workloads that want the backend's
-        parallelism (DRL pretraining workers, environment rollouts).  The
-        base implementation is sequential; pooled backends override it.
-        The caller owns determinism: tasks must not share mutable state.
-        """
-        return [fn(item) for item in items]
+    def _deliver(self, pairs: list[tuple[ClientUpdate, dict | None]]) -> list[ClientUpdate]:
+        """Split a round's ``(update, span)`` pairs, both in participant
+        order: the updates are returned, the spans (none when untraced)
+        wait for :meth:`take_worker_spans`."""
+        self._worker_spans = [span for _, span in pairs if span is not None]
+        return [update for update, _ in pairs]
 
     def take_worker_spans(self) -> list[dict]:
         """Worker-side wall spans from the last traced ``run_round``.
@@ -326,29 +347,10 @@ class SerialExecutor(Executor):
 
     def run_round(self, ctx: RoundContext, participants: list[int]) -> list[ClientUpdate]:
         self._prerecord_injections(ctx, participants)
-        if not ctx.trace:
-            return [
-                self._run_retrying(
-                    ctx, cid,
-                    lambda attempt, cid=cid: _train_one(
-                        self.clients[cid], self._model, self._loss, ctx, attempt
-                    ),
-                )
-                for cid in participants
-            ]
-        label = _worker_label()
-        results, spans = [], []
-        for cid in participants:
-            update, span = self._run_retrying(
-                ctx, cid,
-                lambda attempt, cid=cid: _train_one_traced(
-                    self.clients[cid], self._model, self._loss, ctx, label, attempt
-                ),
-            )
-            results.append(update)
-            spans.append(span)
-        self._worker_spans = spans
-        return results
+        return self._deliver([
+            self._train_in_parent(self.clients[cid], self._model, self._loss, ctx)
+            for cid in participants
+        ])
 
 
 class ThreadExecutor(Executor):
@@ -362,97 +364,52 @@ class ThreadExecutor(Executor):
     name = "thread"
 
     def __init__(
-        self,
-        clients: list[Client] = (),
-        model_factory=None,
-        workers: int | None = None,
+        self, clients: list[Client], model_factory, workers: int | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
         self.workers = max(1, workers or (os.cpu_count() or 1))
         self.clients = _client_lookup(clients)
-        self._model_factory = model_factory
         self._closed = False
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="fl-client"
         )
-        # Model replicas are built lazily on the first run_round, so a
-        # map_tasks-only executor (DRL pretraining) never pays for them.
-        self._replicas: queue.SimpleQueue | None = None
+        self._replicas: queue.SimpleQueue = queue.SimpleQueue()
+        for _ in range(self.workers):
+            self._replicas.put(
+                (model_factory(np.random.default_rng(0)), SoftmaxCrossEntropy())
+            )
         if retry is not None:
             self.retry = retry
 
-    def _ensure_replicas(self) -> queue.SimpleQueue:
-        if self._replicas is None:
-            if self._model_factory is None:
-                raise ValueError(
-                    "this ThreadExecutor was built without a model_factory; "
-                    "it can only serve map_tasks, not run_round"
-                )
-            self._replicas = queue.SimpleQueue()
-            for _ in range(self.workers):
-                self._replicas.put(
-                    (self._model_factory(np.random.default_rng(0)), SoftmaxCrossEntropy())
-                )
-        return self._replicas
-
     def _run(self, cid: int, ctx: RoundContext, attempt: int = 0):
-        replicas = self._replicas
-        model, loss = replicas.get()
+        model, loss = self._replicas.get()
         try:
-            if ctx.trace:
-                return _train_one_traced(
-                    self.clients[cid], model, loss, ctx, _worker_label(), attempt
-                )
             return _train_one(self.clients[cid], model, loss, ctx, attempt)
         finally:
-            replicas.put((model, loss))
+            self._replicas.put((model, loss))
 
     def _collect(self, future, cid: int, ctx: RoundContext):
-        """One future's result, with timeout-aware bounded retry.
+        """One future's result, re-submitted under the one retry rule.
 
         A timed-out task keeps running in its pool thread (threads cannot
         be preempted) until it returns its replica — injected hangs raise
         after ``hang_s``, bounding the stall; the replacement attempt
         simply queues for the next free replica.
         """
-        policy = self.retry
         attempt = 0
         while True:
             try:
-                return future.result(timeout=policy.task_timeout_s)
-            except FaultInjected:
-                if attempt >= policy.max_retries:
-                    raise
-            except FuturesTimeout:
-                self._stats().rt_timeouts += 1
-                if attempt >= policy.max_retries:
-                    raise TimeoutError(
-                        f"client {cid} task exceeded {policy.task_timeout_s}s "
-                        f"on each of {attempt + 1} attempts"
-                    ) from None
-            except Exception:
-                if attempt >= policy.max_retries:
-                    raise
-                self._stats().rt_retries += 1
-            attempt += 1
+                return future.result(timeout=self.retry.task_timeout_s)
+            except Exception as exc:
+                attempt = self._next_attempt(exc, attempt, cid)
             future = self._pool.submit(self._run, cid, ctx, attempt)
 
     def run_round(self, ctx: RoundContext, participants: list[int]) -> list[ClientUpdate]:
-        self._ensure_replicas()
         self._prerecord_injections(ctx, participants)
         futures = [self._pool.submit(self._run, cid, ctx) for cid in participants]
-        if not ctx.trace:
-            return [self._collect(f, cid, ctx) for f, cid in zip(futures, participants)]
-        results, spans = [], []
-        for f, cid in zip(futures, participants):
-            update, span = self._collect(f, cid, ctx)
-            results.append(update)
-            spans.append(span)
-        self._worker_spans = spans
-        return results
-
-    def map_tasks(self, fn, items: list) -> list:
-        return list(self._pool.map(fn, items))
+        return self._deliver(
+            [self._collect(f, cid, ctx) for f, cid in zip(futures, participants)]
+        )
 
     def close(self) -> None:
         if self._closed:
@@ -478,22 +435,9 @@ def _init_worker(clients: list[Client], model_factory, dtype_name: str) -> None:
     _WORKER_STATE["loss"] = SoftmaxCrossEntropy()
 
 
-def _run_chunk(ctx: RoundContext, chunk: list[tuple[int, int]]):
-    clients = _WORKER_STATE["clients"]
-    model = _WORKER_STATE["model"]
-    loss = _WORKER_STATE["loss"]
-    if not ctx.trace:
-        return [(pos, _train_one(clients[cid], model, loss, ctx)) for pos, cid in chunk]
-    label = _worker_label()
-    return [
-        (pos, *_train_one_traced(clients[cid], model, loss, ctx, label))
-        for pos, cid in chunk
-    ]
-
-
-def _run_one_ft(ctx: RoundContext, pos: int, cid: int, attempt: int):
-    """One task on the fault-tolerant path: per-task futures so the parent
-    can time out, retry, and re-dispatch at task granularity.
+def _run_tasks(ctx: RoundContext, tasks: list[tuple[int, int, int]]):
+    """Worker entry: train ``(pos, cid, attempt)`` tasks against one
+    unpickled ``ctx`` and return ``(pos, update, span)`` per task.
 
     ``real_crash=True`` lets an injected ``crash`` genuinely kill this
     worker process (``os._exit``), so the parent's ``BrokenProcessPool``
@@ -502,17 +446,14 @@ def _run_one_ft(ctx: RoundContext, pos: int, cid: int, attempt: int):
     clients = _WORKER_STATE["clients"]
     model = _WORKER_STATE["model"]
     loss = _WORKER_STATE["loss"]
-    if not ctx.trace:
-        update = _train_one(clients[cid], model, loss, ctx, attempt, real_crash=True)
-        return pos, update, None
-    update, span = _train_one_traced(
-        clients[cid], model, loss, ctx, _worker_label(), attempt, real_crash=True
-    )
-    return pos, update, span
+    return [
+        (pos, *_train_one(clients[cid], model, loss, ctx, attempt, real_crash=True))
+        for pos, cid, attempt in tasks
+    ]
 
 
 class ProcessExecutor(Executor):
-    """Process pool with per-worker model replicas and chunked dispatch.
+    """Process pool with per-worker model replicas and one dispatch loop.
 
     Client datasets are moved into :mod:`multiprocessing.shared_memory`
     before the clients are shipped to the workers, so each worker maps the
@@ -584,9 +525,10 @@ class ProcessExecutor(Executor):
             except (OSError, TypeError):
                 pass
 
-    def _rebuild_pool(self, stats: FaultStats) -> None:
+    def _rebuild_pool(self) -> None:
         """Replace a broken/stuck pool; degrade to in-parent serial work
         once the lifetime rebuild budget is spent."""
+        stats = self._stats()
         self._pool_rebuilds += 1
         stats.pool_rebuilds += 1
         self._terminate_pool()
@@ -596,196 +538,98 @@ class ProcessExecutor(Executor):
             return
         self._pool = self._new_pool()
 
-    def _run_local(self, ctx: RoundContext, cid: int, attempt: int):
-        """Degraded mode: run one task in the parent, serial-style.
+    def run_round(self, ctx: RoundContext, participants: list[int]) -> list[ClientUpdate]:
+        self._prerecord_injections(ctx, participants)
+        timeout = self.retry.task_timeout_s
+        n = len(participants)
+        pairs: list = [None] * n
+        attempts = [0] * n
+        in_flight: dict[Future, list[int]] = {}
+        submissions = 0
 
-        Injected crashes surface as :class:`InjectedCrash` here (never
-        ``os._exit`` — the parent must survive), so the retry loop
-        recovers them like any other injected fault.
-        """
-        if self._local is None:
+        def submit(positions: list[int]) -> None:
+            nonlocal submissions
+            tasks = [(pos, participants[pos], attempts[pos]) for pos in positions]
+            try:
+                future = self._pool.submit(_run_tasks, ctx, tasks)
+                submissions += 1
+            except BrokenProcessPool as exc:
+                # A worker died while the pool sat idle: fail the future
+                # here so the loop below recovers it like any other.
+                future = Future()
+                future.set_exception(exc)
+            in_flight[future] = positions
+
+        if not self._degraded:
+            # First wave.  Strided chunks, one per worker: client sizes are
+            # typically sorted-ish per partition, so striding balances work
+            # better than contiguous splits, and the weights are pickled
+            # once per worker.  With a fault plan or a task timeout armed,
+            # failures are expected and recovery (timeout, retry) is per
+            # task, so every task gets its own future from the start.
+            per_task = timeout is not None or (
+                ctx.fault_plan is not None and ctx.fault_plan.active
+            )
+            n_first = n if per_task else min(self.workers, n)
+            for i in range(n_first):
+                submit(list(range(i, n, n_first)))
+
+        while in_flight:
+            done, _ = wait(in_flight, timeout=timeout, return_when=FIRST_COMPLETED)
+            failed: list[tuple[list[int], Exception]] = []
+            for future in done:
+                positions = in_flight.pop(future)
+                try:
+                    for pos, update, span in future.result():
+                        pairs[pos] = (update, span)
+                except Exception as exc:
+                    failed.append((positions, exc))
+            if not done:
+                # Nothing finished inside the timeout window: the pool is
+                # stuck (hung worker).  Processes can be preempted, so the
+                # recovery is the dead pool's.
+                self._stats().rt_timeouts += 1
+            if not done or any(isinstance(exc, BrokenProcessPool) for _, exc in failed):
+                # Every outstanding future is doomed (broken pool) or being
+                # abandoned (stuck pool): rebuild and re-dispatch the lot.
+                # Collateral victims are rt-domain retries — backend-
+                # dependent by nature, invisible to the sim counters.
+                collateral = BrokenProcessPool("pool recycled with the task in flight")
+                failed.extend((positions, collateral) for positions in in_flight.values())
+                in_flight.clear()
+                self._rebuild_pool()
+            # Every task a failed future carried is re-run on its own,
+            # finished chunk-mates included — recomputing is bit-identical.
+            for positions, exc in failed:
+                for pos in positions:
+                    attempts[pos] = self._next_attempt(exc, attempts[pos], participants[pos])
+                    if not self._degraded:
+                        submit([pos])
+
+        # Degraded (in this round or an earlier one): whatever has no
+        # result runs in the parent, serial-style.
+        missing = [pos for pos in range(n) if pairs[pos] is None]
+        if missing and self._local is None:
             self._local = (
                 self._model_factory(np.random.default_rng(0)),
                 SoftmaxCrossEntropy(),
             )
-        model, loss = self._local
-        client = self._fallback_clients[cid]
-        policy = self.retry
-        while True:
-            try:
-                if ctx.trace:
-                    return _train_one_traced(
-                        client, model, loss, ctx, _worker_label(), attempt
-                    )
-                return _train_one(client, model, loss, ctx, attempt), None
-            except FaultInjected:
-                if attempt >= policy.max_retries:
-                    raise
-            except Exception:
-                if attempt >= policy.max_retries:
-                    raise
-                self._stats().rt_retries += 1
-            attempt += 1
-
-    def run_round(self, ctx: RoundContext, participants: list[int]) -> list[ClientUpdate]:
-        self._prerecord_injections(ctx, participants)
-        fault_tolerant = (
-            (ctx.fault_plan is not None and ctx.fault_plan.active)
-            or self.retry.task_timeout_s is not None
-        )
-        if self._degraded or fault_tolerant:
-            return self._run_round_ft(ctx, participants)
-        try:
-            return self._run_round_chunked(ctx, participants)
-        except BrokenProcessPool:
-            # A real worker death (no plan involved): rebuild and redo the
-            # whole round at task granularity.  Completed chunk results are
-            # discarded — recomputing them is bit-identical.
-            stats = self._stats()
-            stats.rt_retries += len(participants)
-            self._rebuild_pool(stats)
-            return self._run_round_ft(ctx, participants, first_attempt=1)
-
-    def _run_round_chunked(
-        self, ctx: RoundContext, participants: list[int]
-    ) -> list[ClientUpdate]:
-        indexed = list(enumerate(participants))
-        n_chunks = min(self.workers, len(indexed))
-        # Strided chunks: client sizes are typically sorted-ish per
-        # partition, so striding balances work better than contiguous splits.
-        chunks = [indexed[i::n_chunks] for i in range(n_chunks)]
-        futures = [self._pool.submit(_run_chunk, ctx, chunk) for chunk in chunks]
-        results: list[ClientUpdate | None] = [None] * len(indexed)
-        if not ctx.trace:
-            for f in futures:
-                for pos, update in f.result():
-                    results[pos] = update
-            return results  # type: ignore[return-value]
-        spans: list[dict] = []
-        for f in futures:
-            for pos, update, span in f.result():
-                results[pos] = update
-                spans.append(span)
-        self._worker_spans = spans
-        # IPC accounting for the metrics registry: the broadcast weights
-        # cross once per chunk, each update's weight vector comes back
-        # once.  Counted parent-side — deterministic for a fixed worker
-        # count, and no shared-state writes from the workers.
-        self.last_ipc_bytes = {
-            "out": int(ctx.global_weights.nbytes) * len(chunks),
-            "in": int(sum(u.weights.nbytes for u in results if u is not None)),
-        }
-        return results  # type: ignore[return-value]
-
-    def _run_round_ft(
-        self, ctx: RoundContext, participants: list[int], first_attempt: int = 0
-    ) -> list[ClientUpdate]:
-        """Per-task dispatch with timeout, retry, pool rebuild, degradation.
-
-        Slower than the chunked path (one future per task instead of one
-        per worker), which is why the clean configuration never takes it.
-        """
-        policy = self.retry
-        stats = self._stats()
-        n = len(participants)
-        results: list[ClientUpdate | None] = [None] * n
-        spans: dict[int, dict] = {}
-        attempts = [first_attempt] * n
-        pending = set(range(n))
-        future_pos: dict = {}
-        submissions = 0
-
-        def submit(pos: int) -> None:
-            nonlocal submissions
-            f = self._pool.submit(_run_one_ft, ctx, pos, participants[pos], attempts[pos])
-            future_pos[f] = pos
-            submissions += 1
-
-        def finish(pos: int, update, span) -> None:
-            results[pos] = update
-            pending.discard(pos)
-            if span is not None:
-                spans[pos] = span
-
-        if not self._degraded:
-            for pos in range(n):
-                submit(pos)
-
-        while future_pos:
-            done, _ = wait(
-                set(future_pos), timeout=policy.task_timeout_s,
-                return_when=FIRST_COMPLETED,
+        for pos in missing:
+            model, loss = self._local
+            pairs[pos] = self._train_in_parent(
+                self._fallback_clients[participants[pos]], model, loss, ctx, attempts[pos]
             )
-            retry_positions: list[int] = []
-            recycle = False
-            if not done:
-                # Nothing finished inside the timeout window: the pool is
-                # stuck (hung worker).  Processes can be preempted, so the
-                # recovery is rebuild-and-redispatch.
-                stats.rt_timeouts += 1
-                recycle = True
-            else:
-                for f in done:
-                    pos = future_pos.pop(f)
-                    try:
-                        _, update, span = f.result()
-                    except FaultInjected:
-                        # Pre-counted in the sim domain; just retry.
-                        if attempts[pos] >= policy.max_retries:
-                            raise
-                        attempts[pos] += 1
-                        retry_positions.append(pos)
-                    except BrokenProcessPool:
-                        stats.rt_retries += 1
-                        attempts[pos] += 1
-                        retry_positions.append(pos)
-                        recycle = True
-                    except Exception:
-                        if attempts[pos] >= policy.max_retries:
-                            raise
-                        stats.rt_retries += 1
-                        attempts[pos] += 1
-                        retry_positions.append(pos)
-                    else:
-                        finish(pos, update, span)
-            if recycle:
-                # Every outstanding future is doomed (broken pool) or being
-                # abandoned (stuck pool): re-dispatch the lot.  Collateral
-                # victims are rt-domain retries — backend-dependent by
-                # nature, invisible to the sim counters.
-                doomed = sorted(set(future_pos.values()))
-                future_pos.clear()
-                for pos in doomed:
-                    attempts[pos] += 1
-                stats.rt_retries += len(doomed)
-                retry_positions.extend(doomed)
-                self._rebuild_pool(stats)
-            if self._degraded:
-                for pos in sorted(set(retry_positions)):
-                    update, span = self._run_local(ctx, participants[pos], attempts[pos])
-                    finish(pos, update, span)
-                retry_positions = []
-            for pos in retry_positions:
-                submit(pos)
 
-        # Degraded before (or without) any dispatch: whatever never ran in
-        # a worker runs in the parent now.
-        for pos in sorted(pending):
-            update, span = self._run_local(ctx, participants[pos], attempts[pos])
-            finish(pos, update, span)
-
-        if ctx.trace:
-            self._worker_spans = [spans[pos] for pos in sorted(spans)]
-            self.last_ipc_bytes = {
-                "out": int(ctx.global_weights.nbytes) * submissions,
-                "in": int(sum(u.weights.nbytes for u in results if u is not None)),
-            }
-        return results  # type: ignore[return-value]
-
-    def map_tasks(self, fn, items: list) -> list:
-        # Tasks must be picklable; closures (e.g. env factories) are not —
-        # such callers should use the thread backend's map_tasks instead.
-        return list(self._pool.map(fn, items))
+        # IPC accounting for the metrics registry: the broadcast weights
+        # cross once per submitted future, each update's weight vector
+        # comes back once.  Counted parent-side — deterministic for a fixed
+        # worker count and fault schedule, and no shared-state writes from
+        # the workers.
+        self.last_ipc_bytes = {
+            "out": int(ctx.global_weights.nbytes) * submissions,
+            "in": int(sum(update.weights.nbytes for update, _ in pairs)),
+        }
+        return self._deliver(pairs)
 
     def close(self) -> None:
         if self._closed:

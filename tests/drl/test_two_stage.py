@@ -61,20 +61,14 @@ class TestCollectWorkerExperience:
             collect_worker_experience(env_factory, CFG, 0, 10)
 
     def test_executor_dispatch_matches_sequential(self):
-        """Workers dispatched through a pooled Executor produce the same
-        merged experience as the sequential default, in the same order."""
-        from repro.runtime import ThreadExecutor
-
+        """Workers rolled out on three threads produce the same merged
+        experience as the sequential default, in the same order."""
         serial_merged, serial_results = collect_worker_experience(
             env_factory, CFG, 3, 10, seed=1
         )
-        executor = ThreadExecutor(workers=3)
-        try:
-            pooled_merged, pooled_results = collect_worker_experience(
-                env_factory, CFG, 3, 10, seed=1, executor=executor
-            )
-        finally:
-            executor.close()
+        pooled_merged, pooled_results = collect_worker_experience(
+            env_factory, CFG, 3, 10, seed=1, threads=3
+        )
         assert [r.worker_id for r in pooled_results] == [0, 1, 2]
         assert len(pooled_merged) == len(serial_merged) == 30
         for a, b in zip(serial_merged.items(), pooled_merged.items()):

@@ -36,3 +36,28 @@ def tiny_clients(tiny_data):
     train, _ = tiny_data
     parts = iid_partition(train.y, 6, np.random.default_rng(1))
     return make_clients(train, parts, seed=2)
+
+
+@pytest.fixture
+def fail_once(monkeypatch, tmp_path):
+    """``fail_once(client_id, exc_type)``: the client's next task raises.
+
+    Patches ``repro.runtime.executor._train_one`` — call it *before*
+    building the executor, so forked process workers inherit the patch; a
+    flag file remembers across processes that the failure already fired.
+    """
+    import repro.runtime.executor as executor_mod
+
+    def install(client_id: int, exc_type: type = OSError) -> None:
+        real_train_one = executor_mod._train_one
+        flag = tmp_path / f"failed-{client_id}"
+
+        def flaky_train_one(client, model, loss, ctx, attempt=0, real_crash=False):
+            if client.client_id == client_id and not flag.exists():
+                flag.touch()
+                raise exc_type(f"one-off failure for client {client_id}")
+            return real_train_one(client, model, loss, ctx, attempt, real_crash)
+
+        monkeypatch.setattr(executor_mod, "_train_one", flaky_train_one)
+
+    return install

@@ -7,6 +7,8 @@ backend.  Faults cost simulated recovery time (a separate clock ledger),
 never correctness.
 """
 
+import multiprocessing
+
 import numpy as np
 import pytest
 
@@ -266,6 +268,38 @@ class TestExecutorRecovery:
             assert stats.rt_timeouts >= 1
         finally:
             executor_mod._train_one = real_train_one
+
+    @pytest.mark.parametrize("backend,workers", BACKEND_WORKERS)
+    def test_real_task_error_is_retried_on_every_backend(
+            self, backend, workers, fail_once, tiny_clients, tiny_model_factory):
+        """A one-off *real* exception (no plan) is retried and recovered on
+        all three backends; with no retry budget all three re-raise it."""
+        if backend == "process" and multiprocessing.get_start_method() != "fork":
+            pytest.skip("the patched _train_one reaches the workers by fork")
+        participants = [0, 1, 2, 3]
+        ctx = self.make_ctx(tiny_model_factory, None)
+        with SerialExecutor(tiny_clients, tiny_model_factory) as ex:
+            clean = ex.run_round(ctx, participants)
+
+        fail_once(2, OSError)
+        with make_executor(backend, tiny_clients, tiny_model_factory,
+                           workers=workers) as ex:
+            updates = ex.run_round(ctx, participants)
+            stats = ex.take_fault_stats()
+        assert [u.client_id for u in updates] == participants
+        for got, want in zip(updates, clean):
+            np.testing.assert_array_equal(got.weights, want.weights)
+        # Process: positions [0, 2] share the failed chunk, and every task
+        # it carried is re-dispatched.
+        assert stats.rt_retries == (2 if backend == "process" else 1)
+        assert not stats.injected
+
+        fail_once(3, OSError)
+        with make_executor(backend, tiny_clients, tiny_model_factory,
+                           workers=workers,
+                           retry=RetryPolicy(max_retries=0)) as ex:
+            with pytest.raises(OSError, match="one-off failure for client 3"):
+                ex.run_round(ctx, participants)
 
     def test_hang_recovered_within_timeout_budget(self, tiny_clients,
                                                   tiny_model_factory):
