@@ -15,8 +15,9 @@ Four measurements, written to ``BENCH_substrate.json``:
 2. **End-to-end round wall-clock** — mean seconds per federated round
    (FedAvg, simple_cnn on 16x16 synthetic images) for the serial and
    process backends at float64 and float32, plus the per-round broadcast
-   payload in bytes (the process backend ships exactly one flat vector
-   per direction, so float32 halves it).
+   payload in bytes (the process backend moves exactly one flat vector
+   out per round and one back per client, through shared memory, so
+   float32 halves it).
 
 3. **Per-layer conv path** — ``simple_cnn`` at float32 on a batch of 25
    32x32 images (the shape a ``sync_cnn_process`` client evaluates): each

@@ -1,4 +1,5 @@
-"""Shared-memory backing for :class:`~repro.data.dataset.ArrayDataset`.
+"""Shared-memory backing for :class:`~repro.data.dataset.ArrayDataset`
+(and the named-block helpers the process backend's round exchange uses).
 
 The process backend ships every client — dataset arrays included — to its
 workers at pool construction.  Under the ``spawn`` start method that is a
@@ -17,6 +18,7 @@ memory optimisation, never a semantic change.
 from __future__ import annotations
 
 import copy
+import math
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -57,16 +59,36 @@ def _attach_block(name: str):
             resource_tracker.register = original_register
 
 
+def create_array(shape: tuple, dtype) -> tuple:
+    """Create a named block sized for one array; returns ``(block, array)``.
+
+    The array is a view over the block's (zero-filled) pages and the
+    caller owns the block (see :class:`SharedMemoryPool`).  Raises
+    whatever block creation raises — callers decide how to degrade.
+    """
+    dtype = np.dtype(dtype)
+    nbytes = math.prod(shape) * dtype.itemsize
+    block = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
+    return block, np.ndarray(shape, dtype=dtype, buffer=block.buf)
+
+
+def attach_array(name: str, shape: tuple, dtype) -> tuple:
+    """Map an existing block as an array; returns ``(block, array)``.
+
+    The block handle must stay referenced for as long as the array is.
+    """
+    block = _attach_block(name)
+    return block, np.ndarray(shape, dtype=np.dtype(dtype), buffer=block.buf)
+
+
 def _attach_dataset(
     xname: str, xshape: tuple, xdtype: str,
     yname: str, yshape: tuple, ydtype: str,
     num_classes: int,
 ) -> "SharedArrayDataset":
     """Unpickling target: rebuild a dataset over the existing blocks."""
-    xblk = _attach_block(xname)
-    yblk = _attach_block(yname)
-    x = np.ndarray(xshape, dtype=np.dtype(xdtype), buffer=xblk.buf)
-    y = np.ndarray(yshape, dtype=np.dtype(ydtype), buffer=yblk.buf)
+    xblk, x = attach_array(xname, xshape, xdtype)
+    yblk, y = attach_array(yname, yshape, ydtype)
     return SharedArrayDataset._wrap(x, y, num_classes, (xblk, yblk))
 
 
@@ -116,17 +138,16 @@ def share_dataset(dataset: ArrayDataset) -> tuple[ArrayDataset, list]:
     if isinstance(dataset, SharedArrayDataset):
         return dataset, []
     try:
-        xblk = shared_memory.SharedMemory(create=True, size=max(1, dataset.x.nbytes))
+        xblk, x = create_array(dataset.x.shape, dataset.x.dtype)
         try:
-            yblk = shared_memory.SharedMemory(create=True, size=max(1, dataset.y.nbytes))
+            yblk, y = create_array(dataset.y.shape, dataset.y.dtype)
         except Exception:
+            del x
             xblk.close()
             xblk.unlink()
             raise
     except Exception:
         return dataset, []
-    x = np.ndarray(dataset.x.shape, dtype=dataset.x.dtype, buffer=xblk.buf)
-    y = np.ndarray(dataset.y.shape, dtype=dataset.y.dtype, buffer=yblk.buf)
     np.copyto(x, dataset.x)
     np.copyto(y, dataset.y)
     blocks = [xblk, yblk]

@@ -692,6 +692,10 @@ class FederatedEngine:
         )
         if tr is not None:
             tr.add_worker_spans(self.executor.take_worker_spans())
+            # Process backend only: the weights staged into its shared
+            # block (once per round, not per future) and the update
+            # vectors copied back out of the arena; 0 / 0 for a round run
+            # in the parent.
             ipc = getattr(self.executor, "last_ipc_bytes", None)
             if ipc is not None:
                 tr.metrics.inc("rt.ipc.bytes_out", ipc["out"])

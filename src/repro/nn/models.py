@@ -13,6 +13,14 @@ The paper trains a "simple CNN" on MNIST / Fashion-MNIST (after Wu & Wang
 
 Every factory takes an explicit ``rng`` so that clients and the server can
 build byte-identical initialisations from a shared seed.
+
+Where the architecture says "ReLU, then max-pool" the factories emit
+``MaxPool2D(k), ReLU()``.  Both layers are monotone selections, so
+``relu(max(window)) == max(relu(window))``: the output, the tie-breaking,
+the routed gradient and every parameter gradient come out bit-identical
+(``tests/nn/test_relu_pool_order.py``), while ReLU's forward and backward
+touch ``1/k**2`` of the elements.  No factory emits a ``ReLU`` directly
+followed by a ``MaxPool2D``.
 """
 
 from __future__ import annotations
@@ -65,11 +73,11 @@ def simple_cnn(
     c1, c2 = channels
     layers = [
         Conv2D(in_channels, c1, 3, rng, padding=1),
-        ReLU(),
         MaxPool2D(2),
+        ReLU(),
         Conv2D(c1, c2, 3, rng, padding=1),
-        ReLU(),
         MaxPool2D(2),
+        ReLU(),
         Flatten(),
     ]
     spatial = image_size // 4
@@ -109,7 +117,8 @@ def vgg11(
     ch = in_channels
     for spec in (64, "M", 128, "M", 256, 256, "M", 512, 512, "M", 512, 512, "M"):
         if spec == "M":
-            layers.append(MaxPool2D(2))
+            # Pool below the block's trailing ReLU (see the module docstring).
+            layers.insert(-1, MaxPool2D(2))
         else:
             ch = _vgg_block(layers, ch, int(spec), rng, batch_norm)
     spatial = image_size // 32
@@ -141,13 +150,13 @@ def vgg_mini(
         Conv2D(in_channels, width, 3, rng, padding=1),
         ReLU(),
         Conv2D(width, width, 3, rng, padding=1),
-        ReLU(),
         MaxPool2D(2),
+        ReLU(),
         Conv2D(width, 2 * width, 3, rng, padding=1),
         ReLU(),
         Conv2D(2 * width, 2 * width, 3, rng, padding=1),
-        ReLU(),
         MaxPool2D(2),
+        ReLU(),
         Flatten(),
     ]
     spatial = image_size // 4

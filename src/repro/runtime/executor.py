@@ -12,8 +12,10 @@ that contract; three backends implement it:
   real concurrency without any pickling.
 * :class:`ProcessExecutor` — a process pool with one long-lived model
   replica per worker.  Clients are shipped to the workers **once** at
-  pool construction; each round only the flat weight vector crosses the
-  process boundary, once per submitted future.
+  pool construction; each round the flat weight vector is copied once
+  into a shared-memory block every worker reads, the trained vectors
+  come back through a shared arena, and a future pickles only ids, seeds
+  and block names.
 
 All three produce bit-identical updates for the same experiment seed
 because per-client batch schedules *and* forward-time randomness (Dropout
@@ -38,7 +40,7 @@ in the backend-dependent ``rt`` domain.
 
 The process backend has one dispatch loop, and the fault-tolerant loop
 *is* the fast path: the first wave is ``min(workers, K)`` strided chunks
-(one weight pickle per worker, uneven client sizes balance out) — or K
+(one future per worker, uneven client sizes balance out) — or K
 single-task futures when a fault plan is active or a task timeout is set,
 so that recovery is per task — and whatever fails afterwards is
 re-dispatched one task per future.  A chunk that fails costs a re-run of
@@ -63,11 +65,12 @@ from concurrent.futures import (
 )
 from concurrent.futures import TimeoutError as FuturesTimeout
 from concurrent.futures.process import BrokenProcessPool
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import TYPE_CHECKING
 
 import numpy as np
 
+from repro.data import shm
 from repro.nn.dtypes import get_default_dtype, set_default_dtype
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.runtime.faults import FaultInjected, FaultPlan, FaultStats, RetryPolicy
@@ -422,8 +425,79 @@ class ThreadExecutor(Executor):
 
 
 # Per-process worker state, installed once by the pool initializer so each
-# round only ships the RoundContext (weights) — never clients or models.
+# round only ships the RoundContext — never clients, models or (where
+# shared memory exists) weight vectors.
 _WORKER_STATE: dict = {}
+
+
+@dataclass(frozen=True)
+class _ExchangeRef:
+    """What a future carries in place of ``ctx.global_weights``: the names
+    and geometry of the parent's :class:`_Exchange` blocks — a few hundred
+    bytes whatever the model size."""
+
+    weights_name: str
+    updates_name: str
+    dtype: str
+    dim: int
+    slots: int
+
+
+class _Exchange:
+    """The parent's end of the shared-memory round exchange.
+
+    Two named blocks: a ``(dim,)`` vector the parent fills with the
+    round's global weights and every worker reads, and a ``(slots, dim)``
+    arena where the task at participant position ``pos`` writes its
+    trained weights into row ``pos``.  A re-dispatched task rewrites the
+    same row with the same bits.  Blocks are never reused across a pool
+    rebuild (see :meth:`ProcessExecutor._rebuild_pool`).
+    """
+
+    def __init__(self, dim: int, dtype: np.dtype, slots: int) -> None:
+        self._pool = shm.SharedMemoryPool()
+        try:
+            wblk, self.weights = shm.create_array((dim,), dtype)
+            self._pool.adopt([wblk])
+            ublk, self.updates = shm.create_array((slots, dim), dtype)
+            self._pool.adopt([ublk])
+        except BaseException:
+            self.close()
+            raise
+        self.ref = _ExchangeRef(wblk.name, ublk.name, dtype.str, dim, slots)
+
+    def fits(self, weights: np.ndarray, n: int) -> bool:
+        return (
+            weights.shape == self.weights.shape
+            and weights.dtype == self.weights.dtype
+            and n <= len(self.updates)
+        )
+
+    def close(self) -> None:
+        """Unlink both blocks (idempotent); views go first so the parent's
+        mappings close with them."""
+        self.weights = self.updates = None
+        self._pool.close()
+
+
+def _attached_exchange(ref: _ExchangeRef) -> tuple[np.ndarray, np.ndarray]:
+    """This worker's views of the blocks ``ref`` names: the read-only
+    weights and the updates arena.  The attachment is cached until a
+    different ``ref`` arrives (regrow, or fresh blocks after a rebuild)."""
+    cached = _WORKER_STATE.get("exchange")
+    if cached is not None and cached[0] == ref:
+        return cached[1], cached[2]
+    if cached is not None:
+        del _WORKER_STATE["exchange"]
+        blocks = cached[3]
+        del cached  # the views die with the tuple, releasing the buffers
+        for block in blocks:
+            block.close()
+    wblk, weights = shm.attach_array(ref.weights_name, (ref.dim,), ref.dtype)
+    weights.flags.writeable = False
+    ublk, updates = shm.attach_array(ref.updates_name, (ref.slots, ref.dim), ref.dtype)
+    _WORKER_STATE["exchange"] = (ref, weights, updates, (wblk, ublk))
+    return weights, updates
 
 
 def _init_worker(clients: list[Client], model_factory, dtype_name: str) -> None:
@@ -439,6 +513,13 @@ def _run_tasks(ctx: RoundContext, tasks: list[tuple[int, int, int]]):
     """Worker entry: train ``(pos, cid, attempt)`` tasks against one
     unpickled ``ctx`` and return ``(pos, update, span)`` per task.
 
+    A ``ctx`` whose ``global_weights`` is an :class:`_ExchangeRef` trains
+    against the shared weights block, and each update leaves its vector
+    in arena row ``pos`` and travels back with ``weights=None``.  A
+    vector the arena cannot hold bit for bit (another dtype or shape)
+    stays on the update and is pickled, as every vector is when ``ctx``
+    carries the array itself.
+
     ``real_crash=True`` lets an injected ``crash`` genuinely kill this
     worker process (``os._exit``), so the parent's ``BrokenProcessPool``
     recovery is exercised by the real failure mode, not a stand-in.
@@ -446,10 +527,25 @@ def _run_tasks(ctx: RoundContext, tasks: list[tuple[int, int, int]]):
     clients = _WORKER_STATE["clients"]
     model = _WORKER_STATE["model"]
     loss = _WORKER_STATE["loss"]
-    return [
-        (pos, *_train_one(clients[cid], model, loss, ctx, attempt, real_crash=True))
-        for pos, cid, attempt in tasks
-    ]
+    arena = None
+    if isinstance(ctx.global_weights, _ExchangeRef):
+        weights, arena = _attached_exchange(ctx.global_weights)
+        ctx = replace(ctx, global_weights=weights)
+    results = []
+    for pos, cid, attempt in tasks:
+        update, span = _train_one(
+            clients[cid], model, loss, ctx, attempt, real_crash=True
+        )
+        vector = update.weights
+        if (
+            arena is not None
+            and vector.shape == arena.shape[1:]
+            and vector.dtype == arena.dtype
+        ):
+            arena[pos] = vector
+            update.weights = None
+        results.append((pos, update, span))
+    return results
 
 
 class ProcessExecutor(Executor):
@@ -458,9 +554,29 @@ class ProcessExecutor(Executor):
     Client datasets are moved into :mod:`multiprocessing.shared_memory`
     before the clients are shipped to the workers, so each worker maps the
     parent's pages instead of materialising its own copy of every shard
-    (pickling a shared dataset transfers block names, not arrays).  Falls
-    back to plain pickling transparently when shared memory is
-    unavailable; see :mod:`repro.data.shm`.
+    (pickling a shared dataset transfers block names, not arrays).
+
+    The round exchange goes the same way (:class:`_Exchange`): the parent
+    copies the global weights into a ``(dim,)`` block once per round, the
+    task at participant position ``pos`` leaves its trained vector in row
+    ``pos`` of a ``(slots, dim)`` arena, and the parent copies each row
+    out as its future completes.  The blocks are created by the first
+    round that reaches the pool, regrown when dim, dtype or the
+    participant count outgrows them, replaced by fresh ones whenever the
+    pool is rebuilt, and unlinked by :meth:`close`.
+
+    Both fall back to plain pickling where shared memory is unavailable
+    (:data:`repro.data.shm.HAVE_SHARED_MEMORY` false, or block creation
+    raises) — the only path that runs there, chosen by what the executor
+    observes; results are identical either way.
+
+    ``last_ipc_bytes`` is what the last ``run_round`` moved between
+    processes: ``out``, ``global_weights.nbytes`` for each staging into
+    the weights block (one per round; a pool rebuild re-stages into its
+    fresh block) however many futures and retries read it — or, pickled,
+    once per submitted future; ``in``, the weight bytes copied out of the
+    arena (or unpickled).  Both are 0 for a round run wholly in the
+    parent.
     """
 
     name = "process"
@@ -469,7 +585,6 @@ class ProcessExecutor(Executor):
         self, clients: list[Client], model_factory, workers: int | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
-        from repro.data.shm import share_clients
         from repro.fleet.scale import is_client_provider
 
         if is_client_provider(clients):
@@ -484,6 +599,7 @@ class ProcessExecutor(Executor):
         self._closed = False
         self._pool = None
         self._shm_pool = None
+        self._exchange: _Exchange | None = None
         self._pool_rebuilds = 0
         self._degraded = False
         # Kept for the degraded in-parent fallback: the original clients
@@ -491,7 +607,7 @@ class ProcessExecutor(Executor):
         self._fallback_clients = {c.client_id: c for c in clients}
         self._model_factory = model_factory
         self._local = None
-        shared_clients, self._shm_pool = share_clients(list(clients))
+        shared_clients, self._shm_pool = shm.share_clients(list(clients))
         self._initargs = (shared_clients, model_factory, get_default_dtype().name)
         try:
             self._pool = self._new_pool()
@@ -525,13 +641,46 @@ class ProcessExecutor(Executor):
             except (OSError, TypeError):
                 pass
 
+    def _drop_exchange(self) -> None:
+        exchange, self._exchange = self._exchange, None
+        if exchange is not None:
+            exchange.close()
+
+    def _wire_context(self, ctx: RoundContext, n: int) -> RoundContext:
+        """The context this round's futures carry: ``ctx`` with its weights
+        staged in the shared block and replaced by the block reference.
+
+        The blocks are built on first use from the weights' own dim and
+        dtype and rebuilt when those change or ``n`` outgrows the arena.
+        Where shared memory cannot be had the answer is ``ctx`` itself —
+        the weights are then pickled into every future.
+        """
+        weights = ctx.global_weights
+        if self._exchange is not None and not self._exchange.fits(weights, n):
+            self._drop_exchange()
+        if self._exchange is None:
+            if not shm.HAVE_SHARED_MEMORY or weights.ndim != 1:
+                return ctx
+            try:
+                self._exchange = _Exchange(weights.size, weights.dtype, n)
+            except Exception:
+                return ctx
+        np.copyto(self._exchange.weights, weights)
+        return replace(ctx, global_weights=self._exchange.ref)
+
     def _rebuild_pool(self) -> None:
         """Replace a broken/stuck pool; degrade to in-parent serial work
-        once the lifetime rebuild budget is spent."""
+        once the lifetime rebuild budget is spent.
+
+        The exchange blocks go with the pool: a stuck worker that outlives
+        ``_terminate_pool`` still holds the old mapping, and must only ever
+        scribble on an arena nobody reads any more.
+        """
         stats = self._stats()
         self._pool_rebuilds += 1
         stats.pool_rebuilds += 1
         self._terminate_pool()
+        self._drop_exchange()
         if self._pool_rebuilds > self.retry.max_pool_rebuilds:
             self._degraded = True
             stats.degraded = True
@@ -545,14 +694,25 @@ class ProcessExecutor(Executor):
         pairs: list = [None] * n
         attempts = [0] * n
         in_flight: dict[Future, list[int]] = {}
-        submissions = 0
+        # What crosses the process boundary, counted parent-side as it
+        # moves (deterministic for a fixed worker count and fault
+        # schedule): out, the weights staged into the shared block — or,
+        # without one, pickled into each future; in, the update vectors
+        # copied out of the arena or unpickled.
+        ipc = self.last_ipc_bytes = {"out": 0, "in": 0}
+        wire: RoundContext | None = None  # staged by the first submit
 
         def submit(positions: list[int]) -> None:
-            nonlocal submissions
+            nonlocal wire
             tasks = [(pos, participants[pos], attempts[pos]) for pos in positions]
+            if wire is None:
+                wire = self._wire_context(ctx, n)
+                if wire is not ctx:
+                    ipc["out"] += ctx.global_weights.nbytes
             try:
-                future = self._pool.submit(_run_tasks, ctx, tasks)
-                submissions += 1
+                future = self._pool.submit(_run_tasks, wire, tasks)
+                if wire is ctx:
+                    ipc["out"] += ctx.global_weights.nbytes
             except BrokenProcessPool as exc:
                 # A worker died while the pool sat idle: fail the future
                 # here so the loop below recovers it like any other.
@@ -563,10 +723,10 @@ class ProcessExecutor(Executor):
         if not self._degraded:
             # First wave.  Strided chunks, one per worker: client sizes are
             # typically sorted-ish per partition, so striding balances work
-            # better than contiguous splits, and the weights are pickled
-            # once per worker.  With a fault plan or a task timeout armed,
-            # failures are expected and recovery (timeout, retry) is per
-            # task, so every task gets its own future from the start.
+            # better than contiguous splits.  With a fault plan or a task
+            # timeout armed, failures are expected and recovery (timeout,
+            # retry) is per task, so every task gets its own future from
+            # the start.
             per_task = timeout is not None or (
                 ctx.fault_plan is not None and ctx.fault_plan.active
             )
@@ -581,6 +741,11 @@ class ProcessExecutor(Executor):
                 positions = in_flight.pop(future)
                 try:
                     for pos, update, span in future.result():
+                        if update.weights is None:
+                            # A copy, not a view: callers keep weight
+                            # vectors past the round, the arena is reused.
+                            update.weights = self._exchange.updates[pos].copy()
+                        ipc["in"] += update.weights.nbytes
                         pairs[pos] = (update, span)
                 except Exception as exc:
                     failed.append((positions, exc))
@@ -598,6 +763,7 @@ class ProcessExecutor(Executor):
                 failed.extend((positions, collateral) for positions in in_flight.values())
                 in_flight.clear()
                 self._rebuild_pool()
+                wire = None  # fresh blocks: the next submit re-stages
             # Every task a failed future carried is re-run on its own,
             # finished chunk-mates included — recomputing is bit-identical.
             for positions, exc in failed:
@@ -620,15 +786,6 @@ class ProcessExecutor(Executor):
                 self._fallback_clients[participants[pos]], model, loss, ctx, attempts[pos]
             )
 
-        # IPC accounting for the metrics registry: the broadcast weights
-        # cross once per submitted future, each update's weight vector
-        # comes back once.  Counted parent-side — deterministic for a fixed
-        # worker count and fault schedule, and no shared-state writes from
-        # the workers.
-        self.last_ipc_bytes = {
-            "out": int(ctx.global_weights.nbytes) * submissions,
-            "in": int(sum(update.weights.nbytes for update, _ in pairs)),
-        }
         return self._deliver(pairs)
 
     def close(self) -> None:
@@ -641,6 +798,7 @@ class ProcessExecutor(Executor):
                 pool.shutdown(wait=True)
             except Exception:
                 pass
+        self._drop_exchange()
         # The shm pool stays referenced (callers introspect block counts
         # post-close); the _closed guard makes the release single-shot.
         if self._shm_pool is not None:
