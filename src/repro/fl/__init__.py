@@ -28,7 +28,6 @@ from repro.fl.selection import (
     RoundRobinSelection,
     UniformSelection,
 )
-from repro.fl.server import FederatedServer
 from repro.fl.fairness import client_loss_stats, fairness_series
 from repro.fl.simulation import (
     EventRecord,
@@ -74,7 +73,6 @@ __all__ = [
     "STALENESS_POLICIES",
     "StalenessWeighting",
     "get_staleness_weighting",
-    "FederatedServer",
     "FederatedSimulation",
     "FLConfig",
     "History",

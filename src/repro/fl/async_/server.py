@@ -521,36 +521,6 @@ class AsyncFederatedServer(FederatedEngine):
         self.dropped_arrivals = state["dropped_arrivals"]
         self._idle_since = state["idle_since"]
 
-    def checkpoint(self) -> dict:
-        """Lightweight server checkpoint: weights + model-version counter
-        + mixing state.  The async counterpart of
-        :meth:`repro.fl.server.FederatedServer.checkpoint`; for full
-        kill-safe loop state use :meth:`snapshot_state`."""
-        return {
-            "global_weights": self.global_weights.copy(),
-            "model_version": self._loop["version"] if self._loop is not None else 0,
-            "server_mix": self.server_mix,
-            "delta_mix": self.delta_mix,
-            "mode": self.mode,
-        }
-
-    def load_checkpoint(self, state: dict) -> None:
-        """Inverse of :meth:`checkpoint`; dtype-portable like the sync path."""
-        if state.get("mode") != self.mode:
-            raise ValueError(
-                f"checkpoint holds {state.get('mode')!r} state but this "
-                f"server runs {self.mode!r}"
-            )
-        weights = np.asarray(state["global_weights"])
-        if weights.shape != self.global_weights.shape:
-            raise ValueError("checkpoint weight dimension mismatch")
-        self.global_weights = weights.astype(self.global_weights.dtype, copy=True)
-        if self._loop is None:
-            self._loop = self._init_loop_state()
-        self._loop["version"] = int(state["model_version"])
-        self.server_mix = float(state["server_mix"])
-        self.delta_mix = bool(state["delta_mix"])
-
     def close(self) -> None:
         """Release the execution backend's workers (idempotent)."""
         self.executor.close()

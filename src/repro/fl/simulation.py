@@ -414,7 +414,7 @@ def aggregate_window(
     factors: np.ndarray | None = None,
     server_mix: float | None = None,
 ) -> WindowResult:
-    """The one server step both engines (and ``FederatedServer``) run.
+    """The one server step both engines run.
 
     fold (hier) → ``strategy.impact_factors`` × staleness factors →
     coalesce one voice per client → combine (weighted mean | delta mean |
@@ -610,7 +610,7 @@ class FederatedEngine:
         self.fleet_state = FleetState(
             len(clients),
             config.seed,
-            availability=fleet.availability.columnar if fleet is not None else None,
+            availability=fleet.availability if fleet is not None else None,
             shard_sizes=(
                 clients.shard_sizes if self._lazy
                 else np.array([c.n_samples for c in clients], dtype=np.int64)
@@ -855,11 +855,15 @@ class FederatedEngine:
                 f"cannot restore {state.get('engine')!r} state into the "
                 f"{self.engine} engine"
             )
+        weights = np.asarray(state["global_weights"])
+        if weights.shape != self.global_weights.shape:
+            raise ValueError(
+                f"snapshot holds {weights.size} global weights, this "
+                f"{self.engine} engine's model has {self.global_weights.size}"
+            )
         # Cast to the current compute dtype (dtype is fingerprinted at the
         # harness level, but direct callers may legitimately move).
-        self.global_weights = np.asarray(
-            state["global_weights"], dtype=self.global_weights.dtype
-        )
+        self.global_weights = weights.astype(self.global_weights.dtype, copy=False)
         self.history = state["history"]
         self.strategy = state["strategy"]
         self.fault_totals = state["fault_totals"]

@@ -8,39 +8,27 @@ going on- and offline as simulated time advances), mid-round dropout
 draws from dedicated ``(index, client)``-keyed seed streams, so fleet
 scenarios are bit-identical across every execution backend.
 
-Scale-out lives in two sibling modules: :mod:`repro.fleet.columnar`
-stores per-client attributes as columnar numpy arrays and advances
-availability for the whole fleet per slot (bit-identical to the scalar
-models), and :mod:`repro.fleet.scale` keeps million-client populations
-virtual, materializing only each round's sampled participants.
+Availability has one engine, :class:`ColumnarAvailability`
+(:mod:`repro.fleet.columnar`), which advances the whole fleet's online
+column per slot; :func:`get_availability_model` builds it by CLI name.
+The same module's :class:`FleetState` stores the other per-client
+attributes as columns, and :mod:`repro.fleet.scale` keeps million-client
+populations virtual, materializing only each round's sampled
+participants.  The package sits below :mod:`repro.fl`: importing it
+first, on its own, works.
 """
 
-from repro.fleet.availability import (
-    AVAILABILITY_MODELS,
-    AlwaysOn,
-    AvailabilityModel,
-    BernoulliAvailability,
-    LabelSkewAvailability,
-    MarkovAvailability,
-    SinusoidalAvailability,
-    get_availability_model,
-)
+from repro.fleet.availability import AVAILABILITY_MODELS, get_availability_model
 from repro.fleet.columnar import ColumnarAvailability, FleetState
 from repro.fleet.scale import LazyClientPool, StridedPartition, is_client_provider
 from repro.fleet.simulator import FleetSimulator
 
 __all__ = [
     "AVAILABILITY_MODELS",
-    "AlwaysOn",
-    "AvailabilityModel",
-    "BernoulliAvailability",
     "ColumnarAvailability",
     "FleetSimulator",
     "FleetState",
-    "LabelSkewAvailability",
     "LazyClientPool",
-    "MarkovAvailability",
-    "SinusoidalAvailability",
     "StridedPartition",
     "get_availability_model",
     "is_client_provider",

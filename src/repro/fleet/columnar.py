@@ -1,25 +1,25 @@
 """Columnar fleet state: per-client attributes as numpy columns.
 
-The PR-5 fleet layer models availability per client per slot in Python —
-one ``SeedSequence``/``Generator`` pair per ``(slot, client)`` cell.
-Faithful, but cost scales with *fleet size*: a million-client fleet
+Modelling availability per client per slot in Python — one
+``SeedSequence``/``Generator`` pair per ``(slot, client)`` cell — is
+faithful, but its cost scales with *fleet size*: a million-client fleet
 spends ~10 s of object churn per slot before any training happens.
 
 This module stores the whole fleet as columns and advances availability
 for every client at once through :class:`repro.runtime.vecrng.CellBatchKernel`,
-whose draws are bit-identical to the scalar derivation.  The classes in
-:mod:`repro.fleet.availability` are thin views over these engines, so
-scalar and columnar paths cannot drift apart; golden-hash tests pin both
-against ``np.random`` itself.
+whose draws are bit-identical to that per-cell derivation; golden-hash
+tests pin the masks against a per-cell reimplementation over
+``np.random`` itself.
 
 Two layers:
 
-* :class:`ColumnarAvailability` — the vectorized counterpart of one
-  ``AvailabilityModel``: ``mask(slot)`` returns the whole fleet's
-  online column.  Memoryless models (always / bernoulli / sinusoidal /
-  label_skew) evaluate any slot directly; the markov chain advances
-  sequentially and keeps packed checkpoints so backward queries replay a
-  bounded window instead of the whole history.
+* :class:`ColumnarAvailability` — *the* availability model (built by
+  :func:`repro.fleet.availability.get_availability_model`):
+  ``mask(slot)`` returns the whole fleet's online column and
+  ``online(cid, slot)`` reads one bit of it.  Memoryless models (always /
+  bernoulli / sinusoidal / label_skew) evaluate any slot directly; the
+  markov chain advances sequentially and keeps packed checkpoints so
+  backward queries replay a bounded window instead of the whole history.
 * :class:`FleetState` — the columns a simulated fleet carries around:
   shard sizes (so ``n_samples`` never needs a ``Client`` object), device
   speeds, the jobs-served column that fairness dispatch reads and
@@ -66,7 +66,28 @@ def ids_within(mask: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
 
 
 class ColumnarAvailability:
-    """Whole-fleet availability masks, bit-identical to the scalar models."""
+    """Whole-fleet availability masks for one model of the family.
+
+    * ``always`` — every client online in every slot.
+    * ``bernoulli`` — online iff the cell's uniform draw is
+      ``>= offline_fraction``.
+    * ``markov`` — a two-state on/off chain per client, slot 0 drawn from
+      the stationary distribution, then ``P(on -> off) = churn_rate *
+      offline_fraction`` and ``P(off -> on) = churn_rate * (1 -
+      offline_fraction)``: the long-run offline fraction is
+      ``offline_fraction`` whatever ``churn_rate`` is, and sessions last
+      ``~1 / churn_rate`` slots.  A ``churn_rate`` too high for either
+      probability to stay <= 1 is scaled down as a whole, preserving the
+      stationary distribution.
+    * ``sinusoidal`` — ``p(c, t) = (1 - offline_fraction) + A *
+      sin(2*pi*t/period_slots + phase_c)`` with ``A = min(offline_fraction,
+      1 - offline_fraction)``, the largest swing that keeps every ``p`` in
+      ``[0, 1]`` unclipped; each client's phase is a static draw.
+    * ``label_skew`` — a fixed per-client online probability ``rates``.
+
+    Every slot's mask draws from its ``(slot, client)`` availability
+    cells, so a trace is identical no matter which slots are queried first.
+    """
 
     def __init__(
         self,
@@ -80,6 +101,10 @@ class ColumnarAvailability:
     ) -> None:
         if n_clients <= 0:
             raise ValueError("n_clients must be positive")
+        if not 0.0 <= offline_fraction < 1.0:
+            raise ValueError("offline_fraction must be in [0, 1)")
+        if churn_rate <= 0.0:
+            raise ValueError("churn_rate must be positive")
         self.name = name
         self.n_clients = n_clients
         self.seed = seed
@@ -214,12 +239,12 @@ class ColumnarAvailability:
         total = 0
         if self._always is not None:
             total += self._always.nbytes
-        for kernel in (self._kernel, getattr(self, "_static_kernel", None)):
-            if kernel is not None:
-                total += sum(r.nbytes for rows in kernel._id_rows for r in rows)
-                total += sum(b.nbytes for b in kernel._pool32)
-                total += sum(b.nbytes for b in kernel._w32)
-                total += sum(b.nbytes for b in kernel._u64)
+        kernel = self._kernel
+        if kernel is not None:
+            total += sum(r.nbytes for rows in kernel._id_rows for r in rows)
+            total += sum(b.nbytes for b in kernel._pool32)
+            total += sum(b.nbytes for b in kernel._w32)
+            total += sum(b.nbytes for b in kernel._u64)
         for column in ("phases", "rates"):
             arr = getattr(self, column, None)
             if arr is not None:

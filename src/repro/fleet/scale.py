@@ -24,11 +24,15 @@ the pool exists to avoid — ``make_executor`` rejects that combination.
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.data.shm import SharedMemoryPool, share_dataset
-from repro.fl.client import Client
+
+if TYPE_CHECKING:
+    from repro.fl.client import Client
 
 
 def is_client_provider(clients) -> bool:
@@ -126,6 +130,11 @@ class LazyClientPool:
         if client is None:
             if not 0 <= cid < self.n_clients:
                 raise KeyError(cid)
+            # Deferred: repro.fl's engines import this module, so a
+            # module-level import would break `import repro.fleet` as a
+            # process's first import.
+            from repro.fl.client import Client
+
             # Mirrors make_clients exactly — same subset, same RNG
             # derivation — so lazy and eager runs are bit-identical.
             client = Client(

@@ -5,10 +5,10 @@ heterogeneity (how fast a device is), :class:`FleetSimulator` models the
 *dynamic* behavior of an unreliable edge fleet along FLGo's three
 remaining axes:
 
-* **availability** — an :class:`~repro.fleet.availability.AvailabilityModel`
-  evolves each client's online/offline state as simulated time advances;
-  offline clients cannot be selected (synchronous) or dispatched to
-  (asynchronous).
+* **availability** — a :class:`~repro.fleet.columnar.ColumnarAvailability`
+  engine evolves the whole fleet's online/offline column as simulated
+  time advances; offline clients cannot be selected (synchronous) or
+  dispatched to (asynchronous).
 * **connectivity** — per-``(round | job, client)`` mid-round dropout: a
   dropped client *completes* its local work (its compute time is paid and
   counted toward the round makespan / arrival timeline) but the update is
@@ -29,7 +29,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fleet.availability import AvailabilityModel
+from repro.fleet.columnar import ColumnarAvailability
 from repro.runtime.seeding import (
     STREAM_COMPLETENESS,
     STREAM_DROPOUT,
@@ -43,7 +43,7 @@ class FleetSimulator:
     def __init__(
         self,
         n_clients: int,
-        availability: AvailabilityModel,
+        availability: ColumnarAvailability,
         seed: int,
         dropout_prob: float = 0.0,
         completeness: float = 1.0,

@@ -61,7 +61,7 @@ class TestGeneration:
         rng = np.random.default_rng(0)
         model = mlp(int(np.prod(tr.x.shape[1:])), 10, rng, hidden=(32,))
         loss = SoftmaxCrossEntropy()
-        opt = SGD(model.parameters(), lr=0.1)
+        opt = SGD(model, lr=0.1)
         for _ in range(15):
             for xb, yb in tr.batches(32, rng=rng):
                 model.zero_grad()

@@ -1,11 +1,10 @@
 """Checkpoint/resume for the async engine.
 
-Two layers, mirroring the sync server: the lightweight
-``checkpoint``/``load_checkpoint`` round-trip (weights + model-version
-counter + mixing state, dtype-portable), and the full kill-safe
-``snapshot_state``/``restore_state`` loop capture — a run restored from
-a mid-timeline snapshot must finish bit-identical to an uninterrupted
-one.
+The kill-safe ``snapshot_state``/``restore_state`` loop capture is the
+engine's one checkpoint route: a run restored from a mid-timeline
+snapshot must finish bit-identical to an uninterrupted one, and a
+snapshot that does not fit the engine is refused before anything is
+installed.
 """
 
 import pickle
@@ -36,54 +35,14 @@ def make_server(tiny_clients, tiny_model_factory, tiny_data, mode="fedbuff",
 
 
 class TestAsyncServerCheckpoint:
-    def test_round_trip(self, tiny_data, tiny_clients, tiny_model_factory):
-        with make_server(tiny_clients, tiny_model_factory, tiny_data) as server:
-            server.run()
-            state = server.checkpoint()
-        assert state["model_version"] > 0
-        with make_server(tiny_clients, tiny_model_factory, tiny_data) as fresh:
-            fresh.load_checkpoint(state)
-            np.testing.assert_array_equal(fresh.global_weights, state["global_weights"])
-            assert fresh._loop["version"] == state["model_version"]
-            assert fresh.server_mix == state["server_mix"]
-
-    def test_checkpoint_detached(self, tiny_data, tiny_clients, tiny_model_factory):
-        with make_server(tiny_clients, tiny_model_factory, tiny_data) as server:
-            state = server.checkpoint()
-            state["global_weights"][:] = 123.0
-            assert not np.any(server.global_weights == 123.0)
-
-    def test_dtype_portable(self, tiny_data, tiny_clients, tiny_model_factory):
-        """A float64 checkpoint loads into a float32-dtype weight vector
-        (and vice versa) by casting into the server's compute dtype —
-        matching the sync path's contract."""
-        with make_server(tiny_clients, tiny_model_factory, tiny_data) as server:
-            server.run()
-            state = server.checkpoint()
-            state["global_weights"] = state["global_weights"].astype(np.float64)
-            with make_server(tiny_clients, tiny_model_factory, tiny_data) as fresh:
-                fresh.load_checkpoint(state)
-                assert fresh.global_weights.dtype == server.global_weights.dtype
-                np.testing.assert_allclose(
-                    fresh.global_weights,
-                    state["global_weights"].astype(fresh.global_weights.dtype),
-                )
-
-    def test_mode_mismatch_rejected(self, tiny_data, tiny_clients, tiny_model_factory):
-        with make_server(tiny_clients, tiny_model_factory, tiny_data,
-                         mode="fedbuff") as server:
-            state = server.checkpoint()
-        with make_server(tiny_clients, tiny_model_factory, tiny_data,
-                         mode="fedasync") as other:
-            with pytest.raises(ValueError, match="fedbuff"):
-                other.load_checkpoint(state)
-
     def test_shape_mismatch_rejected(self, tiny_data, tiny_clients, tiny_model_factory):
         with make_server(tiny_clients, tiny_model_factory, tiny_data) as server:
-            state = server.checkpoint()
+            state = server.snapshot_state()
+            before = server.global_weights.copy()
             state["global_weights"] = np.zeros(3)
-            with pytest.raises(ValueError, match="dimension"):
-                server.load_checkpoint(state)
+            with pytest.raises(ValueError, match=f"3 global weights.*{before.size}"):
+                server.restore_state(state)
+            np.testing.assert_array_equal(server.global_weights, before)
 
 
 class _GrabSnapshot:

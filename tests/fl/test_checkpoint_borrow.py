@@ -203,6 +203,20 @@ class TestVersionSkew:
         assert isinstance(loop["idle"], np.ndarray)
 
 
+class TestRestoreValidation:
+    @pytest.mark.parametrize("engine", ENGINES)
+    def test_wrong_weight_dimension_rejected(self, engine):
+        """A snapshot of another model's weights is refused on restore,
+        naming both sizes, before any of it is installed."""
+        with build_engine(engine) as sim:
+            state = sim.snapshot_state()
+            weights, history = sim.global_weights, sim.history
+            state["global_weights"] = np.zeros(3)
+            with pytest.raises(ValueError, match=f"3 global weights.*has {weights.size}"):
+                sim.restore_state(state)
+            assert sim.global_weights is weights and sim.history is history
+
+
 class TestIdleColumnDispatch:
     @pytest.mark.parametrize("dispatch", ["random", "fairness"])
     def test_same_picks_as_sorted_set_pool(self, dispatch):

@@ -1,4 +1,5 @@
-"""Availability models and the FleetSimulator's behavioral draws.
+"""Availability models (built by ``get_availability_model``) and the
+FleetSimulator's behavioral draws.
 
 The load-bearing property everywhere: every draw is a pure function of
 ``(seed, index, client)``, so traces do not depend on query order — the
@@ -10,12 +11,8 @@ import pytest
 
 from repro.fleet import (
     AVAILABILITY_MODELS,
-    AlwaysOn,
-    BernoulliAvailability,
+    ColumnarAvailability,
     FleetSimulator,
-    LabelSkewAvailability,
-    MarkovAvailability,
-    SinusoidalAvailability,
     get_availability_model,
 )
 
@@ -28,25 +25,36 @@ def trace(model, n_slots=50):
     ]
 
 
+def sinusoid(model, n_slots):
+    """Every client's online probability per slot, ``(n_slots, N)``."""
+    t = np.arange(n_slots)[:, None]
+    wave = np.sin(2 * np.pi * t / model.period_slots + model.phases)
+    return (1.0 - model.offline_fraction) + model.amplitude * wave
+
+
 class TestModels:
     def test_always_on(self):
-        model = AlwaysOn(N, SEED)
+        model = get_availability_model("always", N, SEED)
         assert all(all(row) for row in trace(model))
 
     def test_bernoulli_rate(self):
-        model = BernoulliAvailability(N, SEED, offline_fraction=0.3)
+        model = get_availability_model("bernoulli", N, SEED, offline_fraction=0.3)
         flat = np.array(trace(model, 200)).ravel()
         assert 0.62 <= flat.mean() <= 0.78  # ~0.7 online
 
     def test_markov_stationary_fraction(self):
-        model = MarkovAvailability(N, SEED, offline_fraction=0.2, churn_rate=0.5)
+        model = get_availability_model(
+            "markov", N, SEED, offline_fraction=0.2, churn_rate=0.5
+        )
         flat = np.array(trace(model, 400)).ravel()
         assert 0.74 <= flat.mean() <= 0.86  # ~0.8 online
 
     def test_markov_extreme_churn_preserves_stationary_fraction(self):
         """churn_rate beyond the valid transition range is scaled down as
         a whole, keeping the configured offline mass intact."""
-        model = MarkovAvailability(N, SEED, offline_fraction=0.2, churn_rate=2.0)
+        model = get_availability_model(
+            "markov", N, SEED, offline_fraction=0.2, churn_rate=2.0
+        )
         assert model.p_on_to_off <= 1.0 and model.p_off_to_on <= 1.0
         # stationary offline mass = p_on_to_off / (p_on_to_off + p_off_to_on)
         mass = model.p_on_to_off / (model.p_on_to_off + model.p_off_to_on)
@@ -56,7 +64,9 @@ class TestModels:
 
     def test_markov_has_sessions(self):
         """Low churn means longer on/off stretches than i.i.d. flips."""
-        slow = MarkovAvailability(N, SEED, offline_fraction=0.5, churn_rate=0.1)
+        slow = get_availability_model(
+            "markov", N, SEED, offline_fraction=0.5, churn_rate=0.1
+        )
         switches = 0
         for row in trace(slow, 200):
             switches += sum(a != b for a, b in zip(row, row[1:]))
@@ -64,26 +74,30 @@ class TestModels:
         assert switches / (N * 199) < 0.15
 
     def test_sinusoidal_probability_bounds(self):
-        model = SinusoidalAvailability(N, SEED, offline_fraction=0.2, period_slots=24)
-        for cid in range(N):
-            for t in range(48):
-                assert 0.0 <= model.p_online(cid, t) <= 1.0
+        model = get_availability_model(
+            "sinusoidal", N, SEED, offline_fraction=0.2, period_slots=24
+        )
+        p = sinusoid(model, 48)
+        assert ((0.0 <= p) & (p <= 1.0)).all()
         flat = np.array(trace(model, 240)).ravel()
         assert 0.7 <= flat.mean() <= 0.9  # mean stays ~0.8
 
     def test_sinusoidal_mean_holds_for_high_offline_fraction(self):
         """Amplitude shrinks instead of clipping, so the documented mean
         online rate holds over the whole legal offline_fraction range."""
-        model = SinusoidalAvailability(N, SEED, offline_fraction=0.7, period_slots=24)
-        for cid in range(N):
-            for t in range(48):
-                assert 0.0 <= model.p_online(cid, t) <= 1.0
+        model = get_availability_model(
+            "sinusoidal", N, SEED, offline_fraction=0.7, period_slots=24
+        )
+        p = sinusoid(model, 48)
+        assert ((0.0 <= p) & (p <= 1.0)).all()
         flat = np.array(trace(model, 480)).ravel()
         assert 0.25 <= flat.mean() <= 0.35  # mean ~0.3 = 1 - 0.7
 
     def test_label_skew_orders_rates_by_min_label(self):
         labels = [np.array([cid % 4]) for cid in range(N)]
-        model = LabelSkewAvailability(N, SEED, labels, offline_fraction=0.2)
+        model = get_availability_model(
+            "label_skew", N, SEED, offline_fraction=0.2, labels=labels
+        )
         assert model.rates[0] < model.rates[3]  # min label 0 flakier than 3
         assert all(0.0 < r <= 1.0 for r in model.rates)
 
@@ -110,13 +124,17 @@ class TestModels:
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            BernoulliAvailability(N, SEED, offline_fraction=1.0)
+            get_availability_model("bernoulli", N, SEED, offline_fraction=1.0)
         with pytest.raises(ValueError):
-            MarkovAvailability(N, SEED, churn_rate=0.0)
+            get_availability_model("markov", N, SEED, churn_rate=0.0)
         with pytest.raises(ValueError):
-            SinusoidalAvailability(N, SEED, period_slots=1)
+            get_availability_model("sinusoidal", N, SEED, period_slots=1)
         with pytest.raises(ValueError):
-            AlwaysOn(0, SEED)
+            get_availability_model("always", 0, SEED)
+        with pytest.raises(ValueError, match="one entry per client"):
+            get_availability_model(
+                "label_skew", N, SEED, labels=[np.array([0])] * (N - 1)
+            )
 
 
 class TestFleetSimulator:
@@ -124,7 +142,7 @@ class TestFleetSimulator:
         kw.setdefault("dropout_prob", 0.1)
         kw.setdefault("completeness", 0.4)
         return FleetSimulator(
-            N, MarkovAvailability(N, SEED, 0.2, 0.5), seed=SEED, **kw
+            N, get_availability_model("markov", N, SEED, 0.2, 0.5), seed=SEED, **kw
         )
 
     def test_online_ids_subset_and_slotting(self):
@@ -170,21 +188,14 @@ class TestFleetSimulator:
         assert t >= 0.0
 
     def test_wait_for_online_gives_up_on_starvation(self):
-        class NeverOn(AlwaysOn):
-            def __init__(self, n_clients, seed):
-                super().__init__(n_clients, seed)
-                self.columnar = None  # force the scalar-override fallback
-
-            def online(self, client_id, slot):
-                return False
-
-        fleet = FleetSimulator(4, NeverOn(4, SEED), seed=SEED)
+        never_on = ColumnarAvailability("label_skew", 4, SEED, rates=np.zeros(4))
+        fleet = FleetSimulator(4, never_on, seed=SEED)
         t, ids = fleet.wait_for_online(5.0, min_count=1, max_slots=10)
         assert t == 5.0
         assert list(ids) == [0, 1, 2, 3]
 
     def test_validation(self):
-        model = MarkovAvailability(N, SEED)
+        model = get_availability_model("markov", N, SEED)
         with pytest.raises(ValueError):
             FleetSimulator(N + 1, model, seed=SEED)
         with pytest.raises(ValueError):

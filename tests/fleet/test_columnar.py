@@ -1,11 +1,11 @@
 """Golden tests for the columnar fleet engine (repro.fleet.columnar).
 
-The scalar availability classes became thin views over
-:class:`ColumnarAvailability`; these tests reimplement the original
-per-(slot, client) derivation from its formulas — one ``SeedSequence`` /
-``Generator`` per cell — and pin both implementations to literal golden
-hashes, so neither the vectorized draws nor the scalar reference can
-drift without this file noticing.
+:class:`ColumnarAvailability` is the only availability model; these
+tests reimplement the original per-(slot, client) derivation from its
+formulas — one ``SeedSequence`` / ``Generator`` per cell — and pin both
+the engine and that scalar reference to literal golden hashes, so neither
+the vectorized draws nor the reference can drift without this file
+noticing.
 """
 
 from __future__ import annotations
@@ -48,6 +48,10 @@ GOLDEN = {
 def _u(slot: int, cid: int) -> float:
     """The original scalar cell draw: one Generator per (slot, client)."""
     return float(client_round_rng(SEED, slot, cid, STREAM_AVAILABILITY).random())
+
+
+def _u_row(slot: int) -> np.ndarray:
+    return np.array([_u(slot, c) for c in range(N)])
 
 
 def scalar_trace(name: str) -> np.ndarray:
@@ -112,21 +116,23 @@ class TestGoldenBitIdentity:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_scalar_view_classes_delegate_to_the_same_trace(self, name):
-        ref = scalar_trace(name)
+        """The factory's engine answers per-client ``online`` queries —
+        clients in the outer loop — with the scalar reference's trace."""
         labels = [np.array([c % 5, 4]) for c in range(N)]
         model = get_availability_model(
             name, n_clients=N, seed=SEED, offline_fraction=OFF,
             churn_rate=CHURN, period_slots=PERIOD, labels=labels,
         )
+        assert isinstance(model, ColumnarAvailability)
         if name == "label_skew":
-            # The view computes its own rates from labels; identity is
-            # against its own columnar engine, not the fixed RATES ramp.
-            ref = np.stack(
-                [model.columnar.mask(t).copy() for t in range(SLOTS)]
-            )
+            # The factory derives its rates from labels, not the fixed
+            # RATES ramp: compare against a reference over those rates.
+            ref = np.stack([_u_row(t) < model.rates for t in range(SLOTS)])
+        else:
+            ref = scalar_trace(name)
         got = np.array(
-            [[model.online(c, t) for c in range(N)] for t in range(SLOTS)]
-        )
+            [[model.online(c, t) for t in range(SLOTS)] for c in range(N)]
+        ).T
         np.testing.assert_array_equal(got, ref)
 
     def test_query_order_independence(self):
@@ -141,6 +147,24 @@ class TestGoldenBitIdentity:
                 np.testing.assert_array_equal(
                     scrambled.mask(int(t)), ref[t], err_msg=f"{name}@{t}"
                 )
+
+
+class TestValidation:
+    @pytest.mark.parametrize("name,kwargs,match", [
+        ("bernoulli", {"offline_fraction": 1.5}, "offline_fraction"),
+        ("markov", {"churn_rate": 0.0}, "churn_rate"),
+        ("markov", {"churn_rate": -1.0}, "churn_rate"),
+        ("sinusoidal", {"offline_fraction": -0.5}, "offline_fraction"),
+        ("sinusoidal", {"period_slots": 1}, "period_slots"),
+        ("label_skew", {}, "rates"),
+        ("label_skew", {"rates": np.ones(5)}, "one entry per client"),
+        ("solar", {}, "unknown"),
+    ], ids=["bernoulli-offline-1.5", "markov-churn-0", "markov-churn-neg",
+            "sinusoidal-offline-neg", "sinusoidal-period-1", "label-skew-no-rates",
+            "label-skew-short-rates", "unknown-model"])
+    def test_constructor_rejects_bad_parameters(self, name, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            ColumnarAvailability(name, 6, SEED, **kwargs)
 
 
 class TestMarkovReplay:

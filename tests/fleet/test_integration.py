@@ -21,7 +21,7 @@ from repro.fl.selection import (
 )
 from repro.fl.simulation import FederatedSimulation, FLConfig
 from repro.fl.strategies import FedAvg
-from repro.fleet import BernoulliAvailability, FleetSimulator, MarkovAvailability
+from repro.fleet import FleetSimulator, get_availability_model
 from repro.harness import ExperimentConfig, run_experiment
 from repro.runtime import LogNormalLatency, VirtualClock, make_executor
 
@@ -31,7 +31,9 @@ BACKEND_WORKERS = [("serial", None), ("thread", 2), ("process", 2)]
 def make_fleet(n_clients, dropout_prob=0.1, completeness=0.5, seed=31):
     return FleetSimulator(
         n_clients,
-        MarkovAvailability(n_clients, seed, offline_fraction=0.25, churn_rate=0.5),
+        get_availability_model(
+            "markov", n_clients, seed, offline_fraction=0.25, churn_rate=0.5
+        ),
         seed=seed,
         dropout_prob=dropout_prob,
         completeness=completeness,

@@ -2,13 +2,14 @@
 
 Covers the arena contract (layer arrays are live views — identity is
 preserved across optimiser steps and flat-weight loads), equivalence of
-the fused flat optimiser paths with the per-array paths, dtype plumbing
-end to end (model, dataset, client upload, aggregation), checkpoint
-portability across dtypes, and bit-identity of the float64 path with the
+the fused arena optimisers with the per-array reference loops, dtype
+plumbing end to end (model, dataset, client upload, aggregation), engine
+snapshot portability across dtypes, and bit-identity of the float64 path with the
 pre-arena seed implementation (golden hashes recorded from the seed).
 """
 
 import hashlib
+from functools import partial
 
 import numpy as np
 import pytest
@@ -19,6 +20,7 @@ from repro.nn.layers import BatchNorm1d, Dense, Flatten, ReLU
 from repro.nn.model import Sequential
 from repro.nn.models import mlp, simple_cnn
 from repro.nn.optim import SGD, Adam, ProximalSGD
+from tests.nn import reference_optim as R
 
 
 def small_net(rng):
@@ -73,47 +75,58 @@ class TestArenaContract:
 
 
 class TestFusedOptimizerEquivalence:
-    """The flat arena paths must match the per-array paths bit-for-bit."""
+    """The arena steps must match the per-array reference loops
+    (``tests/nn/reference_optim.py``) bit for bit, in both dtypes."""
 
-    def _pair(self, seed=3):
-        a = small_net(np.random.default_rng(seed))
-        b = small_net(np.random.default_rng(seed))
+    DTYPES = ("float64", "float32")
+
+    def _pair(self, dtype, seed=3):
+        with default_dtype(dtype):
+            a = small_net(np.random.default_rng(seed))
+            b = small_net(np.random.default_rng(seed))
         fill_grads(a, np.random.default_rng(7))
         fill_grads(b, np.random.default_rng(7))
         return a, b
 
+    def _assert_steps_equal(self, arena_opt, reference_opt, a, b, steps, msg=""):
+        for _ in range(steps):
+            arena_opt.step()
+            reference_opt.step()
+        assert a.dtype == b.dtype
+        np.testing.assert_array_equal(
+            a.get_flat_weights(), b.get_flat_weights(), err_msg=msg
+        )
+
     def test_sgd_flat_matches_per_array(self):
-        for kwargs in ({}, {"momentum": 0.9}, {"weight_decay": 0.01},
-                       {"momentum": 0.5, "weight_decay": 0.02}):
-            a, b = self._pair()
-            flat_opt = SGD(a, lr=0.05, **kwargs)
-            loop_opt = SGD(b.parameters(), lr=0.05, **kwargs)
-            for _ in range(3):
-                flat_opt.step()
-                loop_opt.step()
-            np.testing.assert_array_equal(
-                a.get_flat_weights(), b.get_flat_weights(), err_msg=str(kwargs)
-            )
+        for dtype in self.DTYPES:
+            for kwargs in ({}, {"momentum": 0.9}, {"weight_decay": 0.01},
+                           {"momentum": 0.5, "weight_decay": 0.02}):
+                a, b = self._pair(dtype)
+                self._assert_steps_equal(
+                    SGD(a, lr=0.05, **kwargs),
+                    R.SGD(b.parameters(), lr=0.05, **kwargs),
+                    a, b, steps=3, msg=f"{dtype} {kwargs}",
+                )
 
     def test_proximal_flat_matches_per_array(self):
-        a, b = self._pair()
-        flat_opt = ProximalSGD(a, lr=0.05, mu=0.1)
-        loop_opt = ProximalSGD(b.parameters(), lr=0.05, mu=0.1)
-        flat_opt.set_anchor(a.flat_parameters())
-        loop_opt.set_anchor(b.param_arrays())
-        for _ in range(3):
-            flat_opt.step()
-            loop_opt.step()
-        np.testing.assert_array_equal(a.get_flat_weights(), b.get_flat_weights())
+        for dtype in self.DTYPES:
+            for kwargs in ({}, {"momentum": 0.5}):
+                a, b = self._pair(dtype)
+                arena_opt = ProximalSGD(a, lr=0.05, mu=0.1, **kwargs)
+                reference_opt = R.ProximalSGD(b.parameters(), lr=0.05, mu=0.1, **kwargs)
+                arena_opt.set_anchor(a.flat_parameters())
+                reference_opt.set_anchor(b.param_arrays())
+                self._assert_steps_equal(
+                    arena_opt, reference_opt, a, b, steps=3, msg=f"{dtype} {kwargs}"
+                )
 
     def test_adam_flat_matches_per_array(self):
-        a, b = self._pair()
-        flat_opt = Adam(a, lr=1e-3)
-        loop_opt = Adam(b.parameters(), lr=1e-3)
-        for _ in range(4):
-            flat_opt.step()
-            loop_opt.step()
-        np.testing.assert_array_equal(a.get_flat_weights(), b.get_flat_weights())
+        for dtype in self.DTYPES:
+            a, b = self._pair(dtype)
+            self._assert_steps_equal(
+                Adam(a, lr=1e-3), R.Adam(b.parameters(), lr=1e-3),
+                a, b, steps=4, msg=dtype,
+            )
 
     def test_clip_grad_norm_flat_matches_list(self, rng):
         model = small_net(rng)
@@ -239,37 +252,42 @@ class TestForwardSeeding:
 
 
 class TestCheckpointPortability:
-    def _server(self, seed=0):
-        from functools import partial
+    """Engine snapshots are dtype-portable: ``restore_state`` casts the
+    weights into the restoring engine's compute dtype."""
 
-        from repro.fl.server import FederatedServer
+    def _sim(self, seed):
+        from repro.data.synthetic import SyntheticImageSpec, make_synthetic_dataset
+        from repro.fl.client import make_clients
+        from repro.fl.simulation import FederatedSimulation, FLConfig
         from repro.fl.strategies import FedAvg
 
-        factory = partial(mlp, 16, 4, hidden=(8,))
-        return FederatedServer(factory, FedAvg(), seed=seed)
+        spec = SyntheticImageSpec(num_classes=4, channels=1, image_size=4, noise=0.3)
+        train, _ = make_synthetic_dataset(spec, 40, 8, np.random.default_rng(0))
+        clients = make_clients(train, [np.arange(20), np.arange(20, 40)], seed=2)
+        return FederatedSimulation(
+            clients, None, partial(mlp, 16, 4, hidden=(8,)), FedAvg(),
+            FLConfig(rounds=2, clients_per_round=2, local_epochs=1,
+                     batch_size=10, seed=seed),
+        )
 
     def test_float64_checkpoint_loads_into_float32_server(self):
-        with default_dtype("float64"):
-            src = self._server(seed=1)
-            state = src.state_dict()
+        with default_dtype("float64"), self._sim(seed=1) as src:
+            state = src.snapshot_state()
         assert state["global_weights"].dtype == np.float64
-        with default_dtype("float32"):
-            dst = self._server(seed=2)
-            dst.load_state_dict(state)
+        with default_dtype("float32"), self._sim(seed=2) as dst:
+            dst.restore_state(state)
         assert dst.global_weights.dtype == np.float32
         np.testing.assert_allclose(
             dst.global_weights, state["global_weights"], rtol=1e-6, atol=1e-7
         )
-        assert dst.round_idx == state["round_idx"]
+        assert dst._next_round == state["next_round"]
 
     def test_float32_checkpoint_loads_into_float64_server(self):
-        with default_dtype("float32"):
-            src = self._server(seed=3)
-            state = src.state_dict()
+        with default_dtype("float32"), self._sim(seed=3) as src:
+            state = src.snapshot_state()
         assert state["global_weights"].dtype == np.float32
-        with default_dtype("float64"):
-            dst = self._server(seed=4)
-            dst.load_state_dict(state)
+        with default_dtype("float64"), self._sim(seed=4) as dst:
+            dst.restore_state(state)
         assert dst.global_weights.dtype == np.float64
         np.testing.assert_array_equal(
             dst.global_weights, state["global_weights"].astype(np.float64)

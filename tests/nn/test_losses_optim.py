@@ -6,13 +6,14 @@ import pytest
 from repro.nn import functional as F
 from repro.nn import optim
 from repro.nn.dtypes import default_dtype
-from repro.nn.layers import Dense
+from repro.nn.layers import Dense, ReLU
 from repro.nn.losses import MSELoss, SoftmaxCrossEntropy, evaluate_loss
 from repro.nn.metrics import top1_accuracy
 from repro.nn.model import Sequential
 from repro.nn.models import mlp, simple_cnn
 from repro.nn.optim import SGD, Adam, ProximalSGD
 from tests.conftest import assert_grad_close, numerical_gradient
+from tests.nn import reference_optim as R
 
 
 class TestSoftmaxCrossEntropy:
@@ -190,7 +191,7 @@ def quadratic_problem(rng):
 class TestSGD:
     def test_decreases_convex_loss(self, rng):
         model, step_loss = quadratic_problem(rng)
-        opt = SGD(model.parameters(), lr=0.05)
+        opt = SGD(model, lr=0.05)
         first = step_loss()
         for _ in range(100):
             step_loss()
@@ -202,7 +203,7 @@ class TestSGD:
         for momentum in (0.0, 0.9):
             r = np.random.default_rng(7)
             model, step_loss = quadratic_problem(r)
-            opt = SGD(model.parameters(), lr=0.01, momentum=momentum)
+            opt = SGD(model, lr=0.01, momentum=momentum)
             for _ in range(50):
                 step_loss()
                 opt.step()
@@ -211,7 +212,7 @@ class TestSGD:
 
     def test_weight_decay_shrinks_weights(self, rng):
         model = Sequential([Dense(3, 3, rng)])
-        opt = SGD(model.parameters(), lr=0.1, weight_decay=0.5)
+        opt = SGD(model, lr=0.1, weight_decay=0.5)
         w0 = np.abs(model.param_arrays()[0]).sum()
         for _ in range(20):
             model.zero_grad()  # zero gradients: only decay acts
@@ -221,25 +222,24 @@ class TestSGD:
     def test_invalid_params(self, rng):
         model = Sequential([Dense(2, 2, rng)])
         with pytest.raises(ValueError):
-            SGD(model.parameters(), lr=-0.1)
+            SGD(model, lr=-0.1)
         with pytest.raises(ValueError):
-            SGD(model.parameters(), lr=0.1, momentum=1.5)
+            SGD(model, lr=0.1, momentum=1.5)
         with pytest.raises(ValueError):
-            SGD([], lr=0.1)
+            SGD(Sequential([ReLU()]), lr=0.1)  # nothing to step
 
 
 class TestProximalSGD:
     def test_requires_anchor(self, rng):
         model = Sequential([Dense(2, 2, rng)])
-        opt = ProximalSGD(model.parameters(), lr=0.1, mu=0.1)
+        opt = ProximalSGD(model, lr=0.1, mu=0.1)
         with pytest.raises(RuntimeError):
             opt.step()
 
     def test_pulls_toward_anchor(self, rng):
         model = Sequential([Dense(2, 2, rng)])
-        opt = ProximalSGD(model.parameters(), lr=0.1, mu=1.0)
-        anchor = [np.zeros_like(p) for p in model.param_arrays()]
-        opt.set_anchor(anchor)
+        opt = ProximalSGD(model, lr=0.1, mu=1.0)
+        opt.set_anchor(np.zeros(model.num_parameters()))
         w0 = np.abs(model.param_arrays()[0]).sum()
         for _ in range(50):
             model.zero_grad()
@@ -256,9 +256,9 @@ class TestProximalSGD:
             model = Sequential([Dense(2, 2, r)])
             loss = MSELoss()
             if mode == "sgd":
-                opt = SGD(model.parameters(), lr=0.05)
+                opt = SGD(model, lr=0.05)
             else:
-                opt = ProximalSGD(model.parameters(), lr=0.05, mu=0.0)
+                opt = ProximalSGD(model, lr=0.05, mu=0.0)
             for _ in range(10):
                 model.zero_grad()
                 loss.forward(model.forward(x, training=True), t)
@@ -278,8 +278,8 @@ class TestProximalSGD:
             model = Sequential([Dense(3, 2, r)])
             start = model.get_flat_weights()
             loss = MSELoss()
-            opt = ProximalSGD(model.parameters(), lr=0.05, mu=mu)
-            opt.set_anchor(model.param_arrays())
+            opt = ProximalSGD(model, lr=0.05, mu=mu)
+            opt.set_anchor(model.flat_parameters())
             for _ in range(60):
                 model.zero_grad()
                 loss.forward(model.forward(x, training=True), t)
@@ -290,15 +290,17 @@ class TestProximalSGD:
 
     def test_anchor_shape_validation(self, rng):
         model = Sequential([Dense(2, 2, rng)])
-        opt = ProximalSGD(model.parameters(), lr=0.1, mu=0.1)
-        with pytest.raises(ValueError):
-            opt.set_anchor([np.zeros((3, 3))])
+        opt = ProximalSGD(model, lr=0.1, mu=0.1)
+        with pytest.raises(ValueError, match="anchor"):
+            opt.set_anchor(np.zeros(3))
+        with pytest.raises(ValueError, match="anchor"):
+            opt.set_anchor(np.zeros((2, model.num_parameters())))
 
 
 class TestAdam:
     def test_decreases_convex_loss(self, rng):
         model, step_loss = quadratic_problem(rng)
-        opt = Adam(model.parameters(), lr=0.05)
+        opt = Adam(model, lr=0.05)
         first = step_loss()
         for _ in range(100):
             step_loss()
@@ -308,7 +310,7 @@ class TestAdam:
     def test_step_size_bounded_by_lr(self, rng):
         """Adam's per-coordinate step is ~lr regardless of gradient scale."""
         model = Sequential([Dense(2, 2, rng)])
-        opt = Adam(model.parameters(), lr=0.01)
+        opt = Adam(model, lr=0.01)
         p, g = model.parameters()[0]
         before = p.copy()
         g[...] = 1e6  # huge gradient
@@ -337,10 +339,8 @@ class TestAdam:
         n = models[0].num_parameters()
         assert n % optim.BLOCK != 0
         arena = Adam(models[0], lr=1e-3)
-        assert arena._flat is not None
         assert arena._scratch.shape == (2, min(optim.BLOCK, n))
-        pairs = Adam(models[1].parameters(), lr=1e-3)
-        assert pairs._flat is None
+        pairs = R.Adam(models[1].parameters(), lr=1e-3)
         for _ in range(4):
             grads = rng.normal(size=n).astype(dtype)
             for model in models:

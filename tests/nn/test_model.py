@@ -232,15 +232,17 @@ class TestFlatWeights:
             model.set_flat_weights(np.zeros(3))
 
     def test_set_is_in_place(self, rng):
-        """Optimisers hold references to parameter arrays; set_flat_weights
-        must write through those same arrays."""
+        """Optimisers hold references to the parameter arena;
+        set_flat_weights must write through those same arrays."""
         model = small_net(rng)
-        opt = SGD(model.parameters(), lr=0.1)
-        before_ids = [id(p) for p, _ in opt.parameters]
+        opt = SGD(model, lr=0.1)
+        before_ids = [id(p) for p, _ in model.parameters()]
         model.set_flat_weights(np.zeros(model.get_flat_weights().size))
         after_ids = [id(p) for p, _ in model.parameters()]
         assert before_ids == after_ids
-        assert all(np.all(p == 0) for p, _ in opt.parameters)
+        model.flat_grads().fill(1.0)
+        opt.step()  # steps from the zeros just loaded
+        assert all(np.all(p == -0.1) for p, _ in model.parameters())
 
     @given(st.integers(min_value=0, max_value=2**31 - 1))
     @settings(max_examples=15, deadline=None)
@@ -286,7 +288,7 @@ class TestModelZoo:
         x[y == 1, :, :4, :] += 1.0  # class-1 images bright on top
         model = simple_cnn(1, 8, 2, rng, channels=(4, 8), dense=16)
         loss = SoftmaxCrossEntropy()
-        opt = SGD(model.parameters(), lr=0.05)
+        opt = SGD(model, lr=0.05)
         for _ in range(30):
             model.zero_grad()
             model.train_batch(loss, x, y)
