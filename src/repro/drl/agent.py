@@ -91,6 +91,13 @@ class DDPGAgent:
         self.noise_scale = c.noise_scale
         self.total_updates = 0
 
+    def __setstate__(self, state: dict) -> None:
+        # The networks rebind their own layers on unpickling; the optimisers'
+        # arena views came back as copies, so point them at the networks.
+        self.__dict__.update(state)
+        self.policy_opt.bind(self.policy_main)
+        self.value_opt.bind(self.value_main)
+
     # -- acting ---------------------------------------------------------------
     def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
         """Compute the (possibly noise-perturbed) action for ``state``."""
@@ -140,7 +147,7 @@ class DDPGAgent:
         q = self.value_main.forward(np.concatenate([s, a], axis=1), training=True).ravel()
         diff = q - y
         grad = (2.0 * diff / diff.shape[0])[:, None]
-        self.value_main.backward(grad)
+        self.value_main.backward(grad, input_grad=False)
         self.value_opt.step()
         return float(np.mean(diff**2))
 
@@ -152,7 +159,7 @@ class DDPGAgent:
         grad_out = np.full_like(q, -1.0 / q.shape[0])
         # The critic only provides dQ/da here; its own grads are not computed.
         grad_in = self.value_main.backward(grad_out, param_grads=False)
-        self.policy_main.backward(grad_in[:, self.state_dim :])
+        self.policy_main.backward(grad_in[:, self.state_dim :], input_grad=False)
         self.policy_opt.step()
         return float(q.mean())
 
@@ -163,11 +170,14 @@ class DDPGAgent:
         if len(self.buffer) < max(c.min_buffer, 2):
             return None
         batch_size = min(c.batch_size, len(self.buffer))
-        priorities = self.td_priorities() if c.prioritized else None
+        # One ranking per call: the priorities do not change between updates.
+        probs = (
+            self.buffer.rank_probabilities(self.td_priorities()) if c.prioritized else None
+        )
         critic_losses, actor_qs = [], []
         for _ in range(c.updates_per_round):
-            if priorities is not None:
-                batch = self.buffer.sample_prioritized(batch_size, priorities, self.rng)
+            if probs is not None:
+                batch = self.buffer.sample_ranked(batch_size, probs, self.rng)
             else:
                 batch = self.buffer.sample_uniform(batch_size, self.rng)
             s, a, r, s2 = batch

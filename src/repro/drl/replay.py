@@ -7,6 +7,12 @@ experiences.  We implement this as rank-based prioritised sampling
 (probability proportional to ``1 / rank``), which is robust to the scale
 of TD errors; ``sample_uniform`` is retained for the replay-strategy
 ablation bench.
+
+The buffer is a columnar ring: one array per field of ``(s, a, r, s')``
+in the buffer's dtype (the agent's), rows addressed by slot.  A batch is
+one fancy index per column and :meth:`ReplayBuffer.snapshot` is a view of
+the filled rows.  The list of :class:`Experience` objects it replaced is
+the test oracle in ``tests/drl/reference_replay.py``.
 """
 
 from __future__ import annotations
@@ -36,51 +42,113 @@ class Experience:
 
 
 class ReplayBuffer:
-    """Fixed-capacity FIFO buffer of :class:`Experience` items."""
+    """Fixed-capacity FIFO ring of transitions, stored column by column.
 
-    def __init__(self, capacity: int = 100_000) -> None:
+    Slots fill in insertion order; once ``capacity`` transitions are held,
+    each add overwrites the slot under the cursor, which then advances —
+    the oldest transition goes first.  The columns grow geometrically up
+    to ``capacity`` rows as transitions arrive.
+    """
+
+    def __init__(self, capacity: int = 100_000, dtype=np.float64) -> None:
         if capacity <= 0:
             raise ValueError("capacity must be positive")
         self.capacity = capacity
-        self._items: list[Experience] = []
+        self.dtype = np.dtype(dtype)
+        # (states, actions, rewards, next_states); shaped by the first add.
+        self._columns: tuple[np.ndarray, ...] = ()
+        self._size = 0
         self._cursor = 0
 
     def __len__(self) -> int:
-        return len(self._items)
+        return self._size
+
+    def __setstate__(self, state: dict) -> None:
+        items = state.get("_items")
+        if items is None:
+            self.__dict__.update(state)
+            return
+        # A list-backed buffer pickled before the ring: its items fill the
+        # columns slot for slot, in their own dtype (that agent's).
+        self.__init__(state["capacity"], items[0].state.dtype if items else np.float64)
+        self.extend(items)
+        self._cursor = state["_cursor"]
 
     def add(self, exp: Experience) -> None:
         """Insert, overwriting the oldest entry once at capacity."""
-        if len(self._items) < self.capacity:
-            self._items.append(exp)
+        if not self._columns:
+            self._columns = tuple(
+                np.empty((0, *np.shape(v)), self.dtype)
+                for v in (exp.state, exp.action, exp.reward, exp.next_state)
+            )
+        elif (exp.state.shape != self._columns[0].shape[1:]
+              or exp.action.shape != self._columns[1].shape[1:]):
+            raise ValueError("transition shape differs from the buffer's")
+        if self._size < self.capacity:
+            slot = self._size
+            if slot == self._columns[0].shape[0]:
+                self._grow()
+            self._size += 1
         else:
-            self._items[self._cursor] = exp
+            slot = self._cursor
             self._cursor = (self._cursor + 1) % self.capacity
+        for column, value in zip(
+            self._columns, (exp.state, exp.action, exp.reward, exp.next_state)
+        ):
+            column[slot] = value
+
+    def _grow(self) -> None:
+        rows = min(self.capacity, max(2 * self._columns[0].shape[0], 16))
+        grown = []
+        for column in self._columns:
+            new = np.empty((rows, *column.shape[1:]), self.dtype)
+            new[: self._size] = column[: self._size]
+            grown.append(new)
+        self._columns = tuple(grown)
 
     def extend(self, experiences: list[Experience]) -> None:
         for exp in experiences:
             self.add(exp)
 
     def merge(self, other: "ReplayBuffer") -> None:
-        """Absorb another buffer (stage 2 of two-stage training merges the
-        per-worker buffers into the centralised one)."""
-        self.extend(other._items)
+        """Absorb another buffer in its slot order (stage 2 of two-stage
+        training merges the per-worker buffers into the centralised one)."""
+        self.extend(other.items())
 
     # -- batched views -------------------------------------------------------
-    def _stack(self, batch: list[Experience]) -> tuple[np.ndarray, ...]:
-        states = np.stack([e.state for e in batch])
-        actions = np.stack([e.action for e in batch])
-        rewards = np.array([e.reward for e in batch])
-        next_states = np.stack([e.next_state for e in batch])
-        return states, actions, rewards, next_states
+    def _gather(self, idx: np.ndarray) -> tuple[np.ndarray, ...]:
+        return tuple(column[idx] for column in self._columns)
 
     def sample_uniform(
         self, batch_size: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Uniform sampling (the ablation baseline)."""
-        if not self._items:
+        if not self._size:
             raise ValueError("cannot sample from an empty buffer")
-        idx = rng.integers(0, len(self._items), size=batch_size)
-        return self._stack([self._items[i] for i in idx])
+        return self._gather(rng.integers(0, self._size, size=batch_size))
+
+    def rank_probabilities(self, priorities: np.ndarray) -> np.ndarray:
+        """Rank-based sampling probabilities (Algorithm 1, lines 1–2).
+
+        ``priorities`` must align with :meth:`snapshot` order.  Items are
+        ranked by descending priority and weighted ``1 / rank``.
+        """
+        if not self._size:
+            raise ValueError("cannot sample from an empty buffer")
+        priorities = np.asarray(priorities, dtype=float)
+        if priorities.shape[0] != self._size:
+            raise ValueError("priorities length does not match buffer size")
+        order = np.argsort(-priorities, kind="stable")
+        ranks = np.empty_like(order)
+        ranks[order] = np.arange(1, len(order) + 1)
+        probs = 1.0 / ranks
+        return probs / probs.sum()
+
+    def sample_ranked(
+        self, batch_size: int, probs: np.ndarray, rng: np.random.Generator
+    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+        """Draw a batch with :meth:`rank_probabilities`' ``probs``."""
+        return self._gather(rng.choice(self._size, size=batch_size, p=probs))
 
     def sample_prioritized(
         self,
@@ -88,31 +156,25 @@ class ReplayBuffer:
         priorities: np.ndarray,
         rng: np.random.Generator,
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Rank-based TD-prioritised sampling (Algorithm 1, lines 1–2).
-
-        ``priorities`` must align with :meth:`snapshot` order.  Items are
-        ranked by descending priority and sampled with probability
-        proportional to ``1 / rank``.
-        """
-        if not self._items:
-            raise ValueError("cannot sample from an empty buffer")
-        priorities = np.asarray(priorities, dtype=float)
-        if priorities.shape[0] != len(self._items):
-            raise ValueError("priorities length does not match buffer size")
-        order = np.argsort(-priorities, kind="stable")
-        ranks = np.empty_like(order)
-        ranks[order] = np.arange(1, len(order) + 1)
-        probs = 1.0 / ranks
-        probs = probs / probs.sum()
-        idx = rng.choice(len(self._items), size=batch_size, p=probs)
-        return self._stack([self._items[i] for i in idx])
+        """Rank-based TD-prioritised sampling: probability ``∝ 1 / rank``."""
+        return self.sample_ranked(batch_size, self.rank_probabilities(priorities), rng)
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """All experiences stacked, in internal order (for priority computation)."""
-        if not self._items:
+        """Read-only views of the filled rows, in slot order (for priority
+        computation)."""
+        if not self._size:
             raise ValueError("buffer is empty")
-        return self._stack(self._items)
+        views = tuple(column[: self._size] for column in self._columns)
+        for view in views:
+            view.flags.writeable = False
+        return views
 
     def items(self) -> list[Experience]:
-        """A copy of the stored experiences (read-only use)."""
-        return list(self._items)
+        """The stored transitions as :class:`Experience` copies, in slot order."""
+        if not self._size:
+            return []
+        s, a, r, s2 = self.snapshot()
+        return [
+            Experience(s[i].copy(), a[i].copy(), float(r[i]), s2[i].copy())
+            for i in range(self._size)
+        ]

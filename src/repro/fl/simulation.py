@@ -772,6 +772,8 @@ class FederatedEngine:
             m.set_gauge(
                 "sim.wire.compression_ratio", self.wire.stats.compression_ratio()
             )
+        for name, value in self.strategy.window_metrics().items():
+            m.set_gauge(name, value)
 
     def _trace_client_phases(
         self, cid: int, start: float, duration: float, batches: int,

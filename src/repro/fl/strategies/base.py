@@ -103,5 +103,10 @@ class Strategy:
     def on_round_end(self, updates: list[ClientUpdate], round_idx: int) -> None:
         """Hook invoked after the global model is updated; default no-op."""
 
+    def window_metrics(self) -> dict[str, float]:
+        """``sim.*`` gauges describing the strategy after this window; the
+        engines record them only when tracing.  Default: none."""
+        return {}
+
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"{type(self).__name__}()"

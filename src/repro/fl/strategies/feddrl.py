@@ -20,7 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.drl.action import impact_factors_from_action
-from repro.drl.agent import DDPGAgent, DRLConfig
+from repro.drl.agent import DDPGAgent, DRLConfig, TrainStats
 from repro.drl.reward import feddrl_reward
 from repro.fl.client import ClientUpdate
 from repro.fl.strategies.base import Strategy, build_state
@@ -31,6 +31,9 @@ class FedDRL(Strategy):
 
     name = "feddrl"
     fixed_k = True  # the agent's state/action dims are built for exactly K
+    #: The last window's training pass (None: no pass ran).  A class-level
+    #: default, so a strategy pickled before the attribute existed resumes.
+    last_train: TrainStats | None = None
 
     def __init__(
         self,
@@ -93,8 +96,20 @@ class FedDRL(Strategy):
         """The paper's *side thread* (Algorithm 1): agent training runs
         outside the impact-factor computation, so the Fig. 9 timing split
         measures pure policy inference in ``impact_factors``."""
-        if self.online_training:
-            self.agent.train()
+        self.last_train = self.agent.train() if self.online_training else None
+
+    def window_metrics(self) -> dict[str, float]:
+        """Agent health: last reward, training losses, replay fill, noise."""
+        metrics = {
+            "sim.drl.replay_size": len(self.agent.buffer),
+            "sim.drl.noise_scale": self.agent.noise_scale,
+        }
+        if self.reward_history:
+            metrics["sim.drl.reward"] = self.reward_history[-1]
+        if self.last_train is not None:
+            metrics["sim.drl.critic_loss"] = self.last_train.critic_loss
+            metrics["sim.drl.actor_q"] = self.last_train.actor_q
+        return metrics
 
     def reset_episode(self) -> None:
         """Drop the pending transition (e.g. between independent simulations)."""

@@ -71,41 +71,41 @@ class Sequential:
         casting into the configured compute dtype.
         """
         dtype = get_default_dtype()
-        param_slots = [
-            (layer, name)
-            for layer in self.layers
-            for name in sorted(layer.params)
-        ]
-        buffer_slots = [
-            (layer, name)
-            for layer in self.layers
-            for name in sorted(layer.buffers)
-        ]
-        n_params = sum(layer.params[name].size for layer, name in param_slots)
-        n_buffers = sum(layer.buffers[name].size for layer, name in buffer_slots)
-        values = np.empty(n_params + n_buffers, dtype=dtype)
-        grads = np.zeros(n_params, dtype=dtype)
-
-        offset = 0
-        for layer, name in param_slots:
-            old_p, old_g = layer.params[name], layer.grads[name]
-            p_view = values[offset : offset + old_p.size].reshape(old_p.shape)
-            g_view = grads[offset : offset + old_p.size].reshape(old_p.shape)
-            np.copyto(p_view, old_p)
-            np.copyto(g_view, old_g)
-            layer.params[name] = p_view
-            layer.grads[name] = g_view
-            offset += old_p.size
-        for layer, name in buffer_slots:
-            old_b = layer.buffers[name]
-            b_view = values[offset : offset + old_b.size].reshape(old_b.shape)
-            np.copyto(b_view, old_b)
-            layer.buffers[name] = b_view
-            offset += old_b.size
-
-        self._values = values
-        self._grads = grads
+        n_params = sum(p.size for layer in self.layers for p in layer.params.values())
+        n_buffers = sum(b.size for layer in self.layers for b in layer.buffers.values())
+        self._values = np.empty(n_params + n_buffers, dtype=dtype)
+        self._grads = np.zeros(n_params, dtype=dtype)
         self._n_params = n_params
+        self._bind_views(copy=True)
+
+    def _bind_views(self, copy: bool) -> None:
+        """Rebind every layer array to its arena view, in layer-major order
+        (params, then buffers); ``copy`` first writes the layer's values in."""
+        offset = 0
+
+        def bind(arrays: dict, name: str, arena: np.ndarray) -> None:
+            old = arrays[name]
+            view = arena[offset : offset + old.size].reshape(old.shape)
+            if copy:
+                np.copyto(view, old)
+            arrays[name] = view
+
+        for layer in self.layers:
+            for name in sorted(layer.params):
+                bind(layer.params, name, self._values)
+                bind(layer.grads, name, self._grads)
+                offset += layer.params[name].size
+        for layer in self.layers:
+            for name in sorted(layer.buffers):
+                bind(layer.buffers, name, self._values)
+                offset += layer.buffers[name].size
+
+    def __setstate__(self, state: dict) -> None:
+        # Pickling copies each layer's arena views into arrays of their own;
+        # the unpickled arenas hold the same values, so point the layers
+        # back at them.
+        self.__dict__.update(state)
+        self._bind_views(copy=False)
 
     # -- arena views ---------------------------------------------------------
     @property

@@ -40,12 +40,18 @@ class Optimizer:
     def __init__(self, model, lr: float) -> None:
         if lr <= 0:
             raise ValueError("learning rate must be positive")
+        self.bind(model)
+        self.lr = lr
+        self._scratch = np.empty_like(self._flat[0])
+
+    def bind(self, model) -> None:
+        """Step ``model``'s arenas.  Unpickling copies the arena views an
+        optimiser holds, so an owner that pickles a model together with its
+        optimiser binds them again afterwards (the DDPG agent does)."""
         params = model.flat_parameters()
         if not params.size:
             raise ValueError("optimizer needs at least one parameter")
         self._flat = (params, model.flat_grads())
-        self.lr = lr
-        self._scratch = np.empty_like(params)
 
     def step(self) -> None:
         raise NotImplementedError

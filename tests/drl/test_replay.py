@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.drl.replay import Experience, ReplayBuffer
+from tests.drl import reference_replay as R
 
 
 def exp(i: int, k: int = 2) -> Experience:
@@ -131,3 +132,149 @@ class TestSampling:
         s, a, r, s2 = buf.sample_prioritized(batch, np.ones(12), rng)
         assert s.shape[0] == batch
         assert np.all(r >= 0) and np.all(r < 12)
+
+
+def _transitions(n: int, k: int = 2, seed: int = 0) -> list[Experience]:
+    """``n`` transitions with distinct rewards, so a batch's rewards name
+    the slots it drew."""
+    rng = np.random.default_rng(seed)
+    return [
+        Experience(rng.normal(size=3 * k), rng.normal(size=2 * k), float(i),
+                   rng.normal(size=3 * k))
+        for i in range(n)
+    ]
+
+
+class TestRingMatchesListReference:
+    """The columnar ring against the list-backed buffer it replaced
+    (``tests/drl/reference_replay.py``)."""
+
+    @staticmethod
+    def _pair(capacity: int, exps: list[Experience]):
+        ring, ref = ReplayBuffer(capacity), R.ReplayBuffer(capacity)
+        for e in exps:
+            ring.add(e)
+            ref.add(e)
+        return ring, ref
+
+    @staticmethod
+    def _assert_batches_equal(got, want):
+        assert len(got) == len(want) == 4
+        for g, w in zip(got, want):
+            assert g.dtype == w.dtype and g.shape == w.shape
+            np.testing.assert_array_equal(g, w)
+
+    @given(
+        capacity=st.integers(min_value=1, max_value=7),
+        n_adds=st.integers(min_value=1, max_value=20),
+        n_merge=st.integers(min_value=0, max_value=9),
+        batch=st.integers(min_value=1, max_value=9),
+        seed=st.integers(min_value=0, max_value=2**16),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_any_sequence_of_adds(self, capacity, n_adds, n_merge, batch, seed):
+        exps = _transitions(n_adds, seed=seed)
+        ring, ref = self._pair(capacity, exps)
+        assert len(ring) == len(ref) and ring._cursor == ref._cursor
+        self._assert_batches_equal(ring.snapshot(), ref.snapshot())
+
+        draws = {}
+        for name, buf in (("ring", ring), ("ref", ref)):
+            rng = np.random.default_rng(seed)
+            priorities = np.random.default_rng(seed + 1).random(len(buf))
+            draws[name] = (
+                buf.sample_uniform(batch, rng),
+                buf.sample_prioritized(batch, priorities, rng),
+                rng.bit_generator.state,
+            )
+        for got, want in zip(draws["ring"][:2], draws["ref"][:2]):
+            self._assert_batches_equal(got, want)
+        assert draws["ring"][2] == draws["ref"][2]
+
+        # merge: the other buffer's transitions arrive in its slot order.
+        other_exps = _transitions(n_merge, seed=seed + 2)
+        other_ring, other_ref = self._pair(4, other_exps)
+        ring.merge(other_ring)
+        ref.merge(other_ref)
+        assert len(other_ring) == min(n_merge, 4)  # the source is untouched
+        self._assert_batches_equal(ring.snapshot(), ref.snapshot())
+
+        # items() round trip: a fresh ring fed the items holds the same rows.
+        again = ReplayBuffer(capacity)
+        again.extend(ring.items())
+        self._assert_batches_equal(again.snapshot(), ring.snapshot())
+
+    def test_ranked_sampling_reuses_one_ranking(self):
+        """``train`` ranks once and draws many times: the same bits as
+        ranking on every draw."""
+        exps = _transitions(30)
+        ring, ref = self._pair(100, exps)
+        priorities = np.random.default_rng(4).random(30)
+        probs = ring.rank_probabilities(priorities)
+        rng_a, rng_b = np.random.default_rng(9), np.random.default_rng(9)
+        for _ in range(5):
+            self._assert_batches_equal(
+                ring.sample_ranked(16, probs, rng_a),
+                ref.sample_prioritized(16, priorities, rng_b),
+            )
+
+
+class TestRingStorage:
+    def test_columns_grow_with_use_not_capacity(self):
+        buf = ReplayBuffer(100_000)
+        buf.extend(_transitions(10, k=10))
+        assert sum(c.nbytes for c in buf._columns) < 1_000_000
+        assert len(buf) == 10
+
+    def test_columns_reach_but_never_pass_capacity(self):
+        buf = ReplayBuffer(20)
+        buf.extend(_transitions(50))
+        assert all(c.shape[0] == 20 for c in buf._columns)
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_columns_and_batches_keep_the_buffer_dtype(self, dtype):
+        buf = ReplayBuffer(10, dtype=dtype)
+        buf.extend(_transitions(6))
+        rng = np.random.default_rng(0)
+        for batch in (buf.snapshot(), buf.sample_uniform(4, rng),
+                      buf.sample_prioritized(4, np.ones(6), rng)):
+            assert all(col.dtype == dtype for col in batch)
+
+    def test_snapshot_is_a_read_only_view(self):
+        buf = ReplayBuffer(10)
+        buf.extend(_transitions(3))
+        s = buf.snapshot()[0]
+        assert np.shares_memory(s, buf._columns[0])
+        with pytest.raises(ValueError):
+            s[0, 0] = 1.0
+
+    def test_rejects_a_transition_of_another_shape(self):
+        buf = ReplayBuffer(10)
+        buf.add(exp(0, k=2))
+        with pytest.raises(ValueError, match="shape"):
+            buf.add(exp(1, k=3))
+
+
+class TestListBackedPickles:
+    """A buffer pickled before the ring (``_items`` list) unpickles into
+    columns, in its items' dtype, with the same slots and cursor."""
+
+    @pytest.mark.parametrize("n_adds", [0, 3, 9])
+    def test_unpickles_into_the_same_ring(self, n_adds):
+        ref = R.ReplayBuffer(5)
+        ref.extend(_transitions(n_adds))
+        # What unpickling a parent-commit buffer does: a bare instance,
+        # then __setstate__ with the list-backed attribute dict.
+        ring = ReplayBuffer.__new__(ReplayBuffer)
+        ring.__setstate__(dict(vars(ref)))
+        assert len(ring) == len(ref) and ring._cursor == ref._cursor
+        assert ring.capacity == 5 and ring.dtype == np.float64
+        if n_adds:
+            for got, want in zip(ring.snapshot(), ref.snapshot()):
+                np.testing.assert_array_equal(got, want)
+        # ...and keeps behaving like the reference afterwards.
+        more = _transitions(4, seed=8)
+        ring.extend(more)
+        ref.extend(more)
+        for got, want in zip(ring.snapshot(), ref.snapshot()):
+            np.testing.assert_array_equal(got, want)
