@@ -6,6 +6,12 @@ paper's "B times updating" loop: TD-prioritised batch sampling, a critic
 regression step toward ``r + gamma * Q'(s', pi'(s'))``, a deterministic
 policy-gradient ascent step on ``Q(s, pi(s))``, and ``rho``-soft target
 updates.
+
+The agent computes in float32 (:data:`AGENT_DTYPE`) whatever the
+substrate's dtype: its networks, Adam moments and replay columns.  States
+and actions are cast once, on the way into the policy (``act``) and into
+the replay buffer (``observe``); impact factors are sampled in float64
+from the float32 action (:func:`repro.drl.action.impact_factors_from_action`).
 """
 
 from __future__ import annotations
@@ -18,6 +24,11 @@ from repro.drl.action import add_exploration_noise
 from repro.drl.networks import hard_copy, make_policy_network, make_value_network, soft_update
 from repro.drl.replay import Experience, ReplayBuffer
 from repro.nn.optim import Adam
+
+#: The agent's compute dtype on every substrate dtype (PyTorch's default
+#: too).  Passed explicitly, not through the process-global default:
+#: two-stage pretraining builds worker agents on a thread pool.
+AGENT_DTYPE = np.dtype(np.float32)
 
 
 @dataclass
@@ -75,19 +86,17 @@ class DDPGAgent:
         self.n_clients = n_clients
         self.rng = rng if rng is not None else np.random.default_rng(0)
         c = self.config
-        self.policy_main = make_policy_network(
-            state_dim, n_clients, self.rng, hidden=c.hidden, beta=c.beta
-        )
-        self.policy_target = make_policy_network(
-            state_dim, n_clients, self.rng, hidden=c.hidden, beta=c.beta
-        )
-        self.value_main = make_value_network(state_dim, n_clients, self.rng, hidden=c.hidden)
-        self.value_target = make_value_network(state_dim, n_clients, self.rng, hidden=c.hidden)
+        policy = dict(hidden=c.hidden, beta=c.beta, dtype=AGENT_DTYPE)
+        value = dict(hidden=c.hidden, dtype=AGENT_DTYPE)
+        self.policy_main = make_policy_network(state_dim, n_clients, self.rng, **policy)
+        self.policy_target = make_policy_network(state_dim, n_clients, self.rng, **policy)
+        self.value_main = make_value_network(state_dim, n_clients, self.rng, **value)
+        self.value_target = make_value_network(state_dim, n_clients, self.rng, **value)
         hard_copy(self.policy_target, self.policy_main)
         hard_copy(self.value_target, self.value_main)
         self.policy_opt = Adam(self.policy_main, lr=c.policy_lr)
         self.value_opt = Adam(self.value_main, lr=c.value_lr)
-        self.buffer = ReplayBuffer(c.buffer_capacity)
+        self.buffer = ReplayBuffer(c.buffer_capacity, dtype=AGENT_DTYPE)
         self.noise_scale = c.noise_scale
         self.total_updates = 0
 
@@ -101,8 +110,8 @@ class DDPGAgent:
     # -- acting ---------------------------------------------------------------
     def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
         """Compute the (possibly noise-perturbed) action for ``state``."""
-        # Cast into the networks' compute dtype so the policy GEMMs are not
-        # promoted back to float64 under a float32 substrate.
+        # The networks' dtype, not AGENT_DTYPE: an agent restored from an
+        # older snapshot keeps the float64 networks it was saved with.
         state = np.asarray(state, dtype=self.policy_main.dtype).ravel()
         if state.shape[0] != self.state_dim:
             raise ValueError(
@@ -121,7 +130,8 @@ class DDPGAgent:
     def observe(
         self, state: np.ndarray, action: np.ndarray, reward: float, next_state: np.ndarray
     ) -> None:
-        """Store one transition in the replay buffer."""
+        """Store one transition; the buffer's columns cast it to the agent's
+        dtype."""
         self.buffer.add(Experience(state, action, reward, next_state))
 
     # -- learning ---------------------------------------------------------------
@@ -141,9 +151,7 @@ class DDPGAgent:
         c = self.config
         a2 = self.policy_target.forward(s2, training=False)
         q_next = self._q(self.value_target, s2, a2)
-        # Rewards arrive as float64 scalars; keep the TD target in the
-        # critic's dtype so the regression stays in one precision.
-        y = (r + c.gamma * q_next).astype(q_next.dtype, copy=False)
+        y = r + c.gamma * q_next
         q = self.value_main.forward(np.concatenate([s, a], axis=1), training=True).ravel()
         diff = q - y
         grad = (2.0 * diff / diff.shape[0])[:, None]

@@ -75,8 +75,10 @@ def make_policy_network(
     hidden: int = 256,
     n_hidden_layers: int = 2,
     beta: float = 0.5,
+    dtype=None,
 ) -> Sequential:
-    """The paper's pi-network: 3 FC layers (2 hidden + output) of 256 units."""
+    """The paper's pi-network: 3 FC layers (2 hidden + output) of 256 units,
+    in ``dtype`` (default: the substrate's)."""
     if state_dim <= 0:
         raise ValueError("state_dim must be positive")
     layers: list[Layer] = []
@@ -86,7 +88,7 @@ def make_policy_network(
         prev = hidden
     layers.append(Dense(prev, 2 * n_clients, rng, weight_init="xavier_uniform"))
     layers.append(GaussianPolicyHead(n_clients, beta=beta))
-    return Sequential(layers)
+    return Sequential(layers, dtype=dtype)
 
 
 def make_value_network(
@@ -95,8 +97,10 @@ def make_value_network(
     rng: np.random.Generator,
     hidden: int = 256,
     n_hidden_layers: int = 2,
+    dtype=None,
 ) -> Sequential:
-    """The paper's Q-network: input ``state ++ action``, 2x256 hidden, scalar out."""
+    """The paper's Q-network: input ``state ++ action``, 2x256 hidden, scalar
+    out, in ``dtype`` (default: the substrate's)."""
     if state_dim <= 0:
         raise ValueError("state_dim must be positive")
     in_dim = state_dim + 2 * n_clients
@@ -106,7 +110,7 @@ def make_value_network(
         layers += [Dense(prev, hidden, rng), LeakyReLU()]
         prev = hidden
     layers.append(Dense(prev, 1, rng, weight_init="xavier_uniform"))
-    return Sequential(layers)
+    return Sequential(layers, dtype=dtype)
 
 
 def soft_update(target: Sequential, main: Sequential, rho: float) -> None:

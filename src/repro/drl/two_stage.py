@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.drl.agent import DDPGAgent, DRLConfig
+from repro.drl.agent import AGENT_DTYPE, DDPGAgent, DRLConfig
 from repro.drl.env import Environment
 from repro.drl.replay import ReplayBuffer
 
@@ -95,7 +95,7 @@ def collect_worker_experience(
 
     with ThreadPoolExecutor(max_workers=threads) as pool:
         results = list(pool.map(run_one, range(n_workers)))
-    merged = ReplayBuffer(config.buffer_capacity)
+    merged = ReplayBuffer(config.buffer_capacity, dtype=AGENT_DTYPE)
     for result in results:
         merged.merge(result.buffer)
     return merged, results

@@ -102,8 +102,10 @@ def leaky_relu(x: np.ndarray, alpha: float = 0.01) -> np.ndarray:
 
 
 def leaky_relu_grad(x: np.ndarray, alpha: float = 0.01) -> np.ndarray:
-    """Derivative of LeakyReLU w.r.t. its input, evaluated at ``x``."""
-    return np.where(x >= 0, 1.0, alpha)
+    """Derivative of LeakyReLU w.r.t. its input, evaluated at ``x``, in
+    ``x``'s float dtype (a float64 mask would promote a float32 backward)."""
+    dtype = np.result_type(x, 1.0)
+    return np.where(x >= 0, dtype.type(1.0), dtype.type(alpha))
 
 
 def softplus(x: np.ndarray) -> np.ndarray:

@@ -18,7 +18,8 @@ collapse to single vectorised calls: ``set_flat_weights`` is one
 ``np.copyto``, ``get_flat_weights`` one copy, ``zero_grad`` one ``fill``,
 and the optimisers in :mod:`repro.nn.optim` step the entire model with one
 fused axpy over the arenas.  Arenas are allocated in the configured
-compute dtype (:func:`repro.nn.dtypes.get_default_dtype`).
+compute dtype (:func:`repro.nn.dtypes.get_default_dtype`) unless the model
+is built with an explicit ``dtype`` (the DDPG agent's float32 networks).
 
 A training step is ``train_batch`` (forward, loss, ``backward``) then
 ``optimizer.step()``.  ``backward`` writes the grad arena — it overwrites
@@ -33,7 +34,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.dtypes import get_default_dtype
+from repro.nn.dtypes import get_default_dtype, resolve_dtype
 from repro.nn.layers import Conv2D, Dense, Flatten, Layer
 from repro.nn.losses import Loss
 
@@ -55,22 +56,21 @@ def _head_index(layers: list[Layer]) -> int | None:
 class Sequential:
     """A plain stack of layers executed in order."""
 
-    def __init__(self, layers: list[Layer]) -> None:
+    def __init__(self, layers: list[Layer], dtype=None) -> None:
         if not layers:
             raise ValueError("Sequential needs at least one layer")
         self.layers = list(layers)
         self._head = _head_index(self.layers)
-        self._alloc_arenas()
+        self._alloc_arenas(get_default_dtype() if dtype is None else resolve_dtype(dtype))
 
     # -- arena construction --------------------------------------------------
-    def _alloc_arenas(self) -> None:
+    def _alloc_arenas(self, dtype: np.dtype) -> None:
         """Consolidate all layer state into contiguous arenas (see module doc).
 
         Layers allocate their own arrays at construction; this pass copies
         those values into the arenas and rebinds the layer dicts to views,
-        casting into the configured compute dtype.
+        casting into ``dtype``.
         """
-        dtype = get_default_dtype()
         n_params = sum(p.size for layer in self.layers for p in layer.params.values())
         n_buffers = sum(b.size for layer in self.layers for b in layer.buffers.values())
         self._values = np.empty(n_params + n_buffers, dtype=dtype)

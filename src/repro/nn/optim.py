@@ -19,11 +19,13 @@ stable for the flat weight views used by the FL aggregation code.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 #: Elements per block of the whole-arena updates (Adam here, the DDPG
 #: ``soft_update``): 128 KB of float64 per operand, so an Adam step's six
-#: operands stay in L2 across its fourteen passes.
+#: operands stay in L2 across its twelve passes.
 BLOCK = 16384
 
 
@@ -148,7 +150,13 @@ class Adam(Optimizer):
     """Adam; used for the DDPG policy/value networks (Table 1 LRs).
 
     The moment estimates are two flat arrays and the update runs block by
-    block (see the module doc).
+    block (see the module doc), in Kingma & Ba's one-divide form (their
+    §2, last paragraph): the bias corrections fold into the step size and
+    epsilon, ``p -= step * m / (sqrt(v) + eps_hat)`` with
+    ``step = lr * sqrt(1 - beta2^t) / (1 - beta1^t)`` and
+    ``eps_hat = eps * sqrt(1 - beta2^t)`` — algebraically
+    ``lr * m_hat / (sqrt(v_hat) + eps)``, with one array divide and one
+    sqrt per element.
     """
 
     def __init__(
@@ -170,8 +178,9 @@ class Adam(Optimizer):
 
     def step(self) -> None:
         self._t += 1
-        b1t = 1.0 - self.beta1**self._t
-        b2t = 1.0 - self.beta2**self._t
+        root_b2t = math.sqrt(1.0 - self.beta2**self._t)
+        step = self.lr * root_b2t / (1.0 - self.beta1**self._t)
+        eps_hat = self.eps * root_b2t
         # Same association order as the per-array reference loop, so both
         # are bit-identical (float multiply is commutative, not associative).
         for p, g, m, v in blocks(*self._flat, self._m, self._v):
@@ -183,11 +192,9 @@ class Adam(Optimizer):
             np.multiply(g, 1.0 - self.beta2, out=s1)
             s1 *= g
             v += s1
-            # p -= lr * (m / b1t) / (sqrt(v / b2t) + eps)
-            np.divide(m, b1t, out=s1)
-            s1 *= self.lr
-            np.divide(v, b2t, out=s2)
-            np.sqrt(s2, out=s2)
-            s2 += self.eps
+            # p -= step * m / (sqrt(v) + eps_hat)
+            np.sqrt(v, out=s2)
+            s2 += eps_hat
+            np.multiply(m, step, out=s1)
             s1 /= s2
             p -= s1

@@ -5,6 +5,8 @@ import pytest
 
 from repro.drl.agent import DDPGAgent, DRLConfig
 from repro.drl.env import QuadraticBanditEnv
+from repro.nn.dtypes import default_dtype
+from repro.nn.layers import Dense
 
 
 def make_agent(k=3, **cfg_kwargs):
@@ -200,3 +202,54 @@ class TestLearning:
         assert late > early  # reward increased
         final = agent.act(state, explore=False)
         assert np.linalg.norm(final[:3] - env.target) < 0.5
+
+
+class TestFloat32Agent:
+    """The agent computes in float32 whatever the substrate's dtype."""
+
+    @staticmethod
+    def trained_agent(substrate: str, monkeypatch=None, seen=None):
+        with default_dtype(substrate):
+            agent = make_agent()
+            rng = np.random.default_rng(5)
+            for _ in range(20):
+                s = rng.normal(size=9)
+                agent.observe(s, agent.act(s), float(rng.normal()), rng.normal(size=9))
+            if monkeypatch is not None:
+                forward, backward = Dense.forward, Dense.backward
+
+                def spy_forward(self, x, training=False):
+                    seen.add(("forward", x.dtype.name))
+                    return forward(self, x, training)
+
+                def spy_backward(self, grad, *args, **kwargs):
+                    seen.add(("backward", grad.dtype.name))
+                    return backward(self, grad, *args, **kwargs)
+
+                monkeypatch.setattr(Dense, "forward", spy_forward)
+                monkeypatch.setattr(Dense, "backward", spy_backward)
+            agent.train()
+        return agent
+
+    @pytest.mark.parametrize("substrate", ["float64", "float32"])
+    def test_networks_replay_and_every_dense_are_float32(self, substrate, monkeypatch):
+        seen: set = set()
+        agent = self.trained_agent(substrate, monkeypatch, seen)
+        f32 = np.dtype(np.float32)
+        nets = (agent.policy_main, agent.policy_target, agent.value_main, agent.value_target)
+        assert all(net.dtype == f32 for net in nets)
+        assert all(opt._m.dtype == opt._v.dtype == f32
+                   for opt in (agent.policy_opt, agent.value_opt))
+        assert all(column.dtype == f32 for column in agent.buffer._columns)
+        rng = np.random.default_rng(0)
+        for batch in (agent.buffer.sample_uniform(4, rng),
+                      agent.buffer.sample_prioritized(4, agent.td_priorities(), rng)):
+            assert all(part.dtype == f32 for part in batch)
+        # Every Dense input and output gradient in _critic_update and
+        # _actor_update (and the TD-priority pass) is float32.
+        assert seen == {("forward", "float32"), ("backward", "float32")}
+
+    def test_substrate_dtype_does_not_change_the_agent(self):
+        agents = [self.trained_agent(d) for d in ("float64", "float32")]
+        for name, weights in agents[0].network_weights().items():
+            np.testing.assert_array_equal(weights, agents[1].network_weights()[name])

@@ -172,12 +172,14 @@ GOLDEN: dict[str, str] = {
         "51bb13efe2f72c678dc1b74252c4c5f2a8e5d65e27f308d2db625c84ff12663a",
     "fedbuff-lazy-hier-krum":
         "cfc5d0f6058c6f22366dc0944f15791627d303de72ad0dc832d2885409ab0bd7",
+    # The three FedDRL cells moved once, with the float32 agent and Adam's
+    # one-divide form (old -> new listed in that commit's message).
     "sync-feddrl":
-        "31819197dec7dfdda261f5ef68b56d0e28b565bb9f3cac8675ea9dd6cc5234e1",
+        "c1ad55bfc7ea1d8abd6862c5b61b2b2d4a8250e4a118119eade88f0c5e128813",
     "sync-feddrl-hier":
-        "be4b5365bbe1a971aacfe4de936932dd8c5e4a5b9937f423b9e1697a3f8c32fd",
+        "f1ff4cdd28f83d3c4cc2c92a9ba2bcf79dd2ed668fcdd4fcd099e51258c2a5d0",
     "fedbuff-feddrl":
-        "23c1b9b05b9d0b0553179ebcfe4e518d32f645a1c736b6fd3a608ed37e6a3e11",
+        "87d290382ac50a5d207bf1744e38a9bbeba4b36bbc3aaf4d70de0785a11b962b",
     "fedbuff-hinge-staleness":
         "513c394935b2302ca10cf3f1817823a00fba9ad54c87834c567dfe9263292973",
 }

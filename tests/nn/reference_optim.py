@@ -10,6 +10,8 @@ bits), in float32 and float64.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 
@@ -63,7 +65,7 @@ class ProximalSGD(SGD):
 
 
 class Adam:
-    """Per-array Adam."""
+    """Per-array Adam in the arena step's one-divide form."""
 
     def __init__(self, parameters, lr=1e-3, beta1=0.9, beta2=0.999, eps=1e-8):
         self.parameters = list(parameters)
@@ -77,12 +79,31 @@ class Adam:
 
     def step(self) -> None:
         self._t += 1
+        root_b2t = math.sqrt(1.0 - self.beta2**self._t)
+        step = self.lr * root_b2t / (1.0 - self.beta1**self._t)
+        eps_hat = self.eps * root_b2t
+        for i, (p, g) in enumerate(self.parameters):
+            m, v = self._moments(i, g)
+            p -= step * m / (np.sqrt(v) + eps_hat)
+
+    def _moments(self, i, g):
+        m, v = self._m[i], self._v[i]
+        m *= self.beta1
+        m += (1.0 - self.beta1) * g
+        v *= self.beta2
+        v += (1.0 - self.beta2) * g * g
+        return m, v
+
+
+class AdamBiasCorrected(Adam):
+    """Per-array Adam with the bias-corrected moments divided out explicitly
+    (``lr * m_hat / (sqrt(v_hat) + eps)``, three divides per element): the
+    arena step's algebraic equal, an ``allclose`` oracle only."""
+
+    def step(self) -> None:
+        self._t += 1
         b1t = 1.0 - self.beta1**self._t
         b2t = 1.0 - self.beta2**self._t
         for i, (p, g) in enumerate(self.parameters):
-            m, v = self._m[i], self._v[i]
-            m *= self.beta1
-            m += (1.0 - self.beta1) * g
-            v *= self.beta2
-            v += (1.0 - self.beta2) * g * g
+            m, v = self._moments(i, g)
             p -= self.lr * (m / b1t) / (np.sqrt(v / b2t) + self.eps)

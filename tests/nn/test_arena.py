@@ -305,7 +305,9 @@ class TestGoldenHistory:
     GOLDEN = {
         ("fedavg", 6): "9e3c88434e4e8a6dda1b14c345dd9da74621f17eb55ef7bcd2aa63a3efc6c562",
         ("fedprox", 4): "71cd19bca655cf6301280dda61f44f2cbd5a7c82a06730ad62809aa4090d4028",
-        ("feddrl", 4): "5de1036a98bfee45e7d9ec81120605d3e1473e97adff0c9bbdefdd5e08dd18b0",
+        # Moved once: the DDPG agent computes in float32 and Adam steps in
+        # its one-divide form.
+        ("feddrl", 4): "16d514d990028018a88fda80c9909eddced63bbfa987eb7969fb43911a089669",
     }
 
     @pytest.mark.parametrize("method,rounds", sorted(GOLDEN))
