@@ -68,9 +68,9 @@ class ReplayBuffer:
         if items is None:
             self.__dict__.update(state)
             return
-        # A list-backed buffer pickled before the ring: its items fill the
-        # columns slot for slot, in their own dtype (that agent's).
-        self.__init__(state["capacity"], items[0].state.dtype if items else np.float64)
+        # A list-backed buffer pickled before the ring: its items (float64,
+        # as Experience holds them) fill the columns slot for slot.
+        self.__init__(state["capacity"])
         self.extend(items)
         self._cursor = state["_cursor"]
 

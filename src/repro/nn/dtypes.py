@@ -9,6 +9,10 @@ roughly halves memory bandwidth on the conv GEMMs and halves the
 process-backend IPC payload; the default stays float64 so existing
 results (and the tier-1 golden histories) are bit-identical.
 
+The one exception is the FedDRL server's DDPG agent, which computes in
+float32 under either setting: it builds its networks with an explicit
+``Sequential(..., dtype=)`` (:data:`repro.drl.agent.AGENT_DTYPE`).
+
 The dtype is process-global state, mirroring ``torch.set_default_dtype``:
 models, optimisers and datasets capture it at *allocation* time, so set it
 before building anything.  :class:`repro.runtime.executor.ProcessExecutor`
