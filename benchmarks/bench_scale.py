@@ -22,8 +22,16 @@ million clients fits in under 100 MB.
 
 ``BENCH_scale.json`` records, per N, the component timings, the
 per-round total, and ``FleetState.nbytes``, plus the headline
-``overhead_ratio_largest_vs_smallest``.  Run with ``--smoke`` for a
-seconds-long 1k/10k CI pass with the same JSON shape.
+``overhead_ratio_largest_vs_smallest``.
+
+The ``clock`` row times building a :class:`repro.runtime.clock.VirtualClock`
+(lognormal latency and lognormal bandwidth) at 10k / 100k / 1M clients,
+each in a fresh interpreter so its peak-RSS growth is the clock's alone;
+it carries its own host block.
+
+Run with ``--smoke`` for a seconds-long pass (fleet 1k/10k, clock 10k)
+with the same JSON shape; ``--only fleet`` / ``--only clock`` re-records
+one row of an existing ``--out`` file and leaves the rest untouched.
 """
 
 from __future__ import annotations
@@ -32,10 +40,12 @@ import argparse
 import json
 import os
 import platform
+import subprocess
 import sys
 import time
 
-sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
+SRC = os.path.join(os.path.dirname(os.path.abspath(__file__)), "..", "src")
+sys.path.insert(0, SRC)
 
 import numpy as np
 
@@ -118,50 +128,54 @@ def bench_population(n_clients: int, rounds: int) -> dict:
     }
 
 
-def main(argv=None) -> int:
-    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    parser.add_argument("--smoke", action="store_true",
-                        help="seconds-long 1k/10k pass with the same JSON shape")
-    parser.add_argument("--out", default=os.path.join(
-        os.path.dirname(__file__), "..", "BENCH_scale.json"))
-    args = parser.parse_args(argv)
+CLOCK_CHILD = """
+import json, resource, sys, time
+from repro.runtime.clock import VirtualClock, get_bandwidth_model, get_latency_model
+n = int(sys.argv[1])
+latency, bandwidth = get_latency_model("lognormal"), get_bandwidth_model("lognormal")
+rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+t0 = time.perf_counter()
+clock = VirtualClock(latency, n, seed=0, bandwidth=bandwidth)
+build_s = time.perf_counter() - t0
+rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+columns = (clock.compute_s, clock.upload_s, clock.download_s, clock.up_bps, clock.down_bps)
+print(json.dumps({
+    "n_clients": n,
+    "build_s": round(build_s, 4),
+    "peak_rss_growth_mb": round((rss1 - rss0) / 1024, 1),
+    "columns_mb": round(sum(c.nbytes for c in columns) / 2**20, 2),
+}))
+"""
 
-    if args.smoke:
+
+def bench_clock(n_clients: int) -> dict:
+    """Build one lognormal/lognormal clock in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", CLOCK_CHILD, str(n_clients)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return json.loads(out.stdout)
+
+
+def host_block() -> dict:
+    return {
+        "python": platform.python_version(),
+        "numpy": np.__version__,
+        "machine": platform.machine(),
+        "cpu_count": os.cpu_count(),
+        "affinity": len(os.sched_getaffinity(0)),
+    }
+
+
+def fleet_rows(smoke: bool) -> dict:
+    if smoke:
         populations, rounds = [1_000, 10_000], 64
     else:
         populations, rounds = [1_000, 100_000, 1_000_000], 128
-
-    t_start = time.perf_counter()
     sweep = [bench_population(n, rounds) for n in populations]
     smallest, largest = sweep[0], sweep[-1]
     ratio = largest["overhead_ms_per_round"] / smallest["overhead_ms_per_round"]
-
-    payload = {
-        "schema": "bench_scale/v1",
-        "smoke": args.smoke,
-        "seed": SEED,
-        "numpy": np.__version__,
-        "python": platform.python_version(),
-        "cpu_count": os.cpu_count(),
-        "scenario": {
-            "availability": "markov",
-            "offline_fraction": OFFLINE_FRACTION,
-            "churn_rate": CHURN_RATE,
-            "participants_per_round": K,
-            "per_client_samples": PER_CLIENT,
-            "rounds_per_slot": ROUNDS_PER_SLOT,
-        },
-        "sweep": sweep,
-        "overhead_ratio_largest_vs_smallest": round(ratio, 2),
-        "largest_state_mb": largest["state_mb"],
-        "bench_wall_s": round(time.perf_counter() - t_start, 2),
-    }
-    out_path = os.path.abspath(args.out)
-    with open(out_path, "w") as fh:
-        json.dump(payload, fh, indent=1)
-        fh.write("\n")
-
-    print(f"wrote {out_path}")
     for entry in sweep:
         print(f"N={entry['n_clients']:>9,}: "
               f"{entry['overhead_ms_per_round']:7.3f} ms/round "
@@ -172,6 +186,69 @@ def main(argv=None) -> int:
     print(f"overhead ratio {largest['n_clients']:,} vs "
           f"{smallest['n_clients']:,}: {ratio:.2f}x "
           f"(acceptance: <= 10x at fixed K={K})")
+    return {
+        "sweep": sweep,
+        "overhead_ratio_largest_vs_smallest": round(ratio, 2),
+        "largest_state_mb": largest["state_mb"],
+    }
+
+
+def clock_row(smoke: bool) -> dict:
+    populations = [10_000] if smoke else [10_000, 100_000, 1_000_000]
+    sweep = [bench_clock(n) for n in populations]
+    for entry in sweep:
+        print(f"clock N={entry['n_clients']:>9,}: build {entry['build_s']:.3f} s, "
+              f"peak RSS +{entry['peak_rss_growth_mb']} MB "
+              f"(columns {entry['columns_mb']} MB)")
+    return {"clock": {
+        "latency_model": "lognormal",
+        "bandwidth_model": "lognormal",
+        "host": host_block(),
+        "sweep": sweep,
+    }}
+
+
+def main(argv=None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--smoke", action="store_true",
+                        help="seconds-long 1k/10k pass with the same JSON shape")
+    parser.add_argument("--out", default=os.path.join(
+        os.path.dirname(__file__), "..", "BENCH_scale.json"))
+    parser.add_argument("--only", choices=("fleet", "clock"),
+                        help="re-record one row of an existing --out file")
+    args = parser.parse_args(argv)
+    out_path = os.path.abspath(args.out)
+
+    t_start = time.perf_counter()
+    if args.only is not None:
+        with open(out_path) as fh:
+            payload = json.load(fh)
+        payload.update(fleet_rows(args.smoke) if args.only == "fleet"
+                       else clock_row(args.smoke))
+    else:
+        payload = {
+            "schema": "bench_scale/v1",
+            "smoke": args.smoke,
+            "seed": SEED,
+            "numpy": np.__version__,
+            "python": platform.python_version(),
+            "cpu_count": os.cpu_count(),
+            "scenario": {
+                "availability": "markov",
+                "offline_fraction": OFFLINE_FRACTION,
+                "churn_rate": CHURN_RATE,
+                "participants_per_round": K,
+                "per_client_samples": PER_CLIENT,
+                "rounds_per_slot": ROUNDS_PER_SLOT,
+            },
+            **fleet_rows(args.smoke),
+            **clock_row(args.smoke),
+        }
+        payload["bench_wall_s"] = round(time.perf_counter() - t_start, 2)
+    with open(out_path, "w") as fh:
+        json.dump(payload, fh, indent=1)
+        fh.write("\n")
+    print(f"wrote {out_path}")
     return 0
 
 

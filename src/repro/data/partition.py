@@ -132,6 +132,8 @@ def iid_partition(
     """Uniformly random equal-size split (the IID control)."""
     labels = _check_args(labels, n_clients)
     perm = rng.permutation(labels.shape[0])
+    if perm.shape[0] % n_clients == 0:
+        return list(np.sort(perm.reshape(n_clients, -1), axis=1))
     return [np.sort(part) for part in np.array_split(perm, n_clients)]
 
 

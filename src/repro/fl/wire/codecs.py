@@ -39,8 +39,8 @@ HEADER_NBYTES = _HEADER.size
 
 _CODEC_IDS = {"dense": 0, "qsgd": 1, "topk": 2, "topk+qsgd": 3}
 _CODEC_NAMES = {v: k for k, v in _CODEC_IDS.items()}
-_DTYPE_CODES = {"float32": 0, "float64": 1}
-_DTYPE_NAMES = {v: np.dtype(k) for k, v in _DTYPE_CODES.items()}
+_DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
+_DTYPE_NAMES = {v: k for k, v in _DTYPE_CODES.items()}
 
 # Accepted codec names (the config vocabulary).  Bare "qsgd" /
 # "topk+qsgd" resolve their bit width from the quant_bits knob.
@@ -53,10 +53,10 @@ DEFAULT_CHUNK = 4096
 
 
 def _dtype_code(dtype) -> int:
-    name = np.dtype(dtype).name
-    if name not in _DTYPE_CODES:
-        raise ValueError(f"wire codecs carry float32/float64 arenas, got {name}")
-    return _DTYPE_CODES[name]
+    code = _DTYPE_CODES.get(np.dtype(dtype))
+    if code is None:
+        raise ValueError(f"wire codecs carry float32/float64 arenas, got {np.dtype(dtype).name}")
+    return code
 
 
 def _index_nbytes(dim: int) -> int:

@@ -108,6 +108,8 @@ class WireFormat:
         self.error_feedback = error_feedback
         self.ef = ErrorFeedback()
         self.stats = WireStats()
+        # (dim, dtype) -> (upload, dense) bytes; one shape per run.
+        self._size_key = self._sizes = None
 
     @property
     def lossless(self) -> bool:
@@ -145,11 +147,13 @@ class WireFormat:
         global weight vector the client trained from.  Returns the
         server-side reconstruction and the exact payload byte size.
         """
-        dim = update.weights.shape[0]
-        dtype = update.weights.dtype
-        nbytes = self.upload_nbytes(dim, dtype)
+        key = (update.weights.shape[0], update.weights.dtype)
+        if key != self._size_key:
+            self._size_key = key
+            self._sizes = (self.upload_nbytes(*key), self.download_nbytes(*key))
+        nbytes, dense_nbytes = self._sizes
         self.stats.bytes_up += nbytes
-        self.stats.dense_bytes_up += self.download_nbytes(dim, dtype)
+        self.stats.dense_bytes_up += dense_nbytes
         self.stats.uploads += 1
         if self.lossless:
             # Passthrough: reconstructing anchor + (w - anchor) would

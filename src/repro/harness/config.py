@@ -515,13 +515,6 @@ class ExperimentConfig:
                 "singleset is centralized training — fault injection and "
                 "checkpointing apply to the federated engines only"
             )
-        if self.method == "feddrl" and (
-            self.checkpoint_path is not None or self.resume is not None
-        ):
-            raise ValueError(
-                "feddrl checkpointing is unsupported: the DRL agent's "
-                "replay buffer and network state are not snapshotted yet"
-            )
 
     def _validate_wire(self) -> None:
         if self.codec not in VALID_CODECS:

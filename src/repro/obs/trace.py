@@ -312,6 +312,7 @@ def chrome_events(records: list[dict]) -> list[dict]:
     order — deterministic, because record order is.
     """
     tids: dict[tuple[int, str], int] = {}
+    n_tracks = {_SIM_PID: 0, _WALL_PID: 0}
     events: list[dict] = [
         {"ph": "M", "name": "process_name", "pid": _SIM_PID, "tid": 0,
          "args": {"name": "simulated time"}},
@@ -323,7 +324,7 @@ def chrome_events(records: list[dict]) -> list[dict]:
     def tid_for(pid: int, track: str) -> int:
         key = (pid, track)
         if key not in tids:
-            tids[key] = len([k for k in tids if k[0] == pid]) + 1
+            tids[key] = n_tracks[pid] = n_tracks[pid] + 1
             events.append({
                 "ph": "M", "name": "thread_name", "pid": pid, "tid": tids[key],
                 "args": {"name": track},

@@ -3,13 +3,18 @@
 The paper's setting is a fleet of heterogeneous edge devices, but the
 reproduction's real wall-clock only measures this host.  The virtual
 clock decouples *simulated* time from *execution* time, in the spirit of
-FLGo's ``system_simulator``: every client gets a :class:`DeviceProfile`
-(per-batch compute latency plus upload/download cost) drawn from a
+FLGo's ``system_simulator``: every client gets a per-batch compute
+latency plus upload/download cost scaled by a factor drawn from a
 :class:`LatencyModel`, a configurable fraction of clients are stragglers
 slowed by a constant factor, and each round's simulated makespan is the
 slowest participant — optionally clipped by a round deadline that either
 *waits* for stragglers (pure bookkeeping) or *drops* their updates before
 aggregation (changing the training trajectory, as a real deadline would).
+
+The fleet is columnar: one float64 column per trait (compute, upload,
+download seconds; link rates), each drawn in one vectorised pass, so a
+million-client clock costs arrays, not objects; ``profile(cid)`` builds
+one client's :class:`DeviceProfile` on demand.
 
 Per-round latency jitter is keyed on ``(round, client)`` through
 :mod:`repro.runtime.seeding`, so simulated timings are identical under
@@ -19,16 +24,12 @@ every execution backend and worker count.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from repro.runtime.seeding import (
-    STREAM_LATENCY,
-    STREAM_WIRE,
-    client_round_rng,
-    client_static_rng,
-)
+from repro.runtime import vecrng
+from repro.runtime.seeding import STREAM_LATENCY, STREAM_WIRE, client_round_rng
 
 LATENCY_MODELS = ("homogeneous", "uniform", "lognormal")
 BANDWIDTH_MODELS = ("homogeneous", "uniform", "lognormal")
@@ -65,11 +66,12 @@ def n_local_batches(n_samples: int, epochs: int, batch_size: int) -> int:
 
 
 class LatencyModel:
-    """Draws one :class:`DeviceProfile` per client at clock construction."""
+    """Draws one factor per client that scales ``base``'s latencies."""
 
     name: str = "base"
+    base: HomogeneousLatency
 
-    def profiles(self, n_clients: int, rng: np.random.Generator) -> list[DeviceProfile]:
+    def factors(self, n_clients: int, rng: np.random.Generator) -> np.ndarray:
         raise NotImplementedError
 
 
@@ -88,11 +90,12 @@ class HomogeneousLatency(LatencyModel):
         self.upload_s = upload_s
         self.download_s = download_s
 
-    def profiles(self, n_clients: int, rng: np.random.Generator) -> list[DeviceProfile]:
-        return [
-            DeviceProfile(self.compute_s_per_batch, self.upload_s, self.download_s)
-            for _ in range(n_clients)
-        ]
+    @property
+    def base(self) -> HomogeneousLatency:
+        return self
+
+    def factors(self, n_clients: int, rng: np.random.Generator) -> np.ndarray:
+        return np.ones(n_clients)
 
 
 class UniformLatency(LatencyModel):
@@ -112,16 +115,8 @@ class UniformLatency(LatencyModel):
         self.low = low
         self.high = high
 
-    def profiles(self, n_clients: int, rng: np.random.Generator) -> list[DeviceProfile]:
-        factors = rng.uniform(self.low, self.high, size=n_clients)
-        return [
-            DeviceProfile(
-                self.base.compute_s_per_batch * f,
-                self.base.upload_s * f,
-                self.base.download_s * f,
-            )
-            for f in factors
-        ]
+    def factors(self, n_clients: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.uniform(self.low, self.high, size=n_clients)
 
 
 class LogNormalLatency(LatencyModel):
@@ -135,16 +130,8 @@ class LogNormalLatency(LatencyModel):
         self.base = base or HomogeneousLatency()
         self.sigma = sigma
 
-    def profiles(self, n_clients: int, rng: np.random.Generator) -> list[DeviceProfile]:
-        factors = rng.lognormal(mean=0.0, sigma=self.sigma, size=n_clients)
-        return [
-            DeviceProfile(
-                self.base.compute_s_per_batch * f,
-                self.base.upload_s * f,
-                self.base.download_s * f,
-            )
-            for f in factors
-        ]
+    def factors(self, n_clients: int, rng: np.random.Generator) -> np.ndarray:
+        return rng.lognormal(mean=0.0, sigma=self.sigma, size=n_clients)
 
 
 def get_latency_model(name: str, **kwargs) -> LatencyModel:
@@ -160,12 +147,13 @@ def get_latency_model(name: str, **kwargs) -> LatencyModel:
 
 
 class BandwidthModel:
-    """Draws one ``(up_bps, down_bps)`` link per client.
+    """Draws one link-quality factor per client.
 
     Link quality is a *device trait*, so each client's draw comes from
     its static ``(client, STREAM_WIRE)`` RNG cell — a pure function of
     the experiment seed and the client id, independent of how many
-    clients exist or the order profiles are built in.
+    clients exist.  One factor scales both directions: a client on a bad
+    link is slow both ways.
     """
 
     name: str = "base"
@@ -176,15 +164,13 @@ class BandwidthModel:
         self.up_bps = up_bps
         self.down_bps = down_bps
 
-    def _factor(self, rng: np.random.Generator) -> float:
+    def factors(self, n_clients: int, base_seed: int) -> np.ndarray:
         raise NotImplementedError
 
-    def rates(self, n_clients: int, base_seed: int) -> list[tuple[float, float]]:
-        out = []
-        for cid in range(n_clients):
-            f = self._factor(client_static_rng(base_seed, cid, STREAM_WIRE))
-            out.append((self.up_bps * f, self.down_bps * f))
-        return out
+    def rates(self, n_clients: int, base_seed: int) -> tuple[np.ndarray, np.ndarray]:
+        """``(up_bps, down_bps)`` columns, one entry per client."""
+        f = self.factors(n_clients, base_seed)
+        return self.up_bps * f, self.down_bps * f
 
 
 class HomogeneousBandwidth(BandwidthModel):
@@ -192,16 +178,12 @@ class HomogeneousBandwidth(BandwidthModel):
 
     name = "homogeneous"
 
-    def _factor(self, rng: np.random.Generator) -> float:
-        return 1.0
+    def factors(self, n_clients: int, base_seed: int) -> np.ndarray:
+        return np.ones(n_clients)
 
 
 class UniformBandwidth(BandwidthModel):
-    """Link quality spread uniformly over a bounded multiplier range.
-
-    One factor scales both directions: a client on a bad link is slow
-    both ways.
-    """
+    """Link quality spread uniformly over a bounded multiplier range."""
 
     name = "uniform"
 
@@ -214,8 +196,10 @@ class UniformBandwidth(BandwidthModel):
         self.low = low
         self.high = high
 
-    def _factor(self, rng: np.random.Generator) -> float:
-        return float(rng.uniform(self.low, self.high))
+    def factors(self, n_clients: int, base_seed: int) -> np.ndarray:
+        # Generator.uniform(low, high) is exactly low + (high - low) * u.
+        u = vecrng.spawn_key_uniforms(base_seed, (np.arange(n_clients), STREAM_WIRE))
+        return self.low + (self.high - self.low) * u
 
 
 class LogNormalBandwidth(BandwidthModel):
@@ -229,8 +213,9 @@ class LogNormalBandwidth(BandwidthModel):
             raise ValueError("sigma must be positive")
         self.sigma = sigma
 
-    def _factor(self, rng: np.random.Generator) -> float:
-        return float(rng.lognormal(mean=0.0, sigma=self.sigma))
+    def factors(self, n_clients: int, base_seed: int) -> np.ndarray:
+        cells = (np.arange(n_clients), STREAM_WIRE)
+        return vecrng.spawn_key_draws(base_seed, cells, "lognormal", 0.0, self.sigma)
 
 
 def get_bandwidth_model(
@@ -301,18 +286,17 @@ class VirtualClock:
             raise ValueError("policy='drop' requires a deadline_s")
         rng = np.random.default_rng(seed)
         self.seed = seed
-        self.profiles = latency_model.profiles(n_clients, rng)
-        if bandwidth is not None:
-            # Attach per-client link rates without disturbing the latency
-            # model's own draw sequence (rates come from static RNG cells,
-            # not from `rng`), so adding bandwidth never reshuffles the
-            # device profiles or the straggler choice below.
-            self.profiles = [
-                replace(p, up_bps=up, down_bps=down)
-                for p, (up, down) in zip(
-                    self.profiles, bandwidth.rates(n_clients, seed)
-                )
-            ]
+        f = latency_model.factors(n_clients, rng)
+        base = latency_model.base
+        self.compute_s = base.compute_s_per_batch * f
+        self.upload_s = base.upload_s * f
+        self.download_s = base.download_s * f
+        # Link rates come from static RNG cells, not from `rng`, so adding
+        # bandwidth never reshuffles the latency draw or the straggler
+        # choice below.
+        self.up_bps, self.down_bps = (
+            (None, None) if bandwidth is None else bandwidth.rates(n_clients, seed)
+        )
         n_stragglers = int(round(straggler_fraction * n_clients))
         self.stragglers = set(
             rng.choice(n_clients, size=n_stragglers, replace=False).tolist()
@@ -350,6 +334,16 @@ class VirtualClock:
             raise ValueError("cannot charge negative recovery time")
         self.fault_recovery_s += seconds
 
+    def profile(self, client_id: int) -> DeviceProfile:
+        """One client's static latency and link traits."""
+        return DeviceProfile(
+            self.compute_s.item(client_id),
+            self.upload_s.item(client_id),
+            self.download_s.item(client_id),
+            None if self.up_bps is None else self.up_bps.item(client_id),
+            None if self.down_bps is None else self.down_bps.item(client_id),
+        )
+
     def _phases(
         self,
         client_id: int,
@@ -360,18 +354,19 @@ class VirtualClock:
         """Raw (unjittered, un-slowed) phase times for one client's round.
 
         Comm phases are ``bytes / rate`` when both a payload size and a
-        link rate exist; otherwise the profile's fixed constants — so
+        link rate exist; otherwise the fixed per-client constants — so
         runs without the wire subsystem (or without a bandwidth model)
         are byte-blind exactly as before.
         """
-        profile = self.profiles[client_id]
-        download = profile.download_s
-        upload = profile.upload_s
-        if download_bytes is not None and profile.down_bps is not None:
-            download = download_bytes / profile.down_bps
-        if upload_bytes is not None and profile.up_bps is not None:
-            upload = upload_bytes / profile.up_bps
-        return download, n_batches * profile.compute_s_per_batch, upload
+        if download_bytes is not None and self.down_bps is not None:
+            download = download_bytes / self.down_bps.item(client_id)
+        else:
+            download = self.download_s.item(client_id)
+        if upload_bytes is not None and self.up_bps is not None:
+            upload = upload_bytes / self.up_bps.item(client_id)
+        else:
+            upload = self.upload_s.item(client_id)
+        return download, n_batches * self.compute_s.item(client_id), upload
 
     def client_time(
         self,

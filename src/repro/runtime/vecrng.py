@@ -22,8 +22,9 @@ cell in a fleet-sized batch, bit-identical to the scalar path:
 * ``generate_state(4, uint64)`` — the ``INIT_B``/``MULT_B`` output pass
   cycling over the pool.
 * PCG64 seeding plus the first ``next64`` — ``srandom`` performs two LCG
-  steps and the first draw a third, all with the same 128-bit affine
-  map, so the three steps fold into one closed form::
+  steps (:func:`spawn_key_states` stops there, for draws that need a
+  repositioned ``Generator``) and the first draw a third, all with the
+  same 128-bit affine map; :class:`CellBatchKernel` folds the three::
 
       state_3 = initstate * M^2  +  initseq * (2 * C)  +  C      (mod 2^128)
       C       = M^2 + M + 1,  initseq term expands inc = 2*initseq + 1
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["spawn_key_uniforms", "CellBatchKernel"]
+__all__ = ["spawn_key_uniforms", "spawn_key_states", "spawn_key_draws", "CellBatchKernel"]
 
 _POOL_SIZE = 4
 _U32 = 0xFFFFFFFF
@@ -239,15 +240,16 @@ def _add128(hi1, lo1, hi2, lo2) -> tuple[np.ndarray, np.ndarray]:
     return hi, lo
 
 
-def spawn_key_uniforms(base_seed: int, spawn_key: tuple) -> np.ndarray:
-    """First ``Generator.random()`` double of every spawn-key cell.
+def spawn_key_states(base_seed: int, spawn_key: tuple) -> tuple[np.ndarray, ...]:
+    """Every cell's seeded PCG64 ``(state, inc)`` as uint64 halves.
 
     ``spawn_key`` is the tuple passed to ``SeedSequence(entropy=base_seed,
     spawn_key=...)`` with exactly one component being a 1-D integer array
     (the vectorized coordinate, each value < 2**32); the rest are scalar
-    ints.  Returns one float64 per array element, bit-identical to::
-
-        default_rng(SeedSequence(base_seed, spawn_key=cell)).random()
+    ints.  Returns ``(state_hi, state_lo, inc_hi, inc_lo)``, equal to
+    ``default_rng(SeedSequence(base_seed, spawn_key=cell)).bit_generator
+    .state`` per cell: ``srandom`` sets ``inc = 2*initseq + 1`` and
+    ``state = (initstate + inc) * M + inc``.
     """
     arrays = [c for c in spawn_key if isinstance(c, np.ndarray)]
     if len(arrays) != 1:
@@ -256,11 +258,9 @@ def spawn_key_uniforms(base_seed: int, spawn_key: tuple) -> np.ndarray:
     if ids.ndim != 1:
         raise ValueError("the array spawn-key component must be 1-D")
     n = ids.shape[0]
-    if n == 0:
-        return np.empty(0, dtype=np.float64)
     if ids.dtype != np.uint32:
         as64 = ids.astype(np.int64, copy=False)
-        if as64.min() < 0 or as64.max() > _U32:
+        if n and (as64.min() < 0 or as64.max() > _U32):
             raise ValueError("array spawn-key values must fit in uint32")
         ids = as64.astype(np.uint32)
     key = tuple(ids if isinstance(c, np.ndarray) else int(c) for c in spawn_key)
@@ -270,18 +270,23 @@ def spawn_key_uniforms(base_seed: int, spawn_key: tuple) -> np.ndarray:
     # generate_state packs uint32 pairs little-endian into uint64; PCG64
     # reads val[0:2] as the *high/low* halves of initstate, val[2:4] of
     # initseq.
-    s_hi = _pair_u64(words[0], words[1], n)
-    s_lo = _pair_u64(words[2], words[3], n)
-    i_hi = _pair_u64(words[4], words[5], n)
-    i_lo = _pair_u64(words[6], words[7], n)
+    s_hi, s_lo, i_hi, i_lo = (_pair_u64(words[k], words[k + 1], n) for k in range(0, 8, 2))
+    inc_hi = (i_hi << np.uint64(1)) | (i_lo >> _S63)
+    inc_lo = (i_lo << np.uint64(1)) | np.uint64(1)
+    m_hi, m_lo = _mul128_const(*_add128(s_hi, s_lo, inc_hi, inc_lo), _PCG_MULT)
+    return (*_add128(m_hi, m_lo, inc_hi, inc_lo), inc_hi, inc_lo)
 
-    t_hi, t_lo = _mul128_const(s_hi, s_lo, _MULT_SQ)
-    q_hi, q_lo = _mul128_const(i_hi, i_lo, _SEQ_MULT)
-    st_hi, st_lo = _add128(t_hi, t_lo, q_hi, q_lo)
-    prev_lo = st_lo.copy()
-    st_lo += np.uint64(_STEP_ADD & _U64)
-    st_hi += np.uint64(_STEP_ADD >> 64)
-    st_hi += st_lo < prev_lo  # carry
+
+def spawn_key_uniforms(base_seed: int, spawn_key: tuple) -> np.ndarray:
+    """First ``Generator.random()`` double of every spawn-key cell.
+
+    ``spawn_key`` is as for :func:`spawn_key_states`.  Returns one float64
+    per array element, bit-identical to::
+
+        default_rng(SeedSequence(base_seed, spawn_key=cell)).random()
+    """
+    st_hi, st_lo, inc_hi, inc_lo = spawn_key_states(base_seed, spawn_key)
+    st_hi, st_lo = _add128(*_mul128_const(st_hi, st_lo, _PCG_MULT), inc_hi, inc_lo)
 
     # xsl-rr output permutation of the 128-bit state, then the standard
     # 53-bit double conversion.
@@ -290,6 +295,33 @@ def spawn_key_uniforms(base_seed: int, spawn_key: tuple) -> np.ndarray:
     out = (xored >> rot) | (xored << ((np.uint64(64) - rot) & _S63))
     np.right_shift(out, _S11, out=out)
     return out * _INV_2_53
+
+
+_DRAW_CHUNK = 1 << 16
+
+
+def spawn_key_draws(base_seed: int, spawn_key: tuple, method: str, *args) -> np.ndarray:
+    """``default_rng(SeedSequence(base_seed, spawn_key=cell)).<method>(*args)``
+    for every cell, bit for bit, without building a generator per cell:
+    one ``Generator`` is repositioned to each :func:`spawn_key_states` state
+    (for draws like a ziggurat normal that use a data-dependent word count).
+    """
+    (axis,) = [i for i, c in enumerate(spawn_key) if isinstance(c, np.ndarray)]
+    ids = spawn_key[axis]
+    bitgen = np.random.PCG64()
+    draw = getattr(np.random.Generator(bitgen), method)
+    cell: dict = {}
+    state = {"bit_generator": "PCG64", "state": cell, "has_uint32": 0, "uinteger": 0}
+    out = np.empty(ids.shape[0])
+    # Chunked so the per-cell Python ints stay small at a million cells.
+    for lo in range(0, ids.shape[0], _DRAW_CHUNK):
+        key = spawn_key[:axis] + (ids[lo:lo + _DRAW_CHUNK],) + spawn_key[axis + 1:]
+        halves = [w.tolist() for w in spawn_key_states(base_seed, key)]
+        for j, (sh, sl, ih, il) in enumerate(zip(*halves), lo):
+            cell["state"], cell["inc"] = sh << 64 | sl, ih << 64 | il
+            bitgen.state = state
+            out[j] = draw(*args)
+    return out
 
 
 def _hash_const_at(call_index: int) -> int:

@@ -80,6 +80,20 @@ class TestCommonInvariants:
 
 
 class TestIID:
+    @pytest.mark.parametrize("n,n_clients", [(1000, 10), (1000, 1000), (1000, 1),
+                                             (1003, 10), (999, 7), (12, 5)])
+    def test_matches_per_piece_sort(self, n, n_clients):
+        """Even splits sort one reshaped block; the parts must equal the
+        per-piece ``array_split`` + ``sort`` form exactly."""
+        labels = np.zeros(n, dtype=np.int64)
+        parts = iid_partition(labels, n_clients, np.random.default_rng(n))
+        perm = np.random.default_rng(n).permutation(n)
+        want = [np.sort(p) for p in np.array_split(perm, n_clients)]
+        assert len(parts) == len(want)
+        for got, ref in zip(parts, want):
+            assert got.dtype == ref.dtype
+            assert np.array_equal(got, ref)
+
     def test_full_coverage(self):
         labels = labels_balanced()
         parts = iid_partition(labels, 7, np.random.default_rng(0))

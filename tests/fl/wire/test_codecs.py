@@ -211,3 +211,21 @@ class TestGetCodec:
         assert dense / get_codec("qsgd4").payload_nbytes(dim, dtype) > 7
         ratio = dense / get_codec("topk+qsgd8", topk_frac=0.05).payload_nbytes(dim, dtype)
         assert ratio > 10
+
+
+# Plain top-k sizes its values by itemsize alone and never checked dtype.
+@pytest.mark.parametrize("name", [n for n in WIRE_CODECS if n != "topk"])
+@pytest.mark.parametrize("dtype", [np.int32, "float16", np.dtype(np.int64)])
+def test_non_float_dtype_rejected(name, dtype):
+    codec = get_codec(name)
+    with pytest.raises(ValueError, match=(
+        f"wire codecs carry float32/float64 arenas, got {np.dtype(dtype).name}$"
+    )):
+        codec.payload_nbytes(64, dtype)
+
+
+@pytest.mark.parametrize("dtype", DTYPES + [np.float32, np.dtype("float64")])
+def test_dtype_spellings_agree(dtype):
+    sizes = {get_codec(name).payload_nbytes(340, dtype) for name in WIRE_CODECS}
+    ref = {get_codec(name).payload_nbytes(340, np.dtype(dtype).name) for name in WIRE_CODECS}
+    assert sizes == ref

@@ -102,6 +102,24 @@ class TestStats:
         assert wire.stats.dense_bytes_up == 4 * wire.download_nbytes(dim, dtype)
         assert wire.stats.compression_ratio() > 5
 
+    @pytest.mark.parametrize("codec", ["dense", "topk+qsgd8"])
+    def test_ledger_follows_shape_changes(self, codec):
+        """Sizes are cached per (dim, dtype); a new shape recomputes them."""
+        wire = _wire(codec)
+        expect_up = expect_dense = 0
+        shapes = [(50, np.float64), (50, np.float64), (70, np.float64),
+                  (70, np.float32), (50, np.float64)]
+        for cid, (dim, dtype) in enumerate(shapes):
+            w = np.random.default_rng(dim).standard_normal(dim).astype(dtype)
+            update = ClientUpdate(client_id=cid, weights=w, loss_before=1.0,
+                                  loss_after=0.5, n_samples=10)
+            _, nbytes = wire.transmit(update, 0, np.zeros(dim, dtype))
+            assert nbytes == wire.upload_nbytes(dim, dtype)
+            expect_up += nbytes
+            expect_dense += wire.download_nbytes(dim, dtype)
+        assert wire.stats.bytes_up == expect_up
+        assert wire.stats.dense_bytes_up == expect_dense
+
     def test_ratio_is_identity_before_any_upload(self):
         assert _wire("topk").stats.compression_ratio() == 1.0
 

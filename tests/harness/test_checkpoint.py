@@ -191,8 +191,9 @@ class TestConfigValidation:
             ExperimentConfig(checkpoint_every=0, checkpoint_path="x")
         with pytest.raises(ValueError, match="checkpoint_path"):
             ExperimentConfig(checkpoint_every=2)
-        with pytest.raises(ValueError, match="feddrl"):
-            ExperimentConfig(method="feddrl", checkpoint_path="x")
+        # The DRL agent pickles with the engine, so FedDRL checkpoints too.
+        assert ExperimentConfig(method="feddrl", checkpoint_path="x").resume is None
+        assert ExperimentConfig(method="feddrl", resume="x").resume == "x"
 
     def test_faults_active_property(self):
         assert not ExperimentConfig().faults_active
@@ -237,6 +238,28 @@ class TestResumeEndToEnd:
         monkeypatch.undo()
 
         resumed = run_experiment(fast_cfg(aggregation, resume=ck))
+        assert history_digest(resumed.history) == clean
+        assert resumed.extra["resumed_from"] == ck
+
+    @pytest.mark.parametrize("topology", ["flat", "hier"])
+    def test_feddrl_interrupted_resume_matches_uninterrupted(
+        self, topology, tmp_path, monkeypatch
+    ):
+        """The agent's networks, optimiser state and replay ring ride in
+        the snapshot: a crashed FedDRL run resumes bit-identically."""
+        cfg = ExperimentConfig(
+            method="feddrl", **FAST, latency_model="lognormal",
+            drl_updates_per_round=2, topology=topology,
+        ).with_(rounds=6)
+        clean = history_digest(run_experiment(cfg).history)
+
+        ck = str(tmp_path / "run.ckpt")
+        interrupt_after_saves(monkeypatch, 3)
+        with pytest.raises(_Interrupted):
+            run_experiment(cfg.with_(checkpoint_path=ck))
+        monkeypatch.undo()
+
+        resumed = run_experiment(cfg.with_(resume=ck))
         assert history_digest(resumed.history) == clean
         assert resumed.extra["resumed_from"] == ck
 

@@ -12,10 +12,12 @@ from repro.obs.trace import (
     CAT_WINDOW,
     TRACE_SCHEMA,
     Tracer,
+    _json_default,
     chrome_events,
     read_trace,
     validate_record,
 )
+from tests.obs import reference_trace as R
 
 
 class TestTracerBuffer:
@@ -166,3 +168,27 @@ class TestExports:
         }
         assert names["server"] == 1
         assert names["client/0"] == 2
+
+
+def test_chrome_json_matches_reference_converter():
+    """Many client tracks, interleaved across both clock domains, some
+    records in one domain only: byte-identical Chrome JSON."""
+    tr = Tracer()
+    for i in range(400):
+        cid = (i * 37) % 150
+        tr.span("local_train", CAT_COMPUTE, track=f"client/{cid}",
+                sim_t0=float(i), sim_dur=0.5,
+                wall_t0=1e9 + i if i % 3 else None, wall_dur=0.01)
+        if i % 5 == 0:
+            tr.instant("drop", CAT_FLEET, track=f"client/{cid + 1000}",
+                       wall_t=1e9 + i, sim_t=None if i % 2 else float(i))
+        if i % 50 == 0:
+            with tr.wall_span("aggregate", CAT_AGGREGATION, track=f"worker/{i}"):
+                pass
+            tr.metrics.inc("sim.rounds")
+            tr.snapshot_metrics(sim_t=float(i))
+
+    def dump(events):
+        return json.dumps(events, default=_json_default)
+
+    assert dump(chrome_events(tr.records)) == dump(R.reference_chrome_events(tr.records))

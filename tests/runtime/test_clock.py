@@ -26,14 +26,14 @@ class TestHelpers:
 
 class TestLatencyModels:
     def test_homogeneous_identical(self):
-        profiles = HomogeneousLatency().profiles(5, np.random.default_rng(0))
-        assert len(set(profiles)) == 1
+        factors = HomogeneousLatency().factors(5, np.random.default_rng(0))
+        assert factors.tolist() == [1.0] * 5
 
     @pytest.mark.parametrize("name", ["homogeneous", "uniform", "lognormal"])
     def test_registry(self, name):
         model = get_latency_model(name)
         assert model.name == name
-        assert len(model.profiles(8, np.random.default_rng(0))) == 8
+        assert model.factors(8, np.random.default_rng(0)).shape == (8,)
 
     def test_registry_rejects_unknown(self):
         with pytest.raises(ValueError):
@@ -41,15 +41,13 @@ class TestLatencyModels:
 
     def test_uniform_bounded(self):
         base = HomogeneousLatency(compute_s_per_batch=1.0, upload_s=0.0, download_s=0.0)
-        profiles = UniformLatency(base, low=0.5, high=2.0).profiles(
-            100, np.random.default_rng(0)
-        )
-        assert all(0.5 <= p.compute_s_per_batch <= 2.0 for p in profiles)
+        clock = VirtualClock(UniformLatency(base, low=0.5, high=2.0), 100)
+        assert all(0.5 <= clock.profile(c).compute_s_per_batch <= 2.0
+                   for c in range(100))
 
     def test_lognormal_spreads(self):
-        profiles = LogNormalLatency(sigma=1.0).profiles(100, np.random.default_rng(0))
-        speeds = [p.compute_s_per_batch for p in profiles]
-        assert max(speeds) / min(speeds) > 2.0
+        speeds = VirtualClock(LogNormalLatency(sigma=1.0), 100).compute_s
+        assert speeds.max() / speeds.min() > 2.0
 
 
 class TestVirtualClock:

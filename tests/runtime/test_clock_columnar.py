@@ -1,0 +1,119 @@
+"""The columnar virtual clock equals the object-per-client build bit for bit.
+
+``reference_clock.ReferenceClock`` is the original construction (one
+``DeviceProfile`` per client, one static generator per client for its
+link, a ``replace`` pass); the columnar :class:`VirtualClock` must give
+the same phases, stragglers, round times and phase splits — as Python
+floats — for every latency × bandwidth model pair.
+"""
+
+from __future__ import annotations
+
+import itertools
+
+import numpy as np
+import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from repro.runtime import vecrng
+from repro.runtime.clock import (
+    DeviceProfile,
+    VirtualClock,
+    get_bandwidth_model,
+    get_latency_model,
+)
+from repro.runtime.seeding import STREAM_WIRE, client_static_rng
+
+from tests.runtime.reference_clock import ReferenceClock
+
+N_CLIENTS = 2_000
+MODELS = ("homogeneous", "uniform", "lognormal")
+KW = dict(straggler_fraction=0.1, straggler_slowdown=4.0, straggler_comm_slowdown=6.0)
+
+
+def _pair(latency: str, bandwidth: str, seed: int, **kw):
+    args = dict(KW, **kw)
+    return (
+        VirtualClock(get_latency_model(latency), N_CLIENTS, seed=seed,
+                     bandwidth=get_bandwidth_model(bandwidth), **args),
+        ReferenceClock(get_latency_model(latency), N_CLIENTS, seed=seed,
+                       bandwidth=get_bandwidth_model(bandwidth), **args),
+    )
+
+
+def _same(a, b) -> None:
+    assert type(a) is float
+    assert a == b
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("latency,bandwidth", list(itertools.product(MODELS, MODELS)))
+class TestMatchesReference:
+    def test_profiles_and_stragglers(self, latency, bandwidth, seed):
+        clock, ref = _pair(latency, bandwidth, seed)
+        assert clock.stragglers == ref.stragglers
+        for cid in range(N_CLIENTS):
+            got, want = clock.profile(cid), ref.profiles[cid]
+            for name in ("compute_s_per_batch", "upload_s", "download_s",
+                         "up_bps", "down_bps"):
+                _same(getattr(got, name), getattr(want, name))
+
+    def test_phases(self, latency, bandwidth, seed):
+        clock, ref = _pair(latency, bandwidth, seed)
+        for cid in range(0, N_CLIENTS, 7):
+            for payload in ((None, None), (12_345, 67_890)):
+                got = clock._phases(cid, 9, *payload)
+                want = ref._phases(cid, 9, *payload)
+                for g, w in zip(got, want):
+                    _same(g, w)
+
+    @pytest.mark.parametrize("comm_slowdown", [4.0, 6.0])
+    def test_client_time_and_decompose(self, latency, bandwidth, seed, comm_slowdown):
+        clock, ref = _pair(latency, bandwidth, seed,
+                           straggler_comm_slowdown=comm_slowdown)
+        cids = sorted(ref.stragglers)[:20] + list(range(0, N_CLIENTS, 97))
+        for rnd in range(5):
+            for cid in cids:
+                payload = (4_000 + cid, 9_000) if cid % 2 else (None, None)
+                total = clock.client_time(rnd, cid, 3 + rnd, *payload)
+                _same(total, ref.client_time(rnd, cid, 3 + rnd, *payload))
+                got = clock.decompose(cid, 3 + rnd, total, *payload)
+                want = ref.decompose(cid, 3 + rnd, total, *payload)
+                for g, w in zip(got, want):
+                    _same(g, w)
+
+
+def test_no_bandwidth_profile_has_no_rates():
+    clock = VirtualClock(get_latency_model("uniform"), 4, seed=0)
+    assert clock.up_bps is None and clock.down_bps is None
+    assert all(clock.profile(c).up_bps is None for c in range(4))
+    assert isinstance(clock.profile(0), DeviceProfile)
+
+
+U32_MAX = 2**32 - 1
+
+
+@given(
+    seed=st.integers(0, 2**63),
+    stream=st.integers(0, 16),
+    ids=st.lists(st.sampled_from([0, 1, U32_MAX]) | st.integers(0, U32_MAX),
+                 min_size=1, max_size=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_cell_state_matches_seed_sequence(seed, stream, ids):
+    st_hi, st_lo, inc_hi, inc_lo = vecrng.spawn_key_states(
+        seed, (np.array(ids, dtype=np.int64), stream)
+    )
+    for j, cid in enumerate(ids):
+        want = client_static_rng(seed, cid, stream).bit_generator.state["state"]
+        assert (int(st_hi[j]) << 64) | int(st_lo[j]) == want["state"]
+        assert (int(inc_hi[j]) << 64) | int(inc_lo[j]) == want["inc"]
+
+
+def test_cell_draws_match_per_cell_generators():
+    ids = np.array([0, 5, 17, U32_MAX], dtype=np.int64)
+    got = vecrng.spawn_key_draws(3, (ids, STREAM_WIRE), "lognormal", 0.0, 0.7)
+    want = [client_static_rng(3, int(c), STREAM_WIRE).lognormal(0.0, 0.7) for c in ids]
+    assert got.tolist() == want
+    assert vecrng.spawn_key_draws(3, (ids[:0], STREAM_WIRE), "lognormal").shape == (0,)
