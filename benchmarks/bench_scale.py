@@ -29,9 +29,18 @@ The ``clock`` row times building a :class:`repro.runtime.clock.VirtualClock`
 each in a fresh interpreter so its peak-RSS growth is the clock's alone;
 it carries its own host block.
 
-Run with ``--smoke`` for a seconds-long pass (fleet 1k/10k, clock 10k)
-with the same JSON shape; ``--only fleet`` / ``--only clock`` re-records
-one row of an existing ``--out`` file and leaves the rest untouched.
+The ``build`` row times the harness's data build — ``build_dataset`` →
+``build_partition`` → ``make_clients`` — at two training-set shapes, the
+``sync_mlp_serial`` benchmark workload's (20 000 x 3x8x8, float64) and
+the ``paper`` preset's (50 000 x 3x32x32, float32), each in a fresh
+interpreter.  It reports build time and peak RSS above the post-import
+level, after synthesis and after the clients, next to the size of the
+data itself; it carries its own host block.
+
+Run with ``--smoke`` for a seconds-long pass (fleet 1k/10k, clock 10k,
+build at the first shape) with the same JSON shape; ``--only fleet`` /
+``--only clock`` / ``--only build`` re-records one row of an existing
+``--out`` file and leaves the rest untouched.
 """
 
 from __future__ import annotations
@@ -158,6 +167,65 @@ def bench_clock(n_clients: int) -> dict:
     return json.loads(out.stdout)
 
 
+BUILD_CHILD = """
+import json, resource, sys, time
+import numpy as np
+from repro.fl.client import make_clients
+from repro.harness.config import ExperimentConfig
+from repro.harness.runner import build_dataset, build_partition
+from repro.nn.dtypes import set_default_dtype
+
+def peak_mb():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+
+cfg = ExperimentConfig(**json.loads(sys.argv[1]))
+set_default_dtype(cfg.dtype)
+rss0 = peak_mb()
+t0 = time.perf_counter()
+train, test = build_dataset(cfg)
+rss1 = peak_mb()
+parts = build_partition(cfg, train.y, np.random.default_rng(cfg.seed + 5))
+clients = make_clients(train, parts, seed=cfg.seed + 11)
+build_s = time.perf_counter() - t0
+rss2 = peak_mb()
+data_mb = sum(a.nbytes for a in (train.x, train.y, test.x, test.y)) / 2**20
+print(json.dumps({
+    "n_train": len(train),
+    "n_test": len(test),
+    "sample_shape": list(train.x.shape[1:]),
+    "dtype": cfg.dtype,
+    "n_clients": len(clients),
+    "build_s": round(build_s, 3),
+    "data_mb": round(data_mb, 1),
+    "peak_rss_growth_mb": {
+        "after_dataset": round(rss1 - rss0, 1),
+        "after_clients": round(rss2 - rss0, 1),
+    },
+    "peak_over_data": round((rss2 - rss0) / data_mb, 3),
+}))
+"""
+
+# (label, ExperimentConfig kwargs) per training-set shape.
+BUILD_SHAPES = (
+    ("sync_mlp_serial", dict(
+        scale="bench", dataset="cifar100", partition="EQUAL", n_clients=100,
+        n_train=20_000, n_test=2_000)),
+    ("paper", dict(
+        scale="paper", dataset="cifar100", partition="EQUAL", n_clients=100,
+        dtype="float32")),
+)
+
+
+def bench_build(label: str, config: dict) -> dict:
+    """Build one shape's dataset, partition and clients in a fresh interpreter."""
+    env = dict(os.environ, PYTHONPATH=os.path.abspath(SRC))
+    out = subprocess.run(
+        [sys.executable, "-c", BUILD_CHILD, json.dumps(config)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return {"shape": label, **json.loads(out.stdout)}
+
+
 def host_block() -> dict:
     return {
         "python": platform.python_version(),
@@ -208,13 +276,29 @@ def clock_row(smoke: bool) -> dict:
     }}
 
 
+def build_row(smoke: bool) -> dict:
+    shapes = BUILD_SHAPES[:1] if smoke else BUILD_SHAPES
+    sweep = [bench_build(label, config) for label, config in shapes]
+    for entry in sweep:
+        growth = entry["peak_rss_growth_mb"]
+        print(f"build {entry['shape']:>15} ({entry['n_train']:,} x "
+              f"{'x'.join(map(str, entry['sample_shape']))} {entry['dtype']}): "
+              f"{entry['build_s']:.2f} s, peak RSS +{growth['after_dataset']} MB "
+              f"after synthesis, +{growth['after_clients']} MB after clients "
+              f"(data {entry['data_mb']} MB, {entry['peak_over_data']}x)")
+    return {"build": {"host": host_block(), "sweep": sweep}}
+
+
+ROWS = {"fleet": fleet_rows, "clock": clock_row, "build": build_row}
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="seconds-long 1k/10k pass with the same JSON shape")
     parser.add_argument("--out", default=os.path.join(
         os.path.dirname(__file__), "..", "BENCH_scale.json"))
-    parser.add_argument("--only", choices=("fleet", "clock"),
+    parser.add_argument("--only", choices=tuple(ROWS),
                         help="re-record one row of an existing --out file")
     args = parser.parse_args(argv)
     out_path = os.path.abspath(args.out)
@@ -223,8 +307,7 @@ def main(argv=None) -> int:
     if args.only is not None:
         with open(out_path) as fh:
             payload = json.load(fh)
-        payload.update(fleet_rows(args.smoke) if args.only == "fleet"
-                       else clock_row(args.smoke))
+        payload.update(ROWS[args.only](args.smoke))
     else:
         payload = {
             "schema": "bench_scale/v1",
@@ -243,6 +326,7 @@ def main(argv=None) -> int:
             },
             **fleet_rows(args.smoke),
             **clock_row(args.smoke),
+            **build_row(args.smoke),
         }
         payload["bench_wall_s"] = round(time.perf_counter() - t_start, 2)
     with open(out_path, "w") as fh:

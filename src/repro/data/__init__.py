@@ -10,7 +10,7 @@ Clustered-Non-Equal (CN) and FedAvg's Equal / Non-equal shard splits,
 plus an IID control.
 """
 
-from repro.data.dataset import ArrayDataset, train_test_split
+from repro.data.dataset import ArrayDataset, RowView, train_test_split
 from repro.data.shm import (
     HAVE_SHARED_MEMORY,
     SharedArrayDataset,
@@ -39,6 +39,7 @@ from repro.data.synthetic import (
 
 __all__ = [
     "ArrayDataset",
+    "RowView",
     "HAVE_SHARED_MEMORY",
     "SharedArrayDataset",
     "SharedMemoryPool",

@@ -21,9 +21,9 @@ class ArrayDataset:
     ``x`` has shape ``(n, ...)`` (images are NCHW without the batch dim)
     and is stored in the configured compute dtype so batches feed the
     model's GEMMs without promotion; ``y`` has shape ``(n,)`` with values
-    in ``[0, num_classes)``.  Subsetting returns views where NumPy allows
-    it; the federated clients hold subsets of one shared array, so no
-    per-client copies are made.
+    in ``[0, num_classes)``.  :meth:`subset` copies nothing: it returns a
+    :class:`RowView` of this dataset's arrays, so the federated clients'
+    shards are row indices into one training set, held once.
     """
 
     def __init__(self, x: np.ndarray, y: np.ndarray, num_classes: int) -> None:
@@ -46,11 +46,13 @@ class ArrayDataset:
     def __len__(self) -> int:
         return self.x.shape[0]
 
-    def subset(self, indices: np.ndarray) -> "ArrayDataset":
-        """Dataset restricted to ``indices`` (fancy indexing copies; fine —
-        each sample belongs to exactly one client so total memory is bounded)."""
-        indices = np.asarray(indices)
-        return ArrayDataset(self.x[indices], self.y[indices], self.num_classes)
+    def subset(self, indices: np.ndarray) -> "RowView":
+        """The rows ``indices`` of this dataset, as a view (no copy)."""
+        return RowView(self, indices)
+
+    def _gather(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Copies of the rows ``idx`` (positions in this dataset)."""
+        return self.x[idx], self.y[idx]
 
     def batches(
         self, batch_size: int, rng: np.random.Generator | None = None
@@ -68,7 +70,7 @@ class ArrayDataset:
         chunk = max(1, GATHER_ROWS // batch_size) * batch_size
         for lo in range(0, n, chunk):
             idx = order[lo : lo + chunk]
-            x, y = self.x[idx], self.y[idx]
+            x, y = self._gather(idx)
             for start in range(0, idx.shape[0], batch_size):
                 yield x[start : start + batch_size], y[start : start + batch_size]
 
@@ -78,9 +80,52 @@ class ArrayDataset:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
-            f"ArrayDataset(n={len(self)}, shape={self.x.shape[1:]}, "
+            f"{type(self).__name__}(n={len(self)}, shape={self.x.shape[1:]}, "
             f"classes={self.num_classes})"
         )
+
+
+def _read_only(a: np.ndarray) -> np.ndarray:
+    a.flags.writeable = False
+    return a
+
+
+class RowView(ArrayDataset):
+    """Rows ``rows`` of ``parent``, which keeps the only copy of the data.
+
+    ``parent`` is always a full dataset: subsetting a view composes the
+    row indices instead of stacking views.  ``batches`` gathers through
+    ``rows`` one chunk at a time, exactly as the parent gathers its own
+    rows; ``x`` / ``y`` gather the whole view on each access and come back
+    read-only, because a write into that copy would not reach the data.
+    Pickling ships ``parent`` and ``rows``; one pickle of many views of a
+    parent carries the parent once.
+    """
+
+    def __init__(self, parent: ArrayDataset, rows: np.ndarray) -> None:
+        rows = np.asarray(rows)
+        if rows.dtype == bool:
+            rows = np.flatnonzero(rows)
+        self.parent = parent
+        self.rows = rows
+        self.num_classes = parent.num_classes
+
+    @property
+    def x(self) -> np.ndarray:
+        return _read_only(self.parent.x[self.rows])
+
+    @property
+    def y(self) -> np.ndarray:
+        return _read_only(self.parent.y[self.rows])
+
+    def __len__(self) -> int:
+        return self.rows.shape[0]
+
+    def subset(self, indices: np.ndarray) -> "RowView":
+        return RowView(self.parent, self.rows[np.asarray(indices)])
+
+    def _gather(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        return self.parent._gather(self.rows[idx])
 
 
 def train_test_split(

@@ -1,13 +1,14 @@
 """Shared-memory backing for :class:`~repro.data.dataset.ArrayDataset`
 (and the named-block helpers the process backend's round exchange uses).
 
-The process backend ships every client — dataset arrays included — to its
-workers at pool construction.  Under the ``spawn`` start method that is a
-full pickle of every shard per worker; even under ``fork`` the parent
-holds per-client copies (fancy-indexed subsets).  Backing the arrays with
-:mod:`multiprocessing.shared_memory` turns that into one set of pages
-mapped by everyone: pickling a :class:`SharedArrayDataset` ships only
-block names and shapes, and workers attach instead of copying.
+The process backend ships its clients — or its lazy client pool — to its
+workers at pool construction.  Client shards are
+:class:`~repro.data.dataset.RowView` s of one training set, so that set is
+what gets shared, once: :func:`share_clients` copies each distinct parent
+into one pair of named blocks (features, labels) and rebinds the views to
+it.  Pickling a :class:`SharedArrayDataset` ships only block names and
+shapes, a view over one ships those plus its rows, and workers attach
+instead of copying.
 
 Everything degrades transparently: if shared memory is unavailable (no
 ``/dev/shm``, exotic platforms, permission failures) the original
@@ -26,7 +27,7 @@ import numpy as np
 if TYPE_CHECKING:
     from repro.fl.client import Client
 
-from repro.data.dataset import ArrayDataset
+from repro.data.dataset import ArrayDataset, RowView
 
 try:  # pragma: no cover - import always succeeds on CPython >= 3.8
     from multiprocessing import resource_tracker, shared_memory
@@ -99,8 +100,8 @@ class SharedArrayDataset(ArrayDataset):
     :class:`~multiprocessing.shared_memory.SharedMemory` handles alive for
     as long as the arrays are referenced.  Pickling serialises block
     *names*, not data — the receiving process maps the same pages.
-    ``subset`` (inherited) still copies out of shared memory, which is
-    what callers want: derived datasets have independent lifetimes.
+    ``subset`` (inherited) returns a :class:`~repro.data.dataset.RowView`
+    over the shared pages, which pickles as those names plus its rows.
     """
 
     _shm_blocks: tuple = ()
@@ -191,21 +192,30 @@ class SharedMemoryPool:
 
 
 def share_clients(clients: list["Client"]) -> tuple[list["Client"], SharedMemoryPool]:
-    """Rebind every client's dataset to shared memory where possible.
+    """Rebind every client's data to shared memory, one block pair per
+    distinct training set.
 
-    Returns new (shallow-copied) clients plus the pool that owns the
-    blocks; clients whose datasets could not be shared are passed through
-    untouched, so the result is always usable.
+    A client holding a :class:`~repro.data.dataset.RowView` is rebound to
+    the same rows of its parent's shared copy, a client holding a whole
+    dataset to that dataset's copy.  Returns new (shallow-copied) clients
+    plus the pool that owns the blocks; clients whose data could not be
+    shared are passed through untouched, so the result is always usable.
     """
     pool = SharedMemoryPool()
+    copies: dict[ArrayDataset, ArrayDataset | None] = {}
     shared_clients = []
     for client in clients:
-        shared, blocks = share_dataset(client.dataset)
-        if blocks:
-            clone = copy.copy(client)
-            clone.dataset = shared
-            shared_clients.append(clone)
+        data = client.dataset
+        base = data.parent if isinstance(data, RowView) else data
+        if base not in copies:
+            shared, blocks = share_dataset(base)
             pool.adopt(blocks)
-        else:
+            copies[base] = shared if blocks else None
+        shared = copies[base]
+        if shared is None:
             shared_clients.append(client)
+            continue
+        clone = copy.copy(client)
+        clone.dataset = shared if data is base else RowView(shared, data.rows)
+        shared_clients.append(clone)
     return shared_clients, pool

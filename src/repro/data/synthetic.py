@@ -18,11 +18,16 @@ independently of pixel content.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
 
 from repro.data.dataset import ArrayDataset
+from repro.nn.dtypes import get_default_dtype
+
+#: Bytes of float64 noise :func:`make_synthetic_dataset` draws per chunk.
+_DRAW_CHUNK_BYTES = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -111,12 +116,23 @@ def make_synthetic_dataset(
     if n_train <= 0 or n_test <= 0:
         raise ValueError("n_train and n_test must be positive")
     protos = _prototypes(spec, rng)
+    sample_shape = protos.shape[2:]
+    # Rows per float64 noise draw: the set is written straight into its
+    # compute-dtype array a chunk at a time, never held twice.
+    chunk = max(1, _DRAW_CHUNK_BYTES // (8 * math.prod(sample_shape)))
 
     def _draw(n: int) -> tuple[np.ndarray, np.ndarray]:
         labels = rng.integers(0, spec.num_classes, size=n)
         modes = rng.integers(0, spec.modes_per_class, size=n)
-        base = protos[labels, modes]  # (n, C, H, W)
-        x = base + rng.normal(scale=spec.noise, size=base.shape)
+        x = np.empty((n, *sample_shape), dtype=get_default_dtype())
+        for lo in range(0, n, chunk):
+            hi = min(n, lo + chunk)
+            # Successive normal draws continue one stream, so the chunks
+            # are the one (n, C, H, W) draw; noise + prototype is the
+            # prototype + noise sum, rounded once into x's dtype.
+            noise = rng.normal(scale=spec.noise, size=(hi - lo, *sample_shape))
+            noise += protos[labels[lo:hi], modes[lo:hi]]
+            x[lo:hi] = noise
         return x, labels
 
     x_tr, y_tr = _draw(n_train)

@@ -522,5 +522,8 @@ class AsyncFederatedServer(FederatedEngine):
         self._idle_since = state["idle_since"]
 
     def close(self) -> None:
-        """Release the execution backend's workers (idempotent)."""
+        """Release the execution backend's workers and a lazy client
+        pool's shared blocks (idempotent)."""
         self.executor.close()
+        if self._lazy:
+            self.clients.close()

@@ -165,7 +165,11 @@ def make_clients(
     parts: list[np.ndarray],
     seed: int,
 ) -> list[Client]:
-    """Build one client per partition entry with independent seeded RNGs."""
+    """Build one client per partition entry with independent seeded RNGs.
+
+    Each client's data is a row view of ``train_set`` (no copy), so the
+    training set stays the only copy of the samples.
+    """
     clients = []
     for cid, idx in enumerate(parts):
         clients.append(

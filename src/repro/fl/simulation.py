@@ -1152,5 +1152,8 @@ class FederatedSimulation(FederatedEngine):
         self.rng.bit_generator.state = state["rng_state"]
 
     def close(self) -> None:
-        """Release the execution backend's workers (idempotent)."""
+        """Release the execution backend's workers and a lazy client
+        pool's shared blocks (idempotent)."""
         self.executor.close()
+        if self._lazy:
+            self.clients.close()

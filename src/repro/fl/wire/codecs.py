@@ -90,6 +90,23 @@ def _unpack_nibbles(packed: np.ndarray, n: int) -> np.ndarray:
     return (u[:n].astype(np.int16) - 8).astype(np.int8)
 
 
+def _chunkwise(
+    op, src: np.ndarray, col: np.ndarray, chunk: int, out: np.ndarray
+) -> np.ndarray:
+    """``out = op(src, col[i])`` over each ``chunk``-coordinate run ``i``.
+
+    Whole chunks broadcast ``col`` over a ``(k, chunk)`` view and the
+    ragged tail takes the last entry, so the per-coordinate column is
+    never built.  ``out`` must be contiguous (it may be ``src``).
+    """
+    full = src.shape[0] - src.shape[0] % chunk
+    k = full // chunk
+    op(src[:full].reshape(k, chunk), col[:k, None], out=out[:full].reshape(k, chunk))
+    if full < src.shape[0]:
+        op(src[full:], col[k], out=out[full:])
+    return out
+
+
 def _quantize(
     values: np.ndarray, bits: int, chunk: int, rng: np.random.Generator
 ) -> tuple[np.ndarray, np.ndarray]:
@@ -99,27 +116,32 @@ def _quantize(
     ``chunk`` coordinates.  The rounding draw is one vectorized uniform
     per coordinate: q = floor(v/s * L) + Bernoulli(frac), clipped to
     [-L, L] — unbiased given the float32-rounded scale the decoder will
-    also use.
+    also use.  A chunk whose scale is zero or NaN quantizes to zeros.
     """
     n = values.shape[0]
     levels = (1 << (bits - 1)) - 1
     starts = np.arange(0, n, chunk)
     scales = np.maximum.reduceat(np.abs(values), starts).astype(np.float32)
-    per = np.repeat(scales, chunk)[:n].astype(values.dtype)
-    safe = np.where(per > 0, per, 1.0)
-    normalized = values / safe * levels
+    dead = ~(scales > 0)
+    safe = np.where(dead, 1, scales).astype(values.dtype)
+    normalized = _chunkwise(np.divide, values, safe, chunk, np.empty_like(values))
+    normalized *= levels
     q = np.floor(normalized)
     q += rng.random(n) < (normalized - q)
-    q = np.clip(q, -levels, levels)
-    return np.where(per > 0, q, 0.0).astype(np.int8), scales
+    np.clip(q, -levels, levels, out=q)
+    for i in np.flatnonzero(dead):
+        q[i * chunk : (i + 1) * chunk] = 0
+    return q.astype(np.int8), scales
 
 
 def _dequantize(
     q: np.ndarray, scales: np.ndarray, bits: int, chunk: int, dtype
 ) -> np.ndarray:
     levels = (1 << (bits - 1)) - 1
-    per = np.repeat(scales, chunk)[: q.shape[0]].astype(dtype)
-    return q.astype(dtype) * per / levels
+    out = q.astype(dtype)
+    _chunkwise(np.multiply, out, scales.astype(dtype), chunk, out)
+    out /= levels
+    return out
 
 
 def _n_chunks(n: int, chunk: int) -> int:
@@ -185,7 +207,13 @@ class WirePayload:
 
 
 def payload_from_bytes(blob: bytes) -> WirePayload:
-    """Parse a :meth:`WirePayload.to_bytes` blob back into a payload."""
+    """Parse a :meth:`WirePayload.to_bytes` blob back into a payload.
+
+    Raises ``ValueError`` naming the field for a header no encoder writes
+    (unknown codec or dtype code, bit width, chunk, index width, or a
+    coordinate count that contradicts the codec) and for a body shorter
+    or longer than the header declares.
+    """
     if len(blob) < HEADER_NBYTES:
         raise ValueError("wire payload shorter than its header")
     codec_id, bits, dtype_code, idx_nbytes, chunk, dim, nnz = _HEADER.unpack(
@@ -194,17 +222,44 @@ def payload_from_bytes(blob: bytes) -> WirePayload:
     if codec_id not in _CODEC_NAMES:
         raise ValueError(f"unknown wire codec id {codec_id}")
     codec = _CODEC_NAMES[codec_id]
+    if dtype_code not in _DTYPE_NAMES:
+        raise ValueError(f"unknown wire dtype code {dtype_code}")
     dtype = _DTYPE_NAMES[dtype_code]
+    quantized = codec in ("qsgd", "topk+qsgd")
+    sparse = codec in ("topk", "topk+qsgd")
+    if bits not in (QUANT_BITS if quantized else (0,)):
+        raise ValueError(f"wire bits {bits} is invalid for codec {codec!r}")
+    if (chunk > 0) != quantized:
+        raise ValueError(f"wire chunk {chunk} is invalid for codec {codec!r}")
+    want_idx = _index_nbytes(dim) if sparse else 0
+    if idx_nbytes != want_idx:
+        raise ValueError(
+            f"wire index width {idx_nbytes} is invalid for codec {codec!r} "
+            f"at dim {dim} (expected {want_idx})"
+        )
+    if nnz > dim or (not sparse and nnz != dim):
+        raise ValueError(
+            f"wire nnz {nnz} contradicts dim {dim} for codec {codec!r}"
+        )
+    if quantized:
+        n_chunks = _n_chunks(nnz, chunk)
+        body = 4 * n_chunks + (nnz if bits == 8 else (nnz + 1) // 2)
+    else:
+        body = nnz * dtype.itemsize
+    declared = HEADER_NBYTES + nnz * idx_nbytes + body
+    if declared != len(blob):
+        raise ValueError(
+            f"wire payload length mismatch: header declares {declared} "
+            f"bytes, blob has {len(blob)}"
+        )
     offset = HEADER_NBYTES
     indices = values = qvalues = scales = None
-    if idx_nbytes:
-        idx_dtype = np.uint32 if idx_nbytes == 4 else np.uint64
+    if sparse:
         indices = np.frombuffer(
-            blob, dtype=idx_dtype, count=nnz, offset=offset
+            blob, dtype=_index_dtype(dim), count=nnz, offset=offset
         ).astype(np.int64)
         offset += nnz * idx_nbytes
-    if bits:
-        n_chunks = _n_chunks(nnz, chunk)
+    if quantized:
         scales = np.frombuffer(blob, dtype=np.float32, count=n_chunks, offset=offset)
         offset += 4 * n_chunks
         if bits == 4:
@@ -212,17 +267,10 @@ def payload_from_bytes(blob: bytes) -> WirePayload:
                 blob, dtype=np.uint8, count=(nnz + 1) // 2, offset=offset
             )
             qvalues = _unpack_nibbles(packed, nnz)
-            offset += (nnz + 1) // 2
         else:
             qvalues = np.frombuffer(blob, dtype=np.int8, count=nnz, offset=offset)
-            offset += nnz
     else:
         values = np.frombuffer(blob, dtype=dtype, count=nnz, offset=offset)
-        offset += nnz * dtype.itemsize
-    if offset != len(blob):
-        raise ValueError(
-            f"wire payload length mismatch: parsed {offset} of {len(blob)} bytes"
-        )
     return WirePayload(
         codec=codec, dim=dim, dtype=dtype, nbytes=len(blob), bits=bits,
         chunk=chunk, indices=indices, values=values, qvalues=qvalues,

@@ -13,13 +13,14 @@ participants of the current round, not the N members of the fleet.
 like :func:`repro.fl.client.make_clients` builds it eagerly —
 ``Client(cid, train_set.subset(parts[cid]), default_rng(seed + 7919 *
 cid))`` — so a lazy run's History is bit-identical to an eager run's.
-Shared-memory backing does not change this: ``subset`` copies values out
-of the shared pages, and the values are the same.
+Shared-memory backing does not change this: ``subset`` is a row view of
+the shared pages, and the values are the same.
 
 **Backends.**  The serial and thread executors look clients up by id and
-work with a pool directly; the process backend ships its client table to
-workers at pool construction, which is exactly the eager materialization
-the pool exists to avoid — ``make_executor`` rejects that combination.
+work with a pool directly.  The process backend ships the pool itself to
+its workers at pool construction: built with ``share=True``, it pickles
+as block names, parts and seed (no cache, no block ownership), and each
+worker materializes its own tasks' clients.
 """
 
 from __future__ import annotations
@@ -90,7 +91,8 @@ class LazyClientPool:
 
     ``share=True`` moves the base dataset into shared memory first
     (degrading silently to heap arrays where unavailable); shards are
-    then sliced out of the shared pages at materialization time.
+    then row views of the shared pages.  The pool that shared them owns
+    the blocks and unlinks them in :meth:`close`.
     """
 
     def __init__(
@@ -115,6 +117,11 @@ class LazyClientPool:
                 train_set = shared
         self.train_set = train_set
         self._cache: dict[int, Client] = {}
+
+    def __getstate__(self) -> dict:
+        # A worker's copy: the base set (block names when shared), parts
+        # and seed — never the parent's resident clients or its blocks.
+        return {**self.__dict__, "_cache": {}, "_shm_pool": None}
 
     def __len__(self) -> int:
         return self.n_clients

@@ -443,12 +443,6 @@ class ExperimentConfig:
                     "singleset is centralized training — lazy client "
                     "materialization does not apply to it"
                 )
-            if self.backend == "process":
-                raise ValueError(
-                    "the process backend ships every client to its workers "
-                    "at pool construction — lazy materialization needs the "
-                    "serial or thread backend"
-                )
             if self.attack != "none":
                 raise ValueError(
                     "attacks poison client shards at build time, which "

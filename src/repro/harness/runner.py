@@ -351,8 +351,12 @@ def build_simulation(
     parts = build_partition(cfg, train_set.y, np.random.default_rng(cfg.seed + 5))
     if cfg.fleet_mode == "lazy":
         # Same shards, same per-client RNG derivation as make_clients —
-        # histories are bit-identical; only residency differs (O(K)).
-        clients = LazyClientPool(train_set, parts, seed=cfg.seed + 11)
+        # histories are bit-identical; only residency differs (O(K)).  The
+        # process backend ships the pool to its workers, so its base set
+        # goes to shared memory first.
+        clients = LazyClientPool(
+            train_set, parts, seed=cfg.seed + 11, share=cfg.backend == "process"
+        )
     else:
         clients = make_clients(train_set, parts, seed=cfg.seed + 11)
     model_factory = build_model_factory(cfg, train_set)

@@ -204,6 +204,11 @@ class Sequential:
     def num_parameters(self, include_buffers: bool = False) -> int:
         return int(self._values.size if include_buffers else self._n_params)
 
+    @property
+    def stochastic(self) -> bool:
+        """True when some layer draws randomness at forward time (Dropout)."""
+        return any(layer.stochastic for layer in self.layers)
+
     def seed_forward(self, rng: np.random.Generator | None) -> None:
         """Install (or, with ``None``, clear) a forward-randomness override.
 

@@ -11,11 +11,11 @@ that contract; three backends implement it:
   NumPy releases the GIL inside its kernels, so medium/large models see
   real concurrency without any pickling.
 * :class:`ProcessExecutor` — a process pool with one long-lived model
-  replica per worker.  Clients are shipped to the workers **once** at
-  pool construction; each round the flat weight vector is copied once
-  into a shared-memory block every worker reads, the trained vectors
-  come back through a shared arena, and a future pickles only ids, seeds
-  and block names.
+  replica per worker.  Clients (or a lazy client pool) are shipped to the
+  workers **once** at pool construction; each round the flat weight
+  vector is copied once into a shared-memory block every worker reads,
+  the trained vectors come back through a shared arena, and a future
+  pickles only ids, seeds and block names.
 
 All three produce bit-identical updates for the same experiment seed
 because per-client batch schedules *and* forward-time randomness (Dropout
@@ -158,9 +158,11 @@ def _train_one(
     Batch shuffling and forward-time randomness (Dropout masks) draw from
     separate streams of the same cell, so both are pure functions of
     ``(seed, round, client)`` — never of the worker or replica that
-    happens to serve the client.  An attached fault plan may fail the
-    cell's first attempt *before* any training RNG is touched, so the
-    retry trains with pristine streams and recovery is bit-identical.
+    happens to serve the client.  The forward stream is derived only for
+    a model with a stochastic layer; nothing else would read it.  An
+    attached fault plan may fail the cell's first attempt *before* any
+    training RNG is touched, so the retry trains with pristine streams
+    and recovery is bit-identical.
 
     Returns ``(update, span)``.  Under ``ctx.trace`` the span is a
     wall-time measurement taken *in the worker*: a plain dict in the
@@ -180,9 +182,11 @@ def _train_one(
             seed_round, client.client_id, attempt, real_crash=real_crash
         )
     rng = client_round_rng(ctx.base_seed, seed_round, client.client_id)
-    forward_rng = client_round_rng(
-        ctx.base_seed, seed_round, client.client_id, stream=STREAM_FORWARD
-    )
+    forward_rng = None
+    if model.stochastic:
+        forward_rng = client_round_rng(
+            ctx.base_seed, seed_round, client.client_id, stream=STREAM_FORWARD
+        )
     max_batches = None
     if ctx.client_batches is not None:
         max_batches = ctx.client_batches.get(client.client_id)
@@ -500,11 +504,11 @@ def _attached_exchange(ref: _ExchangeRef) -> tuple[np.ndarray, np.ndarray]:
     return weights, updates
 
 
-def _init_worker(clients: list[Client], model_factory, dtype_name: str) -> None:
+def _init_worker(clients, model_factory, dtype_name: str) -> None:
     # Workers inherit the parent's compute dtype so their model replicas
     # (and every allocation they make) match the parent substrate.
     set_default_dtype(dtype_name)
-    _WORKER_STATE["clients"] = {c.client_id: c for c in clients}
+    _WORKER_STATE["clients"] = _client_lookup(clients)
     _WORKER_STATE["model"] = model_factory(np.random.default_rng(0))
     _WORKER_STATE["loss"] = SoftmaxCrossEntropy()
 
@@ -545,16 +549,23 @@ def _run_tasks(ctx: RoundContext, tasks: list[tuple[int, int, int]]):
             arena[pos] = vector
             update.weights = None
         results.append((pos, update, span))
+    if hasattr(clients, "release"):
+        # A lazy pool's clients are rebuilt bit-identically on demand; a
+        # worker keeps none of them resident between calls.
+        clients.release()
     return results
 
 
 class ProcessExecutor(Executor):
     """Process pool with per-worker model replicas and one dispatch loop.
 
-    Client datasets are moved into :mod:`multiprocessing.shared_memory`
-    before the clients are shipped to the workers, so each worker maps the
-    parent's pages instead of materialising its own copy of every shard
-    (pickling a shared dataset transfers block names, not arrays).
+    The training set the clients' shards view is moved into
+    :mod:`multiprocessing.shared_memory` once (:func:`repro.data.shm.
+    share_clients`) before the clients are shipped to the workers, so each
+    worker maps the parent's pages instead of materialising its own copy
+    (a shard pickles as block names plus its rows).  A lazy client pool is
+    shipped whole — it shares its own base set when built with
+    ``share=True`` — and each worker materializes its tasks' clients.
 
     The round exchange goes the same way (:class:`_Exchange`): the parent
     copies the global weights into a ``(dim,)`` block once per round, the
@@ -587,12 +598,6 @@ class ProcessExecutor(Executor):
     ) -> None:
         from repro.fleet.scale import is_client_provider
 
-        if is_client_provider(clients):
-            raise ValueError(
-                "the process backend ships every client to its workers at "
-                "pool construction — a lazy client pool would be fully "
-                "materialized; use the serial or thread backend"
-            )
         self.workers = max(1, workers or (os.cpu_count() or 1))
         if retry is not None:
             self.retry = retry
@@ -604,11 +609,14 @@ class ProcessExecutor(Executor):
         self._degraded = False
         # Kept for the degraded in-parent fallback: the original clients
         # (the caller holds them anyway) and a lazily built local model.
-        self._fallback_clients = {c.client_id: c for c in clients}
+        self._fallback_clients = _client_lookup(clients)
         self._model_factory = model_factory
         self._local = None
-        shared_clients, self._shm_pool = shm.share_clients(list(clients))
-        self._initargs = (shared_clients, model_factory, get_default_dtype().name)
+        if is_client_provider(clients):
+            shipped = clients
+        else:
+            shipped, self._shm_pool = shm.share_clients(list(clients))
+        self._initargs = (shipped, model_factory, get_default_dtype().name)
         try:
             self._pool = self._new_pool()
         except BaseException:

@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 
 import repro.data.shm as shm_mod
-from repro.data.dataset import ArrayDataset
+from repro.data.dataset import ArrayDataset, RowView
 from repro.data.shm import (
     HAVE_SHARED_MEMORY,
     SharedArrayDataset,
@@ -85,13 +85,23 @@ class TestShareDataset:
         attached.x[0, 0, 0, 0] = 123.0
         assert shared.x[0, 0, 0, 0] == 123.0
 
-    def test_subset_copies_out_of_shared_memory(self, dataset, pool):
+    def test_subset_is_a_row_view_of_shared_memory(self, dataset, pool):
         shared, blocks = share_dataset(dataset)
         pool.adopt(blocks)
-        sub = shared.subset(np.arange(5))
-        assert type(sub) is ArrayDataset
-        sub.x[...] = -1.0
-        assert not np.any(shared.x[:5] == -1.0)
+        sub = shared.subset(np.arange(5, 15)).subset(np.array([4, 0, 2]))
+        assert type(sub) is RowView and sub.parent is shared
+        np.testing.assert_array_equal(sub.rows, [9, 5, 7])
+        np.testing.assert_array_equal(sub.x, dataset.x[[9, 5, 7]])
+        # x is a gathered copy: a write must fail, not vanish.
+        with pytest.raises(ValueError):
+            sub.x[...] = -1.0
+        # Pickled: block names plus rows; the copy maps the same pages.
+        blob = pickle.dumps(sub)
+        assert len(blob) < 1024
+        attached = pickle.loads(blob)
+        assert isinstance(attached.parent, SharedArrayDataset)
+        shared.x[9, 0, 0, 0] = 321.0
+        assert attached.x[0, 0, 0, 0] == 321.0
 
     def test_sharing_twice_is_a_noop(self, dataset, pool):
         shared, blocks = share_dataset(dataset)
@@ -143,30 +153,62 @@ class TestFallback:
 
 
 class TestShareClients:
-    def test_clients_rebound_to_shared_datasets(self, tiny_clients):
+    def test_one_block_pair_for_every_view_of_a_set(self, tiny_clients):
         shared, pool = share_clients(tiny_clients)
         try:
             assert len(shared) == len(tiny_clients)
-            assert pool.n_blocks == 2 * len(tiny_clients)
+            assert pool.n_blocks == 2
+            parents = {id(clone.dataset.parent) for clone in shared}
+            assert len(parents) == 1
             for orig, clone in zip(tiny_clients, shared):
                 assert clone.client_id == orig.client_id
-                assert isinstance(clone.dataset, SharedArrayDataset)
-                # Originals keep their heap-backed datasets untouched.
-                assert type(orig.dataset) is ArrayDataset
+                assert isinstance(clone.dataset.parent, SharedArrayDataset)
+                np.testing.assert_array_equal(clone.dataset.rows, orig.dataset.rows)
+                # Originals keep their views of the heap-backed set.
+                assert type(orig.dataset.parent) is ArrayDataset
                 np.testing.assert_array_equal(clone.dataset.x, orig.dataset.x)
+            # One pickle of every client carries the set's names once.
+            assert len(pickle.dumps(shared)) < 8 * 240 + 4096
+        finally:
+            pool.close()
+
+    def test_whole_datasets_and_shared_sets(self, dataset, tiny_clients):
+        from repro.fl.client import Client
+
+        whole = Client(99, dataset, np.random.default_rng(0))
+        shared, pool = share_clients([whole, *tiny_clients])
+        try:
+            assert pool.n_blocks == 4
+            assert isinstance(shared[0].dataset, SharedArrayDataset)
+            np.testing.assert_array_equal(shared[0].dataset.x, dataset.x)
+            # Already shared: passed through, nothing new created.
+            again, more = share_clients(shared)
+            assert more.n_blocks == 0
+            assert all(a is b for a, b in zip(again, shared))
         finally:
             pool.close()
 
 
 class TestProcessExecutorIntegration:
-    def test_process_executor_owns_shared_blocks(
-        self, tiny_clients, tiny_model_factory
-    ):
+    def test_sixteen_clients_share_two_blocks(self, tiny_model_factory):
+        from repro.data.partition import iid_partition
+        from repro.data.synthetic import SyntheticImageSpec, make_synthetic_dataset
+        from repro.fl.client import make_clients
         from repro.runtime.executor import ProcessExecutor
 
-        executor = ProcessExecutor(tiny_clients, tiny_model_factory, workers=2)
+        spec = SyntheticImageSpec(num_classes=4, channels=1, image_size=4, noise=0.3)
+        train, _ = make_synthetic_dataset(spec, 320, 80, np.random.default_rng(0))
+        parts = iid_partition(train.y, 16, np.random.default_rng(1))
+        clients = make_clients(train, parts, seed=2)
+        executor = ProcessExecutor(clients, tiny_model_factory, workers=2)
         try:
-            assert executor._shm_pool.n_blocks == 2 * len(tiny_clients)
+            assert executor._shm_pool.n_blocks == 2
+            names = [block.name for block in executor._shm_pool._blocks]
         finally:
             executor.close()
         assert executor._shm_pool.n_blocks == 0
+        from multiprocessing import shared_memory
+
+        for name in names:
+            with pytest.raises(FileNotFoundError):
+                shared_memory.SharedMemory(name=name)

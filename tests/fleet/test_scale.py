@@ -8,6 +8,7 @@ ever holding the sampled participants resident.
 
 from __future__ import annotations
 
+import pickle
 from functools import partial
 
 import numpy as np
@@ -23,7 +24,7 @@ from repro.fleet.scale import (
     is_client_provider,
 )
 from repro.nn.models import mlp
-from repro.runtime.executor import make_executor
+from repro.runtime.executor import RoundContext, make_executor
 
 SEED = 11
 
@@ -110,14 +111,47 @@ class TestLazyClientPool:
             shared.close()
         assert shared.materialized == 0
 
-    def test_process_backend_rejects_providers(self):
+    def test_pickles_without_cache_or_block_ownership(self):
         train, _ = small_data()
-        pool = LazyClientPool(
-            train, StridedPartition(len(train), 10, per_client=8), seed=SEED
-        )
+        parts = StridedPartition(len(train), 20, per_client=8)
+        pool = LazyClientPool(train, parts, seed=SEED, share=True)
+        try:
+            pool.ensure([1, 2])
+            blob = pickle.dumps(pool)
+            assert len(blob) < 2048  # block names, parts, seed
+            clone = pickle.loads(blob)
+            assert clone.materialized == 0 and not clone.shared
+            np.testing.assert_array_equal(clone[4].dataset.x, pool[4].dataset.x)
+            # A worker's close must not unlink the owner's blocks: the
+            # names still attach afterwards.
+            clone.close()
+            np.testing.assert_array_equal(
+                pickle.loads(blob)[7].dataset.x, pool[7].dataset.x
+            )
+        finally:
+            pool.close()
+
+    def test_process_backend_trains_a_lazy_pool(self):
+        train, _ = small_data()
+        parts = StridedPartition(len(train), 10, per_client=8)
         factory = partial(mlp, 16, 4, hidden=(8,))
-        with pytest.raises(ValueError, match="process backend"):
-            make_executor("process", pool, factory, workers=2)
+        model = factory(np.random.default_rng(0))
+        ctx = RoundContext(round_idx=0, global_weights=model.get_flat_weights(),
+                           epochs=1, lr=0.1, batch_size=4, base_seed=3)
+        ids = [7, 2, 5]
+        with make_executor("serial", make_clients(
+                train, [parts[i] for i in range(10)], seed=SEED), factory) as ex:
+            want = ex.run_round(ctx, ids)
+        pool = LazyClientPool(train, parts, seed=SEED, share=True)
+        try:
+            with make_executor("process", pool, factory, workers=2) as ex:
+                got = ex.run_round(ctx, ids)
+        finally:
+            pool.close()
+        for a, b in zip(got, want):
+            assert a.client_id == b.client_id
+            np.testing.assert_array_equal(a.weights, b.weights)
+            assert (a.loss_before, a.loss_after) == (b.loss_before, b.loss_after)
 
     def test_empty_partition_rejected(self):
         train, _ = small_data()
@@ -167,3 +201,35 @@ class TestLazyEagerBitIdentity:
             )
         # The round's participants were released after aggregation.
         assert pool.materialized == 0
+
+
+class TestLazyProcessHarness:
+    """The lazy + process combination end to end: a 200-client CI config
+    gives one history on lazy + process, lazy + serial and eager + serial,
+    and the process run leaves no shared-memory block behind."""
+
+    def test_history_digest_matches_serial_and_eager(self):
+        import os
+
+        from repro.harness import ExperimentConfig, run_experiment
+        from repro.harness.reporting import history_digest
+
+        def live_blocks():
+            try:
+                return {n for n in os.listdir("/dev/shm") if n.startswith("psm_")}
+            except FileNotFoundError:
+                return set()
+
+        base = ExperimentConfig(
+            scale="ci", n_clients=200, clients_per_round=10, partition="IID",
+            n_train=2000, rounds=3, local_epochs=1,
+        )
+        before = live_blocks()
+        digests = {
+            (mode, backend): history_digest(run_experiment(base.with_(
+                fleet_mode=mode, backend=backend, workers=2)).history)
+            for mode, backend in (("lazy", "process"), ("lazy", "serial"),
+                                  ("eager", "serial"))
+        }
+        assert len(set(digests.values())) == 1, digests
+        assert live_blocks() == before
