@@ -1,13 +1,12 @@
 """Benchmark harness conventions.
 
 Each ``test_*`` file regenerates one table or figure from the paper's
-evaluation at the ``bench`` scale preset (see DESIGN.md §4 for the
-experiment index and EXPERIMENTS.md for recorded paper-vs-measured
-results).  ``benchmark.pedantic(..., rounds=1, iterations=1)`` is used for
+evaluation at the ``bench`` scale preset.
+``benchmark.pedantic(..., rounds=1, iterations=1)`` is used for
 the macro experiments — they are end-to-end training runs, not
 micro-kernels — so the benchmark time is the cost of regenerating the
 artifact once.  Every bench prints its table/series; run with ``-s`` to
-see them inline, or read EXPERIMENTS.md.
+see them inline.
 """
 
 from __future__ import annotations

@@ -64,7 +64,7 @@ def test_feddrl_under_sparse_compression(benchmark, once):
     print(f"\nExtension: sparse uploads — {results}")
     # Compatibility: the pipeline still learns under 10x compression.
     # Naive top-k (no error feedback, which [18] adds) costs measurable
-    # accuracy; EXPERIMENTS.md records the gap.
+    # accuracy; the printed results show the gap.
     assert results["top10pct"] >= results["dense"] - 0.25
     assert results["top10pct"] > 0.4  # far above the 0.1 chance level
 

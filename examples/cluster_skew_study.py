@@ -47,8 +47,7 @@ def main() -> None:
     print("\nPaper shape (Fig. 8): accuracy degrades as delta grows and FedDRL")
     print("tracks or beats FedAvg.  At this CPU scale FedDRL's exploration")
     print("noise can inflate the loss variance early on — the paper sees the")
-    print("same effect in its first 200-300 rounds (Fig. 6 discussion); see")
-    print("EXPERIMENTS.md for the recorded comparison.")
+    print("same effect in its first 200-300 rounds (Fig. 6 discussion).")
 
 
 if __name__ == "__main__":

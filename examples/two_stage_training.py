@@ -1,77 +1,49 @@
 #!/usr/bin/env python
-"""Two-stage training (Section 3.4.2): workers, merged buffer, main agent.
+"""Two-stage training (Section 3.4.2): worker runs, merged buffer, main agent.
 
-Demonstrates the paper's proposed training strategy end to end:
+The paper's proposed training strategy, through the harness:
 
-* Stage 1 (online): two initially identical worker agents interact with
-  independent federated environments, exploring differently and filling
-  per-worker experience buffers.
-* Stage 2 (offline): the buffers are merged and a fresh *main agent* is
-  trained purely from the pooled experience.
-* Deployment: the main agent is injected into a FedDRL strategy and
-  drives a fresh federated run without exploration.
+* Stage 1 (online): each of ``drl_pretrain_workers`` workers (2, as in
+  the paper) is an ordinary federated run of the same config on its own
+  seed (its own dataset and partition draw), whose fresh FedDRL agent
+  explores and trains online for ``drl_pretrain_rounds`` rounds.
+* Stage 2 (offline): the workers' replay buffers are merged and a fresh
+  *main agent* is trained purely from the pooled experience
+  (``drl_offline_updates`` updates).
+* Deployment: the main agent, with its exploration noise dialled down,
+  drives the evaluation run's FedDRL strategy.
 
-Run:  python examples/two_stage_training.py
+``build_strategy(cfg)`` does all three when ``drl_pretrain_rounds > 0``;
+``build_simulation`` calls it.  The same evaluation cell runs once with a
+fresh agent and once with a pretrained one.
+
+Run:  PYTHONPATH=src python examples/two_stage_training.py
 """
 
-from functools import partial
+from repro.harness.config import ExperimentConfig
+from repro.harness.runner import build_simulation
 
-import numpy as np
-
-from repro.data.partition import clustered_equal_partition
-from repro.data.synthetic import SyntheticImageSpec, make_synthetic_dataset
-from repro.drl.agent import DRLConfig
-from repro.drl.two_stage import TwoStageTrainer
-from repro.fl.client import make_clients
-from repro.fl.env import FederatedEnv
-from repro.fl.simulation import FederatedSimulation, FLConfig
-from repro.fl.strategies import FedDRL
-from repro.nn.models import mlp
-
-N_CLIENTS = 12
-K = 6
-FL_CFG = FLConfig(rounds=8, clients_per_round=K, local_epochs=1, lr=0.05,
-                  batch_size=16, seed=0)
-DRL_CFG = DRLConfig(min_buffer=8, batch_size=16, updates_per_round=4, gamma=0.9)
-
-
-def build_population(seed: int):
-    spec = SyntheticImageSpec(num_classes=6, channels=1, image_size=6, noise=0.6)
-    train, test = make_synthetic_dataset(spec, 600, 200, np.random.default_rng(seed))
-    parts = clustered_equal_partition(
-        train.y, N_CLIENTS, np.random.default_rng(seed + 1), delta=0.5, n_clusters=2
-    )
-    clients = make_clients(train, parts, seed=seed + 2)
-    features = int(np.prod(train.x.shape[1:]))
-    factory = partial(mlp, features, train.num_classes, hidden=(32,))
-    return clients, test, factory
-
-
-def env_factory(worker_id: int) -> FederatedEnv:
-    clients, _, factory = build_population(seed=100 + worker_id)
-    return FederatedEnv(clients, factory, FL_CFG, seed=worker_id)
+BASE = ExperimentConfig(
+    dataset="mnist", partition="CE", method="feddrl", scale="ci",
+    n_clients=12, clients_per_round=6, seed=0,
+    drl_offline_updates=150,
+).with_(rounds=8)
 
 
 def main() -> None:
-    print("=== Stage 1: online workers ===")
-    trainer = TwoStageTrainer(env_factory, DRL_CFG, n_workers=2, seed=0)
-    main_agent = trainer.train(rounds_per_worker=25, offline_updates=150)
-    for result in trainer.worker_results:
-        rewards = result.rewards
-        print(f"worker {result.worker_id}: {len(rewards)} rounds, "
-              f"reward {np.mean(rewards[:5]):.2f} -> {np.mean(rewards[-5:]):.2f}")
-    print(f"merged buffer: {len(trainer.merged_buffer)} experiences")
-
-    print("\n=== Stage 2: offline-trained main agent deployed via FedDRL ===")
-    clients, test, factory = build_population(seed=999)
-    strategy = FedDRL(clients_per_round=K, agent=main_agent,
-                      explore=False, online_training=False)
-    sim = FederatedSimulation(clients, test, factory, strategy, FL_CFG)
-    history = sim.run()
-    for record in history.records:
-        alphas = "  ".join(f"{a:.2f}" for a in record.impact_factors)
-        print(f"round {record.round_idx}: acc={record.test_accuracy:.3f}  alphas=[{alphas}]")
-    print(f"\nbest accuracy with the pretrained agent: {history.best_accuracy():.3f}")
+    for label, pretrain_rounds in (("fresh agent", 0), ("pretrained agent", 25)):
+        cfg = BASE.with_(drl_pretrain_rounds=pretrain_rounds)
+        print(f"=== {label} (drl_pretrain_rounds={pretrain_rounds}) ===")
+        with build_simulation(cfg) as sim:
+            agent = sim.strategy.agent
+            print(f"agent before round 0: {len(agent.buffer)} transitions, "
+                  f"{agent.total_updates} updates, noise {agent.noise_scale:.3f}")
+            history = sim.run()
+        for record in history.records:
+            alphas = "  ".join(f"{a:.2f}" for a in record.impact_factors)
+            print(f"round {record.round_idx}: acc={record.test_accuracy:.3f}  "
+                  f"alphas=[{alphas}]")
+        print(f"best accuracy: {history.best_accuracy():.3f}\n")
 
 
 if __name__ == "__main__":

@@ -3,11 +3,10 @@
 The paper evaluates on MNIST, Fashion-MNIST and CIFAR-100 downloaded from
 the internet; this environment has no network access, so
 :mod:`repro.data.synthetic` generates seeded class-structured image
-datasets that stand in for them (see DESIGN.md §2 for why this preserves
-the studied behaviour).  :mod:`repro.data.partition` implements all five
-partitioning schemes from the paper: Pareto (PA), Clustered-Equal (CE),
-Clustered-Non-Equal (CN) and FedAvg's Equal / Non-equal shard splits,
-plus an IID control.
+datasets that stand in for them.  :mod:`repro.data.partition` implements
+all five partitioning schemes from the paper: Pareto (PA), Clustered-Equal
+(CE), Clustered-Non-Equal (CN) and FedAvg's Equal / Non-equal shard
+splits, plus an IID control.
 """
 
 from repro.data.dataset import ArrayDataset, RowView, train_test_split

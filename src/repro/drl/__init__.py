@@ -13,10 +13,9 @@ Implements the agent of Section 3.4 of the paper:
 * :mod:`repro.drl.action` — Gaussian sampling + softmax mapping from agent
   actions to client impact factors (eq. 5).
 * :mod:`repro.drl.reward` — the two-objective reward (eq. 7).
-* :mod:`repro.drl.two_stage` — the online-workers / offline-main-agent
-  training strategy (Section 3.4.2, Fig. 3b).
-* :mod:`repro.drl.env` — the environment protocol the FL simulation
-  implements for the agent.
+* :mod:`repro.drl.two_stage` — offline training of the main agent from
+  merged worker buffers (Section 3.4.2, Fig. 3b); the online workers are
+  engine runs (``repro.harness.runner.pretrain_feddrl_agent``).
 """
 
 from repro.drl.action import (
@@ -25,7 +24,6 @@ from repro.drl.action import (
     split_action,
 )
 from repro.drl.agent import DDPGAgent, DRLConfig
-from repro.drl.env import Environment
 from repro.drl.networks import (
     GaussianPolicyHead,
     make_policy_network,
@@ -34,12 +32,11 @@ from repro.drl.networks import (
 )
 from repro.drl.replay import Experience, ReplayBuffer
 from repro.drl.reward import feddrl_reward, reward_components
-from repro.drl.two_stage import TwoStageTrainer, collect_worker_experience, train_offline
+from repro.drl.two_stage import train_offline
 
 __all__ = [
     "DDPGAgent",
     "DRLConfig",
-    "Environment",
     "Experience",
     "ReplayBuffer",
     "GaussianPolicyHead",
@@ -51,7 +48,5 @@ __all__ = [
     "split_action",
     "feddrl_reward",
     "reward_components",
-    "TwoStageTrainer",
-    "collect_worker_experience",
     "train_offline",
 ]

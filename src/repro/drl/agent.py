@@ -26,8 +26,9 @@ from repro.drl.replay import Experience, ReplayBuffer
 from repro.nn.optim import Adam
 
 #: The agent's compute dtype on every substrate dtype (PyTorch's default
-#: too).  Passed explicitly, not through the process-global default:
-#: two-stage pretraining builds worker agents on a thread pool.
+#: too).  Passed explicitly, not through the process-global default: the
+#: harness pins that default to the run's substrate dtype before it builds
+#: the strategy, and the agent must not follow it to float64.
 AGENT_DTYPE = np.dtype(np.float32)
 
 

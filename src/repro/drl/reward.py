@@ -7,9 +7,8 @@ The paper's eq. (7) writes the signal as
 where ``l_b^k`` is the loss of the (new) global model on client k's data,
 measured at the start of the next communication round.  Both terms are
 *costs* — the agent should make them small — while an RL agent maximises
-return, so we return the negated value.  DESIGN.md records this sign
-convention; :func:`reward_components` exposes the raw terms for the
-ablation benches.
+return, so we return the negated value; :func:`reward_components`
+exposes the raw terms for the ablation benches.
 """
 
 from __future__ import annotations

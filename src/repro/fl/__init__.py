@@ -22,7 +22,6 @@ from repro.fl.async_ import (
     get_staleness_weighting,
 )
 from repro.fl.client import Client, ClientUpdate
-from repro.fl.env import FederatedEnv
 from repro.fl.selection import (
     PowerOfChoiceSelection,
     RoundRobinSelection,
@@ -67,7 +66,6 @@ __all__ = [
     "ConstantStaleness",
     "EventQueue",
     "EventRecord",
-    "FederatedEnv",
     "HingeStaleness",
     "PolynomialStaleness",
     "STALENESS_POLICIES",

@@ -10,9 +10,10 @@ Per communication round (Algorithm 2, lines 13–21):
 3. Query the policy for an action (with exploration noise), sample the
    impact factors ``alpha = softmax(N(mu, sigma))`` and aggregate.
 
-A pre-trained agent (from the two-stage trainer) can be injected; in that
-case exploration can be disabled so the offline-trained policy is used
-as-is.
+A pre-trained agent (two-stage pretraining, Section 3.4.2) can be
+injected; in that case exploration can be disabled so the offline-trained
+policy is used as-is.  A pretraining worker is this strategy with a fresh
+agent, exploring and training online through an ordinary engine run.
 """
 
 from __future__ import annotations
@@ -110,7 +111,3 @@ class FedDRL(Strategy):
             metrics["sim.drl.critic_loss"] = self.last_train.critic_loss
             metrics["sim.drl.actor_q"] = self.last_train.actor_q
         return metrics
-
-    def reset_episode(self) -> None:
-        """Drop the pending transition (e.g. between independent simulations)."""
-        self._pending = None

@@ -1,8 +1,7 @@
 """``repro.harness`` — experiment configs, runners, tables and figures.
 
-Maps every artifact in the paper's evaluation to a regenerating function;
-see DESIGN.md §4 for the experiment index.  The benches under
-``benchmarks/`` are thin wrappers over this package.
+Maps every artifact in the paper's evaluation to a regenerating function.
+The benches under ``benchmarks/`` are thin wrappers over this package.
 """
 
 from repro.harness.ablations import (

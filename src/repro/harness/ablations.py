@@ -1,4 +1,4 @@
-"""Ablations of FedDRL's design choices (DESIGN.md experiment A1).
+"""Ablations of FedDRL's design choices.
 
 The paper motivates four design decisions without isolating them:
 TD-prioritised replay (Algorithm 1), the two-stage training strategy
@@ -13,9 +13,6 @@ from collections.abc import Sequence
 
 import numpy as np
 
-from repro.drl.agent import DDPGAgent, DRLConfig
-from repro.drl.env import QuadraticBanditEnv
-from repro.drl.two_stage import TwoStageTrainer, run_worker
 from repro.harness.config import ExperimentConfig
 from repro.harness.runner import run_experiment
 
@@ -93,51 +90,26 @@ def ablation_sigma_beta(
 
 
 def ablation_two_stage(
-    n_clients: int = 8,
-    rounds_per_worker: int = 60,
-    offline_updates: int = 200,
-    eval_rounds: int = 40,
-    n_workers: int = 2,
+    pretrain_rounds: int = 30,
+    dataset: str = "mnist",
+    partition: str = "CE",
+    scale: str = "bench",
+    n_clients: int = 10,
     seed: int = 0,
+    **overrides,
 ) -> dict[str, float]:
-    """Two-stage vs basic training, on the cheap synthetic control environment.
+    """Basic training (Algorithm 1) vs two-stage pretraining (Section 3.4.2).
 
-    Compares the average evaluation-time reward of (a) an agent trained
-    online only (Algorithm 1 basic training) and (b) a main agent trained
-    offline on the merged experience of ``n_workers`` online workers
-    (Section 3.4.2).  Uses :class:`QuadraticBanditEnv`, whose optimum is
-    known, so the comparison is fast and unconfounded by FL noise.
+    Best accuracy of FedDRL from a fresh agent (``drl_pretrain_rounds=0``)
+    and from a main agent trained offline on the merged experience of
+    ``drl_pretrain_workers`` worker runs of ``pretrain_rounds`` rounds each.
     """
-    config = DRLConfig(min_buffer=16, batch_size=16)
-
-    def env_factory(worker_id: int) -> QuadraticBanditEnv:
-        # All workers (and evaluation) share one target so experience pools.
-        return QuadraticBanditEnv(n_clients, seed=seed)
-
-    # (a) basic: single online agent.
-    basic_env = env_factory(0)
-    basic_agent = DDPGAgent(
-        basic_env.state_dim, basic_env.n_clients, config,
-        rng=np.random.default_rng(seed),
-    )
-    run_worker(basic_env, basic_agent, rounds_per_worker)
-
-    # (b) two-stage main agent.
-    trainer = TwoStageTrainer(env_factory, config, n_workers=n_workers, seed=seed)
-    main_agent = trainer.train(rounds_per_worker, offline_updates)
-
-    def evaluate(agent: DDPGAgent) -> float:
-        env = env_factory(0)
-        state = env.reset()
-        rewards = []
-        for _ in range(eval_rounds):
-            action = agent.act(state, explore=False)
-            state, reward, _ = env.step(action)
-            rewards.append(reward)
-        return float(np.mean(rewards))
-
-    return {
-        "basic_reward": evaluate(basic_agent),
-        "two_stage_reward": evaluate(main_agent),
-        "merged_buffer_size": float(len(trainer.merged_buffer)),
-    }
+    out = {}
+    for name, rounds in (("basic", 0), ("two_stage", pretrain_rounds)):
+        cfg = ExperimentConfig(
+            dataset=dataset, partition=partition, method="feddrl",
+            n_clients=n_clients, clients_per_round=min(10, n_clients),
+            scale=scale, seed=seed, drl_pretrain_rounds=rounds, **overrides,
+        )
+        out[name] = run_experiment(cfg).best_accuracy
+    return out

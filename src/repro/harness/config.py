@@ -5,12 +5,12 @@ reproduction sweeps the same grid at reduced *scale presets*:
 
 * ``ci`` — seconds per experiment; used by the test suite.
 * ``bench`` — tens of seconds; used by the benchmark harness that
-  regenerates the tables/figures (EXPERIMENTS.md records these numbers).
+  regenerates the tables/figures.
 * ``paper`` — the paper's nominal parameters (1000 rounds, full model);
   provided for completeness, expect hours on CPU.
 
 Scale changes rounds/data/model size only — never the algorithms — so the
-*shape* of the comparisons is preserved (see DESIGN.md §2).
+*shape* of the comparisons is preserved.
 """
 
 from __future__ import annotations
@@ -124,8 +124,7 @@ class ExperimentConfig:
     # FedDRL knobs.  beta follows eq. (6); gamma/noise/updates are tuned for
     # the CPU-scale round counts used here (Table 1's gamma=0.99 targets
     # 1000-round runs; a shorter effective horizon and more agent updates
-    # per round compensate for having ~30x fewer transitions).  DESIGN.md
-    # and EXPERIMENTS.md record this adjustment.
+    # per round compensate for having ~30x fewer transitions).
     drl_beta: float = 0.5
     drl_explore: bool = True
     drl_prioritized: bool = True
@@ -133,9 +132,10 @@ class ExperimentConfig:
     drl_noise_scale: float = 0.05
     drl_updates_per_round: int = 8
     fairness_weight: float = 1.0
-    # Two-stage pretraining (Section 3.4.2): number of online rounds each
-    # worker runs before the main agent is trained offline and deployed.
-    # 0 disables pretraining (basic training only, Algorithm 1).
+    # Two-stage pretraining (Section 3.4.2, feddrl only): number of online
+    # rounds each worker engine runs before the main agent is trained
+    # offline and deployed.  0 disables pretraining (basic training only,
+    # Algorithm 1).
     drl_pretrain_rounds: int = 0
     drl_pretrain_workers: int = 2
     drl_offline_updates: int = 200
@@ -326,6 +326,7 @@ class ExperimentConfig:
                 )
         elif self.server_mix is not None and not 0.0 < self.server_mix <= 1.0:
             raise ValueError("server_mix must be in (0, 1] when given")
+        self._validate_pretrain()
         self._validate_fleet()
         self._validate_robust()
         self._validate_faults()
@@ -355,17 +356,36 @@ class ExperimentConfig:
                     "aggregates single updates (use fedbuff, where the "
                     "agent is built for K=buffer_size)"
                 )
-            if self.method == "feddrl" and self.drl_pretrain_rounds > 0:
-                raise ValueError(
-                    "two-stage pretraining trains an agent for K="
-                    "clients_per_round synchronous rounds; it cannot seed "
-                    "an async buffer-sized agent"
-                )
             if self.max_concurrency is not None and self.max_concurrency > self.n_clients:
                 raise ValueError(
                     "max_concurrency cannot exceed n_clients (a client "
                     "holds at most one job at a time)"
                 )
+
+    def _validate_pretrain(self) -> None:
+        if self.drl_pretrain_rounds < 0:
+            raise ValueError(
+                "drl_pretrain_rounds must be non-negative (0 disables "
+                "pretraining)"
+            )
+        if self.drl_pretrain_workers <= 0:
+            raise ValueError("drl_pretrain_workers must be positive")
+        if self.drl_offline_updates <= 0:
+            raise ValueError("drl_offline_updates must be positive")
+        if self.drl_pretrain_rounds > 0 and self.method != "feddrl":
+            raise ValueError(
+                "drl_pretrain_rounds pretrains the FedDRL agent — "
+                f"method={self.method!r} has no agent to pretrain"
+            )
+        jobs = (self.drl_pretrain_rounds + 1) * self.clients_per_round
+        if (self.drl_pretrain_rounds > 0 and self.aggregation == "fedbuff"
+                and jobs < 2 * self.buffer_size):
+            raise ValueError(
+                "drl_pretrain_rounds is too small for fedbuff: a worker runs "
+                f"(drl_pretrain_rounds + 1) x clients_per_round = {jobs} jobs, "
+                "and one transition takes two buffer flushes "
+                f"({2 * self.buffer_size} jobs)"
+            )
 
     def _validate_fleet(self) -> None:
         if self.availability not in VALID_AVAILABILITY:

@@ -148,42 +148,42 @@ def build_strategy(cfg: ExperimentConfig) -> Strategy:
 
 
 def pretrain_feddrl_agent(cfg: ExperimentConfig, drl_cfg):
-    """Two-stage pretraining (Section 3.4.2) over worker FL environments.
+    """Two-stage pretraining (Section 3.4.2): online workers, offline main agent.
 
-    Each worker drives its own federated environment built from an
-    independent realisation of the config's dataset and partition; the
-    merged worker experience trains the main agent offline.  The returned
-    agent starts the evaluation run with a reduced exploration scale since
-    it already carries a trained policy.
+    Stage 1: each worker is an ordinary engine run of the config on its own
+    seed (so its own dataset and partition realisation), whose fresh FedDRL
+    strategy explores and trains online.  Workers run one after another on
+    the run's backend, topology and aggregation, so their agents have the
+    evaluation agent's K.  The extra round yields the first state: a sync
+    worker stores exactly ``drl_pretrain_rounds`` transitions.  Stage 2:
+    the worker buffers merge in worker order and train a fresh main agent
+    offline, which starts the evaluation run with a reduced exploration
+    scale since it already carries a trained policy.
     """
-    from repro.drl.two_stage import TwoStageTrainer
-    from repro.fl.env import FederatedEnv
+    from repro.drl.agent import DDPGAgent
+    from repro.drl.two_stage import train_offline
 
-    fl_cfg = build_fl_config(cfg)
-
-    def env_factory(worker_id: int) -> FederatedEnv:
-        wseed = cfg.seed + 7919 * (worker_id + 1)
-        wcfg = cfg.with_(seed=wseed)
-        train_set, _ = build_dataset(wcfg)
-        parts = build_partition(wcfg, train_set.y, np.random.default_rng(wseed + 5))
-        clients = make_clients(train_set, parts, seed=wseed + 11)
-        model_factory = build_model_factory(wcfg, train_set)
-        return FederatedEnv(
-            clients, model_factory, fl_cfg, beta=cfg.drl_beta,
-            fairness_weight=cfg.fairness_weight, seed=wseed,
+    rounds = cfg.drl_pretrain_rounds + 1
+    main_agent = None
+    for w in range(cfg.drl_pretrain_workers):
+        # Workers always explore; nobody reads their test accuracy, hence
+        # the sparsest evaluation schedule (eval_every = rounds).
+        wcfg = cfg.with_(
+            seed=cfg.seed + 7919 * (w + 1), drl_pretrain_rounds=0,
+            drl_explore=True, rounds=rounds, eval_every=rounds,
         )
-
-    # Worker rollouts are independent, so any pooled backend parallelizes
-    # them.  Env factories are closures (unpicklable), so the process
-    # backend also pretrains on threads — env steps are NumPy kernels that
-    # release the GIL.
-    trainer = TwoStageTrainer(
-        env_factory, drl_cfg, n_workers=cfg.drl_pretrain_workers, seed=cfg.seed,
-        threads=1 if cfg.backend == "serial" else cfg.drl_pretrain_workers,
-    )
-    agent = trainer.train(cfg.drl_pretrain_rounds, cfg.drl_offline_updates)
-    agent.noise_scale = min(agent.noise_scale, 0.05)
-    return agent
+        with build_simulation(wcfg) as sim:
+            sim.run()
+        worker = sim.strategy.agent
+        if main_agent is None:
+            main_agent = DDPGAgent(
+                worker.state_dim, worker.n_clients, drl_cfg,
+                rng=np.random.default_rng(cfg.seed + 999_983),
+            )
+        main_agent.buffer.merge(worker.buffer)
+    train_offline(main_agent, main_agent.buffer, cfg.drl_offline_updates)
+    main_agent.noise_scale = min(main_agent.noise_scale, 0.05)
+    return main_agent
 
 
 def build_fault_plan(cfg: ExperimentConfig) -> FaultPlan | None:

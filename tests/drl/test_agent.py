@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from repro.drl.agent import DDPGAgent, DRLConfig
-from repro.drl.env import QuadraticBanditEnv
 from repro.nn.dtypes import default_dtype
 from repro.nn.layers import Dense
+from tests.drl.bandit import QuadraticBanditEnv
 
 
 def make_agent(k=3, **cfg_kwargs):

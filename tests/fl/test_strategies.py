@@ -154,13 +154,6 @@ class TestFedDRL:
         expected = -(lb.mean() + (lb.max() - lb.min()))
         assert strat.reward_history[0] == pytest.approx(expected)
 
-    def test_reset_episode_drops_pending(self):
-        strat = FedDRL(clients_per_round=4, seed=0, online_training=False)
-        strat.impact_factors(updates_fixture(4, seed=1), 0)
-        strat.reset_episode()
-        strat.impact_factors(updates_fixture(4, seed=2), 1)
-        assert len(strat.agent.buffer) == 0  # no transition spans the reset
-
     def test_injected_agent_must_match_k(self):
         agent = DDPGAgent(3 * 3, 3, DRLConfig(), np.random.default_rng(0))
         with pytest.raises(ValueError):

@@ -241,15 +241,21 @@ class TestResumeEndToEnd:
         assert history_digest(resumed.history) == clean
         assert resumed.extra["resumed_from"] == ck
 
-    @pytest.mark.parametrize("topology", ["flat", "hier"])
+    @pytest.mark.parametrize(
+        "topology, pretrain", [("flat", 0), ("hier", 0), ("flat", 2)],
+        ids=["flat", "hier", "flat-pretrain"],
+    )
     def test_feddrl_interrupted_resume_matches_uninterrupted(
-        self, topology, tmp_path, monkeypatch
+        self, topology, pretrain, tmp_path, monkeypatch
     ):
         """The agent's networks, optimiser state and replay ring ride in
-        the snapshot: a crashed FedDRL run resumes bit-identically."""
+        the snapshot: a crashed FedDRL run resumes bit-identically.  A
+        pretrained run's workers checkpoint nothing; the resumed run
+        pretrains again and the snapshot's agent replaces the result."""
         cfg = ExperimentConfig(
             method="feddrl", **FAST, latency_model="lognormal",
             drl_updates_per_round=2, topology=topology,
+            drl_pretrain_rounds=pretrain, drl_offline_updates=5,
         ).with_(rounds=6)
         clean = history_digest(run_experiment(cfg).history)
 

@@ -2,7 +2,7 @@
 
 These tests tie the substrates together exactly the way the benches do:
 synthetic data -> partitioner -> FL simulation -> strategy -> metrics, and
-the two-stage DRL training driving a real federated environment.
+a two-stage pretrained agent driving a federated run.
 """
 
 import numpy as np
@@ -11,14 +11,11 @@ import pytest
 from repro.data.partition import clustered_equal_partition, iid_partition
 from repro.data.synthetic import SyntheticImageSpec, make_synthetic_dataset
 from repro.drl.agent import DRLConfig
-from repro.drl.two_stage import TwoStageTrainer
 from repro.fl.client import make_clients
-from repro.fl.env import FederatedEnv
 from repro.fl.simulation import FederatedSimulation, FLConfig
 from repro.fl.strategies import FedAvg, FedDRL, FedProx
-from repro.harness.ablations import ablation_two_stage
 from repro.harness.config import ExperimentConfig
-from repro.harness.runner import run_experiment
+from repro.harness.runner import pretrain_feddrl_agent, run_experiment
 from functools import partial
 
 from repro.nn.models import mlp
@@ -84,18 +81,16 @@ class TestFullPipeline:
 
 class TestTwoStageWithFL:
     def test_two_stage_pretraining_plugs_into_feddrl(self):
-        """Section 3.4.2 end to end: workers collect FL experience, the main
-        agent trains offline, and the result drives a FedDRL simulation."""
+        """Section 3.4.2 end to end: worker engine runs collect FL
+        experience, the main agent trains offline, and the result drives a
+        FedDRL simulation on another population."""
+        cfg = ExperimentConfig(
+            method="feddrl", scale="ci", n_clients=6, clients_per_round=3,
+            drl_pretrain_rounds=5, drl_offline_updates=10,
+        ).with_(n_train=150, n_test=60)
         drl_cfg = DRLConfig(min_buffer=4, batch_size=4, updates_per_round=1)
-        fl_cfg = FLConfig(rounds=4, clients_per_round=3, local_epochs=1, lr=0.05,
-                          batch_size=16, seed=0)
-
-        def env_factory(worker_id: int) -> FederatedEnv:
-            clients, _, factory = build_population(n_clients=6, seed=10 + worker_id)
-            return FederatedEnv(clients, factory, fl_cfg, seed=worker_id)
-
-        trainer = TwoStageTrainer(env_factory, drl_cfg, n_workers=2, seed=0)
-        main_agent = trainer.train(rounds_per_worker=5, offline_updates=10)
+        main_agent = pretrain_feddrl_agent(cfg, drl_cfg)
+        assert len(main_agent.buffer) == cfg.drl_pretrain_workers * 5
 
         clients, test, factory = build_population(n_clients=6, seed=99)
         strat = FedDRL(clients_per_round=3, agent=main_agent, explore=False,
@@ -109,18 +104,10 @@ class TestTwoStageWithFL:
         assert len(hist.records) == 3
         assert all(r.impact_factors.sum() == pytest.approx(1.0) for r in hist.records)
 
-    def test_ablation_two_stage_smoke(self):
-        out = ablation_two_stage(
-            n_clients=3, rounds_per_worker=15, offline_updates=20,
-            eval_rounds=5, n_workers=2,
-        )
-        assert set(out) == {"basic_reward", "two_stage_reward", "merged_buffer_size"}
-        assert out["merged_buffer_size"] == 30
-
 
 class TestPaperShapeAtTinyScale:
-    """Smoke-level shape checks; the bench harness verifies these at a
-    larger scale with the results recorded in EXPERIMENTS.md."""
+    """Smoke-level shape checks; the benches under ``benchmarks/`` check
+    them at the ``bench`` scale."""
 
     def test_cluster_skew_hurts_fedavg_vs_iid(self):
         """FedAvg accuracy on CE-partitioned data should not exceed its IID
