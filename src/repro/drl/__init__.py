@@ -10,6 +10,8 @@ Implements the agent of Section 3.4 of the paper:
 * :mod:`repro.drl.agent` — the DDPG agent: main/target networks, critic
   regression, deterministic policy-gradient actor update, ``rho``-soft
   target updates.
+* :mod:`repro.drl.side` — the agent's training passes in a forked side
+  process, overlapped with the FL round and joined bit-identically.
 * :mod:`repro.drl.action` — Gaussian sampling + softmax mapping from agent
   actions to client impact factors (eq. 5).
 * :mod:`repro.drl.reward` — the two-objective reward (eq. 7).

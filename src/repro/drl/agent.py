@@ -5,7 +5,11 @@ value — plus an experience buffer.  One ``train`` call performs the
 paper's "B times updating" loop: TD-prioritised batch sampling, a critic
 regression step toward ``r + gamma * Q'(s', pi'(s'))``, a deterministic
 policy-gradient ascent step on ``Q(s, pi(s))``, and ``rho``-soft target
-updates.
+updates.  In a FedDRL run the pass runs in a side process
+(:class:`repro.drl.side.SideTrainer`) on a replica of this agent, overlapped
+with the next round's client training; joining it copies the replica's
+arrays back, so the agent ends each pass with the bits an inline ``train``
+call would have left.
 
 The agent computes in float32 (:data:`AGENT_DTYPE`) whatever the
 substrate's dtype: its networks, Adam moments and replay columns.  States
@@ -70,6 +74,9 @@ class TrainStats:
     actor_q: float
     updates: int
     buffer_size: int
+    #: Mean |TD error| over the buffer at the start of the pass (the
+    #: priorities it ranked by); None when sampling is uniform.
+    td_error: float | None = None
 
 
 class DDPGAgent:
@@ -172,17 +179,24 @@ class DDPGAgent:
         self.policy_opt.step()
         return float(q.mean())
 
+    def can_train(self) -> bool:
+        """Whether the buffer is sufficient for a pass ("if D is
+        sufficient": ``min_buffer`` transitions, and at least two)."""
+        return len(self.buffer) >= max(self.config.min_buffer, 2)
+
     def train(self) -> TrainStats | None:
-        """One side-thread training pass (Algorithm 1); no-op until the
-        buffer holds ``min_buffer`` transitions ("if D is sufficient")."""
+        """One training pass (Algorithm 1), the side process's unit of
+        work; a no-op returning None until :meth:`can_train`."""
         c = self.config
-        if len(self.buffer) < max(c.min_buffer, 2):
+        if not self.can_train():
             return None
         batch_size = min(c.batch_size, len(self.buffer))
         # One ranking per call: the priorities do not change between updates.
-        probs = (
-            self.buffer.rank_probabilities(self.td_priorities()) if c.prioritized else None
-        )
+        probs = td_error = None
+        if c.prioritized:
+            priorities = self.td_priorities()
+            td_error = float(np.mean(priorities))
+            probs = self.buffer.rank_probabilities(priorities)
         critic_losses, actor_qs = [], []
         for _ in range(c.updates_per_round):
             if probs is not None:
@@ -200,6 +214,7 @@ class DDPGAgent:
             actor_q=float(np.mean(actor_qs)),
             updates=c.updates_per_round,
             buffer_size=len(self.buffer),
+            td_error=td_error,
         )
 
     # -- weight transfer ---------------------------------------------------------

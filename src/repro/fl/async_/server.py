@@ -490,6 +490,7 @@ class AsyncFederatedServer(FederatedEngine):
             and self.history.records[-1].test_accuracy is None
         ):
             self._evaluate(self.history.records[-1])
+        self.strategy.close()
         return self.history
 
     # -- checkpoint/resume ---------------------------------------------------
@@ -523,7 +524,9 @@ class AsyncFederatedServer(FederatedEngine):
 
     def close(self) -> None:
         """Release the execution backend's workers and a lazy client
-        pool's shared blocks (idempotent)."""
+        pool's shared blocks, and the strategy's side process
+        (idempotent)."""
+        self.strategy.close()
         self.executor.close()
         if self._lazy:
             self.clients.close()

@@ -1132,6 +1132,7 @@ class FederatedSimulation(FederatedEngine):
             self._next_round = t + 1
             if self.checkpointer is not None:
                 self.checkpointer.step(self._state_view)
+        self.strategy.close()
         return self.history
 
     # -- checkpoint/resume ---------------------------------------------------
@@ -1153,7 +1154,9 @@ class FederatedSimulation(FederatedEngine):
 
     def close(self) -> None:
         """Release the execution backend's workers and a lazy client
-        pool's shared blocks (idempotent)."""
+        pool's shared blocks, and the strategy's side process
+        (idempotent)."""
+        self.strategy.close()
         self.executor.close()
         if self._lazy:
             self.clients.close()

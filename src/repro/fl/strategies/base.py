@@ -82,8 +82,8 @@ class Strategy:
 
     Subclasses implement :meth:`impact_factors`; they may also override
     :meth:`client_kwargs` to alter client-side training (FedProx's proximal
-    term) and :meth:`on_round_end` for bookkeeping (FedDRL's experience
-    collection and agent training).
+    term), :meth:`on_round_end` for bookkeeping (FedDRL's agent training)
+    and :meth:`close` to finish work that outlives a window.
     """
 
     name: str = "base"
@@ -102,6 +102,12 @@ class Strategy:
 
     def on_round_end(self, updates: list[ClientUpdate], round_idx: int) -> None:
         """Hook invoked after the global model is updated; default no-op."""
+
+    def close(self) -> None:
+        """Finish and release background work (FedDRL's side process).
+        Both engines call it at the end of ``run`` and in their own
+        ``close``; idempotent, and the strategy stays usable.  Default
+        no-op."""
 
     def window_metrics(self) -> dict[str, float]:
         """``sim.*`` gauges describing the strategy after this window; the

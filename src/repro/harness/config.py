@@ -326,6 +326,7 @@ class ExperimentConfig:
                 )
         elif self.server_mix is not None and not 0.0 < self.server_mix <= 1.0:
             raise ValueError("server_mix must be in (0, 1] when given")
+        self._validate_drl()
         self._validate_pretrain()
         self._validate_fleet()
         self._validate_robust()
@@ -361,6 +362,20 @@ class ExperimentConfig:
                     "max_concurrency cannot exceed n_clients (a client "
                     "holds at most one job at a time)"
                 )
+
+    def _validate_drl(self) -> None:
+        # The bounds DRLConfig, GaussianPolicyHead and feddrl_reward enforce,
+        # checked before the dataset is built.
+        if not 0.0 <= self.drl_gamma < 1.0:
+            raise ValueError("drl_gamma must be in [0, 1)")
+        if not 0.0 <= self.drl_beta <= 1.0:
+            raise ValueError("drl_beta must be in [0, 1] (paper Section 3.3.3)")
+        if self.drl_noise_scale < 0:
+            raise ValueError("drl_noise_scale must be non-negative")
+        if self.drl_updates_per_round <= 0:
+            raise ValueError("drl_updates_per_round must be positive")
+        if self.fairness_weight < 0:
+            raise ValueError("fairness_weight must be non-negative")
 
     def _validate_pretrain(self) -> None:
         if self.drl_pretrain_rounds < 0:

@@ -48,7 +48,8 @@ CFG = dict(method="feddrl", scale="ci", n_clients=6, clients_per_round=4,
            rounds=10, drl_updates_per_round=2, latency_model="lognormal")
 DTYPES = ("float64", "float32")
 DRL_GAUGES = ("sim.drl.reward", "sim.drl.critic_loss", "sim.drl.actor_q",
-              "sim.drl.replay_size", "sim.drl.noise_scale")
+              "sim.drl.td_error", "sim.drl.replay_size", "sim.drl.noise_scale",
+              "sim.drl.alpha_entropy", "sim.drl.alpha_l1_fedavg")
 
 
 def build_engine() -> FederatedSimulation:
@@ -121,8 +122,18 @@ class TestInvariants:
 class TestAgentHealthMetrics:
     @pytest.mark.parametrize("dtype", DTYPES)
     def test_traced_equals_untraced_and_gauges_match_the_agent(
-        self, serial_digests, dtype
+        self, serial_digests, dtype, monkeypatch
     ):
+        # The last window's view of the strategy, as window_metrics saw it.
+        seen = {}
+        original = FedDRL.window_metrics
+
+        def window_metrics(self):
+            seen.update(train=self.last_train, alphas=self.last_alphas,
+                        state=self._pending[0])
+            return original(self)
+
+        monkeypatch.setattr(FedDRL, "window_metrics", window_metrics)
         tracer = Tracer()
         digest, strategy = run(dtype, tracer=tracer)
         assert digest == serial_digests[dtype]
@@ -132,8 +143,23 @@ class TestAgentHealthMetrics:
         assert gauges["sim.drl.replay_size"] == len(agent.buffer) == CFG["rounds"] - 1
         assert gauges["sim.drl.noise_scale"] == agent.noise_scale
         assert gauges["sim.drl.reward"] == strategy.reward_history[-1]
-        assert gauges["sim.drl.critic_loss"] == strategy.last_train.critic_loss
-        assert gauges["sim.drl.actor_q"] == strategy.last_train.actor_q
+        # The gauges report the last *joined* pass, one window behind: the
+        # final window's own pass (buffer of rounds - 1) is joined by the
+        # end of run(), after the window was recorded.
+        assert strategy.last_train.buffer_size == CFG["rounds"] - 1
+        assert seen["train"].buffer_size == CFG["rounds"] - 2
+        assert gauges["sim.drl.critic_loss"] == seen["train"].critic_loss
+        assert gauges["sim.drl.actor_q"] == seen["train"].actor_q
+        assert gauges["sim.drl.td_error"] == seen["train"].td_error > 0
+        alphas = seen["alphas"]
+        assert alphas is strategy.last_alphas
+        k = CFG["clients_per_round"]
+        fedavg = seen["state"][-k:].astype(float)
+        assert gauges["sim.drl.alpha_entropy"] == pytest.approx(
+            -np.sum(alphas * np.log(alphas)))
+        assert 0 < gauges["sim.drl.alpha_entropy"] <= np.log(k)
+        assert gauges["sim.drl.alpha_l1_fedavg"] == pytest.approx(
+            np.abs(alphas - fedavg).sum())
 
     def test_gauges_are_backend_identical(self):
         totals = {}

@@ -152,6 +152,20 @@ class TestPretrainOnEngines:
         )
 
 
+class TestAgentKnobValidation:
+    @pytest.mark.parametrize("field, value", [
+        ("drl_gamma", 1.5),
+        ("drl_gamma", -0.1),
+        ("drl_beta", 1.5),
+        ("drl_noise_scale", -0.1),
+        ("drl_updates_per_round", 0),
+        ("fairness_weight", -1.0),
+    ])
+    def test_rejected_at_config_time(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(method="feddrl", **FAST, **{field: value})
+
+
 class TestPretrainValidation:
     @pytest.mark.parametrize("field, overrides", [
         ("drl_pretrain_rounds", dict(drl_pretrain_rounds=-1)),
