@@ -1,22 +1,25 @@
-"""The event-driven asynchronous federated server (FedBuff / FedAsync).
+"""The event-queue scheduler: buffered asynchronous FL (FedBuff / FedAsync).
 
-Where :class:`~repro.fl.simulation.FederatedSimulation` runs a barrier —
-every round waits for its slowest participant — this server keeps up to
+Where the barrier scheduler (:class:`~repro.fl.simulation.FederatedSimulation`)
+waits for every round's slowest participant, this one keeps up to
 ``max_concurrency`` client jobs in flight and reacts to *arrivals* in
-virtual-time order:
+virtual-time order.  It supplies the three scheduler hooks of
+:meth:`~repro.fl.simulation.FederatedEngine.run`, the one engine loop:
 
-1. Pop the earliest finish event from the :class:`EventQueue`.
-2. Buffer the arrived update together with its staleness (how many
-   aggregations happened since the job was dispatched).
-3. When the buffer holds ``buffer_size`` updates (``mode="fedbuff"``) or
-   on every arrival (``mode="fedasync"``), flush it as one window through
-   the shared :func:`~repro.fl.simulation.aggregate_window`: the
-   strategy's impact factors are composed with a staleness decay and
-   renormalized, and the global model moves toward the buffered
-   combination by a ``server_mix`` step scaled by the buffer's average
-   staleness factor (FedAsync's adaptive alpha, generalized to buffers).
-4. Refill the free slot by dispatching a new job against the *current*
-   global weights.
+* **who is dispatched** — every free slot goes to an idle online client,
+  by a uniform draw or the fairness policy (fewest jobs served first), as
+  a job against the *current* global weights;
+* **when a window closes** — arrivals pop from the :class:`EventQueue`
+  and are buffered with their staleness (how many aggregations happened
+  since the job was dispatched) until ``buffer_size`` updates are in
+  (``mode="fedbuff"``), or on every arrival (``mode="fedasync"``); the
+  budget's partial final buffer closes one last window, unless the
+  strategy needs a fixed participation level (FedDRL), which discards it;
+* **which inputs the window gets** — per-update staleness factors that
+  weigh and renormalize the impact factors, a ``server_mix`` step scaled
+  by the window's alpha mass (FedAsync's adaptive alpha, generalized to
+  buffers), and under ``server_mix="delta"`` each update's dispatch
+  weights as its anchor.
 
 The total local-work budget matches the synchronous loop — ``rounds ×
 clients_per_round`` jobs — so sync-vs-async comparisons hold compute
@@ -42,15 +45,15 @@ from repro.data.dataset import ArrayDataset
 from repro.fl.async_.events import ClientJob, EventQueue
 from repro.fl.async_.staleness import PolynomialStaleness, StalenessWeighting
 from repro.fl.client import Client, ClientUpdate
-# The window path lives in repro.fl.simulation and calls these four through
-# that module's globals; they stay bound here only because the frozen
-# benchmark (benchmarks/e2e/spans.py) also rebinds them in this namespace.
+# The window path lives in repro.fl.simulation and calls the last four
+# through that module's globals; they stay bound here, and run / close stay
+# in this class body, only because the frozen benchmark
+# (benchmarks/e2e/spans.py) also rebinds them in this namespace.
 from repro.fl.simulation import (  # noqa: F401
     EventRecord,
     FederatedEngine,
     FLConfig,
     History,
-    RoundRecord,
     combine_updates,
     evaluate_loss,
     fold_edges,
@@ -58,7 +61,7 @@ from repro.fl.simulation import (  # noqa: F401
 )
 from repro.fl.strategies.base import Strategy
 from repro.fleet.simulator import FleetSimulator
-from repro.obs.trace import CAT_FLEET, CAT_IDLE, CAT_QUEUE_WAIT, CAT_WINDOW, Tracer
+from repro.obs.trace import CAT_FLEET, CAT_IDLE, Tracer
 from repro.runtime.clock import VirtualClock
 from repro.runtime.executor import Executor
 from repro.runtime.faults import FaultPlan
@@ -84,7 +87,7 @@ DELTA_MIX = "delta"
 
 
 class AsyncFederatedServer(FederatedEngine):
-    """Buffered-asynchronous FL over a fixed client population: an
+    """Buffered-asynchronous FL over a fixed client population: the
     event-queue scheduler.
 
     Every flush is one window whose staleness factors weigh the impact
@@ -94,6 +97,8 @@ class AsyncFederatedServer(FederatedEngine):
     engine = "async"
     window_label = "aggregation"
     window_counter = "sim.aggregations"
+    window_span = "agg_window"
+    window_histogram = "sim.window.span_s"
 
     def __init__(
         self,
@@ -179,6 +184,13 @@ class AsyncFederatedServer(FederatedEngine):
         # checkpointer can snapshot it between aggregation flushes.
         self._loop: dict | None = None
 
+    # See the comment on the repro.fl.simulation import above.
+    def run(self) -> History:
+        return super().run()
+
+    def close(self) -> None:
+        super().close()
+
     @property
     def jobs_dispatched(self) -> dict[int, int]:
         """Dict view of the columnar jobs-served counts (checkpoint/API
@@ -191,7 +203,7 @@ class AsyncFederatedServer(FederatedEngine):
         for cid, n in counts.items():
             self.fleet_state.jobs_served[int(cid)] = int(n)
 
-    # -- dispatch -----------------------------------------------------------
+    # -- who is dispatched ---------------------------------------------------
     def _pick_client(self, idle: np.ndarray, now: float) -> int | None:
         """One idle client to dispatch to, or None when nobody is reachable.
 
@@ -218,7 +230,7 @@ class AsyncFederatedServer(FederatedEngine):
 
         Only *online* clients receive jobs; when every idle client is
         offline the slots stay open and are retried at the next arrival
-        (or, if nothing is in flight, after a clock wait in ``run``).
+        (or, if nothing is in flight, after a wait for the fleet).
         """
         now, idle, in_flight = st["now"], st["idle"], st["in_flight"]
         while (
@@ -257,18 +269,6 @@ class AsyncFederatedServer(FederatedEngine):
                         sim_t0=idle_t0, sim_dur=now - idle_t0, client=cid,
                     )
 
-    def _wait_for_fleet(self, now: float) -> float:
-        """Advance simulated time until some client is online again.
-
-        Only reachable with a fleet attached (without one, dispatch never
-        declines a slot while budget remains).  The wait is counted on the
-        virtual clock only through subsequent dispatch/arrival times.
-        """
-        if self.fleet is None:  # pragma: no cover - defensive
-            return now
-        new_t, _ = self.fleet.wait_for_online(now, min_count=1)
-        return max(now, new_t)
-
     # -- lazy batched training ---------------------------------------------
     def _materialize(
         self,
@@ -297,51 +297,136 @@ class AsyncFederatedServer(FederatedEngine):
                 computed[j.job_idx] = update
         return computed.pop(job.job_idx)
 
-    # -- aggregation --------------------------------------------------------
-    def _flush(self, st: dict) -> None:
-        """Aggregate the buffer as one window, record it, advance the
-        model version."""
-        buffer, agg_idx, now = st["buffer"], st["version"], st["now"]
-        # The window's wire bytes (all 0 without a wire): uploads of the
-        # buffered arrivals, and one broadcast per job dispatched since the
-        # window opened.
-        bytes_up = st.get("window_bytes_up", 0)
-        broadcasts = st["next_job"] - st.get("window_job0", 0)
-        st["window_bytes_up"] = 0
-        st["window_job0"] = st["next_job"]
+    # -- when a window closes ------------------------------------------------
+    def _next_window(self) -> dict | None:
+        """Process arrivals in virtual-time order until ``flush_size``
+        updates are buffered and hand them out as one window (see
+        :meth:`_flush`); after the last arrival, the partial final buffer
+        is the last window.  None once all ``total_jobs`` have arrived.
+
+        Loop state persists on ``self._loop``, so a checkpointer can
+        snapshot it between windows and a restored server continues
+        mid-timeline, bit-identical to never having stopped.
+        """
+        if self._loop is None:
+            self._loop = self._init_loop_state()
+        st = self._loop
+        if not st["primed"]:
+            # The first wave, or the refill after the last flush (which a
+            # snapshot taken between the two resumes with).
+            self._dispatch_until_full(st)
+            st["primed"] = True
+        while st["queue"] or st["next_job"] < self.total_jobs:
+            if not st["queue"]:
+                # Budget remains but every idle client was offline at the
+                # last dispatch point: wait (advance simulated time) until
+                # someone churns back online, then re-enqueue work.
+                st["now"], _ = self._wait_for_online(st["now"])
+                self._dispatch_until_full(st)
+                if not st["queue"]:
+                    break  # pathological availability; give up cleanly
+                continue
+            self._arrive(st)
+            if len(st["buffer"]) >= self.flush_size:
+                return self._flush(st)
+            self._dispatch_until_full(st)
+        if st["buffer"] and getattr(self.strategy, "fixed_k", False):
+            # FedDRL's agent has a hard K: the partial final buffer is
+            # discarded, not flushed.
+            self.discarded_updates += len(st["buffer"])
+            st["buffer"] = []
+        return self._flush(st) if st["buffer"] else None
+
+    def _arrive(self, st: dict) -> None:
+        """Pop the earliest arrival: buffer its upload with its staleness,
+        or lose it to connectivity dropout, and record the event."""
+        event = st["queue"].pop()
+        st["now"] = now = event.time_s
+        job = event.job
+        # Connectivity: the job finished (its time was paid) but its
+        # upload may be lost mid-round; a lost update is never
+        # materialized (unless an earlier group trained it) or buffered.
+        dropped = self.fleet is not None and self.fleet.drops(
+            job.job_idx, job.client_id
+        )
+        payload_bytes = 0
+        if dropped:
+            update = None
+            st["computed"].pop(job.job_idx, None)
+            self.dropped_arrivals += 1
+        else:
+            # Anchored on the weights this job was dispatched with — the
+            # same anchor delta-form mixing uses.
+            update, payload_bytes = self._upload(
+                self._materialize(job, st["in_flight"], st["computed"]),
+                job.job_idx, job.global_weights,
+            )
+            st["window_bytes_up"] = st.get("window_bytes_up", 0) + payload_bytes
+        del st["in_flight"][job.job_idx]
+        st["idle"][job.client_id] = True
+
+        staleness = st["version"] - job.model_version
+        factor = self.staleness.factor(staleness)
+        self.history.append_event(EventRecord(
+            job_idx=job.job_idx,
+            client_id=job.client_id,
+            dispatch_time_s=job.dispatch_time_s,
+            arrival_time_s=now,
+            dispatch_version=job.model_version,
+            arrival_version=st["version"],
+            staleness=staleness,
+            staleness_factor=factor,
+            dropped=dropped,
+            payload_bytes=payload_bytes,
+        ))
+        if not dropped:
+            st["buffer"].append((job, update, staleness, factor))
+        if self.tracer is not None:
+            self._trace_arrival(job, now, staleness, dropped)
+            self._idle_since[job.client_id] = now
+            m = self.tracer.metrics
+            m.set_gauge("sim.jobs.in_flight", len(st["in_flight"]))
+            m.set_gauge("sim.buffer.depth", len(st["buffer"]))
+            if self.fleet is not None:
+                m.set_gauge("sim.fleet.online", len(self.fleet.online_ids(now)))
+
+    def _flush(self, st: dict) -> dict:
+        """The buffer as one window: its updates, their staleness factors,
+        anchors (delta mix) and ``server_mix`` step, and its record fields.
+        Advances the model version; the refill dispatch against the new
+        weights waits for the next :meth:`_next_window`."""
+        buffer, now = st["buffer"], st["now"]
         factors = np.array([f for _, _, _, f in buffer])
-        record = self._aggregate(
-            [u for _, u, _, _ in buffer], agg_idx,
-            evaluate=agg_idx % self.config.eval_every == 0,
+        window = dict(
+            updates=[u for _, u, _, _ in buffer],
+            index=st["version"],
             anchors=(
                 [job.global_weights for job, _, _, _ in buffer]
                 if self.delta_mix else None
             ),
             factors=factors,
             server_mix=self.server_mix,
+            sim_span=(st["last_agg_t"], now),
             sim_makespan_s=now - st["last_agg_t"],
             staleness=[s for _, _, s, _ in buffer],
             staleness_factors=[float(f) for f in factors],
-            payload_bytes_up=bytes_up,
-            payload_bytes_down=broadcasts * (self._down_nbytes or 0),
+            # The window's wire bytes (all 0 without a wire): uploads of
+            # the buffered arrivals, and one broadcast per job dispatched
+            # since the window opened.
+            payload_bytes_up=st.get("window_bytes_up", 0),
+            payload_bytes_down=(
+                (st["next_job"] - st.get("window_job0", 0)) * (self._down_nbytes or 0)
+            ),
             dense_bytes_up=len(buffer) * (self._down_nbytes or 0),
         )
-        tr = self.tracer
-        if tr is not None:
-            # The agg_window spans tile the simulated timeline between
-            # consecutive flushes, so their durations sum to the run's
-            # total simulated time — the async counterpart of the
-            # synchronous engine's ``round`` windows.
-            tr.span("agg_window", CAT_WINDOW, track="server",
-                    sim_t0=st["last_agg_t"], sim_dur=record.sim_makespan_s,
-                    aggregation=agg_idx, updates=len(buffer))
-            tr.metrics.observe("sim.window.span_s", record.sim_makespan_s)
-            for s in record.staleness:
-                tr.metrics.observe("sim.staleness", s)
-            tr.maybe_snapshot(now)
-        st["buffer"] = []
-        st["version"] += 1
-        st["last_agg_t"] = now
+        if self.tracer is not None:
+            for s in window["staleness"]:
+                self.tracer.metrics.observe("sim.staleness", s)
+        st.update(
+            buffer=[], version=st["version"] + 1, last_agg_t=now,
+            window_bytes_up=0, window_job0=st["next_job"], primed=False,
+        )
+        return window
 
     def _trace_arrival(
         self, job: ClientJob, now: float, staleness: int, dropped: bool
@@ -360,7 +445,6 @@ class AsyncFederatedServer(FederatedEngine):
                        job=job.job_idx, client=job.client_id)
             m.inc("sim.updates.dropped_connectivity")
 
-    # -- the event loop ------------------------------------------------------
     def _init_loop_state(self) -> dict:
         """The event loop's mutable state, fresh.  One dict so a snapshot
         captures all of it (queue, slots, buffer, cursors) at once."""
@@ -374,7 +458,7 @@ class AsyncFederatedServer(FederatedEngine):
             "last_agg_t": 0.0,
             "now": 0.0,
             "next_job": 0,
-            "primed": False,   # has the initial dispatch wave run?
+            "primed": False,   # False while a dispatch wave is owed
             # Wire byte accounting for the current aggregation window:
             # bytes uploaded by buffered arrivals, and the job cursor at
             # the window's start (dispatches since then are its
@@ -383,115 +467,6 @@ class AsyncFederatedServer(FederatedEngine):
             "window_bytes_up": 0,
             "window_job0": 0,
         }
-
-    def run(self) -> History:
-        """Process all ``total_jobs`` arrivals in virtual-time order.
-
-        Loop state persists on ``self._loop`` so a checkpointer can
-        snapshot it between aggregation flushes and a restored server
-        continues mid-timeline, bit-identical to never having stopped.
-        """
-        if self._loop is None:
-            self._loop = self._init_loop_state()
-        st = self._loop
-        if not st["primed"]:
-            self._dispatch_until_full(st)
-            st["primed"] = True
-
-        while st["queue"] or st["next_job"] < self.total_jobs:
-            if not st["queue"]:
-                # Budget remains but every idle client was offline at the
-                # last dispatch point: wait (advance simulated time) until
-                # someone churns back online, then re-enqueue work.
-                waited_from = st["now"]
-                st["now"] = self._wait_for_fleet(st["now"])
-                if self.tracer is not None and st["now"] > waited_from:
-                    self.tracer.span(
-                        "fleet.wait", CAT_QUEUE_WAIT, track="server",
-                        sim_t0=waited_from, sim_dur=st["now"] - waited_from,
-                    )
-                self._dispatch_until_full(st)
-                if not st["queue"]:
-                    break  # pathological availability; give up cleanly
-                continue
-            event = st["queue"].pop()
-            st["now"] = now = event.time_s
-            job = event.job
-            # Connectivity: the job finished (its time was paid) but its
-            # upload may be lost mid-round; a lost update is never
-            # materialized (unless an earlier group trained it) or buffered.
-            dropped = self.fleet is not None and self.fleet.drops(
-                job.job_idx, job.client_id
-            )
-            payload_bytes = 0
-            if dropped:
-                update = None
-                st["computed"].pop(job.job_idx, None)
-                self.dropped_arrivals += 1
-            else:
-                # Anchored on the weights this job was dispatched with —
-                # the same anchor delta-form mixing uses.
-                update, payload_bytes = self._upload(
-                    self._materialize(job, st["in_flight"], st["computed"]),
-                    job.job_idx, job.global_weights,
-                )
-                st["window_bytes_up"] = st.get("window_bytes_up", 0) + payload_bytes
-            del st["in_flight"][job.job_idx]
-            st["idle"][job.client_id] = True
-
-            staleness = st["version"] - job.model_version
-            factor = self.staleness.factor(staleness)
-            self.history.append_event(EventRecord(
-                job_idx=job.job_idx,
-                client_id=job.client_id,
-                dispatch_time_s=job.dispatch_time_s,
-                arrival_time_s=now,
-                dispatch_version=job.model_version,
-                arrival_version=st["version"],
-                staleness=staleness,
-                staleness_factor=factor,
-                dropped=dropped,
-                payload_bytes=payload_bytes,
-            ))
-            if not dropped:
-                st["buffer"].append((job, update, staleness, factor))
-            if self.tracer is not None:
-                self._trace_arrival(job, now, staleness, dropped)
-                self._idle_since[job.client_id] = now
-                m = self.tracer.metrics
-                m.set_gauge("sim.jobs.in_flight", len(st["in_flight"]))
-                m.set_gauge("sim.buffer.depth", len(st["buffer"]))
-                if self.fleet is not None:
-                    m.set_gauge(
-                        "sim.fleet.online", len(self.fleet.online_ids(now))
-                    )
-
-            flushed = len(st["buffer"]) >= self.flush_size
-            if flushed:
-                self._flush(st)
-            self._dispatch_until_full(st)
-            if flushed and self.checkpointer is not None:
-                # Snapshot at the end of the flushing iteration — after
-                # the refill dispatch, so a resumed loop re-enters exactly
-                # where an uninterrupted one would be.
-                self.checkpointer.step(self._state_view)
-
-        if st["buffer"]:
-            # A partial final buffer: flush it unless the strategy needs a
-            # fixed participation level (FedDRL's agent has a hard K).
-            if getattr(self.strategy, "fixed_k", False):
-                self.discarded_updates += len(st["buffer"])
-            else:
-                self._flush(st)
-        # The final model always gets an evaluation, whatever eval_every is.
-        if (
-            self.test_set is not None
-            and self.history.records
-            and self.history.records[-1].test_accuracy is None
-        ):
-            self._evaluate(self.history.records[-1])
-        self.strategy.close()
-        return self.history
 
     # -- checkpoint/resume ---------------------------------------------------
     def _state_view(self) -> dict:
@@ -521,12 +496,3 @@ class AsyncFederatedServer(FederatedEngine):
         self.discarded_updates = state["discarded_updates"]
         self.dropped_arrivals = state["dropped_arrivals"]
         self._idle_since = state["idle_since"]
-
-    def close(self) -> None:
-        """Release the execution backend's workers and a lazy client
-        pool's shared blocks, and the strategy's side process
-        (idempotent)."""
-        self.strategy.close()
-        self.executor.close()
-        if self._lazy:
-            self.clients.close()

@@ -1,14 +1,19 @@
-"""The shared window-aggregation path and the synchronous round loop.
+"""The engine loop, the window-aggregation step and the barrier scheduler.
 
 One server step — Algorithm 2's impact factors followed by eq. (4) — is
 implemented once, in :func:`aggregate_window`, over a *window* of client
-updates.  The two engines are schedulers that decide which updates form a
-window and when: :class:`FederatedSimulation` (here) runs a barrier —
-sample K participants, broadcast, collect, aggregate, evaluate — and
-:class:`~repro.fl.async_.server.AsyncFederatedServer` reacts to arrivals
-in virtual-time order.  What both need around the window (construction,
-executor dispatch, records, evaluation, trace counters, checkpoint
-ledgers) lives in :class:`FederatedEngine`.
+updates, and one loop drives it: :meth:`FederatedEngine.run` takes the
+next window from the scheduler, closes it (aggregate, record, evaluate,
+trace) and lets the checkpointer snapshot.  A scheduler is a subclass
+that decides who is dispatched, when a window closes and which
+aggregation inputs (``anchors`` / ``factors`` / ``server_mix``) it gets:
+:class:`FederatedSimulation` (here) runs a barrier — the selector picks K
+participants, all train, the window closes when the last one (or the
+deadline) is in — and :class:`~repro.fl.async_.server.AsyncFederatedServer`
+dispatches by policy and closes a window every M arrivals in virtual-time
+order.  Everything else (construction, executor dispatch, the upload
+path, waiting for an online client, records, evaluation, the window
+trace, checkpoint ledgers) lives once in :class:`FederatedEngine`.
 
 Per-window records capture everything the paper's figures need — test
 accuracy (Fig. 5/7/8), per-client inference-loss statistics (Fig. 6),
@@ -59,7 +64,7 @@ from repro.obs.trace import (
     CAT_WINDOW,
     Tracer,
 )
-from repro.runtime.clock import RoundTiming, VirtualClock, n_local_batches
+from repro.runtime.clock import VirtualClock, n_local_batches
 from repro.runtime.executor import Executor, RoundContext, SerialExecutor
 from repro.runtime.faults import FaultPlan, FaultStats, absorb_fault_stats
 
@@ -528,19 +533,23 @@ def aggregate_window(
 
 
 class FederatedEngine:
-    """What the two schedulers share around :func:`aggregate_window`.
+    """The engine loop and everything the two schedulers share around it.
 
-    Construction of the common parts, executor dispatch, the window's
-    record / trace counters / evaluation, and the checkpoint ledgers.
-    Subclasses decide which updates form a window and when:
-    :class:`FederatedSimulation` is a barrier scheduler,
-    :class:`~repro.fl.async_.server.AsyncFederatedServer` an event-queue
-    scheduler.
+    :meth:`run` is the only window loop.  A subclass is a scheduler: its
+    :meth:`_next_window` decides who is dispatched, when a window closes
+    and which ``anchors`` / ``factors`` / ``server_mix`` the window gets —
+    :class:`FederatedSimulation` a barrier,
+    :class:`~repro.fl.async_.server.AsyncFederatedServer` an event queue.
+    Construction, executor dispatch, the upload path, waiting for an
+    online client, the window's record / evaluation / trace, the
+    checkpoint ledgers and teardown exist once, here.
     """
 
-    engine = ""          # snapshot tag
-    window_label = ""    # what the trace calls a window
-    window_counter = ""  # the sim.* counter of closed windows
+    engine = ""            # snapshot tag
+    window_label = ""      # what the trace calls a window
+    window_counter = ""    # the sim.* counter of closed windows
+    window_span = ""       # the trace's span over a clocked window ...
+    window_histogram = ""  # ... and the sim.* histogram of its length
 
     def __init__(
         self, clients, test_set, model_factory, strategy, config, executor,
@@ -633,6 +642,16 @@ class FederatedEngine:
             n, self.global_weights.shape[0], self.global_weights.dtype
         )
 
+    def _wait_for_online(self, now: float) -> tuple[float, np.ndarray]:
+        """Advance simulated time from ``now`` slot by slot until some
+        client is online; returns that time and the online pool, and
+        traces the wait."""
+        online_t, pool = self.fleet.wait_for_online(now, min_count=1)
+        if self.tracer is not None and online_t > now:
+            self.tracer.span("fleet.wait", CAT_QUEUE_WAIT, track="server",
+                             sim_t0=now, sim_dur=online_t - now)
+        return online_t, pool
+
     def _upload(
         self, update: ClientUpdate, index: int, anchor: np.ndarray
     ) -> tuple[ClientUpdate, int]:
@@ -704,15 +723,43 @@ class FederatedEngine:
             self.clients.release(ids)
         return updates
 
-    def _aggregate(
-        self, updates: list[ClientUpdate], index: int, evaluate: bool,
-        anchors=None, factors=None, server_mix=None, **record_fields,
+    # -- the engine loop -------------------------------------------------------
+    def run(self) -> History:
+        """Close windows until the scheduler has none left (Algorithm 2,
+        line 3) — the one window loop.
+
+        After each window the attached checkpointer (if any) may snapshot,
+        so a kill at any instant loses at most ``checkpoint_every``
+        windows of work and a restored engine continues at the
+        scheduler's cursor.  The final record is always evaluated,
+        whatever ``eval_every`` is.
+        """
+        while (window := self._next_window()) is not None:
+            self._close_window(**window)
+            if self.checkpointer is not None:
+                self.checkpointer.step(self._state_view)
+        records = self.history.records
+        if records and records[-1].test_accuracy is None:
+            self._evaluate(records[-1])
+        self.strategy.close()
+        return self.history
+
+    def _next_window(self) -> dict | None:
+        """The scheduler's hook: dispatch, collect and hand out the next
+        window as :meth:`_close_window`'s keyword arguments, advancing its
+        cursor past it; None once the run is over."""
+        raise NotImplementedError
+
+    def _close_window(
+        self, updates: list[ClientUpdate], index: int, anchors=None,
+        factors=None, server_mix=None, sim_span=None, **record_fields,
     ) -> RoundRecord:
         """Close one window: run :func:`aggregate_window` over it (see
         there for ``anchors`` / ``factors`` / ``server_mix``), install the
         new weights, and append the window's record — the fields every
-        window has plus the scheduler's ``record_fields`` — traced and,
-        on request, evaluated."""
+        window has plus the scheduler's ``record_fields`` — evaluated
+        every ``eval_every`` windows and traced over ``sim_span``, its
+        simulated (start, end) (None without a clock)."""
         wall_t0 = time.time()
         result = aggregate_window(
             self.global_weights, self.strategy, updates, index,
@@ -739,16 +786,21 @@ class FederatedEngine:
             clipped_updates=result.clipped,
             **record_fields,
         )
-        if self.tracer is not None:
-            self._trace_window(record, wall_t0)
-        if evaluate and self.test_set is not None:
+        if index % self.config.eval_every == 0:
             self._evaluate(record)
+        if self.tracer is not None:
+            self._trace_window(record, wall_t0, sim_span)
         self.history.append(record)
         return record
 
-    def _trace_window(self, record: RoundRecord, wall_t0: float) -> None:
+    def _trace_window(
+        self, record: RoundRecord, wall_t0: float, sim_span: tuple | None
+    ) -> None:
         """The server-side spans and ``sim.*`` counters every window emits
-        (tracer != None only).  The wall fields are this host's real cost."""
+        (tracer != None only), and on a clocked run the window span over
+        ``sim_span``: window spans tile the simulated timeline, so their
+        durations sum to ``History.total_sim_time()``.  The wall fields
+        are this host's real cost."""
         tr = self.tracer
         label = {self.window_label: record.round_idx}
         tr.span("impact_factors", CAT_AGGREGATION, track="server",
@@ -774,6 +826,13 @@ class FederatedEngine:
             )
         for name, value in self.strategy.window_metrics().items():
             m.set_gauge(name, value)
+        if sim_span is not None:
+            t0, t1 = sim_span
+            tr.span(self.window_span, CAT_WINDOW, track="server",
+                    sim_t0=t0, sim_dur=record.sim_makespan_s,
+                    **label, updates=len(record.participants))
+            m.observe(self.window_histogram, record.sim_makespan_s)
+            tr.maybe_snapshot(t1)
 
     def _trace_client_phases(
         self, cid: int, start: float, duration: float, batches: int,
@@ -806,7 +865,10 @@ class FederatedEngine:
         tr.metrics.inc("sim.comm.payload_s", download + upload)
 
     def _evaluate(self, record: RoundRecord) -> None:
-        """Score the current global weights on the test set into ``record``."""
+        """Score the current global weights on the test set into ``record``
+        (nothing to score without one)."""
+        if self.test_set is None:
+            return
         # One span covers the arena broadcast (set_flat_weights) plus the
         # forward passes it feeds.
         with self._wall_span("evaluate", **{self.window_label: record.round_idx}):
@@ -879,6 +941,14 @@ class FederatedEngine:
             self.clock.fault_recovery_s = clock_state["fault_recovery_s"]
             self.clock.timings = clock_state["timings"]
 
+    def close(self) -> None:
+        """Release the execution backend's workers, a lazy client pool's
+        shared blocks and the strategy's side process (idempotent)."""
+        self.strategy.close()
+        self.executor.close()
+        if self._lazy:
+            self.clients.close()
+
     def __enter__(self):
         return self
 
@@ -887,14 +957,19 @@ class FederatedEngine:
 
 
 class FederatedSimulation(FederatedEngine):
-    """Synchronous FL over a fixed client population: a barrier scheduler.
+    """Synchronous FL over a fixed client population: the barrier scheduler.
 
-    Every round is one window with no anchors, no staleness factors and a
+    Round t is window t: the selector picks K participants among the
+    clients online at the round's simulated start, all train on the
+    current weights, and the window closes on the slowest of them (or at
+    a ``drop`` deadline) with no anchors, no staleness factors and a
     replace-form mix."""
 
     engine = "sync"
     window_label = "round"
     window_counter = "sim.rounds"
+    window_span = "round"
+    window_histogram = "sim.round.makespan_s"
 
     def __init__(
         self,
@@ -924,7 +999,6 @@ class FederatedSimulation(FederatedEngine):
                 f"clients_per_round={config.clients_per_round} exceeds population "
                 f"{len(clients)}"
             )
-        self.rng = np.random.default_rng(config.seed)
         if selector is None:
             from repro.fl.selection import UniformSelection
 
@@ -932,7 +1006,15 @@ class FederatedSimulation(FederatedEngine):
         self.selector = selector
         self._next_round = 0
 
-    # -- one round ----------------------------------------------------------
+    # benchmarks/e2e/spans.py times __init__, run and close where each
+    # engine class defines them; run and close are FederatedEngine's.
+    def run(self) -> History:
+        return super().run()
+
+    def close(self) -> None:
+        super().close()
+
+    # -- who is dispatched ---------------------------------------------------
     def sample_participants(
         self, round_idx: int = 0, available: list[int] | None = None
     ) -> list[int]:
@@ -948,215 +1030,142 @@ class FederatedSimulation(FederatedEngine):
             k = min(k, len(available))
         return self.selector.select(len(self.clients), k, round_idx, available=available)
 
-    def _fleet_pool(self, round_idx: int) -> tuple[list[int] | None, float, int | None]:
-        """(online pool, seconds waited for it, online count) for the round.
-
-        Availability is sampled at the round's simulated start time; if
-        nobody is online the server waits — slot by slot, advancing the
-        clock — until someone is.  Without a fleet the pool is ``None``
-        (every client, and the selectors' legacy code paths).
-        """
-        if self.fleet is None:
-            return None, 0.0, None
-        now = self.clock.elapsed_s if self.clock is not None else float(round_idx)
-        new_t, pool = self.fleet.wait_for_online(now, min_count=1)
-        wait_s = new_t - now
-        if wait_s > 0 and self.clock is not None:
-            self.clock.advance(wait_s)
-        return pool, wait_s, len(pool)
-
-    def _fleet_budgets(
-        self, round_idx: int, participants: list[int]
-    ) -> dict[int, int] | None:
-        """Per-client batch caps from the fleet's completeness draws."""
-        if self.fleet is None or self.fleet.completeness >= 1.0:
-            return None
-        return {
-            cid: self.fleet.batch_budget(round_idx, cid, self._local_batches(cid))
-            for cid in participants
-        }
-
-    def _observe_clock(
-        self,
-        round_idx: int,
-        participants: list[int],
-        updates: list[ClientUpdate],
-        client_batches: dict[int, int] | None = None,
-    ) -> tuple[list[ClientUpdate], RoundTiming | None, dict[int, int]]:
-        """Apply the virtual clock: record makespan, enforce the deadline.
-
-        Returns the surviving updates, the round's :class:`RoundTiming`
-        (None without a clock), and the per-client batch counts the
-        timing was computed from (the tracer decomposes spans with them).
-        """
-        if self.clock is None:
-            return updates, None, {}
-        batches = {cid: self._local_batches(cid) for cid in participants}
-        if client_batches:
-            batches.update(client_batches)
-        timing = self.clock.observe_round(
-            round_idx, participants, batches, self._up_nbytes, self._down_nbytes
-        )
-        if timing.dropped:
-            dropped = set(timing.dropped)
-            updates = [u for u in updates if u.client_id not in dropped]
-        return updates, timing, batches
-
-    def _fleet_dropout(
-        self, round_idx: int, updates: list[ClientUpdate]
-    ) -> tuple[list[ClientUpdate], list[int]]:
-        """Mid-round connectivity loss: the update is discarded *after* its
-        compute time entered the makespan.  At least one update survives
-        (a real server would re-request rather than lose the round)."""
-        if self.fleet is None or self.fleet.dropout_prob <= 0.0:
-            return updates, []
-        dropped = [u.client_id for u in updates
-                   if self.fleet.drops(round_idx, u.client_id)]
-        if len(dropped) == len(updates):
-            dropped = dropped[1:]  # keep the first participant's update
-        if not dropped:
-            return updates, []
-        lost = set(dropped)
-        return [u for u in updates if u.client_id not in lost], dropped
-
     def run_round(self, round_idx: int) -> RoundRecord:
-        sim0 = self.clock.elapsed_s if self.clock is not None else None
-        pool, wait_s, online_count = self._fleet_pool(round_idx)
-        participants = self.sample_participants(round_idx, available=pool)
-        budgets = self._fleet_budgets(round_idx, participants)
+        """Run round ``round_idx`` as one window: the public one-round
+        step, outside :meth:`run`'s cursor and checkpoints."""
+        return self._close_window(**self._round_window(round_idx))
+
+    # -- when a window closes: at the round's barrier ------------------------
+    def _next_window(self) -> dict | None:
+        t = self._next_round
+        if t >= self.config.rounds:
+            return None
+        self._next_round = t + 1
+        return self._round_window(t)
+
+    def _round_window(self, t: int) -> dict:
+        """Round ``t`` as one window.  The selector picks K of the clients
+        online at the round's simulated start (the server waits, advancing
+        the clock, while nobody is); all train on the current weights, a
+        fleet may cut their local work short, and the window closes on the
+        slowest.  A ``drop`` deadline excludes the stragglers' updates, and
+        fleet dropout loses an update after its compute time entered the
+        makespan — but one update always survives (a real server would
+        re-request rather than lose the round)."""
+        clock, fleet = self.clock, self.fleet
+        sim0 = None if clock is None else clock.elapsed_s
+        pool, wait_s, online_count, budgets = None, 0.0, None, None
+        if fleet is not None:
+            now = float(t) if sim0 is None else sim0
+            online_t, pool = self._wait_for_online(now)
+            wait_s, online_count = online_t - now, len(pool)
+            if wait_s > 0 and clock is not None:
+                clock.advance(wait_s)
+        participants = self.sample_participants(t, available=pool)
+        if fleet is not None and fleet.completeness < 1.0:
+            budgets = {
+                cid: fleet.batch_budget(t, cid, self._local_batches(cid))
+                for cid in participants
+            }
         updates = self._train(
-            "executor.round", round_idx, self.global_weights, participants,
-            client_batches=budgets,
-            round=round_idx, participants=len(participants),
+            "executor.round", t, self.global_weights, participants,
+            client_batches=budgets, round=t, participants=len(participants),
         )
         # Uploads arrive parent-side, in participant order.  Error feedback
         # is updated even for uploads a deadline later drops: the
         # client-side encoding already happened.
-        sent = [self._upload(u, round_idx, self.global_weights) for u in updates]
+        sent = [self._upload(u, t, self.global_weights) for u in updates]
         updates = [u for u, _ in sent]
-        payload_up = sum(nbytes for _, nbytes in sent)
         payload_down = self._broadcast(len(participants))
-        updates, timing, batches = self._observe_clock(
-            round_idx, participants, updates, budgets
-        )
-        updates, conn_dropped = self._fleet_dropout(round_idx, updates)
+        timing, batches = None, {}
+        if clock is not None:
+            batches = {cid: self._local_batches(cid) for cid in participants}
+            batches.update(budgets or {})
+            timing = clock.observe_round(
+                t, participants, batches, self._up_nbytes, self._down_nbytes
+            )
+            late = set(timing.dropped)
+            updates = [u for u in updates if u.client_id not in late]
+        lost: list[int] = []
+        if fleet is not None and fleet.dropout_prob > 0.0:
+            lost = [u.client_id for u in updates if fleet.drops(t, u.client_id)]
+            if len(lost) == len(updates):
+                lost = lost[1:]  # keep the first participant's update
+            gone = set(lost)
+            updates = [u for u in updates if u.client_id not in gone]
         self.selector.observe(
             [u.client_id for u in updates],
             np.array([u.loss_before for u in updates]),
         )
-        work_fractions = {}
-        if budgets is not None:
-            work_fractions = {
-                cid: self.fleet.work_fraction(round_idx, cid) for cid in participants
-            }
-        record = self._aggregate(
-            updates, round_idx,
-            evaluate=round_idx % self.config.eval_every == 0
-            or round_idx == self.config.rounds - 1,
+        if self.tracer is not None:
+            self._trace_barrier(t, timing, batches, lost, online_count,
+                                start=None if sim0 is None else sim0 + wait_s)
+        return dict(
+            updates=updates,
+            index=t,
+            sim_span=None if timing is None else (sim0, clock.elapsed_s),
             # The round's simulated cost includes any time the server spent
             # waiting for an online client before it could even select.
             sim_makespan_s=None if timing is None else timing.makespan_s + wait_s,
-            dropped_clients=timing.dropped if timing is not None else [],
+            dropped_clients=[] if timing is None else timing.dropped,
             online_count=online_count,
             wait_s=wait_s,
-            connectivity_dropped=conn_dropped,
-            work_fractions=work_fractions,
-            payload_bytes_up=payload_up,
+            connectivity_dropped=lost,
+            work_fractions={} if budgets is None else {
+                cid: fleet.work_fraction(t, cid) for cid in participants
+            },
+            payload_bytes_up=sum(nbytes for _, nbytes in sent),
             payload_bytes_down=payload_down,
             # What the same uploads would have cost uncompressed.
             dense_bytes_up=len(sent) * (self._down_nbytes or 0),
         )
-        if self.tracer is not None:
-            self._trace_round(record, timing, sim0, batches)
-        return record
 
-    def _trace_round(
-        self,
-        record: RoundRecord,
-        timing: RoundTiming | None,
-        sim0: float | None,
-        batches: dict[int, int],
+    def _trace_barrier(
+        self, t: int, timing, batches: dict[int, int], lost: list[int],
+        online_count: int | None, start: float | None,
     ) -> None:
-        """Emit one round's simulated-time spans and metrics (tracer !=
-        None only).  They derive from the virtual clock's timings —
-        already pure functions of the seed — so the trace is bit-identical
-        across execution backends.  Without a clock there are none.
-        """
+        """Round ``t``'s drop counters and client-side spans (tracer !=
+        None only): each participant's download / local_train / upload
+        from ``start``, then its deadline or connectivity drop, or its
+        wait at the barrier.  They derive from the virtual clock's timings
+        — pure functions of the seed — so they are bit-identical across
+        backends; without a clock there are none."""
         tr = self.tracer
         m = tr.metrics
-        m.inc("sim.updates.dropped_deadline", len(record.dropped_clients))
-        m.inc("sim.updates.dropped_connectivity", len(record.connectivity_dropped))
-        if record.online_count is not None:
-            m.set_gauge("sim.fleet.online", record.online_count)
-        if timing is None or sim0 is None:
+        m.inc("sim.updates.dropped_deadline",
+              0 if timing is None else len(timing.dropped))
+        m.inc("sim.updates.dropped_connectivity", len(lost))
+        if online_count is not None:
+            m.set_gauge("sim.fleet.online", online_count)
+        if timing is None:
             return
-        key = {"round": record.round_idx}
-        tr.span("round", CAT_WINDOW, track="server",
-                sim_t0=sim0, sim_dur=record.sim_makespan_s,
-                **key, participants=len(record.participants))
-        m.observe("sim.round.makespan_s", record.sim_makespan_s)
-        if record.wait_s > 0:
-            tr.span("fleet.wait", CAT_QUEUE_WAIT, track="server",
-                    sim_t0=sim0, sim_dur=record.wait_s, **key)
-        start = sim0 + record.wait_s
-        deadline_dropped = set(timing.dropped)
-        conn_dropped = set(record.connectivity_dropped)
+        key = {"round": t}
+        late, gone = set(timing.dropped), set(lost)
         for cid, total in timing.client_times_s.items():
             self._trace_client_phases(cid, start, total, batches[cid], key)
             track = f"client/{cid}"
-            if cid in deadline_dropped:
+            if cid in late:
                 tr.instant("deadline_drop", CAT_FLEET, track=track,
                            sim_t=start + min(total, timing.deadline_s or total),
                            **key, client=cid)
-            elif cid in conn_dropped:
+            elif cid in gone:
                 tr.instant("connectivity_drop", CAT_FLEET, track=track,
                            sim_t=start + total, **key, client=cid)
-            else:
-                idle = timing.makespan_s - total
-                if idle > 0:
-                    tr.span("barrier.wait", CAT_IDLE, track=track,
-                            sim_t0=start + total, sim_dur=idle,
-                            **key, client=cid)
-        tr.maybe_snapshot(self.clock.elapsed_s)
-
-    def run(self) -> History:
-        """Run all T communication rounds (Algorithm 2, line 3).
-
-        Starts from ``_next_round`` — 0 on a fresh run, later after
-        :meth:`restore_state` — and snapshots through the attached
-        checkpointer (if any) after each completed round, so a kill at
-        any instant loses at most ``checkpoint_every`` rounds of work.
-        """
-        for t in range(self._next_round, self.config.rounds):
-            self.run_round(t)
-            self._next_round = t + 1
-            if self.checkpointer is not None:
-                self.checkpointer.step(self._state_view)
-        self.strategy.close()
-        return self.history
+            elif timing.makespan_s > total:
+                tr.span("barrier.wait", CAT_IDLE, track=track,
+                        sim_t0=start + total, sim_dur=timing.makespan_s - total,
+                        **key, client=cid)
 
     # -- checkpoint/resume ---------------------------------------------------
     def _state_view(self) -> dict:
-        """Borrowed engine state: the shared ledgers plus the round
-        cursor, the selector and the engine RNG."""
-        return self._borrow_state(
-            next_round=self._next_round,
-            selector=self.selector,
-            rng_state=self.rng.bit_generator.state,
-        )
+        """Borrowed engine state: the shared ledgers plus the round cursor
+        and the selector."""
+        return self._borrow_state(next_round=self._next_round, selector=self.selector)
 
     def restore_state(self, state: dict) -> None:
-        """Restore a :meth:`snapshot_state` dict; run() then continues."""
+        """Restore a :meth:`snapshot_state` dict; run() then continues.
+        (Older snapshots also carry an ``rng_state`` of an engine RNG that
+        nothing drew from.)"""
         self._restore(state)
         self._next_round = state["next_round"]
         self.selector = state["selector"]
-        self.rng.bit_generator.state = state["rng_state"]
-
-    def close(self) -> None:
-        """Release the execution backend's workers and a lazy client
-        pool's shared blocks, and the strategy's side process
-        (idempotent)."""
-        self.strategy.close()
-        self.executor.close()
-        if self._lazy:
-            self.clients.close()
