@@ -10,8 +10,8 @@ as a self-contained NumPy library:
   paper's non-IID partitioners (PA / CE / CN / Equal / Non-equal).
 * :mod:`repro.drl` — the DDPG agent, TD-prioritised replay, reward, and
   the two-stage training strategy.
-* :mod:`repro.fl` — the synchronous FL simulation with FedAvg, FedProx,
-  FedDRL and SingleSet.
+* :mod:`repro.fl` — the FL engines (synchronous and buffered-async) with
+  FedAvg, FedProx and FedDRL; SingleSet is a one-client FedAvg run.
 * :mod:`repro.harness` — experiment configs, runners and the table/figure
   generators for every artifact in the paper's evaluation.
 

@@ -345,26 +345,26 @@ def main(argv: list[str] | None = None) -> int:
         raise
 
     if args.json:
+        from repro.harness.reporting import history_digest
+
+        history = result.history
         payload = {
             "dataset": args.dataset,
             "partition": args.partition,
             "method": args.method,
             "best_accuracy": result.best_accuracy,
             "wall_time_s": result.wall_time_s,
-        }
-        if result.history is not None:
-            from repro.harness.reporting import history_digest
-
-            payload["accuracy_series"] = result.history.accuracy_series()
-            payload["mean_impact_ms"] = result.history.mean_impact_time() * 1e3
-            payload["mean_aggregation_ms"] = result.history.mean_aggregation_time() * 1e3
-            payload["backend"] = args.backend
-            payload["dtype"] = args.dtype
+            "accuracy_series": history.accuracy_series(),
+            "mean_impact_ms": history.mean_impact_time() * 1e3,
+            "mean_aggregation_ms": history.mean_aggregation_time() * 1e3,
+            "backend": args.backend,
+            "dtype": args.dtype,
             # The fault-tolerance comparison surface: equal hashes mean
             # bit-identical training trajectories.
-            payload["history_hash"] = history_digest(result.history)
-            if args.aggregation != "sync":
-                payload["accuracy_vs_time"] = result.history.accuracy_vs_time()
+            "history_hash": history_digest(history),
+        }
+        if args.aggregation != "sync":
+            payload["accuracy_vs_time"] = history.accuracy_vs_time()
         if result.extra:
             payload.update(result.extra)
         print(json.dumps(payload))
@@ -427,10 +427,9 @@ def main(argv: list[str] | None = None) -> int:
         if result.extra and "trace_paths" in result.extra:
             print(f"  trace:               {result.extra['trace_paths']['trace']} "
                   f"(+ .chrome.json, .manifest.json)")
-        if result.history is not None:
-            tail = result.history.accuracy_series()[-3:]
-            series = "  ".join(f"r{r}:{v:.3f}" for r, v in tail)
-            print(f"  final rounds:        {series}")
+        tail = result.history.accuracy_series()[-3:]
+        series = "  ".join(f"r{r}:{v:.3f}" for r, v in tail)
+        print(f"  final rounds:        {series}")
     return 0
 
 

@@ -4,8 +4,8 @@ A synchronous FL simulation faithful to Algorithm 2 of the paper: the
 server broadcasts global weights, each participating client trains
 locally for E epochs and reports ``(l_b, l_a, n_k, w_k)``, and a pluggable
 aggregation *strategy* (FedAvg / FedProx / FedDRL) computes the next
-global model.  ``SingleSet`` (centralised training) is included as the
-reference upper bound used throughout the paper's tables.
+global model.  The paper's SingleSet reference is a one-client FedAvg run
+(``repro.harness.runner.singleset_run``).
 """
 
 from repro.fl.async_ import (
@@ -37,7 +37,6 @@ from repro.fl.simulation import (
     RoundRecord,
     aggregate_window,
 )
-from repro.fl.singleset import SingleSetResult, train_singleset
 from repro.fl.strategies import (
     FedAvg,
     FedDRL,
@@ -77,8 +76,6 @@ __all__ = [
     "RoundRecord",
     "NonFiniteUpdateError",
     "aggregate_window",
-    "SingleSetResult",
-    "train_singleset",
     "Strategy",
     "FedAvg",
     "FedProx",

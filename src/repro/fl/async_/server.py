@@ -382,9 +382,19 @@ class AsyncFederatedServer(FederatedEngine):
         if not dropped:
             st["buffer"].append((job, update, staleness, factor))
         if self.tracer is not None:
-            self._trace_arrival(job, now, staleness, dropped)
+            # The finished job's client-side spans.
+            self._trace_client_phases(
+                job.client_id, job.dispatch_time_s, job.duration_s,
+                job.n_batches, {"job": job.job_idx}, staleness=staleness,
+            )
             self._idle_since[job.client_id] = now
             m = self.tracer.metrics
+            m.inc("sim.jobs.arrived")
+            if dropped:
+                self.tracer.instant("connectivity_drop", CAT_FLEET,
+                                    track=f"client/{job.client_id}", sim_t=now,
+                                    job=job.job_idx, client=job.client_id)
+                m.inc("sim.updates.dropped_connectivity")
             m.set_gauge("sim.jobs.in_flight", len(st["in_flight"]))
             m.set_gauge("sim.buffer.depth", len(st["buffer"]))
             if self.fleet is not None:
@@ -427,23 +437,6 @@ class AsyncFederatedServer(FederatedEngine):
             window_bytes_up=0, window_job0=st["next_job"], primed=False,
         )
         return window
-
-    def _trace_arrival(
-        self, job: ClientJob, now: float, staleness: int, dropped: bool
-    ) -> None:
-        """Emit one finished job's client-side spans (tracer != None only)."""
-        tr = self.tracer
-        self._trace_client_phases(
-            job.client_id, job.dispatch_time_s, job.duration_s, job.n_batches,
-            {"job": job.job_idx}, staleness=staleness,
-        )
-        m = tr.metrics
-        m.inc("sim.jobs.arrived")
-        if dropped:
-            tr.instant("connectivity_drop", CAT_FLEET,
-                       track=f"client/{job.client_id}", sim_t=now,
-                       job=job.job_idx, client=job.client_id)
-            m.inc("sim.updates.dropped_connectivity")
 
     def _init_loop_state(self) -> dict:
         """The event loop's mutable state, fresh.  One dict so a snapshot

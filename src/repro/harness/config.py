@@ -257,6 +257,8 @@ class ExperimentConfig:
             raise ValueError(f"scale must be one of {sorted(SCALES)}")
         if self.clients_per_round > self.n_clients:
             raise ValueError("clients_per_round cannot exceed n_clients")
+        if self.rounds is not None and self.rounds <= 0:
+            raise ValueError("rounds must be positive")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must be in (0, 1]")
         if self.backend not in VALID_BACKENDS:
@@ -273,24 +275,10 @@ class ExperimentConfig:
             raise ValueError("straggler_fraction must be in [0, 1]")
         if self.straggler_slowdown < 1.0:
             raise ValueError("straggler_slowdown must be >= 1")
-        if self.method == "singleset" and (
-            self.backend != "serial"
-            or self.workers is not None
-            or self.latency_model != "none"
-        ):
-            raise ValueError(
-                "singleset is centralized training — backend/workers/"
-                "latency settings do not apply to it"
-            )
         if self.metrics_interval < 0:
             raise ValueError("metrics_interval must be non-negative")
         if self.metrics_interval > 0 and self.trace is None:
             raise ValueError("metrics_interval needs trace=PATH to write to")
-        if self.trace is not None and self.method == "singleset":
-            raise ValueError(
-                "tracing instruments the federated engines — singleset "
-                "is centralized training and emits no trace"
-            )
         if self.deadline_policy == "drop" and self.deadline_s is None:
             raise ValueError("deadline_policy='drop' requires deadline_s")
         if self.latency_model == "none" and (
@@ -305,8 +293,8 @@ class ExperimentConfig:
                 f"{tuple(m for m in VALID_LATENCY_MODELS if m != 'none')}"
             )
         if self.method == "feddrl" and self.deadline_policy == "drop":
-            # The DRL agent's state/action dims are fixed at K; dropping
-            # straggler updates would hand it fewer (see ROADMAP: async FL).
+            # The DRL agent's state and action dims are fixed at K; a round
+            # that drops its stragglers' updates would hand it fewer.
             raise ValueError(
                 "feddrl needs exactly K updates per round; "
                 "deadline_policy='drop' is unsupported for it (use 'wait')"
@@ -336,8 +324,8 @@ class ExperimentConfig:
         if self.aggregation != "sync":
             if self.method == "singleset":
                 raise ValueError(
-                    "singleset is centralized training — asynchronous "
-                    "aggregation does not apply to it"
+                    "singleset is one client's synchronous run — "
+                    "asynchronous aggregation does not apply to it"
                 )
             if self.latency_model == "none":
                 raise ValueError(
@@ -447,8 +435,8 @@ class ExperimentConfig:
         if self.topology == "hier":
             if self.method == "singleset":
                 raise ValueError(
-                    "singleset is centralized training — an aggregation "
-                    "topology does not apply to it"
+                    "singleset trains one client — there is nothing to "
+                    "fold into edges"
                 )
             if self.aggregation == "fedasync":
                 raise ValueError(
@@ -473,11 +461,6 @@ class ExperimentConfig:
                     "topology='hier' with aggregation='sync'"
                 )
         if self.fleet_mode == "lazy":
-            if self.method == "singleset":
-                raise ValueError(
-                    "singleset is centralized training — lazy client "
-                    "materialization does not apply to it"
-                )
             if self.attack != "none":
                 raise ValueError(
                     "attacks poison client shards at build time, which "
@@ -507,12 +490,10 @@ class ExperimentConfig:
                 "an attack needs a positive malicious_fraction — "
                 "nobody is compromised at 0.0"
             )
-        if self.method == "singleset" and (
-            self.attack != "none" or self.aggregator != "mean"
-        ):
+        if self.method == "singleset" and self.attack != "none":
             raise ValueError(
-                "singleset is centralized training — attacks and robust "
-                "aggregation apply to the federated engines only"
+                "singleset trains one client on the whole training set — "
+                "an attack would compromise all of it"
             )
 
     def _validate_faults(self) -> None:
@@ -535,15 +516,6 @@ class ExperimentConfig:
             raise ValueError("checkpoint_every must be >= 1")
         if self.checkpoint_every != 1 and self.checkpoint_path is None:
             raise ValueError("checkpoint_every needs checkpoint_path to write to")
-        if self.method == "singleset" and (
-            self.faults_active
-            or self.checkpoint_path is not None
-            or self.resume is not None
-        ):
-            raise ValueError(
-                "singleset is centralized training — fault injection and "
-                "checkpointing apply to the federated engines only"
-            )
 
     def _validate_wire(self) -> None:
         if self.codec not in VALID_CODECS:
@@ -568,11 +540,6 @@ class ExperimentConfig:
                 "a bandwidth model drives the virtual clock's comm phases — "
                 "pick a latency_model, one of "
                 f"{tuple(m for m in VALID_LATENCY_MODELS if m != 'none')}"
-            )
-        if self.method == "singleset" and self.wire_active:
-            raise ValueError(
-                "singleset is centralized training — upload codecs and "
-                "bandwidth models apply to the federated engines only"
             )
 
     # -- resolved views ------------------------------------------------------

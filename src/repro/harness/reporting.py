@@ -123,9 +123,8 @@ def result_to_dict(result: ExperimentResult) -> dict:
         },
         "best_accuracy": result.best_accuracy,
         "wall_time_s": result.wall_time_s,
+        "history": history_to_dict(result.history),
     }
-    if result.history is not None:
-        out["history"] = history_to_dict(result.history)
     if result.extra:
         out["extra"] = {
             k: (v.tolist() if isinstance(v, np.ndarray) else v)

@@ -16,7 +16,6 @@ from repro.fl.client import make_clients
 from repro.fleet.scale import LazyClientPool
 from repro.fl.robust import AttackModel, RobustAggregator
 from repro.fl.simulation import FederatedSimulation, FLConfig, History
-from repro.fl.singleset import train_singleset
 from repro.fl.strategies import FedAvg, FedDRL, FedProx, Strategy
 from repro.fl.wire import WireFormat, get_codec
 from repro.fleet import FleetSimulator, get_availability_model
@@ -43,7 +42,7 @@ class ExperimentResult:
 
     config: ExperimentConfig
     best_accuracy: float
-    history: History | None  # None for singleset
+    history: History
     wall_time_s: float
     extra: dict | None = None
 
@@ -333,6 +332,20 @@ def build_fl_config(cfg: ExperimentConfig) -> FLConfig:
     )
 
 
+def singleset_run(cfg: ExperimentConfig) -> ExperimentConfig:
+    """SingleSet (Tables 3-4) — all the clients' data on one machine — as
+    the engine run it is: synchronous FedAvg over one client that holds
+    the whole training set (an IID split into one shard, so ``n_k / Σn =
+    1`` and the aggregate is that client's weights), one local epoch per
+    round, evaluated every round.  Its epoch budget is one client's share
+    of the federated run's gradient work times the round count."""
+    epochs = max(1, cfg.resolved("rounds") * cfg.resolved("local_epochs") // 10)
+    return cfg.with_(
+        method="fedavg", partition="IID", n_clients=1, clients_per_round=1,
+        rounds=epochs, local_epochs=1, eval_every=1,
+    )
+
+
 def build_simulation(
     cfg: ExperimentConfig, tracer: Tracer | None = None
 ) -> FederatedSimulation | AsyncFederatedServer:
@@ -341,9 +354,12 @@ def build_simulation(
 
     ``aggregation="sync"`` builds the classic round loop; ``fedbuff`` /
     ``fedasync`` build the event-driven engine instead — both expose the
-    same run()/close()/history/clock surface.  ``tracer`` (repro.obs)
-    instruments whichever engine is built; the caller owns exporting it.
+    same run()/close()/history/clock surface; ``method="singleset"``
+    builds :func:`singleset_run`.  ``tracer`` (repro.obs) instruments
+    whichever engine is built; the caller owns exporting it.
     """
+    if cfg.method == "singleset":
+        cfg = singleset_run(cfg)
     # The compute dtype must be pinned before any dataset/model allocation;
     # models, datasets and optimisers capture it at build time.
     set_default_dtype(cfg.dtype)
@@ -427,25 +443,6 @@ def run_experiment(cfg: ExperimentConfig) -> ExperimentResult:
 
 
 def _run_experiment(cfg: ExperimentConfig, start: float) -> ExperimentResult:
-    if cfg.method == "singleset":
-        train_set, test_set = build_dataset(cfg)
-        model_factory = build_model_factory(cfg, train_set)
-        # SingleSet epochs chosen so total gradient work matches one
-        # client's share of the federated run, times the round count.
-        epochs = max(1, cfg.resolved("rounds") * cfg.resolved("local_epochs") // 10)
-        result = train_singleset(
-            train_set, test_set, model_factory,
-            epochs=epochs, lr=cfg.lr,
-            batch_size=cfg.resolved("batch_size"), seed=cfg.seed,
-        )
-        return ExperimentResult(
-            config=cfg,
-            best_accuracy=result.best_accuracy,
-            history=None,
-            wall_time_s=time.perf_counter() - start,
-            extra={"accuracies": result.accuracies},
-        )
-
     tracer = None
     if cfg.trace is not None:
         tracer = Tracer(metrics_interval=cfg.metrics_interval)
@@ -460,12 +457,12 @@ def _run_experiment(cfg: ExperimentConfig, start: float) -> ExperimentResult:
                 meta={"fingerprint": checkpoint_fingerprint(cfg)},
             )
         history = sim.run()
-    extra = None
+    extra: dict = {}
     if sim.clock is not None:
-        extra = {
+        extra.update({
             "sim_time_s": history.total_sim_time(),
             "dropped_updates": history.total_dropped(),
-        }
+        })
         if cfg.aggregation != "sync":
             extra.update({
                 "aggregation": cfg.aggregation,
@@ -483,7 +480,6 @@ def _run_experiment(cfg: ExperimentConfig, start: float) -> ExperimentResult:
             if cfg.aggregation == "sync":
                 extra["mean_online"] = history.mean_online()
     if cfg.wire_active:
-        extra = dict(extra or {})
         extra["wire"] = {
             "codec": cfg.codec,
             "error_feedback": cfg.error_feedback,
@@ -494,7 +490,6 @@ def _run_experiment(cfg: ExperimentConfig, start: float) -> ExperimentResult:
             "compression_ratio": history.wire_compression_ratio(),
         }
     if cfg.robust_active:
-        extra = dict(extra or {})
         extra.update({
             "attack": cfg.attack,
             "aggregator": cfg.aggregator,
@@ -507,26 +502,22 @@ def _run_experiment(cfg: ExperimentConfig, start: float) -> ExperimentResult:
         if backdoor is not None:
             extra["backdoor_accuracy"] = backdoor
     if cfg.faults_active or sim.fault_totals.any():
-        extra = dict(extra or {})
         extra["faults"] = sim.fault_totals.as_dict()
     if cfg.checkpoint_path is not None:
-        extra = dict(extra or {})
         extra["checkpoint"] = {
             "path": cfg.checkpoint_path,
             "every": cfg.checkpoint_every,
             "saves": sim.checkpointer.saves,
         }
     if cfg.resume is not None:
-        extra = dict(extra or {})
         extra["resumed_from"] = cfg.resume
     if tracer is not None:
         paths = write_run_artifacts(tracer, cfg.trace, config=cfg)
-        extra = dict(extra or {})
         extra["trace_paths"] = paths
     return ExperimentResult(
         config=cfg,
         best_accuracy=history.best_accuracy(),
         history=history,
         wall_time_s=time.perf_counter() - start,
-        extra=extra,
+        extra=extra or None,
     )

@@ -241,6 +241,21 @@ class TestResumeEndToEnd:
         assert history_digest(resumed.history) == clean
         assert resumed.extra["resumed_from"] == ck
 
+    def test_singleset_interrupted_resume_matches_uninterrupted(
+        self, tmp_path, monkeypatch
+    ):
+        """SingleSet is a one-client engine run, so it resumes like one."""
+        cfg = ExperimentConfig(method="singleset", **FAST).with_(rounds=30)
+        clean = history_digest(run_experiment(cfg).history)
+        ck = str(tmp_path / "run.ckpt")
+        interrupt_after_saves(monkeypatch, 2)
+        with pytest.raises(_Interrupted):
+            run_experiment(cfg.with_(checkpoint_path=ck))
+        monkeypatch.undo()
+        resumed = run_experiment(cfg.with_(resume=ck))
+        assert len(resumed.history.records) == 6
+        assert history_digest(resumed.history) == clean
+
     @pytest.mark.parametrize(
         "topology, pretrain", [("flat", 0), ("hier", 0), ("flat", 2)],
         ids=["flat", "hier", "flat-pretrain"],

@@ -88,13 +88,14 @@ class TestMain:
         assert payload["sim_time_s"] > 0
         assert payload["dropped_updates"] == 0
 
-    def test_singleset_json_has_no_series(self, capsys):
-        main([
+    def test_singleset_json_has_history_hash(self, capsys):
+        assert main([
             "--method", "singleset", "--scale", "ci", "--clients", "5",
             "--per-round", "5", "--rounds", "2", "--json",
-        ])
+        ]) == 0
         payload = json.loads(capsys.readouterr().out)
-        assert "accuracy_series" not in payload
+        assert len(payload["accuracy_series"]) == 1
+        assert payload["history_hash"]
 
     def test_resume_from_truncated_checkpoint_is_one_line(self, tmp_path, capsys):
         cell = ["--method", "fedavg", "--scale", "ci", "--clients", "5",

@@ -54,7 +54,9 @@ class TestExperimentConfig:
             ExperimentConfig(latency_model="uniform", straggler_fraction=0.3,
                              straggler_slowdown=0.5)
         with pytest.raises(ValueError, match="singleset"):
-            ExperimentConfig(method="singleset", backend="process")
+            ExperimentConfig(method="singleset", topology="hier")
+        # SingleSet is a one-client engine run: every backend runs it.
+        ExperimentConfig(method="singleset", backend="process")
         # drop is fine for methods that tolerate a short round...
         ExperimentConfig(method="fedavg", latency_model="uniform",
                          deadline_s=1.0, deadline_policy="drop")
@@ -148,11 +150,13 @@ class TestRunExperiment:
         assert result.wall_time_s > 0
 
     def test_singleset(self):
-        cfg = ExperimentConfig(method="singleset", **FAST).with_(rounds=4)
+        # 10 rounds x 2 local epochs // 10: two one-epoch rounds of one client.
+        cfg = ExperimentConfig(method="singleset", **FAST).with_(rounds=10)
         result = run_experiment(cfg)
+        accuracies = [a for _, a in result.history.accuracy_series()]
+        assert len(accuracies) == 2
+        assert result.best_accuracy == max(accuracies)
         assert 0.0 <= result.best_accuracy <= 1.0
-        assert result.history is None
-        assert "accuracies" in result.extra
 
     def test_deterministic(self):
         cfg = ExperimentConfig(method="fedavg", **FAST).with_(rounds=2)

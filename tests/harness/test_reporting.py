@@ -135,10 +135,10 @@ class TestResultToDict:
         assert d["config"]["rounds"] == 2
         assert "history" in d
 
-    def test_singleset_has_extra_not_history(self, single_result):
+    def test_singleset_has_history(self, single_result):
         d = result_to_dict(single_result)
-        assert "history" not in d
-        assert "extra" in d
+        assert d["history"]["rounds"] == 1  # 2 rounds x 2 local epochs // 10 -> 1
+        assert "extra" not in d
         json.dumps(d)  # ndarray-free
 
 
