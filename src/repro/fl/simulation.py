@@ -736,6 +736,7 @@ class FederatedEngine:
         """
         while (window := self._next_window()) is not None:
             self._close_window(**window)
+            del window  # free its updates before the next window trains
             if self.checkpointer is not None:
                 self.checkpointer.step(self._state_view)
         records = self.history.records
