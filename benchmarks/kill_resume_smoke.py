@@ -15,11 +15,16 @@ never having been killed.  Three cells: the synchronous barrier loop, the
 event-driven FedBuff engine, and FedBuff with everything on
 (``benchmarks/e2e``'s ``fedbuff_full`` in miniature), whose snapshot
 carries live error-feedback residuals and the dispatcher's idle column.
+That cell is killed at a second point too: inside a save, after the new
+residuals reached the array file and were fsync'd but before the head's
+``os.replace`` — the crash window of the two-file snapshot, which must
+resume from the previous head.
 """
 
 from __future__ import annotations
 
 import argparse
+import glob
 import json
 import os
 import signal
@@ -34,8 +39,10 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.reporting import history_digest
 from repro.harness.runner import run_experiment
 
-# Runs inside the victim process: a checkpointed experiment whose
-# Checkpointer SIGKILLs its own process after the Nth save.
+# Runs inside the victim process: a checkpointed experiment that SIGKILLs
+# its own process at a kill point of the Nth save — after it completed
+# ("after-save"), or after its array file's fsync but before the head's
+# os.replace ("before-replace"), leaving the previous head in charge.
 VICTIM = textwrap.dedent("""
     import json, os, signal, sys
     from repro.harness.config import ExperimentConfig
@@ -44,15 +51,30 @@ VICTIM = textwrap.dedent("""
 
     cfg_kw = json.loads(sys.argv[1])
     kill_after = int(sys.argv[2])
-    original_step = Checkpointer.step
+    point = sys.argv[3]
+    die = lambda: os.kill(os.getpid(), signal.SIGKILL)
+    if point == "after-save":
+        original_step = Checkpointer.step
 
-    def step_then_die(self, state_fn):
-        saved = original_step(self, state_fn)
-        if self.saves >= kill_after:
-            os.kill(os.getpid(), signal.SIGKILL)
-        return saved
+        def step_then_die(self, state_fn):
+            saved = original_step(self, state_fn)
+            if self.saves >= kill_after:
+                die()
+            return saved
 
-    Checkpointer.step = step_then_die
+        Checkpointer.step = step_then_die
+    else:
+        original_replace = os.replace
+        heads = [0]
+
+        def replace_or_die(src, dst):
+            if dst == cfg_kw["checkpoint_path"]:
+                heads[0] += 1
+                if heads[0] >= kill_after:
+                    die()
+            return original_replace(src, dst)
+
+        os.replace = replace_or_die
     run_experiment(ExperimentConfig(**cfg_kw))
     sys.exit(99)  # unreachable: the SIGKILL fires first
 """)
@@ -69,6 +91,8 @@ CELLS = {
         aggregator="krum", server_mix="delta",
     ),
 }
+KILL_POINTS = {"sync": ("after-save",), "fedbuff": ("after-save",),
+               "fedbuff-full": ("after-save", "before-replace")}
 
 
 def base_config(cell: str, rounds: int) -> dict:
@@ -80,17 +104,18 @@ def base_config(cell: str, rounds: int) -> dict:
     return cfg
 
 
-def smoke_engine(cell: str, rounds: int, kill_after: int,
+def smoke_engine(cell: str, rounds: int, kill_after: int, point: str,
                  workdir: str) -> bool:
     clean = run_experiment(ExperimentConfig(**base_config(cell, rounds)))
     clean_hash = history_digest(clean.history)
 
-    ck = os.path.join(workdir, f"{cell}.ckpt")
+    ck = os.path.join(workdir, f"{cell}-{point}.ckpt")
     victim_cfg = dict(base_config(cell, rounds), checkpoint_path=ck)
     env = dict(os.environ)
     env["PYTHONPATH"] = os.path.join(os.path.dirname(__file__), "..", "src")
     proc = subprocess.run(
-        [sys.executable, "-c", VICTIM, json.dumps(victim_cfg), str(kill_after)],
+        [sys.executable, "-c", VICTIM, json.dumps(victim_cfg), str(kill_after),
+         point],
         env=env, capture_output=True, timeout=600,
     )
     if proc.returncode != -signal.SIGKILL:
@@ -100,6 +125,10 @@ def smoke_engine(cell: str, rounds: int, kill_after: int,
     if not os.path.exists(ck):
         print("  FAIL: no snapshot survived the kill")
         return False
+    in_flight = glob.glob(os.path.join(workdir, f".ckpt-{os.path.basename(ck)}-*.tmp"))
+    if point == "before-replace" and not in_flight:
+        print("  FAIL: the kill missed the save's fsync'd, unreplaced head")
+        return False
 
     resumed = run_experiment(
         ExperimentConfig(**dict(base_config(cell, rounds), resume=ck))
@@ -107,7 +136,7 @@ def smoke_engine(cell: str, rounds: int, kill_after: int,
     resumed_hash = history_digest(resumed.history)
     identical = resumed_hash == clean_hash
     verdict = "bit-identical" if identical else "DIVERGED"
-    print(f"  {cell}: killed after {kill_after} saves, resumed -> "
+    print(f"  {cell}: killed at {point} of save {kill_after}, resumed -> "
           f"{verdict} ({resumed_hash[:12]} vs {clean_hash[:12]})")
     return identical
 
@@ -122,8 +151,9 @@ def main(argv=None) -> int:
     ok = True
     with tempfile.TemporaryDirectory(prefix="kill-resume-") as workdir:
         for cell in CELLS:
-            ok = smoke_engine(cell, args.rounds, args.kill_after,
-                              workdir) and ok
+            for point in KILL_POINTS[cell]:
+                ok = smoke_engine(cell, args.rounds, args.kill_after, point,
+                                  workdir) and ok
     print("kill-and-resume smoke:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 

@@ -738,12 +738,27 @@ class FederatedEngine:
             self._close_window(**window)
             del window  # free its updates before the next window trains
             if self.checkpointer is not None:
-                self.checkpointer.step(self._state_view)
+                start = time.perf_counter()
+                if self.checkpointer.step(self._state_view):
+                    self._trace_save(start)
         records = self.history.records
         if records and records[-1].test_accuracy is None:
             self._evaluate(records[-1])
         self.strategy.close()
         return self.history
+
+    def _trace_save(self, start: float) -> None:
+        """A save (begun at ``perf_counter`` ``start``) as a wall-only
+        ``checkpoint.save`` span carrying the bytes it wrote; no ``sim_*``
+        fields, so window tiling is untouched."""
+        tr = self.tracer
+        if tr is None:
+            return
+        nbytes = self.checkpointer.last_bytes
+        wall_dur = time.perf_counter() - start
+        tr.span("checkpoint.save", CAT_RUNTIME, wall_t0=time.time() - wall_dur,
+                wall_dur=wall_dur, bytes_written=nbytes)
+        tr.metrics.inc("rt.checkpoint.bytes_written", nbytes)
 
     def _next_window(self) -> dict | None:
         """The scheduler's hook: dispatch, collect and hand out the next

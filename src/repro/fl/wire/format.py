@@ -39,6 +39,8 @@ class ErrorFeedback:
     so the error is carried, not lost.  Keyed by client id — clients
     participate in different rounds, so the state must survive between
     them (and through checkpoint/resume).
+
+    Residuals are read-only: one is replaced, never written into.
     """
 
     def __init__(self) -> None:
@@ -53,15 +55,23 @@ class ErrorFeedback:
     def absorb(
         self, client_id: int, compensated: np.ndarray, decoded: np.ndarray
     ) -> None:
-        self.residuals[client_id] = compensated - decoded
+        self.residuals[client_id] = _read_only(compensated - decoded)
 
     def snapshot(self) -> dict:
         """The residuals by reference: :meth:`absorb` replaces an array,
-        nothing ever writes into one, so a snapshot needs no copies."""
+        and every residual is read-only, so a snapshot needs no copies
+        (and a checkpoint writes each one once)."""
         return dict(self.residuals)
 
     def restore(self, state: dict) -> None:
-        self.residuals = {cid: np.asarray(r).copy() for cid, r in state.items()}
+        self.residuals = {
+            cid: _read_only(np.array(r)) for cid, r in state.items()
+        }
+
+
+def _read_only(array: np.ndarray) -> np.ndarray:
+    array.flags.writeable = False
+    return array
 
 
 class WireStats:

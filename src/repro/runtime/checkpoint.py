@@ -1,14 +1,35 @@
 """Kill-safe run snapshots: atomic save/load plus a periodic stepper.
 
-A snapshot is one pickle holding a schema tag, caller-supplied metadata
-(the harness stores a config fingerprint there), and the engine's full
-state dict.  Writes are crash-atomic: the payload goes to a temp file in
-the destination directory, is fsync'd, and then ``os.replace``'d over
-the target — a SIGKILL at any instant leaves either the previous
-complete snapshot or the new complete snapshot, never a torn file.
+A snapshot is two files in one directory:
 
-A save is one serialization pass: ``state`` is pickled straight into the
-temp file before ``save_snapshot`` returns, so callers may pass live state.
+* the **head** at the target path: one pickle holding a schema tag,
+  caller-supplied metadata (the harness stores a config fingerprint
+  there) and the engine's state dict;
+* an append-only **array file** beside it, ``<target>.arrays-<gen>``,
+  written only when the state holds an *external* array: a read-only
+  ``np.ndarray`` that owns its C-contiguous data and is at least
+  :data:`MIN_EXTERNAL_NBYTES` (the error-feedback residuals).  Such an
+  array is appended the first time a :class:`Checkpointer` sees that
+  object (identity checked through a weak reference, so a recycled
+  ``id()`` cannot alias) and pickled as an ``(array file, offset, dtype,
+  shape)`` reference from then on, so a save writes only the arrays that
+  appeared since the previous one.  Read-only is the promise that makes
+  this safe: whoever holds such an array never writes into it.
+
+Writes are crash-atomic: the head is pickled into a temp file in the
+destination directory, the new arrays are appended past everything the
+current head references and fsync'd, then the head is fsync'd and
+``os.replace``'d over the target — a SIGKILL at any instant leaves either
+the previous complete snapshot or the new complete snapshot, never a torn
+one.  A save that would leave the array file above twice the bytes its
+head references writes the live arrays into a new generation instead and
+deletes the old one after the replace, so the disk holds at most 2x the
+live arrays and the bytes written over a run stay linear in its length.
+A starting :class:`Checkpointer` deletes the generations of its target
+that the head does not reference.  The head names its array file relative
+to its own directory: moving a snapshot means moving both files.
+
+A save pickles ``state`` before it returns, so callers may pass live state.
 """
 
 from __future__ import annotations
@@ -16,9 +37,16 @@ from __future__ import annotations
 import glob
 import os
 import pickle
+import re
 import tempfile
+import weakref
 
-SNAPSHOT_SCHEMA = "repro-checkpoint/v1"
+import numpy as np
+
+SNAPSHOT_SCHEMA = "repro-checkpoint/v2"
+# v1: one pickle holding schema, meta and state; no array file.
+_V1_SCHEMA = "repro-checkpoint/v1"
+MIN_EXTERNAL_NBYTES = 4096
 
 
 class CheckpointError(ValueError):
@@ -31,44 +59,147 @@ def _tmp_prefix(path: str) -> str:
     return f".ckpt-{os.path.basename(path)}-"
 
 
-def save_snapshot(path: str, state: dict, meta: dict | None = None) -> None:
-    """Atomically write ``state`` (plus ``meta``) to ``path``."""
-    payload = {"schema": SNAPSHOT_SCHEMA, "meta": dict(meta or {}), "state": state}
-    directory = os.path.dirname(os.path.abspath(path))
-    os.makedirs(directory, exist_ok=True)
-    fd, tmp = tempfile.mkstemp(dir=directory, prefix=_tmp_prefix(path), suffix=".tmp")
+def _external(obj) -> bool:
+    """True for the arrays a snapshot stores in its array file."""
+    return (
+        type(obj) is np.ndarray
+        and not obj.flags.writeable
+        and obj.flags.owndata
+        and obj.flags.c_contiguous
+        and obj.nbytes >= MIN_EXTERNAL_NBYTES
+        and not obj.dtype.hasobject
+    )
+
+
+def _array_ref(arrays, offset, dtype, shape):
+    """What an external array pickles as; only :func:`load_snapshot`
+    (which swaps this global for a reader of the array file) resolves it."""
+    raise CheckpointError("an array reference resolves only through load_snapshot")
+
+
+class _StatePickler(pickle.Pickler):
+    """Pickles a payload with every external array as a reference into the
+    array file ``arrays``: an array in ``known`` (id -> (weakref, offset))
+    keeps its offset, any other is queued in ``new`` at the next free
+    offset, starting at ``end``.  Without an array file yet, the first
+    external array names one through ``new_file()``."""
+
+    def __init__(self, file, known: dict, end: int, arrays: str | None,
+                 new_file) -> None:
+        super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
+        self.known, self.end, self.arrays = known, end, arrays
+        self.new_file = new_file
+        self.new: list[tuple[np.ndarray, int]] = []
+        self.live = 0  # bytes the references point at
+
+    def reducer_override(self, obj):
+        if not _external(obj):
+            return NotImplemented
+        hit = self.known.get(id(obj))
+        if hit is not None and hit[0]() is obj:
+            offset = hit[1]
+        else:
+            if self.arrays is None:
+                self.arrays = self.new_file()
+            offset = self.end
+            self.end += obj.nbytes
+            self.new.append((obj, offset))
+        self.live += obj.nbytes
+        return _array_ref, (self.arrays, offset, obj.dtype, obj.shape)
+
+
+class _StateUnpickler(pickle.Unpickler):
+    """Resolves array references by reading them from the array files
+    (opened on first use, in the head's directory, kept in ``files``)."""
+
+    def __init__(self, file, path: str, files: dict) -> None:
+        super().__init__(file)
+        self.directory = os.path.dirname(os.path.abspath(path))
+        self.path, self.files = path, files
+
+    def find_class(self, module, name):
+        if module == __name__ and name == "_array_ref":
+            return self._read_array
+        return super().find_class(module, name)
+
+    def _read_array(self, arrays, offset, dtype, shape):
+        arrays_path = os.path.join(self.directory, arrays)
+        f = self.files.get(arrays_path)
+        if f is None:
+            try:
+                f = self.files[arrays_path] = open(arrays_path, "rb")
+            except OSError as exc:
+                raise CheckpointError(
+                    f"{arrays_path} (the array file of {self.path}) cannot "
+                    f"be read: {exc}"
+                ) from exc
+        out = np.empty(shape, dtype)
+        f.seek(offset)
+        if f.readinto(out) != out.nbytes:
+            raise CheckpointError(
+                f"{arrays_path} is short: {self.path} references "
+                f"{out.nbytes} bytes at offset {offset}"
+            )
+        return out
+
+
+class _ReferenceScan(_StateUnpickler):
+    """Reads a head without its arrays: collects the array files it names."""
+
+    def _read_array(self, arrays, offset, dtype, shape):
+        self.files[arrays] = None
+
+
+def _unpickle(path: str, unpickler: pickle.Unpickler):
     try:
-        with os.fdopen(fd, "wb") as f:
-            pickle.dump(payload, f, protocol=pickle.HIGHEST_PROTOCOL)
-            f.flush()
-            os.fsync(f.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        try:
-            os.unlink(tmp)
-        except OSError:
-            pass
+        return unpickler.load()
+    except CheckpointError:
         raise
+    except Exception as exc:  # EOFError, UnpicklingError, bad opcodes, ...
+        raise CheckpointError(
+            f"{path} is not a readable snapshot ({type(exc).__name__}: {exc})"
+        ) from exc
 
 
 def load_snapshot(path: str) -> dict:
-    """Read a snapshot written by :func:`save_snapshot`; schema-checked.
+    """Read a snapshot written by :class:`Checkpointer` or
+    :func:`save_snapshot` (either schema); schema-checked.
 
-    Anything unreadable raises :class:`CheckpointError` naming the file."""
-    with open(path, "rb") as f:
-        try:
-            payload = pickle.load(f)
-        except Exception as exc:  # EOFError, UnpicklingError, bad opcodes, ...
-            raise CheckpointError(
-                f"{path} is not a readable snapshot "
-                f"({type(exc).__name__}: {exc})"
-            ) from exc
-    if not isinstance(payload, dict) or payload.get("schema") != SNAPSHOT_SCHEMA:
+    Anything unreadable raises :class:`CheckpointError` naming the file —
+    the array file, when that is what is missing or short."""
+    files: dict = {}
+    try:
+        with open(path, "rb") as f:
+            payload = _unpickle(path, _StateUnpickler(f, path, files))
+    finally:
+        for handle in files.values():
+            handle.close()
+    schema = payload.get("schema") if isinstance(payload, dict) else None
+    if schema not in (SNAPSHOT_SCHEMA, _V1_SCHEMA):
         raise CheckpointError(
-            f"{path} is not a {SNAPSHOT_SCHEMA} snapshot "
-            f"(schema={payload.get('schema') if isinstance(payload, dict) else None!r})"
+            f"{path} is not a {SNAPSHOT_SCHEMA} snapshot (schema={schema!r})"
         )
     return payload
+
+
+def _referenced_arrays(path: str) -> set | None:
+    """The array files the head at ``path`` names (empty without a head);
+    None when the head does not parse."""
+    names: dict = {}
+    try:
+        with open(path, "rb") as f:
+            _ReferenceScan(f, path, names).load()
+    except FileNotFoundError:
+        return set()
+    except Exception:  # a damaged head: reporting it is load_snapshot's job
+        return None
+    return set(names)
+
+
+def save_snapshot(path: str, state: dict, meta: dict | None = None) -> int:
+    """Atomically write ``state`` (plus ``meta``) to ``path``: one save of
+    a fresh :class:`Checkpointer`.  Returns the bytes written."""
+    return Checkpointer(path, meta=meta).save(state)
 
 
 class Checkpointer:
@@ -78,14 +209,16 @@ class Checkpointer:
     flush (async) with a zero-argument callable producing its state dict;
     the callable only runs on the steps that actually save, and may
     return live state: it is pickled before ``step`` returns.
+    ``last_bytes`` is what the latest save wrote (head + array file).
     """
 
     def __init__(self, path: str, every: int = 1, meta: dict | None = None) -> None:
         if every < 1:
             raise ValueError("checkpoint interval must be >= 1")
+        self.directory = os.path.dirname(os.path.abspath(path))
         # A SIGKILL mid-write strands this target's temp file; nothing
         # else ever deletes it.
-        stem = os.path.join(os.path.dirname(os.path.abspath(path)), _tmp_prefix(path))
+        stem = os.path.join(self.directory, _tmp_prefix(path))
         for stale in glob.glob(glob.escape(stem) + "*.tmp"):
             os.unlink(stale)
         self.path = path
@@ -93,12 +226,103 @@ class Checkpointer:
         self.meta = dict(meta or {})
         self.steps = 0
         self.saves = 0
+        self.last_bytes = 0
+        self._pattern = re.compile(
+            re.escape(os.path.basename(path)) + r"\.arrays-(\d+)")
+        # The array files the head on disk references (None: unknown).
+        self._head_arrays = _referenced_arrays(path)
+        self._next_gen = self._sweep_generations() + 1
+        # The array file this checkpointer appends to, its committed
+        # size, and the arrays in it: id -> (weakref, offset).
+        self._arrays: str | None = None
+        self._end = 0
+        self._known: dict[int, tuple[weakref.ref, int]] = {}
+
+    def _sweep_generations(self) -> int:
+        """Delete this target's array files the head does not reference (a
+        kill can strand a new generation or an old one); returns the
+        highest generation number seen.  An unreadable head keeps them all."""
+        if not os.path.isdir(self.directory):
+            return 0
+        highest = 0
+        for name in os.listdir(self.directory):
+            match = self._pattern.fullmatch(name)
+            if match is None:
+                continue
+            highest = max(highest, int(match.group(1)))
+            if self._head_arrays is not None and name not in self._head_arrays:
+                os.unlink(os.path.join(self.directory, name))
+        return highest
+
+    def _new_file(self) -> str:
+        """Name the next generation of this target's array file."""
+        self._next_gen += 1
+        return f"{os.path.basename(self.path)}.arrays-{self._next_gen - 1}"
 
     def step(self, state_fn) -> bool:
         """Count one completed unit; save when the interval divides it."""
         self.steps += 1
         if self.steps % self.every != 0:
             return False
-        save_snapshot(self.path, state_fn(), meta=self.meta)
-        self.saves += 1
+        self.save(state_fn())
         return True
+
+    def save(self, state: dict) -> int:
+        """Atomically write ``state`` as the snapshot at :attr:`path`;
+        returns the bytes written (head + arrays appended)."""
+        payload = {"schema": SNAPSHOT_SCHEMA, "meta": self.meta, "state": state}
+        os.makedirs(self.directory, exist_ok=True)
+        fd, tmp = tempfile.mkstemp(
+            dir=self.directory, prefix=_tmp_prefix(self.path), suffix=".tmp")
+        try:
+            with os.fdopen(fd, "wb") as f:
+                pickled = self._pickle(f, payload, self._known, self._end, self._arrays)
+                if pickled.end > 2 * pickled.live:
+                    # The array file would hold more dead bytes than live
+                    # ones: write the live arrays into a new generation.
+                    f.seek(0)
+                    f.truncate()
+                    pickled = self._pickle(f, payload, {}, 0, None)
+                written = self._append(pickled) if pickled.new else 0
+                f.flush()
+                os.fsync(f.fileno())
+                written += f.tell()
+            os.replace(tmp, self.path)
+        except BaseException:
+            try:
+                os.unlink(tmp)
+            except OSError:
+                pass
+            raise
+        # Committed: the head on disk now references ``pickled.arrays``.
+        for obj, offset in pickled.new:
+            pickled.known[id(obj)] = (weakref.ref(obj), offset)
+        self._arrays, self._known, self._end = pickled.arrays, pickled.known, pickled.end
+        # The replaced head's array files this target owns (a copied
+        # head may name another target's), unless still in use.
+        for name in self._head_arrays or ():
+            if name != self._arrays and self._pattern.fullmatch(name):
+                os.unlink(os.path.join(self.directory, name))
+        self._head_arrays = set() if self._arrays is None else {self._arrays}
+        self.saves += 1
+        self.last_bytes = written
+        return written
+
+    def _pickle(self, f, payload, known, end, arrays) -> _StatePickler:
+        pickled = _StatePickler(f, known, end, arrays, self._new_file)
+        pickled.dump(payload)
+        return pickled
+
+    def _append(self, pickled: _StatePickler) -> int:
+        """Write the new arrays at their offsets, cut anything a failed save
+        left beyond them, and fsync; returns the bytes written."""
+        start = pickled.new[0][1]
+        path = os.path.join(self.directory, pickled.arrays)
+        with open(os.open(path, os.O_RDWR | os.O_CREAT, 0o644), "r+b") as f:
+            f.seek(start)
+            for obj, _ in pickled.new:
+                f.write(obj)
+            f.truncate(pickled.end)
+            f.flush()
+            os.fsync(f.fileno())
+        return pickled.end - start

@@ -174,6 +174,9 @@ class TestBorrowedCheckpoint:
             sim.checkpointer = None
             sim.run()
             sim.global_weights[:] = 9.0
+            # Residuals are read-only by contract; unlock one to prove
+            # the snapshot does not alias it.
+            sim.wire.ef.residuals[cid].flags.writeable = True
             sim.wire.ef.residuals[cid][:] = 9.0
         assert len(sim.history.records) > len(state["history"].records)
         assert_state_equal(state, frozen)

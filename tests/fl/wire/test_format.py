@@ -3,11 +3,14 @@ and checkpoint snapshot/restore of live residuals."""
 
 from __future__ import annotations
 
+import os
+
 import numpy as np
 import pytest
 
 from repro.fl.client import ClientUpdate
 from repro.fl.wire import WireFormat, get_codec
+from repro.runtime.checkpoint import Checkpointer, load_snapshot
 
 
 def _update(weights, cid=3):
@@ -155,6 +158,63 @@ class TestSnapshotRestore:
         state = _wire("topk").snapshot()
         with pytest.raises(ValueError, match="codec"):
             _wire("qsgd8").restore(state)
+
+
+class TestReadOnlyResiduals:
+    """Residuals are immutable: absorb and restore hand out read-only
+    arrays, which is what lets snapshots share them and checkpoints
+    write each one once."""
+
+    DIM = 1024  # 8 KiB float64 residuals: large enough for the array file
+
+    def _sent(self, cids, index=0):
+        wire = _wire("topk+qsgd8", topk_frac=0.1)
+        self._send(wire, cids, index)
+        return wire
+
+    def _send(self, wire, cids, index):
+        rng = np.random.default_rng(index)
+        for cid in cids:
+            wire.transmit(
+                _update(rng.standard_normal(self.DIM), cid=cid), index,
+                np.zeros(self.DIM))
+
+    def test_absorbed_residual_is_read_only(self):
+        wire = self._sent([0, 1])
+        for residual in wire.ef.residuals.values():
+            assert not residual.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                residual[0] = 1.0
+
+    def test_restored_residual_is_read_only(self):
+        fresh = _wire("topk+qsgd8", topk_frac=0.1)
+        fresh.restore({**self._sent([0, 1]).snapshot(),
+                       "residuals": {0: np.ones(self.DIM)}})
+        residual = fresh.ef.residuals[0]
+        assert not residual.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            residual += 1.0
+
+    def test_snapshot_shares_residuals_by_reference(self):
+        wire = self._sent([0, 1])
+        state = wire.snapshot()
+        for cid, residual in wire.ef.residuals.items():
+            assert state["residuals"][cid] is residual
+
+    def test_second_save_appends_only_new_residuals(self, tmp_path):
+        path = str(tmp_path / "wire.ckpt")
+        wire = self._sent([0, 1, 2, 3])
+        ck = Checkpointer(path)
+        ck.save(wire.snapshot())
+        arrays = os.path.join(tmp_path, "wire.ckpt.arrays-1")
+        first = os.path.getsize(arrays)
+        assert first == 4 * self.DIM * 8
+        self._send(wire, [1, 5], index=1)  # one replaced, one new
+        ck.save(wire.snapshot())
+        assert os.path.getsize(arrays) - first == 2 * self.DIM * 8
+        restored = load_snapshot(path)["state"]["residuals"]
+        for cid, residual in wire.ef.residuals.items():
+            np.testing.assert_array_equal(restored[cid], residual)
 
 
 class TestSeeding:

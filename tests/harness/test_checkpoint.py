@@ -5,6 +5,7 @@ with SIGKILL mid-round — resumes to a History bit-identical to an
 uninterrupted run, for both the sync and the FedBuff engines.
 """
 
+import json
 import os
 import pickle
 import signal
@@ -25,9 +26,11 @@ from repro.harness.config import ExperimentConfig
 from repro.harness.reporting import history_digest
 from repro.harness.runner import run_experiment
 from repro.runtime.checkpoint import (
+    MIN_EXTERNAL_NBYTES,
     SNAPSHOT_SCHEMA,
     CheckpointError,
     Checkpointer,
+    _external,
     _tmp_prefix,
     load_snapshot,
     save_snapshot,
@@ -135,6 +138,139 @@ class TestCheckpointer:
         assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
             ["run.ckpt", *bystanders])
         assert load_snapshot(path)["state"] == {"i": 0}
+
+
+def frozen(shape, fill: float = 0.0) -> np.ndarray:
+    """A read-only float64 array that owns its data: stored in the array
+    file once it holds ``MIN_EXTERNAL_NBYTES``."""
+    array = np.full(shape, fill)
+    array.flags.writeable = False
+    return array
+
+
+BIG = MIN_EXTERNAL_NBYTES // 8
+
+
+class TestArrayFile:
+    def test_no_qualifying_array_writes_no_array_file(self, tmp_path):
+        """Writable, small, borrowed or object arrays stay in the head."""
+        path = str(tmp_path / "snap.ckpt")
+        view = frozen(4 * BIG)[: 2 * BIG]
+        state = {"writable": np.zeros(4 * BIG), "small": frozen(BIG - 1),
+                 "view": view, "objects": np.array([None] * BIG)}
+        state["objects"].flags.writeable = False
+        assert not any(_external(a) for a in state.values())
+        save_snapshot(path, state)
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["snap.ckpt"]
+
+    def test_external_arrays_round_trip_through_the_array_file(self, tmp_path):
+        path = str(tmp_path / "snap.ckpt")
+        a, b = frozen(BIG, 1.0), frozen((2, BIG), 2.0)
+        save_snapshot(path, {"a": a, "b": b, "a_again": a})
+        assert os.path.getsize(tmp_path / "snap.ckpt.arrays-1") == a.nbytes + b.nbytes
+        state = load_snapshot(path)["state"]
+        np.testing.assert_array_equal(state["a"], a)
+        np.testing.assert_array_equal(state["b"], b)
+        assert state["a_again"] is state["a"]  # one object, as in a pickle
+
+    def test_a_save_appends_only_arrays_it_has_not_written(self, tmp_path):
+        path = str(tmp_path / "snap.ckpt")
+        ck = Checkpointer(path)
+        a, b = frozen(BIG, 1.0), frozen(BIG, 2.0)
+        ck.save({"a": a})
+        arrays = tmp_path / "snap.ckpt.arrays-1"
+        assert os.path.getsize(arrays) == a.nbytes
+        head = os.path.getsize(path)
+        assert ck.save({"a": a, "b": b}) == b.nbytes + os.path.getsize(path)
+        assert os.path.getsize(arrays) == a.nbytes + b.nbytes
+        assert ck.save({"a": a, "b": b}) == os.path.getsize(path) < head + 200
+
+    def test_a_recycled_id_is_not_mistaken_for_a_stored_array(self, tmp_path):
+        """Identity is checked through a weak reference: a new array that
+        lands on a dead one's id is written, not referenced."""
+        path = str(tmp_path / "snap.ckpt")
+        ck = Checkpointer(path)
+        for fill in range(6):
+            ck.save({"a": frozen(BIG, float(fill))})  # the last one dies here
+            assert load_snapshot(path)["state"]["a"][0] == fill
+
+    @pytest.mark.parametrize("damage", ["deleted", "truncated"])
+    def test_damaged_array_file_names_that_file(self, tmp_path, damage):
+        path = str(tmp_path / "snap.ckpt")
+        save_snapshot(path, {"w": frozen(2 * BIG, 3.0)})
+        arrays = tmp_path / "snap.ckpt.arrays-1"
+        if damage == "deleted":
+            arrays.unlink()
+        else:
+            arrays.write_bytes(arrays.read_bytes()[:BIG])
+        with pytest.raises(CheckpointError, match="snap.ckpt.arrays-1"):
+            load_snapshot(path)
+
+    def test_moved_snapshot_loads_when_both_files_move(self, tmp_path):
+        save_snapshot(str(tmp_path / "snap.ckpt"), {"w": frozen(BIG, 4.0)})
+        moved = tmp_path / "elsewhere"
+        moved.mkdir()
+        for name in ("snap.ckpt", "snap.ckpt.arrays-1"):
+            os.replace(tmp_path / name, moved / name)
+        os.replace(moved / "snap.ckpt", moved / "renamed.ckpt")
+        state = load_snapshot(str(moved / "renamed.ckpt"))["state"]
+        np.testing.assert_array_equal(state["w"], np.full(BIG, 4.0))
+
+    def test_start_removes_only_unreferenced_generations(self, tmp_path):
+        """A kill can strand a generation the head no longer (or never)
+        references; the next Checkpointer on the target deletes exactly
+        those: the referenced one and bystanders survive."""
+        path = str(tmp_path / "run.ckpt")
+        save_snapshot(path, {"w": frozen(BIG, 5.0)})
+        assert (tmp_path / "run.ckpt.arrays-1").exists()
+        stranded = ["run.ckpt.arrays-0", "run.ckpt.arrays-7"]
+        bystanders = ["run.ckpt.arrays-7.bak", "other.ckpt.arrays-2",
+                      "run.ckpt.arrays-x", "notes.txt"]
+        for name in stranded + bystanders:
+            (tmp_path / name).write_bytes(b"stale")
+        ck = Checkpointer(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["run.ckpt", "run.ckpt.arrays-1", *bystanders])
+        np.testing.assert_array_equal(
+            load_snapshot(path)["state"]["w"], np.full(BIG, 5.0))
+        # Its first save starts a generation past every one it saw, and
+        # the replaced head's generation goes once nothing references it.
+        ck.save({"w": frozen(BIG, 6.0)})
+        assert sorted(p.name for p in tmp_path.iterdir()) == sorted(
+            ["run.ckpt", "run.ckpt.arrays-8", *bystanders])
+
+    def test_a_copied_head_never_deletes_its_source_generation(self, tmp_path):
+        """A head copied to another target still names the source's array
+        file; saving over the copy must leave that file alone."""
+        save_snapshot(str(tmp_path / "run.ckpt"), {"w": frozen(BIG, 1.0)})
+        copy = tmp_path / "copy.ckpt"
+        copy.write_bytes((tmp_path / "run.ckpt").read_bytes())
+        Checkpointer(str(copy)).save({"w": frozen(BIG, 2.0)})
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "copy.ckpt", "copy.ckpt.arrays-1", "run.ckpt", "run.ckpt.arrays-1"]
+        np.testing.assert_array_equal(
+            load_snapshot(str(tmp_path / "run.ckpt"))["state"]["w"], np.full(BIG, 1.0))
+
+    def test_unreadable_head_keeps_every_generation(self, tmp_path):
+        path = tmp_path / "run.ckpt"
+        path.write_bytes(b"not a pickle")
+        (tmp_path / "run.ckpt.arrays-3").write_bytes(b"maybe needed")
+        Checkpointer(str(path))
+        assert (tmp_path / "run.ckpt.arrays-3").exists()
+
+    def test_array_file_stays_within_twice_the_live_bytes(self, tmp_path):
+        """Replacing every array on every save makes the file compact into
+        a new generation instead of growing past 2x what the head needs."""
+        path = str(tmp_path / "run.ckpt")
+        ck = Checkpointer(path)
+        for i in range(20):
+            live = [frozen(BIG, float(i * 10 + k)) for k in range(3)]
+            ck.save({"live": live})
+            (arrays,) = [p for p in tmp_path.iterdir() if ".arrays-" in p.name]
+            assert os.path.getsize(arrays) <= 2 * sum(a.nbytes for a in live)
+            assert all(np.array_equal(a, b) for a, b in
+                       zip(load_snapshot(path)["state"]["live"], live))
+        assert ck.saves == 20
 
 
 class TestFingerprint:
@@ -329,6 +465,61 @@ class TestResumeEndToEnd:
         run_experiment(fast_cfg(checkpoint_path=ck).with_(rounds=2))
         with pytest.raises(ValueError, match="seed"):
             run_experiment(fast_cfg(resume=ck, seed=123))
+
+
+class TestArrayFileEndToEnd:
+    def test_every_save_run_stays_bounded_and_resumes(self, tmp_path, monkeypatch):
+        """200 saves at checkpoint_every=1 with topk+qsgd8 error feedback:
+        after every save the array file is at most 2x the residual bytes
+        the head references, and a kill after save 150 resumes to the
+        uninterrupted History."""
+        cfg = fast_cfg(codec="topk+qsgd8").with_(
+            n_clients=10, clients_per_round=3, rounds=200)
+        clean = history_digest(run_experiment(cfg).history)
+        ck = str(tmp_path / "run.ckpt")
+        original = Checkpointer.step
+        sizes = []
+
+        def step_and_measure(self, state_fn):
+            saved = original(self, state_fn)
+            residuals = state_fn()["wire"]["residuals"].values()
+            live = sum(r.nbytes for r in residuals if _external(r))
+            (arrays,) = tmp_path.glob("run.ckpt.arrays-*")
+            assert live > 0 and os.path.getsize(arrays) <= 2 * live
+            sizes.append(os.path.getsize(arrays))
+            if self.saves >= 150:
+                raise _Interrupted
+            return saved
+
+        monkeypatch.setattr(Checkpointer, "step", step_and_measure)
+        with pytest.raises(_Interrupted):
+            run_experiment(cfg.with_(checkpoint_path=ck))
+        monkeypatch.undo()
+        assert len(sizes) == 150
+        # It compacted along the way and stranded no generation.
+        assert sorted(os.listdir(tmp_path))[0] == "run.ckpt"
+        assert len(os.listdir(tmp_path)) == 2
+        assert not (tmp_path / "run.ckpt.arrays-1").exists()
+
+        resumed = run_experiment(cfg.with_(resume=ck))
+        assert history_digest(resumed.history) == clean
+
+    def test_traced_saves_are_wall_only_spans_with_bytes(self, tmp_path):
+        """Each save is one ``checkpoint.save`` span in the program's own
+        trace, carrying the bytes it wrote; the counter sums them."""
+        trace = tmp_path / "run.trace.jsonl"
+        ck = str(tmp_path / "run.ckpt")
+        result = run_experiment(fast_cfg(
+            codec="topk+qsgd8", checkpoint_path=ck, trace=str(trace)))
+        records = [json.loads(line) for line in trace.read_text().splitlines()]
+        saves = [r for r in records if r.get("name") == "checkpoint.save"]
+        assert len(saves) == result.extra["checkpoint"]["saves"] == 6
+        for span in saves:
+            assert span["sim_t0"] is None and span["sim_dur"] is None
+            assert span["wall_dur"] > 0 and span["args"]["bytes_written"] > 0
+        final = [r for r in records if r.get("type") == "metrics" and r.get("final")]
+        assert final[-1]["counters"]["rt.checkpoint.bytes_written"] == sum(
+            span["args"]["bytes_written"] for span in saves)
 
 
 KILL_CHILD = textwrap.dedent("""
