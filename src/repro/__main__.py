@@ -25,40 +25,20 @@ import argparse
 import json
 import sys
 
-from repro.harness.config import (
-    SCALES,
-    VALID_AGGREGATIONS,
-    VALID_AGGREGATORS,
-    VALID_ATTACKS,
-    VALID_AVAILABILITY,
-    VALID_BACKENDS,
-    VALID_BANDWIDTH_MODELS,
-    VALID_CODECS,
-    VALID_DATASETS,
-    VALID_DEADLINE_POLICIES,
-    VALID_DISPATCH,
-    VALID_DTYPES,
-    VALID_LATENCY_MODELS,
-    VALID_METHODS,
-    VALID_PARTITIONS,
-    VALID_STALENESS,
-    VALID_TOPOLOGIES,
-    VALID_FLEET_MODES,
-    ExperimentConfig,
-)
+from repro.harness.config import ExperimentConfig, cli_fields
 from repro.harness.runner import run_experiment
 
-
-def _server_mix(value: str):
-    """--server-mix accepts a float step or the literal 'delta'."""
-    if value == "delta":
-        return value
-    try:
-        return float(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected a float in (0, 1] or 'delta', got {value!r}"
-        ) from None
+# --list: (label, field) for each vocabulary it prints.
+_LISTED = (
+    ("datasets:   ", "dataset"),
+    ("partitions: ", "partition"),
+    ("methods:    ", "method"),
+    ("scales:     ", "scale"),
+    ("dtypes:     ", "dtype"),
+    ("availability: ", "availability"),
+    ("attacks:    ", "attack"),
+    ("aggregators: ", "aggregator"),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -66,161 +46,17 @@ def build_parser() -> argparse.ArgumentParser:
         prog="python -m repro",
         description="FedDRL reproduction: run one dataset x partition x method cell.",
     )
-    parser.add_argument("--dataset", default="mnist", choices=VALID_DATASETS)
-    parser.add_argument("--partition", default="CE", choices=VALID_PARTITIONS)
-    parser.add_argument("--method", default="feddrl", choices=VALID_METHODS)
-    parser.add_argument("--scale", default="bench", choices=sorted(SCALES))
-    parser.add_argument("--clients", type=int, default=10, help="population size N")
-    parser.add_argument("--per-round", type=int, default=10, help="participants K")
-    parser.add_argument("--rounds", type=int, default=None,
-                        help="override the scale preset's round count")
-    parser.add_argument("--delta", type=float, default=0.6,
-                        help="cluster-skew level for CE/CN")
-    parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--pretrain", type=int, default=0,
-                        help="two-stage pretraining rounds per worker (feddrl)")
-    parser.add_argument("--backend", default="serial", choices=VALID_BACKENDS,
-                        help="client-execution backend (bit-identical results)")
-    parser.add_argument("--workers", type=int, default=None,
-                        help="worker count for thread/process backends "
-                             "(default: CPU count)")
-    parser.add_argument("--dtype", default="float64", choices=VALID_DTYPES,
-                        help="substrate compute dtype; float32 halves memory "
-                             "bandwidth and IPC payload, float64 (default) "
-                             "matches historical results bit-for-bit")
-    parser.add_argument("--latency-model", default="none",
-                        choices=VALID_LATENCY_MODELS,
-                        help="virtual-clock device latency model")
-    parser.add_argument("--straggler-fraction", type=float, default=0.0,
-                        help="fraction of simulated devices that straggle")
-    parser.add_argument("--straggler-slowdown", type=float, default=8.0,
-                        help="slowdown factor applied to straggler devices")
-    parser.add_argument("--deadline", type=float, default=None,
-                        help="simulated round deadline in seconds")
-    parser.add_argument("--deadline-policy", default="wait",
-                        choices=VALID_DEADLINE_POLICIES,
-                        help="wait for stragglers or drop their updates")
-    parser.add_argument("--codec", default="dense", choices=VALID_CODECS,
-                        help="upload codec for client deltas: dense float "
-                             "passthrough, topk sparsification, qsgd{4,8} "
-                             "stochastic quantization, or topk+qsgd{4,8} "
-                             "composition")
-    parser.add_argument("--topk-frac", type=float, default=0.01,
-                        help="topk codecs: fraction of coordinates kept")
-    parser.add_argument("--quant-bits", type=int, default=8, choices=[4, 8],
-                        help="qsgd codecs without a bits suffix: quantization "
-                             "bit width")
-    parser.add_argument("--error-feedback", default=True,
-                        action=argparse.BooleanOptionalAction,
-                        help="carry the lossy-codec residual into the next "
-                             "upload from the same client")
-    parser.add_argument("--bandwidth-model", default="none",
-                        choices=VALID_BANDWIDTH_MODELS,
-                        help="per-client link-rate model: comm time becomes "
-                             "payload_bytes / bandwidth (needs "
-                             "--latency-model)")
-    parser.add_argument("--up-mbps", type=float, default=1.0,
-                        help="mean client uplink rate in Mbit/s")
-    parser.add_argument("--down-mbps", type=float, default=10.0,
-                        help="mean client downlink rate in Mbit/s")
-    parser.add_argument("--straggler-comm-slowdown", type=float, default=None,
-                        help="separate straggler multiplier for comm phases "
-                             "(default: same as --straggler-slowdown)")
-    parser.add_argument("--aggregation", default="sync",
-                        choices=VALID_AGGREGATIONS,
-                        help="synchronous rounds, or the event-driven async "
-                             "engine: fedbuff aggregates every --buffer-size "
-                             "arrivals, fedasync on every arrival "
-                             "(needs --latency-model)")
-    parser.add_argument("--buffer-size", type=int, default=5,
-                        help="fedbuff: arrived updates per aggregation")
-    parser.add_argument("--max-concurrency", type=int, default=None,
-                        help="async: max client jobs in flight "
-                             "(default: --per-round)")
-    parser.add_argument("--staleness", default="polynomial",
-                        choices=VALID_STALENESS,
-                        help="async staleness-decay on impact factors")
-    parser.add_argument("--server-mix", type=_server_mix, default=None,
-                        help="async server mixing step in (0, 1], or 'delta' "
-                             "for FedBuff's delta-based update "
-                             "(default: 1.0 fedbuff / 0.6 fedasync)")
-    parser.add_argument("--availability", default="always",
-                        choices=VALID_AVAILABILITY,
-                        help="fleet availability model: who is online as "
-                             "simulated time advances (needs --latency-model)")
-    parser.add_argument("--offline-fraction", type=float, default=0.2,
-                        help="mean offline fraction for the availability model")
-    parser.add_argument("--churn-rate", type=float, default=0.5,
-                        help="markov availability: on/off switching intensity "
-                             "(mean session length ~ 1/rate slots)")
-    parser.add_argument("--dropout-prob", type=float, default=0.0,
-                        help="per-(round, client) mid-round dropout: the "
-                             "update is lost after its compute time is paid")
-    parser.add_argument("--completeness", type=float, default=1.0,
-                        help="minimum fraction of the local batch budget a "
-                             "client runs (sampled per round from [c, 1])")
-    parser.add_argument("--dispatch", default="random", choices=VALID_DISPATCH,
-                        help="async job dispatch among online idle clients: "
-                             "uniform, or fairness (fewest jobs first)")
-    parser.add_argument("--topology", default="flat", choices=VALID_TOPOLOGIES,
-                        help="aggregation topology: flat (clients -> cloud) "
-                             "or hier (clients -> edge servers -> cloud)")
-    parser.add_argument("--edges", type=int, default=2,
-                        help="edge-server count for --topology hier")
-    parser.add_argument("--fleet-mode", default="eager",
-                        choices=VALID_FLEET_MODES,
-                        help="client materialization: eager builds every "
-                             "Client up front; lazy materializes only each "
-                             "round's participants (bit-identical history)")
-    parser.add_argument("--attack", default="none", choices=VALID_ATTACKS,
-                        help="adversarial fleet: poison a seeded malicious "
-                             "subset's data (label_flip, backdoor) or their "
-                             "submitted updates (sign_flip, scale, ipm)")
-    parser.add_argument("--malicious-fraction", type=float, default=0.2,
-                        help="fraction of clients the attack compromises "
-                             "(seeded; at least one when an attack is set)")
-    parser.add_argument("--attack-scale", type=float, default=1.0,
-                        help="update-attack amplification (and backdoor "
-                             "model-replacement boost when > 1)")
-    parser.add_argument("--aggregator", default="mean", choices=VALID_AGGREGATORS,
-                        help="server combination rule: the classic weighted "
-                             "mean, or a robust defense (median, trimmed_mean, "
-                             "krum, multikrum, norm_clip)")
-    parser.add_argument("--trace", default=None, metavar="PATH",
-                        help="stream spans/metrics to a JSONL trace at PATH "
-                             "(a Chrome trace and a run manifest are written "
-                             "next to it)")
-    parser.add_argument("--metrics-interval", type=float, default=0.0,
-                        help="snapshot the metrics registry into the trace "
-                             "every N simulated seconds (needs --trace)")
-    parser.add_argument("--fault-crash", type=float, default=0.0,
-                        help="per-(round, client) probability the first "
-                             "attempt crashes its worker (seeded, recovered "
-                             "bit-identically)")
-    parser.add_argument("--fault-exception", type=float, default=0.0,
-                        help="per-cell probability of an injected task error")
-    parser.add_argument("--fault-transient", type=float, default=0.0,
-                        help="per-cell probability of a transient failure "
-                             "that clears on retry")
-    parser.add_argument("--fault-hang", type=float, default=0.0,
-                        help="per-cell probability of an injected hang")
-    parser.add_argument("--fault-hang-s", type=float, default=0.05,
-                        help="wall seconds an injected hang stalls before "
-                             "raising")
-    parser.add_argument("--task-timeout", type=float, default=None,
-                        help="per-task timeout in wall seconds for pooled "
-                             "backends (default: wait forever)")
-    parser.add_argument("--max-retries", type=int, default=3,
-                        help="bounded per-task retry budget")
-    parser.add_argument("--checkpoint", default=None, metavar="PATH",
-                        help="atomically snapshot full run state to PATH "
-                             "(kill-safe; see --checkpoint-every / --resume)")
-    parser.add_argument("--checkpoint-every", type=int, default=1,
-                        help="snapshot every N rounds (sync) or aggregation "
-                             "flushes (async); needs --checkpoint")
-    parser.add_argument("--resume", default=None, metavar="PATH",
-                        help="restore run state from a snapshot and continue "
-                             "(bit-identical to an uninterrupted run)")
+    # Every config flag is declared on its ExperimentConfig field.
+    for f, flag in cli_fields():
+        kwargs = {
+            "default": f.default if flag.cli_default is None else flag.cli_default,
+            "help": flag.help,
+        }
+        if flag.type is bool:
+            kwargs["action"] = argparse.BooleanOptionalAction
+        else:
+            kwargs.update(type=flag.type, choices=flag.choices, metavar=flag.metavar)
+        parser.add_argument(flag.flag, **kwargs)
     parser.add_argument("--json", action="store_true",
                         help="emit a machine-readable result")
     parser.add_argument("--list", action="store_true",
@@ -259,74 +95,14 @@ def main(argv: list[str] | None = None) -> int:
         return trace_summary_main(argv[1:])
     args = build_parser().parse_args(argv)
     if args.list:
-        print(f"datasets:   {', '.join(VALID_DATASETS)}")
-        print(f"partitions: {', '.join(VALID_PARTITIONS)}")
-        print(f"methods:    {', '.join(VALID_METHODS)}")
-        print(f"scales:     {', '.join(sorted(SCALES))}")
-        print(f"dtypes:     {', '.join(VALID_DTYPES)}")
-        print(f"availability: {', '.join(VALID_AVAILABILITY)}")
-        print(f"attacks:    {', '.join(VALID_ATTACKS)}")
-        print(f"aggregators: {', '.join(VALID_AGGREGATORS)}")
+        choices = {f.name: flag.choices for f, flag in cli_fields()}
+        for label, name in _LISTED:
+            print(f"{label}{', '.join(choices[name])}")
         return 0
 
     try:
         cfg = ExperimentConfig(
-            dataset=args.dataset,
-            partition=args.partition,
-            method=args.method,
-            n_clients=args.clients,
-            clients_per_round=args.per_round,
-            scale=args.scale,
-            delta=args.delta,
-            seed=args.seed,
-            rounds=args.rounds,
-            drl_pretrain_rounds=args.pretrain,
-            backend=args.backend,
-            workers=args.workers,
-            dtype=args.dtype,
-            latency_model=args.latency_model,
-            straggler_fraction=args.straggler_fraction,
-            straggler_slowdown=args.straggler_slowdown,
-            deadline_s=args.deadline,
-            deadline_policy=args.deadline_policy,
-            codec=args.codec,
-            topk_frac=args.topk_frac,
-            quant_bits=args.quant_bits,
-            error_feedback=args.error_feedback,
-            bandwidth_model=args.bandwidth_model,
-            up_mbps=args.up_mbps,
-            down_mbps=args.down_mbps,
-            straggler_comm_slowdown=args.straggler_comm_slowdown,
-            aggregation=args.aggregation,
-            buffer_size=args.buffer_size,
-            max_concurrency=args.max_concurrency,
-            staleness=args.staleness,
-            server_mix=args.server_mix,
-            availability=args.availability,
-            offline_fraction=args.offline_fraction,
-            churn_rate=args.churn_rate,
-            dropout_prob=args.dropout_prob,
-            completeness=args.completeness,
-            dispatch=args.dispatch,
-            topology=args.topology,
-            n_edges=args.edges,
-            fleet_mode=args.fleet_mode,
-            attack=args.attack,
-            malicious_fraction=args.malicious_fraction,
-            attack_scale=args.attack_scale,
-            aggregator=args.aggregator,
-            trace=args.trace,
-            metrics_interval=args.metrics_interval,
-            fault_crash_prob=args.fault_crash,
-            fault_exception_prob=args.fault_exception,
-            fault_transient_prob=args.fault_transient,
-            fault_hang_prob=args.fault_hang,
-            fault_hang_s=args.fault_hang_s,
-            task_timeout_s=args.task_timeout,
-            max_retries=args.max_retries,
-            checkpoint_path=args.checkpoint,
-            checkpoint_every=args.checkpoint_every,
-            resume=args.resume,
+            **{f.name: getattr(args, flag.dest) for f, flag in cli_fields()}
         )
     except ValueError as err:
         # Cross-flag constraints (K <= N, drop needs a deadline, ...) live

@@ -11,11 +11,22 @@ reproduction sweeps the same grid at reduced *scale presets*:
 
 Scale changes rounds/data/model size only — never the algorithms — so the
 *shape* of the comparisons is preserved.
+
+Every ``python -m repro`` flag is declared once, on the field it sets: the
+field's ``metadata["cli"]`` is a :class:`Flag` holding the flag string (the
+argparse dest derives from it), the ``--help`` text, ``choices`` (a
+``VALID_*`` vocabulary, which ``__post_init__`` also checks), the argparse
+``type`` (``bool`` makes a ``--x/--no-x`` pair), the metavar, the CLI
+default where it differs from the field default, and the flag's position in
+``--help``.  ``repro.__main__`` builds its parser and maps parsed args back
+to fields by looping over :func:`cli_fields`.  A field without a ``Flag`` is
+config-only (set from Python, e.g. ``lr`` or the ``drl_*`` knobs).
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import Field, dataclass, field, fields, replace
+from typing import Any, Callable
 
 from repro.fl.async_ import (
     AGGREGATION_MODES,
@@ -99,22 +110,64 @@ SCALES: dict[str, ScalePreset] = {
 
 
 @dataclass(frozen=True)
+class Flag:
+    """The ``python -m repro`` option that sets one config field."""
+
+    order: int  # position among the options in --help
+    flag: str  # "--per-round"
+    help: str | None = None
+    choices: tuple | list | None = None  # the field's vocabulary
+    type: Callable | None = None  # argparse type; bool -> --x/--no-x
+    metavar: str | None = None
+    cli_default: Any = None  # None -> the field's default
+
+    @property
+    def dest(self) -> str:
+        """The argparse dest: ``--per-round`` -> ``per_round``."""
+        return self.flag[2:].replace("-", "_")
+
+
+def _cli(default: Any, order: int, flag: str, help: str | None = None, **spec):
+    """A config field settable from the command line (see :class:`Flag`)."""
+    return field(default=default, metadata={"cli": Flag(order, flag, help, **spec)})
+
+
+def _server_mix(value: str):
+    """--server-mix accepts a float step or the literal 'delta'."""
+    if value == DELTA_MIX:
+        return value
+    try:
+        return float(value)
+    except ValueError:
+        import argparse  # only the CLI parses; runs never import argparse
+
+        raise argparse.ArgumentTypeError(
+            f"expected a float in (0, 1] or 'delta', got {value!r}"
+        ) from None
+
+
+@dataclass(frozen=True)
 class ExperimentConfig:
     """One cell of the paper's evaluation grid."""
 
-    dataset: str = "mnist"
-    partition: str = "CE"
-    method: str = "fedavg"
-    n_clients: int = 10
-    clients_per_round: int = 10
-    scale: str = "ci"
-    delta: float = 0.6  # non-IID level for CE/CN (Fig. 8 sweeps this)
+    dataset: str = _cli("mnist", 1, "--dataset", choices=VALID_DATASETS)
+    partition: str = _cli("CE", 2, "--partition", choices=VALID_PARTITIONS)
+    method: str = _cli(
+        "fedavg", 3, "--method", choices=VALID_METHODS, cli_default="feddrl"
+    )
+    n_clients: int = _cli(10, 5, "--clients", "population size N", type=int)
+    clients_per_round: int = _cli(10, 6, "--per-round", "participants K", type=int)
+    scale: str = _cli("ci", 4, "--scale", choices=sorted(SCALES), cli_default="bench")
+    # non-IID level for CE/CN (Fig. 8 sweeps this)
+    delta: float = _cli(0.6, 8, "--delta", "cluster-skew level for CE/CN", type=float)
     labels_per_client: int | None = None  # None -> paper default per dataset
     lr: float = 0.01
     prox_mu: float = 0.01
-    seed: int = 0
+    seed: int = _cli(0, 9, "--seed", type=int)
     # Scale overrides (None -> take from the preset).
-    rounds: int | None = None
+    rounds: int | None = _cli(
+        None, 7, "--rounds", "override the scale preset's round count", type=int
+    )
     n_train: int | None = None
     n_test: int | None = None
     local_epochs: int | None = None
@@ -136,58 +189,138 @@ class ExperimentConfig:
     # rounds each worker engine runs before the main agent is trained
     # offline and deployed.  0 disables pretraining (basic training only,
     # Algorithm 1).
-    drl_pretrain_rounds: int = 0
+    drl_pretrain_rounds: int = _cli(
+        0, 10, "--pretrain", "two-stage pretraining rounds per worker (feddrl)",
+        type=int,
+    )
     drl_pretrain_workers: int = 2
     drl_offline_updates: int = 200
     # Runtime: execution backend and virtual-clock device simulation (see
     # repro.runtime).  All backends are bit-identical for a given seed;
     # latency_model="none" disables the virtual clock entirely.
-    backend: str = "serial"
-    workers: int | None = None
-    latency_model: str = "none"
+    backend: str = _cli(
+        "serial", 11, "--backend",
+        "client-execution backend (bit-identical results)", choices=VALID_BACKENDS,
+    )
+    workers: int | None = _cli(
+        None, 12, "--workers",
+        "worker count for thread/process backends (default: CPU count)", type=int,
+    )
+    latency_model: str = _cli(
+        "none", 14, "--latency-model", "virtual-clock device latency model",
+        choices=VALID_LATENCY_MODELS,
+    )
     # Substrate compute dtype (repro.nn.dtypes).  float64 (the default) is
     # bit-identical to the historical all-float64 path; float32 halves
     # memory bandwidth and the process-backend IPC payload.
-    dtype: str = "float64"
-    straggler_fraction: float = 0.0
-    straggler_slowdown: float = 8.0
-    deadline_s: float | None = None
-    deadline_policy: str = "wait"
+    dtype: str = _cli(
+        "float64", 13, "--dtype",
+        "substrate compute dtype; float32 halves memory bandwidth and IPC "
+        "payload, float64 (default) matches historical results bit-for-bit",
+        choices=VALID_DTYPES,
+    )
+    straggler_fraction: float = _cli(
+        0.0, 15, "--straggler-fraction",
+        "fraction of simulated devices that straggle", type=float,
+    )
+    straggler_slowdown: float = _cli(
+        8.0, 16, "--straggler-slowdown",
+        "slowdown factor applied to straggler devices", type=float,
+    )
+    deadline_s: float | None = _cli(
+        None, 17, "--deadline", "simulated round deadline in seconds", type=float
+    )
+    deadline_policy: str = _cli(
+        "wait", 18, "--deadline-policy",
+        "wait for stragglers or drop their updates", choices=VALID_DEADLINE_POLICIES,
+    )
     # Asynchronous aggregation (repro.fl.async_).  "sync" keeps the
     # classic per-round barrier; "fedbuff" aggregates whenever buffer_size
     # updates have arrived in virtual time; "fedasync" on every arrival.
     # Async modes need a latency_model (arrival order *is* device timing)
     # and run the same total local-work budget as sync (rounds x K jobs).
-    aggregation: str = "sync"
-    buffer_size: int = 5
-    max_concurrency: int | None = None  # None -> clients_per_round
-    staleness: str = "polynomial"
+    aggregation: str = _cli(
+        "sync", 27, "--aggregation",
+        "synchronous rounds, or the event-driven async engine: fedbuff "
+        "aggregates every --buffer-size arrivals, fedasync on every arrival "
+        "(needs --latency-model)", choices=VALID_AGGREGATIONS,
+    )
+    buffer_size: int = _cli(
+        5, 28, "--buffer-size", "fedbuff: arrived updates per aggregation",
+        type=int,
+    )
+    max_concurrency: int | None = _cli(  # None -> clients_per_round
+        None, 29, "--max-concurrency",
+        "async: max client jobs in flight (default: --per-round)", type=int,
+    )
+    staleness: str = _cli(
+        "polynomial", 30, "--staleness",
+        "async staleness-decay on impact factors", choices=VALID_STALENESS,
+    )
     # Server mixing step: a float in (0, 1], "delta" for FedBuff's
     # delta-based update (w <- w + eta * mean of client deltas), or None
     # for the mode default (1.0 fedbuff / 0.6 fedasync).
-    server_mix: float | str | None = None
+    server_mix: float | str | None = _cli(
+        None, 31, "--server-mix",
+        "async server mixing step in (0, 1], or 'delta' for FedBuff's "
+        "delta-based update (default: 1.0 fedbuff / 0.6 fedasync)", type=_server_mix,
+    )
     # Fleet behavior (repro.fleet): dynamic availability churn, mid-round
     # connectivity dropout, and partial local work.  "always" + zero
     # dropout + completeness 1.0 disables the fleet entirely; anything
     # else needs a latency_model (fleet behavior evolves over the virtual
     # clock).  `dispatch` picks the async engine's slot-assignment policy.
-    availability: str = "always"
-    offline_fraction: float = 0.2
-    churn_rate: float = 0.5
-    dropout_prob: float = 0.0
-    completeness: float = 1.0
-    dispatch: str = "random"
+    availability: str = _cli(
+        "always", 32, "--availability",
+        "fleet availability model: who is online as simulated time advances "
+        "(needs --latency-model)", choices=VALID_AVAILABILITY,
+    )
+    offline_fraction: float = _cli(
+        0.2, 33, "--offline-fraction",
+        "mean offline fraction for the availability model", type=float,
+    )
+    churn_rate: float = _cli(
+        0.5, 34, "--churn-rate",
+        "markov availability: on/off switching intensity (mean session "
+        "length ~ 1/rate slots)", type=float,
+    )
+    dropout_prob: float = _cli(
+        0.0, 35, "--dropout-prob",
+        "per-(round, client) mid-round dropout: the update is lost after its "
+        "compute time is paid", type=float,
+    )
+    completeness: float = _cli(
+        1.0, 36, "--completeness",
+        "minimum fraction of the local batch budget a client runs (sampled "
+        "per round from [c, 1])", type=float,
+    )
+    dispatch: str = _cli(
+        "random", 37, "--dispatch",
+        "async job dispatch among online idle clients: uniform, or fairness "
+        "(fewest jobs first)", choices=VALID_DISPATCH,
+    )
     # Aggregation topology (repro.fl.hierarchical): "flat" sends every
     # update straight to the cloud; "hier" folds each round (sync) or
     # buffer window (async) into n_edges edge-server FedAvg aggregates
     # first, and the cloud strategy/defense runs over the edges (H-FL).
-    topology: str = "flat"
-    n_edges: int = 2
+    topology: str = _cli(
+        "flat", 38, "--topology",
+        "aggregation topology: flat (clients -> cloud) or hier (clients -> "
+        "edge servers -> cloud)", choices=VALID_TOPOLOGIES,
+    )
+    n_edges: int = _cli(
+        2, 39, "--edges", "edge-server count for --topology hier", type=int
+    )
     # Client materialization (repro.fleet.scale): "eager" builds every
     # Client object up front (the historical path); "lazy" keeps the
     # population virtual and materializes only each round's sampled
     # participants (bit-identical histories, O(K) resident clients).
-    fleet_mode: str = "eager"
+    fleet_mode: str = _cli(
+        "eager", 40, "--fleet-mode",
+        "client materialization: eager builds every Client up front; lazy "
+        "materializes only each round's participants (bit-identical history)",
+        choices=VALID_FLEET_MODES,
+    )
     # Adversarial fleet (repro.fl.robust): `attack` marks a seeded
     # malicious_fraction of clients malicious and poisons their data
     # (label_flip, backdoor) or their submitted updates (sign_flip,
@@ -196,17 +329,43 @@ class ExperimentConfig:
     # selects the server's combination rule — "mean" keeps the classic
     # weighted mean, the rest are robust defenses that compose with
     # staleness decay and server_mix="delta".
-    attack: str = "none"
-    malicious_fraction: float = 0.2
-    attack_scale: float = 1.0
-    aggregator: str = "mean"
+    attack: str = _cli(
+        "none", 41, "--attack",
+        "adversarial fleet: poison a seeded malicious subset's data "
+        "(label_flip, backdoor) or their submitted updates (sign_flip, "
+        "scale, ipm)", choices=VALID_ATTACKS,
+    )
+    malicious_fraction: float = _cli(
+        0.2, 42, "--malicious-fraction",
+        "fraction of clients the attack compromises (seeded; at least one "
+        "when an attack is set)", type=float,
+    )
+    attack_scale: float = _cli(
+        1.0, 43, "--attack-scale",
+        "update-attack amplification (and backdoor model-replacement boost "
+        "when > 1)", type=float,
+    )
+    aggregator: str = _cli(
+        "mean", 44, "--aggregator",
+        "server combination rule: the classic weighted mean, or a robust "
+        "defense (median, trimmed_mean, krum, multikrum, norm_clip)",
+        choices=VALID_AGGREGATORS,
+    )
     # Observability (repro.obs): trace=PATH streams spans/metrics to a
     # JSONL trace (plus a Chrome trace and a run manifest next to it);
     # None disables tracing entirely (no-op at every call site).
     # metrics_interval > 0 snapshots the metrics registry into the trace
     # every that-many simulated seconds.
-    trace: str | None = None
-    metrics_interval: float = 0.0
+    trace: str | None = _cli(
+        None, 45, "--trace",
+        "stream spans/metrics to a JSONL trace at PATH (a Chrome trace and a "
+        "run manifest are written next to it)", metavar="PATH",
+    )
+    metrics_interval: float = _cli(
+        0.0, 46, "--metrics-interval",
+        "snapshot the metrics registry into the trace every N simulated "
+        "seconds (needs --trace)", type=float,
+    )
     # Fault tolerance (repro.runtime.faults): seeded per-(round|job, client)
     # fault injection — a cell's *first* attempt crashes / raises / blips /
     # hangs with the given probabilities — plus the parent-side recovery
@@ -214,20 +373,54 @@ class ExperimentConfig:
     # inject nothing; the executors' task path is the same either way (the
     # process backend chunks its first wave only while no fault rate and
     # no task timeout is set).
-    fault_crash_prob: float = 0.0
-    fault_exception_prob: float = 0.0
-    fault_transient_prob: float = 0.0
-    fault_hang_prob: float = 0.0
-    fault_hang_s: float = 0.05
-    task_timeout_s: float | None = None
-    max_retries: int = 3
+    fault_crash_prob: float = _cli(
+        0.0, 47, "--fault-crash",
+        "per-(round, client) probability the first attempt crashes its "
+        "worker (seeded, recovered bit-identically)", type=float,
+    )
+    fault_exception_prob: float = _cli(
+        0.0, 48, "--fault-exception",
+        "per-cell probability of an injected task error", type=float,
+    )
+    fault_transient_prob: float = _cli(
+        0.0, 49, "--fault-transient",
+        "per-cell probability of a transient failure that clears on retry", type=float,
+    )
+    fault_hang_prob: float = _cli(
+        0.0, 50, "--fault-hang", "per-cell probability of an injected hang",
+        type=float,
+    )
+    fault_hang_s: float = _cli(
+        0.05, 51, "--fault-hang-s",
+        "wall seconds an injected hang stalls before raising", type=float,
+    )
+    task_timeout_s: float | None = _cli(
+        None, 52, "--task-timeout",
+        "per-task timeout in wall seconds for pooled backends (default: wait "
+        "forever)", type=float,
+    )
+    max_retries: int = _cli(
+        3, 53, "--max-retries", "bounded per-task retry budget", type=int
+    )
     # Kill-safe checkpoint/resume (repro.runtime.checkpoint): atomic
     # snapshots of full run state every checkpoint_every rounds (sync) or
     # aggregation flushes (async); resume=PATH restores and continues,
     # bit-identical to an uninterrupted run.
-    checkpoint_path: str | None = None
-    checkpoint_every: int = 1
-    resume: str | None = None
+    checkpoint_path: str | None = _cli(
+        None, 54, "--checkpoint",
+        "atomically snapshot full run state to PATH (kill-safe; see "
+        "--checkpoint-every / --resume)", metavar="PATH",
+    )
+    checkpoint_every: int = _cli(
+        1, 55, "--checkpoint-every",
+        "snapshot every N rounds (sync) or aggregation flushes (async); needs "
+        "--checkpoint", type=int,
+    )
+    resume: str | None = _cli(
+        None, 56, "--resume",
+        "restore run state from a snapshot and continue (bit-identical to an "
+        "uninterrupted run)", metavar="PATH",
+    )
     # Wire-efficient uploads (repro.fl.wire): `codec` compresses the
     # client→server delta ("dense" = uncompressed passthrough; topk /
     # qsgd{4,8} / topk+qsgd{4,8} are lossy with per-client error-feedback
@@ -237,46 +430,77 @@ class ExperimentConfig:
     # constants; "none" keeps the byte-blind historical clock.
     # straggler_comm_slowdown decouples a straggler's link slowdown from
     # its compute slowdown (None -> same factor, the legacy behavior).
-    codec: str = "dense"
-    topk_frac: float = 0.01
-    quant_bits: int = 8
-    error_feedback: bool = True
-    bandwidth_model: str = "none"
-    up_mbps: float = 1.0
-    down_mbps: float = 10.0
-    straggler_comm_slowdown: float | None = None
+    codec: str = _cli(
+        "dense", 19, "--codec",
+        "upload codec for client deltas: dense float passthrough, topk "
+        "sparsification, qsgd{4,8} stochastic quantization, or topk+qsgd{4,8} "
+        "composition", choices=VALID_CODECS,
+    )
+    topk_frac: float = _cli(
+        0.01, 20, "--topk-frac", "topk codecs: fraction of coordinates kept",
+        type=float,
+    )
+    quant_bits: int = _cli(
+        8, 21, "--quant-bits",
+        "qsgd codecs without a bits suffix: quantization bit width",
+        choices=QUANT_BITS, type=int,
+    )
+    error_feedback: bool = _cli(
+        True, 22, "--error-feedback",
+        "carry the lossy-codec residual into the next upload from the same "
+        "client", type=bool,
+    )
+    bandwidth_model: str = _cli(
+        "none", 23, "--bandwidth-model",
+        "per-client link-rate model: comm time becomes payload_bytes / "
+        "bandwidth (needs --latency-model)", choices=VALID_BANDWIDTH_MODELS,
+    )
+    up_mbps: float = _cli(
+        1.0, 24, "--up-mbps", "mean client uplink rate in Mbit/s", type=float
+    )
+    down_mbps: float = _cli(
+        10.0, 25, "--down-mbps", "mean client downlink rate in Mbit/s",
+        type=float,
+    )
+    straggler_comm_slowdown: float | None = _cli(
+        None, 26, "--straggler-comm-slowdown",
+        "separate straggler multiplier for comm phases (default: same as "
+        "--straggler-slowdown)", type=float,
+    )
 
     def __post_init__(self) -> None:
-        if self.dataset not in VALID_DATASETS:
-            raise ValueError(f"dataset must be one of {VALID_DATASETS}")
-        if self.partition not in VALID_PARTITIONS:
-            raise ValueError(f"partition must be one of {VALID_PARTITIONS}")
-        if self.method not in VALID_METHODS:
-            raise ValueError(f"method must be one of {VALID_METHODS}")
-        if self.scale not in SCALES:
-            raise ValueError(f"scale must be one of {sorted(SCALES)}")
+        for name, choices in _VOCABULARIES:
+            if getattr(self, name) not in choices:
+                raise ValueError(f"{name} must be one of {choices}")
+        for name in (
+            "n_clients", "clients_per_round", "lr", "buffer_size", "n_edges",
+            "drl_updates_per_round", "drl_pretrain_workers",
+            "drl_offline_updates", "churn_rate", "attack_scale", "fault_hang_s",
+        ):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive")
+        for name in (
+            "seed", "prox_mu", "metrics_interval", "drl_noise_scale",
+            "fairness_weight", "max_retries",
+        ):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be non-negative")
+        for name in (
+            "rounds", "labels_per_client", "n_train", "n_test", "local_epochs",
+            "batch_size", "eval_every", "workers", "max_concurrency",
+            "task_timeout_s",
+        ):
+            value = getattr(self, name)
+            if value is not None and value <= 0:
+                raise ValueError(f"{name} must be positive when given")
         if self.clients_per_round > self.n_clients:
             raise ValueError("clients_per_round cannot exceed n_clients")
-        if self.rounds is not None and self.rounds <= 0:
-            raise ValueError("rounds must be positive")
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must be in (0, 1]")
-        if self.backend not in VALID_BACKENDS:
-            raise ValueError(f"backend must be one of {VALID_BACKENDS}")
-        if self.dtype not in VALID_DTYPES:
-            raise ValueError(f"dtype must be one of {VALID_DTYPES}")
-        if self.workers is not None and self.workers <= 0:
-            raise ValueError("workers must be positive when given")
-        if self.latency_model not in VALID_LATENCY_MODELS:
-            raise ValueError(f"latency_model must be one of {VALID_LATENCY_MODELS}")
-        if self.deadline_policy not in VALID_DEADLINE_POLICIES:
-            raise ValueError(f"deadline_policy must be one of {VALID_DEADLINE_POLICIES}")
         if not 0.0 <= self.straggler_fraction <= 1.0:
             raise ValueError("straggler_fraction must be in [0, 1]")
         if self.straggler_slowdown < 1.0:
             raise ValueError("straggler_slowdown must be >= 1")
-        if self.metrics_interval < 0:
-            raise ValueError("metrics_interval must be non-negative")
         if self.metrics_interval > 0 and self.trace is None:
             raise ValueError("metrics_interval needs trace=PATH to write to")
         if self.deadline_policy == "drop" and self.deadline_s is None:
@@ -299,14 +523,6 @@ class ExperimentConfig:
                 "feddrl needs exactly K updates per round; "
                 "deadline_policy='drop' is unsupported for it (use 'wait')"
             )
-        if self.aggregation not in VALID_AGGREGATIONS:
-            raise ValueError(f"aggregation must be one of {VALID_AGGREGATIONS}")
-        if self.staleness not in VALID_STALENESS:
-            raise ValueError(f"staleness must be one of {VALID_STALENESS}")
-        if self.buffer_size <= 0:
-            raise ValueError("buffer_size must be positive")
-        if self.max_concurrency is not None and self.max_concurrency <= 0:
-            raise ValueError("max_concurrency must be positive when given")
         if isinstance(self.server_mix, str):
             if self.server_mix != DELTA_MIX:
                 raise ValueError(
@@ -358,12 +574,6 @@ class ExperimentConfig:
             raise ValueError("drl_gamma must be in [0, 1)")
         if not 0.0 <= self.drl_beta <= 1.0:
             raise ValueError("drl_beta must be in [0, 1] (paper Section 3.3.3)")
-        if self.drl_noise_scale < 0:
-            raise ValueError("drl_noise_scale must be non-negative")
-        if self.drl_updates_per_round <= 0:
-            raise ValueError("drl_updates_per_round must be positive")
-        if self.fairness_weight < 0:
-            raise ValueError("fairness_weight must be non-negative")
 
     def _validate_pretrain(self) -> None:
         if self.drl_pretrain_rounds < 0:
@@ -371,10 +581,6 @@ class ExperimentConfig:
                 "drl_pretrain_rounds must be non-negative (0 disables "
                 "pretraining)"
             )
-        if self.drl_pretrain_workers <= 0:
-            raise ValueError("drl_pretrain_workers must be positive")
-        if self.drl_offline_updates <= 0:
-            raise ValueError("drl_offline_updates must be positive")
         if self.drl_pretrain_rounds > 0 and self.method != "feddrl":
             raise ValueError(
                 "drl_pretrain_rounds pretrains the FedDRL agent — "
@@ -391,14 +597,8 @@ class ExperimentConfig:
             )
 
     def _validate_fleet(self) -> None:
-        if self.availability not in VALID_AVAILABILITY:
-            raise ValueError(f"availability must be one of {VALID_AVAILABILITY}")
-        if self.dispatch not in VALID_DISPATCH:
-            raise ValueError(f"dispatch must be one of {VALID_DISPATCH}")
         if not 0.0 <= self.offline_fraction < 1.0:
             raise ValueError("offline_fraction must be in [0, 1)")
-        if self.churn_rate <= 0.0:
-            raise ValueError("churn_rate must be positive")
         if not 0.0 <= self.dropout_prob < 1.0:
             raise ValueError("dropout_prob must be in [0, 1)")
         if not 0.0 < self.completeness <= 1.0:
@@ -426,12 +626,6 @@ class ExperimentConfig:
             )
 
     def _validate_scale_out(self) -> None:
-        if self.topology not in VALID_TOPOLOGIES:
-            raise ValueError(f"topology must be one of {VALID_TOPOLOGIES}")
-        if self.n_edges <= 0:
-            raise ValueError("n_edges must be positive")
-        if self.fleet_mode not in VALID_FLEET_MODES:
-            raise ValueError(f"fleet_mode must be one of {VALID_FLEET_MODES}")
         if self.topology == "hier":
             if self.method == "singleset":
                 raise ValueError(
@@ -474,17 +668,11 @@ class ExperimentConfig:
                 )
 
     def _validate_robust(self) -> None:
-        if self.attack not in VALID_ATTACKS:
-            raise ValueError(f"attack must be one of {VALID_ATTACKS}")
-        if self.aggregator not in VALID_AGGREGATORS:
-            raise ValueError(f"aggregator must be one of {VALID_AGGREGATORS}")
         if not 0.0 <= self.malicious_fraction < 0.5:
             raise ValueError(
                 "malicious_fraction must be in [0, 0.5) — no robust "
                 "aggregator survives a malicious majority"
             )
-        if self.attack_scale <= 0:
-            raise ValueError("attack_scale must be positive")
         if self.attack != "none" and self.malicious_fraction == 0.0:
             raise ValueError(
                 "an attack needs a positive malicious_fraction — "
@@ -506,28 +694,14 @@ class ExperimentConfig:
                 raise ValueError("fault probabilities must be in [0, 1)")
         if sum(probs) >= 1.0:
             raise ValueError("fault probabilities must sum below 1")
-        if self.fault_hang_s <= 0:
-            raise ValueError("fault_hang_s must be positive")
-        if self.max_retries < 0:
-            raise ValueError("max_retries must be non-negative")
-        if self.task_timeout_s is not None and self.task_timeout_s <= 0:
-            raise ValueError("task_timeout_s must be positive when given")
         if self.checkpoint_every < 1:
             raise ValueError("checkpoint_every must be >= 1")
         if self.checkpoint_every != 1 and self.checkpoint_path is None:
             raise ValueError("checkpoint_every needs checkpoint_path to write to")
 
     def _validate_wire(self) -> None:
-        if self.codec not in VALID_CODECS:
-            raise ValueError(f"codec must be one of {VALID_CODECS}")
         if not 0.0 < self.topk_frac <= 1.0:
             raise ValueError("topk_frac must be in (0, 1]")
-        if self.quant_bits not in QUANT_BITS:
-            raise ValueError(f"quant_bits must be one of {QUANT_BITS}")
-        if self.bandwidth_model not in VALID_BANDWIDTH_MODELS:
-            raise ValueError(
-                f"bandwidth_model must be one of {VALID_BANDWIDTH_MODELS}"
-            )
         if self.up_mbps <= 0 or self.down_mbps <= 0:
             raise ValueError("up_mbps/down_mbps must be positive")
         if (
@@ -600,3 +774,17 @@ class ExperimentConfig:
     def with_(self, **kwargs) -> "ExperimentConfig":
         """Functional update (frozen dataclass)."""
         return replace(self, **kwargs)
+
+
+def cli_fields() -> list[tuple[Field, Flag]]:
+    """``(field, flag)`` for every field ``python -m repro`` sets, in --help order."""
+    flagged = [
+        (f, f.metadata["cli"]) for f in fields(ExperimentConfig) if "cli" in f.metadata
+    ]
+    return sorted(flagged, key=lambda pair: pair[1].order)
+
+
+# (field name, vocabulary) for every field whose flag declares choices.
+_VOCABULARIES = tuple(
+    (f.name, flag.choices) for f, flag in cli_fields() if flag.choices is not None
+)

@@ -1,10 +1,91 @@
 """Tests for the ``python -m repro`` command-line interface."""
 
+import dataclasses
 import json
 
 import pytest
 
+import repro.__main__ as cli
 from repro.__main__ import build_parser, main
+from repro.harness.config import ExperimentConfig, cli_fields
+
+# ExperimentConfig fields set only from Python; every other field has a flag.
+CONFIG_ONLY = {
+    "labels_per_client", "lr", "prox_mu", "n_train", "n_test", "local_epochs",
+    "batch_size", "model", "eval_every", "drl_beta", "drl_explore",
+    "drl_prioritized", "drl_gamma", "drl_noise_scale", "drl_updates_per_round",
+    "fairness_weight", "drl_pretrain_workers", "drl_offline_updates",
+}
+
+# flag -> (argv setting one non-default value, the field value it must yield).
+# Extra argv makes the cell valid (a deadline needs a latency model, ...).
+CLOCK = ["--method", "fedavg", "--latency-model", "uniform"]
+NON_DEFAULT = {
+    "--dataset": (["--dataset", "fashion"], "fashion"),
+    "--partition": (["--partition", "IID"], "IID"),
+    "--method": (["--method", "fedavg"], "fedavg"),
+    "--scale": (["--scale", "ci"], "ci"),
+    "--clients": (["--clients", "12"], 12),
+    "--per-round": (["--per-round", "4"], 4),
+    "--rounds": (["--rounds", "3"], 3),
+    "--delta": (["--delta", "0.3"], 0.3),
+    "--seed": (["--seed", "7"], 7),
+    "--pretrain": (["--pretrain", "2"], 2),
+    "--backend": (["--backend", "thread"], "thread"),
+    "--workers": (["--workers", "2"], 2),
+    "--dtype": (["--dtype", "float32"], "float32"),
+    "--latency-model": (["--latency-model", "uniform"], "uniform"),
+    "--straggler-fraction": ([*CLOCK, "--straggler-fraction", "0.3"], 0.3),
+    "--straggler-slowdown": (["--straggler-slowdown", "4"], 4.0),
+    "--deadline": ([*CLOCK, "--deadline", "5"], 5.0),
+    "--deadline-policy": (
+        [*CLOCK, "--deadline", "5", "--deadline-policy", "drop"], "drop"
+    ),
+    "--codec": (["--codec", "topk"], "topk"),
+    "--topk-frac": (["--topk-frac", "0.05"], 0.05),
+    "--quant-bits": (["--quant-bits", "4"], 4),
+    "--error-feedback": (["--no-error-feedback"], False),
+    "--bandwidth-model": ([*CLOCK, "--bandwidth-model", "uniform"], "uniform"),
+    "--up-mbps": (["--up-mbps", "2"], 2.0),
+    "--down-mbps": (["--down-mbps", "20"], 20.0),
+    "--straggler-comm-slowdown": ([*CLOCK, "--straggler-comm-slowdown", "2"], 2.0),
+    "--aggregation": ([*CLOCK, "--aggregation", "fedbuff"], "fedbuff"),
+    "--buffer-size": (["--buffer-size", "3"], 3),
+    "--max-concurrency": (["--max-concurrency", "4"], 4),
+    "--staleness": (["--staleness", "hinge"], "hinge"),
+    "--server-mix": (["--server-mix", "delta"], "delta"),
+    "--availability": ([*CLOCK, "--availability", "markov"], "markov"),
+    "--offline-fraction": (["--offline-fraction", "0.3"], 0.3),
+    "--churn-rate": (["--churn-rate", "1"], 1.0),
+    "--dropout-prob": ([*CLOCK, "--dropout-prob", "0.1"], 0.1),
+    "--completeness": ([*CLOCK, "--completeness", "0.5"], 0.5),
+    "--dispatch": (
+        [*CLOCK, "--aggregation", "fedbuff", "--dispatch", "fairness"], "fairness"
+    ),
+    "--topology": (["--topology", "hier"], "hier"),
+    "--edges": (["--edges", "3"], 3),
+    "--fleet-mode": (["--fleet-mode", "lazy"], "lazy"),
+    "--attack": (["--method", "fedavg", "--attack", "sign_flip"], "sign_flip"),
+    "--malicious-fraction": (["--malicious-fraction", "0.3"], 0.3),
+    "--attack-scale": (["--attack-scale", "2"], 2.0),
+    "--aggregator": (["--aggregator", "median"], "median"),
+    "--trace": (["--trace", "run.trace.jsonl"], "run.trace.jsonl"),
+    "--metrics-interval": (
+        ["--trace", "run.trace.jsonl", "--metrics-interval", "5"], 5.0
+    ),
+    "--fault-crash": (["--fault-crash", "0.1"], 0.1),
+    "--fault-exception": (["--fault-exception", "0.1"], 0.1),
+    "--fault-transient": (["--fault-transient", "0.1"], 0.1),
+    "--fault-hang": (["--fault-hang", "0.1"], 0.1),
+    "--fault-hang-s": (["--fault-hang-s", "0.2"], 0.2),
+    "--task-timeout": (["--task-timeout", "30"], 30.0),
+    "--max-retries": (["--max-retries", "5"], 5),
+    "--checkpoint": (["--checkpoint", "run.ckpt"], "run.ckpt"),
+    "--checkpoint-every": (
+        ["--checkpoint", "run.ckpt", "--checkpoint-every", "2"], 2
+    ),
+    "--resume": (["--resume", "run.ckpt"], "run.ckpt"),
+}
 
 
 class TestParser:
@@ -36,6 +117,31 @@ class TestParser:
     def test_rejects_unknown_latency_model(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--latency-model", "fractal"])
+
+
+class TestConfigMapping:
+    def test_every_field_has_a_flag_or_is_config_only(self):
+        flagged = {f.name for f, _ in cli_fields()}
+        names = {f.name for f in dataclasses.fields(ExperimentConfig)}
+        assert flagged | CONFIG_ONLY == names
+        assert not flagged & CONFIG_ONLY
+
+    @pytest.mark.parametrize("flag", [flag.flag for _, flag in cli_fields()])
+    def test_flag_sets_its_field(self, flag, monkeypatch):
+        argv, expected = NON_DEFAULT[flag]
+        name, spec = next((f.name, s) for f, s in cli_fields() if s.flag == flag)
+        assert getattr(build_parser().parse_args([]), spec.dest) != expected
+        captured = []
+
+        def run_experiment(cfg):
+            captured.append(cfg)
+            raise SystemExit(0)
+
+        monkeypatch.setattr(cli, "run_experiment", run_experiment)
+        with pytest.raises(SystemExit):
+            main(argv)
+        (cfg,) = captured
+        assert getattr(cfg, name) == expected
 
 
 class TestMain:
@@ -96,6 +202,17 @@ class TestMain:
         payload = json.loads(capsys.readouterr().out)
         assert len(payload["accuracy_series"]) == 1
         assert payload["history_hash"]
+
+    @pytest.mark.parametrize("argv", [
+        ["--per-round", "0"],
+        ["--clients", "0", "--per-round", "0"],
+        ["--seed", "-1"],
+    ])
+    def test_bad_input_exits_2(self, argv, capsys):
+        assert main(argv) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("python -m repro: error:")
+        assert "\n" not in err.strip()
 
     def test_resume_from_truncated_checkpoint_is_one_line(self, tmp_path, capsys):
         cell = ["--method", "fedavg", "--scale", "ci", "--clients", "5",

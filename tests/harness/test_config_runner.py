@@ -63,6 +63,17 @@ class TestExperimentConfig:
         # ...and feddrl is fine when the clock only waits.
         ExperimentConfig(method="feddrl", latency_model="uniform")
 
+    @pytest.mark.parametrize("name, value", [
+        ("n_clients", 0), ("clients_per_round", 0), ("seed", -1),
+        ("lr", 0.0), ("lr", -0.01), ("prox_mu", -0.01),
+        ("labels_per_client", 0), ("n_train", 0), ("n_test", 0),
+        ("local_epochs", 0), ("batch_size", 0), ("eval_every", 0),
+    ])
+    def test_rejects_bad_sizes_and_seeds(self, name, value):
+        # Caught when the config is built, not partway through the run.
+        with pytest.raises(ValueError, match=f"^{name} must be"):
+            ExperimentConfig(**{name: value})
+
     def test_resolved_falls_back_to_preset(self):
         cfg = ExperimentConfig(scale="ci")
         assert cfg.resolved("rounds") == SCALES["ci"].rounds
