@@ -66,7 +66,7 @@ def mean_round_s(backend: str, rounds: int, n_train: int, image_size: int,
     train, _ = make_synthetic_dataset(spec, n_train, 64, np.random.default_rng(0))
     parts = iid_partition(train.y, n_clients, np.random.default_rng(1))
     factory = partial(simple_cnn, 1, image_size, 10)
-    clients = make_clients(train, parts, seed=2)
+    clients = make_clients(train, parts)
     executor = make_executor(
         backend, clients, factory,
         workers=workers if backend == "process" else None,

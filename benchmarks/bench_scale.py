@@ -62,6 +62,7 @@ from repro.data.synthetic import SyntheticImageSpec, make_synthetic_dataset
 from repro.fl.selection import UniformSelection
 from repro.fleet.columnar import ColumnarAvailability, FleetState
 from repro.fleet.scale import LazyClientPool, StridedPartition
+from repro.runtime.seeding import STREAM_SELECTION, run_rng
 
 K = 16
 SEED = 0
@@ -81,14 +82,14 @@ def build_fleet(n_clients: int):
     train, _ = make_synthetic_dataset(spec, BASE_SAMPLES, 8,
                                       np.random.default_rng(SEED))
     parts = StridedPartition(len(train), n_clients, per_client=PER_CLIENT)
-    clients = LazyClientPool(train, parts, seed=SEED + 11)
+    clients = LazyClientPool(train, parts)
     availability = ColumnarAvailability(
-        "markov", n_clients, SEED + 31,
+        "markov", n_clients, SEED,
         offline_fraction=OFFLINE_FRACTION, churn_rate=CHURN_RATE,
     )
     state = FleetState(n_clients, SEED, availability=availability,
                        shard_sizes=parts.shard_sizes)
-    selector = UniformSelection(np.random.default_rng(SEED + 17))
+    selector = UniformSelection(run_rng(SEED, STREAM_SELECTION))
     return state, clients, selector
 
 
@@ -174,6 +175,7 @@ from repro.fl.client import make_clients
 from repro.harness.config import ExperimentConfig
 from repro.harness.runner import build_dataset, build_partition
 from repro.nn.dtypes import set_default_dtype
+from repro.runtime.seeding import STREAM_PARTITION, run_rng
 
 def peak_mb():
     return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
@@ -184,8 +186,8 @@ rss0 = peak_mb()
 t0 = time.perf_counter()
 train, test = build_dataset(cfg)
 rss1 = peak_mb()
-parts = build_partition(cfg, train.y, np.random.default_rng(cfg.seed + 5))
-clients = make_clients(train, parts, seed=cfg.seed + 11)
+parts = build_partition(cfg, train.y, run_rng(cfg.seed, STREAM_PARTITION))
+clients = make_clients(train, parts)
 build_s = time.perf_counter() - t0
 rss2 = peak_mb()
 data_mb = sum(a.nbytes for a in (train.x, train.y, test.x, test.y)) / 2**20

@@ -213,7 +213,7 @@ def bench_rounds(rounds: int, n_train: int, image_size: int, workers: int) -> di
         factory = partial(simple_cnn, 1, image_size, 10)
         dtype_entry: dict = {}
         for backend in ("serial", "process"):
-            clients = make_clients(train, parts, seed=2)
+            clients = make_clients(train, parts)
             executor = make_executor(
                 backend, clients, factory,
                 workers=workers if backend == "process" else None,

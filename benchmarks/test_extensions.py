@@ -7,7 +7,6 @@ claims: FedDRL's accuracy under top-k sparsified uploads and under a
 two-level edge/cloud topology, against its dense flat-topology accuracy.
 """
 
-import numpy as np
 import pytest
 
 from repro.drl.agent import DRLConfig
@@ -22,6 +21,7 @@ from repro.harness.runner import (
     build_partition,
 )
 from repro.fl.client import make_clients
+from repro.runtime.seeding import STREAM_PARTITION, run_rng
 
 BASE = ExperimentConfig(
     dataset="fashion", partition="CE", method="feddrl",
@@ -31,8 +31,8 @@ BASE = ExperimentConfig(
 
 def build_pieces(cfg):
     train, test = build_dataset(cfg)
-    parts = build_partition(cfg, train.y, np.random.default_rng(cfg.seed + 5))
-    clients = make_clients(train, parts, seed=cfg.seed + 11)
+    parts = build_partition(cfg, train.y, run_rng(cfg.seed, STREAM_PARTITION))
+    clients = make_clients(train, parts)
     return clients, test, build_model_factory(cfg, train)
 
 

@@ -40,7 +40,7 @@ def _run_backend(backend: str, workers: int | None):
     features = int(np.prod(train.x.shape[1:]))
     factory = partial(mlp, features, train.num_classes, hidden=(128, 64))
     parts = iid_partition(train.y, N_CLIENTS, np.random.default_rng(1))
-    clients = make_clients(train, parts, seed=2)
+    clients = make_clients(train, parts)
     executor = make_executor(backend, clients, factory, workers=workers)
     sim = FederatedSimulation(
         clients, test, factory, FedAvg(),

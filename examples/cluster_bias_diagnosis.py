@@ -49,7 +49,7 @@ def main() -> None:
 
     features = int(np.prod(train.x.shape[1:]))
     factory = partial(mlp, features, CLASSES, hidden=(32,))
-    clients = make_clients(train, parts, seed=2)
+    clients = make_clients(train, parts)
     config = FLConfig(rounds=25, clients_per_round=10, local_epochs=2, lr=0.05,
                       batch_size=16, seed=0)
     sim = FederatedSimulation(clients, test, factory, FedAvg(), config)

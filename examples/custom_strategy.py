@@ -83,7 +83,7 @@ def main() -> None:
     print(f"CE partition, delta={DELTA}: clients per cluster = "
           f"{np.bincount(assignment).tolist()}\n")
     for name, strategy in strategies.items():
-        clients = make_clients(train, parts, seed=2)
+        clients = make_clients(train, parts)
         sim = FederatedSimulation(clients, test, factory, strategy, config)
         history = sim.run()
         var_tail = float(np.mean(history.loss_var_series()[-5:]))

@@ -25,6 +25,7 @@ import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.nn.dtypes import get_default_dtype
+from repro.runtime.seeding import STREAM_DATASET, run_rng
 
 #: Bytes of float64 noise :func:`make_synthetic_dataset` draws per chunk.
 _DRAW_CHUNK_BYTES = 1 << 20
@@ -156,7 +157,7 @@ def mnist_like(
         num_classes=10, channels=1, image_size=image_size,
         modes_per_class=2, noise=0.60,
     )
-    return make_synthetic_dataset(spec, n_train, n_test, np.random.default_rng(seed))
+    return make_synthetic_dataset(spec, n_train, n_test, run_rng(seed, STREAM_DATASET))
 
 
 def fashion_like(
@@ -170,7 +171,7 @@ def fashion_like(
         num_classes=10, channels=1, image_size=image_size,
         modes_per_class=3, noise=1.00,
     )
-    return make_synthetic_dataset(spec, n_train, n_test, np.random.default_rng(seed))
+    return make_synthetic_dataset(spec, n_train, n_test, run_rng(seed, STREAM_DATASET))
 
 
 def cifar100_like(
@@ -185,7 +186,7 @@ def cifar100_like(
         num_classes=num_classes, channels=3, image_size=image_size,
         modes_per_class=2, noise=1.10,
     )
-    return make_synthetic_dataset(spec, n_train, n_test, np.random.default_rng(seed))
+    return make_synthetic_dataset(spec, n_train, n_test, run_rng(seed, STREAM_DATASET))
 
 
 DATASET_FACTORIES = {

@@ -86,13 +86,13 @@ class DDPGAgent:
         self,
         state_dim: int,
         n_clients: int,
-        config: DRLConfig | None = None,
-        rng: np.random.Generator | None = None,
+        config: DRLConfig,
+        rng: np.random.Generator,
     ) -> None:
-        self.config = config or DRLConfig()
+        self.config = config
         self.state_dim = state_dim
         self.n_clients = n_clients
-        self.rng = rng if rng is not None else np.random.default_rng(0)
+        self.rng = rng
         c = self.config
         policy = dict(hidden=c.hidden, beta=c.beta, dtype=AGENT_DTYPE)
         value = dict(hidden=c.hidden, dtype=AGENT_DTYPE)
@@ -118,9 +118,7 @@ class DDPGAgent:
     # -- acting ---------------------------------------------------------------
     def act(self, state: np.ndarray, explore: bool = True) -> np.ndarray:
         """Compute the (possibly noise-perturbed) action for ``state``."""
-        # The networks' dtype, not AGENT_DTYPE: an agent restored from an
-        # older snapshot keeps the float64 networks it was saved with.
-        state = np.asarray(state, dtype=self.policy_main.dtype).ravel()
+        state = np.asarray(state, dtype=AGENT_DTYPE).ravel()
         if state.shape[0] != self.state_dim:
             raise ValueError(
                 f"state has {state.shape[0]} entries, expected {self.state_dim}"

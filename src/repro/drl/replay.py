@@ -63,17 +63,6 @@ class ReplayBuffer:
     def __len__(self) -> int:
         return self._size
 
-    def __setstate__(self, state: dict) -> None:
-        items = state.get("_items")
-        if items is None:
-            self.__dict__.update(state)
-            return
-        # A list-backed buffer pickled before the ring: its items (float64,
-        # as Experience holds them) fill the columns slot for slot.
-        self.__init__(state["capacity"])
-        self.extend(items)
-        self._cursor = state["_cursor"]
-
     def add(self, exp: Experience) -> None:
         """Insert, overwriting the oldest entry once at capacity."""
         if not self._columns:

@@ -13,8 +13,6 @@ as Algorithm 1.
 
 from __future__ import annotations
 
-import numpy as np
-
 from repro.drl.agent import DDPGAgent
 from repro.drl.networks import soft_update
 from repro.drl.replay import ReplayBuffer
@@ -24,7 +22,6 @@ def train_offline(
     agent: DDPGAgent,
     buffer: ReplayBuffer,
     n_updates: int,
-    rng: np.random.Generator | None = None,
 ) -> list[float]:
     """Stage 2: train ``agent`` from a fixed buffer, no env interaction.
 
@@ -35,11 +32,10 @@ def train_offline(
         raise ValueError("n_updates must be positive")
     if len(buffer) == 0:
         raise ValueError("offline training needs a non-empty buffer")
-    rng = rng if rng is not None else agent.rng
     batch_size = min(agent.config.batch_size, len(buffer))
     losses: list[float] = []
     for _ in range(n_updates):
-        s, a, r, s2 = buffer.sample_uniform(batch_size, rng)
+        s, a, r, s2 = buffer.sample_uniform(batch_size, agent.rng)
         losses.append(agent._critic_update(s, a, r, s2))
         agent._actor_update(s)
         soft_update(agent.value_target, agent.value_main, agent.config.rho)

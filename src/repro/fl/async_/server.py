@@ -65,6 +65,7 @@ from repro.obs.trace import CAT_FLEET, CAT_IDLE, Tracer
 from repro.runtime.clock import VirtualClock
 from repro.runtime.executor import Executor
 from repro.runtime.faults import FaultPlan
+from repro.runtime.seeding import STREAM_DISPATCH, run_rng
 
 AGGREGATION_MODES = ("fedbuff", "fedasync")
 # How free concurrency slots are assigned to idle online clients:
@@ -173,7 +174,7 @@ class AsyncFederatedServer(FederatedEngine):
         self.dispatch = dispatch
         # Dispatch choices are consumed strictly in event order, so one
         # sequential stream is deterministic under every backend.
-        self._dispatch_rng = np.random.default_rng(config.seed + 29)
+        self._dispatch_rng = run_rng(config.seed, STREAM_DISPATCH)
         self.discarded_updates = 0
         # Arrivals whose upload was lost to fleet connectivity dropout.
         self.dropped_arrivals = 0
@@ -361,7 +362,7 @@ class AsyncFederatedServer(FederatedEngine):
                 self._materialize(job, st["in_flight"], st["computed"]),
                 job.job_idx, job.global_weights,
             )
-            st["window_bytes_up"] = st.get("window_bytes_up", 0) + payload_bytes
+            st["window_bytes_up"] += payload_bytes
         del st["in_flight"][job.job_idx]
         st["idle"][job.client_id] = True
 
@@ -423,9 +424,9 @@ class AsyncFederatedServer(FederatedEngine):
             # The window's wire bytes (all 0 without a wire): uploads of
             # the buffered arrivals, and one broadcast per job dispatched
             # since the window opened.
-            payload_bytes_up=st.get("window_bytes_up", 0),
+            payload_bytes_up=st["window_bytes_up"],
             payload_bytes_down=(
-                (st["next_job"] - st.get("window_job0", 0)) * (self._down_nbytes or 0)
+                (st["next_job"] - st["window_job0"]) * (self._down_nbytes or 0)
             ),
             dense_bytes_up=len(buffer) * (self._down_nbytes or 0),
         )
@@ -455,8 +456,7 @@ class AsyncFederatedServer(FederatedEngine):
             # Wire byte accounting for the current aggregation window:
             # bytes uploaded by buffered arrivals, and the job cursor at
             # the window's start (dispatches since then are its
-            # broadcasts).  Read back with .get() so pre-wire snapshots
-            # stay loadable.
+            # broadcasts).
             "window_bytes_up": 0,
             "window_job0": 0,
         }
@@ -480,10 +480,7 @@ class AsyncFederatedServer(FederatedEngine):
     def restore_state(self, state: dict) -> None:
         """Restore a :meth:`snapshot_state` dict; run() then continues."""
         self._restore(state)
-        self._loop = st = state["loop"]
-        if st is not None and isinstance(st["idle"], set):
-            # Snapshots from before the idle column carry a set of ids.
-            st["idle"] = np.isin(np.arange(len(self.clients)), list(st["idle"]))
+        self._loop = state["loop"]
         self._dispatch_rng.bit_generator.state = state["dispatch_rng_state"]
         self.jobs_dispatched = state["jobs_dispatched"]
         self.discarded_updates = state["discarded_updates"]

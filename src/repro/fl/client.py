@@ -58,17 +58,11 @@ class ClientUpdate:
 class Client:
     """One edge device holding a private local dataset."""
 
-    def __init__(
-        self,
-        client_id: int,
-        dataset: ArrayDataset,
-        rng: np.random.Generator,
-    ) -> None:
+    def __init__(self, client_id: int, dataset: ArrayDataset) -> None:
         if len(dataset) == 0:
             raise ValueError(f"client {client_id} has an empty dataset")
         self.client_id = client_id
         self.dataset = dataset
-        self.rng = rng
 
     @property
     def n_samples(self) -> int:
@@ -83,7 +77,8 @@ class Client:
         batch_size: int,
         prox_mu: float = 0.0,
         loss: Loss | None = None,
-        rng: np.random.Generator | None = None,
+        *,
+        rng: np.random.Generator,
         forward_rng: np.random.Generator | None = None,
         max_batches: int | None = None,
     ) -> ClientUpdate:
@@ -93,9 +88,8 @@ class Client:
         round's global weights.  ``rng`` drives the batch shuffle and
         ``forward_rng`` any forward-time randomness (Dropout masks); the
         runtime passes ``(round, client)``-keyed generators for both so
-        results do not depend on the order clients execute in (falls back
-        to the client's / layers' own stateful generators for
-        direct/legacy callers).
+        results do not depend on the order clients execute in
+        (``forward_rng=None`` leaves the layers' own generators in use).
 
         ``max_batches`` caps the total number of gradient steps across all
         epochs (the fleet simulator's *completeness* axis: a device may
@@ -107,12 +101,11 @@ class Client:
             raise ValueError("epochs must be positive")
         if max_batches is not None and max_batches <= 0:
             raise ValueError("max_batches must be positive when given")
-        rng = rng if rng is not None else self.rng
         loss = loss if loss is not None else SoftmaxCrossEntropy()
         model.set_flat_weights(global_weights)
         # Install the per-(round, client) forward-randomness override — or
-        # clear a stale one, so legacy callers (forward_rng=None) get the
-        # layers' own generators as documented.
+        # clear a stale one, so forward_rng=None gets the layers' own
+        # generators as documented.
         model.seed_forward(forward_rng)
         loss_before = evaluate_loss(model, loss, self.dataset.x, self.dataset.y)
 
@@ -160,19 +153,11 @@ class Client:
         return evaluate_loss(model, loss, self.dataset.x, self.dataset.y)
 
 
-def make_clients(
-    train_set: ArrayDataset,
-    parts: list[np.ndarray],
-    seed: int,
-) -> list[Client]:
-    """Build one client per partition entry with independent seeded RNGs.
+def make_clients(train_set: ArrayDataset, parts: list[np.ndarray]) -> list[Client]:
+    """Build one client per partition entry.
 
     Each client's data is a row view of ``train_set`` (no copy), so the
-    training set stays the only copy of the samples.
+    training set stays the only copy of the samples.  A client holds no
+    generator: the runtime passes each ``(round, client)`` cell its own.
     """
-    clients = []
-    for cid, idx in enumerate(parts):
-        clients.append(
-            Client(cid, train_set.subset(idx), np.random.default_rng(seed + 7919 * cid))
-        )
-    return clients
+    return [Client(cid, train_set.subset(idx)) for cid, idx in enumerate(parts)]

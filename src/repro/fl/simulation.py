@@ -67,6 +67,7 @@ from repro.obs.trace import (
 from repro.runtime.clock import VirtualClock, n_local_batches
 from repro.runtime.executor import Executor, RoundContext, SerialExecutor
 from repro.runtime.faults import FaultPlan, FaultStats, absorb_fault_stats
+from repro.runtime.seeding import STREAM_MODEL_INIT, STREAM_SELECTION, run_rng
 
 
 @dataclass
@@ -572,7 +573,7 @@ class FederatedEngine:
         self.config = config
         # The evaluation model also seeds the initial global weights; the
         # serial backend reuses it as its workspace (memory stays O(1) in N).
-        self.model: Sequential = model_factory(np.random.default_rng(config.seed))
+        self.model: Sequential = model_factory(run_rng(config.seed, STREAM_MODEL_INIT))
         self.global_weights = self.model.get_flat_weights()
         if executor is None:
             executor = SerialExecutor(clients, model_factory, model=self.model)
@@ -947,11 +948,9 @@ class FederatedEngine:
         self.history = state["history"]
         self.strategy = state["strategy"]
         self.fault_totals = state["fault_totals"]
-        # Old snapshots predate the wire subsystem: .get keeps them loadable.
-        wire_state = state.get("wire")
+        wire_state, clock_state = state["wire"], state["clock"]
         if wire_state is not None and self.wire is not None:
             self.wire.restore(wire_state)
-        clock_state = state.get("clock")
         if clock_state is not None and self.clock is not None:
             self.clock.elapsed_s = clock_state["elapsed_s"]
             self.clock.fault_recovery_s = clock_state["fault_recovery_s"]
@@ -1018,7 +1017,7 @@ class FederatedSimulation(FederatedEngine):
         if selector is None:
             from repro.fl.selection import UniformSelection
 
-            selector = UniformSelection(np.random.default_rng(config.seed + 17))
+            selector = UniformSelection(run_rng(config.seed, STREAM_SELECTION))
         self.selector = selector
         self._next_round = 0
 

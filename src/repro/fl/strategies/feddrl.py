@@ -32,6 +32,7 @@ from repro.drl.reward import feddrl_reward
 from repro.drl.side import SideTrainer
 from repro.fl.client import ClientUpdate
 from repro.fl.strategies.base import Strategy, build_state
+from repro.runtime.seeding import STREAM_AGENT, STREAM_ALPHA, run_rng
 
 
 class FedDRL(Strategy):
@@ -39,8 +40,7 @@ class FedDRL(Strategy):
 
     name = "feddrl"
     fixed_k = True  # the agent's state/action dims are built for exactly K
-    #: The last *joined* training pass (None: no pass ran).  A class-level
-    #: default, so a strategy pickled before the attribute existed resumes.
+    #: The last *joined* training pass (None: no pass ran).
     last_train: TrainStats | None = None
 
     def __init__(
@@ -57,13 +57,13 @@ class FedDRL(Strategy):
             raise ValueError("clients_per_round must be positive")
         self.k = clients_per_round
         self.config = drl_config or DRLConfig()
-        self.rng = np.random.default_rng(seed)
+        self.rng = run_rng(seed, STREAM_ALPHA)
         if agent is None:
             agent = DDPGAgent(
                 state_dim=3 * clients_per_round,
                 n_clients=clients_per_round,
                 config=self.config,
-                rng=np.random.default_rng(seed + 1),
+                rng=run_rng(seed, STREAM_AGENT),
             )
         if agent.n_clients != clients_per_round:
             raise ValueError(
@@ -95,8 +95,6 @@ class FedDRL(Strategy):
         return state
 
     def __setstate__(self, state: dict) -> None:
-        if "agent" in state:  # pickled before the side trainer
-            state["_agent"] = state.pop("agent")
         self.__dict__.update(state)
         self._side = SideTrainer(self._agent)
 

@@ -219,5 +219,5 @@ class WireFormat:
                 f"checkpoint was taken with codec {state.get('codec')!r}, "
                 f"this run uses {self.codec.name!r}"
             )
-        self.ef.restore(state.get("residuals", {}))
-        self.stats.restore(state.get("stats", {}))
+        self.ef.restore(state["residuals"])
+        self.stats.restore(state["stats"])

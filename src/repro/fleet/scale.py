@@ -11,15 +11,15 @@ participants of the current round, not the N members of the fleet.
 
 **Bit-identity.**  A lazily materialized client is constructed exactly
 like :func:`repro.fl.client.make_clients` builds it eagerly —
-``Client(cid, train_set.subset(parts[cid]), default_rng(seed + 7919 *
-cid))`` — so a lazy run's History is bit-identical to an eager run's.
+``Client(cid, train_set.subset(parts[cid]))`` — so a lazy run's History
+is bit-identical to an eager run's.
 Shared-memory backing does not change this: ``subset`` is a row view of
 the shared pages, and the values are the same.
 
 **Backends.**  The serial and thread executors look clients up by id and
 work with a pool directly.  The process backend ships the pool itself to
 its workers at pool construction: built with ``share=True``, it pickles
-as block names, parts and seed (no cache, no block ownership), and each
+as block names and parts (no cache, no block ownership), and each
 worker materializes its own tasks' clients.
 """
 
@@ -99,12 +99,10 @@ class LazyClientPool:
         self,
         train_set: ArrayDataset,
         parts,
-        seed: int,
         share: bool = False,
     ) -> None:
         if len(parts) == 0:
             raise ValueError("need at least one client partition")
-        self.seed = seed
         self.n_clients = len(parts)
         self._parts = parts
         self._shm_pool: SharedMemoryPool | None = None
@@ -119,8 +117,8 @@ class LazyClientPool:
         self._cache: dict[int, Client] = {}
 
     def __getstate__(self) -> dict:
-        # A worker's copy: the base set (block names when shared), parts
-        # and seed — never the parent's resident clients or its blocks.
+        # A worker's copy: the base set (block names when shared) and
+        # parts — never the parent's resident clients or its blocks.
         return {**self.__dict__, "_cache": {}, "_shm_pool": None}
 
     def __len__(self) -> int:
@@ -142,13 +140,9 @@ class LazyClientPool:
             # process's first import.
             from repro.fl.client import Client
 
-            # Mirrors make_clients exactly — same subset, same RNG
-            # derivation — so lazy and eager runs are bit-identical.
-            client = Client(
-                cid,
-                self.train_set.subset(np.asarray(self._parts[cid])),
-                np.random.default_rng(self.seed + 7919 * cid),
-            )
+            # Mirrors make_clients exactly, so lazy and eager runs are
+            # bit-identical.
+            client = Client(cid, self.train_set.subset(np.asarray(self._parts[cid])))
             self._cache[cid] = client
         return client
 

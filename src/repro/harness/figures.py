@@ -18,6 +18,7 @@ from repro.fl.strategies import FedAvg, FedDRL, FedProx
 from repro.fl.timing import measure_server_overhead, synthetic_updates
 from repro.harness.config import ExperimentConfig
 from repro.harness.runner import run_experiment
+from repro.runtime.seeding import STREAM_DATASET, STREAM_PARTITION, run_rng
 
 
 # -- Figure 4: partition illustrations ---------------------------------------
@@ -31,9 +32,10 @@ def partition_figure(
     **partition_kwargs,
 ) -> dict:
     """Label×client sample-count matrix plus an ASCII bubble rendering."""
-    rng = np.random.default_rng(seed)
-    labels = rng.integers(0, num_classes, size=n_samples)
-    parts = get_partitioner(partition)(labels, n_clients, rng, **partition_kwargs)
+    labels = run_rng(seed, STREAM_DATASET).integers(0, num_classes, size=n_samples)
+    parts = get_partitioner(partition)(
+        labels, n_clients, run_rng(seed, STREAM_PARTITION), **partition_kwargs
+    )
     mat = partition_matrix(labels, parts, num_classes)
     # ASCII rendering: circle size buckets like the paper's bubble plot.
     glyphs = " .oO@"
@@ -73,16 +75,18 @@ def accuracy_timeline(
 
 
 def smooth_series(series: list[tuple[int, float]], window: int = 10) -> list[tuple[int, float]]:
-    """Moving-average smoothing (the paper smooths Fashion-MNIST over 10 rounds)."""
+    """Moving-average smoothing (the paper smooths Fashion-MNIST over 10
+    rounds); near either end, the mean of the samples under the window."""
     if window <= 0:
         raise ValueError("window must be positive")
     if not series:
         return []
     rounds = [r for r, _ in series]
     values = np.array([v for _, v in series])
-    kernel = np.ones(min(window, len(values))) / min(window, len(values))
-    smoothed = np.convolve(values, kernel, mode="same")
-    return list(zip(rounds, smoothed.tolist()))
+    kernel = np.ones(min(window, len(values)))
+    sums = np.convolve(values, kernel, mode="same")
+    counts = np.convolve(np.ones(len(values)), kernel, mode="same")
+    return list(zip(rounds, (sums / counts).tolist()))
 
 
 # -- Figure 6: per-client inference-loss profile --------------------------------
@@ -183,7 +187,7 @@ def server_overhead_figure(
     sampling), the aggregation column is the eq.-(4) matrix product, and
     the FedAvg column is the trivial ``n_k / n`` weighting for reference.
     """
-    rng = np.random.default_rng(seed)
+    rng = run_rng(seed, STREAM_DATASET)
     out: dict[int, dict[str, float]] = {}
     for dim in model_dims:
         updates = synthetic_updates(n_clients, dim, rng)

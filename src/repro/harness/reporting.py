@@ -95,14 +95,20 @@ def history_digest(history: History) -> str:
     The comparison surface for the fault-tolerance guarantees: a faulted
     -and-recovered run, a resumed run, and a clean run of the same
     experiment must all produce the same digest.  Hashes the canonical
-    JSON form (sorted keys) minus the wall-clock fields — everything
-    left (accuracies, losses, makespans, events) is a pure function of
-    the experiment seed.
+    JSON form (sorted keys) minus the wall-clock fields, plus the
+    per-record fields no summary carries: who was aggregated, with which
+    impact factors (FedDRL's alpha), on how many samples, and the losses
+    after local training and on the test set.  Everything hashed is a pure
+    function of the experiment seed.
     """
     payload = history_to_dict(history)
     for key in _WALL_TIME_KEYS:
         payload.pop(key, None)
-    canonical = json.dumps(payload, sort_keys=True)
+    payload["records"] = [
+        [r.participants, r.impact_factors, r.client_sizes, r.client_losses_after, r.test_loss]
+        for r in history.records
+    ]
+    canonical = json.dumps(payload, sort_keys=True, default=lambda a: a.tolist())
     return hashlib.sha256(canonical.encode()).hexdigest()
 
 

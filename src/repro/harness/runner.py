@@ -34,6 +34,7 @@ from repro.runtime import (
     load_snapshot,
     make_executor,
 )
+from repro.runtime.seeding import STREAM_AGENT, STREAM_PARTITION, STREAM_PRETRAIN, run_rng
 
 
 @dataclass
@@ -59,9 +60,9 @@ def build_dataset(cfg: ExperimentConfig) -> tuple[ArrayDataset, ArrayDataset]:
     if cfg.dataset == "mnist":
         return mnist_like(n_train, n_test, seed=cfg.seed, image_size=size)
     if cfg.dataset == "fashion":
-        return fashion_like(n_train, n_test, seed=cfg.seed + 1, image_size=size)
+        return fashion_like(n_train, n_test, seed=cfg.seed, image_size=size)
     return cifar100_like(
-        n_train, n_test, seed=cfg.seed + 2, image_size=size,
+        n_train, n_test, seed=cfg.seed, image_size=size,
         num_classes=cfg.preset.cifar_classes,
     )
 
@@ -139,7 +140,7 @@ def build_strategy(cfg: ExperimentConfig) -> Strategy:
             clients_per_round=participation,
             drl_config=drl_cfg,
             agent=agent,
-            seed=cfg.seed + 13,
+            seed=cfg.seed,
             explore=cfg.drl_explore,
             fairness_weight=cfg.fairness_weight,
         )
@@ -150,7 +151,8 @@ def pretrain_feddrl_agent(cfg: ExperimentConfig, drl_cfg):
     """Two-stage pretraining (Section 3.4.2): online workers, offline main agent.
 
     Stage 1: each worker is an ordinary engine run of the config on its own
-    seed (so its own dataset and partition realisation), whose fresh FedDRL
+    seed, drawn from the run's ``STREAM_PRETRAIN`` generator (so its own
+    dataset and partition realisation), whose fresh FedDRL
     strategy explores and trains online.  Workers run one after another on
     the run's backend, topology and aggregation, so their agents have the
     evaluation agent's K.  The extra round yields the first state: a sync
@@ -163,12 +165,14 @@ def pretrain_feddrl_agent(cfg: ExperimentConfig, drl_cfg):
     from repro.drl.two_stage import train_offline
 
     rounds = cfg.drl_pretrain_rounds + 1
+    worker_seeds = run_rng(cfg.seed, STREAM_PRETRAIN).integers(
+        2**32, size=cfg.drl_pretrain_workers)
     main_agent = None
-    for w in range(cfg.drl_pretrain_workers):
+    for seed in worker_seeds:
         # Workers always explore; nobody reads their test accuracy, hence
         # the sparsest evaluation schedule (eval_every = rounds).
         wcfg = cfg.with_(
-            seed=cfg.seed + 7919 * (w + 1), drl_pretrain_rounds=0,
+            seed=int(seed), drl_pretrain_rounds=0,
             drl_explore=True, rounds=rounds, eval_every=rounds,
         )
         with build_simulation(wcfg) as sim:
@@ -177,7 +181,7 @@ def pretrain_feddrl_agent(cfg: ExperimentConfig, drl_cfg):
         if main_agent is None:
             main_agent = DDPGAgent(
                 worker.state_dim, worker.n_clients, drl_cfg,
-                rng=np.random.default_rng(cfg.seed + 999_983),
+                rng=run_rng(cfg.seed, STREAM_AGENT),
             )
         main_agent.buffer.merge(worker.buffer)
     train_offline(main_agent, main_agent.buffer, cfg.drl_offline_updates)
@@ -227,7 +231,7 @@ def build_clock(cfg: ExperimentConfig) -> VirtualClock | None:
     return VirtualClock(
         get_latency_model(cfg.latency_model),
         cfg.n_clients,
-        seed=cfg.seed + 23,
+        seed=cfg.seed,
         deadline_s=cfg.deadline_s,
         policy=cfg.deadline_policy,
         straggler_fraction=cfg.straggler_fraction,
@@ -263,7 +267,7 @@ def build_fleet(cfg: ExperimentConfig, clients) -> FleetSimulator | None:
     model = get_availability_model(
         cfg.availability,
         n_clients=cfg.n_clients,
-        seed=cfg.seed + 31,
+        seed=cfg.seed,
         offline_fraction=cfg.offline_fraction,
         churn_rate=cfg.churn_rate,
         labels=labels,
@@ -271,7 +275,7 @@ def build_fleet(cfg: ExperimentConfig, clients) -> FleetSimulator | None:
     return FleetSimulator(
         cfg.n_clients,
         model,
-        seed=cfg.seed + 31,
+        seed=cfg.seed,
         dropout_prob=cfg.dropout_prob,
         completeness=cfg.completeness,
     )
@@ -364,17 +368,14 @@ def build_simulation(
     # models, datasets and optimisers capture it at build time.
     set_default_dtype(cfg.dtype)
     train_set, test_set = build_dataset(cfg)
-    parts = build_partition(cfg, train_set.y, np.random.default_rng(cfg.seed + 5))
+    parts = build_partition(cfg, train_set.y, run_rng(cfg.seed, STREAM_PARTITION))
     if cfg.fleet_mode == "lazy":
-        # Same shards, same per-client RNG derivation as make_clients —
-        # histories are bit-identical; only residency differs (O(K)).  The
-        # process backend ships the pool to its workers, so its base set
-        # goes to shared memory first.
-        clients = LazyClientPool(
-            train_set, parts, seed=cfg.seed + 11, share=cfg.backend == "process"
-        )
+        # Same shards as make_clients — histories are bit-identical; only
+        # residency differs (O(K)).  The process backend ships the pool to
+        # its workers, so its base set goes to shared memory first.
+        clients = LazyClientPool(train_set, parts, share=cfg.backend == "process")
     else:
-        clients = make_clients(train_set, parts, seed=cfg.seed + 11)
+        clients = make_clients(train_set, parts)
     model_factory = build_model_factory(cfg, train_set)
     strategy = build_strategy(cfg)
     attack = build_attack(cfg)

@@ -35,17 +35,20 @@ A save pickles ``state`` before it returns, so callers may pass live state.
 from __future__ import annotations
 
 import glob
+import itertools
 import os
 import pickle
+import pickletools
 import re
 import tempfile
 import weakref
 
 import numpy as np
 
-SNAPSHOT_SCHEMA = "repro-checkpoint/v2"
-# v1: one pickle holding schema, meta and state; no array file.
-_V1_SCHEMA = "repro-checkpoint/v1"
+SNAPSHOT_SCHEMA = "repro-checkpoint/v3"
+# Written before every generator derived from repro.runtime.seeding, so a
+# resume would rebuild a different dataset and clock beneath their history.
+_REFUSED_SCHEMAS = ("repro-checkpoint/v1", "repro-checkpoint/v2")
 MIN_EXTERNAL_NBYTES = 4096
 
 
@@ -163,10 +166,26 @@ def _unpickle(path: str, unpickler: pickle.Unpickler):
 
 def load_snapshot(path: str) -> dict:
     """Read a snapshot written by :class:`Checkpointer` or
-    :func:`save_snapshot` (either schema); schema-checked.
+    :func:`save_snapshot`; schema-checked.
 
     Anything unreadable raises :class:`CheckpointError` naming the file —
-    the array file, when that is what is missing or short."""
+    the array file, when that is what is missing or short — and so does a
+    snapshot of a refused (pre-seeding-rule) schema."""
+    with open(path, "rb") as f:
+        # Every writer pickles "schema" first: read its tag off the first
+        # opcodes, building no object, so a refused snapshot is named as
+        # such even when its state no longer unpickles.
+        try:
+            head = [arg for _, arg, _ in itertools.islice(pickletools.genops(f), 8)
+                    if isinstance(arg, str)]
+        except ValueError:  # not a pickle: reported below
+            head = []
+    if len(head) > 1 and head[0] == "schema" and head[1] in _REFUSED_SCHEMAS:
+        raise CheckpointError(
+            f"{path} is a {head[1]} snapshot, refused: it predates the stream "
+            f"derivation of repro.runtime.seeding, so resuming it would "
+            f"rebuild a different dataset and clock beneath its history"
+        )
     files: dict = {}
     try:
         with open(path, "rb") as f:
@@ -175,7 +194,7 @@ def load_snapshot(path: str) -> dict:
         for handle in files.values():
             handle.close()
     schema = payload.get("schema") if isinstance(payload, dict) else None
-    if schema not in (SNAPSHOT_SCHEMA, _V1_SCHEMA):
+    if schema != SNAPSHOT_SCHEMA:
         raise CheckpointError(
             f"{path} is not a {SNAPSHOT_SCHEMA} snapshot (schema={schema!r})"
         )

@@ -29,7 +29,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.runtime import vecrng
-from repro.runtime.seeding import STREAM_LATENCY, STREAM_WIRE, client_round_rng
+from repro.runtime.seeding import (
+    STREAM_CLOCK_PROFILE, STREAM_LATENCY, STREAM_WIRE, client_round_rng, run_rng,
+)
 
 LATENCY_MODELS = ("homogeneous", "uniform", "lognormal")
 BANDWIDTH_MODELS = ("homogeneous", "uniform", "lognormal")
@@ -284,7 +286,7 @@ class VirtualClock:
             raise ValueError("deadline_s must be positive")
         if policy == "drop" and deadline_s is None:
             raise ValueError("policy='drop' requires a deadline_s")
-        rng = np.random.default_rng(seed)
+        rng = run_rng(seed, STREAM_CLOCK_PROFILE)
         self.seed = seed
         f = latency_model.factors(n_clients, rng)
         base = latency_model.base

@@ -74,10 +74,11 @@ from repro.data import shm
 from repro.nn.dtypes import get_default_dtype, set_default_dtype
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.runtime.faults import FaultInjected, FaultPlan, FaultStats, RetryPolicy
-from repro.runtime.seeding import STREAM_FORWARD, client_round_rng
+from repro.runtime.seeding import STREAM_FORWARD, STREAM_MODEL_INIT, client_round_rng, run_rng
 
 if TYPE_CHECKING:  # imported lazily to keep runtime free of an fl<->runtime cycle
     from repro.fl.client import Client, ClientUpdate
+    from repro.nn.model import Sequential
 
 BACKENDS = ("serial", "thread", "process")
 
@@ -347,7 +348,7 @@ class SerialExecutor(Executor):
         self.clients = _client_lookup(clients)
         # The caller may donate its workspace model (the simulation reuses
         # its evaluation model) — training overwrites all state anyway.
-        self._model = model if model is not None else model_factory(np.random.default_rng(0))
+        self._model = model if model is not None else _replica(model_factory)
         self._loss = SoftmaxCrossEntropy()
         if retry is not None:
             self.retry = retry
@@ -382,9 +383,7 @@ class ThreadExecutor(Executor):
         )
         self._replicas: queue.SimpleQueue = queue.SimpleQueue()
         for _ in range(self.workers):
-            self._replicas.put(
-                (model_factory(np.random.default_rng(0)), SoftmaxCrossEntropy())
-            )
+            self._replicas.put((_replica(model_factory), SoftmaxCrossEntropy()))
         if retry is not None:
             self.retry = retry
 
@@ -504,12 +503,17 @@ def _attached_exchange(ref: _ExchangeRef) -> tuple[np.ndarray, np.ndarray]:
     return weights, updates
 
 
+def _replica(model_factory) -> Sequential:
+    """A workspace model; every task first overwrites its weights."""
+    return model_factory(run_rng(0, STREAM_MODEL_INIT))
+
+
 def _init_worker(clients, model_factory, dtype_name: str) -> None:
     # Workers inherit the parent's compute dtype so their model replicas
     # (and every allocation they make) match the parent substrate.
     set_default_dtype(dtype_name)
     _WORKER_STATE["clients"] = _client_lookup(clients)
-    _WORKER_STATE["model"] = model_factory(np.random.default_rng(0))
+    _WORKER_STATE["model"] = _replica(model_factory)
     _WORKER_STATE["loss"] = SoftmaxCrossEntropy()
 
 
@@ -784,10 +788,7 @@ class ProcessExecutor(Executor):
         # result runs in the parent, serial-style.
         missing = [pos for pos in range(n) if pairs[pos] is None]
         if missing and self._local is None:
-            self._local = (
-                self._model_factory(np.random.default_rng(0)),
-                SoftmaxCrossEntropy(),
-            )
+            self._local = (_replica(self._model_factory), SoftmaxCrossEntropy())
         for pos in missing:
             model, loss = self._local
             pairs[pos] = self._train_in_parent(

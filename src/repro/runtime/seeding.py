@@ -1,34 +1,34 @@
-"""Order-independent RNG derivation for client-side training.
+"""The one seeding rule: every random stream is a tag under the run seed.
 
-Every backend in :mod:`repro.runtime.executor` may run a round's clients
-in a different physical order (threads interleave, process chunks finish
-whenever they finish).  If clients drew batch permutations from a shared
-or stateful generator, the *schedule* would leak into the *numerics* and
-no two backends would agree bit-for-bit.
+Every generator is ``default_rng(SeedSequence(seed, spawn_key=key))``: the
+experiment seed, and a key that ends in one of the ``STREAM_*`` tags below.
+Only this module builds one (:mod:`repro.runtime.vecrng` computes the same
+derivation column-wise), so it alone decides which numbers a consumer
+reads.  Three key families, told apart by length:
 
-Instead, each ``(round, client)`` cell gets its own generator derived
-from the experiment seed through ``np.random.SeedSequence`` spawning:
-the root sequence is ``SeedSequence(base_seed)`` and the cell's child is
-the one reached by spawning key ``(round_idx, client_id)`` — constructed
-directly via ``spawn_key`` so derivation is a pure function of the cell,
-not of how many streams were handed out before it.  The result: any
-executor, any worker count, any completion order produces the same
-per-client batch schedule, hence bit-identical model updates.
+* ``(tag,)`` — **run-level**, one generator per run (:func:`run_rng`):
+  model init, dataset, partition, selection, dispatch, the DDPG agent,
+  FedDRL's alpha sampler, pretraining workers' seeds, the clock profile.
+* ``(client, tag)`` — a **static** per-client trait (:func:`client_static_rng`):
+  link bandwidth, availability phase or rate, who is malicious.
+* ``(round, client, tag)`` — a **cell** (:func:`client_round_rng`): batch
+  order, forward-time randomness (Dropout), latency jitter, fleet
+  availability (keyed by time slot) / dropout / completeness (round or
+  job), faults, wire rounding, attack noise.
+
+No two consumers share a key, and nothing shifts the seed (``seed + k``),
+so runs under different seeds are independent.  A two-element run-level
+key would alias a trait — ``(12, 3)`` is client 12's availability — hence
+a pretraining worker's seed is *drawn* from ``STREAM_PRETRAIN``.  Cells make
+every backend bit-identical: a pool may train a round's clients in any
+order (or retry a faulted one), and each cell's stream is a pure function
+of the cell.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-# Fixed per-purpose stream tags so independent consumers (batch shuffling
-# vs. simulated-latency jitter vs. forward-time randomness such as Dropout
-# masks vs. the fleet simulator's behavioral draws vs. the adversarial
-# fleet's poisoning draws) never share a stream for the same cell.  Fleet
-# streams key their first coordinate differently: availability uses the
-# *time slot*, dropout and completeness the round (synchronous) or job
-# (asynchronous) index.  STREAM_ATTACK keys on the round/job index like
-# dropout; STREAM_MALICIOUS is a *static* stream (no time coordinate) —
-# who is malicious is a property of the experiment, not of a round.
 STREAM_BATCHES = 0
 STREAM_LATENCY = 1
 STREAM_FORWARD = 2
@@ -36,21 +36,25 @@ STREAM_AVAILABILITY = 3
 STREAM_DROPOUT = 4
 STREAM_COMPLETENESS = 5
 STREAM_ATTACK = 6
-STREAM_MALICIOUS = 7
-# Deterministic fault injection (repro.runtime.faults): one uniform draw
-# per (round|job, client) cell decides whether that cell's *first*
-# execution attempt fails (crash / exception / transient / hang).  Keyed
-# on the same cell as the training RNGs so an injected-and-retried cell
-# re-trains with its own untouched STREAM_BATCHES / STREAM_FORWARD
-# streams — recovery is bit-identical to never having faulted.
+STREAM_MALICIOUS = 7  # static: a property of the experiment, not a round
 STREAM_FAULTS = 8
-# Wire codecs (repro.fl.wire): stochastic quantization rounding for one
-# (round|job, client) upload.  Drawn parent-side, after the executor
-# returns, so the draw order can never depend on a pool's completion
-# schedule.  The *static* two-element form of this stream seeds each
-# client's bandwidth draw in repro.runtime.clock (link quality is a
-# device trait, not a per-round event).
-STREAM_WIRE = 9
+STREAM_WIRE = 9  # cells: quantization rounding; static: link bandwidth
+STREAM_MODEL_INIT = 10
+STREAM_DATASET = 11
+STREAM_PARTITION = 12
+STREAM_SELECTION = 13
+STREAM_DISPATCH = 14
+STREAM_AGENT = 15
+STREAM_ALPHA = 16
+STREAM_PRETRAIN = 17
+STREAM_CLOCK_PROFILE = 18
+
+
+def run_rng(base_seed: int, stream: int) -> np.random.Generator:
+    """The run's one generator for a run-level ``stream``, keyed ``(stream,)``."""
+    return np.random.default_rng(
+        np.random.SeedSequence(entropy=base_seed, spawn_key=(stream,))
+    )
 
 
 def client_round_seed(

@@ -130,8 +130,9 @@ class TestChunkedGather:
 
         monkeypatch.setattr(ArrayDataset, "batches", frozen)
         model = mlp(18, 4, np.random.default_rng(0), hidden=(8,))
-        update = Client(0, ds, np.random.default_rng(1)).local_train(
-            model, model.get_flat_weights(), epochs=2, batch_size=8, lr=0.05
+        update = Client(0, ds).local_train(
+            model, model.get_flat_weights(), epochs=2, batch_size=8, lr=0.05,
+            rng=np.random.default_rng(1),
         )
         assert np.all(np.isfinite(update.weights))
 

@@ -21,6 +21,7 @@ import repro.data.synthetic as synthetic
 from repro.data.dataset import GATHER_ROWS, ArrayDataset, RowView
 from repro.fl.client import make_clients
 from repro.harness.config import ExperimentConfig
+from repro.runtime.seeding import STREAM_DATASET, STREAM_PARTITION, run_rng
 from repro.harness.runner import build_dataset, build_partition
 from repro.nn.dtypes import default_dtype
 from tests.data import reference_dataset as R
@@ -100,7 +101,7 @@ class TestStreamedSynthesis:
         with default_dtype(dtype):
             got = factory(seed=seed, **kwargs)
             want = R.make_synthetic_dataset(
-                specs[0], kwargs["n_train"], kwargs["n_test"], np.random.default_rng(seed))
+                specs[0], kwargs["n_train"], kwargs["n_test"], run_rng(seed, STREAM_DATASET))
         for a, b in zip(got, want):
             assert a.x.dtype == b.x.dtype == np.dtype(dtype)
             np.testing.assert_array_equal(a.x, b.x)
@@ -124,8 +125,8 @@ class TestOneCopy:
         tracemalloc.start()
         try:
             train, test = build_dataset(cfg)
-            parts = build_partition(cfg, train.y, np.random.default_rng(cfg.seed + 5))
-            clients = make_clients(train, parts, seed=cfg.seed + 11)
+            parts = build_partition(cfg, train.y, run_rng(cfg.seed, STREAM_PARTITION))
+            clients = make_clients(train, parts)
             _, peak = tracemalloc.get_traced_memory()
         finally:
             tracemalloc.stop()
@@ -136,7 +137,7 @@ class TestOneCopy:
     def test_eager_clients_share_the_train_set(self):
         cfg = ExperimentConfig(**{**self.CFG, "n_train": 2000, "n_test": 200})
         train, _ = build_dataset(cfg)
-        parts = build_partition(cfg, train.y, np.random.default_rng(cfg.seed + 5))
-        for client, idx in zip(make_clients(train, parts, seed=cfg.seed + 11), parts):
+        parts = build_partition(cfg, train.y, run_rng(cfg.seed, STREAM_PARTITION))
+        for client, idx in zip(make_clients(train, parts), parts):
             assert np.shares_memory(client.dataset.parent.x, train.x)
             np.testing.assert_array_equal(client.dataset.rows, idx)

@@ -42,7 +42,7 @@ def tiny_clients():
     spec = SyntheticImageSpec(num_classes=4, channels=1, image_size=4, noise=0.3)
     train, _ = make_synthetic_dataset(spec, 240, 80, np.random.default_rng(0))
     parts = iid_partition(train.y, 6, np.random.default_rng(1))
-    return make_clients(train, parts, seed=2)
+    return make_clients(train, parts)
 
 
 @pytest.fixture
@@ -175,7 +175,7 @@ class TestShareClients:
     def test_whole_datasets_and_shared_sets(self, dataset, tiny_clients):
         from repro.fl.client import Client
 
-        whole = Client(99, dataset, np.random.default_rng(0))
+        whole = Client(99, dataset)
         shared, pool = share_clients([whole, *tiny_clients])
         try:
             assert pool.n_blocks == 4
@@ -199,7 +199,7 @@ class TestProcessExecutorIntegration:
         spec = SyntheticImageSpec(num_classes=4, channels=1, image_size=4, noise=0.3)
         train, _ = make_synthetic_dataset(spec, 320, 80, np.random.default_rng(0))
         parts = iid_partition(train.y, 16, np.random.default_rng(1))
-        clients = make_clients(train, parts, seed=2)
+        clients = make_clients(train, parts)
         executor = ProcessExecutor(clients, tiny_model_factory, workers=2)
         try:
             assert executor._shm_pool.n_blocks == 2

@@ -253,28 +253,3 @@ class TestRingStorage:
         buf.add(exp(0, k=2))
         with pytest.raises(ValueError, match="shape"):
             buf.add(exp(1, k=3))
-
-
-class TestListBackedPickles:
-    """A buffer pickled before the ring (``_items`` list) unpickles into
-    columns, in its items' dtype, with the same slots and cursor."""
-
-    @pytest.mark.parametrize("n_adds", [0, 3, 9])
-    def test_unpickles_into_the_same_ring(self, n_adds):
-        ref = R.ReplayBuffer(5)
-        ref.extend(_transitions(n_adds))
-        # What unpickling a parent-commit buffer does: a bare instance,
-        # then __setstate__ with the list-backed attribute dict.
-        ring = ReplayBuffer.__new__(ReplayBuffer)
-        ring.__setstate__(dict(vars(ref)))
-        assert len(ring) == len(ref) and ring._cursor == ref._cursor
-        assert ring.capacity == 5 and ring.dtype == np.float64
-        if n_adds:
-            for got, want in zip(ring.snapshot(), ref.snapshot()):
-                np.testing.assert_array_equal(got, want)
-        # ...and keeps behaving like the reference afterwards.
-        more = _transitions(4, seed=8)
-        ring.extend(more)
-        ref.extend(more)
-        for got, want in zip(ring.snapshot(), ref.snapshot()):
-            np.testing.assert_array_equal(got, want)

@@ -3,9 +3,10 @@
 select → ``Client.local_train`` → ``combine_updates`` with FedAvg's
 ``n_k / Σn``, and nothing else: no executor, clock, fleet, wire,
 hierarchy, defense, records or evaluation.  It draws from the same
-streams the engine does — the evaluation model's init from ``seed``,
-``UniformSelection(seed + 17)`` for participants, and the ``(round,
-client)``-keyed batch generators — so :class:`FederatedSimulation` with
+streams the engine does, through the same helpers — the evaluation
+model's init from ``STREAM_MODEL_INIT``, ``UniformSelection`` on
+``STREAM_SELECTION``, and the ``(round, client)``-keyed batch
+generators — so :class:`FederatedSimulation` with
 every feature off must reproduce its ``global_weights`` bit for bit.
 """
 
@@ -18,14 +19,16 @@ from repro.fl.selection import UniformSelection
 from repro.fl.simulation import FLConfig
 from repro.fl.strategies.base import combine_updates
 from repro.nn.losses import SoftmaxCrossEntropy
-from repro.runtime.seeding import client_round_rng
+from repro.runtime.seeding import (
+    STREAM_MODEL_INIT, STREAM_SELECTION, client_round_rng, run_rng,
+)
 
 
 def reference_fedavg(clients: list[Client], model_factory, config: FLConfig) -> np.ndarray:
     """The global weights after ``config.rounds`` rounds of plain FedAvg."""
-    model = model_factory(np.random.default_rng(config.seed))
+    model = model_factory(run_rng(config.seed, STREAM_MODEL_INIT))
     weights = model.get_flat_weights()
-    selector = UniformSelection(np.random.default_rng(config.seed + 17))
+    selector = UniformSelection(run_rng(config.seed, STREAM_SELECTION))
     loss = SoftmaxCrossEntropy()
     for t in range(config.rounds):
         participants = selector.select(len(clients), config.clients_per_round, t)

@@ -6,13 +6,11 @@ straight into the file before the engine advances.  These tests pin the
 contract on the ``fedbuff_full`` shape in miniature — lazy clients, markov
 fleet, hier fold, ``topk+qsgd8`` with error feedback — for both engines:
 no pickle round trip on the checkpoint path, file == ``snapshot_state()``,
-resumed digests match, pre-column snapshots still restore, and the idle
-column dispatches exactly like the sorted-set pool it replaced.
+resumed digests match, and the idle column dispatches exactly like the sorted-set pool it replaced.
 """
 
 from __future__ import annotations
 
-import os
 import pickle
 from functools import partial
 
@@ -30,14 +28,10 @@ from repro.fleet.scale import LazyClientPool
 from repro.harness.reporting import history_digest
 from repro.nn.models import mlp
 from repro.runtime import LogNormalLatency, VirtualClock
-from repro.runtime.checkpoint import Checkpointer, load_snapshot, save_snapshot
+from repro.runtime.checkpoint import Checkpointer, load_snapshot
+from repro.runtime.seeding import STREAM_DISPATCH, run_rng
 
 ENGINES = ("sync", "fedbuff")
-# A full fedbuff snapshot written by the commit before the idle column
-# (loop["idle"] is a set of ids), by build_engine("fedbuff") after 3 saves.
-SET_IDLE_FIXTURE = os.path.join(
-    os.path.dirname(__file__), "fixtures", "fedbuff_set_idle_v1.ckpt"
-)
 
 
 def build_engine(engine: str, n_clients: int = 12, dispatch: str = "random"):
@@ -48,7 +42,7 @@ def build_engine(engine: str, n_clients: int = 12, dispatch: str = "random"):
     availability = get_availability_model(
         "markov", n_clients=n_clients, seed=31, offline_fraction=0.3)
     args = (
-        LazyClientPool(train, parts, seed=2), test,
+        LazyClientPool(train, parts), test,
         partial(mlp, 16, train.num_classes, hidden=(16,)), FedAvg(),
         FLConfig(rounds=6, clients_per_round=6, local_epochs=1, lr=0.05,
                  batch_size=8, eval_every=1, seed=0),
@@ -182,30 +176,6 @@ class TestBorrowedCheckpoint:
         assert_state_equal(state, frozen)
 
 
-class TestVersionSkew:
-    def test_restores_snapshot_with_set_idle(self):
-        """A v1 file from before the idle column restores (the set becomes
-        the column) and finishes on the uninterrupted digest."""
-        state = load_snapshot(SET_IDLE_FIXTURE)["state"]
-        assert isinstance(state["loop"]["idle"], set)
-        with build_engine("fedbuff") as resumed:
-            resumed.restore_state(state)
-            idle = resumed._loop["idle"]
-            assert idle.dtype == np.bool_ and idle.shape == (12,)
-            assert resumed.wire.ef.residuals
-            assert history_digest(resumed.run()) == clean_digest("fedbuff")
-
-    def test_round_trips_through_a_new_file(self, tmp_path):
-        """Old state -> restore -> save -> load keeps the same schema tag
-        and carries the column."""
-        path = str(tmp_path / "resaved.ckpt")
-        with build_engine("fedbuff") as sim:
-            sim.restore_state(load_snapshot(SET_IDLE_FIXTURE)["state"])
-            save_snapshot(path, sim.snapshot_state())
-        loop = load_snapshot(path)["state"]["loop"]
-        assert isinstance(loop["idle"], np.ndarray)
-
-
 class TestRestoreValidation:
     @pytest.mark.parametrize("engine", ENGINES)
     def test_wrong_weight_dimension_rejected(self, engine):
@@ -228,7 +198,7 @@ class TestIdleColumnDispatch:
         n = 200
         with build_engine("fedbuff", n_clients=n, dispatch=dispatch) as server:
             fleet, fleet_state = server.fleet, server.fleet_state
-            twin_rng = np.random.default_rng(server.config.seed + 29)
+            twin_rng = run_rng(server.config.seed, STREAM_DISPATCH)
 
             def sorted_set_pick(idle: set[int], now: float) -> int | None:
                 pool = np.fromiter(idle, dtype=np.int64, count=len(idle))

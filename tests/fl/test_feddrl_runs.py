@@ -1,19 +1,14 @@
-"""FedDRL runs: the system invariants, agent health metrics, old snapshots.
+"""FedDRL runs: the system invariants and agent health metrics.
 
 The agent trains in the server process, so a FedDRL run must still be
 bit-identical across serial / thread / process, traced / untraced and
 killed / resumed, on either substrate dtype.  When tracing, each window
 records the agent's health as ``sim.*`` gauges, outside
-``history_digest``'s input.  A snapshot written before the replay buffer
-became a columnar ring (its ``_items`` list of transitions, a float64
-agent) restores: the list becomes columns in the items' dtype, and the
-old agent keeps running in the precision it was saved in.
+``history_digest``'s input.
 """
 
 from __future__ import annotations
 
-import os
-import pickle
 from functools import partial
 
 import numpy as np
@@ -22,7 +17,6 @@ import pytest
 from repro.data.partition import iid_partition
 from repro.data.synthetic import SyntheticImageSpec, make_synthetic_dataset
 from repro.drl.agent import DRLConfig
-from repro.drl.replay import ReplayBuffer
 from repro.fl.client import make_clients
 from repro.fl.simulation import FederatedSimulation, FLConfig
 from repro.fl.strategies import FedDRL
@@ -33,16 +27,7 @@ from repro.nn.dtypes import default_dtype
 from repro.nn.models import mlp
 from repro.obs import Tracer
 from repro.runtime.checkpoint import Checkpointer, load_snapshot
-from tests.drl import reference_replay as R
 
-# A sync-engine snapshot of build_engine() taken after its fifth round by
-# the commit before the replay ring: a list-backed ReplayBuffer that has
-# wrapped (capacity 3, cursor 1) inside a float64 agent.
-LIST_REPLAY_FIXTURE = os.path.join(
-    os.path.dirname(__file__), "fixtures", "feddrl_list_replay_v1.ckpt"
-)
-# history_digest of that snapshot resumed to round 8 on this commit.
-RESUMED_DIGEST = "6b7edfdc90ce8376433d434f6618d32d2b0a31379e4f9be3adb905f698389ce2"
 
 CFG = dict(method="feddrl", scale="ci", n_clients=6, clients_per_round=4,
            rounds=10, drl_updates_per_round=2, latency_model="lognormal")
@@ -64,7 +49,7 @@ def build_engine() -> FederatedSimulation:
         seed=5,
     )
     return FederatedSimulation(
-        make_clients(train, parts, seed=2), test,
+        make_clients(train, parts), test,
         partial(mlp, 16, train.num_classes, hidden=(16,)), strategy,
         FLConfig(rounds=8, clients_per_round=4, local_epochs=1, lr=0.05,
                  batch_size=8, eval_every=1, seed=0),
@@ -180,34 +165,3 @@ class TestAgentHealthMetrics:
             sim.run()
         assert not [k for k in tracer.metrics.snapshot()["gauges"]
                     if k.startswith("sim.drl.")]
-
-
-class TestListReplaySnapshot:
-    def test_restores_and_finishes(self):
-        state = load_snapshot(LIST_REPLAY_FIXTURE)["state"]
-        agent = state["strategy"].agent
-        assert isinstance(agent.buffer, ReplayBuffer)
-        assert "_items" not in vars(agent.buffer)
-        assert (len(agent.buffer), agent.buffer._cursor) == (3, 1)
-        # The old agent keeps the precision it was saved in.
-        assert agent.policy_main.dtype == agent.buffer.dtype == np.float64
-        with build_engine() as sim:
-            sim.restore_state(state)
-            assert history_digest(sim.run()) == RESUMED_DIGEST
-            assert len(sim.strategy.agent.buffer) == 3
-            assert sim.strategy.last_train is not None
-
-    def test_columns_hold_the_pickled_list_in_slot_order(self):
-        class AsListBuffer(pickle.Unpickler):
-            def find_class(self, module, name):
-                if (module, name) == ("repro.drl.replay", "ReplayBuffer"):
-                    return R.ReplayBuffer
-                return super().find_class(module, name)
-
-        with open(LIST_REPLAY_FIXTURE, "rb") as f:
-            old = AsListBuffer(f).load()["state"]["strategy"].agent.buffer
-        ring = load_snapshot(LIST_REPLAY_FIXTURE)["state"]["strategy"].agent.buffer
-        assert isinstance(old, R.ReplayBuffer) and ring._cursor == old._cursor
-        for got, want in zip(ring.snapshot(), old.snapshot()):
-            assert got.dtype == want.dtype
-            np.testing.assert_array_equal(got, want)

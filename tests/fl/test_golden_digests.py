@@ -8,6 +8,10 @@ plus one cell per feature that feeds the window (update attack, lossy codec
 with error feedback, markov fleet + dropout, ``drop`` deadline, lazy
 clients, FedDRL flat and hier).  A refactor of the aggregation path must
 leave this file untouched: a changed digest is a changed behaviour.
+Every cell moved once since, deliberately, when every generator came to
+derive from ``repro.runtime.seeding`` and ``history_digest`` began hashing
+each record's participants, impact factors, sizes and losses (old -> new
+listed in CHANGES.md).
 
 ``scale="ci"`` builds an MLP, so none of those cells runs a ``Conv2D`` or a
 pooling layer.  The ``simple_cnn`` cells at the bottom pin the conv path
@@ -91,97 +95,97 @@ def digest(overrides: dict) -> str:
 
 GOLDEN: dict[str, str] = {
     "sync-flat-mean":
-        "1cd7d64d7dbd5ea08f0a6510475bdc382cc8a5295ebdb9e8542e3124aada85ad",
+        "422f32742fd2852cd64a3d7cc47219a2008933a0d29f982a24938fb574f54491",
     "sync-flat-krum":
-        "b14e628e32e201afe66e87d08fb2f7290326034a54ffc77262827bc2a127416c",
+        "e43cd3416010d58ab6a13b6ac20106d2ec06d4cbbd619d8c972f6321b6998555",
     "sync-flat-trimmed_mean":
-        "a011bc44cce8f75cef753fae922cc081749eb02d45f4311478ce5275f6dfc5c0",
+        "81c534cfe475d13c24d473d8b5a177b07ef1f83312adb91cc89a7b8aa3e46973",
     "sync-flat-norm_clip":
-        "134266b506c507905754041a9bbf439b044bddefd68c13e3192d02d7928df408",
+        "4b624ac84ec184a9c80357fc2a6044430cff6cc604f85f64c3a158adc9e8c32e",
     "sync-hier-mean":
-        "700acdb808a8b96c22787371549ee8b1126eac09d94c2709427a80e939aa1ba1",
+        "27626deff8c20457962451865229dc394962cc71da47daa53f83f19e10a178d5",
     "sync-hier-krum":
-        "381a0af8876cd75f7ec73c0f5e23cd10ce167cacabc8a0be387ab3f0855c5999",
+        "fcdb8b6f2e8da0d62fa6ba61b9c2fcde7d0f92cce5907de431a01842714e37e8",
     "sync-hier-trimmed_mean":
-        "a569e81fbf2033f46998f0ac22277171ea71ed6ff3236af25efa891e3a8dba4c",
+        "3019d3ed0119354ca89084c75d8d12e1d4925f5f8dd91fbd45a22ec9d73c040b",
     "sync-hier-norm_clip":
-        "348f2b5a4613880d228dd4251091eea762aa4cf1e31e90b7365040c3f3fd1242",
+        "828f24e68bdbcb670495f6f905d8f4d8dfdbf0de10b05d15b2760ce828068610",
     "fedbuff-flat-mean-mix0.7":
-        "68b5d8b6c919399b571927658025da531ee52a256aa09515cef660390645fa27",
+        "58671646eda837d3477d3b365d36f3dc2aed342e6c2172f653488db3c1a0637d",
     "fedbuff-flat-mean-delta":
-        "8d1e5eac7e6b84c7f4a73e39e5fa56c93d3790eb7eb4c79f14e8b8c55f124860",
+        "c1efe9436df7f367220f67fe15617adfc4edc1b075e28eefac2c3d7d6d147c98",
     "fedbuff-flat-krum-mix0.7":
-        "df74814e11b11dcec5977d5b46b448e41596d7a6c225ed32b7d6dd0cb38d952f",
+        "ecbd2c010b3b088d1442408f64fe1316e4400795a8ab43fccd346fe34cf9813e",
     "fedbuff-flat-krum-delta":
-        "7b3faaaab5721513aadd5d2be3c6f0e723a75c2f1c2427e043da3ed3d48ff3d0",
+        "8ad40819e17c7dfe2b2ea91996a1519db18e7016bf98ed4c9b3dea09fea7de1d",
     "fedbuff-flat-trimmed_mean-mix0.7":
-        "3327250b7588aa114eccfafc807766c4a0f750b324461d6a41ff771cafde12b7",
+        "2a0451f2ae03a4ad5d548f6e74fe83edbf1b3374937c6fa6053e5c0e93fcfc63",
     "fedbuff-flat-trimmed_mean-delta":
-        "033a03ada73e6b483050d7d980265108590399d7a7a9ae95dd8bcbc13106635e",
+        "c1b31dcff6ab5e5668282be9dee684972b6fba9861aea6a81bfe499e02c5df0f",
     "fedbuff-flat-norm_clip-mix0.7":
-        "0fe945ea42e08958c8e106710fa6672b7892bec6b23a1677c280cdd28d7a49d4",
+        "4ed85bcbd20f522349fc222a212df22ab703621960b0bd5c4a5f5cc3678268f2",
     "fedbuff-flat-norm_clip-delta":
-        "0c7e152bfb8bcc2da70897ae04ab968e5f8879220aa10118b6e9a2662688c32a",
+        "ade41bdb7de9f289aa5c4a95b50aec5ee837939aacf199fcf41f92016d6af96e",
     "fedbuff-hier-mean-mix0.7":
-        "f588f5a8235b2d53110e744b975d2ba5b9b51e5242eeb7215acb9934b4e987f3",
+        "85450b5d406e52cd5ec22c192f0b95b5dfcacffaaa2256f214e7a85101442393",
     "fedbuff-hier-mean-delta":
-        "e63232084881d766431116c41c78e80baeb16c02cf7af34c24b27891587729ab",
+        "e2c1de0ddcf804a84508c268e947780eb9af859d563ed86b537dbe3e8726801b",
     "fedbuff-hier-krum-mix0.7":
-        "5806c60a4bb77cf7521e794760f5f83ed17b6a634cbdb2efcd2111dd806f00b3",
+        "6d2a448088068f1ab7566f6ee2972fcd125b20208d5dff66d03ef748b92fff60",
     "fedbuff-hier-krum-delta":
-        "6a0ea63402bdce4835d72451dc473cb64cc767a3b001b2fce88dd5fae701bb82",
+        "3d8a8ed92b6e61a78ee16369f6fa14181fd880195b61e7fd18eee0b95efff6cb",
     "fedbuff-hier-trimmed_mean-mix0.7":
-        "a9d7580997fe90de98cc82a634970de924d5532a6a73ed85e011f8249ae87821",
+        "4228ba97cf66ada1743e0c5d0e9fbb9448fa8b2ec4e0b4043008826250adcc34",
     "fedbuff-hier-trimmed_mean-delta":
-        "f6f4c87dd232adada237a3948eab255b5b66a9deb95d874b2cae8ded5b99e4b7",
+        "228b966ceeb6f900cd5c271031d0740f6c922cb35947991c6b94641540771678",
     "fedbuff-hier-norm_clip-mix0.7":
-        "d742d160c3f9b4f0db3e02f28e0b7cb0495110237c8bd950529dea8689a38d3a",
+        "8fab4c5e3f4dce798214e6c9045193e255bc919f8371311f1dc9326c33438d0a",
     "fedbuff-hier-norm_clip-delta":
-        "6f37505fae54d59047cba805b1e22d5c8d2f550297c7a08a28bada48173f7b3b",
+        "2ad149bb2bf77c93deb895997fdef0be3353ec66aaf7bd36610f870ffc34cde5",
     "fedasync-flat-mean-mix0.7":
-        "582f2cf9249dd7adc9dbaaf345eb61fbfd0716a14e8bf8d11af4598016a5de76",
+        "f1754d5011f23b874c285602632bbbc3bbda282f735ed5f025f3aea9384d203e",
     "fedasync-flat-mean-delta":
-        "04e2520589ef319e8654fe6bb98940c5c2fb7db5647c05f295031971bbc2a6b4",
+        "ccd6add38a7a4cf157a434b34c6c7b04e33e7f2b68112810d7771ad0d6ce9986",
     "fedasync-flat-krum-mix0.7":
-        "e7ab46ee8bfba7eaad760ab6f50430b57dbcb4bca27b9560d8cb4709b6addad1",
+        "9a18542c5cd7917bc7ccc3c67cbcadafc16c5c41695fcb5dcb17851943ff1bef",
     "fedasync-flat-krum-delta":
-        "04e2520589ef319e8654fe6bb98940c5c2fb7db5647c05f295031971bbc2a6b4",
+        "ccd6add38a7a4cf157a434b34c6c7b04e33e7f2b68112810d7771ad0d6ce9986",
     "fedasync-flat-trimmed_mean-mix0.7":
-        "e7ab46ee8bfba7eaad760ab6f50430b57dbcb4bca27b9560d8cb4709b6addad1",
+        "9a18542c5cd7917bc7ccc3c67cbcadafc16c5c41695fcb5dcb17851943ff1bef",
     "fedasync-flat-trimmed_mean-delta":
-        "04e2520589ef319e8654fe6bb98940c5c2fb7db5647c05f295031971bbc2a6b4",
+        "ccd6add38a7a4cf157a434b34c6c7b04e33e7f2b68112810d7771ad0d6ce9986",
     "fedasync-flat-norm_clip-mix0.7":
-        "e7ab46ee8bfba7eaad760ab6f50430b57dbcb4bca27b9560d8cb4709b6addad1",
+        "9a18542c5cd7917bc7ccc3c67cbcadafc16c5c41695fcb5dcb17851943ff1bef",
     "fedasync-flat-norm_clip-delta":
-        "04e2520589ef319e8654fe6bb98940c5c2fb7db5647c05f295031971bbc2a6b4",
+        "ccd6add38a7a4cf157a434b34c6c7b04e33e7f2b68112810d7771ad0d6ce9986",
     "sync-attack-krum":
-        "bf4b0a83d5a005dd12c4032018bd82a922b4ba276ec4061fb37de1e72ec75295",
+        "d9cf07712a58754af29cc100bb491f0ca3b83451b22313a4c6e27e528e8994f8",
     "fedbuff-attack-krum-delta":
-        "6adfcb78f7a20bd868399be7ec41e2b8cff6e08ab68f298f345fb10896598e50",
+        "2d296f6aee5f02268b9612a398455774a50cc9a3a5185ef463e2259fc8b8fa9f",
     "sync-wire-ef":
-        "41150c22bc664b086457b2fefee4db072b9cd7e2985796ffb078c14ed1427113",
+        "31f31a92732892378bd35a1c7874abff5d2f8a8beec2c70af6969372e8309fe3",
     "fedbuff-wire-ef-hier":
-        "509e8fea700c08167724b11c7a9adb3a4b51e8323116584fb2115a1d6ec7cae8",
+        "6e47fc2b8d1fc8a396809c9b897e5b102b24c9eed9090a8e909c87505aeda62c",
     "sync-fleet":
-        "7dbbf06928711d42174fc8f1a3c3975ce125ac2646056ff39d57da562c29e53f",
+        "9f3ee17adb047fdffab9254be02ac3bd85b8a0e87c537d31fb2e34987565a984",
     "fedbuff-fleet-fairness":
-        "c62ae513954c41e7884eaebedec080cf79688668ac9ad3bcfb2d9c7a657c5536",
+        "e0aa47be9720bdd8893b78dd6dd150625f809c53c0c984df34be5f2175471339",
     "sync-deadline-drop":
-        "598cfd1661a9eaa4aa78bf4f40f151bb4cf83c92d9077ce06499732b2d2d221c",
+        "0341118c5683f17732260cdd504945c5ae26c707757f6f98de2ed3000bba471d",
     "sync-lazy":
-        "51bb13efe2f72c678dc1b74252c4c5f2a8e5d65e27f308d2db625c84ff12663a",
+        "50c36b367898e99b3a1c2c2e1cc4d33aa9c961e5329a9c8145d3d94772763d60",
     "fedbuff-lazy-hier-krum":
-        "cfc5d0f6058c6f22366dc0944f15791627d303de72ad0dc832d2885409ab0bd7",
+        "0ad72f5171ac66c80941159ed0b1531fe5ba2b1442ecfe1e7d1c0b1817b55997",
     # The three FedDRL cells moved once, with the float32 agent and Adam's
     # one-divide form (old -> new listed in that commit's message).
     "sync-feddrl":
-        "c1ad55bfc7ea1d8abd6862c5b61b2b2d4a8250e4a118119eade88f0c5e128813",
+        "c5f353df7f723ae893a1e7e629d59243650d999ed03fcc3da9fb3a12cd2999a6",
     "sync-feddrl-hier":
-        "f1ff4cdd28f83d3c4cc2c92a9ba2bcf79dd2ed668fcdd4fcd099e51258c2a5d0",
+        "953a280ba2fe1f52d97740f1c4328f0d38c34991085fc202453462c48ca6d884",
     "fedbuff-feddrl":
-        "87d290382ac50a5d207bf1744e38a9bbeba4b36bbc3aaf4d70de0785a11b962b",
+        "c704a3e6e5120fc294de35100dd7ce6e1ab72e6f903d4fc2190e079da8da0605",
     "fedbuff-hinge-staleness":
-        "513c394935b2302ca10cf3f1817823a00fba9ad54c87834c567dfe9263292973",
+        "86345526209169be62e05deba69bd8dbbaf8b5f6faafa607d79fd02c044c92ba",
 }
 
 
@@ -202,9 +206,9 @@ CNN_CELLS = {
 }
 GOLDEN_CNN: dict[str, str] = {
     "sync-simple_cnn-float64":
-        "2105da0472286acf88c3391dc2594f025042cf8c4bc74bad369e83d963160de1",
+        "adfe2724095c4ad708fde1d92724b8d88a9037e5120d95f8e23450696113f181",
     "sync-simple_cnn-float32":
-        "22bfb7f9519b031b7f015be84cc495283da2cf386d1b28d637e41d10afda4695",
+        "d64abc4aafc5a3dbcd739d5c6ed345d2381263b3b002489c92f9967be368982f",
 }
 
 

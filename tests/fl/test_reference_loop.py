@@ -23,7 +23,7 @@ def test_engine_matches_reference_loop(dtype):
         train, test = make_synthetic_dataset(spec, 240, 80, np.random.default_rng(0))
         # Unequal shards, so n_k / Σn is not the uniform vector.
         parts = shards_nonequal_partition(train.y, 6, np.random.default_rng(1))
-        clients = make_clients(train, parts, seed=2)
+        clients = make_clients(train, parts)
         factory = partial(mlp, int(np.prod(train.x.shape[1:])), 4, hidden=(16,))
         cfg = FLConfig(rounds=3, clients_per_round=4, local_epochs=2, lr=0.05,
                        batch_size=16, seed=3)

@@ -118,7 +118,7 @@ class TestFullRun:
         results = []
         for _ in range(2):
             parts = iid_partition(train.y, 6, np.random.default_rng(1))
-            clients = make_clients(train, parts, seed=2)
+            clients = make_clients(train, parts)
             sim = make_sim(clients, tiny_data, tiny_model_factory)
             results.append(sim.run().best_accuracy())
         assert results[0] == results[1]

@@ -26,7 +26,6 @@ from repro.fleet.scale import (
 from repro.nn.models import mlp
 from repro.runtime.executor import RoundContext, make_executor
 
-SEED = 11
 
 
 def small_data(n_train=256, n_test=64):
@@ -62,20 +61,16 @@ class TestLazyClientPool:
     def test_matches_eager_make_clients(self):
         train, _ = small_data()
         parts = [np.arange(i * 8, (i + 1) * 8) for i in range(6)]
-        eager = make_clients(train, parts, seed=SEED)
-        pool = LazyClientPool(train, parts, seed=SEED)
+        eager = make_clients(train, parts)
+        pool = LazyClientPool(train, parts)
         for cid in (0, 3, 5):
             lazy = pool[cid]
             np.testing.assert_array_equal(lazy.dataset.x, eager[cid].dataset.x)
             np.testing.assert_array_equal(lazy.dataset.y, eager[cid].dataset.y)
-            # Same RNG derivation: the generators' streams coincide.
-            assert lazy.rng.random() == eager[cid].rng.random()
 
     def test_provider_protocol_and_residency(self):
         train, _ = small_data()
-        pool = LazyClientPool(
-            train, StridedPartition(len(train), 100, per_client=8), seed=SEED
-        )
+        pool = LazyClientPool(train, StridedPartition(len(train), 100, per_client=8))
         assert is_client_provider(pool)
         assert not is_client_provider([])
         assert len(pool) == 100
@@ -92,17 +87,15 @@ class TestLazyClientPool:
 
     def test_iteration_is_rejected(self):
         train, _ = small_data()
-        pool = LazyClientPool(
-            train, StridedPartition(len(train), 50, per_client=4), seed=SEED
-        )
+        pool = LazyClientPool(train, StridedPartition(len(train), 50, per_client=4))
         with pytest.raises(TypeError):
             list(pool)
 
     def test_shared_memory_backing_is_transparent(self):
         train, _ = small_data()
         parts = StridedPartition(len(train), 20, per_client=8)
-        plain = LazyClientPool(train, parts, seed=SEED)
-        shared = LazyClientPool(train, parts, seed=SEED, share=True)
+        plain = LazyClientPool(train, parts)
+        shared = LazyClientPool(train, parts, share=True)
         try:
             np.testing.assert_array_equal(
                 shared[4].dataset.x, plain[4].dataset.x
@@ -114,7 +107,7 @@ class TestLazyClientPool:
     def test_pickles_without_cache_or_block_ownership(self):
         train, _ = small_data()
         parts = StridedPartition(len(train), 20, per_client=8)
-        pool = LazyClientPool(train, parts, seed=SEED, share=True)
+        pool = LazyClientPool(train, parts, share=True)
         try:
             pool.ensure([1, 2])
             blob = pickle.dumps(pool)
@@ -140,9 +133,9 @@ class TestLazyClientPool:
                            epochs=1, lr=0.1, batch_size=4, base_seed=3)
         ids = [7, 2, 5]
         with make_executor("serial", make_clients(
-                train, [parts[i] for i in range(10)], seed=SEED), factory) as ex:
+                train, [parts[i] for i in range(10)]), factory) as ex:
             want = ex.run_round(ctx, ids)
-        pool = LazyClientPool(train, parts, seed=SEED, share=True)
+        pool = LazyClientPool(train, parts, share=True)
         try:
             with make_executor("process", pool, factory, workers=2) as ex:
                 got = ex.run_round(ctx, ids)
@@ -156,7 +149,7 @@ class TestLazyClientPool:
     def test_empty_partition_rejected(self):
         train, _ = small_data()
         with pytest.raises(ValueError):
-            LazyClientPool(train, [], seed=SEED)
+            LazyClientPool(train, [])
 
 
 class TestLazyEagerBitIdentity:
@@ -185,10 +178,8 @@ class TestLazyEagerBitIdentity:
     def test_history_bit_identical(self, backend):
         train, test = small_data()
         parts = StridedPartition(len(train), self.N_CLIENTS, per_client=8)
-        eager = make_clients(
-            train, [parts[i] for i in range(self.N_CLIENTS)], seed=SEED
-        )
-        pool = LazyClientPool(train, parts, seed=SEED)
+        eager = make_clients(train, [parts[i] for i in range(self.N_CLIENTS)])
+        pool = LazyClientPool(train, parts)
         ref_hist, ref_w = self._run(eager, train, test, backend)
         hist, w = self._run(pool, train, test, backend)
         np.testing.assert_array_equal(w, ref_w)

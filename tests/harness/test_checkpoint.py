@@ -100,6 +100,47 @@ class TestSnapshotIO:
             load_snapshot(str(tmp_path / "nope.ckpt"))
 
 
+# Snapshots written before every stream derived from repro.runtime.seeding:
+# a fedbuff engine whose loop["idle"] is a set of ids, and a FedDRL engine
+# whose agent holds a list-backed replay buffer.  Kept to be refused.
+V1_FIXTURES = [
+    os.path.join(os.path.dirname(__file__), os.pardir, "fl", "fixtures", name)
+    for name in ("fedbuff_set_idle_v1.ckpt", "feddrl_list_replay_v1.ckpt")
+]
+
+
+class TestRefusedSchemas:
+    """v1 and v2 snapshots would rebuild a different dataset and clock
+    beneath their recorded history: load_snapshot refuses them, naming
+    the file and the reason, before unpickling any state."""
+
+    @pytest.mark.parametrize("path", V1_FIXTURES, ids=os.path.basename)
+    def test_committed_v1_fixtures_are_refused(self, path):
+        name = os.path.basename(path)
+        with pytest.raises(CheckpointError, match=f"{name} is a repro-checkpoint/v1 "
+                                                  f"snapshot, refused: it predates"):
+            load_snapshot(path)
+
+    def test_a_v2_head_is_refused(self, tmp_path):
+        path = tmp_path / "old.ckpt"
+        path.write_bytes(pickle.dumps(
+            {"schema": "repro-checkpoint/v2", "meta": {}, "state": {"x": 1}},
+            protocol=pickle.HIGHEST_PROTOCOL,
+        ))
+        with pytest.raises(CheckpointError, match="old.ckpt is a repro-checkpoint/v2"):
+            load_snapshot(str(path))
+
+    def test_cli_resume_exits_2_with_one_line(self):
+        env = dict(os.environ, PYTHONPATH=os.path.abspath("src"))
+        proc = subprocess.run(
+            [sys.executable, "-m", "repro", "--resume", V1_FIXTURES[0]],
+            env=env, capture_output=True, text=True, timeout=120,
+        )
+        assert proc.returncode == 2
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.count("\n") == 1 and "repro-checkpoint/v1" in proc.stderr
+
+
 class TestCheckpointer:
     def test_saves_on_interval(self, tmp_path):
         path = str(tmp_path / "snap.ckpt")

@@ -8,6 +8,7 @@ import pytest
 from repro.harness.config import ExperimentConfig
 from repro.harness.reporting import (
     compare_methods,
+    history_digest,
     history_to_dict,
     load_results_json,
     result_to_dict,
@@ -47,6 +48,41 @@ def fleet_result():
         dropout_prob=0.2, completeness=0.6, **FAST,
     ).with_(rounds=3)
     return run_experiment(cfg)
+
+
+@pytest.fixture(scope="module")
+def feddrl_history():
+    cfg = ExperimentConfig(method="feddrl", **FAST).with_(rounds=3)
+    return run_experiment(cfg).history
+
+
+class TestHistoryDigestCoverage:
+    """Altering any one per-record field of a finished FedDRL run moves
+    the digest — alpha, the paper's own output, included."""
+
+    @pytest.mark.parametrize("field", [
+        "participants", "impact_factors", "client_sizes",
+        "client_losses_after", "test_loss",
+    ])
+    def test_each_record_field_moves_the_digest(self, feddrl_history, field):
+        before = history_digest(feddrl_history)
+        record = feddrl_history.records[-1]
+        value = getattr(record, field)
+        if field == "participants":
+            altered = list(reversed(value))
+        elif field == "test_loss":
+            altered = value + 1e-9
+        elif field == "client_sizes":
+            altered = value + np.eye(len(value), 1, dtype=value.dtype)[:, 0]
+        else:
+            altered = np.array(value, copy=True)
+            altered[0] = np.nextafter(altered[0], np.inf)
+        setattr(record, field, altered)
+        try:
+            assert history_digest(feddrl_history) != before
+        finally:
+            setattr(record, field, value)
+        assert history_digest(feddrl_history) == before
 
 
 class TestHistoryToDict:

@@ -90,6 +90,14 @@ class TestTimelineAndSweeps:
         values = [v for _, v in smoothed]
         assert np.var(values) < np.var([v for _, v in raw])
 
+    @pytest.mark.parametrize("n", [3, 10, 30])
+    def test_smooth_series_keeps_a_constant_series_constant(self, n):
+        """Fig. 5's window=10 near either end averages only the samples
+        under it: zero padding must not pull the curve's ends down."""
+        smoothed = smooth_series([(i, 1.0) for i in range(n)], window=10)
+        assert [r for r, _ in smoothed] == list(range(n))
+        np.testing.assert_allclose([v for _, v in smoothed], 1.0, rtol=0, atol=1e-15)
+
     def test_smooth_series_edge_cases(self):
         assert smooth_series([], 5) == []
         with pytest.raises(ValueError):

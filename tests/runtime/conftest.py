@@ -35,7 +35,7 @@ def tiny_model_factory(tiny_data):
 def tiny_clients(tiny_data):
     train, _ = tiny_data
     parts = iid_partition(train.y, 6, np.random.default_rng(1))
-    return make_clients(train, parts, seed=2)
+    return make_clients(train, parts)
 
 
 @pytest.fixture

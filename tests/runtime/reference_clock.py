@@ -24,10 +24,12 @@ from repro.runtime.clock import (
     UniformLatency,
 )
 from repro.runtime.seeding import (
+    STREAM_CLOCK_PROFILE,
     STREAM_LATENCY,
     STREAM_WIRE,
     client_round_rng,
     client_static_rng,
+    run_rng,
 )
 
 
@@ -86,7 +88,7 @@ class ReferenceClock:
         bandwidth=None,
         straggler_comm_slowdown: float | None = None,
     ) -> None:
-        rng = np.random.default_rng(seed)
+        rng = run_rng(seed, STREAM_CLOCK_PROFILE)
         self.seed = seed
         self.profiles = reference_profiles(latency_model, n_clients, rng)
         if bandwidth is not None:

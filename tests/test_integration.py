@@ -31,7 +31,7 @@ def build_population(n_clients=8, n_train=320, seed=0, partition="iid", delta=0.
             train.y, n_clients, np.random.default_rng(seed + 1),
             delta=delta, n_clusters=2,
         )
-    clients = make_clients(train, parts, seed=seed + 2)
+    clients = make_clients(train, parts)
     features = int(np.prod(train.x.shape[1:]))
     factory = partial(mlp, features, train.num_classes, hidden=(16,))
     return clients, test, factory
