@@ -11,7 +11,7 @@ final phase the normalised baseline curves are at or above 1.
 import numpy as np
 import pytest
 
-from repro.harness import ExperimentConfig, run_experiment
+from repro.harness import ExperimentConfig, grid
 from repro.harness.figures import inference_loss_profile
 
 
@@ -68,22 +68,17 @@ def _adversarial_profile():
         availability="markov", offline_fraction=0.2,
         churn_rate=0.5, dropout_prob=0.1,
     )
-    attacked = base.with_(
-        attack="sign_flip", malicious_fraction=0.2, attack_scale=2.0
-    )
-    out = {}
-    for label, cfg in (
-        ("clean", base),
-        ("undefended", attacked),
-        ("defended", attacked.with_(aggregator="trimmed_mean")),
-    ):
-        history = run_experiment(cfg).history
-        losses = history.loss_mean_series()
-        out[label] = {
-            "series": losses,
-            "late": float(np.mean(losses[-10:])),
-        }
-    return out
+    attack = dict(attack="sign_flip", malicious_fraction=0.2, attack_scale=2.0)
+
+    def late_phase(result):
+        losses = result.history.loss_mean_series()
+        return {"series": losses, "late": float(np.mean(losses[-10:]))}
+
+    return grid(base, [{
+        "clean": {},
+        "undefended": attack,
+        "defended": {**attack, "aggregator": "trimmed_mean"},
+    }], measure=late_phase)
 
 
 @pytest.mark.benchmark(group="fig6")

@@ -311,15 +311,28 @@ def _clustered(
     return out
 
 
+# Shards per client of the paper's shard splits (2N and 10N shards).
+SHARDS_PER_CLIENT = {"EQUAL": 2, "NONEQUAL": 10}
+
+
+def check_shards_fit(n_samples: int, n_clients: int, shards_per_client: int) -> None:
+    """A shard split cuts the training set into ``shards_per_client * N``
+    non-empty shards, so it needs at least one sample per shard."""
+    n_shards = shards_per_client * n_clients
+    if n_samples < n_shards:
+        raise ValueError(f"{n_clients} clients x {shards_per_client} shards need at "
+                         f"least {n_shards} training samples, got {n_samples}")
+
+
 def shards_equal_partition(
-    labels: np.ndarray, n_clients: int, rng: np.random.Generator, shards_per_client: int = 2
+    labels: np.ndarray, n_clients: int, rng: np.random.Generator,
+    shards_per_client: int = SHARDS_PER_CLIENT["EQUAL"],
 ) -> list[np.ndarray]:
     """FedAvg's Equal split: sort by label, cut into ``shards_per_client*N``
     shards, deal ``shards_per_client`` shards to each client."""
     labels = _check_args(labels, n_clients)
+    check_shards_fit(labels.shape[0], n_clients, shards_per_client)
     n_shards = shards_per_client * n_clients
-    if labels.shape[0] < n_shards:
-        raise ValueError("not enough samples for the requested shard count")
     order = np.argsort(labels, kind="stable")
     shards = np.array_split(order, n_shards)
     shard_ids = rng.permutation(n_shards)
@@ -334,7 +347,7 @@ def shards_nonequal_partition(
     labels: np.ndarray,
     n_clients: int,
     rng: np.random.Generator,
-    shards_factor: int = 10,
+    shards_factor: int = SHARDS_PER_CLIENT["NONEQUAL"],
     min_shards: int = 6,
     max_shards: int = 14,
 ) -> list[np.ndarray]:
@@ -351,8 +364,7 @@ def shards_nonequal_partition(
     n_shards = shards_factor * n_clients
     if not n_clients * min_shards <= n_shards <= n_clients * max_shards:
         raise ValueError("shard bounds cannot sum to the total shard count")
-    if labels.shape[0] < n_shards:
-        raise ValueError("not enough samples for the requested shard count")
+    check_shards_fit(labels.shape[0], n_clients, shards_factor)
 
     counts = rng.integers(min_shards, max_shards + 1, size=n_clients)
     # Rebalance to an exact sum while respecting the bounds.

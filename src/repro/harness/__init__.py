@@ -1,7 +1,11 @@
 """``repro.harness`` — experiment configs, runners, tables and figures.
 
 Maps every artifact in the paper's evaluation to a regenerating function.
-The benches under ``benchmarks/`` are thin wrappers over this package.
+Each one is a base config, a list of axes and a measure handed to
+:func:`~repro.harness.sweep.grid`, the one loop that runs experiments
+(``grid(paper_cell(...), [axis("method", ...), axis("seed", range(5))])``
+adds seeds to any of them).  The benches under ``benchmarks/`` are thin
+wrappers over this package.
 """
 
 from repro.harness.ablations import (
@@ -11,7 +15,7 @@ from repro.harness.ablations import (
     ablation_two_stage,
 )
 from repro.harness.config import SCALES, ExperimentConfig, ScalePreset
-from repro.harness.convergence import convergence_table, rounds_to_target
+from repro.harness.convergence import convergence_table
 from repro.harness.figures import (
     accuracy_timeline,
     inference_loss_profile,
@@ -35,6 +39,7 @@ from repro.harness.runner import (
     build_partition,
     run_experiment,
 )
+from repro.harness.sweep import axis, grid, paper_cell
 from repro.harness.tables import format_accuracy_table, table3, table4
 
 __all__ = [
@@ -46,6 +51,9 @@ __all__ = [
     "build_dataset",
     "build_model_factory",
     "build_partition",
+    "grid",
+    "axis",
+    "paper_cell",
     "table3",
     "table4",
     "format_accuracy_table",
@@ -55,7 +63,6 @@ __all__ = [
     "noniid_sweep",
     "partition_figure",
     "server_overhead_figure",
-    "rounds_to_target",
     "convergence_table",
     "ablation_replay_strategy",
     "ablation_two_stage",

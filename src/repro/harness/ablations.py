@@ -10,11 +10,14 @@ the choice toggled/swept, holding everything else fixed.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from functools import partial
 
 import numpy as np
 
-from repro.harness.config import ExperimentConfig
-from repro.harness.runner import run_experiment
+from repro.harness.runner import ExperimentResult
+from repro.harness.sweep import axis, grid, paper_cell
+
+_feddrl_cell = partial(paper_cell, method="feddrl")
 
 
 def ablation_replay_strategy(
@@ -26,15 +29,11 @@ def ablation_replay_strategy(
     **overrides,
 ) -> dict[str, float]:
     """TD-prioritised vs uniform replay sampling."""
-    out = {}
-    for name, prioritized in (("td_prioritized", True), ("uniform", False)):
-        cfg = ExperimentConfig(
-            dataset=dataset, partition=partition, method="feddrl",
-            n_clients=n_clients, clients_per_round=min(10, n_clients),
-            scale=scale, seed=seed, drl_prioritized=prioritized, **overrides,
-        )
-        out[name] = run_experiment(cfg).best_accuracy
-    return out
+    return grid(
+        _feddrl_cell(dataset, partition, n_clients, scale, seed, **overrides),
+        [{"td_prioritized": {"drl_prioritized": True},
+          "uniform": {"drl_prioritized": False}}],
+    )
 
 
 def ablation_fairness_weight(
@@ -51,21 +50,18 @@ def ablation_fairness_weight(
     Reports both accuracy and the final variance of client losses, since
     the gap term exists to reduce exactly that variance.
     """
-    out: dict[float, dict[str, float]] = {}
-    for w in weights:
-        cfg = ExperimentConfig(
-            dataset=dataset, partition=partition, method="feddrl",
-            n_clients=n_clients, clients_per_round=min(10, n_clients),
-            scale=scale, seed=seed, fairness_weight=w, **overrides,
-        )
-        result = run_experiment(cfg)
-        var_series = result.history.loss_var_series()
-        tail = var_series[max(0, len(var_series) - 5):]
-        out[w] = {
+    def measure(result: ExperimentResult) -> dict[str, float]:
+        tail = result.history.loss_var_series()[-5:]
+        return {
             "best_accuracy": result.best_accuracy,
             "final_loss_variance": float(np.mean(tail)),
         }
-    return out
+
+    return grid(
+        _feddrl_cell(dataset, partition, n_clients, scale, seed, **overrides),
+        [axis("fairness_weight", weights)],
+        measure,
+    )
 
 
 def ablation_sigma_beta(
@@ -78,15 +74,10 @@ def ablation_sigma_beta(
     **overrides,
 ) -> dict[float, float]:
     """Sweep the eq.-(6) constraint coefficient beta."""
-    out = {}
-    for beta in betas:
-        cfg = ExperimentConfig(
-            dataset=dataset, partition=partition, method="feddrl",
-            n_clients=n_clients, clients_per_round=min(10, n_clients),
-            scale=scale, seed=seed, drl_beta=beta, **overrides,
-        )
-        out[beta] = run_experiment(cfg).best_accuracy
-    return out
+    return grid(
+        _feddrl_cell(dataset, partition, n_clients, scale, seed, **overrides),
+        [axis("drl_beta", betas)],
+    )
 
 
 def ablation_two_stage(
@@ -104,12 +95,8 @@ def ablation_two_stage(
     and from a main agent trained offline on the merged experience of
     ``drl_pretrain_workers`` worker runs of ``pretrain_rounds`` rounds each.
     """
-    out = {}
-    for name, rounds in (("basic", 0), ("two_stage", pretrain_rounds)):
-        cfg = ExperimentConfig(
-            dataset=dataset, partition=partition, method="feddrl",
-            n_clients=n_clients, clients_per_round=min(10, n_clients),
-            scale=scale, seed=seed, drl_pretrain_rounds=rounds, **overrides,
-        )
-        out[name] = run_experiment(cfg).best_accuracy
-    return out
+    return grid(
+        _feddrl_cell(dataset, partition, n_clients, scale, seed, **overrides),
+        [{"basic": {"drl_pretrain_rounds": 0},
+          "two_stage": {"drl_pretrain_rounds": pretrain_rounds}}],
+    )

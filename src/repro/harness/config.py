@@ -28,6 +28,7 @@ from __future__ import annotations
 from dataclasses import Field, dataclass, field, fields, replace
 from typing import Any, Callable
 
+from repro.data.partition import SHARDS_PER_CLIENT, check_shards_fit
 from repro.fl.async_ import (
     AGGREGATION_MODES,
     DELTA_MIX,
@@ -495,6 +496,9 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive when given")
         if self.clients_per_round > self.n_clients:
             raise ValueError("clients_per_round cannot exceed n_clients")
+        if self.partition in SHARDS_PER_CLIENT and self.method != "singleset":
+            check_shards_fit(self.resolved("n_train"), self.n_clients,
+                             SHARDS_PER_CLIENT[self.partition])
         if not 0.0 < self.delta <= 1.0:
             raise ValueError("delta must be in (0, 1]")
         if not 0.0 <= self.straggler_fraction <= 1.0:

@@ -8,15 +8,9 @@ rounds each method needs to reach a common target accuracy (chosen as the
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import attrgetter
 
-from repro.fl.simulation import History
-from repro.harness.config import ExperimentConfig
-from repro.harness.runner import run_experiment
-
-
-def rounds_to_target(history: History, target: float) -> int | None:
-    """First communication round whose test accuracy reaches ``target``."""
-    return history.rounds_to_accuracy(target)
+from repro.harness.sweep import axis, grid, paper_cell
 
 
 def convergence_table(
@@ -32,28 +26,20 @@ def convergence_table(
 
     Mirrors the paper's reporting: e.g. "FedAvg and FedProx spend 1.16x and
     1.2x longer than FedDRL".  Returns ``{"target": t, "rounds": {...},
-    "relative": {...}}`` where ``relative`` is each method's round count
-    divided by FedDRL's (None when a method never reaches the target).
+    "relative": {...}, "best": {...}}``: ``rounds`` is the 0-based index of
+    the first round reaching the target, and ``relative`` is each method's
+    round *count* (index + 1) divided by FedDRL's (None when either never
+    reaches the target).
     """
-    histories: dict[str, History] = {}
-    best: dict[str, float] = {}
-    for method in methods:
-        cfg = ExperimentConfig(
-            dataset=dataset, partition=partition, method=method,
-            n_clients=n_clients, clients_per_round=min(10, n_clients),
-            scale=scale, seed=seed, **overrides,
-        )
-        result = run_experiment(cfg)
-        histories[method] = result.history
-        best[method] = result.best_accuracy
-
+    histories = grid(
+        paper_cell(dataset, partition, n_clients, scale, seed, **overrides),
+        [axis("method", methods)],
+        measure=attrgetter("history"),
+    )
+    best = {m: h.best_accuracy() for m, h in histories.items()}
     target = min(best.values())
-    rounds = {m: rounds_to_target(h, target) for m, h in histories.items()}
+    rounds = {m: h.rounds_to_accuracy(target) for m, h in histories.items()}
     ref = rounds.get("feddrl")
-    relative = {}
-    for m, r in rounds.items():
-        if r is None or ref is None or ref == 0:
-            relative[m] = None
-        else:
-            relative[m] = r / max(ref, 1)
+    relative = {m: None if r is None or ref is None else (r + 1) / (ref + 1)
+                for m, r in rounds.items()}
     return {"target": target, "rounds": rounds, "relative": relative, "best": best}

@@ -8,16 +8,15 @@ dependency, so "regenerating a figure" means producing its exact series.
 from __future__ import annotations
 
 from collections.abc import Sequence
+from operator import attrgetter
 
 import numpy as np
 
 from repro.data.partition import get_partitioner, partition_matrix
 from repro.fl.fairness import normalized_fairness
-from repro.fl.simulation import History
-from repro.fl.strategies import FedAvg, FedDRL, FedProx
+from repro.fl.strategies import FedAvg, FedDRL
 from repro.fl.timing import measure_server_overhead, synthetic_updates
-from repro.harness.config import ExperimentConfig
-from repro.harness.runner import run_experiment
+from repro.harness.sweep import axis, grid, paper_cell
 from repro.runtime.seeding import STREAM_DATASET, STREAM_PARTITION, run_rng
 
 
@@ -62,16 +61,11 @@ def accuracy_timeline(
     **overrides,
 ) -> dict[str, list[tuple[int, float]]]:
     """(round, accuracy) series per method — one panel of Fig. 5."""
-    series = {}
-    for method in methods:
-        cfg = ExperimentConfig(
-            dataset=dataset, partition=partition, method=method,
-            n_clients=n_clients, clients_per_round=min(10, n_clients),
-            scale=scale, seed=seed, **overrides,
-        )
-        result = run_experiment(cfg)
-        series[method] = result.history.accuracy_series()
-    return series
+    return grid(
+        paper_cell(dataset, partition, n_clients, scale, seed, **overrides),
+        [axis("method", methods)],
+        measure=lambda result: result.history.accuracy_series(),
+    )
 
 
 def smooth_series(series: list[tuple[int, float]], window: int = 10) -> list[tuple[int, float]]:
@@ -100,14 +94,11 @@ def inference_loss_profile(
     **overrides,
 ) -> dict:
     """Mean/variance of client losses, normalised to FedDRL (Fig. 6)."""
-    histories: dict[str, History] = {}
-    for method in ("fedavg", "fedprox", "feddrl"):
-        cfg = ExperimentConfig(
-            dataset=dataset, partition=partition, method=method,
-            n_clients=n_clients, clients_per_round=min(10, n_clients),
-            scale=scale, seed=seed, **overrides,
-        )
-        histories[method] = run_experiment(cfg).history
+    histories = grid(
+        paper_cell(dataset, partition, n_clients, scale, seed, **overrides),
+        [axis("method", ("fedavg", "fedprox", "feddrl"))],
+        measure=attrgetter("history"),
+    )
     return {
         "normalized": normalized_fairness(histories, reference="feddrl"),
         "histories": histories,
@@ -129,21 +120,13 @@ def participation_sweep(
     """Best accuracy per method at each participation level K (Fig. 7).
 
     The paper uses N=100 with K in 10..50; the bench preset scales this to
-    N=40, K in {5, 10, 20} for CPU runtime.
+    N=40, K in {5, 10, 20} for CPU runtime.  A K above N raises before
+    any cell runs.
     """
-    out: dict[int, dict[str, float]] = {}
-    for k in k_values:
-        if k > n_clients:
-            raise ValueError(f"K={k} exceeds N={n_clients}")
-        out[k] = {}
-        for method in methods:
-            cfg = ExperimentConfig(
-                dataset=dataset, partition=partition, method=method,
-                n_clients=n_clients, clients_per_round=k,
-                scale=scale, seed=seed, **overrides,
-            )
-            out[k][method] = run_experiment(cfg).best_accuracy
-    return out
+    return grid(
+        paper_cell(dataset, partition, n_clients, scale, seed, **overrides),
+        [axis("clients_per_round", k_values), axis("method", methods)],
+    )
 
 
 # -- Figure 8: non-IID level sweep ----------------------------------------------
@@ -159,17 +142,10 @@ def noniid_sweep(
     **overrides,
 ) -> dict[float, dict[str, float]]:
     """Best accuracy per method at each cluster-skew level delta (Fig. 8)."""
-    out: dict[float, dict[str, float]] = {}
-    for delta in deltas:
-        out[delta] = {}
-        for method in methods:
-            cfg = ExperimentConfig(
-                dataset=dataset, partition=partition, method=method,
-                n_clients=n_clients, clients_per_round=min(10, n_clients),
-                scale=scale, delta=delta, seed=seed, **overrides,
-            )
-            out[delta][method] = run_experiment(cfg).best_accuracy
-    return out
+    return grid(
+        paper_cell(dataset, partition, n_clients, scale, seed, **overrides),
+        [axis("delta", deltas), axis("method", methods)],
+    )
 
 
 # -- Figure 9: server computation time --------------------------------------------

@@ -10,44 +10,10 @@ from __future__ import annotations
 
 from collections.abc import Sequence
 
-from repro.harness.config import ExperimentConfig
-from repro.harness.runner import run_experiment
+from repro.harness.sweep import axis, grid, paper_cell
 
 FEDERATED_METHODS = ("fedavg", "fedprox", "feddrl")
 ALL_METHODS = ("singleset",) + FEDERATED_METHODS
-
-
-def _grid(
-    datasets: Sequence[str],
-    partitions: Sequence[str],
-    client_counts: Sequence[int],
-    methods: Sequence[str],
-    scale: str,
-    seed: int,
-    **cfg_overrides,
-) -> dict:
-    """Run the full grid; returns results[n_clients][dataset][partition][method]."""
-    results: dict = {}
-    for n in client_counts:
-        results[n] = {}
-        for ds in datasets:
-            results[n][ds] = {}
-            for part in partitions:
-                cell: dict[str, float] = {}
-                for method in methods:
-                    cfg = ExperimentConfig(
-                        dataset=ds,
-                        partition=part,
-                        method=method,
-                        n_clients=n,
-                        clients_per_round=min(10, n),
-                        scale=scale,
-                        seed=seed,
-                        **cfg_overrides,
-                    )
-                    cell[method] = run_experiment(cfg).best_accuracy
-                results[n][ds][part] = cell
-    return results
 
 
 def improvements(cell: dict[str, float]) -> tuple[float, float]:
@@ -75,14 +41,19 @@ def table3(
     seed: int = 0,
     **overrides,
 ) -> dict:
-    """Table 3: top-1 accuracy across datasets × partitions × client counts.
+    """Table 3: top-1 accuracy across datasets × partitions × client counts,
+    as ``results[n_clients][dataset][partition][method]``.
 
     The paper fixes the non-IID level at ``delta = 0.6`` for CE/CN.
     Extra keyword arguments (e.g. ``rounds=60``) are forwarded to every
     :class:`~repro.harness.config.ExperimentConfig` in the grid.
     """
-    return _grid(datasets, partitions, client_counts, methods, scale, seed,
-                 delta=delta, **overrides)
+    axes = [axis("dataset", datasets), axis("partition", partitions), axis("method", methods)]
+    return {
+        n: grid(paper_cell(datasets[0], partitions[0], n, scale, seed, delta=delta, **overrides),
+                axes)
+        for n in client_counts
+    }
 
 
 def table4(
@@ -95,8 +66,8 @@ def table4(
     """Table 4: FedAvg's label-size-imbalance splits (Equal / Non-equal),
     CIFAR-100 stand-in.  Extra keyword arguments are forwarded to every
     experiment config in the grid."""
-    return _grid(("cifar100",), ("EQUAL", "NONEQUAL"), client_counts, methods,
-                 scale, seed, **overrides)
+    return table3(scale, ("cifar100",), ("EQUAL", "NONEQUAL"), client_counts, methods,
+                  seed=seed, **overrides)
 
 
 def format_accuracy_table(results: dict, title: str) -> str:

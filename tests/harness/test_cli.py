@@ -207,6 +207,7 @@ class TestMain:
         ["--per-round", "0"],
         ["--clients", "0", "--per-round", "0"],
         ["--seed", "-1"],
+        ["--scale", "ci", "--clients", "400", "--partition", "NONEQUAL"],
     ])
     def test_bad_input_exits_2(self, argv, capsys):
         assert main(argv) == 2

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data.partition import SHARDS_PER_CLIENT
 from repro.harness.config import SCALES, ExperimentConfig
 from repro.harness.runner import (
     build_dataset,
@@ -73,6 +74,17 @@ class TestExperimentConfig:
         # Caught when the config is built, not partway through the run.
         with pytest.raises(ValueError, match=f"^{name} must be"):
             ExperimentConfig(**{name: value})
+
+    @pytest.mark.parametrize("partition", ["EQUAL", "NONEQUAL"])
+    def test_shard_split_must_fit_the_training_set(self, partition):
+        fits = SCALES["ci"].n_train // SHARDS_PER_CLIENT[partition]
+        cell = dict(partition=partition, scale="ci", clients_per_round=10)
+        ExperimentConfig(n_clients=fits, **cell)
+        with pytest.raises(ValueError, match="shards need at least"):
+            ExperimentConfig(n_clients=fits + 1, **cell)
+        ExperimentConfig(n_clients=fits + 1, n_train=SCALES["ci"].n_train + 10, **cell)
+        # SingleSet pools every sample on one client; no shards are cut.
+        ExperimentConfig(n_clients=fits + 1, method="singleset", **cell)
 
     def test_resolved_falls_back_to_preset(self):
         cfg = ExperimentConfig(scale="ci")

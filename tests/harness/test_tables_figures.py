@@ -3,8 +3,10 @@
 import numpy as np
 import pytest
 
+from repro.fl.simulation import History, RoundRecord
+from repro.harness import sweep
 from repro.harness.config import ExperimentConfig
-from repro.harness.convergence import convergence_table, rounds_to_target
+from repro.harness.convergence import convergence_table
 from repro.harness.figures import (
     accuracy_timeline,
     noniid_sweep,
@@ -13,7 +15,7 @@ from repro.harness.figures import (
     server_overhead_figure,
     smooth_series,
 )
-from repro.harness.runner import run_experiment
+from repro.harness.runner import ExperimentResult, run_experiment
 from repro.harness.tables import format_accuracy_table, improvements, table3, table4
 
 
@@ -111,10 +113,13 @@ class TestTimelineAndSweeps:
         assert set(out) == {2, 4}
         assert "fedavg" in out[2]
 
-    def test_participation_sweep_rejects_k_above_n(self):
+    def test_participation_sweep_rejects_k_above_n_before_any_run(self, monkeypatch):
+        ran = []
+        monkeypatch.setattr(sweep, "run_experiment", ran.append)
         with pytest.raises(ValueError):
-            participation_sweep(k_values=(10,), n_clients=5, scale="ci",
+            participation_sweep(k_values=(2, 10), n_clients=5, scale="ci",
                                 methods=("fedavg",))
+        assert ran == []
 
     def test_noniid_sweep(self):
         out = noniid_sweep(
@@ -137,12 +142,50 @@ class TestOverheadFigure:
 
 
 class TestConvergence:
-    def test_rounds_to_target(self):
+    def test_rounds_to_accuracy(self):
         cfg = ExperimentConfig(dataset="mnist", partition="IID", method="fedavg",
                                scale="ci", n_clients=5, clients_per_round=5, rounds=4)
         hist = run_experiment(cfg).history
-        assert rounds_to_target(hist, 0.0) == 0
-        assert rounds_to_target(hist, 1.01) is None
+        assert hist.rounds_to_accuracy(0.0) == 0
+        assert hist.rounds_to_accuracy(1.01) is None
+
+    @staticmethod
+    def _stub_curves(monkeypatch, curves):
+        """Each method's run yields a History with the given accuracy curve."""
+        def fake_run(cfg):
+            history, empty = History(), np.zeros(0)
+            for idx, acc in enumerate(curves[cfg.method]):
+                history.append(RoundRecord(idx, [], empty, empty, empty, empty, 0.0, 0.0,
+                                           test_accuracy=acc))
+            return ExperimentResult(cfg, history.best_accuracy(), history, 0.0)
+        monkeypatch.setattr(sweep, "run_experiment", fake_run)
+
+    def test_relative_divides_round_counts_not_indices(self, monkeypatch):
+        # Target is min of bests = 0.5: FedAvg's 4th round, FedDRL's 2nd.
+        self._stub_curves(monkeypatch, {
+            "fedavg": [0.1, 0.2, 0.3, 0.5],
+            "feddrl": [0.1, 0.6, 0.7, 0.7],
+        })
+        out = convergence_table(methods=("fedavg", "feddrl"), scale="ci")
+        assert out["target"] == 0.5
+        assert out["rounds"] == {"fedavg": 3, "feddrl": 1}
+        assert out["relative"] == {"fedavg": 2.0, "feddrl": 1.0}
+
+    def test_relative_when_feddrl_reaches_target_in_first_round(self, monkeypatch):
+        self._stub_curves(monkeypatch, {
+            "fedavg": [0.1, 0.4],
+            "fedprox": [0.4, 0.4],
+            "feddrl": [0.5, 0.5],
+        })
+        out = convergence_table(scale="ci")
+        assert out["rounds"] == {"fedavg": 1, "fedprox": 0, "feddrl": 0}
+        assert out["relative"] == {"fedavg": 2.0, "fedprox": 1.0, "feddrl": 1.0}
+
+    def test_relative_is_none_without_feddrl(self, monkeypatch):
+        self._stub_curves(monkeypatch, {"fedavg": [0.2, 0.3], "fedprox": [0.3, 0.2]})
+        out = convergence_table(methods=("fedavg", "fedprox"), scale="ci")
+        assert out["rounds"] == {"fedavg": 1, "fedprox": 0}
+        assert out["relative"] == {"fedavg": None, "fedprox": None}
 
     def test_convergence_table_structure(self):
         out = convergence_table(
