@@ -8,7 +8,9 @@ script CI can run:
 2. run it again with ``--checkpoint``, letting a child process SIGKILL
    itself after ``--kill-after`` snapshot saves (a real ``SIGKILL`` —
    no cleanup handlers, no atexit, exactly what a preempted node does);
-3. ``--resume`` from the surviving snapshot and compare hashes.
+3. ``--resume`` from the surviving snapshot, checkpointing to the same
+   path the way a preempted node restarts, compare hashes and check that
+   the final snapshot loads.
 
 Equal hashes mean the resumed training trajectory is bit-identical to
 never having been killed.  Three cells: the synchronous barrier loop, the
@@ -18,7 +20,9 @@ carries live error-feedback residuals and the dispatcher's idle column.
 That cell is killed at a second point too: inside a save, after the new
 residuals reached the array file and were fsync'd but before the head's
 ``os.replace`` — the crash window of the two-file snapshot, which must
-resume from the previous head.
+resume from the previous head.  At both kill points the resumed run's
+first save must continue the array file it inherited (its residuals are
+mapped from there) instead of writing a new generation.
 """
 
 from __future__ import annotations
@@ -38,6 +42,7 @@ sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 from repro.harness.config import ExperimentConfig
 from repro.harness.reporting import history_digest
 from repro.harness.runner import run_experiment
+from repro.runtime.checkpoint import CheckpointError, Checkpointer, load_snapshot
 
 # Runs inside the victim process: a checkpointed experiment that SIGKILLs
 # its own process at a kill point of the Nth save — after it completed
@@ -130,14 +135,42 @@ def smoke_engine(cell: str, rounds: int, kill_after: int, point: str,
         print("  FAIL: the kill missed the save's fsync'd, unreplaced head")
         return False
 
-    resumed = run_experiment(
-        ExperimentConfig(**dict(base_config(cell, rounds), resume=ck))
-    )
+    def array_files():
+        return sorted(os.path.basename(p)
+                      for p in glob.glob(glob.escape(ck) + ".arrays-*"))
+
+    generations = []  # the array files around the resumed run's first save
+    original_save = Checkpointer.save
+
+    def save_and_look(self, state):
+        before = array_files()
+        written = original_save(self, state)
+        if not generations:
+            generations.extend([before, array_files()])
+        return written
+
+    Checkpointer.save = save_and_look
+    try:
+        resumed = run_experiment(ExperimentConfig(
+            **dict(victim_cfg, resume=ck)))
+    finally:
+        Checkpointer.save = original_save
     resumed_hash = history_digest(resumed.history)
     identical = resumed_hash == clean_hash
     verdict = "bit-identical" if identical else "DIVERGED"
     print(f"  {cell}: killed at {point} of save {kill_after}, resumed -> "
           f"{verdict} ({resumed_hash[:12]} vs {clean_hash[:12]})")
+    try:
+        load_snapshot(ck)
+    except CheckpointError as exc:
+        print(f"  FAIL: the final snapshot does not load: {exc}")
+        return False
+    if cell == "fedbuff-full":
+        before, after = generations
+        continued = len(before) == 1 and after == before
+        print(f"    first save after the resume: {before} -> {after} "
+              f"({'continued' if continued else 'NEW GENERATION'})")
+        identical = identical and continued
     return identical
 
 

@@ -64,8 +64,10 @@ class ErrorFeedback:
         return dict(self.residuals)
 
     def restore(self, state: dict) -> None:
+        """Keeps read-only residuals (a loaded snapshot's) by reference."""
         self.residuals = {
-            cid: _read_only(np.array(r)) for cid, r in state.items()
+            cid: _read_only(np.array(r)) if r.flags.writeable else r
+            for cid, r in state.items()
         }
 
 

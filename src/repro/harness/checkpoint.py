@@ -6,7 +6,8 @@ surface.  A handful of fields are deliberately *excluded* from the
 fingerprint because changing them between save and resume is exactly
 the point of checkpointing:
 
-* ``rounds`` — resume and run further (extend a study);
+* ``rounds`` — resume and run further (extend a study), never below
+  the work the snapshot has done;
 * ``backend`` / ``workers`` — resume on a different executor (all
   backends are bit-identical, so this is safe by construction);
 * ``trace`` / ``metrics_interval`` — observability is overlay-only;
@@ -40,7 +41,8 @@ def validate_resume(snapshot: dict, cfg: ExperimentConfig) -> dict:
     """Check a loaded snapshot against ``cfg``; return its state dict.
 
     Raises ``ValueError`` naming every mismatched fingerprint field, so a
-    wrong-experiment resume fails loudly instead of silently diverging.
+    wrong-experiment resume fails loudly instead of silently diverging, and
+    when ``cfg`` budgets less work than the snapshot has already done.
     """
     want = checkpoint_fingerprint(cfg)
     have = snapshot.get("meta", {}).get("fingerprint")
@@ -62,4 +64,15 @@ def validate_resume(snapshot: dict, cfg: ExperimentConfig) -> dict:
             f"snapshot holds {state.get('engine')!r} engine state but this "
             f"config runs the {want_engine!r} engine"
         )
+    if want_engine == "sync":
+        from repro.harness.runner import singleset_run  # runner imports this module
+        run = singleset_run(cfg) if cfg.method == "singleset" else cfg  # epochs
+        done, budget = state["next_round"], run.resolved("rounds")
+        what = f"run {done} rounds, more than this config's {budget}"
+    else:
+        done = state["loop"]["next_job"]
+        budget = cfg.resolved("rounds") * cfg.resolved("clients_per_round")
+        what = f"dispatched {done} jobs, more than --rounds x --per-round = {budget}"
+    if budget < done:
+        raise ValueError(f"the snapshot has already {what}")
     return state

@@ -7,14 +7,21 @@ A snapshot is two files in one directory:
   there) and the engine's state dict;
 * an append-only **array file** beside it, ``<target>.arrays-<gen>``,
   written only when the state holds an *external* array: a read-only
-  ``np.ndarray`` that owns its C-contiguous data and is at least
-  :data:`MIN_EXTERNAL_NBYTES` (the error-feedback residuals).  Such an
-  array is appended the first time a :class:`Checkpointer` sees that
-  object (identity checked through a weak reference, so a recycled
+  ``np.ndarray`` that owns (or maps, see below) its C-contiguous data and
+  is at least :data:`MIN_EXTERNAL_NBYTES` (the error-feedback residuals).
+  Such an array is appended the first time a :class:`Checkpointer` sees
+  that object (identity checked through a weak reference, so a recycled
   ``id()`` cannot alias) and pickled as an ``(array file, offset, dtype,
   shape)`` reference from then on, so a save writes only the arrays that
   appeared since the previous one.  Read-only is the promise that makes
   this safe: whoever holds such an array never writes into it.
+
+:func:`load_snapshot` maps each array file read-only and resolves every
+reference to a view of it, so a load costs the head.  A :class:`Checkpointer`
+whose first save holds views of its head's own array file appends to that
+file past the end the head references; otherwise it starts a new generation.
+Unlinking a mapped file is safe, but truncating one below a view's bytes
+makes reading them raise SIGBUS: nothing here cuts below a head's end.
 
 Writes are crash-atomic: the head is pickled into a temp file in the
 destination directory, the new arrays are appended past everything the
@@ -36,6 +43,7 @@ from __future__ import annotations
 
 import glob
 import itertools
+import math
 import os
 import pickle
 import pickletools
@@ -62,12 +70,32 @@ def _tmp_prefix(path: str) -> str:
     return f".ckpt-{os.path.basename(path)}-"
 
 
+class _ArrayFile(np.memmap):
+    """An array file as :func:`load_snapshot` maps it, with its
+    :func:`_file_id`: views match that very file, never a namesake."""
+
+
+def _file_id(file) -> tuple[int, int]:
+    """``(st_dev, st_ino)`` of a path or a file descriptor."""
+    st = os.stat(file)
+    return st.st_dev, st.st_ino
+
+
+def _mapping(obj: np.ndarray) -> _ArrayFile | None:
+    """The array file ``obj`` is a view of, if :func:`load_snapshot`
+    mapped it (a view's ``.base`` chain ends there)."""
+    base = obj.base
+    while type(base) is np.ndarray:
+        base = base.base
+    return base if isinstance(base, _ArrayFile) else None
+
+
 def _external(obj) -> bool:
     """True for the arrays a snapshot stores in its array file."""
     return (
         type(obj) is np.ndarray
         and not obj.flags.writeable
-        and obj.flags.owndata
+        and (obj.flags.owndata or _mapping(obj) is not None)
         and obj.flags.c_contiguous
         and obj.nbytes >= MIN_EXTERNAL_NBYTES
         and not obj.dtype.hasobject
@@ -76,31 +104,36 @@ def _external(obj) -> bool:
 
 def _array_ref(arrays, offset, dtype, shape):
     """What an external array pickles as; only :func:`load_snapshot`
-    (which swaps this global for a reader of the array file) resolves it."""
+    (which swaps this global for a view of the array file) resolves it."""
     raise CheckpointError("an array reference resolves only through load_snapshot")
 
 
 class _StatePickler(pickle.Pickler):
     """Pickles a payload with every external array as a reference into the
     array file ``arrays``: an array in ``known`` (id -> (weakref, offset))
-    keeps its offset, any other is queued in ``new`` at the next free
-    offset, starting at ``end``.  Without an array file yet, the first
-    external array names one through ``new_file()``."""
+    or mapped from that file (``file_id``) keeps its offset, any other is
+    queued in ``new`` at the next free offset, starting at ``end``.  Without
+    an array file yet, the first external array names one via ``new_file()``."""
 
     def __init__(self, file, known: dict, end: int, arrays: str | None,
-                 new_file) -> None:
+                 file_id: tuple | None, new_file) -> None:
         super().__init__(file, protocol=pickle.HIGHEST_PROTOCOL)
         self.known, self.end, self.arrays = known, end, arrays
-        self.new_file = new_file
+        self.file_id, self.new_file = file_id, new_file
         self.new: list[tuple[np.ndarray, int]] = []
         self.live = 0  # bytes the references point at
+        self.inherited = 0  # ... of which are mapped from ``arrays``
 
     def reducer_override(self, obj):
         if not _external(obj):
             return NotImplemented
         hit = self.known.get(id(obj))
+        mapping = _mapping(obj)
         if hit is not None and hit[0]() is obj:
             offset = hit[1]
+        elif mapping is not None and mapping.file_id == self.file_id:
+            offset = obj.ctypes.data - mapping.ctypes.data
+            self.inherited += obj.nbytes
         else:
             if self.arrays is None:
                 self.arrays = self.new_file()
@@ -112,8 +145,8 @@ class _StatePickler(pickle.Pickler):
 
 
 class _StateUnpickler(pickle.Unpickler):
-    """Resolves array references by reading them from the array files
-    (opened on first use, in the head's directory, kept in ``files``)."""
+    """Resolves array references to read-only views of the array files
+    (mapped on first use, in the head's directory, kept in ``files``)."""
 
     def __init__(self, file, path: str, files: dict) -> None:
         super().__init__(file)
@@ -127,30 +160,33 @@ class _StateUnpickler(pickle.Unpickler):
 
     def _read_array(self, arrays, offset, dtype, shape):
         arrays_path = os.path.join(self.directory, arrays)
-        f = self.files.get(arrays_path)
-        if f is None:
-            try:
-                f = self.files[arrays_path] = open(arrays_path, "rb")
-            except OSError as exc:
-                raise CheckpointError(
-                    f"{arrays_path} (the array file of {self.path}) cannot "
-                    f"be read: {exc}"
-                ) from exc
-        out = np.empty(shape, dtype)
-        f.seek(offset)
-        if f.readinto(out) != out.nbytes:
+        nbytes = np.dtype(dtype).itemsize * math.prod(shape)
+        mapping = self.files.get(arrays_path)
+        try:  # the size first: an empty file cannot be mapped
+            size = os.path.getsize(arrays_path) if mapping is None else mapping.size
+            if mapping is None and offset + nbytes <= size:
+                with open(arrays_path, "rb") as f:
+                    mapping = self.files[arrays_path] = _ArrayFile(f, np.uint8, "r")
+                    mapping.file_id = _file_id(f.fileno())
+        except OSError as exc:
+            raise CheckpointError(
+                f"{arrays_path} (the array file of {self.path}) cannot "
+                f"be read: {exc}"
+            ) from exc
+        if offset + nbytes > size:
             raise CheckpointError(
                 f"{arrays_path} is short: {self.path} references "
-                f"{out.nbytes} bytes at offset {offset}"
+                f"{nbytes} bytes at offset {offset}"
             )
-        return out
+        return np.ndarray(shape, dtype, buffer=mapping, offset=offset)
 
 
 class _ReferenceScan(_StateUnpickler):
-    """Reads a head without its arrays: collects the array files it names."""
+    """Reads a head without its arrays: the end it references in each file."""
 
     def _read_array(self, arrays, offset, dtype, shape):
-        self.files[arrays] = None
+        end = offset + np.dtype(dtype).itemsize * math.prod(shape)
+        self.files[arrays] = max(end, self.files.get(arrays, 0))
 
 
 def _unpickle(path: str, unpickler: pickle.Unpickler):
@@ -186,13 +222,8 @@ def load_snapshot(path: str) -> dict:
             f"derivation of repro.runtime.seeding, so resuming it would "
             f"rebuild a different dataset and clock beneath its history"
         )
-    files: dict = {}
-    try:
-        with open(path, "rb") as f:
-            payload = _unpickle(path, _StateUnpickler(f, path, files))
-    finally:
-        for handle in files.values():
-            handle.close()
+    with open(path, "rb") as f:
+        payload = _unpickle(path, _StateUnpickler(f, path, {}))
     schema = payload.get("schema") if isinstance(payload, dict) else None
     if schema != SNAPSHOT_SCHEMA:
         raise CheckpointError(
@@ -201,18 +232,18 @@ def load_snapshot(path: str) -> dict:
     return payload
 
 
-def _referenced_arrays(path: str) -> set | None:
-    """The array files the head at ``path`` names (empty without a head);
-    None when the head does not parse."""
-    names: dict = {}
+def _referenced_arrays(path: str) -> dict | None:
+    """:class:`_ReferenceScan` of the head at ``path`` (empty without a
+    head); None when the head does not parse."""
+    ends: dict = {}
     try:
         with open(path, "rb") as f:
-            _ReferenceScan(f, path, names).load()
+            _ReferenceScan(f, path, ends).load()
     except FileNotFoundError:
-        return set()
+        return {}
     except Exception:  # a damaged head: reporting it is load_snapshot's job
         return None
-    return set(names)
+    return ends
 
 
 def save_snapshot(path: str, state: dict, meta: dict | None = None) -> int:
@@ -251,10 +282,15 @@ class Checkpointer:
         # The array files the head on disk references (None: unknown).
         self._head_arrays = _referenced_arrays(path)
         self._next_gen = self._sweep_generations() + 1
-        # The array file this checkpointer appends to, its committed
-        # size, and the arrays in it: id -> (weakref, offset).
-        self._arrays: str | None = None
-        self._end = 0
+        # The array file this checkpointer appends to, its committed size
+        # and id, and the arrays it wrote there: id -> (weakref, offset).
+        # It starts as the head's own, kept by a first save that saves
+        # arrays mapped from there.
+        self._arrays, self._end, self._file_id = None, 0, None
+        for name, end in (self._head_arrays or {}).items():
+            own = os.path.join(self.directory, name)
+            if self._pattern.fullmatch(name) and os.path.exists(own):
+                self._arrays, self._end, self._file_id = name, end, _file_id(own)
         self._known: dict[int, tuple[weakref.ref, int]] = {}
 
     def _sweep_generations(self) -> int:
@@ -295,13 +331,16 @@ class Checkpointer:
             dir=self.directory, prefix=_tmp_prefix(self.path), suffix=".tmp")
         try:
             with os.fdopen(fd, "wb") as f:
-                pickled = self._pickle(f, payload, self._known, self._end, self._arrays)
-                if pickled.end > 2 * pickled.live:
+                pickled = self._pickle(f, payload, self._known, self._end,
+                                       self._arrays, self._file_id)
+                if pickled.end > 2 * pickled.live or (
+                        self._arrays and not (self.saves or pickled.inherited)):
                     # The array file would hold more dead bytes than live
-                    # ones: write the live arrays into a new generation.
+                    # ones, or is the head's and nothing saved came from
+                    # it: write the live arrays into a new generation.
                     f.seek(0)
                     f.truncate()
-                    pickled = self._pickle(f, payload, {}, 0, None)
+                    pickled = self._pickle(f, payload, {}, 0, None, None)
                 written = self._append(pickled) if pickled.new else 0
                 f.flush()
                 os.fsync(f.fileno())
@@ -317,24 +356,26 @@ class Checkpointer:
         for obj, offset in pickled.new:
             pickled.known[id(obj)] = (weakref.ref(obj), offset)
         self._arrays, self._known, self._end = pickled.arrays, pickled.known, pickled.end
+        self._file_id = pickled.file_id
         # The replaced head's array files this target owns (a copied
         # head may name another target's), unless still in use.
         for name in self._head_arrays or ():
             if name != self._arrays and self._pattern.fullmatch(name):
                 os.unlink(os.path.join(self.directory, name))
-        self._head_arrays = set() if self._arrays is None else {self._arrays}
+        self._head_arrays = {} if self._arrays is None else {self._arrays: self._end}
         self.saves += 1
         self.last_bytes = written
         return written
 
-    def _pickle(self, f, payload, known, end, arrays) -> _StatePickler:
-        pickled = _StatePickler(f, known, end, arrays, self._new_file)
+    def _pickle(self, f, payload, known, end, arrays, file_id) -> _StatePickler:
+        pickled = _StatePickler(f, known, end, arrays, file_id, self._new_file)
         pickled.dump(payload)
         return pickled
 
     def _append(self, pickled: _StatePickler) -> int:
         """Write the new arrays at their offsets, cut anything a failed save
-        left beyond them, and fsync; returns the bytes written."""
+        left beyond them (never below the head's end: a mapping may read
+        up to it), and fsync; returns the bytes written."""
         start = pickled.new[0][1]
         path = os.path.join(self.directory, pickled.arrays)
         with open(os.open(path, os.O_RDWR | os.O_CREAT, 0o644), "r+b") as f:
@@ -344,4 +385,5 @@ class Checkpointer:
             f.truncate(pickled.end)
             f.flush()
             os.fsync(f.fileno())
+            pickled.file_id = _file_id(f.fileno())
         return pickled.end - start

@@ -17,8 +17,10 @@ listed in CHANGES.md).
 pooling layer.  The ``simple_cnn`` cells at the bottom pin the conv path
 (float64 and float32, sync engine) and hold it to the two system-wide
 invariants: serial == thread == process, killed/resumed == uninterrupted.
-A change that reorders conv arithmetic moves these — and only these — once,
-in a commit that lists old -> new.
+The invariants compare two runs made in the same test, so they hold on any
+numeric host; only the pin names this host's digest.  A change that
+reorders conv arithmetic moves the pins — and only these — once, in a
+commit that lists old -> new.
 """
 
 from __future__ import annotations
@@ -221,7 +223,7 @@ def test_simple_cnn_digest_is_pinned(name):
 @pytest.mark.parametrize("name", sorted(CNN_CELLS))
 def test_simple_cnn_backends_agree_with_serial(name, backend):
     cell = {**CNN_CELLS[name], "backend": backend, "workers": 2}
-    assert digest(cell) == GOLDEN_CNN[name]
+    assert digest(cell) == digest(CNN_CELLS[name])
 
 
 @pytest.mark.parametrize("name", sorted(CNN_CELLS))
@@ -231,4 +233,4 @@ def test_simple_cnn_killed_and_resumed_equals_uninterrupted(name, tmp_path, monk
     with pytest.raises(_Interrupted):
         digest({**CNN_CELLS[name], "checkpoint_path": ck})
     monkeypatch.undo()
-    assert digest({**CNN_CELLS[name], "resume": ck}) == GOLDEN_CNN[name]
+    assert digest({**CNN_CELLS[name], "resume": ck}) == digest(CNN_CELLS[name])

@@ -10,7 +10,7 @@ import pytest
 
 from repro.fl.client import ClientUpdate
 from repro.fl.wire import WireFormat, get_codec
-from repro.runtime.checkpoint import Checkpointer, load_snapshot
+from repro.runtime.checkpoint import Checkpointer, _mapping, load_snapshot
 
 
 def _update(weights, cid=3):
@@ -194,6 +194,22 @@ class TestReadOnlyResiduals:
         assert not residual.flags.writeable
         with pytest.raises(ValueError, match="read-only"):
             residual += 1.0
+
+    def test_restore_keeps_loaded_residuals_by_reference(self, tmp_path):
+        """A loaded snapshot's residuals are read-only views of its array
+        file: restore keeps them as they are (no copy, pages untouched)
+        and copies only a writable residual, leaving the caller's alone."""
+        path = str(tmp_path / "wire.ckpt")
+        Checkpointer(path).save(self._sent([0, 1]).snapshot())
+        state = load_snapshot(path)["state"]
+        writable = np.ones(self.DIM)
+        fresh = _wire("topk+qsgd8", topk_frac=0.1)
+        fresh.restore({**state, "residuals": {**state["residuals"], 2: writable}})
+        for cid in (0, 1):
+            residual = fresh.ef.residuals[cid]
+            assert residual is state["residuals"][cid]
+            assert _mapping(residual) is not None and not residual.flags.writeable
+        assert fresh.ef.residuals[2] is not writable and writable.flags.writeable
 
     def test_snapshot_shares_residuals_by_reference(self):
         wire = self._sent([0, 1])

@@ -5,6 +5,7 @@ with SIGKILL mid-round — resumes to a History bit-identical to an
 uninterrupted run, for both the sync and the FedBuff engines.
 """
 
+import glob
 import json
 import os
 import pickle
@@ -17,6 +18,7 @@ import textwrap
 import numpy as np
 import pytest
 
+from repro.__main__ import main
 from repro.harness.checkpoint import (
     EXCLUDED_FROM_FINGERPRINT,
     checkpoint_fingerprint,
@@ -31,6 +33,7 @@ from repro.runtime.checkpoint import (
     CheckpointError,
     Checkpointer,
     _external,
+    _mapping,
     _tmp_prefix,
     load_snapshot,
     save_snapshot,
@@ -235,15 +238,17 @@ class TestArrayFile:
             ck.save({"a": frozen(BIG, float(fill))})  # the last one dies here
             assert load_snapshot(path)["state"]["a"][0] == fill
 
-    @pytest.mark.parametrize("damage", ["deleted", "truncated"])
+    @pytest.mark.parametrize("damage", ["deleted", "truncated", "emptied"])
     def test_damaged_array_file_names_that_file(self, tmp_path, damage):
+        """Checked against the file's size before it is mapped: an empty
+        file cannot be mapped at all."""
         path = str(tmp_path / "snap.ckpt")
         save_snapshot(path, {"w": frozen(2 * BIG, 3.0)})
         arrays = tmp_path / "snap.ckpt.arrays-1"
         if damage == "deleted":
             arrays.unlink()
         else:
-            arrays.write_bytes(arrays.read_bytes()[:BIG])
+            arrays.write_bytes(arrays.read_bytes()[:BIG if damage == "truncated" else 0])
         with pytest.raises(CheckpointError, match="snap.ckpt.arrays-1"):
             load_snapshot(path)
 
@@ -298,6 +303,87 @@ class TestArrayFile:
         (tmp_path / "run.ckpt.arrays-3").write_bytes(b"maybe needed")
         Checkpointer(str(path))
         assert (tmp_path / "run.ckpt.arrays-3").exists()
+
+    def test_loaded_arrays_are_read_only_views_of_the_array_file(self, tmp_path):
+        """A load maps the array file instead of reading it; what it hands
+        out cannot be written, and a save stores it as a reference again
+        (it counts as external though it does not own its data)."""
+        path = str(tmp_path / "snap.ckpt")
+        save_snapshot(path, {"a": frozen(BIG, 1.0), "b": frozen((2, BIG), 2.0)})
+        state = load_snapshot(path)["state"]
+        for array in state.values():
+            assert not array.flags.writeable and not array.flags.owndata
+            assert _mapping(array) is _mapping(state["a"]) is not None
+            assert _external(array)
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 9.0
+        assert not _external(state["b"][:, : BIG // 2])  # not contiguous
+
+    def test_a_save_of_loaded_arrays_continues_the_heads_file(self, tmp_path):
+        """Saving what a load mapped from the head's own array file writes
+        only the head and the new arrays, appended past what the head
+        references: a resume neither copies nor rewrites what it
+        inherits."""
+        path = str(tmp_path / "snap.ckpt")
+        save_snapshot(path, {"a": frozen(BIG, 1.0), "b": frozen(BIG, 2.0)})
+        state = load_snapshot(path)["state"]
+        c = frozen(BIG, 3.0)
+        ck = Checkpointer(path)
+        assert ck.save({**state, "c": c}) == c.nbytes + os.path.getsize(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "snap.ckpt", "snap.ckpt.arrays-1"]
+        assert os.path.getsize(tmp_path / "snap.ckpt.arrays-1") == 3 * c.nbytes
+        # The next save references all three where they are.
+        assert ck.save({**state, "c": c}) == os.path.getsize(path)
+        again = load_snapshot(path)["state"]
+        for key, fill in (("a", 1.0), ("b", 2.0), ("c", 3.0)):
+            np.testing.assert_array_equal(again[key], np.full(BIG, fill))
+
+    def test_a_continued_file_overwrites_only_an_unreferenced_tail(self, tmp_path):
+        """A kill between a save's array fsync and its head's replace leaves
+        bytes past the end the head references; the resumed save appends
+        over them, never below that end."""
+        path = str(tmp_path / "snap.ckpt")
+        save_snapshot(path, {"a": frozen(BIG, 1.0)})
+        arrays = tmp_path / "snap.ckpt.arrays-1"
+        with open(arrays, "ab") as f:
+            f.write(b"\xff" * (3 * BIG * 8))  # the stranded tail
+        state = load_snapshot(path)["state"]
+        Checkpointer(path).save({**state, "b": frozen(BIG, 2.0)})
+        assert os.path.getsize(arrays) == 2 * BIG * 8
+        again = load_snapshot(path)["state"]
+        np.testing.assert_array_equal(state["a"], np.full(BIG, 1.0))
+        np.testing.assert_array_equal(again["b"], np.full(BIG, 2.0))
+
+    def test_a_continued_file_still_compacts(self, tmp_path):
+        """Keeping one loaded array of four leaves the inherited file three
+        quarters dead: the save writes a new generation, copying the kept
+        array out of the mapping, and deletes the old file while that
+        mapping still reads it (unlinking a mapped file is safe)."""
+        path = str(tmp_path / "snap.ckpt")
+        save_snapshot(path, {f"a{i}": frozen(BIG, float(i)) for i in range(4)})
+        state = load_snapshot(path)["state"]
+        kept = state["a3"]
+        assert Checkpointer(path).save({"a3": kept}) == kept.nbytes + os.path.getsize(path)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "snap.ckpt", "snap.ckpt.arrays-2"]
+        np.testing.assert_array_equal(state["a0"], np.full(BIG, 0.0))
+        np.testing.assert_array_equal(
+            load_snapshot(path)["state"]["a3"], np.full(BIG, 3.0))
+
+    def test_arrays_loaded_from_another_target_are_copied(self, tmp_path):
+        """Only the head's own array file is continued: arrays mapped from
+        another snapshot's file are written into this target's."""
+        src = str(tmp_path / "src.ckpt")
+        save_snapshot(src, {"a": frozen(BIG, 1.0)})
+        state = load_snapshot(src)["state"]
+        dst = str(tmp_path / "dst.ckpt")
+        save_snapshot(dst, {"old": frozen(BIG, 0.0)})
+        save_snapshot(dst, state)
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "dst.ckpt", "dst.ckpt.arrays-2", "src.ckpt", "src.ckpt.arrays-1"]
+        np.testing.assert_array_equal(
+            load_snapshot(dst)["state"]["a"], np.full(BIG, 1.0))
 
     def test_array_file_stays_within_twice_the_live_bytes(self, tmp_path):
         """Replacing every array on every save makes the file compact into
@@ -501,6 +587,26 @@ class TestResumeEndToEnd:
         resumed = run_experiment(fast_cfg(resume=ck))
         assert history_digest(resumed.history) == clean
 
+    @pytest.mark.parametrize("engine, done", [
+        ("sync", "run 4 rounds, more than this config's 2"),
+        ("fedbuff", "dispatched 20 jobs, more than --rounds x --per-round = 10"),
+    ])
+    def test_resume_below_the_snapshots_progress_exits_2(self, engine, done,
+                                                         tmp_path, capsys):
+        """A resume may extend a run, never cut it short: fewer rounds
+        than the snapshot has run (sync), or fewer jobs than it has
+        dispatched (fedbuff), exit 2 with one line."""
+        ck = str(tmp_path / "run.ckpt")
+        flags = ["--method", "fedavg", "--scale", "ci", "--clients", "5",
+                 "--per-round", "5"]
+        if engine == "fedbuff":
+            flags += ["--aggregation", "fedbuff", "--latency-model", "lognormal"]
+        assert main([*flags, "--rounds", "4", "--checkpoint", ck]) == 0
+        capsys.readouterr()
+        assert main([*flags, "--rounds", "2", "--resume", ck]) == 2
+        err = capsys.readouterr().err
+        assert err == f"python -m repro: error: --resume: the snapshot has already {done}\n"
+
     def test_wrong_experiment_resume_fails_loudly(self, tmp_path):
         ck = str(tmp_path / "run.ckpt")
         run_experiment(fast_cfg(checkpoint_path=ck).with_(rounds=2))
@@ -544,6 +650,56 @@ class TestArrayFileEndToEnd:
 
         resumed = run_experiment(cfg.with_(resume=ck))
         assert history_digest(resumed.history) == clean
+
+    def test_an_ef_resume_continues_the_inherited_array_file(self, tmp_path,
+                                                            monkeypatch):
+        """A FedBuff cell with topk+qsgd8 error feedback, killed after 2
+        saves and resumed to the same path, matches the uninterrupted run.
+        Its first save after the resume writes the head plus only the
+        residuals absorbed since the resume, into the inherited array file,
+        and the head never inlines the loaded residuals."""
+        cfg = fast_cfg("fedbuff", codec="topk+qsgd8").with_(
+            n_clients=10, clients_per_round=3, rounds=12)
+        assert cfg.error_feedback
+        original = Checkpointer.step
+        saves = {"clean": [], "resumed": []}
+
+        def step_and_measure(self, state_fn):
+            saved = original(self, state_fn)
+            if saved:
+                residuals = state_fn()["wire"]["residuals"].values()
+                mapped = sum(_mapping(r) is not None for r in residuals)
+                absorbed = sum(r.nbytes for r in residuals
+                               if _external(r) and _mapping(r) is None)
+                head = os.path.getsize(self.path)
+                saves[os.path.basename(self.directory)].append(dict(
+                    head=head, arrays_written=self.last_bytes - head,
+                    absorbed=absorbed, mapped=mapped,
+                    files=sorted(glob.glob("run.ckpt.arrays-*", root_dir=self.directory))))
+            return saved
+
+        monkeypatch.setattr(Checkpointer, "step", step_and_measure)
+        clean = history_digest(run_experiment(
+            cfg.with_(checkpoint_path=str(tmp_path / "clean" / "run.ckpt"))).history)
+
+        ck = str(tmp_path / "resumed" / "run.ckpt")
+        interrupt_after_saves(monkeypatch, 2)
+        with pytest.raises(_Interrupted):
+            run_experiment(cfg.with_(checkpoint_path=ck))
+        monkeypatch.undo()
+        inherited = sorted(glob.glob("run.ckpt.arrays-*", root_dir=tmp_path / "resumed"))
+        monkeypatch.setattr(Checkpointer, "step", step_and_measure)
+        saves["resumed"].clear()
+        resumed = run_experiment(cfg.with_(checkpoint_path=ck, resume=ck))
+        monkeypatch.undo()
+
+        assert history_digest(resumed.history) == clean
+        first = saves["resumed"][0]
+        assert first["mapped"] > 0 and first["absorbed"] > 0
+        assert first["arrays_written"] == first["absorbed"]
+        assert first["files"] == inherited  # no new generation
+        for after, uninterrupted in zip(saves["resumed"], saves["clean"][2:], strict=True):
+            assert after["head"] <= 2 * uninterrupted["head"]
 
     def test_traced_saves_are_wall_only_spans_with_bytes(self, tmp_path):
         """Each save is one ``checkpoint.save`` span in the program's own
