@@ -7,8 +7,8 @@ simulated stragglers (8x slower, heavy-tailed latency).  The virtual
 clock (see ``repro.runtime.clock``) runs the same training three ways:
 
 * no clock       — the seed behavior, timing ignored;
-* wait policy    — every round waits out its slowest device;
-* drop policy    — rounds end at a deadline, late updates are discarded;
+* no deadline    — every round waits out its slowest device;
+* deadline       — rounds end at a deadline, late updates are discarded;
 * fedbuff        — no rounds at all: the event-driven async engine
                    aggregates every 5 arrivals, stragglers never block
                    anyone (same 2x job budget the async bench uses);
@@ -22,7 +22,7 @@ clock (see ``repro.runtime.clock``) runs the same training three ways:
 
 Waiting preserves accuracy but inflates simulated training time; dropping
 caps round length at the cost of losing straggler updates; buffered-async
-sidesteps the trade-off — it matches the wait policy's accuracy in a
+sidesteps the trade-off — it matches the waiting rounds' accuracy in a
 fraction of the simulated time because the fleet never idles behind its
 slowest device.  Execution runs on the thread backend to show that
 backends, device simulation, and the async engine compose.
@@ -59,7 +59,7 @@ def main() -> None:
     scenarios = {
         "no clock": base,
         "wait for stragglers": clocked,
-        "drop at deadline": clocked.with_(deadline_s=1.0, deadline_policy="drop"),
+        "drop at deadline": clocked.with_(deadline_s=1.0),
         "fedbuff (async)": clocked.with_(
             aggregation="fedbuff", buffer_size=5, staleness="hinge",
             rounds=60,  # 2x the sync job budget; see benchmarks/bench_async.py
@@ -89,7 +89,7 @@ def main() -> None:
         "\na slice of accuracy for bounded round time; buffered-async keeps"
         "\nevery update AND bounded time by giving up the round barrier"
         "\n(--aggregation fedbuff on the CLI). The deadline remains the dial"
-        "\nfor synchronous runs (--deadline / --deadline-policy)."
+        "\nfor synchronous runs (--deadline)."
         "\nUnder availability churn ('lost' = updates dropped mid-round"
         "\nafter their compute was paid), the sync barrier also shrinks to"
         "\nwhoever is online; fedbuff with fairness dispatch and the delta"

@@ -7,7 +7,7 @@ Examples::
         --clients 30 --per-round 10 --rounds 60 --scale bench
     python -m repro --method fedavg --backend process --workers 4
     python -m repro --method fedavg --latency-model lognormal \
-        --straggler-fraction 0.2 --deadline 5 --deadline-policy drop
+        --straggler-fraction 0.2 --deadline 5
     python -m repro --method fedavg --aggregation fedbuff --buffer-size 5 \
         --latency-model lognormal --straggler-fraction 0.3
     python -m repro --method fedavg --latency-model lognormal \
@@ -105,7 +105,7 @@ def main(argv: list[str] | None = None) -> int:
             **{f.name: getattr(args, flag.dest) for f, flag in cli_fields()}
         )
     except ValueError as err:
-        # Cross-flag constraints (K <= N, drop needs a deadline, ...) live
+        # Cross-flag constraints (K <= N, a deadline needs a clock, ...) live
         # in the config layer; report them CLI-style. Errors raised later,
         # during the run, keep their tracebacks.
         print(f"python -m repro: error: {err}", file=sys.stderr)

@@ -11,7 +11,6 @@ splits, plus an IID control.
 
 from repro.data.dataset import ArrayDataset, RowView, train_test_split
 from repro.data.shm import (
-    HAVE_SHARED_MEMORY,
     SharedArrayDataset,
     SharedMemoryPool,
     share_clients,
@@ -39,7 +38,6 @@ from repro.data.synthetic import (
 __all__ = [
     "ArrayDataset",
     "RowView",
-    "HAVE_SHARED_MEMORY",
     "SharedArrayDataset",
     "SharedMemoryPool",
     "share_clients",

@@ -10,16 +10,17 @@ it.  Pickling a :class:`SharedArrayDataset` ships only block names and
 shapes, a view over one ships those plus its rows, and workers attach
 instead of copying.
 
-Everything degrades transparently: if shared memory is unavailable (no
-``/dev/shm``, exotic platforms, permission failures) the original
-heap-backed datasets are used and behavior is identical — sharing is a
-memory optimisation, never a semantic change.
+Everything degrades transparently: if a block cannot be created (no
+``/dev/shm``, permission failures, a full mount) the original heap-backed
+datasets are used and behavior is identical — sharing is a memory
+optimisation, never a semantic change.
 """
 
 from __future__ import annotations
 
 import copy
 import math
+from multiprocessing import resource_tracker, shared_memory
 from typing import TYPE_CHECKING
 
 import numpy as np
@@ -28,14 +29,6 @@ if TYPE_CHECKING:
     from repro.fl.client import Client
 
 from repro.data.dataset import ArrayDataset, RowView
-
-try:  # pragma: no cover - import always succeeds on CPython >= 3.8
-    from multiprocessing import resource_tracker, shared_memory
-    HAVE_SHARED_MEMORY = True
-except ImportError:  # pragma: no cover - exotic platforms only
-    shared_memory = None
-    resource_tracker = None
-    HAVE_SHARED_MEMORY = False
 
 
 def _attach_block(name: str):
@@ -131,11 +124,9 @@ def share_dataset(dataset: ArrayDataset) -> tuple[ArrayDataset, list]:
 
     Returns ``(shared_dataset, blocks)`` where ``blocks`` are the newly
     created :class:`SharedMemory` segments the caller now owns (see
-    :class:`SharedMemoryPool`).  On any failure — no shared-memory
-    support, creation error — returns ``(dataset, [])`` unchanged.
+    :class:`SharedMemoryPool`).  If block creation fails, returns
+    ``(dataset, [])`` unchanged.
     """
-    if not HAVE_SHARED_MEMORY:
-        return dataset, []
     if isinstance(dataset, SharedArrayDataset):
         return dataset, []
     try:

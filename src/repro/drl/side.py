@@ -54,20 +54,19 @@ def _threads() -> int:
 
 
 def side_process_available() -> bool:
-    """Whether a pass may run in a forked helper: shared memory and the
-    ``fork`` start method exist, this process may run on at least two CPUs
-    (on one, the helper only adds copies and switches), and it runs no
-    other thread.  A Python thread makes forking unsafe (the child can
-    deadlock on a lock it held; Python 3.12 warns), and the thread and
-    process backends keep their pools' threads alive.  A native pool — a
+    """Whether a pass may run in a forked helper: the ``fork`` start
+    method exists, this process may run on at least two CPUs (on one, the
+    helper only adds copies and switches), and it runs no other thread.
+    A Python thread makes forking unsafe (the child can deadlock on a lock
+    it held; Python 3.12 warns), and the thread and process backends keep
+    their pools' threads alive.  A native pool — a
     multi-threaded BLAS — would be duplicated in the helper, and the two
     pools' spinning workers starve each other: pin BLAS to one thread
     (``OPENBLAS_NUM_THREADS=1``, as the benchmarks do) to train on the
     side."""
     affinity = getattr(os, "sched_getaffinity", None)
     return (
-        shm.HAVE_SHARED_MEMORY
-        and "fork" in multiprocessing.get_all_start_methods()
+        "fork" in multiprocessing.get_all_start_methods()
         and affinity is not None
         and len(affinity(0)) >= 2
         and _threads() == 1

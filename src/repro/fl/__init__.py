@@ -9,7 +9,6 @@ global model.  The paper's SingleSet reference is a one-client FedAvg run
 """
 
 from repro.fl.async_ import (
-    AGGREGATION_MODES,
     DELTA_MIX,
     DISPATCH_POLICIES,
     AsyncFederatedServer,
@@ -56,7 +55,6 @@ from repro.fl.wire import (
 from repro.obs.metrics import Timer
 
 __all__ = [
-    "AGGREGATION_MODES",
     "DELTA_MIX",
     "DISPATCH_POLICIES",
     "AsyncFederatedServer",

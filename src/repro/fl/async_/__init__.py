@@ -4,8 +4,8 @@ Replaces the synchronous per-round barrier with an arrival-ordered event
 queue over :class:`~repro.runtime.clock.VirtualClock` finish times: up to
 ``max_concurrency`` client jobs train concurrently against whatever
 global model existed when they were dispatched, and the server aggregates
-whenever ``buffer_size`` updates have *arrived* in virtual time (FedBuff)
-or on every arrival (FedAsync), weighting each update by a staleness
+whenever ``buffer_size`` updates have *arrived* in virtual time (FedBuff;
+``buffer_size=1`` is FedAsync), weighting each update by a staleness
 decay composed with the configured :class:`~repro.fl.strategies.Strategy`.
 
 Event order is a pure function of the experiment seed — job latencies
@@ -16,7 +16,6 @@ execution backends, exactly like synchronous rounds.
 
 from repro.fl.async_.events import ArrivalEvent, ClientJob, EventQueue
 from repro.fl.async_.server import (
-    AGGREGATION_MODES,
     DELTA_MIX,
     DISPATCH_POLICIES,
     AsyncFederatedServer,
@@ -31,7 +30,6 @@ from repro.fl.async_.staleness import (
 )
 
 __all__ = [
-    "AGGREGATION_MODES",
     "DELTA_MIX",
     "DISPATCH_POLICIES",
     "STALENESS_POLICIES",

@@ -1,4 +1,4 @@
-"""The event-queue scheduler: buffered asynchronous FL (FedBuff / FedAsync).
+"""The event-queue scheduler: buffered asynchronous FL (FedBuff).
 
 Where the barrier scheduler (:class:`~repro.fl.simulation.FederatedSimulation`)
 waits for every round's slowest participant, this one keeps up to
@@ -12,7 +12,7 @@ virtual-time order.  It supplies the three scheduler hooks of
 * **when a window closes** — arrivals pop from the :class:`EventQueue`
   and are buffered with their staleness (how many aggregations happened
   since the job was dispatched) until ``buffer_size`` updates are in
-  (``mode="fedbuff"``), or on every arrival (``mode="fedasync"``); the
+  (FedAsync is ``buffer_size=1`` with ``server_mix=0.6``); the
   budget's partial final buffer closes one last window, unless the
   strategy needs a fixed participation level (FedDRL), which discards it;
 * **which inputs the window gets** — per-update staleness factors that
@@ -67,18 +67,12 @@ from repro.runtime.executor import Executor
 from repro.runtime.faults import FaultPlan
 from repro.runtime.seeding import STREAM_DISPATCH, run_rng
 
-AGGREGATION_MODES = ("fedbuff", "fedasync")
 # How free concurrency slots are assigned to idle online clients:
 # "random" — uniform choice (the historical behavior); "fairness" — the
 # client with the fewest dispatched jobs goes first, so fast devices no
 # longer collect proportionally more jobs just by finishing sooner.
 DISPATCH_POLICIES = ("random", "fairness")
 
-# Default server mixing steps: FedBuff replaces the global model with the
-# buffered combination (the buffer already averages M models); FedAsync
-# mixes a single — often stale — client model conservatively (the
-# literature's alpha ~ 0.6).
-_DEFAULT_MIX = {"fedbuff": 1.0, "fedasync": 0.6}
 # server_mix="delta": FedBuff's original update form — the global model
 # moves by the weighted mean client *delta* (w_trained - w_dispatched)
 # instead of toward the weighted mean client model, so a stale update
@@ -110,7 +104,6 @@ class AsyncFederatedServer(FederatedEngine):
         config: FLConfig,
         clock: VirtualClock,
         executor: Executor | None = None,
-        mode: str = "fedbuff",
         buffer_size: int = 5,
         max_concurrency: int | None = None,
         staleness: StalenessWeighting | None = None,
@@ -134,8 +127,6 @@ class AsyncFederatedServer(FederatedEngine):
                 "asynchronous aggregation needs a VirtualClock — arrival "
                 "order is defined by simulated device latency"
             )
-        if mode not in AGGREGATION_MODES:
-            raise ValueError(f"mode must be one of {AGGREGATION_MODES}, got {mode!r}")
         if buffer_size <= 0:
             raise ValueError("buffer_size must be positive")
         if max_concurrency is None:
@@ -156,16 +147,15 @@ class AsyncFederatedServer(FederatedEngine):
                 )
             server_mix = 1.0  # the delta step's learning rate eta
         elif server_mix is None:
-            server_mix = _DEFAULT_MIX[mode]
+            # The buffer already averages its models: replace the global one.
+            server_mix = 1.0
         if not 0.0 < server_mix <= 1.0:
             raise ValueError("server_mix must be in (0, 1]")
         if dispatch not in DISPATCH_POLICIES:
             raise ValueError(
                 f"dispatch must be one of {DISPATCH_POLICIES}, got {dispatch!r}"
             )
-        self.mode = mode
-        # FedAsync is exactly a buffer of one.
-        self.flush_size = 1 if mode == "fedasync" else buffer_size
+        self.buffer_size = buffer_size
         self.max_concurrency = max_concurrency
         self.staleness = staleness if staleness is not None else PolynomialStaleness()
         self.server_mix = float(server_mix)
@@ -300,7 +290,7 @@ class AsyncFederatedServer(FederatedEngine):
 
     # -- when a window closes ------------------------------------------------
     def _next_window(self) -> dict | None:
-        """Process arrivals in virtual-time order until ``flush_size``
+        """Process arrivals in virtual-time order until ``buffer_size``
         updates are buffered and hand them out as one window (see
         :meth:`_flush`); after the last arrival, the partial final buffer
         is the last window.  None once all ``total_jobs`` have arrived.
@@ -328,7 +318,7 @@ class AsyncFederatedServer(FederatedEngine):
                     break  # pathological availability; give up cleanly
                 continue
             self._arrive(st)
-            if len(st["buffer"]) >= self.flush_size:
+            if len(st["buffer"]) >= self.buffer_size:
                 return self._flush(st)
             self._dispatch_until_full(st)
         if st["buffer"] and getattr(self.strategy, "fixed_k", False):

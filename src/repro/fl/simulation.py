@@ -24,7 +24,7 @@ backend (serial / thread / process — all bit-identical for a given seed
 thanks to ``(round, client)``-keyed batch RNGs), and an optional
 :class:`~repro.runtime.clock.VirtualClock` overlays simulated device
 latency: per-round makespans are recorded alongside the real timings, and
-a ``drop``-policy deadline excludes straggler updates from aggregation.
+a round deadline excludes straggler updates from aggregation.
 
 An optional :class:`~repro.fleet.FleetSimulator` adds *dynamic* fleet
 behavior on top: the selection pool is filtered to clients online at the
@@ -977,7 +977,7 @@ class FederatedSimulation(FederatedEngine):
     Round t is window t: the selector picks K participants among the
     clients online at the round's simulated start, all train on the
     current weights, and the window closes on the slowest of them (or at
-    a ``drop`` deadline) with no anchors, no staleness factors and a
+    the deadline) with no anchors, no staleness factors and a
     replace-form mix."""
 
     engine = "sync"
@@ -1063,7 +1063,7 @@ class FederatedSimulation(FederatedEngine):
         online at the round's simulated start (the server waits, advancing
         the clock, while nobody is); all train on the current weights, a
         fleet may cut their local work short, and the window closes on the
-        slowest.  A ``drop`` deadline excludes the stragglers' updates, and
+        slowest.  A deadline excludes the stragglers' updates, and
         fleet dropout loses an update after its compute time entered the
         makespan — but one update always survives (a real server would
         re-request rather than lose the round)."""

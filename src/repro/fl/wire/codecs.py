@@ -42,12 +42,9 @@ _CODEC_NAMES = {v: k for k, v in _CODEC_IDS.items()}
 _DTYPE_CODES = {np.dtype(np.float32): 0, np.dtype(np.float64): 1}
 _DTYPE_NAMES = {v: k for k, v in _DTYPE_CODES.items()}
 
-# Accepted codec names (the config vocabulary).  Bare "qsgd" /
-# "topk+qsgd" resolve their bit width from the quant_bits knob.
-WIRE_CODECS = (
-    "dense", "topk", "qsgd", "qsgd4", "qsgd8",
-    "topk+qsgd", "topk+qsgd4", "topk+qsgd8",
-)
+# Accepted codec names (the config vocabulary); a quantizing codec names
+# its bit width.
+WIRE_CODECS = ("dense", "topk", "qsgd4", "qsgd8", "topk+qsgd4", "topk+qsgd8")
 QUANT_BITS = (4, 8)
 DEFAULT_CHUNK = 4096
 
@@ -441,27 +438,16 @@ class TopKQSGDCodec(Codec):
 
 
 def get_codec(
-    name: str,
-    topk_frac: float = 0.01,
-    quant_bits: int = 8,
-    chunk: int = DEFAULT_CHUNK,
+    name: str, topk_frac: float = 0.01, chunk: int = DEFAULT_CHUNK
 ) -> Codec:
-    """Codec by config/CLI name.
-
-    Bare ``qsgd`` / ``topk+qsgd`` take their bit width from
-    ``quant_bits``; the suffixed forms (``qsgd4``, ``topk+qsgd8``) pin
-    it in the name.
-    """
+    """Codec by config/CLI name; ``qsgd4`` / ``topk+qsgd8`` name their bits."""
     if name not in WIRE_CODECS:
         raise ValueError(f"codec must be one of {WIRE_CODECS}, got {name!r}")
     if name == "dense":
         return DenseCodec()
     if name == "topk":
         return TopKCodec(frac=topk_frac)
-    if name.startswith("topk+qsgd"):
-        suffix = name[len("topk+qsgd"):]
-        bits = int(suffix) if suffix else quant_bits
+    bits = int(name[-1])
+    if name.startswith("topk+"):
         return TopKQSGDCodec(frac=topk_frac, bits=bits, chunk=chunk)
-    suffix = name[len("qsgd"):]
-    bits = int(suffix) if suffix else quant_bits
     return QSGDCodec(bits=bits, chunk=chunk)

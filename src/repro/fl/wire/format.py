@@ -106,7 +106,7 @@ class WireFormat:
     never accumulates residuals (there is no error to feed back).
 
     Note on dropped sync uploads: error feedback is updated for *every*
-    transmitted upload, including ones a deadline policy later drops —
+    transmitted upload, including ones a deadline later drops —
     the client-side encoding already happened, and keeping the residual
     update unconditional keeps it a pure function of the ``(round,
     client)`` cell rather than of drop outcomes.

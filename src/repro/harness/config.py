@@ -29,22 +29,12 @@ from dataclasses import Field, dataclass, field, fields, replace
 from typing import Any, Callable
 
 from repro.data.partition import SHARDS_PER_CLIENT, check_shards_fit
-from repro.fl.async_ import (
-    AGGREGATION_MODES,
-    DELTA_MIX,
-    DISPATCH_POLICIES,
-    STALENESS_POLICIES,
-)
+from repro.fl.async_ import DELTA_MIX, DISPATCH_POLICIES, STALENESS_POLICIES
 from repro.fl.robust import ATTACK_MODELS, ROBUST_AGGREGATORS
-from repro.fl.wire import QUANT_BITS, WIRE_CODECS
+from repro.fl.wire import WIRE_CODECS
 from repro.fleet import AVAILABILITY_MODELS
 from repro.nn.dtypes import SUPPORTED_DTYPES
-from repro.runtime import (
-    BACKENDS,
-    BANDWIDTH_MODELS,
-    DEADLINE_POLICIES,
-    LATENCY_MODELS,
-)
+from repro.runtime import BACKENDS, BANDWIDTH_MODELS, LATENCY_MODELS
 
 VALID_DATASETS = ("mnist", "fashion", "cifar100")
 VALID_DTYPES = SUPPORTED_DTYPES
@@ -53,10 +43,9 @@ VALID_METHODS = ("fedavg", "fedprox", "feddrl", "singleset")
 # Runtime vocabularies are owned by repro.runtime; "none" = no virtual clock.
 VALID_BACKENDS = BACKENDS
 VALID_LATENCY_MODELS = ("none", *LATENCY_MODELS)
-VALID_DEADLINE_POLICIES = DEADLINE_POLICIES
 # Aggregation protocols: the synchronous round loop, or the async engine's
-# buffered (fedbuff) / per-arrival (fedasync) modes (repro.fl.async_).
-VALID_AGGREGATIONS = ("sync", *AGGREGATION_MODES)
+# buffered FedBuff (repro.fl.async_; FedAsync is a buffer of one).
+VALID_AGGREGATIONS = ("sync", "fedbuff")
 VALID_STALENESS = STALENESS_POLICIES
 # Fleet-behavior vocabularies (repro.fleet): availability models and the
 # async engine's dispatch policies.
@@ -229,22 +218,22 @@ class ExperimentConfig:
         "slowdown factor applied to straggler devices", type=float,
     )
     deadline_s: float | None = _cli(
-        None, 17, "--deadline", "simulated round deadline in seconds", type=float
-    )
-    deadline_policy: str = _cli(
-        "wait", 18, "--deadline-policy",
-        "wait for stragglers or drop their updates", choices=VALID_DEADLINE_POLICIES,
+        None, 17, "--deadline",
+        "simulated round deadline in seconds; updates that miss it are dropped",
+        type=float,
     )
     # Asynchronous aggregation (repro.fl.async_).  "sync" keeps the
     # classic per-round barrier; "fedbuff" aggregates whenever buffer_size
-    # updates have arrived in virtual time; "fedasync" on every arrival.
-    # Async modes need a latency_model (arrival order *is* device timing)
-    # and run the same total local-work budget as sync (rounds x K jobs).
+    # updates have arrived in virtual time (buffer_size=1 with
+    # server_mix=0.6 is FedAsync).  The async engine needs a latency_model
+    # (arrival order *is* device timing) and runs the same total
+    # local-work budget as sync (rounds x K jobs).
     aggregation: str = _cli(
         "sync", 27, "--aggregation",
-        "synchronous rounds, or the event-driven async engine: fedbuff "
-        "aggregates every --buffer-size arrivals, fedasync on every arrival "
-        "(needs --latency-model)", choices=VALID_AGGREGATIONS,
+        "synchronous rounds, or the event-driven fedbuff engine, which "
+        "aggregates every --buffer-size arrivals (--buffer-size 1 "
+        "--server-mix 0.6 is FedAsync; needs --latency-model)",
+        choices=VALID_AGGREGATIONS,
     )
     buffer_size: int = _cli(
         5, 28, "--buffer-size", "fedbuff: arrived updates per aggregation",
@@ -260,11 +249,11 @@ class ExperimentConfig:
     )
     # Server mixing step: a float in (0, 1], "delta" for FedBuff's
     # delta-based update (w <- w + eta * mean of client deltas), or None
-    # for the mode default (1.0 fedbuff / 0.6 fedasync).
+    # for 1.0 (the buffer's combination replaces the global model).
     server_mix: float | str | None = _cli(
         None, 31, "--server-mix",
         "async server mixing step in (0, 1], or 'delta' for FedBuff's "
-        "delta-based update (default: 1.0 fedbuff / 0.6 fedasync)", type=_server_mix,
+        "delta-based update (default: 1.0)", type=_server_mix,
     )
     # Fleet behavior (repro.fleet): dynamic availability churn, mid-round
     # connectivity dropout, and partial local work.  "always" + zero
@@ -424,8 +413,8 @@ class ExperimentConfig:
     )
     # Wire-efficient uploads (repro.fl.wire): `codec` compresses the
     # client→server delta ("dense" = uncompressed passthrough; topk /
-    # qsgd{4,8} / topk+qsgd{4,8} are lossy with per-client error-feedback
-    # residuals unless error_feedback=False).  `bandwidth_model` gives
+    # qsgd{4,8} / topk+qsgd{4,8}, the suffix being the bit width, are lossy
+    # with per-client error-feedback residuals unless error_feedback=False).  `bandwidth_model` gives
     # each client an up/down link (megabits per second) so the clock
     # charges comm_s = payload_bytes / bandwidth instead of the fixed
     # constants; "none" keeps the byte-blind historical clock.
@@ -440,11 +429,6 @@ class ExperimentConfig:
     topk_frac: float = _cli(
         0.01, 20, "--topk-frac", "topk codecs: fraction of coordinates kept",
         type=float,
-    )
-    quant_bits: int = _cli(
-        8, 21, "--quant-bits",
-        "qsgd codecs without a bits suffix: quantization bit width",
-        choices=QUANT_BITS, type=int,
     )
     error_feedback: bool = _cli(
         True, 22, "--error-feedback",
@@ -507,11 +491,8 @@ class ExperimentConfig:
             raise ValueError("straggler_slowdown must be >= 1")
         if self.metrics_interval > 0 and self.trace is None:
             raise ValueError("metrics_interval needs trace=PATH to write to")
-        if self.deadline_policy == "drop" and self.deadline_s is None:
-            raise ValueError("deadline_policy='drop' requires deadline_s")
         if self.latency_model == "none" and (
             self.deadline_s is not None
-            or self.deadline_policy != "wait"
             or self.straggler_fraction > 0
             or self.straggler_comm_slowdown is not None
         ):
@@ -520,12 +501,12 @@ class ExperimentConfig:
                 "latency_model — pick one of "
                 f"{tuple(m for m in VALID_LATENCY_MODELS if m != 'none')}"
             )
-        if self.method == "feddrl" and self.deadline_policy == "drop":
+        if self.method == "feddrl" and self.deadline_s is not None:
             # The DRL agent's state and action dims are fixed at K; a round
             # that drops its stragglers' updates would hand it fewer.
             raise ValueError(
-                "feddrl needs exactly K updates per round; "
-                "deadline_policy='drop' is unsupported for it (use 'wait')"
+                "feddrl needs exactly K updates per round; a deadline drops "
+                "the late ones"
             )
         if isinstance(self.server_mix, str):
             if self.server_mix != DELTA_MIX:
@@ -554,16 +535,10 @@ class ExperimentConfig:
                     "pick one of "
                     f"{tuple(m for m in VALID_LATENCY_MODELS if m != 'none')}"
                 )
-            if self.deadline_s is not None or self.deadline_policy != "wait":
+            if self.deadline_s is not None:
                 raise ValueError(
                     "round deadlines are a synchronous concept — the async "
                     "engine never waits on a round barrier"
-                )
-            if self.method == "feddrl" and self.aggregation == "fedasync":
-                raise ValueError(
-                    "feddrl needs a fixed participation level; fedasync "
-                    "aggregates single updates (use fedbuff, where the "
-                    "agent is built for K=buffer_size)"
                 )
             if self.max_concurrency is not None and self.max_concurrency > self.n_clients:
                 raise ValueError(
@@ -636,11 +611,6 @@ class ExperimentConfig:
                     "singleset trains one client — there is nothing to "
                     "fold into edges"
                 )
-            if self.aggregation == "fedasync":
-                raise ValueError(
-                    "fedasync flushes one update at a time — there is "
-                    "nothing to fold into edges; use sync or fedbuff"
-                )
             window = (
                 self.buffer_size if self.aggregation == "fedbuff"
                 else self.clients_per_round
@@ -686,6 +656,17 @@ class ExperimentConfig:
             raise ValueError(
                 "singleset trains one client on the whole training set — "
                 "an attack would compromise all of it"
+            )
+        weigher = (
+            f"aggregator={self.aggregator!r}" if self.aggregator != "mean"
+            else "feddrl" if self.method == "feddrl" else None
+        )
+        if weigher is not None and self.window_voices < 2:
+            # One update per window: every rule returns it unchanged.
+            raise ValueError(
+                f"{weigher} weighs a window's updates against each other, but "
+                "every window here holds one (--per-round, --buffer-size or "
+                "--edges sets how many)"
             )
 
     def _validate_faults(self) -> None:
@@ -742,6 +723,19 @@ class ExperimentConfig:
             or self.dropout_prob > 0.0
             or self.completeness < 1.0
         )
+
+    @property
+    def window_voices(self) -> int:
+        """Updates the server combines per window: the edge aggregates
+        under hier, else the buffer (fedbuff) or the round's participants
+        (sync); singleset has one client."""
+        if self.method == "singleset":
+            return 1
+        if self.topology == "hier":
+            return self.n_edges
+        if self.aggregation == "fedbuff":
+            return self.buffer_size
+        return self.clients_per_round
 
     @property
     def robust_active(self) -> bool:

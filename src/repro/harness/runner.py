@@ -102,9 +102,9 @@ def build_partition(
 def build_strategy(cfg: ExperimentConfig) -> Strategy:
     """Instantiate the aggregation strategy for a federated method.
 
-    Under buffered-async aggregation the strategy sees one *buffer* of
-    updates per aggregation, so FedDRL's agent is built for
-    K=buffer_size rather than K=clients_per_round.
+    FedDRL's agent is built for the updates one window holds
+    (:attr:`~repro.harness.config.ExperimentConfig.window_voices`): one
+    per edge server under hier, a *buffer* of them under fedbuff.
     """
     if cfg.method == "fedavg":
         return FedAvg()
@@ -128,16 +128,8 @@ def build_strategy(cfg: ExperimentConfig) -> Strategy:
         agent = None
         if cfg.drl_pretrain_rounds > 0:
             agent = pretrain_feddrl_agent(cfg, drl_cfg)
-        if cfg.topology == "hier":
-            # The cloud strategy sees one pseudo-update per edge server.
-            participation = cfg.n_edges
-        else:
-            participation = (
-                cfg.buffer_size if cfg.aggregation == "fedbuff"
-                else cfg.clients_per_round
-            )
         return FedDRL(
-            clients_per_round=participation,
+            clients_per_round=cfg.window_voices,
             drl_config=drl_cfg,
             agent=agent,
             seed=cfg.seed,
@@ -233,7 +225,6 @@ def build_clock(cfg: ExperimentConfig) -> VirtualClock | None:
         cfg.n_clients,
         seed=cfg.seed,
         deadline_s=cfg.deadline_s,
-        policy=cfg.deadline_policy,
         straggler_fraction=cfg.straggler_fraction,
         straggler_slowdown=cfg.straggler_slowdown,
         bandwidth=bandwidth,
@@ -251,9 +242,7 @@ def build_wire(cfg: ExperimentConfig) -> WireFormat | None:
     """
     if not cfg.wire_active:
         return None
-    codec = get_codec(
-        cfg.codec, topk_frac=cfg.topk_frac, quant_bits=cfg.quant_bits
-    )
+    codec = get_codec(cfg.codec, topk_frac=cfg.topk_frac)
     return WireFormat(codec, cfg.seed, error_feedback=cfg.error_feedback)
 
 
@@ -356,8 +345,8 @@ def build_simulation(
     """Everything up to (but not including) ``run()`` — used by figures that
     need access to the live simulation.
 
-    ``aggregation="sync"`` builds the classic round loop; ``fedbuff`` /
-    ``fedasync`` build the event-driven engine instead — both expose the
+    ``aggregation="sync"`` builds the classic round loop; ``fedbuff``
+    builds the event-driven engine instead — both expose the
     same run()/close()/history/clock surface; ``method="singleset"``
     builds :func:`singleset_run`.  ``tracer`` (repro.obs) instruments
     whichever engine is built; the caller owns exporting it.
@@ -398,7 +387,6 @@ def build_simulation(
             clients, test_set, model_factory, strategy, build_fl_config(cfg),
             clock=build_clock(cfg),
             executor=executor,
-            mode=cfg.aggregation,
             buffer_size=cfg.buffer_size,
             max_concurrency=cfg.max_concurrency,
             staleness=get_staleness_weighting(cfg.staleness),

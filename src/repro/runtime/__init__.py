@@ -17,7 +17,6 @@ from repro.runtime.checkpoint import (
 )
 from repro.runtime.clock import (
     BANDWIDTH_MODELS,
-    DEADLINE_POLICIES,
     LATENCY_MODELS,
     BandwidthModel,
     DeviceProfile,
@@ -59,7 +58,6 @@ from repro.runtime.seeding import client_round_rng, client_round_seed
 __all__ = [
     "BACKENDS",
     "BANDWIDTH_MODELS",
-    "DEADLINE_POLICIES",
     "FAULT_KINDS",
     "LATENCY_MODELS",
     "SNAPSHOT_SCHEMA",

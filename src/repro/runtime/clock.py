@@ -7,9 +7,9 @@ FLGo's ``system_simulator``: every client gets a per-batch compute
 latency plus upload/download cost scaled by a factor drawn from a
 :class:`LatencyModel`, a configurable fraction of clients are stragglers
 slowed by a constant factor, and each round's simulated makespan is the
-slowest participant — optionally clipped by a round deadline that either
-*waits* for stragglers (pure bookkeeping) or *drops* their updates before
-aggregation (changing the training trajectory, as a real deadline would).
+slowest participant — optionally clipped by a round deadline that drops
+the late updates before aggregation (changing the training trajectory, as
+a real deadline would).
 
 The fleet is columnar: one float64 column per trait (compute, upload,
 download seconds; link rates), each drawn in one vectorised pass, so a
@@ -35,7 +35,6 @@ from repro.runtime.seeding import (
 
 LATENCY_MODELS = ("homogeneous", "uniform", "lognormal")
 BANDWIDTH_MODELS = ("homogeneous", "uniform", "lognormal")
-DEADLINE_POLICIES = ("wait", "drop")
 
 
 @dataclass(frozen=True)
@@ -253,12 +252,12 @@ class RoundTiming:
 class VirtualClock:
     """Advances simulated time by each round's makespan.
 
-    ``policy="wait"`` waits out every straggler (timing is bookkeeping
-    only); ``policy="drop"`` discards updates from clients that miss
-    ``deadline_s`` — the caller must exclude ``RoundTiming.dropped`` from
-    aggregation.  At least one update always survives: if everyone misses
-    the deadline the fastest client is kept (a real server would rather
-    extend the round than lose it).
+    Without a deadline the round waits out every straggler; with
+    ``deadline_s`` set, updates from clients that miss it are discarded —
+    the caller must exclude ``RoundTiming.dropped`` from aggregation.  At
+    least one update always survives: if everyone misses the deadline the
+    fastest client is kept (a real server would rather extend the round
+    than lose it).
     """
 
     def __init__(
@@ -267,15 +266,12 @@ class VirtualClock:
         n_clients: int,
         seed: int = 0,
         deadline_s: float | None = None,
-        policy: str = "wait",
         straggler_fraction: float = 0.0,
         straggler_slowdown: float = 8.0,
         jitter_sigma: float = 0.05,
         bandwidth: BandwidthModel | None = None,
         straggler_comm_slowdown: float | None = None,
     ) -> None:
-        if policy not in DEADLINE_POLICIES:
-            raise ValueError(f"policy must be one of {DEADLINE_POLICIES}, got {policy!r}")
         if not 0.0 <= straggler_fraction <= 1.0:
             raise ValueError("straggler_fraction must be in [0, 1]")
         if straggler_slowdown < 1.0:
@@ -284,8 +280,6 @@ class VirtualClock:
             raise ValueError("straggler_comm_slowdown must be >= 1")
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
-        if policy == "drop" and deadline_s is None:
-            raise ValueError("policy='drop' requires a deadline_s")
         rng = run_rng(seed, STREAM_CLOCK_PROFILE)
         self.seed = seed
         f = latency_model.factors(n_clients, rng)
@@ -313,7 +307,6 @@ class VirtualClock:
             else straggler_comm_slowdown
         )
         self.deadline_s = deadline_s
-        self.policy = policy
         self.jitter_sigma = jitter_sigma
         self.elapsed_s = 0.0
         # Simulated fault-recovery seconds (retry backoff).  A separate
@@ -446,7 +439,7 @@ class VirtualClock:
         upload_bytes: int | None = None,
         download_bytes: int | None = None,
     ) -> RoundTiming:
-        """Record one round: per-client times, deadline policy, makespan."""
+        """Record one round: per-client times, deadline drops, makespan."""
         times = {
             cid: self.client_time(
                 round_idx, cid, n_batches[cid], upload_bytes, download_bytes
@@ -454,7 +447,7 @@ class VirtualClock:
             for cid in participants
         }
         dropped: list[int] = []
-        if self.policy == "drop":
+        if self.deadline_s is not None:
             kept = [cid for cid in participants if times[cid] <= self.deadline_s]
             if not kept:
                 kept = [min(participants, key=lambda cid: times[cid])]

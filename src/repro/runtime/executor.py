@@ -15,7 +15,8 @@ that contract; three backends implement it:
   workers **once** at pool construction; each round the flat weight
   vector is copied once into a shared-memory block every worker reads,
   the trained vectors come back through a shared arena, and a future
-  pickles only ids, seeds and block names.
+  pickles only ids, seeds and block names.  Where a block cannot be
+  created, the vectors are pickled instead, with identical results.
 
 All three produce bit-identical updates for the same experiment seed
 because per-client batch schedules *and* forward-time randomness (Dropout
@@ -428,8 +429,8 @@ class ThreadExecutor(Executor):
 
 
 # Per-process worker state, installed once by the pool initializer so each
-# round only ships the RoundContext — never clients, models or (where
-# shared memory exists) weight vectors.
+# round only ships the RoundContext — never clients, models or (unless
+# the exchange blocks could not be created) weight vectors.
 _WORKER_STATE: dict = {}
 
 
@@ -523,10 +524,8 @@ def _run_tasks(ctx: RoundContext, tasks: list[tuple[int, int, int]]):
 
     A ``ctx`` whose ``global_weights`` is an :class:`_ExchangeRef` trains
     against the shared weights block, and each update leaves its vector
-    in arena row ``pos`` and travels back with ``weights=None``.  A
-    vector the arena cannot hold bit for bit (another dtype or shape)
-    stays on the update and is pickled, as every vector is when ``ctx``
-    carries the array itself.
+    in arena row ``pos`` and travels back with ``weights=None``; when
+    ``ctx`` carries the array itself, every vector is pickled.
 
     ``real_crash=True`` lets an injected ``crash`` genuinely kill this
     worker process (``os._exit``), so the parent's ``BrokenProcessPool``
@@ -544,13 +543,10 @@ def _run_tasks(ctx: RoundContext, tasks: list[tuple[int, int, int]]):
         update, span = _train_one(
             clients[cid], model, loss, ctx, attempt, real_crash=True
         )
-        vector = update.weights
-        if (
-            arena is not None
-            and vector.shape == arena.shape[1:]
-            and vector.dtype == arena.dtype
-        ):
-            arena[pos] = vector
+        if arena is not None:
+            # The replica shares the parent's dtype and the flat weights'
+            # dim, so the row holds the vector bit for bit.
+            arena[pos] = update.weights
             update.weights = None
         results.append((pos, update, span))
     if hasattr(clients, "release"):
@@ -580,10 +576,9 @@ class ProcessExecutor(Executor):
     participant count outgrows them, replaced by fresh ones whenever the
     pool is rebuilt, and unlinked by :meth:`close`.
 
-    Both fall back to plain pickling where shared memory is unavailable
-    (:data:`repro.data.shm.HAVE_SHARED_MEMORY` false, or block creation
-    raises) — the only path that runs there, chosen by what the executor
-    observes; results are identical either way.
+    Both fall back to plain pickling where block creation raises — the
+    only path that runs there, chosen by what the executor observes;
+    results are identical either way.
 
     ``last_ipc_bytes`` is what the last ``run_round`` moved between
     processes: ``out``, ``global_weights.nbytes`` for each staging into
@@ -664,15 +659,13 @@ class ProcessExecutor(Executor):
 
         The blocks are built on first use from the weights' own dim and
         dtype and rebuilt when those change or ``n`` outgrows the arena.
-        Where shared memory cannot be had the answer is ``ctx`` itself —
+        Where the blocks cannot be created the answer is ``ctx`` itself —
         the weights are then pickled into every future.
         """
         weights = ctx.global_weights
         if self._exchange is not None and not self._exchange.fits(weights, n):
             self._drop_exchange()
         if self._exchange is None:
-            if not shm.HAVE_SHARED_MEMORY or weights.ndim != 1:
-                return ctx
             try:
                 self._exchange = _Exchange(weights.size, weights.dtype, n)
             except Exception:

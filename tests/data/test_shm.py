@@ -13,17 +13,11 @@ import pytest
 import repro.data.shm as shm_mod
 from repro.data.dataset import ArrayDataset, RowView
 from repro.data.shm import (
-    HAVE_SHARED_MEMORY,
     SharedArrayDataset,
     SharedMemoryPool,
     share_clients,
     share_dataset,
 )
-
-pytestmark = pytest.mark.skipif(
-    not HAVE_SHARED_MEMORY, reason="multiprocessing.shared_memory unavailable"
-)
-
 
 @pytest.fixture
 def dataset():
@@ -135,12 +129,6 @@ class TestShareDataset:
 
 
 class TestFallback:
-    def test_unavailable_shared_memory_passes_through(self, dataset, monkeypatch):
-        monkeypatch.setattr(shm_mod, "HAVE_SHARED_MEMORY", False)
-        shared, blocks = share_dataset(dataset)
-        assert shared is dataset
-        assert blocks == []
-
     def test_creation_failure_passes_through(self, dataset, monkeypatch):
         class Broken:
             def __init__(self, *args, **kwargs):

@@ -180,6 +180,15 @@ class TestTranslationEquivariance:
         shifted, _ = agg.combine(deltas + shift, alphas)
         np.testing.assert_allclose(shifted, plain + shift, atol=1e-10)
 
+    # Why config rejects a non-mean rule on a one-update window: every
+    # rule hands a lone update back bit for bit, whatever its weight.
+    @pytest.mark.parametrize("name", ROBUST_AGGREGATORS)
+    def test_a_lone_update_comes_back_unchanged(self, name):
+        delta = np.random.default_rng(4).normal(size=(1, 9))
+        combined, info = RobustAggregator(name).combine(delta, np.array([0.3]))
+        np.testing.assert_array_equal(combined, delta[0])
+        assert info.rejected == [] and info.clipped == []
+
     @pytest.mark.parametrize("name", ROBUST_AGGREGATORS)
     def test_all_rules_return_info(self, name):
         deltas = np.random.default_rng(3).normal(size=(6, 4))

@@ -64,7 +64,7 @@ class TestAsyncZeroMassSkip:
             tiny_clients, test, tiny_model_factory, FedAvg(),
             FLConfig(rounds=2, clients_per_round=4, local_epochs=1, lr=0.05,
                      batch_size=16, seed=0),
-            clock=clock, mode="fedbuff", buffer_size=3, max_concurrency=4,
+            clock=clock, buffer_size=3, max_concurrency=4,
             staleness=_ZeroStaleness(), server_mix=server_mix,
         )
         initial = np.array(server.global_weights, copy=True)
@@ -88,7 +88,7 @@ class TestAsyncZeroMassSkip:
             tiny_clients, test, tiny_model_factory, FedAvg(),
             FLConfig(rounds=2, clients_per_round=4, local_epochs=1, lr=0.05,
                      batch_size=16, seed=0),
-            clock=clock, mode="fedbuff", buffer_size=3, max_concurrency=4,
+            clock=clock, buffer_size=3, max_concurrency=4,
             staleness=_ZeroStaleness(), defense=RobustAggregator("median"),
         )
         initial = np.array(server.global_weights, copy=True)

@@ -138,7 +138,7 @@ class TestCombineUpdatesNormalize:
 
 
 def run_async(tiny_clients, tiny_model_factory, tiny_data, backend, workers,
-              mode="fedbuff", buffer_size=3, rounds=4, strategy=None, **server_kw):
+              buffer_size=3, rounds=4, strategy=None, **server_kw):
     _, test = tiny_data
     clock = VirtualClock(
         LogNormalLatency(), len(tiny_clients), seed=23,
@@ -149,7 +149,7 @@ def run_async(tiny_clients, tiny_model_factory, tiny_data, backend, workers,
         tiny_clients, test, tiny_model_factory, strategy or FedAvg(),
         FLConfig(rounds=rounds, clients_per_round=4, local_epochs=1, lr=0.05,
                  batch_size=16, seed=0),
-        clock=clock, executor=executor, mode=mode, buffer_size=buffer_size,
+        clock=clock, executor=executor, buffer_size=buffer_size,
         max_concurrency=4, **server_kw,
     )
     with server:
@@ -213,7 +213,8 @@ class TestFedBuffMechanics:
         self, tiny_data, tiny_clients, tiny_model_factory
     ):
         hist, _ = run_async(tiny_clients, tiny_model_factory, tiny_data,
-                            "serial", None, mode="fedasync", rounds=2)
+                            "serial", None, buffer_size=1, server_mix=0.6,
+                            rounds=2)
         assert len(hist.records) == len(hist.events) == 8
         assert all(len(r.participants) == 1 for r in hist.records)
 
@@ -293,14 +294,28 @@ class TestFedBuffMechanics:
                 clock=None,
             )
 
+    @pytest.mark.parametrize("buffer_size", [1, 5])
+    def test_default_mix_replaces_the_global_model(
+        self, tiny_data, tiny_clients, tiny_model_factory, buffer_size
+    ):
+        # One default for every buffer size; FedAsync's 0.6 is asked for.
+        _, test = tiny_data
+        clock = VirtualClock(LogNormalLatency(), len(tiny_clients), seed=23)
+        cfg = FLConfig(rounds=2, clients_per_round=4, local_epochs=1,
+                       lr=0.05, batch_size=16, seed=0)
+        server = AsyncFederatedServer(
+            tiny_clients, test, tiny_model_factory, FedAvg(), cfg,
+            clock=clock, buffer_size=buffer_size,
+        )
+        assert server.server_mix == 1.0
+        assert server.buffer_size == buffer_size
+
     def test_rejects_bad_parameters(self, tiny_data, tiny_clients, tiny_model_factory):
         _, test = tiny_data
         clock = VirtualClock(LogNormalLatency(), len(tiny_clients), seed=23)
         cfg = FLConfig(rounds=2, clients_per_round=4, local_epochs=1,
                        lr=0.05, batch_size=16, seed=0)
         common = (tiny_clients, test, tiny_model_factory, FedAvg(), cfg)
-        with pytest.raises(ValueError, match="mode"):
-            AsyncFederatedServer(*common, clock=clock, mode="fifo")
         with pytest.raises(ValueError, match="buffer_size"):
             AsyncFederatedServer(*common, clock=clock, buffer_size=0)
         with pytest.raises(ValueError, match="max_concurrency"):
@@ -328,10 +343,11 @@ class TestAsyncExperimentIntegration:
         with pytest.raises(ValueError, match="staleness"):
             self.make_config(aggregation="fedbuff", staleness="linear")
         with pytest.raises(ValueError, match="deadline"):
-            self.make_config(aggregation="fedbuff", deadline_s=5.0,
-                             deadline_policy="drop")
-        with pytest.raises(ValueError, match="fedasync"):
-            self.make_config(aggregation="fedasync", method="feddrl")
+            self.make_config(aggregation="fedbuff", deadline_s=5.0)
+        with pytest.raises(ValueError, match="aggregation"):
+            self.make_config(aggregation="fedasync")
+        with pytest.raises(ValueError, match="feddrl weighs"):
+            self.make_config(aggregation="fedbuff", buffer_size=1, method="feddrl")
         with pytest.raises(ValueError, match="singleset"):
             ExperimentConfig(method="singleset", aggregation="fedbuff")
 

@@ -18,8 +18,15 @@ from repro.fl.strategies import FedAvg
 from repro.runtime import LogNormalLatency, VirtualClock
 
 
-def make_server(tiny_clients, tiny_model_factory, tiny_data, mode="fedbuff",
-                rounds=4, server_mix=None):
+# FedBuff with a buffer of three, and FedAsync: a buffer of one at mix 0.6.
+SERVERS = {
+    "fedbuff": dict(buffer_size=3),
+    "fedasync": dict(buffer_size=1, server_mix=0.6),
+}
+
+
+def make_server(tiny_clients, tiny_model_factory, tiny_data, rounds=4,
+                buffer_size=3, server_mix=None):
     _, test = tiny_data
     clock = VirtualClock(
         LogNormalLatency(), len(tiny_clients), seed=23,
@@ -29,7 +36,7 @@ def make_server(tiny_clients, tiny_model_factory, tiny_data, mode="fedbuff",
         tiny_clients, test, tiny_model_factory, FedAvg(),
         FLConfig(rounds=rounds, clients_per_round=4, local_epochs=1, lr=0.05,
                  batch_size=16, seed=0),
-        clock=clock, mode=mode, buffer_size=3, max_concurrency=4,
+        clock=clock, buffer_size=buffer_size, max_concurrency=4,
         server_mix=server_mix,
     )
 
@@ -64,24 +71,24 @@ class _GrabSnapshot:
 
 
 class TestAsyncSnapshotRestore:
-    @pytest.mark.parametrize("mode", ["fedbuff", "fedasync"])
+    @pytest.mark.parametrize("mode", sorted(SERVERS))
     def test_mid_run_restore_bit_identical(self, mode, tiny_data, tiny_clients,
                                            tiny_model_factory):
         """Continue from a mid-timeline snapshot; History and weights must
         match an uninterrupted run exactly."""
         with make_server(tiny_clients, tiny_model_factory, tiny_data,
-                         mode=mode) as clean:
+                         **SERVERS[mode]) as clean:
             clean_hist = clean.run()
 
         grab = _GrabSnapshot(at=2)
         with make_server(tiny_clients, tiny_model_factory, tiny_data,
-                         mode=mode) as first:
+                         **SERVERS[mode]) as first:
             first.checkpointer = grab
             first.run()
         assert grab.state is not None, "run too short to snapshot mid-timeline"
 
         with make_server(tiny_clients, tiny_model_factory, tiny_data,
-                         mode=mode) as resumed:
+                         **SERVERS[mode]) as resumed:
             resumed.restore_state(grab.state)
             resumed_hist = resumed.run()
             resumed_weights = resumed.global_weights.copy()

@@ -57,7 +57,7 @@ def build_engine(engine: str, n_clients: int = 12, dispatch: str = "random"):
     if engine == "sync":
         return FederatedSimulation(*args, **common)
     return AsyncFederatedServer(
-        *args, mode="fedbuff", buffer_size=4, max_concurrency=6,
+        *args, buffer_size=4, max_concurrency=6,
         server_mix="delta", dispatch=dispatch, **common)
 
 

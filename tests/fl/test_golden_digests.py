@@ -5,7 +5,7 @@ the sync round body and the FedBuff/FedAsync flush into one window routine
 (``repro.fl.simulation.aggregate_window``).  The matrix reaches every
 branch the merge touched — engine x topology x combination rule x mix form,
 plus one cell per feature that feeds the window (update attack, lossy codec
-with error feedback, markov fleet + dropout, ``drop`` deadline, lazy
+with error feedback, markov fleet + dropout, a round deadline, lazy
 clients, FedDRL flat and hier).  A refactor of the aggregation path must
 leave this file untouched: a changed digest is a changed behaviour.
 Every cell moved once since, deliberately, when every generator came to
@@ -41,19 +41,23 @@ BASE = dict(
 ENGINES = {
     "sync": dict(),
     "fedbuff": dict(aggregation="fedbuff", buffer_size=5, max_concurrency=8),
-    "fedasync": dict(aggregation="fedasync", max_concurrency=4, rounds=2),
+    # FedAsync is a FedBuff buffer of one; its cells keep their pinned names.
+    "fedasync": dict(aggregation="fedbuff", buffer_size=1, max_concurrency=4,
+                     rounds=2),
 }
 TOPOLOGIES = {"flat": dict(), "hier": dict(topology="hier", n_edges=3)}
 AGGREGATORS = ("mean", "krum", "trimmed_mean", "norm_clip")
 MIXES = {"mix0.7": dict(server_mix=0.7), "delta": dict(server_mix="delta")}
 
 
-def _matrix() -> dict[str, dict]:
+def _grid() -> dict[str, dict]:
+    """engine x topology x combination rule x mix form, before the one-voice
+    rule removes the robust rules from the FedAsync cells."""
     cells: dict[str, dict] = {}
     for engine, engine_kw in ENGINES.items():
         for topology, topology_kw in TOPOLOGIES.items():
             if engine == "fedasync" and topology == "hier":
-                continue  # one update per flush: nothing to fold
+                continue  # three edges need three updates per window
             for aggregator in AGGREGATORS:
                 # The barrier engine has no mixing step to vary.
                 mixes = {"": {}} if engine == "sync" else MIXES
@@ -61,6 +65,20 @@ def _matrix() -> dict[str, dict]:
                     name = "-".join(p for p in (engine, topology, aggregator, mix) if p)
                     cells[name] = {**engine_kw, **topology_kw, **mix_kw,
                                    "aggregator": aggregator}
+    return cells
+
+
+GRID = _grid()
+# A robust rule on a one-update window returns that update: config rejects
+# the combination instead of running it.
+ONE_VOICE = {
+    name: cell for name, cell in GRID.items()
+    if name.startswith("fedasync") and cell["aggregator"] != "mean"
+}
+
+
+def _matrix() -> dict[str, dict]:
+    cells = {name: cell for name, cell in GRID.items() if name not in ONE_VOICE}
     fedbuff = ENGINES["fedbuff"]
     hier = TOPOLOGIES["hier"]
     fleet = dict(availability="markov", dropout_prob=0.2)
@@ -75,7 +93,7 @@ def _matrix() -> dict[str, dict]:
         "fedbuff-wire-ef-hier": {**fedbuff, **hier, **wire},
         "sync-fleet": fleet,
         "fedbuff-fleet-fairness": {**fedbuff, **fleet, "dispatch": "fairness"},
-        "sync-deadline-drop": dict(deadline_s=1.0, deadline_policy="drop"),
+        "sync-deadline-drop": dict(deadline_s=1.0),
         "sync-lazy": dict(fleet_mode="lazy", partition="IID"),
         "fedbuff-lazy-hier-krum": {**fedbuff, **hier, "fleet_mode": "lazy",
                                    "partition": "IID", "aggregator": "krum"},
@@ -148,18 +166,6 @@ GOLDEN: dict[str, str] = {
         "f1754d5011f23b874c285602632bbbc3bbda282f735ed5f025f3aea9384d203e",
     "fedasync-flat-mean-delta":
         "ccd6add38a7a4cf157a434b34c6c7b04e33e7f2b68112810d7771ad0d6ce9986",
-    "fedasync-flat-krum-mix0.7":
-        "9a18542c5cd7917bc7ccc3c67cbcadafc16c5c41695fcb5dcb17851943ff1bef",
-    "fedasync-flat-krum-delta":
-        "ccd6add38a7a4cf157a434b34c6c7b04e33e7f2b68112810d7771ad0d6ce9986",
-    "fedasync-flat-trimmed_mean-mix0.7":
-        "9a18542c5cd7917bc7ccc3c67cbcadafc16c5c41695fcb5dcb17851943ff1bef",
-    "fedasync-flat-trimmed_mean-delta":
-        "ccd6add38a7a4cf157a434b34c6c7b04e33e7f2b68112810d7771ad0d6ce9986",
-    "fedasync-flat-norm_clip-mix0.7":
-        "9a18542c5cd7917bc7ccc3c67cbcadafc16c5c41695fcb5dcb17851943ff1bef",
-    "fedasync-flat-norm_clip-delta":
-        "ccd6add38a7a4cf157a434b34c6c7b04e33e7f2b68112810d7771ad0d6ce9986",
     "sync-attack-krum":
         "d9cf07712a58754af29cc100bb491f0ca3b83451b22313a4c6e27e528e8994f8",
     "fedbuff-attack-krum-delta":
@@ -198,6 +204,12 @@ def test_matrix_is_fully_pinned():
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_history_digest_matches_parent_commit(name):
     assert digest(CELLS[name]) == GOLDEN[name]
+
+
+@pytest.mark.parametrize("name", sorted(ONE_VOICE))
+def test_robust_rule_on_a_one_update_window_is_rejected(name):
+    with pytest.raises(ValueError, match="every window here holds one"):
+        ExperimentConfig(**{**BASE, **ONE_VOICE[name]})
 
 
 # -- the conv path ------------------------------------------------------------

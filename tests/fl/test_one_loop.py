@@ -36,7 +36,8 @@ CELLS = {
     "sync-hier": HIER,
     "fedbuff-flat": FEDBUFF,
     "fedbuff-hier": {**FEDBUFF, **HIER},
-    "fedasync-flat": dict(aggregation="fedasync", max_concurrency=3),
+    "fedasync-flat": dict(aggregation="fedbuff", buffer_size=1, server_mix=0.6,
+                          max_concurrency=3),
     "fedbuff-feddrl": {**FEDBUFF, "method": "feddrl"},
 }
 # Updates per window.

@@ -64,7 +64,7 @@ class TestOneClientRun:
     def test_engine_features_compose(self):
         result = run(
             fleet_mode="lazy", latency_model="lognormal", availability="markov",
-            codec="topk+qsgd8", aggregator="krum", fault_exception_prob=0.2,
+            codec="topk+qsgd8", fault_exception_prob=0.2,
         )
         assert len(result.history.records) == 3
         assert result.extra["wire"]["compression_ratio"] > 1
@@ -77,6 +77,10 @@ class TestOneClientRun:
     def test_needs_more_than_one_client(self, extra):
         with pytest.raises(ValueError, match="singleset"):
             ExperimentConfig(method="singleset", **extra)
+
+    def test_a_robust_rule_on_its_one_update_is_rejected(self):
+        with pytest.raises(ValueError, match="every window here holds one"):
+            ExperimentConfig(method="singleset", aggregator="krum")
 
     def test_cli_rejects_hier_with_exit_2(self, capsys):
         assert main(["--method", "singleset", "--scale", "ci",

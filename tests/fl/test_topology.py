@@ -32,7 +32,7 @@ def async_server(clients, factory, test, topology="flat", **kw):
     cfg = FLConfig(rounds=4, clients_per_round=4, local_epochs=1, lr=0.05,
                    batch_size=16, seed=0)
     return AsyncFederatedServer(
-        clients, test, factory, FedAvg(), cfg, clock=clock, mode="fedbuff",
+        clients, test, factory, FedAvg(), cfg, clock=clock,
         buffer_size=3, max_concurrency=4, topology=topology, **kw,
     )
 

@@ -116,9 +116,11 @@ class TestRoundTrips:
         assert np.all(np.abs(out - delta) <= bound)
 
     @pytest.mark.parametrize("name", ["qsgd8", "qsgd4", "topk+qsgd8", "topk+qsgd4"])
-    def test_quantized_zero_delta_decodes_to_zero(self, name):
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_quantized_zero_delta_decodes_to_zero(self, name, dtype):
         codec = get_codec(name, topk_frac=0.05)
-        out = codec.decode(codec.encode(np.zeros(1000, np.float64), rng=_rng()))
+        out = codec.decode(codec.encode(np.zeros(1000, dtype), rng=_rng()))
+        assert out.dtype == np.dtype(dtype)
         assert np.all(out == 0.0) and np.all(np.isfinite(out))
 
     def test_quantization_is_unbiased_in_expectation(self):
@@ -133,9 +135,10 @@ class TestRoundTrips:
         assert mean_err < single_err / 2  # averaging shrinks the rounding noise
 
     @pytest.mark.parametrize("name", WIRE_CODECS)
-    def test_serialize_parse_identity(self, name):
+    @pytest.mark.parametrize("dtype", DTYPES)
+    def test_serialize_parse_identity(self, name, dtype):
         codec = get_codec(name, topk_frac=0.05)
-        delta = _delta(6570, "float32")
+        delta = _delta(6570, dtype)
         payload = codec.encode(delta, rng=_rng())
         parsed = payload_from_bytes(payload.to_bytes())
         assert isinstance(parsed, WirePayload)
@@ -165,7 +168,7 @@ class TestNibblePacking:
 
 
 class TestDeterminism:
-    @pytest.mark.parametrize("name", ["qsgd8", "qsgd4", "topk+qsgd8"])
+    @pytest.mark.parametrize("name", ["qsgd8", "qsgd4", "topk+qsgd8", "topk+qsgd4"])
     def test_same_rng_same_payload(self, name):
         codec = get_codec(name, topk_frac=0.05)
         delta = _delta(5000, "float64")
@@ -187,13 +190,25 @@ class TestGetCodec:
         assert isinstance(get_codec("topk"), TopKCodec)
         assert get_codec("qsgd4").bits == 4
         assert get_codec("qsgd8").bits == 8
-        assert get_codec("qsgd", quant_bits=4).bits == 4
-        assert get_codec("topk+qsgd", quant_bits=4).bits == 4
-        assert get_codec("topk+qsgd8", quant_bits=4).bits == 8  # suffix pins
+        assert get_codec("topk+qsgd4").bits == 4
+        assert get_codec("topk+qsgd8").bits == 8
 
-    def test_unknown_name_rejected(self):
+    # The wire format outlives the spellings: each name writes this codec
+    # id and bit width into the header's first two bytes.
+    @pytest.mark.parametrize("name, codec_id, bits", [
+        ("dense", 0, 0), ("qsgd4", 1, 4), ("qsgd8", 1, 8), ("topk", 2, 0),
+        ("topk+qsgd4", 3, 4), ("topk+qsgd8", 3, 8),
+    ])
+    def test_header_codec_id_and_bits_are_pinned(self, name, codec_id, bits):
+        blob = get_codec(name).encode(_delta(64, "float32"), rng=_rng()).to_bytes()
+        assert (blob[0], blob[1]) == (codec_id, bits)
+        assert payload_from_bytes(blob).bits == bits
+
+    @pytest.mark.parametrize("name", ["gzip", "qsgd", "topk+qsgd"])
+    def test_unknown_name_rejected(self, name):
+        # A quantizing codec names its bit width.
         with pytest.raises(ValueError, match="codec"):
-            get_codec("gzip")
+            get_codec(name)
 
     def test_bad_knobs_rejected(self):
         with pytest.raises(ValueError):

@@ -67,7 +67,7 @@ def run_async_fleet(clients, model_factory, test_set, backend, workers,
         clients, test_set, model_factory, FedAvg(),
         FLConfig(rounds=rounds, clients_per_round=4, local_epochs=1, lr=0.05,
                  batch_size=16, seed=0),
-        clock=clock, executor=executor, mode="fedbuff", buffer_size=3,
+        clock=clock, executor=executor, buffer_size=3,
         max_concurrency=4, fleet=make_fleet(len(clients), **fleet_kw),
         dispatch=dispatch, server_mix=server_mix,
     )

@@ -418,6 +418,19 @@ class TestFingerprint:
         with pytest.raises(ValueError, match="seed"):
             validate_resume(snap, cfg)
 
+    def test_snapshot_listing_removed_fields_names_them(self):
+        # A snapshot written while the deadline policy and the quantizer's
+        # bit width were fields of their own: resuming it names both.
+        cfg = ExperimentConfig(**FAST)
+        old = {**checkpoint_fingerprint(cfg), "deadline_policy": "wait",
+               "quant_bits": 8}
+        snap = {"meta": {"fingerprint": old}, "state": {"engine": "sync"}}
+        with pytest.raises(ValueError, match=(
+            r"\(deadline_policy: snapshot='wait' config=None, "
+            r"quant_bits: snapshot=8 config=None\)$"
+        )):
+            validate_resume(snap, cfg)
+
     def test_validate_resume_requires_fingerprint(self):
         with pytest.raises(ValueError, match="fingerprint"):
             validate_resume({"meta": {}, "state": {}}, ExperimentConfig(**FAST))

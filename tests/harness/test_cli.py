@@ -38,12 +38,8 @@ NON_DEFAULT = {
     "--straggler-fraction": ([*CLOCK, "--straggler-fraction", "0.3"], 0.3),
     "--straggler-slowdown": (["--straggler-slowdown", "4"], 4.0),
     "--deadline": ([*CLOCK, "--deadline", "5"], 5.0),
-    "--deadline-policy": (
-        [*CLOCK, "--deadline", "5", "--deadline-policy", "drop"], "drop"
-    ),
     "--codec": (["--codec", "topk"], "topk"),
     "--topk-frac": (["--topk-frac", "0.05"], 0.05),
-    "--quant-bits": (["--quant-bits", "4"], 4),
     "--error-feedback": (["--no-error-feedback"], False),
     "--bandwidth-model": ([*CLOCK, "--bandwidth-model", "uniform"], "uniform"),
     "--up-mbps": (["--up-mbps", "2"], 2.0),
@@ -108,7 +104,6 @@ class TestParser:
         assert args.workers is None
         assert args.latency_model == "none"
         assert args.deadline is None
-        assert args.deadline_policy == "wait"
 
     def test_rejects_unknown_backend(self):
         with pytest.raises(SystemExit):
@@ -117,6 +112,22 @@ class TestParser:
     def test_rejects_unknown_latency_model(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--latency-model", "fractal"])
+
+    # Second spellings of runs other flags express: FedAsync is
+    # "--aggregation fedbuff --buffer-size 1 --server-mix 0.6", a deadline
+    # always drops, and a quantizing codec names its bit width.
+    @pytest.mark.parametrize("argv, names", [
+        (["--aggregation", "fedasync"], "invalid choice: 'fedasync'"),
+        (["--deadline-policy", "drop"], "unrecognized arguments: --deadline-policy"),
+        (["--quant-bits", "4"], "unrecognized arguments: --quant-bits"),
+        (["--codec", "qsgd"], "invalid choice: 'qsgd'"),
+        (["--codec", "topk+qsgd"], "invalid choice: 'topk+qsgd'"),
+    ])
+    def test_removed_spelling_exits_2(self, argv, names, capsys):
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert exc.value.code == 2
+        assert names in capsys.readouterr().err
 
 
 class TestConfigMapping:
@@ -208,6 +219,9 @@ class TestMain:
         ["--clients", "0", "--per-round", "0"],
         ["--seed", "-1"],
         ["--scale", "ci", "--clients", "400", "--partition", "NONEQUAL"],
+        ["--aggregation", "fedbuff", "--latency-model", "lognormal",
+         "--buffer-size", "1", "--aggregator", "krum"],
+        ["--deadline", "1.0"],
     ])
     def test_bad_input_exits_2(self, argv, capsys):
         assert main(argv) == 2

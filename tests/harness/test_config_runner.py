@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data.partition import SHARDS_PER_CLIENT
-from repro.harness.config import SCALES, ExperimentConfig
+from repro.harness.config import SCALES, VALID_AGGREGATORS, ExperimentConfig
 from repro.harness.runner import (
     build_dataset,
     build_fl_config,
@@ -41,14 +41,12 @@ class TestExperimentConfig:
         with pytest.raises(ValueError):
             ExperimentConfig(latency_model="fractal")
         with pytest.raises(ValueError):
-            ExperimentConfig(deadline_policy="retry")
-        with pytest.raises(ValueError):
             ExperimentConfig(straggler_fraction=1.5)
         with pytest.raises(ValueError, match="feddrl"):
             ExperimentConfig(method="feddrl", latency_model="uniform",
-                             deadline_s=1.0, deadline_policy="drop")
-        with pytest.raises(ValueError, match="deadline_s"):
-            ExperimentConfig(latency_model="uniform", deadline_policy="drop")
+                             deadline_s=1.0)
+        with pytest.raises(ValueError, match="latency_model"):
+            ExperimentConfig(deadline_s=1.0)  # clock off -> no effect
         with pytest.raises(ValueError, match="latency_model"):
             ExperimentConfig(straggler_fraction=0.3)  # clock off -> no effect
         with pytest.raises(ValueError, match="slowdown"):
@@ -58,9 +56,9 @@ class TestExperimentConfig:
             ExperimentConfig(method="singleset", topology="hier")
         # SingleSet is a one-client engine run: every backend runs it.
         ExperimentConfig(method="singleset", backend="process")
-        # drop is fine for methods that tolerate a short round...
+        # A deadline is fine for methods that tolerate a short round...
         ExperimentConfig(method="fedavg", latency_model="uniform",
-                         deadline_s=1.0, deadline_policy="drop")
+                         deadline_s=1.0)
         # ...and feddrl is fine when the clock only waits.
         ExperimentConfig(method="feddrl", latency_model="uniform")
 
@@ -85,6 +83,36 @@ class TestExperimentConfig:
         ExperimentConfig(n_clients=fits + 1, n_train=SCALES["ci"].n_train + 10, **cell)
         # SingleSet pools every sample on one client; no shards are cut.
         ExperimentConfig(n_clients=fits + 1, method="singleset", **cell)
+
+    # Runs whose every window holds one update (FedAsync is a FedBuff
+    # buffer of one).
+    ONE_VOICE = {
+        "sync": dict(clients_per_round=1),
+        "fedbuff": dict(aggregation="fedbuff", latency_model="lognormal",
+                        buffer_size=1),
+        "hier": dict(topology="hier", n_edges=1),
+    }
+
+    @pytest.mark.parametrize("window", sorted(ONE_VOICE))
+    def test_a_one_update_window_rejects_a_weighing_rule(self, window):
+        cell = self.ONE_VOICE[window]
+        assert ExperimentConfig(**cell).window_voices == 1
+        with pytest.raises(ValueError, match="aggregator='krum' weighs"):
+            ExperimentConfig(aggregator="krum", **cell)
+        with pytest.raises(ValueError, match="feddrl weighs"):
+            ExperimentConfig(method="feddrl", **cell)
+        two = {"sync": "clients_per_round", "fedbuff": "buffer_size",
+               "hier": "n_edges"}[window]
+        ExperimentConfig(aggregator="krum", **{**cell, two: 2})
+
+    @pytest.mark.parametrize(
+        "aggregator", [a for a in VALID_AGGREGATORS if a != "mean"])
+    def test_every_robust_rule_needs_two_voices(self, aggregator):
+        fedasync = dict(aggregation="fedbuff", latency_model="lognormal",
+                        buffer_size=1, server_mix=0.6)
+        with pytest.raises(ValueError, match=f"aggregator={aggregator!r} weighs"):
+            ExperimentConfig(aggregator=aggregator, **fedasync)
+        ExperimentConfig(aggregator=aggregator, **{**fedasync, "buffer_size": 2})
 
     def test_resolved_falls_back_to_preset(self):
         cfg = ExperimentConfig(scale="ci")

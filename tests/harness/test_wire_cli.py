@@ -30,8 +30,8 @@ class TestConfigValidation:
             ExperimentConfig(codec="gzip")
         with pytest.raises(ValueError, match="topk_frac"):
             ExperimentConfig(topk_frac=0.0)
-        with pytest.raises(ValueError, match="quant_bits"):
-            ExperimentConfig(quant_bits=16)
+        with pytest.raises(ValueError, match="codec"):
+            ExperimentConfig(codec="qsgd")  # a quantizing codec names its bits
         with pytest.raises(ValueError, match="bandwidth_model"):
             ExperimentConfig(bandwidth_model="5g")
         with pytest.raises(ValueError, match="up_mbps|positive"):
@@ -53,7 +53,6 @@ class TestParserFlags:
         args = build_parser().parse_args([])
         assert args.codec == "dense"
         assert args.topk_frac == 0.01
-        assert args.quant_bits == 8
         assert args.error_feedback is True
         assert args.bandwidth_model == "none"
 

@@ -60,15 +60,11 @@ class TestVirtualClock:
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            self.make_clock(policy="retry")
-        with pytest.raises(ValueError):
             self.make_clock(straggler_fraction=1.5)
-        with pytest.raises(ValueError):
-            self.make_clock(policy="drop")  # drop requires a deadline
         with pytest.raises(ValueError):
             self.make_clock(deadline_s=-1.0)
 
-    def test_wait_policy_makespan_is_slowest(self):
+    def test_no_deadline_makespan_is_slowest(self):
         clock = self.make_clock(straggler_fraction=0.5, straggler_slowdown=10.0)
         timing = clock.observe_round(0, [0, 1, 2, 3, 4, 5], {c: 10 for c in range(6)})
         assert not timing.dropped
@@ -83,17 +79,16 @@ class TestVirtualClock:
             expected = 1.0 * (10.0 if cid in clock.stragglers else 1.0)
             assert timing.client_times_s[cid] == pytest.approx(expected)
 
-    def test_drop_policy_discards_late_clients(self):
+    def test_deadline_discards_late_clients(self):
         clock = self.make_clock(
-            straggler_fraction=0.5, straggler_slowdown=10.0,
-            deadline_s=2.0, policy="drop",
+            straggler_fraction=0.5, straggler_slowdown=10.0, deadline_s=2.0,
         )
         timing = clock.observe_round(0, list(range(6)), {c: 10 for c in range(6)})
         assert set(timing.dropped) == clock.stragglers
         assert timing.makespan_s == pytest.approx(2.0)  # server stops at deadline
 
-    def test_drop_policy_keeps_fastest_when_all_late(self):
-        clock = self.make_clock(deadline_s=0.1, policy="drop")
+    def test_deadline_keeps_fastest_when_all_late(self):
+        clock = self.make_clock(deadline_s=0.1)
         timing = clock.observe_round(0, [1, 4], {1: 10, 4: 20})
         assert timing.dropped == [4]  # the faster client survives
         assert timing.makespan_s >= 1.0  # waited for the kept client
@@ -148,7 +143,7 @@ class TestClockInSimulation:
         clock = VirtualClock(
             HomogeneousLatency(compute_s_per_batch=0.1, upload_s=0, download_s=0),
             6, seed=1, straggler_fraction=0.5, straggler_slowdown=50.0,
-            deadline_s=2.0, policy="drop", jitter_sigma=0.0,
+            deadline_s=2.0, jitter_sigma=0.0,
         )
         hist = self.run_sim(tiny_data, tiny_clients, tiny_model_factory, clock)
         assert hist.total_dropped() > 0
