@@ -19,14 +19,11 @@ and the upload is perturbed in transit):
   amplified, ``w ← g − scale·(w − g)`` (classic byzantine sign flip).
 * ``scale`` — update attack: the delta is amplified without flipping,
   ``w ← g + scale·(w − g)`` (gradient-scaling / model replacement).
-* ``ipm`` — update attack: the delta is replaced by a random direction of
-  matched norm, ``w ← g + scale·‖w − g‖·z/‖z‖`` (IPM-style byzantine
-  noise; ``z`` is drawn per ``(round|job, client)``).
 
 Every stochastic choice is seeded: *who* is malicious comes from the
 static :data:`~repro.runtime.seeding.STREAM_MALICIOUS` stream, per-sample
-poisoning masks and byzantine noise from ``(index, client)``-keyed
-:data:`~repro.runtime.seeding.STREAM_ATTACK` cells — so an attacked run's
+poisoning masks from the static, per-client
+:data:`~repro.runtime.seeding.STREAM_ATTACK` stream — so an attacked run's
 entire behavior is a pure function of the experiment seed and therefore
 bit-identical across the serial / thread / process execution backends.
 
@@ -46,13 +43,12 @@ from repro.fl.client import Client, ClientUpdate
 from repro.runtime.seeding import (
     STREAM_ATTACK,
     STREAM_MALICIOUS,
-    client_round_rng,
     client_static_rng,
 )
 
-ATTACK_MODELS = ("label_flip", "backdoor", "sign_flip", "scale", "ipm")
+ATTACK_MODELS = ("label_flip", "backdoor", "sign_flip", "scale")
 DATA_ATTACKS = ("label_flip", "backdoor")
-UPDATE_ATTACKS = ("sign_flip", "scale", "ipm")
+UPDATE_ATTACKS = ("sign_flip", "scale")
 
 # Backdoor geometry: a square patch of this side length (capped at the
 # image size) stamped at this out-of-distribution pixel value in the
@@ -167,34 +163,22 @@ class AttackModel:
         return ArrayDataset(x, y, test_set.num_classes)
 
     # -- update perturbation -------------------------------------------------
-    def perturb(
-        self, update: ClientUpdate, index: int, reference: np.ndarray
-    ) -> ClientUpdate:
+    def perturb(self, update: ClientUpdate, reference: np.ndarray) -> ClientUpdate:
         """The update the server actually receives from this client.
 
-        ``index`` is the round (synchronous) or job (asynchronous) the
-        work belongs to and ``reference`` the global weights the client
-        trained from — the perturbation rewrites the client's *delta*, so
-        it bites identically under weight-form and delta-form
-        aggregation.  Honest clients' updates pass through untouched, as
-        do data attacks at ``scale == 1`` (the poison is already in the
-        weights).
+        ``reference`` is the global weights the client trained from — the
+        perturbation rewrites the client's *delta*, so it bites
+        identically under weight-form and delta-form aggregation.  Honest
+        clients' updates pass through untouched, as do data attacks at
+        ``scale == 1`` (the poison is already in the weights).
         """
         if not self.is_malicious(update.client_id):
             return update
         delta = update.weights - reference
         if self.name == "sign_flip":
             poisoned = reference - self.scale * delta
-        elif self.name == "scale":
-            poisoned = reference + self.scale * delta
-        elif self.name == "ipm":
-            rng = client_round_rng(self.seed, index, update.client_id, STREAM_ATTACK)
-            z = rng.standard_normal(delta.shape[0])
-            norm = float(np.linalg.norm(z))
-            z = z / norm if norm > 0 else z
-            poisoned = reference + self.scale * float(np.linalg.norm(delta)) * z
-        elif self.scale != 1.0:
-            # Data attacks at scale > 1: model-replacement boost.
+        elif self.name == "scale" or self.scale != 1.0:
+            # Data attacks at scale != 1 get the same model-replacement boost.
             poisoned = reference + self.scale * delta
         else:
             return update

@@ -659,11 +659,11 @@ class FederatedEngine:
         """One upload's trip to the server, relative to the weights the
         client was dispatched (``anchor``): poisoned on the device if the
         client is malicious — timing is unchanged, it looks like any other
-        on the wire — then through the wire format.  Both draw from their
-        own ``(index, client)`` RNG cell, so no schedule can reorder them.
+        on the wire — then through the wire format, which draws from its
+        own ``(index, client)`` RNG cell, so no schedule can reorder it.
         Returns the server-side update and the exact payload bytes."""
         if self.attack is not None:
-            update = self.attack.perturb(update, index, anchor)
+            update = self.attack.perturb(update, anchor)
         if self.wire is None:
             return update, 0
         return self.wire.transmit(update, index, anchor)

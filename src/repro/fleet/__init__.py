@@ -9,17 +9,16 @@ draws from dedicated ``(index, client)``-keyed seed streams, so fleet
 scenarios are bit-identical across every execution backend.
 
 Availability has one engine, :class:`ColumnarAvailability`
-(:mod:`repro.fleet.columnar`), which advances the whole fleet's online
-column per slot; :func:`get_availability_model` builds it by CLI name.
-The same module's :class:`FleetState` stores the other per-client
-attributes as columns, and :mod:`repro.fleet.scale` keeps million-client
-populations virtual, materializing only each round's sampled
-participants.  The package sits below :mod:`repro.fl`: importing it
-first, on its own, works.
+(:mod:`repro.fleet.columnar`), built by CLI name — ``always`` or
+``markov`` (:data:`AVAILABILITY_MODELS`) — which advances the whole
+fleet's online column per slot.  The same module's :class:`FleetState`
+stores the other per-client attributes as columns, and
+:mod:`repro.fleet.scale` keeps million-client populations virtual,
+materializing only each round's sampled participants.  The package sits
+below :mod:`repro.fl`: importing it first, on its own, works.
 """
 
-from repro.fleet.availability import AVAILABILITY_MODELS, get_availability_model
-from repro.fleet.columnar import ColumnarAvailability, FleetState
+from repro.fleet.columnar import AVAILABILITY_MODELS, ColumnarAvailability, FleetState
 from repro.fleet.scale import LazyClientPool, StridedPartition, is_client_provider
 from repro.fleet.simulator import FleetSimulator
 
@@ -30,6 +29,5 @@ __all__ = [
     "FleetState",
     "LazyClientPool",
     "StridedPartition",
-    "get_availability_model",
     "is_client_provider",
 ]

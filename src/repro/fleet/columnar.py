@@ -13,30 +13,29 @@ tests pin the masks against a per-cell reimplementation over
 
 Two layers:
 
-* :class:`ColumnarAvailability` — *the* availability model (built by
-  :func:`repro.fleet.availability.get_availability_model`):
-  ``mask(slot)`` returns the whole fleet's online column and
-  ``online(cid, slot)`` reads one bit of it.  Memoryless models (always /
-  bernoulli / sinusoidal / label_skew) evaluate any slot directly; the
-  markov chain advances sequentially and keeps packed checkpoints so
-  backward queries replay a bounded window instead of the whole history.
+* :class:`ColumnarAvailability` — *the* availability model, built by CLI
+  name (:data:`AVAILABILITY_MODELS`): ``mask(slot)`` returns the whole
+  fleet's online column and ``online(cid, slot)`` reads one bit of it.
+  ``always`` keeps every client online; the ``markov`` chain advances
+  sequentially and keeps packed checkpoints so backward queries replay
+  a bounded window instead of the whole history.
 * :class:`FleetState` — the columns a simulated fleet carries around:
-  shard sizes (so ``n_samples`` never needs a ``Client`` object), device
-  speeds, the jobs-served column that fairness dispatch reads and
-  writes, and the availability engine.  ``nbytes`` reports resident
-  state so scale tests can assert the million-client footprint.
+  shard sizes (so ``n_samples`` never needs a ``Client`` object), the
+  jobs-served column that fairness dispatch reads and writes, and the
+  availability engine.  ``nbytes`` reports resident state so scale tests
+  can assert the million-client footprint.
 """
 
 from __future__ import annotations
-
-import math
 
 import numpy as np
 
 from repro.runtime.seeding import STREAM_AVAILABILITY
 from repro.runtime.vecrng import CellBatchKernel
 
-__all__ = ["ColumnarAvailability", "FleetState"]
+__all__ = ["AVAILABILITY_MODELS", "ColumnarAvailability", "FleetState"]
+
+AVAILABILITY_MODELS = ("always", "markov")
 
 # Replay bound for backward markov queries: a packed snapshot of the
 # fleet's on/off column every this-many slots.
@@ -66,11 +65,9 @@ def ids_within(mask: np.ndarray, ids: np.ndarray | None = None) -> np.ndarray:
 
 
 class ColumnarAvailability:
-    """Whole-fleet availability masks for one model of the family.
+    """Whole-fleet availability masks, by model name.
 
     * ``always`` — every client online in every slot.
-    * ``bernoulli`` — online iff the cell's uniform draw is
-      ``>= offline_fraction``.
     * ``markov`` — a two-state on/off chain per client, slot 0 drawn from
       the stationary distribution, then ``P(on -> off) = churn_rate *
       offline_fraction`` and ``P(off -> on) = churn_rate * (1 -
@@ -79,14 +76,12 @@ class ColumnarAvailability:
       ``~1 / churn_rate`` slots.  A ``churn_rate`` too high for either
       probability to stay <= 1 is scaled down as a whole, preserving the
       stationary distribution.
-    * ``sinusoidal`` — ``p(c, t) = (1 - offline_fraction) + A *
-      sin(2*pi*t/period_slots + phase_c)`` with ``A = min(offline_fraction,
-      1 - offline_fraction)``, the largest swing that keeps every ``p`` in
-      ``[0, 1]`` unclipped; each client's phase is a static draw.
-    * ``label_skew`` — a fixed per-client online probability ``rates``.
 
     Every slot's mask draws from its ``(slot, client)`` availability
-    cells, so a trace is identical no matter which slots are queried first.
+    cells, so a trace is identical no matter which slots are queried
+    first: the chain advances sequentially and keeps packed checkpoints,
+    so a backward query replays a bounded window instead of the whole
+    history.
     """
 
     def __init__(
@@ -96,8 +91,6 @@ class ColumnarAvailability:
         seed: int,
         offline_fraction: float = 0.2,
         churn_rate: float = 0.5,
-        period_slots: int = 24,
-        rates: np.ndarray | None = None,
     ) -> None:
         if n_clients <= 0:
             raise ValueError("n_clients must be positive")
@@ -105,72 +98,36 @@ class ColumnarAvailability:
             raise ValueError("offline_fraction must be in [0, 1)")
         if churn_rate <= 0.0:
             raise ValueError("churn_rate must be positive")
+        if name not in AVAILABILITY_MODELS:
+            raise ValueError(f"unknown availability model {name!r}")
         self.name = name
         self.n_clients = n_clients
         self.seed = seed
         self.offline_fraction = offline_fraction
-        ids = np.arange(n_clients, dtype=np.uint32)
+        self._always: np.ndarray | None = None
         self._kernel: CellBatchKernel | None = None
-        if name != "always":
+        if name == "always":
+            self._always = np.ones(n_clients, dtype=bool)
+        else:
+            ids = np.arange(n_clients, dtype=np.uint32)
             self._kernel = CellBatchKernel(seed, ids, n_prefix=1, n_suffix=1)
         self._mask_cache: dict[int, np.ndarray] = {}
         self._max_cached_masks = max(
             _MASK_CACHE_MIN_SLOTS, _MASK_CACHE_BYTES // n_clients
         )
-        self._always = np.ones(n_clients, dtype=bool) if name == "always" else None
-
-        if name == "bernoulli":
-            pass
-        elif name == "markov":
-            max_rate = 1.0 / max(offline_fraction, 1.0 - offline_fraction)
-            rate = min(churn_rate, max_rate)
-            self.p_on_to_off = rate * offline_fraction
-            self.p_off_to_on = rate * (1.0 - offline_fraction)
-            self._state: np.ndarray | None = None  # on/off column at _slot
-            self._slot = -1
-            self._checkpoints: dict[int, np.ndarray] = {}  # slot -> packbits
-        elif name == "sinusoidal":
-            if period_slots <= 1:
-                raise ValueError("period_slots must be > 1")
-            self.period_slots = period_slots
-            self.amplitude = min(offline_fraction, 1.0 - offline_fraction)
-            static = CellBatchKernel(seed, ids, n_prefix=0, n_suffix=1)
-            # Matches client_static_rng(...).uniform(0, 2*pi): off + range*u
-            # with off = 0.0 is exactly the product.
-            self.phases = static.uniforms((), (STREAM_AVAILABILITY,))
-            self.phases *= 2 * math.pi
-        elif name == "label_skew":
-            if rates is None:
-                raise ValueError("label_skew needs a per-client rates column")
-            rates = np.asarray(rates, dtype=np.float64)
-            if rates.shape != (n_clients,):
-                raise ValueError("rates must have one entry per client")
-            self.rates = rates
-        elif name != "always":
-            raise ValueError(f"unknown availability model {name!r}")
+        max_rate = 1.0 / max(offline_fraction, 1.0 - offline_fraction)
+        rate = min(churn_rate, max_rate)
+        self.p_on_to_off = rate * offline_fraction
+        self.p_off_to_on = rate * (1.0 - offline_fraction)
+        self._state: np.ndarray | None = None  # on/off column at _slot
+        self._slot = -1
+        self._checkpoints: dict[int, np.ndarray] = {}  # slot -> packbits
 
     # ---------------------------------------------------------------- draws
 
-    def _uniforms(self, slot: int) -> np.ndarray:
-        assert self._kernel is not None
-        return self._kernel.uniforms((slot,), (STREAM_AVAILABILITY,))
-
-    def _compute_mask(self, slot: int) -> np.ndarray:
-        if self.name == "bernoulli":
-            return self._uniforms(slot) >= self.offline_fraction
-        if self.name == "sinusoidal":
-            wave = np.sin(2 * math.pi * slot / self.period_slots + self.phases)
-            p = (1.0 - self.offline_fraction) + self.amplitude * wave
-            return self._uniforms(slot) < p
-        if self.name == "label_skew":
-            return self._uniforms(slot) < self.rates
-        if self.name == "markov":
-            return self._markov_mask(slot)
-        raise AssertionError(self.name)
-
     def _markov_step(self, state: np.ndarray | None, slot: int) -> np.ndarray:
         """One transition of the whole-fleet on/off column into ``slot``."""
-        u = self._uniforms(slot)
+        u = self._kernel.uniforms((slot,), (STREAM_AVAILABILITY,))
         if slot == 0 or state is None:
             return u >= self.offline_fraction
         return np.where(state, u >= self.p_on_to_off, u < self.p_off_to_on)
@@ -219,7 +176,7 @@ class ColumnarAvailability:
             return self._always
         cached = self._mask_cache.get(slot)
         if cached is None:
-            cached = self._compute_mask(slot)
+            cached = self._markov_mask(slot)
             self._cache_put(slot, cached)
         return cached
 
@@ -230,30 +187,16 @@ class ColumnarAvailability:
         """Sorted online client ids, optionally restricted to ``ids``."""
         return ids_within(self.mask(slot), ids)
 
-    def online_count(self, slot: int) -> int:
-        return int(self.mask(slot).sum())
-
     @property
     def nbytes(self) -> int:
         """Resident bytes of columns, caches, and kernel scratch."""
-        total = 0
-        if self._always is not None:
-            total += self._always.nbytes
-        kernel = self._kernel
-        if kernel is not None:
-            total += sum(r.nbytes for rows in kernel._id_rows for r in rows)
-            total += sum(b.nbytes for b in kernel._pool32)
-            total += sum(b.nbytes for b in kernel._w32)
-            total += sum(b.nbytes for b in kernel._u64)
-        for column in ("phases", "rates"):
-            arr = getattr(self, column, None)
-            if arr is not None:
-                total += arr.nbytes
-        total += sum(m.nbytes for m in self._mask_cache.values())
-        if self.name == "markov":
-            if self._state is not None:
-                total += self._state.nbytes
-            total += sum(c.nbytes for c in self._checkpoints.values())
+        total = sum(m.nbytes for m in self._mask_cache.values())
+        total += sum(c.nbytes for c in self._checkpoints.values())
+        for column in (self._always, self._state):
+            if column is not None:
+                total += column.nbytes
+        if self._kernel is not None:
+            total += self._kernel.nbytes
         return total
 
 
@@ -262,11 +205,10 @@ class FleetState:
 
     Everything a fleet-scale experiment needs to know about a client
     without instantiating it: whether it is online (availability
-    engine), how many samples it holds (``shard_sizes``), how fast it is
-    (``speeds``), and how many jobs it has served (``jobs_served``, the
-    column fairness dispatch reads and writes).  ``Client`` objects are
-    materialized lazily — per sampled participant, per round — by
-    :mod:`repro.fleet.scale`.
+    engine), how many samples it holds (``shard_sizes``), and how many
+    jobs it has served (``jobs_served``, the column fairness dispatch
+    reads and writes).  ``Client`` objects are materialized lazily — per
+    sampled participant, per round — by :mod:`repro.fleet.scale`.
     """
 
     def __init__(
@@ -275,7 +217,6 @@ class FleetState:
         seed: int,
         availability: ColumnarAvailability | None = None,
         shard_sizes: np.ndarray | None = None,
-        speeds: np.ndarray | None = None,
     ) -> None:
         if n_clients <= 0:
             raise ValueError("n_clients must be positive")
@@ -289,26 +230,10 @@ class FleetState:
         self.shard_sizes = np.asarray(shard_sizes, dtype=np.int64)
         if self.shard_sizes.shape != (n_clients,):
             raise ValueError("shard_sizes must have one entry per client")
-        if speeds is None:
-            speeds = np.ones(n_clients, dtype=np.float64)
-        self.speeds = np.asarray(speeds, dtype=np.float64)
-        if self.speeds.shape != (n_clients,):
-            raise ValueError("speeds must have one entry per client")
         self.jobs_served = np.zeros(n_clients, dtype=np.int64)
-
-    # -------------------------------------------------------- availability
-
-    def online_mask(self, slot: int) -> np.ndarray:
-        return self.availability.mask(slot)
 
     def online_ids(self, slot: int, ids: np.ndarray | None = None) -> np.ndarray:
         return self.availability.online_ids(slot, ids)
-
-    def online_count(self, slot: int) -> int:
-        return self.availability.online_count(slot)
-
-    def is_online(self, client_id: int, slot: int) -> bool:
-        return self.availability.online(client_id, slot)
 
     # ------------------------------------------------------------- columns
 
@@ -341,7 +266,6 @@ class FleetState:
         """Resident bytes of all columns including the availability engine."""
         return (
             self.shard_sizes.nbytes
-            + self.speeds.nbytes
             + self.jobs_served.nbytes
             + self.availability.nbytes
         )

@@ -314,7 +314,7 @@ class ExperimentConfig:
     # Adversarial fleet (repro.fl.robust): `attack` marks a seeded
     # malicious_fraction of clients malicious and poisons their data
     # (label_flip, backdoor) or their submitted updates (sign_flip,
-    # scale, ipm); attack_scale amplifies update perturbations (and, for
+    # scale); attack_scale amplifies update perturbations (and, for
     # backdoor, boosts the poisoned upload when > 1).  `aggregator`
     # selects the server's combination rule — "mean" keeps the classic
     # weighted mean, the rest are robust defenses that compose with
@@ -323,7 +323,7 @@ class ExperimentConfig:
         "none", 41, "--attack",
         "adversarial fleet: poison a seeded malicious subset's data "
         "(label_flip, backdoor) or their submitted updates (sign_flip, "
-        "scale, ipm)", choices=VALID_ATTACKS,
+        "scale)", choices=VALID_ATTACKS,
     )
     malicious_fraction: float = _cli(
         0.2, 42, "--malicious-fraction",
@@ -628,18 +628,11 @@ class ExperimentConfig:
                     "leaving fewer than n_edges distinct edges — use "
                     "topology='hier' with aggregation='sync'"
                 )
-        if self.fleet_mode == "lazy":
-            if self.attack != "none":
-                raise ValueError(
-                    "attacks poison client shards at build time, which "
-                    "materializes the whole fleet — use fleet_mode='eager'"
-                )
-            if self.availability == "label_skew":
-                raise ValueError(
-                    "label_skew availability reads every client's labels at "
-                    "build time — use fleet_mode='eager' or another "
-                    "availability model"
-                )
+        if self.fleet_mode == "lazy" and self.attack != "none":
+            raise ValueError(
+                "attacks poison client shards at build time, which "
+                "materializes the whole fleet — use fleet_mode='eager'"
+            )
 
     def _validate_robust(self) -> None:
         if not 0.0 <= self.malicious_fraction < 0.5:

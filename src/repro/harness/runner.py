@@ -18,7 +18,7 @@ from repro.fl.robust import AttackModel, RobustAggregator
 from repro.fl.simulation import FederatedSimulation, FLConfig, History
 from repro.fl.strategies import FedAvg, FedDRL, FedProx, Strategy
 from repro.fl.wire import WireFormat, get_codec
-from repro.fleet import FleetSimulator, get_availability_model
+from repro.fleet import ColumnarAvailability, FleetSimulator
 from repro.harness.checkpoint import checkpoint_fingerprint, validate_resume
 from repro.harness.config import ExperimentConfig
 from repro.nn.dtypes import default_dtype, set_default_dtype
@@ -246,20 +246,16 @@ def build_wire(cfg: ExperimentConfig) -> WireFormat | None:
     return WireFormat(codec, cfg.seed, error_feedback=cfg.error_feedback)
 
 
-def build_fleet(cfg: ExperimentConfig, clients) -> FleetSimulator | None:
+def build_fleet(cfg: ExperimentConfig) -> FleetSimulator | None:
     """The fleet-behavior simulator, or None for an ideal fleet."""
     if not cfg.fleet_active:
         return None
-    labels = None
-    if cfg.availability == "label_skew":
-        labels = [c.dataset.y for c in clients]
-    model = get_availability_model(
+    model = ColumnarAvailability(
         cfg.availability,
         n_clients=cfg.n_clients,
         seed=cfg.seed,
         offline_fraction=cfg.offline_fraction,
         churn_rate=cfg.churn_rate,
-        labels=labels,
     )
     return FleetSimulator(
         cfg.n_clients,
@@ -379,7 +375,7 @@ def build_simulation(
     executor = None
     if cfg.backend != "serial":
         executor = build_executor(cfg, clients, model_factory)
-    fleet = build_fleet(cfg, clients)
+    fleet = build_fleet(cfg)
     faults = build_fault_plan(cfg)
     wire = build_wire(cfg)
     if cfg.aggregation != "sync":

@@ -199,7 +199,8 @@ class UniformBandwidth(BandwidthModel):
 
     def factors(self, n_clients: int, base_seed: int) -> np.ndarray:
         # Generator.uniform(low, high) is exactly low + (high - low) * u.
-        u = vecrng.spawn_key_uniforms(base_seed, (np.arange(n_clients), STREAM_WIRE))
+        kernel = vecrng.CellBatchKernel(base_seed, np.arange(n_clients), 0, 1)
+        u = kernel.uniforms((), (STREAM_WIRE,))
         return self.low + (self.high - self.low) * u
 
 

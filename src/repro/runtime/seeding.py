@@ -10,15 +10,15 @@ reads.  Three key families, told apart by length:
   model init, dataset, partition, selection, dispatch, the DDPG agent,
   FedDRL's alpha sampler, pretraining workers' seeds, the clock profile.
 * ``(client, tag)`` — a **static** per-client trait (:func:`client_static_rng`):
-  link bandwidth, availability phase or rate, who is malicious.
+  link bandwidth, who is malicious, which of its samples are poisoned.
 * ``(round, client, tag)`` — a **cell** (:func:`client_round_rng`): batch
   order, forward-time randomness (Dropout), latency jitter, fleet
   availability (keyed by time slot) / dropout / completeness (round or
-  job), faults, wire rounding, attack noise.
+  job), faults, wire rounding.
 
 No two consumers share a key, and nothing shifts the seed (``seed + k``),
 so runs under different seeds are independent.  A two-element run-level
-key would alias a trait — ``(12, 3)`` is client 12's availability — hence
+key would alias a trait — ``(12, 9)`` is client 12's link bandwidth — hence
 a pretraining worker's seed is *drawn* from ``STREAM_PRETRAIN``.  Cells make
 every backend bit-identical: a pool may train a round's clients in any
 order (or retry a faulted one), and each cell's stream is a pure function
@@ -83,9 +83,10 @@ def client_static_rng(
 ) -> np.random.Generator:
     """A per-client generator with no time coordinate.
 
-    Used for static per-client traits (a sinusoidal phase offset, a
-    label-skew availability rate).  The two-element spawn key can never
-    collide with the three-element ``(round, client, stream)`` cells.
+    Used for static per-client traits (a device's link-quality factor, a
+    malicious client's poisoned-sample mask).  The two-element spawn key
+    can never collide with the three-element ``(round, client, stream)``
+    cells.
     """
     return np.random.default_rng(
         np.random.SeedSequence(entropy=base_seed, spawn_key=(client_id, stream))

@@ -67,6 +67,11 @@ class TestMaliciousSet:
         with pytest.raises(ValueError):
             AttackModel("sign_flip", 10, 0.2, seed=0, scale=0.0)
 
+    def test_removed_attack_is_rejected(self):
+        assert "ipm" not in ATTACK_MODELS and "ipm" not in UPDATE_ATTACKS
+        with pytest.raises(ValueError, match="attack must be one of"):
+            AttackModel("ipm", 10, 0.2, seed=0)
+
 
 class TestDataPoisoning:
     def test_label_flip_is_directed(self):
@@ -143,53 +148,38 @@ class TestPerturb:
         attack, _ = self._attack("sign_flip")
         honest = next(c for c in range(10) if not attack.is_malicious(c))
         u = _update(honest, [1.0, 2.0])
-        assert attack.perturb(u, 0, np.zeros(2)) is u
+        assert attack.perturb(u, np.zeros(2)) is u
 
     def test_sign_flip(self):
         attack, cid = self._attack("sign_flip", scale=3.0)
         ref = np.array([1.0, -1.0])
         u = _update(cid, ref + np.array([0.5, 0.25]))
-        out = attack.perturb(u, 0, ref)
+        out = attack.perturb(u, ref)
         np.testing.assert_allclose(out.weights, ref - 3.0 * np.array([0.5, 0.25]))
 
     def test_scale(self):
         attack, cid = self._attack("scale", scale=4.0)
         ref = np.array([1.0, -1.0])
         u = _update(cid, ref + np.array([0.5, 0.25]))
-        out = attack.perturb(u, 0, ref)
+        out = attack.perturb(u, ref)
         np.testing.assert_allclose(out.weights, ref + 4.0 * np.array([0.5, 0.25]))
-
-    def test_ipm_matches_norm_and_is_seeded(self):
-        attack, cid = self._attack("ipm", scale=1.0)
-        ref = np.zeros(64)
-        delta = np.linspace(-1, 1, 64)
-        u = _update(cid, ref + delta)
-        a = attack.perturb(u, 2, ref)
-        b = attack.perturb(u, 2, ref)
-        np.testing.assert_array_equal(a.weights, b.weights)
-        np.testing.assert_allclose(
-            np.linalg.norm(a.weights - ref), np.linalg.norm(delta), rtol=1e-6
-        )
-        # A different round/job index draws a different direction.
-        c = attack.perturb(u, 3, ref)
-        assert not np.array_equal(a.weights, c.weights)
 
     def test_data_attack_passthrough_at_unit_scale(self):
         for name in DATA_ATTACKS:
             attack = AttackModel(name, 10, 0.2, seed=3, scale=1.0)
             u = _update(min(attack.malicious), [1.0, 2.0])
-            assert attack.perturb(u, 0, np.zeros(2)) is u
+            assert attack.perturb(u, np.zeros(2)) is u
 
     def test_data_attack_boost_above_unit_scale(self):
         attack = AttackModel("backdoor", 10, 0.2, seed=3, scale=5.0)
         cid = min(attack.malicious)
         ref = np.array([1.0, 1.0])
         u = _update(cid, ref + np.array([0.1, -0.1]))
-        out = attack.perturb(u, 0, ref)
+        out = attack.perturb(u, ref)
         np.testing.assert_allclose(out.weights, ref + 5.0 * np.array([0.1, -0.1]))
 
     def test_preserves_dtype(self):
         attack, cid = self._attack("sign_flip")
         u = ClientUpdate(cid, np.ones(4, dtype=np.float32), 1.0, 0.5, 8)
-        out = attack.perturb(u, 0, np.zeros(4, dtype=np.float32))
+        out = attack.perturb(u, np.zeros(4, dtype=np.float32))
         assert out.weights.dtype == np.float32

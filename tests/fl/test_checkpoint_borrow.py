@@ -23,7 +23,7 @@ from repro.fl.async_ import AsyncFederatedServer
 from repro.fl.simulation import FederatedSimulation, FLConfig
 from repro.fl.strategies import FedAvg
 from repro.fl.wire import WireFormat, get_codec
-from repro.fleet import FleetSimulator, get_availability_model
+from repro.fleet import ColumnarAvailability, FleetSimulator
 from repro.fleet.scale import LazyClientPool
 from repro.harness.reporting import history_digest
 from repro.nn.models import mlp
@@ -39,7 +39,7 @@ def build_engine(engine: str, n_clients: int = 12, dispatch: str = "random"):
     spec = SyntheticImageSpec(num_classes=4, channels=1, image_size=4, noise=0.3)
     train, test = make_synthetic_dataset(spec, 240, 80, np.random.default_rng(0))
     parts = iid_partition(train.y, n_clients, np.random.default_rng(1))
-    availability = get_availability_model(
+    availability = ColumnarAvailability(
         "markov", n_clients=n_clients, seed=31, offline_fraction=0.3)
     args = (
         LazyClientPool(train, parts), test,

@@ -94,7 +94,7 @@ class PoisonedUpload:
     def is_malicious(self, client_id: int) -> bool:
         return client_id == self.client_id
 
-    def perturb(self, update, index, anchor):
+    def perturb(self, update, anchor):
         if update.client_id != self.client_id:
             return update
         weights = update.weights.copy()

@@ -1,4 +1,4 @@
-"""Availability models (built by ``get_availability_model``) and the
+"""Availability models (:class:`ColumnarAvailability`) and the
 FleetSimulator's behavioral draws.
 
 The load-bearing property everywhere: every draw is a pure function of
@@ -9,12 +9,7 @@ precondition for backend bit-equivalence.
 import numpy as np
 import pytest
 
-from repro.fleet import (
-    AVAILABILITY_MODELS,
-    ColumnarAvailability,
-    FleetSimulator,
-    get_availability_model,
-)
+from repro.fleet import AVAILABILITY_MODELS, ColumnarAvailability, FleetSimulator
 
 N, SEED = 20, 7
 
@@ -25,25 +20,13 @@ def trace(model, n_slots=50):
     ]
 
 
-def sinusoid(model, n_slots):
-    """Every client's online probability per slot, ``(n_slots, N)``."""
-    t = np.arange(n_slots)[:, None]
-    wave = np.sin(2 * np.pi * t / model.period_slots + model.phases)
-    return (1.0 - model.offline_fraction) + model.amplitude * wave
-
-
 class TestModels:
     def test_always_on(self):
-        model = get_availability_model("always", N, SEED)
+        model = ColumnarAvailability("always", N, SEED)
         assert all(all(row) for row in trace(model))
 
-    def test_bernoulli_rate(self):
-        model = get_availability_model("bernoulli", N, SEED, offline_fraction=0.3)
-        flat = np.array(trace(model, 200)).ravel()
-        assert 0.62 <= flat.mean() <= 0.78  # ~0.7 online
-
     def test_markov_stationary_fraction(self):
-        model = get_availability_model(
+        model = ColumnarAvailability(
             "markov", N, SEED, offline_fraction=0.2, churn_rate=0.5
         )
         flat = np.array(trace(model, 400)).ravel()
@@ -52,7 +35,7 @@ class TestModels:
     def test_markov_extreme_churn_preserves_stationary_fraction(self):
         """churn_rate beyond the valid transition range is scaled down as
         a whole, keeping the configured offline mass intact."""
-        model = get_availability_model(
+        model = ColumnarAvailability(
             "markov", N, SEED, offline_fraction=0.2, churn_rate=2.0
         )
         assert model.p_on_to_off <= 1.0 and model.p_off_to_on <= 1.0
@@ -64,7 +47,7 @@ class TestModels:
 
     def test_markov_has_sessions(self):
         """Low churn means longer on/off stretches than i.i.d. flips."""
-        slow = get_availability_model(
+        slow = ColumnarAvailability(
             "markov", N, SEED, offline_fraction=0.5, churn_rate=0.1
         )
         switches = 0
@@ -73,68 +56,30 @@ class TestModels:
         # i.i.d. at 50% would switch ~50% of steps; churn 0.1 targets ~5%.
         assert switches / (N * 199) < 0.15
 
-    def test_sinusoidal_probability_bounds(self):
-        model = get_availability_model(
-            "sinusoidal", N, SEED, offline_fraction=0.2, period_slots=24
-        )
-        p = sinusoid(model, 48)
-        assert ((0.0 <= p) & (p <= 1.0)).all()
-        flat = np.array(trace(model, 240)).ravel()
-        assert 0.7 <= flat.mean() <= 0.9  # mean stays ~0.8
-
-    def test_sinusoidal_mean_holds_for_high_offline_fraction(self):
-        """Amplitude shrinks instead of clipping, so the documented mean
-        online rate holds over the whole legal offline_fraction range."""
-        model = get_availability_model(
-            "sinusoidal", N, SEED, offline_fraction=0.7, period_slots=24
-        )
-        p = sinusoid(model, 48)
-        assert ((0.0 <= p) & (p <= 1.0)).all()
-        flat = np.array(trace(model, 480)).ravel()
-        assert 0.25 <= flat.mean() <= 0.35  # mean ~0.3 = 1 - 0.7
-
-    def test_label_skew_orders_rates_by_min_label(self):
-        labels = [np.array([cid % 4]) for cid in range(N)]
-        model = get_availability_model(
-            "label_skew", N, SEED, offline_fraction=0.2, labels=labels
-        )
-        assert model.rates[0] < model.rates[3]  # min label 0 flakier than 3
-        assert all(0.0 < r <= 1.0 for r in model.rates)
-
     def test_trace_is_query_order_independent(self):
-        for name in ("bernoulli", "markov", "sinusoidal"):
-            forward = get_availability_model(name, N, SEED)
-            backward = get_availability_model(name, N, SEED)
-            ref = trace(forward, 30)
-            # A fresh instance queried in reverse (slot, client) order must
-            # reproduce the same trace.
-            for t in reversed(range(30)):
-                for cid in reversed(range(N)):
-                    assert backward.online(cid, t) == ref[cid][t], (name, cid, t)
+        forward = ColumnarAvailability("markov", N, SEED)
+        backward = ColumnarAvailability("markov", N, SEED)
+        ref = trace(forward, 30)
+        # A fresh instance queried in reverse (slot, client) order must
+        # reproduce the same trace.
+        for t in reversed(range(30)):
+            for cid in reversed(range(N)):
+                assert backward.online(cid, t) == ref[cid][t], (cid, t)
 
     def test_factory_covers_registry_and_rejects_unknown(self):
-        labels = [np.array([0, 1]) for _ in range(N)]
         for name in AVAILABILITY_MODELS:
-            model = get_availability_model(name, N, SEED, labels=labels)
+            model = ColumnarAvailability(name, N, SEED)
             assert model.name == name
         with pytest.raises(ValueError, match="availability"):
-            get_availability_model("solar", N, SEED)
-        with pytest.raises(ValueError, match="labels"):
-            get_availability_model("label_skew", N, SEED)
+            ColumnarAvailability("solar", N, SEED)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):
-            get_availability_model("bernoulli", N, SEED, offline_fraction=1.0)
+            ColumnarAvailability("markov", N, SEED, offline_fraction=1.0)
         with pytest.raises(ValueError):
-            get_availability_model("markov", N, SEED, churn_rate=0.0)
+            ColumnarAvailability("markov", N, SEED, churn_rate=0.0)
         with pytest.raises(ValueError):
-            get_availability_model("sinusoidal", N, SEED, period_slots=1)
-        with pytest.raises(ValueError):
-            get_availability_model("always", 0, SEED)
-        with pytest.raises(ValueError, match="one entry per client"):
-            get_availability_model(
-                "label_skew", N, SEED, labels=[np.array([0])] * (N - 1)
-            )
+            ColumnarAvailability("always", 0, SEED)
 
 
 class TestFleetSimulator:
@@ -142,7 +87,7 @@ class TestFleetSimulator:
         kw.setdefault("dropout_prob", 0.1)
         kw.setdefault("completeness", 0.4)
         return FleetSimulator(
-            N, get_availability_model("markov", N, SEED, 0.2, 0.5), seed=SEED, **kw
+            N, ColumnarAvailability("markov", N, SEED, 0.2, 0.5), seed=SEED, **kw
         )
 
     def test_online_ids_subset_and_slotting(self):
@@ -188,14 +133,18 @@ class TestFleetSimulator:
         assert t >= 0.0
 
     def test_wait_for_online_gives_up_on_starvation(self):
-        never_on = ColumnarAvailability("label_skew", 4, SEED, rates=np.zeros(4))
+        class NeverOnline(ColumnarAvailability):
+            def mask(self, slot):
+                return np.zeros(self.n_clients, dtype=bool)
+
+        never_on = NeverOnline("always", 4, SEED)
         fleet = FleetSimulator(4, never_on, seed=SEED)
         t, ids = fleet.wait_for_online(5.0, min_count=1, max_slots=10)
         assert t == 5.0
         assert list(ids) == [0, 1, 2, 3]
 
     def test_validation(self):
-        model = get_availability_model("markov", N, SEED)
+        model = ColumnarAvailability("markov", N, SEED)
         with pytest.raises(ValueError):
             FleetSimulator(N + 1, model, seed=SEED)
         with pytest.raises(ValueError):

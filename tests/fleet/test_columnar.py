@@ -11,26 +11,22 @@ noticing.
 from __future__ import annotations
 
 import hashlib
-import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from repro.fleet.availability import get_availability_model
-from repro.fleet.columnar import ColumnarAvailability, FleetState
-from repro.runtime.seeding import (
-    STREAM_AVAILABILITY,
-    client_round_rng,
-    client_static_rng,
-)
+import repro.fleet
+from repro.fleet.columnar import AVAILABILITY_MODELS, ColumnarAvailability, FleetState
+from repro.runtime.seeding import STREAM_AVAILABILITY, client_round_rng
+from repro.runtime.vecrng import CellBatchKernel
 
 N = 37
 SLOTS = 20
 SEED = 123
 OFF = 0.3
 CHURN = 0.5
-PERIOD = 6
-RATES = np.linspace(0.1, 1.0, N)
 
 # sha256 of np.packbits(trace) for the scalar-reference trace of each
 # model at the parameters above.  Computed from the per-cell derivation
@@ -38,10 +34,7 @@ RATES = np.linspace(0.1, 1.0, N)
 # bit of it.
 GOLDEN = {
     "always": "d4f45a1e4b96d490c686eae23511fc4d4147232bf455916f3c6d56a39b771330",
-    "bernoulli": "f1dca5662026b06109578f88f35042bb633e875b46464a9fde220a4f8151ac6b",
     "markov": "527b88bef5d5c345dfae13d77cd16e46583444503aabe23b4ca786d04c56e8e0",
-    "sinusoidal": "4d42ad4598683aeab14e10a2cb411facbfe70edac1d71d6c703e6a4b7e1c22e8",
-    "label_skew": "ff88b25475b57487c1f0196ede1941ecf2debf04dbfbdcadc5b58c30c1c5f2c3",
 }
 
 
@@ -50,33 +43,12 @@ def _u(slot: int, cid: int) -> float:
     return float(client_round_rng(SEED, slot, cid, STREAM_AVAILABILITY).random())
 
 
-def _u_row(slot: int) -> np.ndarray:
-    return np.array([_u(slot, c) for c in range(N)])
-
-
 def scalar_trace(name: str) -> np.ndarray:
     """The pre-columnar per-client loops, reimplemented from the formulas."""
     trace = np.zeros((SLOTS, N), dtype=bool)
     if name == "always":
         return np.ones((SLOTS, N), dtype=bool)
-    if name == "bernoulli":
-        for t in range(SLOTS):
-            for c in range(N):
-                trace[t, c] = _u(t, c) >= OFF
-    elif name == "sinusoidal":
-        amp = min(OFF, 1 - OFF)
-        for c in range(N):
-            phase = client_static_rng(SEED, c, STREAM_AVAILABILITY).uniform(
-                0, 2 * math.pi
-            )
-            for t in range(SLOTS):
-                p = (1 - OFF) + amp * math.sin(2 * math.pi * t / PERIOD + phase)
-                trace[t, c] = _u(t, c) < p
-    elif name == "label_skew":
-        for t in range(SLOTS):
-            for c in range(N):
-                trace[t, c] = _u(t, c) < RATES[c]
-    elif name == "markov":
+    if name == "markov":
         rate = min(CHURN, 1.0 / max(OFF, 1 - OFF))
         p_on_off, p_off_on = rate * OFF, rate * (1 - OFF)
         for c in range(N):
@@ -92,10 +64,7 @@ def scalar_trace(name: str) -> np.ndarray:
 
 
 def columnar_engine(name: str) -> ColumnarAvailability:
-    return ColumnarAvailability(
-        name, N, SEED, offline_fraction=OFF, churn_rate=CHURN,
-        period_slots=PERIOD, rates=RATES if name == "label_skew" else None,
-    )
+    return ColumnarAvailability(name, N, SEED, offline_fraction=OFF, churn_rate=CHURN)
 
 
 def trace_hash(trace: np.ndarray) -> str:
@@ -116,24 +85,13 @@ class TestGoldenBitIdentity:
 
     @pytest.mark.parametrize("name", sorted(GOLDEN))
     def test_scalar_view_classes_delegate_to_the_same_trace(self, name):
-        """The factory's engine answers per-client ``online`` queries —
-        clients in the outer loop — with the scalar reference's trace."""
-        labels = [np.array([c % 5, 4]) for c in range(N)]
-        model = get_availability_model(
-            name, n_clients=N, seed=SEED, offline_fraction=OFF,
-            churn_rate=CHURN, period_slots=PERIOD, labels=labels,
-        )
-        assert isinstance(model, ColumnarAvailability)
-        if name == "label_skew":
-            # The factory derives its rates from labels, not the fixed
-            # RATES ramp: compare against a reference over those rates.
-            ref = np.stack([_u_row(t) < model.rates for t in range(SLOTS)])
-        else:
-            ref = scalar_trace(name)
+        """The engine answers per-client ``online`` queries — clients in
+        the outer loop — with the scalar reference's trace."""
+        model = columnar_engine(name)
         got = np.array(
             [[model.online(c, t) for t in range(SLOTS)] for c in range(N)]
         ).T
-        np.testing.assert_array_equal(got, ref)
+        np.testing.assert_array_equal(got, scalar_trace(name))
 
     def test_query_order_independence(self):
         """Masks are pure functions of (seed, slot) for every model —
@@ -149,22 +107,64 @@ class TestGoldenBitIdentity:
                 )
 
 
+U32_MAX = 2**32 - 1
+
+
+@given(
+    seed=st.integers(0, 2**63),
+    slot=st.sampled_from([0, 1, U32_MAX]) | st.integers(0, U32_MAX),
+    stream=st.integers(0, 16),
+    ids=st.lists(st.sampled_from([0, 1, U32_MAX]) | st.integers(0, U32_MAX),
+                 min_size=1, max_size=6),
+)
+@settings(max_examples=60, deadline=None)
+def test_fleet_cell_kernel_matches_seed_sequence(seed, slot, stream, ids):
+    """The fleet's ``(slot, client, stream)`` key: a one-element prefix
+    before the id column, checked cell by cell against the generator
+    ``client_round_rng`` builds."""
+    kernel = CellBatchKernel(seed, np.array(ids, dtype=np.int64), 1, 1)
+    u = kernel.uniforms((slot,), (stream,))
+    st_hi, st_lo, inc_hi, inc_lo = kernel.states((slot,), (stream,))
+    for j, cid in enumerate(ids):
+        rng = client_round_rng(seed, slot, cid, stream)
+        want = rng.bit_generator.state["state"]
+        assert (int(st_hi[j]) << 64) | int(st_lo[j]) == want["state"]
+        assert (int(inc_hi[j]) << 64) | int(inc_lo[j]) == want["inc"]
+        assert u[j] == rng.random()
+
+
 class TestValidation:
     @pytest.mark.parametrize("name,kwargs,match", [
-        ("bernoulli", {"offline_fraction": 1.5}, "offline_fraction"),
+        ("markov", {"offline_fraction": 1.5}, "offline_fraction"),
         ("markov", {"churn_rate": 0.0}, "churn_rate"),
         ("markov", {"churn_rate": -1.0}, "churn_rate"),
-        ("sinusoidal", {"offline_fraction": -0.5}, "offline_fraction"),
-        ("sinusoidal", {"period_slots": 1}, "period_slots"),
-        ("label_skew", {}, "rates"),
-        ("label_skew", {"rates": np.ones(5)}, "one entry per client"),
+        ("markov", {"offline_fraction": -0.5}, "offline_fraction"),
         ("solar", {}, "unknown"),
-    ], ids=["bernoulli-offline-1.5", "markov-churn-0", "markov-churn-neg",
-            "sinusoidal-offline-neg", "sinusoidal-period-1", "label-skew-no-rates",
-            "label-skew-short-rates", "unknown-model"])
+    ], ids=["markov-offline-1.5", "markov-churn-0", "markov-churn-neg",
+            "markov-offline-neg", "unknown-model"])
     def test_constructor_rejects_bad_parameters(self, name, kwargs, match):
         with pytest.raises(ValueError, match=match):
             ColumnarAvailability(name, 6, SEED, **kwargs)
+
+    @pytest.mark.parametrize("name", ["bernoulli", "sinusoidal", "label_skew"])
+    def test_removed_models_are_unknown(self, name):
+        """The deleted vocabulary values are rejected even with otherwise
+        valid parameters."""
+        assert name not in AVAILABILITY_MODELS
+        with pytest.raises(ValueError, match="unknown availability model"):
+            ColumnarAvailability(name, 6, SEED)
+
+    @pytest.mark.parametrize("kwarg,value", [
+        ("period_slots", 8), ("rates", np.full(6, 0.5)),
+    ], ids=["period_slots", "rates"])
+    def test_removed_parameters_are_gone(self, kwarg, value):
+        with pytest.raises(TypeError, match=kwarg):
+            ColumnarAvailability("markov", 6, SEED, **{kwarg: value})
+
+
+def test_availability_vocabulary_lives_here():
+    assert AVAILABILITY_MODELS == ("always", "markov")
+    assert repro.fleet.AVAILABILITY_MODELS is AVAILABILITY_MODELS
 
 
 class TestMarkovReplay:
@@ -188,7 +188,7 @@ class TestMarkovReplay:
 
 class TestOnlineIds:
     def test_subset_is_sorted_and_filtered(self):
-        engine = columnar_engine("bernoulli")
+        engine = columnar_engine("markov")
         mask = engine.mask(5)
         ids = np.array([30, 2, 17, 4], dtype=np.int64)
         got = engine.online_ids(5, ids)
@@ -196,7 +196,7 @@ class TestOnlineIds:
         np.testing.assert_array_equal(got, expect)
 
     def test_full_fleet_matches_flatnonzero(self):
-        engine = columnar_engine("sinusoidal")
+        engine = columnar_engine("markov")
         np.testing.assert_array_equal(
             engine.online_ids(2), np.flatnonzero(engine.mask(2))
         )
@@ -230,11 +230,11 @@ class TestFleetState:
         assert list(state.jobs_served) == [0, 1, 0, 3, 0, 0, 0, 0]
 
     def test_availability_plumbing(self):
-        engine = columnar_engine("bernoulli")
+        engine = columnar_engine("markov")
         state = FleetState(N, SEED, availability=engine)
-        assert state.online_count(4) == int(engine.mask(4).sum())
-        assert state.is_online(0, 4) == bool(engine.mask(4)[0])
-        np.testing.assert_array_equal(state.online_mask(4), engine.mask(4))
+        np.testing.assert_array_equal(
+            state.online_ids(4), np.flatnonzero(engine.mask(4))
+        )
 
     def test_validation(self):
         with pytest.raises(ValueError):
@@ -242,11 +242,17 @@ class TestFleetState:
         with pytest.raises(ValueError):
             FleetState(4, SEED, shard_sizes=np.ones(3, dtype=np.int64))
         with pytest.raises(ValueError):
-            FleetState(4, SEED, speeds=np.ones(5))
-        with pytest.raises(ValueError):
             FleetState(
                 4, SEED, availability=ColumnarAvailability("always", 5, SEED)
             )
+
+    def test_nbytes_counts_shard_and_jobs_columns_and_engine(self):
+        """Two int64 columns per client plus the availability engine —
+        no other per-client column is resident."""
+        engine = columnar_engine("markov")
+        state = FleetState(N, SEED, availability=engine)
+        state.online_ids(3)
+        assert state.nbytes == 16 * N + engine.nbytes
 
     def test_million_client_state_under_100mb(self):
         """Acceptance: the whole fleet's columnar state — including the
@@ -258,6 +264,6 @@ class TestFleetState:
                 "markov", n, SEED, offline_fraction=OFF
             ),
         )
-        state.online_mask(0)  # touch a slot so kernel scratch is resident
+        state.online_ids(0)  # touch a slot so kernel scratch is resident
         assert state.nbytes < 100 * 1024 * 1024
         assert state.nbytes > 0

@@ -21,7 +21,7 @@ from repro.fl.selection import (
 )
 from repro.fl.simulation import FederatedSimulation, FLConfig
 from repro.fl.strategies import FedAvg
-from repro.fleet import FleetSimulator, get_availability_model
+from repro.fleet import ColumnarAvailability, FleetSimulator
 from repro.harness import ExperimentConfig, run_experiment
 from repro.runtime import LogNormalLatency, VirtualClock, make_executor
 
@@ -31,7 +31,7 @@ BACKEND_WORKERS = [("serial", None), ("thread", 2), ("process", 2)]
 def make_fleet(n_clients, dropout_prob=0.1, completeness=0.5, seed=31):
     return FleetSimulator(
         n_clients,
-        get_availability_model(
+        ColumnarAvailability(
             "markov", n_clients, seed, offline_fraction=0.25, churn_rate=0.5
         ),
         seed=seed,

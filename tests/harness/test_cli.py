@@ -115,13 +115,18 @@ class TestParser:
 
     # Second spellings of runs other flags express: FedAsync is
     # "--aggregation fedbuff --buffer-size 1 --server-mix 0.6", a deadline
-    # always drops, and a quantizing codec names its bit width.
+    # always drops, and a quantizing codec names its bit width.  Values no
+    # workload used are gone too: three availability models and one attack.
     @pytest.mark.parametrize("argv, names", [
         (["--aggregation", "fedasync"], "invalid choice: 'fedasync'"),
         (["--deadline-policy", "drop"], "unrecognized arguments: --deadline-policy"),
         (["--quant-bits", "4"], "unrecognized arguments: --quant-bits"),
         (["--codec", "qsgd"], "invalid choice: 'qsgd'"),
         (["--codec", "topk+qsgd"], "invalid choice: 'topk+qsgd'"),
+        (["--availability", "bernoulli"], "invalid choice: 'bernoulli'"),
+        (["--availability", "sinusoidal"], "invalid choice: 'sinusoidal'"),
+        (["--availability", "label_skew"], "invalid choice: 'label_skew'"),
+        (["--attack", "ipm"], "invalid choice: 'ipm'"),
     ])
     def test_removed_spelling_exits_2(self, argv, names, capsys):
         with pytest.raises(SystemExit) as exc:

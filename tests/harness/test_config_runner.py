@@ -4,8 +4,14 @@ import numpy as np
 import pytest
 
 from repro.data.partition import SHARDS_PER_CLIENT
-from repro.harness.config import SCALES, VALID_AGGREGATORS, ExperimentConfig
+from repro.harness.config import (
+    SCALES,
+    VALID_AGGREGATORS,
+    VALID_AVAILABILITY,
+    ExperimentConfig,
+)
 from repro.harness.runner import (
+    build_fleet,
     build_dataset,
     build_fl_config,
     build_model_factory,
@@ -113,6 +119,24 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match=f"aggregator={aggregator!r} weighs"):
             ExperimentConfig(aggregator=aggregator, **fedasync)
         ExperimentConfig(aggregator=aggregator, **{**fedasync, "buffer_size": 2})
+
+    @pytest.mark.parametrize("availability", VALID_AVAILABILITY)
+    def test_lazy_fleet_takes_every_availability_model(self, availability):
+        """Only attacks force an eager fleet; availability never reads
+        client shards at build time."""
+        cfg = ExperimentConfig(fleet_mode="lazy", latency_model="lognormal",
+                               availability=availability, dropout_prob=0.1)
+        assert build_fleet(cfg).availability.name == availability
+        with pytest.raises(ValueError, match="fleet_mode='eager'"):
+            cfg.with_(attack="sign_flip")
+
+    @pytest.mark.parametrize("field, value", [
+        ("availability", "bernoulli"), ("availability", "sinusoidal"),
+        ("availability", "label_skew"), ("attack", "ipm"),
+    ])
+    def test_rejects_removed_vocabulary(self, field, value):
+        with pytest.raises(ValueError, match=field):
+            ExperimentConfig(**{field: value})
 
     def test_resolved_falls_back_to_preset(self):
         cfg = ExperimentConfig(scale="ci")

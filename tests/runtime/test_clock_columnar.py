@@ -102,9 +102,9 @@ U32_MAX = 2**32 - 1
 )
 @settings(max_examples=60, deadline=None)
 def test_cell_state_matches_seed_sequence(seed, stream, ids):
-    st_hi, st_lo, inc_hi, inc_lo = vecrng.spawn_key_states(
-        seed, (np.array(ids, dtype=np.int64), stream)
-    )
+    st_hi, st_lo, inc_hi, inc_lo = vecrng.CellBatchKernel(
+        seed, np.array(ids, dtype=np.int64), 0, 1
+    ).states((), (stream,))
     for j, cid in enumerate(ids):
         want = client_static_rng(seed, cid, stream).bit_generator.state["state"]
         assert (int(st_hi[j]) << 64) | int(st_lo[j]) == want["state"]
