@@ -27,6 +27,7 @@ import sys
 
 from repro.harness.config import ExperimentConfig, cli_fields
 from repro.harness.runner import run_experiment
+from repro.runtime.faults import RetriesExhausted
 
 # --list: (label, field) for each vocabulary it prints.
 _LISTED = (
@@ -105,13 +106,17 @@ def main(argv: list[str] | None = None) -> int:
             **{f.name: getattr(args, flag.dest) for f, flag in cli_fields()}
         )
     except ValueError as err:
-        # Cross-flag constraints (K <= N, a deadline needs a clock, ...) live
+        # Cross-flag constraints (K <= N, no deadline under feddrl, ...) live
         # in the config layer; report them CLI-style. Errors raised later,
-        # during the run, keep their tracebacks.
+        # during the run, keep their tracebacks unless caught below.
         print(f"python -m repro: error: {err}", file=sys.stderr)
         return 2
     try:
         result = run_experiment(cfg)
+    except RetriesExhausted as err:
+        # Injected faults outlived --max-retries: the run cannot finish.
+        print(f"python -m repro: error: {err}", file=sys.stderr)
+        return 3
     except (OSError, ValueError) as err:
         if cfg.resume:
             # A missing/corrupt/mismatched snapshot is a user-input error,
@@ -119,6 +124,10 @@ def main(argv: list[str] | None = None) -> int:
             print(f"python -m repro: error: --resume: {err}", file=sys.stderr)
             return 2
         raise
+    extra = result.extra
+    if result.best_accuracy is None:
+        print("python -m repro: warning: no aggregation window closed, so none "
+              "was evaluated; best_accuracy is null", file=sys.stderr)
 
     if args.json:
         from repro.harness.reporting import history_digest
@@ -141,51 +150,50 @@ def main(argv: list[str] | None = None) -> int:
         }
         if args.aggregation != "sync":
             payload["accuracy_vs_time"] = history.accuracy_vs_time()
-        if result.extra:
-            payload.update(result.extra)
+        payload.update(extra)
         print(json.dumps(payload))
     else:
         print(f"{args.method} on {args.dataset}/{args.partition} "
               f"(N={args.clients}, K={args.per_round}, scale={args.scale}, "
               f"backend={args.backend}, aggregation={args.aggregation}):")
-        print(f"  best top-1 accuracy: {result.best_accuracy:.4f}")
+        best = result.best_accuracy
+        print(f"  best top-1 accuracy: {'n/a' if best is None else f'{best:.4f}'}")
         print(f"  wall time:           {result.wall_time_s:.1f}s")
-        if result.extra and "sim_time_s" in result.extra:
-            print(f"  simulated time:      {result.extra['sim_time_s']:.1f}s "
-                  f"({result.extra['dropped_updates']} updates dropped)")
-        if result.extra and "arrivals" in result.extra:
-            print(f"  async:               {result.extra['aggregations']} "
-                  f"aggregations over {result.extra['arrivals']} arrivals, "
-                  f"mean staleness {result.extra['mean_staleness']:.2f}")
-        if result.extra and "availability" in result.extra:
-            online = result.extra.get("mean_online")
+        print(f"  simulated time:      {extra['sim_time_s']:.1f}s "
+              f"({extra['dropped_updates']} updates dropped)")
+        if "arrivals" in extra:
+            print(f"  async:               {extra['aggregations']} "
+                  f"aggregations over {extra['arrivals']} arrivals, "
+                  f"mean staleness {extra['mean_staleness']:.2f}")
+        if "availability" in extra:
+            online = extra.get("mean_online")
             online_s = f", mean online {online:.1f}" if online is not None else ""
-            print(f"  fleet:               {result.extra['availability']} "
+            print(f"  fleet:               {extra['availability']} "
                   f"availability, "
-                  f"{result.extra['connectivity_dropped']} updates lost to "
+                  f"{extra['connectivity_dropped']} updates lost to "
                   f"dropout, mean work fraction "
-                  f"{result.extra['mean_work_fraction']:.2f}{online_s}")
-        if result.extra and "wire" in result.extra:
-            w = result.extra["wire"]
+                  f"{extra['mean_work_fraction']:.2f}{online_s}")
+        if "wire" in extra:
+            w = extra["wire"]
             ef_s = "on" if w["error_feedback"] else "off"
             print(f"  wire:                codec={w['codec']} (EF {ef_s}), "
                   f"{w['bytes_up']:,} B up / {w['bytes_down']:,} B down, "
                   f"compression {w['compression_ratio']:.1f}x"
                   + (f", bandwidth={w['bandwidth_model']}"
                      if w["bandwidth_model"] != "none" else ""))
-        if result.extra and "attack" in result.extra:
-            backdoor = result.extra.get("backdoor_accuracy")
+        if "attack" in extra:
+            backdoor = extra.get("backdoor_accuracy")
             backdoor_s = (
                 f", backdoor success {backdoor:.2f}" if backdoor is not None else ""
             )
-            print(f"  adversarial:         attack={result.extra['attack']} "
-                  f"(malicious {result.extra['malicious_clients']}), "
-                  f"aggregator={result.extra['aggregator']}, "
-                  f"{result.extra['rejected_updates']} rejected / "
-                  f"{result.extra['clipped_updates']} clipped"
+            print(f"  adversarial:         attack={extra['attack']} "
+                  f"(malicious {extra['malicious_clients']}), "
+                  f"aggregator={extra['aggregator']}, "
+                  f"{extra['rejected_updates']} rejected / "
+                  f"{extra['clipped_updates']} clipped"
                   f"{backdoor_s}")
-        if result.extra and "faults" in result.extra:
-            f = result.extra["faults"]
+        if "faults" in extra:
+            f = extra["faults"]
             injected = ", ".join(
                 f"{k}:{v}" for k, v in sorted(f["injected"].items())
             ) or "none"
@@ -194,14 +202,14 @@ def main(argv: list[str] | None = None) -> int:
                   f"({f['sim_retries']} retries, "
                   f"{f['sim_backoff_s']:.1f}s simulated backoff, "
                   f"{f['pool_rebuilds']} pool rebuilds{degraded_s})")
-        if result.extra and "checkpoint" in result.extra:
-            c = result.extra["checkpoint"]
+        if "checkpoint" in extra:
+            c = extra["checkpoint"]
             print(f"  checkpoint:          {c['path']} "
                   f"(every {c['every']}, {c['saves']} saves)")
-        if result.extra and "resumed_from" in result.extra:
-            print(f"  resumed from:        {result.extra['resumed_from']}")
-        if result.extra and "trace_paths" in result.extra:
-            print(f"  trace:               {result.extra['trace_paths']['trace']} "
+        if "resumed_from" in extra:
+            print(f"  resumed from:        {extra['resumed_from']}")
+        if "trace_paths" in extra:
+            print(f"  trace:               {extra['trace_paths']['trace']} "
                   f"(+ .chrome.json, .manifest.json)")
         tail = result.history.accuracy_series()[-3:]
         series = "  ".join(f"r{r}:{v:.3f}" for r, v in tail)

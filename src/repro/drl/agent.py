@@ -53,7 +53,6 @@ class DRLConfig:
     noise_scale: float = 0.2
     noise_decay: float = 0.995
     noise_floor: float = 0.01
-    prioritized: bool = True
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.gamma < 1.0:
@@ -75,8 +74,8 @@ class TrainStats:
     updates: int
     buffer_size: int
     #: Mean |TD error| over the buffer at the start of the pass (the
-    #: priorities it ranked by); None when sampling is uniform.
-    td_error: float | None = None
+    #: priorities it ranked by).
+    td_error: float
 
 
 class DDPGAgent:
@@ -190,18 +189,11 @@ class DDPGAgent:
             return None
         batch_size = min(c.batch_size, len(self.buffer))
         # One ranking per call: the priorities do not change between updates.
-        probs = td_error = None
-        if c.prioritized:
-            priorities = self.td_priorities()
-            td_error = float(np.mean(priorities))
-            probs = self.buffer.rank_probabilities(priorities)
+        priorities = self.td_priorities()
+        probs = self.buffer.rank_probabilities(priorities)
         critic_losses, actor_qs = [], []
         for _ in range(c.updates_per_round):
-            if probs is not None:
-                batch = self.buffer.sample_ranked(batch_size, probs, self.rng)
-            else:
-                batch = self.buffer.sample_uniform(batch_size, self.rng)
-            s, a, r, s2 = batch
+            s, a, r, s2 = self.buffer.sample_ranked(batch_size, probs, self.rng)
             critic_losses.append(self._critic_update(s, a, r, s2))
             actor_qs.append(self._actor_update(s))
             soft_update(self.value_target, self.value_main, c.rho)
@@ -212,7 +204,7 @@ class DDPGAgent:
             actor_q=float(np.mean(actor_qs)),
             updates=c.updates_per_round,
             buffer_size=len(self.buffer),
-            td_error=td_error,
+            td_error=float(np.mean(priorities)),
         )
 
     # -- weight transfer ---------------------------------------------------------

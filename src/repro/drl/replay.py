@@ -5,8 +5,10 @@ to its absolute temporal difference ``|r + gamma * Q(s', a) - Q(s, a)|``,
 sorts the buffer by priority, and samples batches preferring high-priority
 experiences.  We implement this as rank-based prioritised sampling
 (probability proportional to ``1 / rank``), which is robust to the scale
-of TD errors; ``sample_uniform`` is retained for the replay-strategy
-ablation bench.
+of TD errors: :meth:`ReplayBuffer.rank_probabilities` ranks once per
+training pass and :meth:`ReplayBuffer.sample_ranked` draws each batch.
+Offline training of a two-stage main agent samples uniformly
+(:meth:`ReplayBuffer.sample_uniform`).
 
 The buffer is a columnar ring: one array per field of ``(s, a, r, s')``
 in the buffer's dtype (the agent's), rows addressed by slot.  A batch is
@@ -111,7 +113,7 @@ class ReplayBuffer:
     def sample_uniform(
         self, batch_size: int, rng: np.random.Generator
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Uniform sampling (the ablation baseline)."""
+        """Uniform sampling (offline training of a two-stage main agent)."""
         if not self._size:
             raise ValueError("cannot sample from an empty buffer")
         return self._gather(rng.integers(0, self._size, size=batch_size))
@@ -138,15 +140,6 @@ class ReplayBuffer:
     ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Draw a batch with :meth:`rank_probabilities`' ``probs``."""
         return self._gather(rng.choice(self._size, size=batch_size, p=probs))
-
-    def sample_prioritized(
-        self,
-        batch_size: int,
-        priorities: np.ndarray,
-        rng: np.random.Generator,
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Rank-based TD-prioritised sampling: probability ``∝ 1 / rank``."""
-        return self.sample_ranked(batch_size, self.rank_probabilities(priorities), rng)
 
     def snapshot(self) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
         """Read-only views of the filled rows, in slot order (for priority

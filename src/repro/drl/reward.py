@@ -8,7 +8,7 @@ where ``l_b^k`` is the loss of the (new) global model on client k's data,
 measured at the start of the next communication round.  Both terms are
 *costs* — the agent should make them small — while an RL agent maximises
 return, so we return the negated value; :func:`reward_components`
-exposes the raw terms for the ablation benches.
+exposes the raw terms.
 """
 
 from __future__ import annotations
@@ -26,17 +26,7 @@ def reward_components(losses_before: np.ndarray) -> tuple[float, float]:
     return float(losses.mean()), float(losses.max() - losses.min())
 
 
-def feddrl_reward(
-    losses_before: np.ndarray,
-    fairness_weight: float = 1.0,
-) -> float:
-    """Negated eq. (7): higher reward = lower average loss and lower bias.
-
-    ``fairness_weight`` scales the max-min gap term; the paper uses an
-    implicit weight of 1, and the ablation benches sweep it (0 disables the
-    fairness objective entirely).
-    """
-    if fairness_weight < 0:
-        raise ValueError("fairness_weight must be non-negative")
+def feddrl_reward(losses_before: np.ndarray) -> float:
+    """Negated eq. (7): higher reward = lower average loss and lower bias."""
     mean_loss, gap = reward_components(losses_before)
-    return -(mean_loss + fairness_weight * gap)
+    return -(mean_loss + gap)

@@ -122,11 +122,6 @@ class AsyncFederatedServer(FederatedEngine):
             clients, test_set, model_factory, strategy, config, executor,
             clock, fleet, tracer, attack, defense, faults, topology, n_edges, wire,
         )
-        if clock is None:
-            raise ValueError(
-                "asynchronous aggregation needs a VirtualClock — arrival "
-                "order is defined by simulated device latency"
-            )
         if buffer_size <= 0:
             raise ValueError("buffer_size must be positive")
         if max_concurrency is None:

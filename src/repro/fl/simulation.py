@@ -21,10 +21,11 @@ impact factors, and the server-side timing split (Fig. 9).
 
 Client execution is delegated to a pluggable :class:`repro.runtime`
 backend (serial / thread / process — all bit-identical for a given seed
-thanks to ``(round, client)``-keyed batch RNGs), and an optional
-:class:`~repro.runtime.clock.VirtualClock` overlays simulated device
-latency: per-round makespans are recorded alongside the real timings, and
-a round deadline excludes straggler updates from aggregation.
+thanks to ``(round, client)``-keyed batch RNGs), and a
+:class:`~repro.runtime.clock.VirtualClock` (identical devices unless one
+is given) overlays simulated device latency: per-round makespans are
+recorded alongside the real timings, and a round deadline excludes
+straggler updates from aggregation.
 
 An optional :class:`~repro.fleet.FleetSimulator` adds *dynamic* fleet
 behavior on top: the selection pool is filtered to clients online at the
@@ -64,7 +65,7 @@ from repro.obs.trace import (
     CAT_WINDOW,
     Tracer,
 )
-from repro.runtime.clock import VirtualClock, n_local_batches
+from repro.runtime.clock import HomogeneousLatency, VirtualClock, n_local_batches
 from repro.runtime.executor import Executor, RoundContext, SerialExecutor
 from repro.runtime.faults import FaultPlan, FaultStats, absorb_fault_stats
 from repro.runtime.seeding import STREAM_MODEL_INIT, STREAM_SELECTION, run_rng
@@ -107,7 +108,7 @@ class RoundRecord:
     aggregation_time_s: float
     test_accuracy: float | None = None
     test_loss: float | None = None
-    # Virtual-clock fields (None / empty when no clock is attached).
+    # Virtual-clock fields (None / empty on a record built by hand).
     sim_makespan_s: float | None = None
     dropped_clients: list[int] = field(default_factory=list)
     # Async-aggregation fields (empty for synchronous rounds): per-update
@@ -212,11 +213,13 @@ class History:
 
     def mean_impact_time(self) -> float:
         """Average impact-factor computation time in seconds (Fig. 9 'DRL')."""
-        return float(np.mean([r.impact_time_s for r in self.records]))
+        times = [r.impact_time_s for r in self.records]
+        return float(np.mean(times)) if times else 0.0
 
     def mean_aggregation_time(self) -> float:
         """Average eq.-(4) aggregation time in seconds (Fig. 9 'Aggregation')."""
-        return float(np.mean([r.aggregation_time_s for r in self.records]))
+        times = [r.aggregation_time_s for r in self.records]
+        return float(np.mean(times)) if times else 0.0
 
     def rounds_to_accuracy(self, target: float) -> int | None:
         """First round reaching ``target`` accuracy, or None (Fig. 10)."""
@@ -226,11 +229,11 @@ class History:
         return None
 
     def makespan_series(self) -> list[float]:
-        """Per-round simulated makespans (virtual-clock runs only)."""
+        """Per-round simulated makespans."""
         return [r.sim_makespan_s for r in self.records if r.sim_makespan_s is not None]
 
     def total_sim_time(self) -> float:
-        """Total simulated training time across all clocked rounds."""
+        """Total simulated training time across all rounds."""
         return float(np.sum(self.makespan_series()))
 
     def total_dropped(self) -> int:
@@ -549,7 +552,7 @@ class FederatedEngine:
     engine = ""            # snapshot tag
     window_label = ""      # what the trace calls a window
     window_counter = ""    # the sim.* counter of closed windows
-    window_span = ""       # the trace's span over a clocked window ...
+    window_span = ""       # the trace's span over a window ...
     window_histogram = ""  # ... and the sim.* histogram of its length
 
     def __init__(
@@ -578,7 +581,8 @@ class FederatedEngine:
         if executor is None:
             executor = SerialExecutor(clients, model_factory, model=self.model)
         self.executor = executor
-        self.clock = clock
+        # Every engine runs on a virtual clock: identical devices by default.
+        self.clock = clock or VirtualClock(HomogeneousLatency(), len(clients), seed=config.seed)
         self.fleet = fleet
         # Adversarial fleet (repro.fl.robust): `attack` perturbs malicious
         # clients' uploads relative to the weights they were dispatched
@@ -768,15 +772,15 @@ class FederatedEngine:
         raise NotImplementedError
 
     def _close_window(
-        self, updates: list[ClientUpdate], index: int, anchors=None,
-        factors=None, server_mix=None, sim_span=None, **record_fields,
+        self, updates: list[ClientUpdate], index: int, sim_span: tuple,
+        anchors=None, factors=None, server_mix=None, **record_fields,
     ) -> RoundRecord:
         """Close one window: run :func:`aggregate_window` over it (see
         there for ``anchors`` / ``factors`` / ``server_mix``), install the
         new weights, and append the window's record — the fields every
         window has plus the scheduler's ``record_fields`` — evaluated
         every ``eval_every`` windows and traced over ``sim_span``, its
-        simulated (start, end) (None without a clock)."""
+        simulated (start, end)."""
         wall_t0 = time.time()
         result = aggregate_window(
             self.global_weights, self.strategy, updates, index,
@@ -811,11 +815,11 @@ class FederatedEngine:
         return record
 
     def _trace_window(
-        self, record: RoundRecord, wall_t0: float, sim_span: tuple | None
+        self, record: RoundRecord, wall_t0: float, sim_span: tuple
     ) -> None:
         """The server-side spans and ``sim.*`` counters every window emits
-        (tracer != None only), and on a clocked run the window span over
-        ``sim_span``: window spans tile the simulated timeline, so their
+        (tracer != None only), and the window span over ``sim_span``:
+        window spans tile the simulated timeline, so their
         durations sum to ``History.total_sim_time()``.  The wall fields
         are this host's real cost."""
         tr = self.tracer
@@ -843,13 +847,12 @@ class FederatedEngine:
             )
         for name, value in self.strategy.window_metrics().items():
             m.set_gauge(name, value)
-        if sim_span is not None:
-            t0, t1 = sim_span
-            tr.span(self.window_span, CAT_WINDOW, track="server",
-                    sim_t0=t0, sim_dur=record.sim_makespan_s,
-                    **label, updates=len(record.participants))
-            m.observe(self.window_histogram, record.sim_makespan_s)
-            tr.maybe_snapshot(t1)
+        t0, t1 = sim_span
+        tr.span(self.window_span, CAT_WINDOW, track="server",
+                sim_t0=t0, sim_dur=record.sim_makespan_s,
+                **label, updates=len(record.participants))
+        m.observe(self.window_histogram, record.sim_makespan_s)
+        tr.maybe_snapshot(t1)
 
     def _trace_client_phases(
         self, cid: int, start: float, duration: float, batches: int,
@@ -915,7 +918,7 @@ class FederatedEngine:
             "strategy": self.strategy,
             "fault_totals": self.fault_totals,
             "wire": None if self.wire is None else self.wire.snapshot(),
-            "clock": None if self.clock is None else {
+            "clock": {
                 "elapsed_s": self.clock.elapsed_s,
                 "fault_recovery_s": self.clock.fault_recovery_s,
                 "timings": self.clock.timings,
@@ -951,10 +954,9 @@ class FederatedEngine:
         wire_state, clock_state = state["wire"], state["clock"]
         if wire_state is not None and self.wire is not None:
             self.wire.restore(wire_state)
-        if clock_state is not None and self.clock is not None:
-            self.clock.elapsed_s = clock_state["elapsed_s"]
-            self.clock.fault_recovery_s = clock_state["fault_recovery_s"]
-            self.clock.timings = clock_state["timings"]
+        self.clock.elapsed_s = clock_state["elapsed_s"]
+        self.clock.fault_recovery_s = clock_state["fault_recovery_s"]
+        self.clock.timings = clock_state["timings"]
 
     def close(self) -> None:
         """Release the execution backend's workers, a lazy client pool's
@@ -1068,13 +1070,12 @@ class FederatedSimulation(FederatedEngine):
         makespan — but one update always survives (a real server would
         re-request rather than lose the round)."""
         clock, fleet = self.clock, self.fleet
-        sim0 = None if clock is None else clock.elapsed_s
+        sim0 = clock.elapsed_s
         pool, wait_s, online_count, budgets = None, 0.0, None, None
         if fleet is not None:
-            now = float(t) if sim0 is None else sim0
-            online_t, pool = self._wait_for_online(now)
-            wait_s, online_count = online_t - now, len(pool)
-            if wait_s > 0 and clock is not None:
+            online_t, pool = self._wait_for_online(sim0)
+            wait_s, online_count = online_t - sim0, len(pool)
+            if wait_s > 0:
                 clock.advance(wait_s)
         participants = self.sample_participants(t, available=pool)
         if fleet is not None and fleet.completeness < 1.0:
@@ -1092,15 +1093,13 @@ class FederatedSimulation(FederatedEngine):
         sent = [self._upload(u, t, self.global_weights) for u in updates]
         updates = [u for u, _ in sent]
         payload_down = self._broadcast(len(participants))
-        timing, batches = None, {}
-        if clock is not None:
-            batches = {cid: self._local_batches(cid) for cid in participants}
-            batches.update(budgets or {})
-            timing = clock.observe_round(
-                t, participants, batches, self._up_nbytes, self._down_nbytes
-            )
-            late = set(timing.dropped)
-            updates = [u for u in updates if u.client_id not in late]
+        batches = {cid: self._local_batches(cid) for cid in participants}
+        batches.update(budgets or {})
+        timing = clock.observe_round(
+            t, participants, batches, self._up_nbytes, self._down_nbytes
+        )
+        late = set(timing.dropped)
+        updates = [u for u in updates if u.client_id not in late]
         lost: list[int] = []
         if fleet is not None and fleet.dropout_prob > 0.0:
             lost = [u.client_id for u in updates if fleet.drops(t, u.client_id)]
@@ -1114,15 +1113,15 @@ class FederatedSimulation(FederatedEngine):
         )
         if self.tracer is not None:
             self._trace_barrier(t, timing, batches, lost, online_count,
-                                start=None if sim0 is None else sim0 + wait_s)
+                                start=sim0 + wait_s)
         return dict(
             updates=updates,
             index=t,
-            sim_span=None if timing is None else (sim0, clock.elapsed_s),
+            sim_span=(sim0, clock.elapsed_s),
             # The round's simulated cost includes any time the server spent
             # waiting for an online client before it could even select.
-            sim_makespan_s=None if timing is None else timing.makespan_s + wait_s,
-            dropped_clients=[] if timing is None else timing.dropped,
+            sim_makespan_s=timing.makespan_s + wait_s,
+            dropped_clients=timing.dropped,
             online_count=online_count,
             wait_s=wait_s,
             connectivity_dropped=lost,
@@ -1137,23 +1136,20 @@ class FederatedSimulation(FederatedEngine):
 
     def _trace_barrier(
         self, t: int, timing, batches: dict[int, int], lost: list[int],
-        online_count: int | None, start: float | None,
+        online_count: int | None, start: float,
     ) -> None:
         """Round ``t``'s drop counters and client-side spans (tracer !=
         None only): each participant's download / local_train / upload
         from ``start``, then its deadline or connectivity drop, or its
         wait at the barrier.  They derive from the virtual clock's timings
         — pure functions of the seed — so they are bit-identical across
-        backends; without a clock there are none."""
+        backends."""
         tr = self.tracer
         m = tr.metrics
-        m.inc("sim.updates.dropped_deadline",
-              0 if timing is None else len(timing.dropped))
+        m.inc("sim.updates.dropped_deadline", len(timing.dropped))
         m.inc("sim.updates.dropped_connectivity", len(lost))
         if online_count is not None:
             m.set_gauge("sim.fleet.online", online_count)
-        if timing is None:
-            return
         key = {"round": t}
         late, gone = set(timing.dropped), set(lost)
         for cid, total in timing.client_times_s.items():

@@ -51,7 +51,6 @@ class FedDRL(Strategy):
         seed: int = 0,
         explore: bool = True,
         online_training: bool = True,
-        fairness_weight: float = 1.0,
     ) -> None:
         if clients_per_round <= 0:
             raise ValueError("clients_per_round must be positive")
@@ -73,7 +72,6 @@ class FedDRL(Strategy):
         self._side = SideTrainer(agent)
         self.explore = explore
         self.online_training = online_training
-        self.fairness_weight = fairness_weight
         self._pending: tuple[np.ndarray, np.ndarray] | None = None
         self.reward_history: list[float] = []
         self.last_alphas: np.ndarray | None = None
@@ -112,7 +110,7 @@ class FedDRL(Strategy):
         if self._pending is not None:
             prev_state, prev_action = self._pending
             losses_before = np.array([u.loss_before for u in updates])
-            reward = feddrl_reward(losses_before, self.fairness_weight)
+            reward = feddrl_reward(losses_before)
             self.reward_history.append(reward)
             self._side.observe(prev_state, prev_action, reward, state)
 
@@ -154,8 +152,7 @@ class FedDRL(Strategy):
         if self.last_train is not None:
             metrics["sim.drl.critic_loss"] = self.last_train.critic_loss
             metrics["sim.drl.actor_q"] = self.last_train.actor_q
-            if self.last_train.td_error is not None:
-                metrics["sim.drl.td_error"] = self.last_train.td_error
+            metrics["sim.drl.td_error"] = self.last_train.td_error
         if self._pending is not None:
             alphas = self.last_alphas
             # The state's last K entries are this window's n_k / Σn.

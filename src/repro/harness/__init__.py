@@ -8,12 +8,7 @@ adds seeds to any of them).  The benches under ``benchmarks/`` are thin
 wrappers over this package.
 """
 
-from repro.harness.ablations import (
-    ablation_fairness_weight,
-    ablation_replay_strategy,
-    ablation_sigma_beta,
-    ablation_two_stage,
-)
+from repro.harness.ablations import ablation_sigma_beta, ablation_two_stage
 from repro.harness.config import SCALES, ExperimentConfig, ScalePreset
 from repro.harness.convergence import convergence_table
 from repro.harness.figures import (
@@ -64,9 +59,7 @@ __all__ = [
     "partition_figure",
     "server_overhead_figure",
     "convergence_table",
-    "ablation_replay_strategy",
     "ablation_two_stage",
-    "ablation_fairness_weight",
     "ablation_sigma_beta",
     "history_to_dict",
     "result_to_dict",

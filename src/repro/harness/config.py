@@ -40,9 +40,9 @@ VALID_DATASETS = ("mnist", "fashion", "cifar100")
 VALID_DTYPES = SUPPORTED_DTYPES
 VALID_PARTITIONS = ("IID", "PA", "CE", "CN", "EQUAL", "NONEQUAL")
 VALID_METHODS = ("fedavg", "fedprox", "feddrl", "singleset")
-# Runtime vocabularies are owned by repro.runtime; "none" = no virtual clock.
+# Runtime vocabularies are owned by repro.runtime.
 VALID_BACKENDS = BACKENDS
-VALID_LATENCY_MODELS = ("none", *LATENCY_MODELS)
+VALID_LATENCY_MODELS = LATENCY_MODELS
 # Aggregation protocols: the synchronous round loop, or the async engine's
 # buffered FedBuff (repro.fl.async_; FedAsync is a buffer of one).
 VALID_AGGREGATIONS = ("sync", "fedbuff")
@@ -170,11 +170,9 @@ class ExperimentConfig:
     # per round compensate for having ~30x fewer transitions).
     drl_beta: float = 0.5
     drl_explore: bool = True
-    drl_prioritized: bool = True
     drl_gamma: float = 0.9
     drl_noise_scale: float = 0.05
     drl_updates_per_round: int = 8
-    fairness_weight: float = 1.0
     # Two-stage pretraining (Section 3.4.2, feddrl only): number of online
     # rounds each worker engine runs before the main agent is trained
     # offline and deployed.  0 disables pretraining (basic training only,
@@ -187,7 +185,7 @@ class ExperimentConfig:
     drl_offline_updates: int = 200
     # Runtime: execution backend and virtual-clock device simulation (see
     # repro.runtime).  All backends are bit-identical for a given seed;
-    # latency_model="none" disables the virtual clock entirely.
+    # every run has a virtual clock, homogeneous unless a model is named.
     backend: str = _cli(
         "serial", 11, "--backend",
         "client-execution backend (bit-identical results)", choices=VALID_BACKENDS,
@@ -197,7 +195,7 @@ class ExperimentConfig:
         "worker count for thread/process backends (default: CPU count)", type=int,
     )
     latency_model: str = _cli(
-        "none", 14, "--latency-model", "virtual-clock device latency model",
+        "homogeneous", 14, "--latency-model", "virtual-clock device latency model",
         choices=VALID_LATENCY_MODELS,
     )
     # Substrate compute dtype (repro.nn.dtypes).  float64 (the default) is
@@ -225,14 +223,14 @@ class ExperimentConfig:
     # Asynchronous aggregation (repro.fl.async_).  "sync" keeps the
     # classic per-round barrier; "fedbuff" aggregates whenever buffer_size
     # updates have arrived in virtual time (buffer_size=1 with
-    # server_mix=0.6 is FedAsync).  The async engine needs a latency_model
-    # (arrival order *is* device timing) and runs the same total
-    # local-work budget as sync (rounds x K jobs).
+    # server_mix=0.6 is FedAsync).  Arrival order *is* device timing, and
+    # the async engine runs the same total local-work budget as sync
+    # (rounds x K jobs).
     aggregation: str = _cli(
         "sync", 27, "--aggregation",
         "synchronous rounds, or the event-driven fedbuff engine, which "
         "aggregates every --buffer-size arrivals (--buffer-size 1 "
-        "--server-mix 0.6 is FedAsync; needs --latency-model)",
+        "--server-mix 0.6 is FedAsync)",
         choices=VALID_AGGREGATIONS,
     )
     buffer_size: int = _cli(
@@ -256,14 +254,14 @@ class ExperimentConfig:
         "delta-based update (default: 1.0)", type=_server_mix,
     )
     # Fleet behavior (repro.fleet): dynamic availability churn, mid-round
-    # connectivity dropout, and partial local work.  "always" + zero
-    # dropout + completeness 1.0 disables the fleet entirely; anything
-    # else needs a latency_model (fleet behavior evolves over the virtual
-    # clock).  `dispatch` picks the async engine's slot-assignment policy.
+    # connectivity dropout, and partial local work, evolving over the
+    # virtual clock.  "always" + zero dropout + completeness 1.0 disables
+    # the fleet entirely.  `dispatch` picks the async engine's
+    # slot-assignment policy.
     availability: str = _cli(
         "always", 32, "--availability",
-        "fleet availability model: who is online as simulated time advances "
-        "(needs --latency-model)", choices=VALID_AVAILABILITY,
+        "fleet availability model: who is online as simulated time advances",
+        choices=VALID_AVAILABILITY,
     )
     offline_fraction: float = _cli(
         0.2, 33, "--offline-fraction",
@@ -438,7 +436,7 @@ class ExperimentConfig:
     bandwidth_model: str = _cli(
         "none", 23, "--bandwidth-model",
         "per-client link-rate model: comm time becomes payload_bytes / "
-        "bandwidth (needs --latency-model)", choices=VALID_BANDWIDTH_MODELS,
+        "bandwidth", choices=VALID_BANDWIDTH_MODELS,
     )
     up_mbps: float = _cli(
         1.0, 24, "--up-mbps", "mean client uplink rate in Mbit/s", type=float
@@ -466,7 +464,7 @@ class ExperimentConfig:
                 raise ValueError(f"{name} must be positive")
         for name in (
             "seed", "prox_mu", "metrics_interval", "drl_noise_scale",
-            "fairness_weight", "max_retries",
+            "max_retries",
         ):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
@@ -491,16 +489,6 @@ class ExperimentConfig:
             raise ValueError("straggler_slowdown must be >= 1")
         if self.metrics_interval > 0 and self.trace is None:
             raise ValueError("metrics_interval needs trace=PATH to write to")
-        if self.latency_model == "none" and (
-            self.deadline_s is not None
-            or self.straggler_fraction > 0
-            or self.straggler_comm_slowdown is not None
-        ):
-            raise ValueError(
-                "deadline/straggler settings have no effect without a "
-                "latency_model — pick one of "
-                f"{tuple(m for m in VALID_LATENCY_MODELS if m != 'none')}"
-            )
         if self.method == "feddrl" and self.deadline_s is not None:
             # The DRL agent's state and action dims are fixed at K; a round
             # that drops its stragglers' updates would hand it fewer.
@@ -527,13 +515,6 @@ class ExperimentConfig:
                 raise ValueError(
                     "singleset is one client's synchronous run — "
                     "asynchronous aggregation does not apply to it"
-                )
-            if self.latency_model == "none":
-                raise ValueError(
-                    "asynchronous aggregation needs a latency_model — "
-                    "arrival order is defined by simulated device timing; "
-                    "pick one of "
-                    f"{tuple(m for m in VALID_LATENCY_MODELS if m != 'none')}"
                 )
             if self.deadline_s is not None:
                 raise ValueError(
@@ -590,12 +571,6 @@ class ExperimentConfig:
             )
         if not self.fleet_active:
             return
-        if self.latency_model == "none":
-            raise ValueError(
-                "fleet behavior (availability/dropout/completeness) evolves "
-                "over the virtual clock — pick a latency_model, one of "
-                f"{tuple(m for m in VALID_LATENCY_MODELS if m != 'none')}"
-            )
         if self.method == "feddrl" and self.aggregation == "sync":
             raise ValueError(
                 "feddrl needs exactly K updates per synchronous round; an "
@@ -687,12 +662,6 @@ class ExperimentConfig:
             and self.straggler_comm_slowdown < 1.0
         ):
             raise ValueError("straggler_comm_slowdown must be >= 1 when given")
-        if self.bandwidth_model != "none" and self.latency_model == "none":
-            raise ValueError(
-                "a bandwidth model drives the virtual clock's comm phases — "
-                "pick a latency_model, one of "
-                f"{tuple(m for m in VALID_LATENCY_MODELS if m != 'none')}"
-            )
 
     # -- resolved views ------------------------------------------------------
     @property

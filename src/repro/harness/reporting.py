@@ -29,12 +29,13 @@ def history_to_dict(history: History) -> dict:
     out = {
         "rounds": len(history.records),
         "accuracy_series": [[r, float(a)] for r, a in history.accuracy_series()],
-        "best_accuracy": history.best_accuracy(),
+        # null when no window was evaluated (every update was lost)
+        "best_accuracy": max((a for _, a in history.accuracy_series()), default=None),
         "loss_mean_series": history.loss_mean_series(),
         "loss_var_series": history.loss_var_series(),
         "mean_impact_time_ms": history.mean_impact_time() * 1e3,
         "mean_aggregation_time_ms": history.mean_aggregation_time() * 1e3,
-        # Virtual-clock timing (empty/zero without a clock).
+        # Virtual-clock timing.
         "makespan_series": [float(m) for m in history.makespan_series()],
         "total_sim_time_s": history.total_sim_time(),
         "total_dropped": history.total_dropped(),

@@ -42,7 +42,7 @@ class ExperimentResult:
     """Outcome of one experiment cell."""
 
     config: ExperimentConfig
-    best_accuracy: float
+    best_accuracy: float | None  # None: no window closed, so none was evaluated
     history: History
     wall_time_s: float
     extra: dict | None = None
@@ -115,7 +115,6 @@ def build_strategy(cfg: ExperimentConfig) -> Strategy:
 
         drl_cfg = DRLConfig(
             beta=cfg.drl_beta,
-            prioritized=cfg.drl_prioritized,
             gamma=cfg.drl_gamma,
             noise_scale=cfg.drl_noise_scale,
             noise_decay=0.99,
@@ -134,7 +133,6 @@ def build_strategy(cfg: ExperimentConfig) -> Strategy:
             agent=agent,
             seed=cfg.seed,
             explore=cfg.drl_explore,
-            fairness_weight=cfg.fairness_weight,
         )
     raise ValueError(f"{cfg.method!r} is not a federated strategy")
 
@@ -211,10 +209,8 @@ def build_executor(cfg: ExperimentConfig, clients, model_factory, model=None):
     )
 
 
-def build_clock(cfg: ExperimentConfig) -> VirtualClock | None:
-    """The virtual device clock, or None when ``latency_model="none"``."""
-    if cfg.latency_model == "none":
-        return None
+def build_clock(cfg: ExperimentConfig) -> VirtualClock:
+    """The virtual device clock."""
     bandwidth = None
     if cfg.bandwidth_model != "none":
         bandwidth = get_bandwidth_model(
@@ -442,28 +438,26 @@ def _run_experiment(cfg: ExperimentConfig, start: float) -> ExperimentResult:
                 meta={"fingerprint": checkpoint_fingerprint(cfg)},
             )
         history = sim.run()
-    extra: dict = {}
-    if sim.clock is not None:
+    extra: dict = {
+        "sim_time_s": history.total_sim_time(),
+        "dropped_updates": history.total_dropped(),
+    }
+    if cfg.aggregation != "sync":
         extra.update({
-            "sim_time_s": history.total_sim_time(),
-            "dropped_updates": history.total_dropped(),
+            "aggregation": cfg.aggregation,
+            "aggregations": len(history.records),
+            "arrivals": len(history.events),
+            "mean_staleness": history.mean_staleness(),
+            "discarded_updates": sim.discarded_updates,
         })
-        if cfg.aggregation != "sync":
-            extra.update({
-                "aggregation": cfg.aggregation,
-                "aggregations": len(history.records),
-                "arrivals": len(history.events),
-                "mean_staleness": history.mean_staleness(),
-                "discarded_updates": sim.discarded_updates,
-            })
-        if cfg.fleet_active:
-            extra.update({
-                "availability": cfg.availability,
-                "connectivity_dropped": history.total_connectivity_dropped(),
-                "mean_work_fraction": history.mean_work_fraction(),
-            })
-            if cfg.aggregation == "sync":
-                extra["mean_online"] = history.mean_online()
+    if cfg.fleet_active:
+        extra.update({
+            "availability": cfg.availability,
+            "connectivity_dropped": history.total_connectivity_dropped(),
+            "mean_work_fraction": history.mean_work_fraction(),
+        })
+        if cfg.aggregation == "sync":
+            extra["mean_online"] = history.mean_online()
     if cfg.wire_active:
         extra["wire"] = {
             "codec": cfg.codec,
@@ -501,8 +495,8 @@ def _run_experiment(cfg: ExperimentConfig, start: float) -> ExperimentResult:
         extra["trace_paths"] = paths
     return ExperimentResult(
         config=cfg,
-        best_accuracy=history.best_accuracy(),
+        best_accuracy=history.best_accuracy() if history.records else None,
         history=history,
         wall_time_s=time.perf_counter() - start,
-        extra=extra or None,
+        extra=extra,
     )

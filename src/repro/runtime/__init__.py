@@ -50,6 +50,7 @@ from repro.runtime.faults import (
     InjectedCrash,
     InjectedHang,
     InjectedTaskError,
+    RetriesExhausted,
     RetryPolicy,
     TransientFault,
 )
@@ -75,6 +76,7 @@ __all__ = [
     "InjectedCrash",
     "InjectedHang",
     "InjectedTaskError",
+    "RetriesExhausted",
     "RetryPolicy",
     "TransientFault",
     "HomogeneousLatency",

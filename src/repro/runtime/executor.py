@@ -74,7 +74,9 @@ import numpy as np
 from repro.data import shm
 from repro.nn.dtypes import get_default_dtype, set_default_dtype
 from repro.nn.losses import SoftmaxCrossEntropy
-from repro.runtime.faults import FaultInjected, FaultPlan, FaultStats, RetryPolicy
+from repro.runtime.faults import (
+    FaultInjected, FaultPlan, FaultStats, RetriesExhausted, RetryPolicy,
+)
 from repro.runtime.seeding import STREAM_FORWARD, STREAM_MODEL_INIT, client_round_rng, run_rng
 
 if TYPE_CHECKING:  # imported lazily to keep runtime free of an fl<->runtime cycle
@@ -266,10 +268,11 @@ class Executor:
             if kind is not None:
                 stats.record_injected(kind, self.retry.backoff_s(0))
 
-    def _next_attempt(self, exc: Exception, attempt: int, cid: int) -> int:
+    def _next_attempt(self, exc: Exception, attempt: int, ctx: RoundContext, cid: int) -> int:
         """The one retry rule: attempt ``attempt`` of ``cid``'s task failed
         with ``exc``; return the attempt number to re-run it with, or
-        re-raise once the budget is spent.
+        raise once the budget is spent — :class:`RetriesExhausted` naming
+        the cell for an injected fault, ``exc`` itself for a real one.
 
         Injected faults retry without further accounting (the schedule
         was pre-recorded), a ``concurrent.futures`` timeout counts one
@@ -286,6 +289,8 @@ class Executor:
                     f"client {cid} task exceeded {self.retry.task_timeout_s}s "
                     f"on each of {attempt + 1} attempts"
                 ) from None
+            if isinstance(exc, FaultInjected):
+                raise RetriesExhausted(_cell_index(ctx, cid), cid, attempt + 1, exc) from exc
             raise exc
         if not timed_out and not isinstance(exc, FaultInjected):
             self._stats().rt_retries += 1
@@ -304,7 +309,7 @@ class Executor:
             try:
                 return _train_one(client, model, loss, ctx, attempt)
             except Exception as exc:
-                attempt = self._next_attempt(exc, attempt, client.client_id)
+                attempt = self._next_attempt(exc, attempt, ctx, client.client_id)
 
     def _deliver(self, pairs: list[tuple[ClientUpdate, dict | None]]) -> list[ClientUpdate]:
         """Split a round's ``(update, span)`` pairs, both in participant
@@ -408,7 +413,7 @@ class ThreadExecutor(Executor):
             try:
                 return future.result(timeout=self.retry.task_timeout_s)
             except Exception as exc:
-                attempt = self._next_attempt(exc, attempt, cid)
+                attempt = self._next_attempt(exc, attempt, ctx, cid)
             future = self._pool.submit(self._run, cid, ctx, attempt)
 
     def run_round(self, ctx: RoundContext, participants: list[int]) -> list[ClientUpdate]:
@@ -773,7 +778,9 @@ class ProcessExecutor(Executor):
             # finished chunk-mates included — recomputing is bit-identical.
             for positions, exc in failed:
                 for pos in positions:
-                    attempts[pos] = self._next_attempt(exc, attempts[pos], participants[pos])
+                    attempts[pos] = self._next_attempt(
+                        exc, attempts[pos], ctx, participants[pos]
+                    )
                     if not self._degraded:
                         submit([pos])
 

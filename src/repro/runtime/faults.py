@@ -74,6 +74,19 @@ class InjectedHang(FaultInjected):
     kind = "hang"
 
 
+class RetriesExhausted(FaultInjected):
+    """An injected fault outlived the retry budget: cell ``(index,
+    client_id)`` failed on all ``attempts`` attempts (``max_retries=0``
+    leaves one).  The injected fault is its ``__cause__``."""
+
+    def __init__(self, index: int, client_id: int, attempts: int, cause: FaultInjected):
+        super().__init__(
+            f"cell (index={index}, client={client_id}) failed on all {attempts} "
+            f"attempt(s) of its retry budget: {cause}"
+        )
+        self.index, self.client_id, self.attempts = index, client_id, attempts
+
+
 _FAULT_EXC = {
     "crash": InjectedCrash,
     "exception": InjectedTaskError,
@@ -261,7 +274,7 @@ class FaultStats:
         }
 
 
-def absorb_fault_stats(executor, totals: FaultStats, clock=None, metrics=None) -> None:
+def absorb_fault_stats(executor, totals: FaultStats, clock, metrics=None) -> None:
     """Drain one dispatch's executor fault stats into the run's ledgers.
 
     Both engines call this after every ``run_round``: the stats merge
@@ -275,7 +288,7 @@ def absorb_fault_stats(executor, totals: FaultStats, clock=None, metrics=None) -
     if stats is None or not stats.any():
         return
     totals.merge(stats)
-    if clock is not None and stats.sim_backoff_s:
+    if stats.sim_backoff_s:
         clock.charge_recovery(stats.sim_backoff_s)
     if metrics is None:
         return

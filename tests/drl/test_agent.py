@@ -147,16 +147,11 @@ class TestTraining:
         assert pr.shape == (12,)
         assert np.all(pr >= 0)
 
-    def test_uniform_mode_trains_too(self):
-        agent = make_agent(prioritized=False)
-        self.fill_buffer(agent)
-        assert agent.train() is not None
-
     def test_critic_regresses_constant_reward(self):
         """With constant reward and gamma=0 the critic must learn r."""
         cfg = DRLConfig(
             min_buffer=4, batch_size=16, updates_per_round=1, gamma=0.0,
-            value_lr=1e-2, prioritized=False,
+            value_lr=1e-2,
         )
         agent = DDPGAgent(6, 2, cfg, rng=np.random.default_rng(0))
         rng = np.random.default_rng(1)
@@ -243,7 +238,8 @@ class TestFloat32Agent:
         assert all(column.dtype == f32 for column in agent.buffer._columns)
         rng = np.random.default_rng(0)
         for batch in (agent.buffer.sample_uniform(4, rng),
-                      agent.buffer.sample_prioritized(4, agent.td_priorities(), rng)):
+                      agent.buffer.sample_ranked(
+                          4, agent.buffer.rank_probabilities(agent.td_priorities()), rng)):
             assert all(part.dtype == f32 for part in batch)
         # Every Dense input and output gradient in _critic_update and
         # _actor_update (and the TD-priority pass) is float32.

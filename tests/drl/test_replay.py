@@ -90,7 +90,8 @@ class TestSampling:
     def test_prioritized_requires_matching_length(self):
         buf = self.make_buffer(10)
         with pytest.raises(ValueError):
-            buf.sample_prioritized(4, np.ones(5), np.random.default_rng(0))
+            buf.sample_ranked(4, buf.rank_probabilities(np.ones(5)),
+                              np.random.default_rng(0))
 
     def test_prioritized_prefers_high_priority(self):
         """Items with top priorities must be sampled far more often."""
@@ -100,7 +101,7 @@ class TestSampling:
         rng = np.random.default_rng(0)
         counts = np.zeros(50)
         for _ in range(200):
-            _, _, r, _ = buf.sample_prioritized(4, priorities, rng)
+            _, _, r, _ = buf.sample_ranked(4, buf.rank_probabilities(priorities), rng)
             for val in r:
                 counts[int(val)] += 1
         assert counts[7] == counts.max()
@@ -113,15 +114,16 @@ class TestSampling:
         rng = np.random.default_rng(1)
         seen = set()
         for _ in range(300):
-            _, _, r, _ = buf.sample_prioritized(4, priorities, rng)
+            _, _, r, _ = buf.sample_ranked(4, buf.rank_probabilities(priorities), rng)
             seen.update(int(v) for v in r)
         assert len(seen) > 15  # low-priority items are not starved
 
     def test_prioritized_deterministic_given_rng(self):
         buf = self.make_buffer(20)
         priorities = np.arange(20, dtype=float)
-        r1 = buf.sample_prioritized(6, priorities, np.random.default_rng(3))
-        r2 = buf.sample_prioritized(6, priorities, np.random.default_rng(3))
+        probs = buf.rank_probabilities(priorities)
+        r1 = buf.sample_ranked(6, probs, np.random.default_rng(3))
+        r2 = buf.sample_ranked(6, probs, np.random.default_rng(3))
         np.testing.assert_array_equal(r1[2], r2[2])
 
     @given(st.integers(min_value=1, max_value=30), st.integers(min_value=0, max_value=999))
@@ -129,7 +131,7 @@ class TestSampling:
     def test_property_sampling_never_fails(self, batch, seed):
         buf = self.make_buffer(12)
         rng = np.random.default_rng(seed)
-        s, a, r, s2 = buf.sample_prioritized(batch, np.ones(12), rng)
+        s, a, r, s2 = buf.sample_ranked(batch, buf.rank_probabilities(np.ones(12)), rng)
         assert s.shape[0] == batch
         assert np.all(r >= 0) and np.all(r < 12)
 
@@ -184,7 +186,9 @@ class TestRingMatchesListReference:
             priorities = np.random.default_rng(seed + 1).random(len(buf))
             draws[name] = (
                 buf.sample_uniform(batch, rng),
-                buf.sample_prioritized(batch, priorities, rng),
+                # The oracle keeps its one-call spelling of rank sampling.
+                buf.sample_prioritized(batch, priorities, rng) if buf is ref
+                else buf.sample_ranked(batch, buf.rank_probabilities(priorities), rng),
                 rng.bit_generator.state,
             )
         for got, want in zip(draws["ring"][:2], draws["ref"][:2]):
@@ -237,7 +241,7 @@ class TestRingStorage:
         buf.extend(_transitions(6))
         rng = np.random.default_rng(0)
         for batch in (buf.snapshot(), buf.sample_uniform(4, rng),
-                      buf.sample_prioritized(4, np.ones(6), rng)):
+                      buf.sample_ranked(4, buf.rank_probabilities(np.ones(6)), rng)):
             assert all(col.dtype == dtype for col in batch)
 
     def test_snapshot_is_a_read_only_view(self):

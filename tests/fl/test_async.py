@@ -284,16 +284,6 @@ class TestFedBuffMechanics:
         assert [len(r.participants) for r in hist.records] == [3, 3, 3, 3, 3]
         assert server.discarded_updates == 1
 
-    def test_requires_clock(self, tiny_data, tiny_clients, tiny_model_factory):
-        _, test = tiny_data
-        with pytest.raises(ValueError, match="VirtualClock"):
-            AsyncFederatedServer(
-                tiny_clients, test, tiny_model_factory, FedAvg(),
-                FLConfig(rounds=2, clients_per_round=4, local_epochs=1,
-                         lr=0.05, batch_size=16, seed=0),
-                clock=None,
-            )
-
     @pytest.mark.parametrize("buffer_size", [1, 5])
     def test_default_mix_replaces_the_global_model(
         self, tiny_data, tiny_clients, tiny_model_factory, buffer_size
@@ -336,8 +326,8 @@ class TestAsyncExperimentIntegration:
         return ExperimentConfig(**base)
 
     def test_config_validation(self):
-        with pytest.raises(ValueError, match="latency_model"):
-            ExperimentConfig(aggregation="fedbuff")
+        # The default homogeneous clock orders the arrivals.
+        assert ExperimentConfig(aggregation="fedbuff").latency_model == "homogeneous"
         with pytest.raises(ValueError, match="aggregation"):
             self.make_config(aggregation="bulk")
         with pytest.raises(ValueError, match="staleness"):

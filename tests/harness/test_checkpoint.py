@@ -431,6 +431,27 @@ class TestFingerprint:
         )):
             validate_resume(snap, cfg)
 
+    @pytest.mark.parametrize("field, value", [
+        ("latency_model", "none"),
+        ("drl_prioritized", True),
+        ("fairness_weight", 1.0),
+    ])
+    def test_resume_of_a_removed_setting_exits_2(self, field, value, monkeypatch,
+                                                 capsys):
+        # A snapshot written while the clock could be off, or while FedDRL's
+        # replay rule and reward weight were fields: --resume names the field.
+        cfg = ExperimentConfig(**FAST)
+        old = {**checkpoint_fingerprint(cfg), field: value}
+        monkeypatch.setattr(
+            "repro.harness.runner.load_snapshot",
+            lambda path: {"meta": {"fingerprint": old}, "state": {"engine": "sync"}},
+        )
+        assert main(["--method", "fedavg", "--scale", "ci", "--clients", "5",
+                     "--per-round", "5", "--resume", "old.ckpt"]) == 2
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("python -m repro: error: --resume:")
+        assert f"{field}: snapshot={value!r}" in err and "\n" not in err
+
     def test_validate_resume_requires_fingerprint(self):
         with pytest.raises(ValueError, match="fingerprint"):
             validate_resume({"meta": {}, "state": {}}, ExperimentConfig(**FAST))

@@ -13,13 +13,14 @@ from repro.harness.config import ExperimentConfig, cli_fields
 CONFIG_ONLY = {
     "labels_per_client", "lr", "prox_mu", "n_train", "n_test", "local_epochs",
     "batch_size", "model", "eval_every", "drl_beta", "drl_explore",
-    "drl_prioritized", "drl_gamma", "drl_noise_scale", "drl_updates_per_round",
-    "fairness_weight", "drl_pretrain_workers", "drl_offline_updates",
+    "drl_gamma", "drl_noise_scale", "drl_updates_per_round",
+    "drl_pretrain_workers", "drl_offline_updates",
 }
 
 # flag -> (argv setting one non-default value, the field value it must yield).
-# Extra argv makes the cell valid (a deadline needs a latency model, ...).
-CLOCK = ["--method", "fedavg", "--latency-model", "uniform"]
+# Extra argv makes the cell valid (feddrl, the CLI default, takes no
+# deadline and no unreliable fleet under sync, ...).
+FEDAVG = ["--method", "fedavg"]
 NON_DEFAULT = {
     "--dataset": (["--dataset", "fashion"], "fashion"),
     "--partition": (["--partition", "IID"], "IID"),
@@ -35,28 +36,28 @@ NON_DEFAULT = {
     "--workers": (["--workers", "2"], 2),
     "--dtype": (["--dtype", "float32"], "float32"),
     "--latency-model": (["--latency-model", "uniform"], "uniform"),
-    "--straggler-fraction": ([*CLOCK, "--straggler-fraction", "0.3"], 0.3),
+    "--straggler-fraction": ([*FEDAVG, "--straggler-fraction", "0.3"], 0.3),
     "--straggler-slowdown": (["--straggler-slowdown", "4"], 4.0),
-    "--deadline": ([*CLOCK, "--deadline", "5"], 5.0),
+    "--deadline": ([*FEDAVG, "--deadline", "5"], 5.0),
     "--codec": (["--codec", "topk"], "topk"),
     "--topk-frac": (["--topk-frac", "0.05"], 0.05),
     "--error-feedback": (["--no-error-feedback"], False),
-    "--bandwidth-model": ([*CLOCK, "--bandwidth-model", "uniform"], "uniform"),
+    "--bandwidth-model": ([*FEDAVG, "--bandwidth-model", "uniform"], "uniform"),
     "--up-mbps": (["--up-mbps", "2"], 2.0),
     "--down-mbps": (["--down-mbps", "20"], 20.0),
-    "--straggler-comm-slowdown": ([*CLOCK, "--straggler-comm-slowdown", "2"], 2.0),
-    "--aggregation": ([*CLOCK, "--aggregation", "fedbuff"], "fedbuff"),
+    "--straggler-comm-slowdown": ([*FEDAVG, "--straggler-comm-slowdown", "2"], 2.0),
+    "--aggregation": ([*FEDAVG, "--aggregation", "fedbuff"], "fedbuff"),
     "--buffer-size": (["--buffer-size", "3"], 3),
     "--max-concurrency": (["--max-concurrency", "4"], 4),
     "--staleness": (["--staleness", "hinge"], "hinge"),
     "--server-mix": (["--server-mix", "delta"], "delta"),
-    "--availability": ([*CLOCK, "--availability", "markov"], "markov"),
+    "--availability": ([*FEDAVG, "--availability", "markov"], "markov"),
     "--offline-fraction": (["--offline-fraction", "0.3"], 0.3),
     "--churn-rate": (["--churn-rate", "1"], 1.0),
-    "--dropout-prob": ([*CLOCK, "--dropout-prob", "0.1"], 0.1),
-    "--completeness": ([*CLOCK, "--completeness", "0.5"], 0.5),
+    "--dropout-prob": ([*FEDAVG, "--dropout-prob", "0.1"], 0.1),
+    "--completeness": ([*FEDAVG, "--completeness", "0.5"], 0.5),
     "--dispatch": (
-        [*CLOCK, "--aggregation", "fedbuff", "--dispatch", "fairness"], "fairness"
+        [*FEDAVG, "--aggregation", "fedbuff", "--dispatch", "fairness"], "fairness"
     ),
     "--topology": (["--topology", "hier"], "hier"),
     "--edges": (["--edges", "3"], 3),
@@ -102,7 +103,7 @@ class TestParser:
         args = build_parser().parse_args([])
         assert args.backend == "serial"
         assert args.workers is None
-        assert args.latency_model == "none"
+        assert args.latency_model == "homogeneous"
         assert args.deadline is None
 
     def test_rejects_unknown_backend(self):
@@ -117,7 +118,9 @@ class TestParser:
     # "--aggregation fedbuff --buffer-size 1 --server-mix 0.6", a deadline
     # always drops, and a quantizing codec names its bit width.  Values no
     # workload used are gone too: three availability models and one attack.
+    # The clock is always on: "--latency-model none" is gone.
     @pytest.mark.parametrize("argv, names", [
+        (["--latency-model", "none"], "invalid choice: 'none'"),
         (["--aggregation", "fedasync"], "invalid choice: 'fedasync'"),
         (["--deadline-policy", "drop"], "unrecognized arguments: --deadline-policy"),
         (["--quant-bits", "4"], "unrecognized arguments: --quant-bits"),
@@ -233,6 +236,33 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("python -m repro: error:")
         assert "\n" not in err.strip()
+
+    @pytest.mark.parametrize("extra", [[], ["--json"]])
+    def test_no_evaluated_window_reports_null(self, extra, capsys):
+        # Dropout loses every fedbuff arrival, so no window ever closes.
+        assert main(["--scale", "ci", "--rounds", "2", "--aggregation", "fedbuff",
+                     "--latency-model", "lognormal", "--dropout-prob", "0.9",
+                     *extra]) == 0
+        out, err = capsys.readouterr()
+        assert err.startswith("python -m repro: warning: no aggregation window")
+        assert "\n" not in err.strip()
+        if extra:
+            payload = json.loads(out)
+            assert payload["best_accuracy"] is None
+            assert payload["accuracy_series"] == []
+        else:
+            assert "best top-1 accuracy: n/a" in out
+
+    @pytest.mark.parametrize("flag, kind", [
+        ("--fault-exception", "exception"), ("--fault-crash", "crash"),
+    ])
+    def test_exhausted_retries_exit_3(self, flag, kind, capsys):
+        assert main(["--scale", "ci", "--rounds", "1", flag, "0.3",
+                     "--max-retries", "0"]) == 3
+        err = capsys.readouterr().err.strip()
+        assert err.startswith("python -m repro: error: cell (index=0, client=")
+        assert "failed on all 1 attempt(s)" in err and f"injected {kind}" in err
+        assert "\n" not in err
 
     def test_resume_from_truncated_checkpoint_is_one_line(self, tmp_path, capsys):
         cell = ["--method", "fedavg", "--scale", "ci", "--clients", "5",

@@ -51,10 +51,6 @@ class TestExperimentConfig:
         with pytest.raises(ValueError, match="feddrl"):
             ExperimentConfig(method="feddrl", latency_model="uniform",
                              deadline_s=1.0)
-        with pytest.raises(ValueError, match="latency_model"):
-            ExperimentConfig(deadline_s=1.0)  # clock off -> no effect
-        with pytest.raises(ValueError, match="latency_model"):
-            ExperimentConfig(straggler_fraction=0.3)  # clock off -> no effect
         with pytest.raises(ValueError, match="slowdown"):
             ExperimentConfig(latency_model="uniform", straggler_fraction=0.3,
                              straggler_slowdown=0.5)
@@ -67,6 +63,8 @@ class TestExperimentConfig:
                          deadline_s=1.0)
         # ...and feddrl is fine when the clock only waits.
         ExperimentConfig(method="feddrl", latency_model="uniform")
+        # The default homogeneous clock carries deadlines and stragglers.
+        ExperimentConfig(deadline_s=1.0, straggler_fraction=0.3)
 
     @pytest.mark.parametrize("name, value", [
         ("n_clients", 0), ("clients_per_round", 0), ("seed", -1),

@@ -7,12 +7,7 @@ import pytest
 
 from repro.__main__ import main
 from repro.drl.agent import DRLConfig
-from repro.harness.ablations import (
-    ablation_fairness_weight,
-    ablation_replay_strategy,
-    ablation_sigma_beta,
-    ablation_two_stage,
-)
+from repro.harness.ablations import ablation_sigma_beta, ablation_two_stage
 from repro.harness.config import ExperimentConfig
 from repro.harness.reporting import history_digest
 from repro.harness.runner import (
@@ -159,7 +154,6 @@ class TestAgentKnobValidation:
         ("drl_beta", 1.5),
         ("drl_noise_scale", -0.1),
         ("drl_updates_per_round", 0),
-        ("fairness_weight", -1.0),
     ])
     def test_rejected_at_config_time(self, field, value):
         with pytest.raises(ValueError, match=field):
@@ -208,21 +202,6 @@ class TestPretrainValidation:
 
 
 class TestAblationHelpers:
-    def test_replay_ablation_ci(self):
-        out = ablation_replay_strategy(
-            dataset="mnist", partition="CE", scale="ci", n_clients=5,
-            seed=0, rounds=3,
-        )
-        assert set(out) == {"td_prioritized", "uniform"}
-
-    def test_fairness_ablation_ci(self):
-        out = ablation_fairness_weight(
-            weights=(0.0, 1.0), dataset="mnist", partition="CE", scale="ci",
-            n_clients=5, seed=0, rounds=3,
-        )
-        for metrics in out.values():
-            assert {"best_accuracy", "final_loss_variance"} <= set(metrics)
-
     def test_beta_ablation_ci(self):
         out = ablation_sigma_beta(
             betas=(0.1, 0.9), dataset="mnist", partition="CE", scale="ci",

@@ -55,7 +55,7 @@ class TestGrid:
 
     def test_labelled_arms_apply_all_their_overrides(self):
         arms = {
-            "drl": {"method": "feddrl", "drl_beta": 0.1, "drl_prioritized": False},
+            "drl": {"method": "feddrl", "drl_beta": 0.1, "drl_gamma": 0.5},
             "prox": {"method": "fedprox", "prox_mu": 0.1},
         }
         out = grid(BASE, [arms], measure=lambda result: (result.config, digest(result)))

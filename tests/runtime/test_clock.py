@@ -151,9 +151,22 @@ class TestClockInSimulation:
             assert len(rec.participants) == len(rec.impact_factors)
             assert not set(rec.dropped_clients) & set(rec.participants)
 
-    def test_no_clock_leaves_sim_fields_empty(
+    def test_default_clock_is_homogeneous(
         self, tiny_data, tiny_clients, tiny_model_factory
     ):
-        hist = self.run_sim(tiny_data, tiny_clients, tiny_model_factory, None)
-        assert hist.makespan_series() == []
-        assert all(r.sim_makespan_s is None for r in hist.records)
+        """Every run is clocked: an engine built without a clock and a
+        default config both run on identical devices."""
+        from repro.harness.config import ExperimentConfig
+        from repro.harness.reporting import history_digest
+        from repro.harness.runner import run_experiment
+
+        homogeneous = VirtualClock(HomogeneousLatency(), len(tiny_clients), seed=0)
+        runs = [self.run_sim(tiny_data, tiny_clients, tiny_model_factory, clock)
+                for clock in (None, homogeneous)]
+        assert len(runs[0].makespan_series()) == len(runs[0].records) == 3
+        cells = [ExperimentConfig(rounds=2),
+                 ExperimentConfig(rounds=2, latency_model="homogeneous")]
+        runs += [run_experiment(cfg).history for cfg in cells]
+        for default, explicit in (runs[:2], runs[2:]):
+            assert default.makespan_series() == explicit.makespan_series()
+            assert history_digest(default) == history_digest(explicit)

@@ -30,6 +30,7 @@ from repro.runtime.faults import (
     InjectedCrash,
     InjectedHang,
     InjectedTaskError,
+    RetriesExhausted,
     RetryPolicy,
     TransientFault,
 )
@@ -240,6 +241,32 @@ class TestExecutorRecovery:
             with pytest.raises(FaultInjected):
                 ex.run_round(self.make_ctx(tiny_model_factory, plan),
                              [0, 1, 2, 3, 4, 5])
+
+    @pytest.mark.parametrize("backend, workers", [("serial", None), ("thread", 2)])
+    @pytest.mark.parametrize("kind, cause", [
+        ("exception", InjectedTaskError), ("crash", InjectedCrash),
+    ])
+    def test_exhausted_budget_is_one_typed_error(
+            self, kind, cause, backend, workers, tiny_clients, tiny_model_factory):
+        """Once the budget is spent the executor raises RetriesExhausted
+        naming the first failing cell and its attempts; the injected fault
+        is its cause."""
+        participants = [0, 1, 2, 3, 4, 5]
+        for seed in range(100):
+            plan = FaultPlan(seed=seed, **{f"{kind}_prob": 0.4})
+            failing = [c for c in participants if plan.draw(0, c) == kind]
+            if failing:
+                break
+        with make_executor(backend, tiny_clients, tiny_model_factory, workers=workers,
+                           retry=RetryPolicy(max_retries=0)) as ex:
+            with pytest.raises(RetriesExhausted) as info:
+                ex.run_round(self.make_ctx(tiny_model_factory, plan), participants)
+        err = info.value
+        assert (err.index, err.client_id, err.attempts) == (0, failing[0], 1)
+        assert isinstance(err.__cause__, cause)
+        assert str(err).startswith(
+            f"cell (index=0, client={failing[0]}) failed on all 1 attempt(s)"
+        )
 
     def test_thread_timeout_is_fatal_after_budget(self, tiny_clients,
                                                   tiny_model_factory):
