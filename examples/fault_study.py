@@ -10,8 +10,8 @@ round, as a run where nothing goes wrong.
 This script runs the same experiment three times:
 
 1. **clean** — no faults, the baseline trajectory;
-2. **faulty / serial** — a seeded plan injecting 5% crashes, 5% hangs,
-   3% task errors, and 3% transients into first attempts;
+2. **faulty / serial** — a seeded plan injecting 5% crashes, 5% hangs
+   and 6% task errors into first attempts;
 3. **faulty / process** — the same plan on the process backend, where an
    injected crash genuinely ``os._exit``'s a worker: the parent detects
    the broken pool, rebuilds it, re-dispatches, and (if rebuilds keep
@@ -30,7 +30,7 @@ from repro.harness.reporting import history_digest
 
 PLAN = dict(
     fault_crash_prob=0.05, fault_hang_prob=0.05, fault_hang_s=0.01,
-    fault_exception_prob=0.03, fault_transient_prob=0.03,
+    fault_exception_prob=0.06,
 )
 
 

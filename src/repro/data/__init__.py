@@ -9,7 +9,7 @@ all five partitioning schemes from the paper: Pareto (PA), Clustered-Equal
 splits, plus an IID control.
 """
 
-from repro.data.dataset import ArrayDataset, RowView, train_test_split
+from repro.data.dataset import ArrayDataset, RowView
 from repro.data.shm import (
     SharedArrayDataset,
     SharedMemoryPool,
@@ -42,7 +42,6 @@ __all__ = [
     "SharedMemoryPool",
     "share_clients",
     "share_dataset",
-    "train_test_split",
     "SyntheticImageSpec",
     "make_synthetic_dataset",
     "mnist_like",

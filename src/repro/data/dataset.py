@@ -74,10 +74,6 @@ class ArrayDataset:
             for start in range(0, idx.shape[0], batch_size):
                 yield x[start : start + batch_size], y[start : start + batch_size]
 
-    def label_counts(self) -> np.ndarray:
-        """Per-class sample counts, shape ``(num_classes,)``."""
-        return np.bincount(self.y, minlength=self.num_classes)
-
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
             f"{type(self).__name__}(n={len(self)}, shape={self.x.shape[1:]}, "
@@ -126,16 +122,3 @@ class RowView(ArrayDataset):
 
     def _gather(self, idx: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         return self.parent._gather(self.rows[idx])
-
-
-def train_test_split(
-    dataset: ArrayDataset, test_fraction: float, rng: np.random.Generator
-) -> tuple[ArrayDataset, ArrayDataset]:
-    """Random split into train/test preserving nothing but proportions."""
-    if not 0.0 < test_fraction < 1.0:
-        raise ValueError("test_fraction must be in (0, 1)")
-    n = len(dataset)
-    order = rng.permutation(n)
-    n_test = max(1, int(round(n * test_fraction)))
-    test_idx, train_idx = order[:n_test], order[n_test:]
-    return dataset.subset(train_idx), dataset.subset(test_idx)

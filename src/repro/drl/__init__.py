@@ -21,7 +21,6 @@ Implements the agent of Section 3.4 of the paper:
 """
 
 from repro.drl.action import (
-    deterministic_impact_factors,
     impact_factors_from_action,
     split_action,
 )
@@ -46,7 +45,6 @@ __all__ = [
     "make_value_network",
     "soft_update",
     "impact_factors_from_action",
-    "deterministic_impact_factors",
     "split_action",
     "feddrl_reward",
     "reward_components",

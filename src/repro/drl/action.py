@@ -53,12 +53,6 @@ def impact_factors_from_action(
     return softmax(z)
 
 
-def deterministic_impact_factors(action: np.ndarray, n_clients: int) -> np.ndarray:
-    """Mean-action impact factors (evaluation mode, no sampling noise)."""
-    mu, _ = split_action(action, n_clients)
-    return softmax(mu)
-
-
 def add_exploration_noise(
     action: np.ndarray,
     rng: np.random.Generator,

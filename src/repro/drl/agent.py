@@ -20,7 +20,7 @@ from the float32 action (:func:`repro.drl.action.impact_factors_from_action`).
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -216,10 +216,3 @@ class DDPGAgent:
             "value_main": self.value_main.get_flat_weights(),
             "value_target": self.value_target.get_flat_weights(),
         }
-
-    def load_network_weights(self, weights: dict[str, np.ndarray]) -> None:
-        """Inverse of :meth:`network_weights`."""
-        self.policy_main.set_flat_weights(weights["policy_main"])
-        self.policy_target.set_flat_weights(weights["policy_target"])
-        self.value_main.set_flat_weights(weights["value_main"])
-        self.value_target.set_flat_weights(weights["value_target"])

@@ -21,12 +21,7 @@ from repro.fl.async_ import (
     get_staleness_weighting,
 )
 from repro.fl.client import Client, ClientUpdate
-from repro.fl.selection import (
-    PowerOfChoiceSelection,
-    RoundRobinSelection,
-    UniformSelection,
-)
-from repro.fl.fairness import client_loss_stats, fairness_series
+from repro.fl.selection import UniformSelection
 from repro.fl.simulation import (
     EventRecord,
     FederatedSimulation,
@@ -81,8 +76,6 @@ __all__ = [
     "get_strategy",
     "build_state",
     "combine_updates",
-    "client_loss_stats",
-    "fairness_series",
     "Timer",
     "measure_server_overhead",
     "WIRE_CODECS",
@@ -90,6 +83,4 @@ __all__ = [
     "WirePayload",
     "get_codec",
     "UniformSelection",
-    "RoundRobinSelection",
-    "PowerOfChoiceSelection",
 ]

@@ -71,12 +71,6 @@ class EventQueue:
         time_s, _, job = heapq.heappop(self._heap)
         return ArrivalEvent(time_s=time_s, job=job)
 
-    def peek_time(self) -> float:
-        """Finish time of the next arrival without removing it."""
-        if not self._heap:
-            raise IndexError("peek on an empty EventQueue")
-        return self._heap[0][0]
-
     def __len__(self) -> int:
         return len(self._heap)
 

@@ -144,14 +144,6 @@ class Client:
             n_samples=n_effective,
         )
 
-    def evaluate_global(
-        self, model: Sequential, global_weights: np.ndarray, loss: Loss | None = None
-    ) -> float:
-        """Inference loss of the global model on this client's data only."""
-        loss = loss if loss is not None else SoftmaxCrossEntropy()
-        model.set_flat_weights(global_weights)
-        return evaluate_loss(model, loss, self.dataset.x, self.dataset.y)
-
 
 def make_clients(train_set: ArrayDataset, parts: list[np.ndarray]) -> list[Client]:
     """Build one client per partition entry.

@@ -2,7 +2,7 @@
 
 Figure 6 of the paper plots the average and the variance of the inference
 loss of the global model across clients, normalised to FedDRL's values.
-The simulation already records per-round client losses; these helpers turn
+The simulation already records per-round client losses; this helper turns
 histories into the figure's series.
 """
 
@@ -10,44 +10,29 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.fl.client import ClientUpdate
 from repro.fl.simulation import History
 
-
-def client_loss_stats(updates: list[ClientUpdate]) -> tuple[float, float]:
-    """``(mean, variance)`` of the global model's loss across clients."""
-    if not updates:
-        raise ValueError("no updates")
-    losses = np.array([u.loss_before for u in updates])
-    return float(losses.mean()), float(losses.var())
-
-
-def fairness_series(history: History) -> dict[str, list[float]]:
-    """Per-round mean and variance of client inference losses."""
-    return {
-        "mean": history.loss_mean_series(),
-        "variance": history.loss_var_series(),
-    }
+_SERIES = {"mean": History.loss_mean_series, "variance": History.loss_var_series}
 
 
 def normalized_fairness(
     histories: dict[str, History], reference: str = "feddrl"
 ) -> dict[str, dict[str, list[float]]]:
-    """Normalise every method's series to the reference method (Fig. 6).
+    """Normalise every method's per-round mean and variance of client
+    inference losses to the reference method's (Fig. 6).
 
     A value above 1 means the method has a higher mean loss (or variance)
     than FedDRL at that round; the paper's red line sits at exactly 1.
     """
     if reference not in histories:
         raise ValueError(f"reference method {reference!r} not in histories")
-    ref = fairness_series(histories[reference])
+    ref = histories[reference]
     out: dict[str, dict[str, list[float]]] = {}
     for name, hist in histories.items():
-        series = fairness_series(hist)
         out[name] = {}
-        for key in ("mean", "variance"):
-            ref_vals = np.asarray(ref[key])
-            vals = np.asarray(series[key][: ref_vals.shape[0]])
+        for key, series in _SERIES.items():
+            ref_vals = np.asarray(series(ref))
+            vals = np.asarray(series(hist)[: ref_vals.shape[0]])
             with np.errstate(divide="ignore", invalid="ignore"):
                 ratio = np.where(ref_vals > 0, vals / ref_vals, np.nan)
             out[name][key] = [float(v) for v in ratio]

@@ -21,7 +21,6 @@ from repro.fl.robust.aggregators import (
     ROBUST_AGGREGATORS,
     AggregationInfo,
     RobustAggregator,
-    get_robust_aggregator,
 )
 from repro.fl.robust.attacks import (
     ATTACK_MODELS,
@@ -44,5 +43,4 @@ __all__ = [
     "AttackModel",
     "RobustAggregator",
     "apply_trigger",
-    "get_robust_aggregator",
 ]

@@ -188,8 +188,3 @@ class RobustAggregator:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return f"RobustAggregator(name={self.name!r})"
-
-
-def get_robust_aggregator(name: str, **kwargs) -> RobustAggregator:
-    """Aggregator by CLI name (same vocabulary as ``--aggregator``)."""
-    return RobustAggregator(name, **kwargs)

@@ -1,17 +1,12 @@
-"""Client selection policies (related work the paper positions against).
+"""Client selection: Algorithm 2, line 4 picks K clients uniformly.
 
-The paper's Section 1 contrasts FedDRL with methods that tackle non-IID
-data by *actively selecting* clients [3, 21, 30].  These selectors are
-pluggable into :class:`~repro.fl.simulation.FederatedSimulation` so the
-two approach families can be compared under identical conditions, and
-combined (FedDRL aggregation + informed selection).
+The paper puts all of its method into the impact factors; active client
+selection appears only as related work (Section 1), so uniform sampling
+is the one policy :class:`~repro.fl.simulation.FederatedSimulation` uses.
 
-Each selector returns K distinct client ids for the round.  When a fleet
-simulator is attached, the simulation passes the *available* (online)
-client ids; selectors must pick only from that pool — round-robin, for
-instance, skips offline clients instead of stalling on them.  With
-``available=None`` (no fleet) every client is a candidate and behavior is
-bit-identical to the historical selectors.
+When a fleet simulator is attached, the simulation passes the
+*available* (online) client ids and the K picks come from that pool;
+with ``available=None`` (no fleet) every client is a candidate.
 """
 
 from __future__ import annotations
@@ -38,7 +33,7 @@ def _candidate_pool(n_clients: int, k: int, available) -> np.ndarray:
 
 
 class UniformSelection:
-    """Algorithm 2's default: uniformly random K of N without replacement."""
+    """Algorithm 2, line 4: uniformly random K of N without replacement."""
 
     def __init__(self, rng: np.random.Generator) -> None:
         self.rng = rng
@@ -52,90 +47,3 @@ class UniformSelection:
             # Keep the historical draw (choice on an int) bit-identical.
             return list(self.rng.choice(n_clients, k, replace=False))
         return [int(c) for c in self.rng.choice(pool, k, replace=False)]
-
-    def observe(self, client_ids: list[int], losses: np.ndarray) -> None:
-        """Selectors may learn from the round's outcome; uniform ignores it."""
-
-
-class RoundRobinSelection:
-    """Deterministic fairness baseline: cycle through all clients.
-
-    With an availability pool the cursor still walks the full ring in id
-    order but *skips* offline clients, so an offline stretch never stalls
-    the rotation — the skipped clients simply get their turn once they
-    come back online.
-    """
-
-    def __init__(self) -> None:
-        self._cursor = 0
-
-    def select(
-        self, n_clients: int, k: int, round_idx: int,
-        available: list[int] | None = None,
-    ) -> list[int]:
-        pool = _candidate_pool(n_clients, k, available)
-        if available is None:
-            picked = [(self._cursor + i) % n_clients for i in range(k)]
-            self._cursor = (self._cursor + k) % n_clients
-            return picked
-        if k == 0:
-            return []
-        # Walk the ring from the cursor without touching offline ids:
-        # order the pool by distance-from-cursor and take the first k —
-        # identical picks (and cursor advance) to a scalar walk that
-        # skips offline clients, but O(|pool| log |pool|) vectorized.
-        relative = (pool - self._cursor) % n_clients
-        order = np.argsort(relative)
-        take = order[:k]
-        picked = [int(c) for c in pool[take]]
-        # One past the ring position of the k-th pick, as the walk left it.
-        self._cursor = (self._cursor + int(relative[take[-1]]) + 1) % n_clients
-        return picked
-
-    def observe(self, client_ids: list[int], losses: np.ndarray) -> None:
-        pass
-
-
-class PowerOfChoiceSelection:
-    """Loss-biased selection after Cho et al. [3] (power-of-choice).
-
-    Sample a candidate set of size ``d >= k`` uniformly (from the
-    available pool), then keep the k candidates with the highest
-    last-known loss — steering computation toward under-served clients.
-    Unknown clients default to +inf loss so everyone is visited at least
-    once.
-    """
-
-    def __init__(self, rng: np.random.Generator, candidate_factor: int = 2) -> None:
-        if candidate_factor < 1:
-            raise ValueError("candidate_factor must be >= 1")
-        self.rng = rng
-        self.candidate_factor = candidate_factor
-        self._last_loss: dict[int, float] = {}
-
-    def select(
-        self, n_clients: int, k: int, round_idx: int,
-        available: list[int] | None = None,
-    ) -> list[int]:
-        pool = _candidate_pool(n_clients, k, available)
-        d = min(pool.size, self.candidate_factor * k)
-        if available is None:
-            candidates = self.rng.choice(n_clients, d, replace=False)
-        else:
-            candidates = self.rng.choice(pool, d, replace=False)
-        losses = np.array([
-            self._last_loss.get(int(c), np.inf) for c in candidates
-        ])
-        order = np.argsort(-losses, kind="stable")
-        return [int(candidates[i]) for i in order[:k]]
-
-    def observe(self, client_ids: list[int], losses: np.ndarray) -> None:
-        for cid, loss in zip(client_ids, losses):
-            self._last_loss[int(cid)] = float(loss)
-
-
-SELECTORS = {
-    "uniform": UniformSelection,
-    "round_robin": RoundRobinSelection,
-    "power_of_choice": PowerOfChoiceSelection,
-}

@@ -47,6 +47,7 @@ import numpy as np
 from repro.data.dataset import ArrayDataset
 from repro.fl.client import Client, ClientUpdate
 from repro.fl.hierarchical import fold_edges
+from repro.fl.selection import UniformSelection
 from repro.fl.strategies.base import Strategy, combine_updates
 from repro.fleet.columnar import FleetState
 from repro.fleet.scale import is_client_provider
@@ -256,10 +257,6 @@ class History:
                 out.append((float(t), r.test_accuracy))
         return out
 
-    def arrival_series(self) -> list[tuple[float, int]]:
-        """(arrival time, client id) per async event, in arrival order."""
-        return [(e.arrival_time_s, e.client_id) for e in self.events]
-
     # -- fleet-behavior views -------------------------------------------------
     def online_series(self) -> list[tuple[int, int]]:
         """(round, online count) pairs for fleet-simulated rounds."""
@@ -322,16 +319,6 @@ class History:
             for r in self.records
             if r.payload_bytes_up or r.payload_bytes_down
         ]
-
-    def accuracy_vs_bytes(self) -> list[tuple[int, float]]:
-        """(cumulative upload bytes, accuracy) for evaluated records."""
-        total = 0
-        out = []
-        for r in self.records:
-            total += r.payload_bytes_up
-            if r.test_accuracy is not None:
-                out.append((total, r.test_accuracy))
-        return out
 
     # -- adversarial-fleet views ----------------------------------------------
     def backdoor_accuracy_series(self) -> list[tuple[int, float]]:
@@ -995,7 +982,6 @@ class FederatedSimulation(FederatedEngine):
         model_factory,
         strategy: Strategy,
         config: FLConfig,
-        selector=None,
         executor: Executor | None = None,
         clock: VirtualClock | None = None,
         fleet: FleetSimulator | None = None,
@@ -1016,11 +1002,7 @@ class FederatedSimulation(FederatedEngine):
                 f"clients_per_round={config.clients_per_round} exceeds population "
                 f"{len(clients)}"
             )
-        if selector is None:
-            from repro.fl.selection import UniformSelection
-
-            selector = UniformSelection(run_rng(config.seed, STREAM_SELECTION))
-        self.selector = selector
+        self.selector = UniformSelection(run_rng(config.seed, STREAM_SELECTION))
         self._next_round = 0
 
     # benchmarks/e2e/spans.py times __init__, run and close where each
@@ -1035,8 +1017,8 @@ class FederatedSimulation(FederatedEngine):
     def sample_participants(
         self, round_idx: int = 0, available: list[int] | None = None
     ) -> list[int]:
-        """Pick K distinct clients via the selection policy (Algorithm 2,
-        line 4 uses uniform sampling; see :mod:`repro.fl.selection`).
+        """Pick K distinct clients uniformly (Algorithm 2, line 4; see
+        :mod:`repro.fl.selection`).
 
         With a fleet attached, ``available`` is the online pool and K is
         capped at its size — a smaller round beats stalling on devices
@@ -1107,10 +1089,6 @@ class FederatedSimulation(FederatedEngine):
                 lost = lost[1:]  # keep the first participant's update
             gone = set(lost)
             updates = [u for u in updates if u.client_id not in gone]
-        self.selector.observe(
-            [u.client_id for u in updates],
-            np.array([u.loss_before for u in updates]),
-        )
         if self.tracer is not None:
             self._trace_barrier(t, timing, batches, lost, online_count,
                                 start=sim0 + wait_s)
@@ -1174,9 +1152,7 @@ class FederatedSimulation(FederatedEngine):
         return self._borrow_state(next_round=self._next_round, selector=self.selector)
 
     def restore_state(self, state: dict) -> None:
-        """Restore a :meth:`snapshot_state` dict; run() then continues.
-        (Older snapshots also carry an ``rng_state`` of an engine RNG that
-        nothing drew from.)"""
+        """Restore a :meth:`snapshot_state` dict; run() then continues."""
         self._restore(state)
         self._next_round = state["next_round"]
         self.selector = state["selector"]

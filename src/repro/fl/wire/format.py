@@ -27,7 +27,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fl.client import ClientUpdate
-from repro.fl.wire.codecs import Codec, DenseCodec, WirePayload
+from repro.fl.wire.codecs import Codec, DenseCodec
 from repro.runtime.seeding import STREAM_WIRE, client_round_rng
 
 
@@ -193,15 +193,6 @@ class WireFormat:
             n_samples=update.n_samples,
         )
         return reconstructed, nbytes
-
-    def encode_delta(
-        self, delta: np.ndarray, index: int, client_id: int
-    ) -> WirePayload:
-        """Encode a raw delta without EF/stats — for tests and tools."""
-        rng = None
-        if self.codec.stochastic:
-            rng = client_round_rng(self.base_seed, index, client_id, STREAM_WIRE)
-        return self.codec.encode(delta, rng=rng)
 
     # ------------------------------------------------------------------
     # checkpoint plumbing

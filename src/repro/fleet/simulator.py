@@ -87,8 +87,8 @@ class FleetSimulator:
         ``ids`` is an id array or a boolean column over the fleet.
 
         Returns a sorted int64 id array; callers thread it straight into
-        the selectors so a million-client pool never materializes Python
-        ints.
+        the uniform selection so a million-client pool never materializes
+        Python ints.
         """
         return self.availability.online_ids(self.slot(time_s), ids)
 

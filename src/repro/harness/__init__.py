@@ -19,14 +19,7 @@ from repro.harness.figures import (
     partition_figure,
     server_overhead_figure,
 )
-from repro.harness.reporting import (
-    compare_methods,
-    history_to_dict,
-    load_results_json,
-    result_to_dict,
-    results_to_markdown,
-    save_results_json,
-)
+from repro.harness.reporting import history_to_dict
 from repro.harness.runner import (
     ExperimentResult,
     build_dataset,
@@ -62,9 +55,4 @@ __all__ = [
     "ablation_two_stage",
     "ablation_sigma_beta",
     "history_to_dict",
-    "result_to_dict",
-    "save_results_json",
-    "load_results_json",
-    "results_to_markdown",
-    "compare_methods",
 ]

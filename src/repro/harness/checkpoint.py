@@ -26,8 +26,8 @@ from repro.harness.config import ExperimentConfig
 EXCLUDED_FROM_FINGERPRINT = frozenset({
     "rounds", "backend", "workers", "trace", "metrics_interval",
     "checkpoint_path", "checkpoint_every", "resume",
-    "fault_crash_prob", "fault_exception_prob", "fault_transient_prob",
-    "fault_hang_prob", "fault_hang_s", "task_timeout_s", "max_retries",
+    "fault_crash_prob", "fault_exception_prob", "fault_hang_prob",
+    "fault_hang_s", "task_timeout_s", "max_retries",
 })
 
 

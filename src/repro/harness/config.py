@@ -25,6 +25,7 @@ config-only (set from Python, e.g. ``lr`` or the ``drl_*`` knobs).
 
 from __future__ import annotations
 
+import math
 from dataclasses import Field, dataclass, field, fields, replace
 from typing import Any, Callable
 
@@ -150,7 +151,6 @@ class ExperimentConfig:
     scale: str = _cli("ci", 4, "--scale", choices=sorted(SCALES), cli_default="bench")
     # non-IID level for CE/CN (Fig. 8 sweeps this)
     delta: float = _cli(0.6, 8, "--delta", "cluster-skew level for CE/CN", type=float)
-    labels_per_client: int | None = None  # None -> paper default per dataset
     lr: float = 0.01
     prox_mu: float = 0.01
     seed: int = _cli(0, 9, "--seed", type=int)
@@ -169,7 +169,6 @@ class ExperimentConfig:
     # 1000-round runs; a shorter effective horizon and more agent updates
     # per round compensate for having ~30x fewer transitions).
     drl_beta: float = 0.5
-    drl_explore: bool = True
     drl_gamma: float = 0.9
     drl_noise_scale: float = 0.05
     drl_updates_per_round: int = 8
@@ -370,10 +369,6 @@ class ExperimentConfig:
         0.0, 48, "--fault-exception",
         "per-cell probability of an injected task error", type=float,
     )
-    fault_transient_prob: float = _cli(
-        0.0, 49, "--fault-transient",
-        "per-cell probability of a transient failure that clears on retry", type=float,
-    )
     fault_hang_prob: float = _cli(
         0.0, 50, "--fault-hang", "per-cell probability of an injected hang",
         type=float,
@@ -416,8 +411,6 @@ class ExperimentConfig:
     # each client an up/down link (megabits per second) so the clock
     # charges comm_s = payload_bytes / bandwidth instead of the fixed
     # constants; "none" keeps the byte-blind historical clock.
-    # straggler_comm_slowdown decouples a straggler's link slowdown from
-    # its compute slowdown (None -> same factor, the legacy behavior).
     codec: str = _cli(
         "dense", 19, "--codec",
         "upload codec for client deltas: dense float passthrough, topk "
@@ -445,13 +438,13 @@ class ExperimentConfig:
         10.0, 25, "--down-mbps", "mean client downlink rate in Mbit/s",
         type=float,
     )
-    straggler_comm_slowdown: float | None = _cli(
-        None, 26, "--straggler-comm-slowdown",
-        "separate straggler multiplier for comm phases (default: same as "
-        "--straggler-slowdown)", type=float,
-    )
 
     def __post_init__(self) -> None:
+        # NaN passes every `value <= 0`-style range check below.
+        for f in fields(self):
+            value = getattr(self, f.name)
+            if isinstance(value, float) and not math.isfinite(value):
+                raise ValueError(f"{f.name} must be finite")
         for name, choices in _VOCABULARIES:
             if getattr(self, name) not in choices:
                 raise ValueError(f"{name} must be one of {choices}")
@@ -469,7 +462,7 @@ class ExperimentConfig:
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be non-negative")
         for name in (
-            "rounds", "labels_per_client", "n_train", "n_test", "local_epochs",
+            "rounds", "n_train", "n_test", "local_epochs",
             "batch_size", "eval_every", "workers", "max_concurrency",
             "task_timeout_s",
         ):
@@ -639,8 +632,7 @@ class ExperimentConfig:
 
     def _validate_faults(self) -> None:
         probs = (
-            self.fault_crash_prob, self.fault_exception_prob,
-            self.fault_transient_prob, self.fault_hang_prob,
+            self.fault_crash_prob, self.fault_exception_prob, self.fault_hang_prob,
         )
         for p in probs:
             if not 0.0 <= p < 1.0:
@@ -657,11 +649,6 @@ class ExperimentConfig:
             raise ValueError("topk_frac must be in (0, 1]")
         if self.up_mbps <= 0 or self.down_mbps <= 0:
             raise ValueError("up_mbps/down_mbps must be positive")
-        if (
-            self.straggler_comm_slowdown is not None
-            and self.straggler_comm_slowdown < 1.0
-        ):
-            raise ValueError("straggler_comm_slowdown must be >= 1 when given")
 
     # -- resolved views ------------------------------------------------------
     @property
@@ -673,8 +660,7 @@ class ExperimentConfig:
     def faults_active(self) -> bool:
         """True when any fault-injection probability is positive."""
         return (
-            self.fault_crash_prob + self.fault_exception_prob
-            + self.fault_transient_prob + self.fault_hang_prob
+            self.fault_crash_prob + self.fault_exception_prob + self.fault_hang_prob
         ) > 0.0
 
     @property
@@ -716,8 +702,6 @@ class ExperimentConfig:
     @property
     def effective_labels_per_client(self) -> int:
         """Paper defaults: 2 labels/client, 20 for CIFAR-100 under PA."""
-        if self.labels_per_client is not None:
-            return self.labels_per_client
         if self.dataset == "cifar100" and self.partition == "PA":
             # Paper: 20 labels/client for CIFAR-100. Scale proportionally to
             # the stand-in's class count (20/100 of the classes).

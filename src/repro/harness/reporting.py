@@ -1,22 +1,17 @@
-"""Result serialisation: experiment outcomes as JSON and Markdown.
+"""Result serialisation: a run's History as JSON primitives and a digest.
 
-The benches print paper-style text tables; downstream users usually want
-machine-readable results too (for plotting, CI regression tracking, or
-aggregating multi-seed sweeps).  These helpers convert the harness's
-result objects into plain dicts / JSON / Markdown without adding any
-dependency.
+The benches print paper-style text tables; ``python -m repro --json``
+and the benchmarks want machine-readable results too.  These helpers
+flatten a :class:`~repro.fl.simulation.History` into plain dicts and hash
+its simulation domain, without adding any dependency.
 """
 
 from __future__ import annotations
 
 import hashlib
 import json
-from pathlib import Path
-
-import numpy as np
 
 from repro.fl.simulation import History
-from repro.harness.runner import ExperimentResult
 
 
 def history_to_dict(history: History) -> dict:
@@ -111,71 +106,3 @@ def history_digest(history: History) -> str:
     ]
     canonical = json.dumps(payload, sort_keys=True, default=lambda a: a.tolist())
     return hashlib.sha256(canonical.encode()).hexdigest()
-
-
-def result_to_dict(result: ExperimentResult) -> dict:
-    """Flatten an :class:`ExperimentResult`, including its config cell."""
-    cfg = result.config
-    out = {
-        "config": {
-            "dataset": cfg.dataset,
-            "partition": cfg.partition,
-            "method": cfg.method,
-            "n_clients": cfg.n_clients,
-            "clients_per_round": cfg.clients_per_round,
-            "scale": cfg.scale,
-            "delta": cfg.delta,
-            "seed": cfg.seed,
-            "rounds": cfg.resolved("rounds"),
-        },
-        "best_accuracy": result.best_accuracy,
-        "wall_time_s": result.wall_time_s,
-        "history": history_to_dict(result.history),
-    }
-    if result.extra:
-        out["extra"] = {
-            k: (v.tolist() if isinstance(v, np.ndarray) else v)
-            for k, v in result.extra.items()
-        }
-    return out
-
-
-def save_results_json(results: list[ExperimentResult], path: str | Path) -> Path:
-    """Write a list of experiment results to a JSON file; returns the path."""
-    path = Path(path)
-    payload = [result_to_dict(r) for r in results]
-    path.write_text(json.dumps(payload, indent=2))
-    return path
-
-
-def load_results_json(path: str | Path) -> list[dict]:
-    """Read back what :func:`save_results_json` wrote."""
-    return json.loads(Path(path).read_text())
-
-
-def results_to_markdown(results: list[ExperimentResult], title: str = "Results") -> str:
-    """A Markdown table of one row per experiment (for reports / PRs)."""
-    lines = [
-        f"## {title}",
-        "",
-        "| dataset | partition | method | N | K | rounds | best acc | time (s) |",
-        "|---|---|---|---|---|---|---|---|",
-    ]
-    for r in results:
-        c = r.config
-        lines.append(
-            f"| {c.dataset} | {c.partition} | {c.method} | {c.n_clients} "
-            f"| {c.clients_per_round} | {c.resolved('rounds')} "
-            f"| {r.best_accuracy:.4f} | {r.wall_time_s:.1f} |"
-        )
-    return "\n".join(lines)
-
-
-def compare_methods(results: list[ExperimentResult]) -> dict[str, float]:
-    """Best accuracy per method over a result list (cells must share the
-    same dataset/partition for the comparison to be meaningful)."""
-    out: dict[str, float] = {}
-    for r in results:
-        method = r.config.method
-        out[method] = max(out.get(method, 0.0), r.best_accuracy)
-    return out

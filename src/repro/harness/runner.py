@@ -132,7 +132,6 @@ def build_strategy(cfg: ExperimentConfig) -> Strategy:
             drl_config=drl_cfg,
             agent=agent,
             seed=cfg.seed,
-            explore=cfg.drl_explore,
         )
     raise ValueError(f"{cfg.method!r} is not a federated strategy")
 
@@ -159,11 +158,10 @@ def pretrain_feddrl_agent(cfg: ExperimentConfig, drl_cfg):
         2**32, size=cfg.drl_pretrain_workers)
     main_agent = None
     for seed in worker_seeds:
-        # Workers always explore; nobody reads their test accuracy, hence
-        # the sparsest evaluation schedule (eval_every = rounds).
+        # Nobody reads a worker's test accuracy, hence the sparsest
+        # evaluation schedule (eval_every = rounds).
         wcfg = cfg.with_(
-            seed=int(seed), drl_pretrain_rounds=0,
-            drl_explore=True, rounds=rounds, eval_every=rounds,
+            seed=int(seed), drl_pretrain_rounds=0, rounds=rounds, eval_every=rounds,
         )
         with build_simulation(wcfg) as sim:
             sim.run()
@@ -187,7 +185,6 @@ def build_fault_plan(cfg: ExperimentConfig) -> FaultPlan | None:
         seed=cfg.seed,
         crash_prob=cfg.fault_crash_prob,
         exception_prob=cfg.fault_exception_prob,
-        transient_prob=cfg.fault_transient_prob,
         hang_prob=cfg.fault_hang_prob,
         hang_s=cfg.fault_hang_s,
     )
@@ -224,7 +221,6 @@ def build_clock(cfg: ExperimentConfig) -> VirtualClock:
         straggler_fraction=cfg.straggler_fraction,
         straggler_slowdown=cfg.straggler_slowdown,
         bandwidth=bandwidth,
-        straggler_comm_slowdown=cfg.straggler_comm_slowdown,
     )
 
 

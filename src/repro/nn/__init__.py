@@ -12,12 +12,10 @@ Public surface
 * :class:`~repro.nn.model.Sequential` — container with forward/backward,
   flat-weight get/set used by the federated aggregation code.
 * Layers: :class:`~repro.nn.layers.Dense`, :class:`~repro.nn.layers.Conv2D`,
-  :class:`~repro.nn.layers.MaxPool2D`, :class:`~repro.nn.layers.AvgPool2D`,
-  :class:`~repro.nn.layers.Flatten`, :class:`~repro.nn.layers.Dropout`,
-  :class:`~repro.nn.layers.BatchNorm1d`, :class:`~repro.nn.layers.BatchNorm2d`,
-  :class:`~repro.nn.layers.ReLU`, :class:`~repro.nn.layers.LeakyReLU`,
-  :class:`~repro.nn.layers.Tanh`, :class:`~repro.nn.layers.Sigmoid`,
-  :class:`~repro.nn.layers.Softplus`.
+  :class:`~repro.nn.layers.MaxPool2D`, :class:`~repro.nn.layers.Flatten`,
+  :class:`~repro.nn.layers.Dropout`, :class:`~repro.nn.layers.BatchNorm1d`,
+  :class:`~repro.nn.layers.BatchNorm2d`, :class:`~repro.nn.layers.ReLU`,
+  :class:`~repro.nn.layers.LeakyReLU`.
 * Losses: :class:`~repro.nn.losses.SoftmaxCrossEntropy`,
   :class:`~repro.nn.losses.MSELoss`.
 * Optimisers: :class:`~repro.nn.optim.SGD`,
@@ -36,9 +34,8 @@ from repro.nn.dtypes import (
     get_default_dtype,
     set_default_dtype,
 )
-from repro.nn.initializers import he_normal, he_uniform, xavier_uniform, zeros_init
+from repro.nn.initializers import he_normal, xavier_uniform, zeros_init
 from repro.nn.layers import (
-    AvgPool2D,
     BatchNorm1d,
     BatchNorm2d,
     Conv2D,
@@ -49,12 +46,9 @@ from repro.nn.layers import (
     LeakyReLU,
     MaxPool2D,
     ReLU,
-    Sigmoid,
-    Softplus,
-    Tanh,
 )
 from repro.nn.losses import Loss, MSELoss, SoftmaxCrossEntropy
-from repro.nn.metrics import top1_accuracy, topk_accuracy
+from repro.nn.metrics import top1_accuracy
 from repro.nn.model import Sequential
 from repro.nn.models import mlp, simple_cnn, vgg11, vgg_mini
 from repro.nn.optim import SGD, Adam, Optimizer, ProximalSGD
@@ -64,16 +58,12 @@ __all__ = [
     "Dense",
     "Conv2D",
     "MaxPool2D",
-    "AvgPool2D",
     "Flatten",
     "Dropout",
     "BatchNorm1d",
     "BatchNorm2d",
     "ReLU",
     "LeakyReLU",
-    "Tanh",
-    "Sigmoid",
-    "Softplus",
     "Loss",
     "SoftmaxCrossEntropy",
     "MSELoss",
@@ -87,9 +77,7 @@ __all__ = [
     "vgg_mini",
     "mlp",
     "top1_accuracy",
-    "topk_accuracy",
     "he_normal",
-    "he_uniform",
     "xavier_uniform",
     "zeros_init",
     "SUPPORTED_DTYPES",

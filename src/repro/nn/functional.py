@@ -11,8 +11,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.nn.dtypes import get_default_dtype
-
 
 def softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable softmax along ``axis``."""
@@ -25,21 +23,6 @@ def log_softmax(x: np.ndarray, axis: int = -1) -> np.ndarray:
     """Numerically stable log-softmax along ``axis``."""
     shifted = x - np.max(x, axis=axis, keepdims=True)
     return shifted - np.log(np.sum(np.exp(shifted), axis=axis, keepdims=True))
-
-
-def one_hot(labels: np.ndarray, num_classes: int) -> np.ndarray:
-    """Return a ``(n, num_classes)`` one-hot encoding in the compute dtype."""
-    labels = np.asarray(labels)
-    if labels.ndim != 1:
-        raise ValueError(f"labels must be 1-D, got shape {labels.shape}")
-    if labels.size and (labels.min() < 0 or labels.max() >= num_classes):
-        raise ValueError(
-            f"labels out of range [0, {num_classes}): "
-            f"min={labels.min()}, max={labels.max()}"
-        )
-    out = np.zeros((labels.shape[0], num_classes), dtype=get_default_dtype())
-    out[np.arange(labels.shape[0]), labels] = 1.0
-    return out
 
 
 def conv_out_size(size: int, kernel: int, stride: int, pad: int) -> int:
@@ -108,16 +91,6 @@ def leaky_relu_grad(x: np.ndarray, alpha: float = 0.01) -> np.ndarray:
     return np.where(x >= 0, dtype.type(1.0), dtype.type(alpha))
 
 
-def softplus(x: np.ndarray) -> np.ndarray:
-    """Numerically stable softplus ``log(1 + e^x)``."""
-    return np.logaddexp(0.0, x)
-
-
-def softplus_grad(x: np.ndarray) -> np.ndarray:
-    """Derivative of softplus = sigmoid(x)."""
-    return sigmoid(x)
-
-
 def sigmoid(x: np.ndarray) -> np.ndarray:
     """Numerically stable logistic sigmoid.
 
@@ -130,26 +103,3 @@ def sigmoid(x: np.ndarray) -> np.ndarray:
     x = np.asarray(x)
     z = np.exp(-np.abs(x))
     return np.where(x >= 0, 1.0 / (1.0 + z), z / (1.0 + z))
-
-
-def clip_grad_norm(grads: np.ndarray | list[np.ndarray], max_norm: float) -> float:
-    """Scale ``grads`` in place so their global L2 norm is at most ``max_norm``.
-
-    ``grads`` may be a single flat array — e.g. a model's gradient arena
-    (:meth:`repro.nn.model.Sequential.flat_grads`), where the norm is one
-    BLAS dot and the clip one in-place scale — or a list of arrays, where
-    per-array dots avoid the ``g * g`` temporaries the old implementation
-    allocated.  Returns the pre-clip norm (useful for logging/diagnostics).
-    """
-    if isinstance(grads, np.ndarray):
-        grads = [grads]
-    total = 0.0
-    for g in grads:
-        flat = np.ascontiguousarray(g).reshape(-1)
-        total += float(np.dot(flat, flat))
-    norm = float(np.sqrt(total))
-    if norm > max_norm and norm > 0.0:
-        scale = max_norm / norm
-        for g in grads:
-            g *= scale
-    return norm

@@ -41,13 +41,6 @@ def he_normal(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     return np.asarray(rng.normal(0.0, std, size=shape), dtype=get_default_dtype())
 
 
-def he_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
-    """Kaiming-uniform init."""
-    fan_in, _ = _fans(shape)
-    bound = math.sqrt(6.0 / max(fan_in, 1))
-    return np.asarray(rng.uniform(-bound, bound, size=shape), dtype=get_default_dtype())
-
-
 def xavier_uniform(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     """Glorot-uniform init, used for tanh/sigmoid output heads (DRL nets)."""
     fan_in, fan_out = _fans(shape)
@@ -61,18 +54,8 @@ def zeros_init(shape: tuple[int, ...], rng: np.random.Generator) -> np.ndarray:
     return np.zeros(shape, dtype=get_default_dtype())
 
 
-def uniform_final(shape: tuple[int, ...], rng: np.random.Generator, scale: float = 3e-3) -> np.ndarray:
-    """Small-uniform init used by DDPG for the final actor/critic layers.
-
-    Lillicrap et al. (2015) initialise the output layers from
-    U(-3e-3, 3e-3) so the initial policy/value outputs are near zero.
-    """
-    return np.asarray(rng.uniform(-scale, scale, size=shape), dtype=get_default_dtype())
-
-
 INITIALIZERS = {
     "he_normal": he_normal,
-    "he_uniform": he_uniform,
     "xavier_uniform": xavier_uniform,
     "zeros": zeros_init,
 }

@@ -206,19 +206,7 @@ def _tiles(x: np.ndarray, k: int, oh: int, ow: int) -> list[np.ndarray]:
     ]
 
 
-class _Pool2D(Layer):
-    """Shared constructor of the (unpadded) pooling layers."""
-
-    def __init__(self, kernel_size: int, stride: int | None = None) -> None:
-        super().__init__()
-        self.kernel_size = kernel_size
-        self.stride = stride if stride is not None else kernel_size
-        if kernel_size <= 0 or self.stride <= 0:
-            raise ValueError("pool kernel size and stride must be positive")
-        self._x_shape: tuple[int, int, int, int] | None = None
-
-
-class MaxPool2D(_Pool2D):
+class MaxPool2D(Layer):
     """Max pooling over non-overlapping (or strided) windows.
 
     Non-overlapping pools (``stride == kernel_size``, every model in the
@@ -229,7 +217,12 @@ class MaxPool2D(_Pool2D):
     """
 
     def __init__(self, kernel_size: int, stride: int | None = None) -> None:
-        super().__init__(kernel_size, stride)
+        super().__init__()
+        self.kernel_size = kernel_size
+        self.stride = stride if stride is not None else kernel_size
+        if kernel_size <= 0 or self.stride <= 0:
+            raise ValueError("pool kernel size and stride must be positive")
+        self._x_shape: tuple[int, int, int, int] | None = None
         self._argmax: np.ndarray | None = None
 
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
@@ -279,27 +272,6 @@ class MaxPool2D(_Pool2D):
         for idx, tile in enumerate(_tiles(gx, k, oh, ow)):
             np.multiply(grad, self._argmax == idx, out=tile)
         return gx
-
-
-class AvgPool2D(_Pool2D):
-    """Average pooling; also usable as a cheap global pool with k=H."""
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        n, c, h, w = x.shape
-        k, s = self.kernel_size, self.stride
-        oh = F.conv_out_size(h, k, s, 0)
-        ow = F.conv_out_size(w, k, s, 0)
-        cols = F.unfold(x.reshape(n * c, 1, h, w), k, k, s, 0)  # (k*k, N*C*OH*OW)
-        self._x_shape = x.shape if training else None
-        return cols.mean(axis=0).reshape(n, c, oh, ow)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._x_shape is None:
-            raise RuntimeError("backward called without a training forward pass")
-        n, c, h, w = self._x_shape
-        k, s = self.kernel_size, self.stride
-        cols = np.broadcast_to(grad.reshape(-1) / (k * k), (k * k, grad.size))
-        return F.fold(cols, (n * c, 1, h, w), k, k, s, 0).reshape(n, c, h, w)
 
 
 class Flatten(Layer):
@@ -476,40 +448,3 @@ class LeakyReLU(_Activation):
         if self._x is None:
             raise RuntimeError("backward called without a training forward pass")
         return grad * F.leaky_relu_grad(self._x, self.alpha)
-
-
-class Tanh(_Activation):
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = np.tanh(x)
-        self._x = out if training else None  # cache output: tanh' = 1 - tanh^2
-        return out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called without a training forward pass")
-        return grad * (1.0 - self._x**2)
-
-
-class Sigmoid(_Activation):
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        out = F.sigmoid(x)
-        self._x = out if training else None
-        return out
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called without a training forward pass")
-        return grad * self._x * (1.0 - self._x)
-
-
-class Softplus(_Activation):
-    """Softplus; used for the DRL sigma head (strictly positive outputs)."""
-
-    def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
-        self._x = x if training else None
-        return F.softplus(x)
-
-    def backward(self, grad: np.ndarray) -> np.ndarray:
-        if self._x is None:
-            raise RuntimeError("backward called without a training forward pass")
-        return grad * F.softplus_grad(self._x)

@@ -16,31 +16,6 @@ def top1_accuracy(model, x: np.ndarray, y: np.ndarray, batch_size: int = 256) ->
     return float(np.mean(preds == np.asarray(y)))
 
 
-def topk_accuracy(
-    model, x: np.ndarray, y: np.ndarray, k: int = 5, batch_size: int = 256
-) -> float:
-    """Top-k accuracy (used as an auxiliary diagnostic for CIFAR-100-like tasks)."""
-    if k < 1:
-        raise ValueError("k must be >= 1")
-    y = np.asarray(y)
-    hits = 0
-    for start in range(0, x.shape[0], batch_size):
-        logits = model.forward(x[start : start + batch_size], training=False)
-        kk = min(k, logits.shape[1])
-        topk = np.argpartition(-logits, kk - 1, axis=1)[:, :kk]
-        hits += int(np.sum(topk == y[start : start + batch_size, None]))
-    return hits / x.shape[0]
-
-
-def confusion_matrix(model, x: np.ndarray, y: np.ndarray, num_classes: int) -> np.ndarray:
-    """Dense ``(num_classes, num_classes)`` confusion matrix (rows = truth)."""
-    preds = model.predict(x)
-    y = np.asarray(y)
-    cm = np.zeros((num_classes, num_classes), dtype=np.int64)
-    np.add.at(cm, (y, preds), 1)
-    return cm
-
-
 def per_class_accuracy(model, x: np.ndarray, y: np.ndarray, num_classes: int) -> np.ndarray:
     """Accuracy per ground-truth class; NaN for classes absent from ``y``.
 
@@ -48,8 +23,9 @@ def per_class_accuracy(model, x: np.ndarray, y: np.ndarray, num_classes: int) ->
     dominant cluster shows high accuracy on its labels and poor accuracy
     elsewhere.
     """
-    cm = confusion_matrix(model, x, y, num_classes)
-    totals = cm.sum(axis=1).astype(float)
+    preds = model.predict(x)
+    y = np.asarray(y)
+    totals = np.bincount(y, minlength=num_classes).astype(float)
+    hits = np.bincount(y[preds == y], minlength=num_classes)
     with np.errstate(invalid="ignore", divide="ignore"):
-        acc = np.diag(cm) / totals
-    return acc
+        return hits / totals

@@ -121,10 +121,6 @@ class Sequential:
         """The gradient arena (a live view aligned with :meth:`flat_parameters`)."""
         return self._grads
 
-    def flat_buffers(self) -> np.ndarray:
-        """The buffer portion of the value arena (a live view)."""
-        return self._values[self._n_params :]
-
     def flat_state(self) -> np.ndarray:
         """The whole value arena — parameters then buffers (a live view)."""
         return self._values

@@ -52,7 +52,6 @@ from repro.runtime.faults import (
     InjectedTaskError,
     RetriesExhausted,
     RetryPolicy,
-    TransientFault,
 )
 from repro.runtime.seeding import client_round_rng, client_round_seed
 
@@ -78,7 +77,6 @@ __all__ = [
     "InjectedTaskError",
     "RetriesExhausted",
     "RetryPolicy",
-    "TransientFault",
     "HomogeneousLatency",
     "LatencyModel",
     "LogNormalLatency",

@@ -271,14 +271,11 @@ class VirtualClock:
         straggler_slowdown: float = 8.0,
         jitter_sigma: float = 0.05,
         bandwidth: BandwidthModel | None = None,
-        straggler_comm_slowdown: float | None = None,
     ) -> None:
         if not 0.0 <= straggler_fraction <= 1.0:
             raise ValueError("straggler_fraction must be in [0, 1]")
         if straggler_slowdown < 1.0:
             raise ValueError("straggler_slowdown must be >= 1")
-        if straggler_comm_slowdown is not None and straggler_comm_slowdown < 1.0:
-            raise ValueError("straggler_comm_slowdown must be >= 1")
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
         rng = run_rng(seed, STREAM_CLOCK_PROFILE)
@@ -299,14 +296,6 @@ class VirtualClock:
             rng.choice(n_clients, size=n_stragglers, replace=False).tolist()
         ) if n_stragglers else set()
         self.straggler_slowdown = straggler_slowdown
-        # Comm and compute can now be slowed independently (a bandwidth
-        # straggler vs a CPU straggler).  Defaulting the comm factor to the
-        # compute factor keeps the legacy whole-round multiplication — and
-        # its exact floating-point evaluation order — when unset.
-        self.straggler_comm_slowdown = (
-            straggler_slowdown if straggler_comm_slowdown is None
-            else straggler_comm_slowdown
-        )
         self.deadline_s = deadline_s
         self.jitter_sigma = jitter_sigma
         self.elapsed_s = 0.0
@@ -376,20 +365,10 @@ class VirtualClock:
         download, compute, upload = self._phases(
             client_id, n_batches, upload_bytes, download_bytes
         )
+        # Same left-to-right sum as DeviceProfile.round_seconds.
+        base = download + compute + upload
         if client_id in self.stragglers:
-            if self.straggler_comm_slowdown == self.straggler_slowdown:
-                # Equal factors: multiply the phase *sum*, reproducing the
-                # legacy whole-round evaluation order bit for bit.
-                base = (download + compute + upload) * self.straggler_slowdown
-            else:
-                base = (
-                    download * self.straggler_comm_slowdown
-                    + compute * self.straggler_slowdown
-                    + upload * self.straggler_comm_slowdown
-                )
-        else:
-            # Same left-to-right sum as DeviceProfile.round_seconds.
-            base = download + compute + upload
+            base *= self.straggler_slowdown
         if self.jitter_sigma > 0:
             jrng = client_round_rng(self.seed, round_idx, client_id, STREAM_LATENCY)
             base *= float(jrng.lognormal(mean=0.0, sigma=self.jitter_sigma))
@@ -406,24 +385,14 @@ class VirtualClock:
         """Split a client's simulated round time into its phases.
 
         Returns ``(download_s, compute_s, upload_s)`` scaled so they sum
-        to ``total_s`` (the jittered/straggler-multiplied actual time).
-        When comm and compute straggler factors differ, each phase first
-        carries its own factor so the split matches what ``client_time``
-        actually charged; with equal factors the whole round scaled
-        uniformly and each phase keeps its profile share.  Pure
-        arithmetic — no RNG draws — so tracing a round never perturbs
-        the timing streams.
+        to ``total_s`` (the jittered/straggler-multiplied actual time):
+        jitter and the straggler factor scale the whole round, so each
+        phase keeps its profile share.  Pure arithmetic — no RNG draws —
+        so tracing a round never perturbs the timing streams.
         """
         download, compute, upload = self._phases(
             client_id, n_batches, upload_bytes, download_bytes
         )
-        if (
-            client_id in self.stragglers
-            and self.straggler_comm_slowdown != self.straggler_slowdown
-        ):
-            download *= self.straggler_comm_slowdown
-            upload *= self.straggler_comm_slowdown
-            compute *= self.straggler_slowdown
         base = download + compute + upload
         if base <= 0.0:
             return 0.0, total_s, 0.0

@@ -8,8 +8,6 @@ task's *first* attempt fails — and how:
   process backend, exercising ``BrokenProcessPool`` recovery; in-process
   backends raise :class:`InjectedCrash` instead.
 * ``exception`` — the task raises :class:`InjectedTaskError`.
-* ``transient`` — the task raises :class:`TransientFault`; one retry
-  always succeeds (injection applies to attempt 0 only).
 * ``hang``      — the task sleeps ``hang_s`` wall seconds and then raises
   :class:`InjectedHang`.  With a per-task timeout configured, the parent
   recovers sooner; without one, the raise bounds the stall.
@@ -36,7 +34,7 @@ from dataclasses import dataclass, field
 
 from repro.runtime.seeding import STREAM_FAULTS, client_round_rng
 
-FAULT_KINDS = ("crash", "exception", "transient", "hang")
+FAULT_KINDS = ("crash", "exception", "hang")
 
 
 class FaultInjected(RuntimeError):
@@ -62,12 +60,6 @@ class InjectedTaskError(FaultInjected):
     kind = "exception"
 
 
-class TransientFault(FaultInjected):
-    """A failure that clears on retry (network blip, OOM pressure)."""
-
-    kind = "transient"
-
-
 class InjectedHang(FaultInjected):
     """A stall: the task slept ``hang_s`` before raising this."""
 
@@ -90,7 +82,6 @@ class RetriesExhausted(FaultInjected):
 _FAULT_EXC = {
     "crash": InjectedCrash,
     "exception": InjectedTaskError,
-    "transient": TransientFault,
     "hang": InjectedHang,
 }
 
@@ -100,10 +91,9 @@ class FaultPlan:
     """Per-cell fault probabilities, drawn from ``STREAM_FAULTS``.
 
     One uniform draw per ``(index, client)`` cell is compared against the
-    stacked probability thresholds (crash, then exception, then
-    transient, then hang), so the injected-fault schedule is a pure
-    function of the plan and the cell — independent of backend, worker
-    count, and completion order.  Probabilities must sum below 1.
+    stacked probability thresholds (crash, then exception, then hang), so
+    the injected-fault schedule is a pure function of the plan and the
+    cell — independent of backend, worker count, and completion order.  Probabilities must sum below 1.
 
     The plan is a frozen dataclass of floats so it pickles into
     :class:`~repro.runtime.executor.RoundContext` and crosses the
@@ -113,16 +103,15 @@ class FaultPlan:
     seed: int
     crash_prob: float = 0.0
     exception_prob: float = 0.0
-    transient_prob: float = 0.0
     hang_prob: float = 0.0
     hang_s: float = 0.05
 
     def __post_init__(self) -> None:
-        for name in ("crash_prob", "exception_prob", "transient_prob", "hang_prob"):
+        for name in ("crash_prob", "exception_prob", "hang_prob"):
             p = getattr(self, name)
             if not 0.0 <= p < 1.0:
                 raise ValueError(f"{name} must be in [0, 1), got {p}")
-        total = self.crash_prob + self.exception_prob + self.transient_prob + self.hang_prob
+        total = self.crash_prob + self.exception_prob + self.hang_prob
         if total >= 1.0:
             raise ValueError(f"fault probabilities must sum below 1 (got {total})")
         if self.hang_s <= 0:
@@ -130,10 +119,7 @@ class FaultPlan:
 
     @property
     def active(self) -> bool:
-        return (
-            self.crash_prob + self.exception_prob
-            + self.transient_prob + self.hang_prob
-        ) > 0.0
+        return self.crash_prob + self.exception_prob + self.hang_prob > 0.0
 
     def draw(self, index: int, client_id: int) -> str | None:
         """The fault kind injected for this cell, or None.

@@ -1,9 +1,9 @@
-"""Tests for the dataset container and splitting."""
+"""Tests for the dataset container."""
 
 import numpy as np
 import pytest
 
-from repro.data.dataset import GATHER_ROWS, ArrayDataset, train_test_split
+from repro.data.dataset import GATHER_ROWS, ArrayDataset
 from repro.fl.client import Client
 from repro.nn.models import mlp
 
@@ -16,12 +16,6 @@ def toy(n=20, classes=4, seed=0):
 class TestArrayDataset:
     def test_len(self):
         assert len(toy(17)) == 17
-
-    def test_label_counts_sum(self):
-        ds = toy(50)
-        counts = ds.label_counts()
-        assert counts.sum() == 50
-        assert counts.shape == (4,)
 
     def test_subset_selects(self):
         ds = toy(10)
@@ -135,22 +129,3 @@ class TestChunkedGather:
             rng=np.random.default_rng(1),
         )
         assert np.all(np.isfinite(update.weights))
-
-
-class TestTrainTestSplit:
-    def test_sizes(self):
-        tr, te = train_test_split(toy(100), 0.25, np.random.default_rng(0))
-        assert len(te) == 25 and len(tr) == 75
-
-    def test_disjoint_and_complete(self):
-        ds = toy(40)
-        ds.x[:, 0, 0, 0] = np.arange(40)  # tag samples
-        tr, te = train_test_split(ds, 0.3, np.random.default_rng(0))
-        tags = np.concatenate([tr.x[:, 0, 0, 0], te.x[:, 0, 0, 0]])
-        assert sorted(tags.tolist()) == list(range(40))
-
-    def test_invalid_fraction(self):
-        with pytest.raises(ValueError):
-            train_test_split(toy(), 0.0, np.random.default_rng(0))
-        with pytest.raises(ValueError):
-            train_test_split(toy(), 1.0, np.random.default_rng(0))

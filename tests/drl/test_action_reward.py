@@ -9,11 +9,11 @@ from hypothesis.extra.numpy import arrays
 from repro.drl.action import (
     add_exploration_noise,
     apply_sigma_constraint,
-    deterministic_impact_factors,
     impact_factors_from_action,
     split_action,
 )
 from repro.drl.reward import feddrl_reward, reward_components
+from repro.nn.functional import softmax
 
 
 class TestSplitAction:
@@ -57,7 +57,7 @@ class TestImpactFactors:
         a1 = impact_factors_from_action(action, 3, np.random.default_rng(1))
         a2 = impact_factors_from_action(action, 3, np.random.default_rng(2))
         np.testing.assert_allclose(a1, a2)
-        np.testing.assert_allclose(a1, deterministic_impact_factors(action, 3))
+        np.testing.assert_allclose(a1, softmax(action[:3]))
 
     def test_larger_mu_larger_share(self, rng):
         action = np.array([3.0, 0.0, -3.0, 0.0, 0.0, 0.0])

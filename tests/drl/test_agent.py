@@ -164,15 +164,6 @@ class TestTraining:
         q = agent._q(agent.value_main, s, a)
         assert np.abs(q - 5.0).mean() < 0.5
 
-    def test_weight_roundtrip(self):
-        agent = make_agent()
-        weights = agent.network_weights()
-        clone = make_agent()
-        clone.load_network_weights(weights)
-        np.testing.assert_array_equal(
-            clone.policy_main.get_flat_weights(), agent.policy_main.get_flat_weights()
-        )
-
 
 class TestLearning:
     def test_agent_improves_on_quadratic_bandit(self):

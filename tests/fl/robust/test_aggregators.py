@@ -9,7 +9,6 @@ from repro.fl.robust import (
     ROBUST_AGGREGATORS,
     AggregationInfo,
     RobustAggregator,
-    get_robust_aggregator,
 )
 
 
@@ -49,11 +48,6 @@ class TestValidation:
         agg = RobustAggregator("median")
         with pytest.raises(ValueError, match="non-negative"):
             agg.combine(np.ones((3, 2)), np.array([0.5, 0.7, -0.2]))
-
-    def test_factory(self):
-        agg = get_robust_aggregator("trimmed_mean", trim_fraction=0.3)
-        assert agg.name == "trimmed_mean"
-        assert agg.trim_fraction == 0.3
 
 
 class TestMean:

@@ -81,14 +81,6 @@ class TestClient:
                 model, model.get_flat_weights(), epochs=0, lr=0.05, batch_size=8, rng=_rng()
             )
 
-    def test_evaluate_global(self, tiny_clients, tiny_model_factory):
-        client = tiny_clients[0]
-        model = tiny_model_factory(np.random.default_rng(0))
-        w0 = model.get_flat_weights()
-        loss = client.evaluate_global(model, w0)
-        update = client.local_train(model, w0, epochs=1, lr=0.05, batch_size=16, rng=_rng())
-        assert loss == pytest.approx(update.loss_before)
-
     def test_deterministic_given_rng_state(self, tiny_data, tiny_model_factory):
         train, _ = tiny_data
         idx = np.arange(40)

@@ -6,11 +6,7 @@ import pytest
 
 from repro.fl.client import ClientUpdate
 from repro.fl.hierarchical import assign_edges, edge_aggregate
-from repro.fl.selection import (
-    PowerOfChoiceSelection,
-    RoundRobinSelection,
-    UniformSelection,
-)
+from repro.fl.selection import UniformSelection
 from repro.fl.simulation import FederatedSimulation, FLConfig
 from repro.fl.strategies import FedAvg, FedDRL
 from repro.fl.wire import HEADER_NBYTES, TopKCodec, WireFormat, WirePayload
@@ -175,43 +171,6 @@ class TestSelection:
             picked = sel.select(10, 4, t)
             assert len(set(picked)) == 4
 
-    def test_round_robin_cycles_everyone(self):
-        sel = RoundRobinSelection()
-        seen = set()
-        for t in range(5):
-            seen.update(sel.select(10, 4, t))
-        assert seen == set(range(10))
-
-    def test_power_of_choice_prefers_high_loss(self):
-        sel = PowerOfChoiceSelection(np.random.default_rng(0), candidate_factor=10)
-        # After observing losses, the worst-off clients get picked.
-        sel.observe(list(range(10)), np.array([0, 0, 0, 0, 0, 0, 0, 0, 9.0, 8.0]))
-        picked = sel.select(10, 2, 0)
-        assert set(picked) == {8, 9}
-
-    def test_power_of_choice_visits_unknown_first(self):
-        sel = PowerOfChoiceSelection(np.random.default_rng(0), candidate_factor=10)
-        sel.observe([0, 1, 2], np.array([5.0, 5.0, 5.0]))
-        picked = sel.select(5, 2, 0)
-        # Clients 3 and 4 have unknown (=inf) loss and outrank known ones.
-        assert set(picked) == {3, 4}
-
     def test_selection_validation(self):
         with pytest.raises(ValueError):
             UniformSelection(np.random.default_rng(0)).select(3, 5, 0)
-        with pytest.raises(ValueError):
-            RoundRobinSelection().select(3, 5, 0)
-        with pytest.raises(ValueError):
-            PowerOfChoiceSelection(np.random.default_rng(0), candidate_factor=0)
-
-    def test_selector_plugs_into_simulation(self, tiny_clients, tiny_data, tiny_model_factory):
-        _, test = tiny_data
-        cfg = FLConfig(rounds=3, clients_per_round=4, local_epochs=1, lr=0.05,
-                       batch_size=16, seed=0)
-        sim = FederatedSimulation(
-            tiny_clients, test, tiny_model_factory, FedAvg(), cfg,
-            selector=RoundRobinSelection(),
-        )
-        hist = sim.run()
-        first_round = hist.records[0].participants
-        assert first_round == [0, 1, 2, 3]  # deterministic round-robin

@@ -3,8 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.fl.client import ClientUpdate
-from repro.fl.fairness import client_loss_stats, fairness_series, normalized_fairness
+from repro.fl.fairness import normalized_fairness
 from repro.fl.simulation import History, RoundRecord
 from repro.fl.strategies import FedAvg, FedDRL
 from repro.fl.timing import measure_server_overhead, synthetic_updates
@@ -24,27 +23,6 @@ def history_with_losses(loss_rows):
     return hist
 
 
-class TestFairnessStats:
-    def test_client_loss_stats(self):
-        ups = [
-            ClientUpdate(0, np.zeros(2), 1.0, 0.5, 10),
-            ClientUpdate(1, np.zeros(2), 3.0, 0.5, 10),
-        ]
-        mean, var = client_loss_stats(ups)
-        assert mean == pytest.approx(2.0)
-        assert var == pytest.approx(1.0)
-
-    def test_empty_raises(self):
-        with pytest.raises(ValueError):
-            client_loss_stats([])
-
-    def test_fairness_series(self):
-        hist = history_with_losses([[1.0, 3.0], [2.0, 2.0]])
-        series = fairness_series(hist)
-        assert series["mean"] == [2.0, 2.0]
-        assert series["variance"] == [1.0, 0.0]
-
-
 class TestNormalizedFairness:
     def test_reference_is_unity(self):
         hists = {
@@ -55,6 +33,7 @@ class TestNormalizedFairness:
         np.testing.assert_allclose(norm["feddrl"]["mean"], 1.0)
         # FedAvg has exactly double the losses -> ratio 2.
         np.testing.assert_allclose(norm["fedavg"]["mean"], 2.0)
+        np.testing.assert_allclose(norm["fedavg"]["variance"], 4.0)
 
     def test_missing_reference_raises(self):
         with pytest.raises(ValueError):

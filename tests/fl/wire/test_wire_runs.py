@@ -117,14 +117,6 @@ class TestHistoryByteFields:
         assert all(e.payload_bytes > 0 for e in arrived)
         assert all(e.payload_bytes == 0 for e in history.events if e.dropped)
 
-    def test_accuracy_vs_bytes_view(self, sync_wire_runs):
-        _, history = sync_wire_runs["serial"]
-        curve = history.accuracy_vs_bytes()
-        assert curve
-        bytes_axis = [b for b, _ in curve]
-        assert bytes_axis == sorted(bytes_axis)
-        assert bytes_axis[-1] <= history.total_bytes_up() + history.total_bytes_down()
-
 
 class _Interrupted(Exception):
     """Stands in for a crash partway through a checkpointed run."""

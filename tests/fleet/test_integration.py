@@ -6,19 +6,14 @@ across the serial / thread / process backends; (2) the sync loop selects
 only online clients, pays for dropped compute, and scales partial work;
 (3) the async engine dispatches only to online clients, loses dropped
 arrivals without aggregating them, and spreads jobs under the fairness
-policy; (4) selectors receive the available pool (round-robin skips
-offline clients instead of stalling).
+policy; (4) uniform selection draws only from the available pool.
 """
 
 import numpy as np
 import pytest
 
 from repro.fl.async_ import AsyncFederatedServer
-from repro.fl.selection import (
-    PowerOfChoiceSelection,
-    RoundRobinSelection,
-    UniformSelection,
-)
+from repro.fl.selection import UniformSelection
 from repro.fl.simulation import FederatedSimulation, FLConfig
 from repro.fl.strategies import FedAvg
 from repro.fleet import ColumnarAvailability, FleetSimulator
@@ -286,36 +281,6 @@ class TestSelectorsWithAvailability:
         b = UniformSelection(np.random.default_rng(3)).select(10, 4, 0)
         assert a == b
 
-    def test_round_robin_skips_offline_without_stalling(self):
-        sel = RoundRobinSelection()
-        # 0..9, but 2 and 3 are offline: the rotation must jump over them.
-        picked = sel.select(10, 4, 0, available=[0, 1, 4, 5, 6, 7, 8, 9])
-        assert picked == [0, 1, 4, 5]
-        # Cursor advanced past the skipped stretch; next round continues on.
-        picked = sel.select(10, 4, 1, available=list(range(10)))
-        assert picked == [6, 7, 8, 9]
-
-    def test_round_robin_covers_online_and_serves_returning_clients(self):
-        sel = RoundRobinSelection()
-        # Clients 2 and 3 are offline for three rounds: the rotation must
-        # cover every online client without stalling...
-        up = [0, 1, 4, 5, 6, 7]
-        seen = set()
-        for t in range(3):
-            seen.update(sel.select(8, 2, t, available=up))
-        assert seen == set(up)
-        # ...and once 2/3 come back, they get their turn promptly.
-        later = sel.select(8, 2, 3, available=list(range(8)))
-        later += sel.select(8, 2, 4, available=list(range(8)))
-        assert {2, 3} <= set(later)
-
-    def test_power_of_choice_candidates_from_pool(self):
-        sel = PowerOfChoiceSelection(np.random.default_rng(0), candidate_factor=10)
-        sel.observe(list(range(10)), np.linspace(0, 9, 10))
-        picked = sel.select(10, 2, 0, available=[0, 1, 2, 3])
-        assert set(picked) <= {0, 1, 2, 3}
-        assert set(picked) == {2, 3}  # highest-loss among the available
-
     def test_oversized_k_rejected(self):
         with pytest.raises(ValueError):
             UniformSelection(np.random.default_rng(0)).select(
@@ -380,12 +345,14 @@ class TestFleetExperimentIntegration:
                 server_mix="delta",
             )
             results[backend] = run_experiment(cfg)
+        def arrivals(h):
+            return [(e.arrival_time_s, e.client_id) for e in h.events]
+
         ref = results["serial"]
         for backend, result in results.items():
             assert result.history.accuracy_series() == \
                 ref.history.accuracy_series(), backend
-            assert result.history.arrival_series() == \
-                ref.history.arrival_series(), backend
+            assert arrivals(result.history) == arrivals(ref.history), backend
 
     def test_fleet_extras_reported(self):
         result = run_experiment(self.make_config(completeness=0.5, rounds=4))

@@ -435,11 +435,16 @@ class TestFingerprint:
         ("latency_model", "none"),
         ("drl_prioritized", True),
         ("fairness_weight", 1.0),
+        ("straggler_comm_slowdown", 2.0),
+        ("labels_per_client", 3),
+        ("drl_explore", True),
     ])
     def test_resume_of_a_removed_setting_exits_2(self, field, value, monkeypatch,
                                                  capsys):
         # A snapshot written while the clock could be off, or while FedDRL's
-        # replay rule and reward weight were fields: --resume names the field.
+        # replay rule, reward weight and exploration switch, the straggler
+        # comm factor or the labels-per-client override were fields:
+        # --resume names the field.
         cfg = ExperimentConfig(**FAST)
         old = {**checkpoint_fingerprint(cfg), field: value}
         monkeypatch.setattr(

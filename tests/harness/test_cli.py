@@ -11,11 +11,33 @@ from repro.harness.config import ExperimentConfig, cli_fields
 
 # ExperimentConfig fields set only from Python; every other field has a flag.
 CONFIG_ONLY = {
-    "labels_per_client", "lr", "prox_mu", "n_train", "n_test", "local_epochs",
-    "batch_size", "model", "eval_every", "drl_beta", "drl_explore",
-    "drl_gamma", "drl_noise_scale", "drl_updates_per_round",
+    "lr", "prox_mu", "n_train", "n_test", "local_epochs",
+    "batch_size", "model", "eval_every", "drl_beta", "drl_gamma", "drl_noise_scale", "drl_updates_per_round",
     "drl_pretrain_workers", "drl_offline_updates",
 }
+
+# Removed spellings, each with the stderr text that names it.  Second
+# spellings of runs other flags express: FedAsync is "--aggregation fedbuff
+# --buffer-size 1 --server-mix 0.6", a deadline always drops, a quantizing
+# codec names its bit width, and an injected transient is an injected
+# exception (both clear on retry).  Values no workload used are gone too:
+# three availability models, one attack and a separate straggler comm
+# factor.  The clock is always on: "--latency-model none" is gone.
+REMOVED_SPELLINGS = [
+    (["--latency-model", "none"], "invalid choice: 'none'"),
+    (["--aggregation", "fedasync"], "invalid choice: 'fedasync'"),
+    (["--deadline-policy", "drop"], "unrecognized arguments: --deadline-policy"),
+    (["--quant-bits", "4"], "unrecognized arguments: --quant-bits"),
+    (["--codec", "qsgd"], "invalid choice: 'qsgd'"),
+    (["--codec", "topk+qsgd"], "invalid choice: 'topk+qsgd'"),
+    (["--availability", "bernoulli"], "invalid choice: 'bernoulli'"),
+    (["--availability", "sinusoidal"], "invalid choice: 'sinusoidal'"),
+    (["--availability", "label_skew"], "invalid choice: 'label_skew'"),
+    (["--attack", "ipm"], "invalid choice: 'ipm'"),
+    (["--fault-transient", "0.1"], "unrecognized arguments: --fault-transient"),
+    (["--straggler-comm-slowdown", "2"],
+     "unrecognized arguments: --straggler-comm-slowdown"),
+]
 
 # flag -> (argv setting one non-default value, the field value it must yield).
 # Extra argv makes the cell valid (feddrl, the CLI default, takes no
@@ -45,7 +67,6 @@ NON_DEFAULT = {
     "--bandwidth-model": ([*FEDAVG, "--bandwidth-model", "uniform"], "uniform"),
     "--up-mbps": (["--up-mbps", "2"], 2.0),
     "--down-mbps": (["--down-mbps", "20"], 20.0),
-    "--straggler-comm-slowdown": ([*FEDAVG, "--straggler-comm-slowdown", "2"], 2.0),
     "--aggregation": ([*FEDAVG, "--aggregation", "fedbuff"], "fedbuff"),
     "--buffer-size": (["--buffer-size", "3"], 3),
     "--max-concurrency": (["--max-concurrency", "4"], 4),
@@ -72,7 +93,6 @@ NON_DEFAULT = {
     ),
     "--fault-crash": (["--fault-crash", "0.1"], 0.1),
     "--fault-exception": (["--fault-exception", "0.1"], 0.1),
-    "--fault-transient": (["--fault-transient", "0.1"], 0.1),
     "--fault-hang": (["--fault-hang", "0.1"], 0.1),
     "--fault-hang-s": (["--fault-hang-s", "0.2"], 0.2),
     "--task-timeout": (["--task-timeout", "30"], 30.0),
@@ -114,23 +134,7 @@ class TestParser:
         with pytest.raises(SystemExit):
             build_parser().parse_args(["--latency-model", "fractal"])
 
-    # Second spellings of runs other flags express: FedAsync is
-    # "--aggregation fedbuff --buffer-size 1 --server-mix 0.6", a deadline
-    # always drops, and a quantizing codec names its bit width.  Values no
-    # workload used are gone too: three availability models and one attack.
-    # The clock is always on: "--latency-model none" is gone.
-    @pytest.mark.parametrize("argv, names", [
-        (["--latency-model", "none"], "invalid choice: 'none'"),
-        (["--aggregation", "fedasync"], "invalid choice: 'fedasync'"),
-        (["--deadline-policy", "drop"], "unrecognized arguments: --deadline-policy"),
-        (["--quant-bits", "4"], "unrecognized arguments: --quant-bits"),
-        (["--codec", "qsgd"], "invalid choice: 'qsgd'"),
-        (["--codec", "topk+qsgd"], "invalid choice: 'topk+qsgd'"),
-        (["--availability", "bernoulli"], "invalid choice: 'bernoulli'"),
-        (["--availability", "sinusoidal"], "invalid choice: 'sinusoidal'"),
-        (["--availability", "label_skew"], "invalid choice: 'label_skew'"),
-        (["--attack", "ipm"], "invalid choice: 'ipm'"),
-    ])
+    @pytest.mark.parametrize("argv, names", REMOVED_SPELLINGS)
     def test_removed_spelling_exits_2(self, argv, names, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)

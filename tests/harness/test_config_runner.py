@@ -1,5 +1,7 @@
 """Tests for experiment configuration and the runner."""
 
+from dataclasses import fields
+
 import numpy as np
 import pytest
 
@@ -69,12 +71,23 @@ class TestExperimentConfig:
     @pytest.mark.parametrize("name, value", [
         ("n_clients", 0), ("clients_per_round", 0), ("seed", -1),
         ("lr", 0.0), ("lr", -0.01), ("prox_mu", -0.01),
-        ("labels_per_client", 0), ("n_train", 0), ("n_test", 0),
+        ("n_train", 0), ("n_test", 0),
         ("local_epochs", 0), ("batch_size", 0), ("eval_every", 0),
     ])
     def test_rejects_bad_sizes_and_seeds(self, name, value):
         # Caught when the config is built, not partway through the run.
         with pytest.raises(ValueError, match=f"^{name} must be"):
+            ExperimentConfig(**{name: value})
+
+    @pytest.mark.parametrize("value", [float("nan"), float("inf")])
+    @pytest.mark.parametrize("name", [
+        f.name for f in fields(ExperimentConfig) if "float" in str(f.type)
+    ])
+    def test_rejects_non_finite_floats(self, name, value):
+        # NaN slips past comparisons such as `value <= 0`, and inf past
+        # one-sided ones; either would run to a nan/inf result or a
+        # traceback instead of an exit 2.
+        with pytest.raises(ValueError, match=f"^{name} must be finite"):
             ExperimentConfig(**{name: value})
 
     @pytest.mark.parametrize("partition", ["EQUAL", "NONEQUAL"])
@@ -146,8 +159,6 @@ class TestExperimentConfig:
         cifar_pa = ExperimentConfig(dataset="cifar100", partition="PA", scale="ci")
         # 20% of the stand-in's class count, mirroring 20/100 in the paper.
         assert cifar_pa.effective_labels_per_client == SCALES["ci"].cifar_classes // 5
-        explicit = ExperimentConfig(labels_per_client=7)
-        assert explicit.effective_labels_per_client == 7
 
     def test_effective_model_auto(self):
         paper_cifar = ExperimentConfig(dataset="cifar100", scale="paper")

@@ -36,20 +36,6 @@ class TestSoftmax:
         np.testing.assert_allclose(p.sum(axis=1), 1.0, atol=1e-9)
 
 
-class TestOneHot:
-    def test_basic(self):
-        out = F.one_hot(np.array([0, 2, 1]), 3)
-        np.testing.assert_array_equal(out, np.eye(3)[[0, 2, 1]])
-
-    def test_rejects_out_of_range(self):
-        with pytest.raises(ValueError):
-            F.one_hot(np.array([0, 3]), 3)
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValueError):
-            F.one_hot(np.zeros((2, 2), dtype=int), 3)
-
-
 class TestIm2col:
     """The row-major reference the conv tests compare against."""
 
@@ -198,33 +184,3 @@ class TestActivationKernels:
     def test_sigmoid_symmetry(self, rng):
         x = rng.normal(size=20)
         np.testing.assert_allclose(F.sigmoid(x) + F.sigmoid(-x), 1.0, atol=1e-12)
-
-    def test_softplus_positive_and_asymptotic(self, rng):
-        x = rng.normal(scale=5, size=50)
-        sp = F.softplus(x)
-        assert np.all(sp > 0)
-        big = np.array([100.0])
-        np.testing.assert_allclose(F.softplus(big), big)
-
-    def test_softplus_grad_is_sigmoid(self, rng):
-        x = rng.normal(size=10)
-        np.testing.assert_allclose(F.softplus_grad(x), F.sigmoid(x))
-
-
-class TestClipGradNorm:
-    def test_no_clip_below_threshold(self, rng):
-        g = [rng.normal(size=3) * 0.01]
-        before = g[0].copy()
-        F.clip_grad_norm(g, 10.0)
-        np.testing.assert_array_equal(g[0], before)
-
-    def test_clips_to_max_norm(self, rng):
-        g = [rng.normal(size=100), rng.normal(size=50)]
-        F.clip_grad_norm(g, 1.0)
-        total = np.sqrt(sum(float(np.sum(x * x)) for x in g))
-        assert total == pytest.approx(1.0, rel=1e-9)
-
-    def test_returns_preclip_norm(self):
-        g = [np.array([3.0, 4.0])]
-        norm = F.clip_grad_norm(g, 1.0)
-        assert norm == pytest.approx(5.0)

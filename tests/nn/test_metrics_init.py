@@ -6,13 +6,11 @@ import pytest
 from repro.nn.initializers import (
     get_initializer,
     he_normal,
-    he_uniform,
-    uniform_final,
     xavier_uniform,
     zeros_init,
 )
 from repro.nn.layers import Dense
-from repro.nn.metrics import confusion_matrix, per_class_accuracy, top1_accuracy, topk_accuracy
+from repro.nn.metrics import per_class_accuracy, top1_accuracy
 from repro.nn.model import Sequential
 
 
@@ -32,8 +30,7 @@ class FixedModel:
 
 class TestMetrics:
     def setup_method(self):
-        # 4 samples, 3 classes; predictions: 0, 1, 1, 2 (all logits
-        # distinct so top-k sets are unambiguous).
+        # 4 samples, 3 classes; predictions: 0, 1, 1, 2.
         logits = np.array(
             [[5, 2, 1], [2, 5, 1], [2, 5, 1], [0, 2, 5]], dtype=float
         )
@@ -44,21 +41,10 @@ class TestMetrics:
         y = np.array([0, 1, 2, 2])  # 3 of 4 correct
         assert top1_accuracy(self.model, self.x, y) == pytest.approx(0.75)
 
-    def test_topk_includes_second_choice(self):
-        y = np.array([1, 0, 0, 1])  # all wrong at top-1, all right at top-2
-        assert topk_accuracy(self.model, self.x, y, k=1) == 0.0
-        assert topk_accuracy(self.model, self.x, y, k=2) == 1.0
-
-    def test_topk_k_larger_than_classes(self):
-        y = np.array([2, 0, 2, 1])
-        assert topk_accuracy(self.model, self.x, y, k=10) == 1.0
-
-    def test_confusion_matrix(self):
-        y = np.array([0, 1, 2, 2])
-        cm = confusion_matrix(self.model, self.x, y, 3)
-        assert cm.sum() == 4
-        assert cm[2, 1] == 1  # truth 2 predicted as 1 once
-        assert cm[2, 2] == 1
+    def test_per_class_accuracy(self):
+        y = np.array([0, 1, 2, 2])  # truth 2 predicted as 1 once
+        acc = per_class_accuracy(self.model, self.x, y, 3)
+        np.testing.assert_array_equal(acc, [1.0, 1.0, 0.5])
 
     def test_per_class_accuracy_nan_for_missing(self):
         y = np.array([0, 0, 0, 0])
@@ -70,19 +56,12 @@ class TestMetrics:
         model = Sequential([Dense(2, 2, rng)])
         with pytest.raises(ValueError):
             top1_accuracy(model, np.empty((0, 2)), np.empty(0, dtype=int))
-        with pytest.raises(ValueError):
-            topk_accuracy(model, np.ones((1, 2)), np.zeros(1, dtype=int), k=0)
 
 
 class TestInitializers:
     def test_he_normal_std(self, rng):
         w = he_normal((1000, 100), rng)
         assert w.std() == pytest.approx(np.sqrt(2 / 1000), rel=0.1)
-
-    def test_he_uniform_bounds(self, rng):
-        w = he_uniform((500, 20), rng)
-        bound = np.sqrt(6 / 500)
-        assert np.abs(w).max() <= bound
 
     def test_xavier_uniform_bounds(self, rng):
         w = xavier_uniform((300, 200), rng)
@@ -95,10 +74,6 @@ class TestInitializers:
 
     def test_zeros(self, rng):
         np.testing.assert_array_equal(zeros_init((3, 3), rng), 0.0)
-
-    def test_uniform_final_scale(self, rng):
-        w = uniform_final((100, 100), rng, scale=1e-3)
-        assert np.abs(w).max() <= 1e-3
 
     def test_unknown_shape_raises(self, rng):
         with pytest.raises(ValueError):

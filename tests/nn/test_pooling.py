@@ -15,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.nn import functional as F
-from repro.nn.layers import AvgPool2D, MaxPool2D
+from repro.nn.layers import MaxPool2D
 from tests.nn.reference_conv import col2im, im2col
 from tests.nn.test_layers import check_input_grad
 
@@ -117,7 +117,7 @@ def test_overlapping_stride_equals_im2col_reference(k, s, rng):
 
 
 @pytest.mark.parametrize("stride", [None, 1])
-@pytest.mark.parametrize("pool_cls", [MaxPool2D, AvgPool2D])
+@pytest.mark.parametrize("pool_cls", [MaxPool2D])
 def test_kernel_larger_than_input_raises(pool_cls, stride):
     with pytest.raises(ValueError, match=r"kernel \(4x4, .*too large for input 2x2"):
         pool_cls(4, stride=stride).forward(np.zeros((1, 1, 2, 2)))

@@ -115,50 +115,26 @@ class TestBytesDrivenTime:
         assert u / d == pytest.approx((500 / 1000.0) / (800 / 2000.0))
 
 
-class TestStragglerCommSlowdown:
+class TestStragglerSlowdown:
     def _straggler_clock(self, **kw):
         clock = _clock(n=4, straggler_fraction=1.0, **kw)
         assert clock.stragglers == {0, 1, 2, 3}
         return clock
 
-    def test_default_comm_factor_equals_compute_factor(self):
-        clock = self._straggler_clock(straggler_slowdown=4.0)
-        assert clock.straggler_comm_slowdown == 4.0
-
-    def test_legacy_path_bit_exact(self):
-        """Equal factors must reproduce the historical (sum * factor)
-        floating-point evaluation exactly, not just approximately."""
-        a = self._straggler_clock(straggler_slowdown=8.0)
-        b = self._straggler_clock(straggler_slowdown=8.0,
-                                  straggler_comm_slowdown=8.0)
+    def test_whole_round_bit_exact(self):
+        """A straggler's time is the phase sum times the factor, in that
+        floating-point evaluation order, not just approximately."""
+        clock = self._straggler_clock(straggler_slowdown=8.0)
         for cid in range(4):
-            ta = a.client_time(0, cid, 7)
-            assert ta == b.client_time(0, cid, 7)
-            profile = a.profile(cid)
-            assert ta == profile.round_seconds(7) * 8.0
+            assert clock.client_time(0, cid, 7) == clock.profile(cid).round_seconds(7) * 8.0
 
-    def test_independent_scaling(self):
-        clock = self._straggler_clock(straggler_slowdown=2.0,
-                                      straggler_comm_slowdown=10.0)
-        p = clock.profile(0)
-        expected = (p.download_s * 10.0 + 7 * p.compute_s_per_batch * 2.0
-                    + p.upload_s * 10.0)
-        assert clock.client_time(0, 0, 7) == pytest.approx(expected)
-
-    def test_decompose_applies_per_phase_factors(self):
-        clock = self._straggler_clock(straggler_slowdown=2.0,
-                                      straggler_comm_slowdown=10.0)
+    def test_decompose_keeps_profile_shares(self):
+        clock = self._straggler_clock(straggler_slowdown=2.0)
         total = clock.client_time(0, 0, 7)
         d, c, u = clock.decompose(0, 7, total)
         p = clock.profile(0)
         assert d + c + u == pytest.approx(total)
-        # Comm got 5x more of the round than a uniform split would give.
-        assert d / c == pytest.approx(
-            (p.download_s * 10.0) / (7 * p.compute_s_per_batch * 2.0))
-
-    def test_comm_factor_validated(self):
-        with pytest.raises(ValueError, match="straggler_comm_slowdown"):
-            _clock(straggler_comm_slowdown=0.5)
+        assert d / c == pytest.approx(p.download_s / (7 * p.compute_s_per_batch))
 
 
 class TestGetBandwidthModel:

@@ -1,7 +1,7 @@
 """Fault injection and recovery: the substrate's robustness guarantees.
 
 The load-bearing property mirrors the backend-equivalence one: a run
-that suffers injected crashes / exceptions / transients / hangs — and
+that suffers injected crashes / exceptions / hangs — and
 recovers — produces a History bit-identical to a clean run, on every
 backend.  Faults cost simulated recovery time (a separate clock ledger),
 never correctness.
@@ -32,14 +32,12 @@ from repro.runtime.faults import (
     InjectedTaskError,
     RetriesExhausted,
     RetryPolicy,
-    TransientFault,
 )
 
 BACKEND_WORKERS = [("serial", None), ("thread", 2), ("process", 2)]
 
 # Heavy enough that ~100 cells see every fault kind at least once.
-PLAN_KW = dict(crash_prob=0.1, exception_prob=0.08, transient_prob=0.08,
-               hang_prob=0.08, hang_s=0.005)
+PLAN_KW = dict(crash_prob=0.1, exception_prob=0.16, hang_prob=0.08, hang_s=0.005)
 
 
 class TestFaultPlan:
@@ -85,7 +83,6 @@ class TestFaultPlan:
         assert raised == {
             "crash": InjectedCrash,
             "exception": InjectedTaskError,
-            "transient": TransientFault,
             "hang": InjectedHang,
         }
 
@@ -132,9 +129,9 @@ class TestFaultStats:
     def test_any_and_as_dict(self):
         s = FaultStats()
         assert not s.any()
-        s.record_injected("transient", 0.5)
+        s.record_injected("exception", 0.5)
         assert s.any()
-        assert s.as_dict()["injected"] == {"transient": 1}
+        assert s.as_dict()["injected"] == {"exception": 1}
 
 
 def run_faulted(tiny_data, tiny_clients, tiny_model_factory, backend, workers,
