@@ -24,8 +24,9 @@ Four measurements, written to ``BENCH_substrate.json``:
    layer's inference forward, training forward and backward in
    microseconds, so a change to one layer shows in its own row.  Beside
    it, each ``Conv2D`` split into its parts at N = 20 (a training batch)
-   and N = 25: ``unfold`` fill / forward GEMM / output copy, and ``dW``
-   GEMM / ``gcols`` GEMM / ``fold``.
+   and N = 25, each part summed over the layer's sample chunks:
+   ``unfold`` fill / forward GEMM, and ``dW`` GEMM / ``gcols`` GEMM /
+   ``fold``.
 
 4. **Training step** — microseconds per batch-10 SGD step of the bench
    MLP (192 -> 64 -> 32 -> 30, what a ``sync_mlp_serial`` client trains)
@@ -60,6 +61,7 @@ from repro.fl.client import make_clients
 from repro.fl.simulation import FederatedSimulation, FLConfig
 from repro.fl.strategies import FedAvg
 from repro.nn import functional as F
+from repro.nn import layers
 from repro.nn.dtypes import set_default_dtype
 from repro.nn.layers import Conv2D
 from repro.nn.losses import SoftmaxCrossEntropy
@@ -253,23 +255,49 @@ CONV_SPLIT_BATCHES = (20, 25)
 
 def conv_split(layer: Conv2D, x: np.ndarray, grad: np.ndarray, micros) -> dict:
     """One ``Conv2D``'s forward and backward part by part, each part the
-    expression ``Conv2D.forward`` / ``backward`` runs, in microseconds."""
+    expression ``Conv2D.forward`` / ``backward`` runs, summed over its
+    sample chunks (``layers._sample_chunks``), in microseconds."""
     k, s, p, o = layer.kernel_size, layer.stride, layer.padding, layer.out_channels
+    n, c, h, w = x.shape
     w2d = layer.params["W"].reshape(o, -1)
-    cols = F.unfold(x, k, k, s, p)
-    out = (w2d @ cols).reshape(o, x.shape[0], *grad.shape[2:])
+    span = grad.shape[2] * grad.shape[3]
+    parts = [
+        (first, stop, slice(first * span, stop * span))
+        for first, stop in layers._sample_chunks(n, span, w2d.shape[1], o)
+    ]
+    cols = np.empty((w2d.shape[1], n * span), x.dtype)
+    out = np.empty((o, n * span), x.dtype)
     g = np.ascontiguousarray(grad.transpose(1, 0, 2, 3)).reshape(o, -1)
     dw = np.empty_like(w2d)
-    gcols = w2d.T @ g
+    gcols = [w2d.T @ g[:, part] for _, _, part in parts]
+    xp = np.zeros((c, n, h + 2 * p, w + 2 * p), x.dtype)
+
+    def fill():
+        for first, stop, part in parts:
+            F.unfold(x[first:stop], k, k, s, p, out=cols[:, part])
+
+    def forward_gemm():
+        for _, _, part in parts:
+            np.matmul(w2d, cols[:, part], out=out[:, part])
+
+    def gcols_gemm():
+        for _, _, part in parts:
+            w2d.T @ g[:, part]
+
+    def fold():  # accumulates into xp on every call: only the time is read
+        for (first, stop, _), chunk in zip(parts, gcols):
+            F.fold(chunk, (stop - first, c, h, w), k, k, s, p, out=xp[:, first:stop])
+
+    fill()
     return {  # in this order: the timed backward reads the timed forward's cache
+        "chunks": len(parts),
         "forward_training_us": micros(lambda: layer.forward(x, training=True)),
-        "fill_us": micros(lambda: F.unfold(x, k, k, s, p)),
-        "forward_gemm_us": micros(lambda: w2d @ cols),
-        "output_copy_us": micros(lambda: np.ascontiguousarray(out.transpose(1, 0, 2, 3))),
+        "fill_us": micros(fill),
+        "forward_gemm_us": micros(forward_gemm),
         "backward_us": micros(lambda: layer.backward(grad)),
         "dw_gemm_us": micros(lambda: np.matmul(g, cols.T, out=dw)),
-        "gcols_gemm_us": micros(lambda: w2d.T @ g),
-        "fold_us": micros(lambda: F.fold(gcols, x.shape, k, k, s, p)),
+        "gcols_gemm_us": micros(gcols_gemm),
+        "fold_us": micros(fold),
     }
 
 
@@ -437,7 +465,7 @@ def main(argv=None) -> int:
     parts = [k for k in conv_layers["conv_split"][0] if k.endswith("_us")]
     print("Conv2D split (us): " + " / ".join(k[:-3] for k in parts))
     for row in conv_layers["conv_split"]:
-        print(f"  {row['layer']:<10} N={row['batch']:<3} "
+        print(f"  {row['layer']:<10} N={row['batch']:<3} chunks={row['chunks']:<2} "
               + " ".join(f"{row[k]:>8.1f}" for k in parts))
     step, arena = train_step["mlp"], train_step["ddpg_arena"]
     print(f"mlp {step['layout']} batch-{step['batch']} step (us): "

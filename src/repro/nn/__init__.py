@@ -4,8 +4,8 @@ The FedDRL paper trains PyTorch models on GPUs; this package provides the
 equivalent differentiable-model substrate in pure NumPy so the whole
 federated pipeline (clients, server, DRL agent) runs on CPU with no
 external DL framework.  All hot paths are vectorised (convolutions lowered
-to one GEMM over K-major ``unfold`` columns, batched matrix multiplies) per
-the HPC-Python guidance used by this repo.
+to GEMMs over K-major ``unfold`` columns in bounded sample chunks, batched
+matrix multiplies) per the HPC-Python guidance used by this repo.
 
 Public surface
 --------------

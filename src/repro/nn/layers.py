@@ -18,10 +18,21 @@ callers that want a known-zero gradient.  Parameterised layers also take
 ``param_grads=False`` — input gradient only, ``self.grads`` untouched.
 
 Shapes follow the NCHW convention for images and ``(batch, features)`` for
-dense inputs.
+dense inputs.  Image tensors are NCHW-*shaped*, not necessarily NCHW in
+memory: :class:`Conv2D` returns its output (and its input gradient) as a
+transposed view of a channel-major ``(C, N, H, W)`` array, pooling and the
+activations keep whatever order they are given (a pool's input gradient
+is channel-major), and the next ``unfold``
+reads any strides — so activations stay channel-major until ``Flatten``'s
+reshape copies them into a batch-major matrix.  Layers hold no workspace
+between calls (a cached buffer would ride along in every pickle sent to
+a worker or written to a checkpoint); a conv's bounded per-chunk
+temporaries are left to the allocator to recycle.
 """
 
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
@@ -120,9 +131,60 @@ class Dense(Layer):
         return f"Dense({self.in_features}, {self.out_features})"
 
 
+#: Lowered-column elements one ``Conv2D`` chunk may hold: the forward
+#: unfolds and multiplies, and the backward multiplies and folds, at most
+#: this many ``C*k*k x OH*OW`` sample columns at a time, so an eval pass
+#: never materialises the whole batch's columns.
+CONV_CHUNK = 1 << 18
+
+#: Chunks split the GEMMs' output columns at multiples of this many
+#: columns, and only batches whose column count is a multiple too: the
+#: OpenBLAS kernels numpy's wheel picks on an AVX-512 CPU (``SkylakeX``)
+#: sweep the columns in steps of up to 16 and give a remainder a narrower
+#: kernel, whose bits depend on how the call was blocked.
+CONV_ALIGN = 16
+
+#: The same kernels multiply matrices of up to this many multiply-adds
+#: with a kernel that does not block the reduction, so such a call can
+#: round where a larger one would not: a batch above it is split only into
+#: chunks above it.  On both rules a chunked product is the one-call
+#: product bit for bit (``tests/nn/test_conv_chunking.py``).  Other kernel
+#: sets block differently (``OPENBLAS_CORETYPE=Haswell`` moves some float32
+#: bits), as they already move the pinned digests (ROADMAP item 13).
+SMALL_GEMM_MACS = 100**3
+
+
+def _sample_chunks(n: int, span: int, rows: int, out_rows: int):
+    """``(first, stop)`` sample ranges for a GEMM of ``out_rows x rows``
+    weights over ``span`` columns per sample: at most :data:`CONV_CHUNK`
+    column elements each unless one :data:`CONV_ALIGN` step or the
+    :data:`SMALL_GEMM_MACS` floor takes more (the last range also takes a
+    remainder below the floor); one range if ``n * span`` is unaligned."""
+    unit = CONV_ALIGN // math.gcd(span, CONV_ALIGN)  # samples per aligned step
+    macs = out_rows * rows * span  # per sample
+    fewest = SMALL_GEMM_MACS // macs + 1 if n * macs > SMALL_GEMM_MACS else 1
+    if n % unit:
+        step = n
+    else:  # the budget rounded down to whole steps, the floor rounded up
+        step = unit * max(CONV_CHUNK // (rows * span) // unit, -(-fewest // unit), 1)
+    first = 0
+    while first < n:
+        stop = n if n - first < step + fewest else first + step
+        yield first, stop
+        first = stop
+
+
 class Conv2D(Layer):
-    """2-D convolution (cross-correlation) as one GEMM over the K-major
-    columns of :func:`repro.nn.functional.unfold`; NCHW in and out."""
+    """2-D convolution (cross-correlation) as GEMMs over the K-major
+    columns of :func:`repro.nn.functional.unfold`, in sample chunks of
+    :data:`CONV_CHUNK` column elements.
+
+    Input and output are NCHW-*shaped*; the output is channel-major in
+    memory (a ``(N, O, OH, OW)`` transposed view of one ``(O, N, OH, OW)``
+    array the chunks' GEMMs write into), and so is the input gradient.
+    Every layer downstream accepts any strides, so activations keep that
+    layout until ``Flatten``'s reshape.
+    """
 
     def __init__(
         self,
@@ -162,20 +224,29 @@ class Conv2D(Layer):
             )
         n, _, h, w = x.shape
         k, s, p = self.kernel_size, self.stride, self.padding
-        o = self.out_channels
-        cols = F.unfold(x, k, k, s, p)  # (C*k*k, N*OH*OW)
-        out = self.params["W"].reshape(o, -1) @ cols  # (O, N*OH*OW)
-        if self.use_bias:
-            out += self.params["b"][:, None]
-        self._cols = cols if training else None
+        oh, ow = F.conv_out_hw(h, w, k, k, s, p)
+        w2d = self.params["W"].reshape(self.out_channels, -1)
+        span = oh * ow
+        out = np.empty((self.out_channels, n * span), np.result_type(w2d, x))
+        # Training keeps every chunk's columns for the dW GEMM; eval lets
+        # each chunk's die with its product.
+        cols = np.empty((w2d.shape[1], n * span), x.dtype) if training else None
+        for first, stop in _sample_chunks(n, span, w2d.shape[1], self.out_channels):
+            part = slice(first * span, stop * span)
+            kept = None if cols is None else cols[:, part]
+            np.matmul(w2d, F.unfold(x[first:stop], k, k, s, p, out=kept), out=out[:, part])
+            if self.use_bias:
+                out[:, part] += self.params["b"][:, None]
+        self._cols = cols
         self._x_shape = x.shape if training else None
-        out = out.reshape(o, n, F.conv_out_size(h, k, s, p), F.conv_out_size(w, k, s, p))
-        return np.ascontiguousarray(out.transpose(1, 0, 2, 3))
+        return out.reshape(self.out_channels, n, oh, ow).transpose(1, 0, 2, 3)
 
     def backward(
         self, grad: np.ndarray, input_grad: bool = True, param_grads: bool = True
     ) -> np.ndarray | None:
-        """Both flags as in :meth:`Dense.backward`."""
+        """Both flags as in :meth:`Dense.backward`.  ``dW`` is one GEMM over
+        the whole batch (chunking its reduction would reorder the sums);
+        the input gradient is multiplied and folded chunk by chunk."""
         if self._cols is None or self._x_shape is None:
             raise RuntimeError("backward called without a training forward pass")
         o = self.out_channels
@@ -186,10 +257,15 @@ class Conv2D(Layer):
                 np.add.reduce(g, axis=1, out=self.grads["b"])
         if not input_grad:
             return None
-        gcols = self.params["W"].reshape(o, -1).T @ g  # (C*k*k, N*OH*OW)
-        return F.fold(
-            gcols, self._x_shape, self.kernel_size, self.kernel_size, self.stride, self.padding
-        )
+        n, c, h, w = self._x_shape
+        k, s, p = self.kernel_size, self.stride, self.padding
+        w2d = self.params["W"].reshape(o, -1)
+        span = grad.shape[2] * grad.shape[3]
+        xp = np.zeros((c, n, h + 2 * p, w + 2 * p), np.result_type(w2d, g))
+        for first, stop in _sample_chunks(n, span, w2d.shape[1], self.out_channels):
+            gcols = w2d.T @ g[:, first * span : stop * span]  # (C*k*k, chunk*OH*OW)
+            F.fold(gcols, (stop - first, c, h, w), k, k, s, p, out=xp[:, first:stop])
+        return xp[:, :, p : p + h, p : p + w].transpose(1, 0, 2, 3)
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         return (
@@ -228,18 +304,13 @@ class MaxPool2D(Layer):
     def forward(self, x: np.ndarray, training: bool = False) -> np.ndarray:
         n, c, h, w = x.shape
         k, s = self.kernel_size, self.stride
-        oh = F.conv_out_size(h, k, s, 0)
-        ow = F.conv_out_size(w, k, s, 0)
+        oh, ow = F.conv_out_hw(h, w, k, k, s, 0)
         arg = None
         if s != k:
             cols = F.unfold(x.reshape(n * c, 1, h, w), k, k, s, 0)  # (k*k, N*C*OH*OW)
             arg = cols.argmax(axis=0)
             out = cols[arg, np.arange(cols.shape[1])].reshape(n, c, oh, ow)
         else:
-            if oh <= 0 or ow <= 0:
-                raise ValueError(
-                    f"kernel ({k}x{k}, stride={s}, pad=0) too large for input {h}x{w}"
-                )
             tiles = _tiles(x, k, oh, ow)
             out = np.maximum(tiles[0], tiles[1]) if k > 1 else tiles[0].copy()
             for tile in tiles[2:]:
@@ -268,7 +339,12 @@ class MaxPool2D(Layer):
         oh, ow = grad.shape[2:]
         # Rows/columns past the last whole window were never pooled.
         alloc = np.empty if (h, w) == (k * oh, k * ow) else np.zeros
-        gx = alloc((n, c, h, w), dtype=grad.dtype)
+        # gx channel-major, the layout a Conv2D below hands its input and
+        # reads its gradient in (no transposing copy there); grad follows (a
+        # copy only if it is not channel-major already: the pooled grad is
+        # 1/k**2 of gx) so the k*k products run in one order.
+        gx = alloc((c, n, h, w), dtype=grad.dtype).transpose(1, 0, 2, 3)
+        grad = np.ascontiguousarray(grad.transpose(1, 0, 2, 3)).transpose(1, 0, 2, 3)
         for idx, tile in enumerate(_tiles(gx, k, oh, ow)):
             np.multiply(grad, self._argmax == idx, out=tile)
         return gx

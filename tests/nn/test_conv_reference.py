@@ -32,7 +32,7 @@ def compare_with_reference(layer, x, grad_seed=0):
     weight, bias = layer.params["W"], layer.params.get("b")
     want_out, cols = R.conv_forward(x, weight, bias, layer.stride, layer.padding)
     out = layer.forward(x, training=True)
-    assert out.flags.c_contiguous
+    assert out.transpose(1, 0, 2, 3).flags.c_contiguous  # channel-major memory
     assert_close(out, want_out, dtype)
     assert_close(layer.forward(x), want_out, dtype)
 
