@@ -10,12 +10,14 @@ participation level (K=16) and times the three things a round pays
   column (amortized: one vectorized step per slot, a slot spans several
   rounds) and materializing the online id pool;
 * **materialization** — building the K sampled participants as real
-  ``Client`` objects from the shared base dataset (lazy pool, released
-  after the round).
+  ``Client`` objects from the shared base dataset (the run's client pool,
+  released after the round).
 
 The per-client *population* never materializes: client state lives in
 :class:`repro.fleet.columnar.FleetState` columns and shards are sliced
-on demand by :class:`repro.fleet.scale.LazyClientPool`.  The acceptance
+on demand by :class:`repro.fleet.scale.LazyClientPool`, the client
+population of every run (:func:`repro.fl.client.make_clients` builds
+it).  The acceptance
 criterion is that per-round overhead grows with K, not N — the 1M fleet
 stays within 10x of the 1k fleet — and that the columnar state for a
 million clients fits in under 100 MB.
@@ -30,7 +32,8 @@ each in a fresh interpreter so its peak-RSS growth is the clock's alone;
 it carries its own host block.
 
 The ``build`` row times the harness's data build — ``build_dataset`` →
-``build_partition`` → ``make_clients`` — at two training-set shapes, the
+``build_partition`` → ``make_clients`` (the pool: no client is built
+yet) — at two training-set shapes, the
 ``sync_mlp_serial`` benchmark workload's (20 000 x 3x8x8, float64) and
 the ``paper`` preset's (50 000 x 3x32x32, float32), each in a fresh
 interpreter.  It reports build time and peak RSS above the post-import
@@ -77,7 +80,7 @@ BASE_SAMPLES = 4096
 
 
 def build_fleet(n_clients: int):
-    """One N-sized fleet: columnar state + lazy participants."""
+    """One N-sized fleet: columnar state + the client pool."""
     spec = SyntheticImageSpec(num_classes=4, channels=1, image_size=8, noise=0.3)
     train, _ = make_synthetic_dataset(spec, BASE_SAMPLES, 8,
                                       np.random.default_rng(SEED))

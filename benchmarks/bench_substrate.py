@@ -22,7 +22,9 @@ Four measurements, written to ``BENCH_substrate.json``:
 3. **Per-layer conv path** — ``simple_cnn`` at float32 on a batch of 25
    32x32 images (the shape a ``sync_cnn_process`` client evaluates): each
    layer's inference forward, training forward and backward in
-   microseconds, so a change to one layer shows in its own row.  Beside
+   microseconds, so a change to one layer shows in its own row.  Every
+   backward gets the gradient the real chain hands that layer, in its
+   memory layout.  Beside
    it, each ``Conv2D`` split into its parts at N = 20 (a training batch)
    and N = 25, each part summed over the layer's sample chunks:
    ``unfold`` fill / forward GEMM, and ``dW`` GEMM / ``gcols`` GEMM /
@@ -309,15 +311,24 @@ def bench_conv_layers(reps: int, trials: int) -> dict:
     try:
         rng = np.random.default_rng(0)
         model = simple_cnn(1, image_size, 10, rng)
-        x = rng.normal(size=(batch, 1, image_size, image_size)).astype(np.float32)
+        acts = [rng.normal(size=(batch, 1, image_size, image_size)).astype(np.float32)]
+        for layer in model.layers:
+            acts.append(layer.forward(acts[-1], training=True))
+        # Each layer's backward is timed on the gradient the layer above
+        # hands it in a real step, in that memory layout (channel-major
+        # into the first pool, NCHW into the second), not on a fresh
+        # C-contiguous array.
+        grads = [rng.normal(size=acts[-1].shape).astype(np.float32)]
+        for layer in model.layers[:0:-1]:
+            grads.insert(0, layer.backward(grads[0]))
 
         def micros(fn) -> float:
             return round(best_of(fn, reps, trials) * 1e6, 1)
 
         rows, split = [], []
         for i, layer in enumerate(model.layers):
-            out = layer.forward(x, training=True)
-            grad = rng.normal(size=out.shape).astype(np.float32)
+            x, grad = acts[i], grads[i]
+            layer.forward(x, training=True)  # this layer's cache, as in the chain
             name = f"{i}:{type(layer).__name__}"
             if isinstance(layer, Conv2D):
                 split += [
@@ -331,7 +342,6 @@ def bench_conv_layers(reps: int, trials: int) -> dict:
                 # The training cache survives repeated backwards.
                 "backward_us": micros(lambda: layer.backward(grad)),
             })
-            x = out
     finally:
         set_default_dtype("float64")
     columns = ("forward_inference_us", "forward_training_us", "backward_us")

@@ -90,7 +90,7 @@ CELLS = {
     "sync": {},
     "fedbuff": FEDBUFF,
     "fedbuff-full": dict(
-        FEDBUFF, n_clients=24, partition="IID", fleet_mode="lazy",
+        FEDBUFF, n_clients=24, partition="IID",
         availability="markov", dropout_prob=0.05, topology="hier", n_edges=3,
         codec="topk+qsgd8", topk_frac=0.05, bandwidth_model="lognormal",
         aggregator="krum", server_mix="delta",

@@ -13,7 +13,6 @@ from repro.data.dataset import ArrayDataset, RowView
 from repro.data.shm import (
     SharedArrayDataset,
     SharedMemoryPool,
-    share_clients,
     share_dataset,
 )
 from repro.data.partition import (
@@ -40,7 +39,6 @@ __all__ = [
     "RowView",
     "SharedArrayDataset",
     "SharedMemoryPool",
-    "share_clients",
     "share_dataset",
     "SyntheticImageSpec",
     "make_synthetic_dataset",

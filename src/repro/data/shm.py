@@ -1,14 +1,14 @@
 """Shared-memory backing for :class:`~repro.data.dataset.ArrayDataset`
 (and the named-block helpers the process backend's round exchange uses).
 
-The process backend ships its clients — or its lazy client pool — to its
-workers at pool construction.  Client shards are
-:class:`~repro.data.dataset.RowView` s of one training set, so that set is
-what gets shared, once: :func:`share_clients` copies each distinct parent
-into one pair of named blocks (features, labels) and rebinds the views to
-it.  Pickling a :class:`SharedArrayDataset` ships only block names and
-shapes, a view over one ships those plus its rows, and workers attach
-instead of copying.
+The process backend ships its client pool to its workers at pool
+construction.  Client shards are :class:`~repro.data.dataset.RowView` s
+of one training set, so that set is what gets shared, once:
+:meth:`repro.fleet.scale.LazyClientPool.share` copies it into one pair of
+named blocks (features, labels) with :func:`share_dataset` and builds
+every later shard over the copy.  Pickling a :class:`SharedArrayDataset`
+ships only block names and shapes, a view over one ships those plus its
+rows, and workers attach instead of copying.
 
 Everything degrades transparently: if a block cannot be created (no
 ``/dev/shm``, permission failures, a full mount) the original heap-backed
@@ -18,17 +18,12 @@ optimisation, never a semantic change.
 
 from __future__ import annotations
 
-import copy
 import math
 from multiprocessing import resource_tracker, shared_memory
-from typing import TYPE_CHECKING
 
 import numpy as np
 
-if TYPE_CHECKING:
-    from repro.fl.client import Client
-
-from repro.data.dataset import ArrayDataset, RowView
+from repro.data.dataset import ArrayDataset
 
 
 def _attach_block(name: str):
@@ -110,6 +105,14 @@ class SharedArrayDataset(ArrayDataset):
         obj._shm_blocks = tuple(blocks)
         return obj
 
+    def to_heap(self) -> ArrayDataset:
+        """A heap copy of this dataset: what an owner keeps before it
+        closes the blocks, whose pages ``close`` unmaps under any array
+        still viewing them."""
+        heap = ArrayDataset.__new__(ArrayDataset)
+        heap.x, heap.y, heap.num_classes = self.x.copy(), self.y.copy(), self.num_classes
+        return heap
+
     def __reduce__(self):
         xblk, yblk = self._shm_blocks
         return (_attach_dataset, (
@@ -162,11 +165,12 @@ class SharedMemoryPool:
     def close(self) -> None:
         """Unlink every block (idempotent).
 
-        Unlink comes first — it removes the name; the pages themselves
-        survive until the last mapping (ours or a worker's) goes away, so
-        a lingering NumPy view can never see freed memory.  ``close`` on
-        our own handle is best-effort: live views legitimately keep the
-        mapping open.
+        Unlink comes first — it removes the name; a worker's mapping
+        keeps its pages.  Closing our own handle unmaps ours even under a
+        live array (NumPy's ``buffer=`` views hold no buffer export), so
+        an owner copies out what it still needs first
+        (:meth:`SharedArrayDataset.to_heap`); the close is best-effort
+        where a buffer export does keep the mapping open.
         """
         blocks, self._blocks = self._blocks, []
         for block in blocks:
@@ -180,33 +184,3 @@ class SharedMemoryPool:
                 # A dataset view still references the buffer; the mapping
                 # is released when the view is garbage-collected.
                 pass
-
-
-def share_clients(clients: list["Client"]) -> tuple[list["Client"], SharedMemoryPool]:
-    """Rebind every client's data to shared memory, one block pair per
-    distinct training set.
-
-    A client holding a :class:`~repro.data.dataset.RowView` is rebound to
-    the same rows of its parent's shared copy, a client holding a whole
-    dataset to that dataset's copy.  Returns new (shallow-copied) clients
-    plus the pool that owns the blocks; clients whose data could not be
-    shared are passed through untouched, so the result is always usable.
-    """
-    pool = SharedMemoryPool()
-    copies: dict[ArrayDataset, ArrayDataset | None] = {}
-    shared_clients = []
-    for client in clients:
-        data = client.dataset
-        base = data.parent if isinstance(data, RowView) else data
-        if base not in copies:
-            shared, blocks = share_dataset(base)
-            pool.adopt(blocks)
-            copies[base] = shared if blocks else None
-        shared = copies[base]
-        if shared is None:
-            shared_clients.append(client)
-            continue
-        clone = copy.copy(client)
-        clone.dataset = shared if data is base else RowView(shared, data.rows)
-        shared_clients.append(clone)
-    return shared_clients, pool

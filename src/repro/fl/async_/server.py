@@ -44,7 +44,7 @@ import numpy as np
 from repro.data.dataset import ArrayDataset
 from repro.fl.async_.events import ClientJob, EventQueue
 from repro.fl.async_.staleness import PolynomialStaleness, StalenessWeighting
-from repro.fl.client import Client, ClientUpdate
+from repro.fl.client import ClientUpdate
 # The window path lives in repro.fl.simulation and calls the last four
 # through that module's globals; they stay bound here, and run / close stay
 # in this class body, only because the frozen benchmark
@@ -60,6 +60,7 @@ from repro.fl.simulation import (  # noqa: F401
     top1_accuracy,
 )
 from repro.fl.strategies.base import Strategy
+from repro.fleet.scale import LazyClientPool
 from repro.fleet.simulator import FleetSimulator
 from repro.obs.trace import CAT_FLEET, CAT_IDLE, Tracer
 from repro.runtime.clock import VirtualClock
@@ -97,7 +98,7 @@ class AsyncFederatedServer(FederatedEngine):
 
     def __init__(
         self,
-        clients: list[Client],
+        clients: LazyClientPool,
         test_set: ArrayDataset | None,
         model_factory,
         strategy: Strategy,

@@ -15,15 +15,20 @@ regardless of N, while parallel backends hand each worker its own replica.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
 
 from repro.data.dataset import ArrayDataset
+from repro.fleet.scale import LazyClientPool
 from repro.nn.dtypes import get_default_dtype
 from repro.nn.losses import Loss, SoftmaxCrossEntropy, evaluate_loss
 from repro.nn.model import Sequential
 from repro.nn.optim import SGD, ProximalSGD
 from repro.runtime.clock import n_local_batches
+
+if TYPE_CHECKING:
+    from repro.fl.robust.attacks import AttackModel
 
 
 @dataclass
@@ -145,11 +150,15 @@ class Client:
         )
 
 
-def make_clients(train_set: ArrayDataset, parts: list[np.ndarray]) -> list[Client]:
-    """Build one client per partition entry.
+def make_clients(
+    train_set: ArrayDataset, parts, attack: AttackModel | None = None
+) -> LazyClientPool:
+    """The client population: one client per partition entry, built when
+    it is first needed (:class:`repro.fleet.scale.LazyClientPool`).
 
     Each client's data is a row view of ``train_set`` (no copy), so the
-    training set stays the only copy of the samples.  A client holds no
+    training set stays the only copy of the samples; ``attack`` poisons a
+    malicious client's shard as the client is built.  A client holds no
     generator: the runtime passes each ``(round, client)`` cell its own.
     """
-    return [Client(cid, train_set.subset(idx)) for cid, idx in enumerate(parts)]
+    return LazyClientPool(train_set, parts, attack)

@@ -39,7 +39,7 @@ from dataclasses import replace
 import numpy as np
 
 from repro.data.dataset import ArrayDataset
-from repro.fl.client import Client, ClientUpdate
+from repro.fl.client import ClientUpdate
 from repro.runtime.seeding import (
     STREAM_ATTACK,
     STREAM_MALICIOUS,
@@ -115,10 +115,12 @@ class AttackModel:
 
     # -- data poisoning ------------------------------------------------------
     def poison_dataset(self, client_id: int, dataset: ArrayDataset) -> ArrayDataset:
-        """The poisoned view of one malicious client's shard.
+        """The poisoned view of one malicious client's shard — what the
+        client pool (:mod:`repro.fleet.scale`) trains that client on.
 
         Honest clients' shards pass through untouched; update attacks
-        leave all data untouched.
+        leave all data untouched.  The result depends only on the seed,
+        the client id and the shard, so a pool may rebuild it any time.
         """
         if not self.is_malicious(client_id) or not self.is_data_attack:
             return dataset
@@ -140,13 +142,6 @@ class AttackModel:
         x[chosen] = apply_trigger(x[chosen])
         y[chosen] = self.backdoor_target
         return ArrayDataset(x, y, dataset.num_classes)
-
-    def poison_clients(self, clients: list[Client]) -> list[int]:
-        """Swap every malicious client's dataset for its poisoned view;
-        returns the (sorted) malicious ids for logging."""
-        for client in clients:
-            client.dataset = self.poison_dataset(client.client_id, client.dataset)
-        return sorted(self.malicious)
 
     def backdoor_test_set(self, test_set: ArrayDataset) -> ArrayDataset | None:
         """The attack-task test set: every non-target sample, triggered and

@@ -45,12 +45,12 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from repro.data.dataset import ArrayDataset
-from repro.fl.client import Client, ClientUpdate
+from repro.fl.client import ClientUpdate
 from repro.fl.hierarchical import fold_edges
 from repro.fl.selection import UniformSelection
 from repro.fl.strategies.base import Strategy, combine_updates
 from repro.fleet.columnar import FleetState
-from repro.fleet.scale import is_client_provider
+from repro.fleet.scale import LazyClientPool
 from repro.fleet.simulator import FleetSimulator
 from repro.nn.losses import SoftmaxCrossEntropy, evaluate_loss
 from repro.nn.metrics import top1_accuracy
@@ -552,12 +552,11 @@ class FederatedEngine:
             raise ValueError(f"topology must be 'flat' or 'hier', got {topology!r}")
         if topology == "hier" and n_edges <= 0:
             raise ValueError("n_edges must be positive")
+        # The client pool (repro.fleet.scale) materializes participants
+        # per executor batch.
         self.clients = clients
         self.topology = topology
         self.n_edges = n_edges
-        # Lazy providers (repro.fleet.scale) materialize participants per
-        # executor batch; a plain list is the historical eager population.
-        self._lazy = is_client_provider(clients)
         self.test_set = test_set
         self.strategy = strategy
         self.config = config
@@ -573,7 +572,7 @@ class FederatedEngine:
         self.fleet = fleet
         # Adversarial fleet (repro.fl.robust): `attack` perturbs malicious
         # clients' uploads relative to the weights they were dispatched
-        # (their data was already poisoned at build time); `defense`
+        # (data attacks poison shards as the client pool builds them); `defense`
         # replaces the weighted mean with a robust combination rule.
         self.attack = attack
         self.defense = defense
@@ -605,17 +604,14 @@ class FederatedEngine:
         self.checkpointer = None
         self.history = History()
         self._loss = SoftmaxCrossEntropy()
-        # Columnar per-client state: shard sizes answered without touching
-        # (possibly lazy) Client objects, the availability engine's
-        # whole-fleet view, and the jobs-served column.
+        # Columnar per-client state: shard sizes answered without building
+        # Client objects, the availability engine's whole-fleet view, and
+        # the jobs-served column.
         self.fleet_state = FleetState(
             len(clients),
             config.seed,
             availability=fleet.availability if fleet is not None else None,
-            shard_sizes=(
-                clients.shard_sizes if self._lazy
-                else np.array([c.n_samples for c in clients], dtype=np.int64)
-            ),
+            shard_sizes=clients.shard_sizes,
         )
 
     def _local_batches(self, cid: int) -> int:
@@ -690,10 +686,9 @@ class FederatedEngine:
             trace=self.tracer is not None,
             fault_plan=self.faults,
         )
-        if self._lazy:
-            # Materialize the batch parent-side, release after: the
-            # resident Client set stays O(batch), not O(N).
-            self.clients.ensure(ids)
+        # Materialize the batch parent-side, release after: the resident
+        # Client set stays O(batch), not O(N).
+        self.clients.ensure(ids)
         with self._wall_span(span, **span_args):
             updates = self.executor.run_round(ctx, ids)
         tr = self.tracer
@@ -711,8 +706,7 @@ class FederatedEngine:
             if ipc is not None:
                 tr.metrics.inc("rt.ipc.bytes_out", ipc["out"])
                 tr.metrics.inc("rt.ipc.bytes_in", ipc["in"])
-        if self._lazy:
-            self.clients.release(ids)
+        self.clients.release(ids)
         return updates
 
     # -- the engine loop -------------------------------------------------------
@@ -946,12 +940,11 @@ class FederatedEngine:
         self.clock.timings = clock_state["timings"]
 
     def close(self) -> None:
-        """Release the execution backend's workers, a lazy client pool's
+        """Release the execution backend's workers, the client pool's
         shared blocks and the strategy's side process (idempotent)."""
         self.strategy.close()
         self.executor.close()
-        if self._lazy:
-            self.clients.close()
+        self.clients.close()
 
     def __enter__(self):
         return self
@@ -977,7 +970,7 @@ class FederatedSimulation(FederatedEngine):
 
     def __init__(
         self,
-        clients: list[Client],
+        clients: LazyClientPool,
         test_set: ArrayDataset | None,
         model_factory,
         strategy: Strategy,

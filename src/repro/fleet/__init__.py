@@ -19,7 +19,7 @@ below :mod:`repro.fl`: importing it first, on its own, works.
 """
 
 from repro.fleet.columnar import AVAILABILITY_MODELS, ColumnarAvailability, FleetState
-from repro.fleet.scale import LazyClientPool, StridedPartition, is_client_provider
+from repro.fleet.scale import LazyClientPool, StridedPartition
 from repro.fleet.simulator import FleetSimulator
 
 __all__ = [
@@ -29,5 +29,4 @@ __all__ = [
     "FleetState",
     "LazyClientPool",
     "StridedPartition",
-    "is_client_provider",
 ]

@@ -1,26 +1,29 @@
-"""Lazy client materialization for fleet-scale simulations.
+"""The client population: every run's clients, built on demand.
 
 A million-client experiment cannot afford a Python ``Client`` object —
 let alone a fancy-indexed shard copy — per member of the population.
 :class:`LazyClientPool` keeps the population *virtual*: the full training
-set lives in one place (optionally one set of shared-memory pages, see
-:mod:`repro.data.shm`), per-client attributes live in columnar arrays
-(:class:`repro.fleet.columnar.FleetState`), and an actual ``Client`` is
-built only when the engine is about to train it — the K sampled
-participants of the current round, not the N members of the fleet.
+set lives in one place (one set of shared-memory pages on the process
+backend, see :mod:`repro.data.shm`), per-client attributes live in
+columnar arrays (:class:`repro.fleet.columnar.FleetState`), and an actual
+``Client`` is built only when the engine is about to train it — the K
+sampled participants of the current round, not the N members of the
+fleet.  :func:`repro.fl.client.make_clients` builds the pool of every run.
 
-**Bit-identity.**  A lazily materialized client is constructed exactly
-like :func:`repro.fl.client.make_clients` builds it eagerly —
-``Client(cid, train_set.subset(parts[cid]))`` — so a lazy run's History
-is bit-identical to an eager run's.
-Shared-memory backing does not change this: ``subset`` is a row view of
-the shared pages, and the values are the same.
+**Determinism.**  Client ``cid`` is always
+``Client(cid, train_set.subset(parts[cid]))``, its shard poisoned first
+when the run's data attack made it malicious
+(:meth:`repro.fl.robust.attacks.AttackModel.poison_dataset`, a pure
+function of the seed and the client id), so a client rebuilt anywhere,
+any number of times, holds the same bits.  Shared-memory backing does not
+change this: ``subset`` is a row view of the shared pages, and the values
+are the same.
 
-**Backends.**  The serial and thread executors look clients up by id and
-work with a pool directly.  The process backend ships the pool itself to
-its workers at pool construction: built with ``share=True``, it pickles
-as block names and parts (no cache, no block ownership), and each
-worker materializes its own tasks' clients.
+**Backends.**  The serial and thread executors look clients up by id in
+the pool.  The process backend calls :meth:`LazyClientPool.share` and
+ships the pool itself to its workers at pool construction: it pickles as
+block names, parts and the attack (no cache, no block ownership), and
+each worker materializes its own tasks' clients.
 """
 
 from __future__ import annotations
@@ -34,11 +37,7 @@ from repro.data.shm import SharedMemoryPool, share_dataset
 
 if TYPE_CHECKING:
     from repro.fl.client import Client
-
-
-def is_client_provider(clients) -> bool:
-    """True for lazy client providers (vs a plain materialized list)."""
-    return hasattr(clients, "ensure") and hasattr(clients, "release")
+    from repro.fl.robust.attacks import AttackModel
 
 
 class StridedPartition:
@@ -81,44 +80,39 @@ class StridedPartition:
 class LazyClientPool:
     """Client-by-id provider that materializes participants on demand.
 
-    Engines treat it like the client list they already hold — ``len()``
-    for the population size, ``pool[cid]`` for a participant — plus the
-    provider protocol: ``n_samples(cid)`` answers size queries without
-    building anything, ``ensure(ids)`` materializes a round's
-    participants up front (parent-side, before executor dispatch), and
-    ``release()`` drops them once the round's updates are aggregated, so
-    resident ``Client`` objects stay O(K) instead of O(N).
+    Engines hold it as their population — ``len()`` for its size,
+    ``pool[cid]`` for a participant — plus the provider protocol:
+    ``shard_sizes`` answers size queries without building anything,
+    ``ensure(ids)`` materializes a round's participants up front
+    (parent-side, before executor dispatch), and ``release()`` drops them
+    once the round's updates are aggregated, so resident ``Client``
+    objects stay O(K) instead of O(N).
 
-    ``share=True`` moves the base dataset into shared memory first
-    (degrading silently to heap arrays where unavailable); shards are
-    then row views of the shared pages.  The pool that shared them owns
-    the blocks and unlinks them in :meth:`close`.
+    ``attack`` poisons each malicious client's shard as the client is
+    built (data attacks only; any other attack leaves shards alone).
+    :meth:`share` moves the base dataset into shared memory; shards are
+    then row views of the shared pages.  The pool owns those blocks and
+    unlinks them in :meth:`close`.
     """
 
     def __init__(
         self,
         train_set: ArrayDataset,
         parts,
-        share: bool = False,
+        attack: AttackModel | None = None,
     ) -> None:
         if len(parts) == 0:
             raise ValueError("need at least one client partition")
         self.n_clients = len(parts)
         self._parts = parts
+        self._attack = attack
         self._shm_pool: SharedMemoryPool | None = None
-        if share:
-            shared, blocks = share_dataset(train_set)
-            if blocks:
-                pool = SharedMemoryPool()
-                pool.adopt(blocks)
-                self._shm_pool = pool
-                train_set = shared
         self.train_set = train_set
         self._cache: dict[int, Client] = {}
 
     def __getstate__(self) -> dict:
-        # A worker's copy: the base set (block names when shared) and
-        # parts — never the parent's resident clients or its blocks.
+        # A worker's copy: the base set (block names when shared), parts
+        # and attack — never the parent's resident clients or its blocks.
         return {**self.__dict__, "_cache": {}, "_shm_pool": None}
 
     def __len__(self) -> int:
@@ -140,20 +134,14 @@ class LazyClientPool:
             # process's first import.
             from repro.fl.client import Client
 
-            # Mirrors make_clients exactly, so lazy and eager runs are
-            # bit-identical.
-            client = Client(cid, self.train_set.subset(np.asarray(self._parts[cid])))
+            shard = self.train_set.subset(np.asarray(self._parts[cid]))
+            if self._attack is not None:
+                shard = self._attack.poison_dataset(cid, shard)
+            client = Client(cid, shard)
             self._cache[cid] = client
         return client
 
     # -- provider protocol ---------------------------------------------------
-    def n_samples(self, cid: int) -> int:
-        """Shard size without materializing the client."""
-        size = getattr(self._parts, "size", None)
-        if size is not None:
-            return int(size(cid))
-        return len(self._parts[cid])
-
     @property
     def shard_sizes(self) -> np.ndarray:
         """All shard sizes as one int64 column (feeds FleetState)."""
@@ -181,13 +169,29 @@ class LazyClientPool:
 
     @property
     def shared(self) -> bool:
-        """True when the base dataset sits in shared memory."""
+        """True while the base dataset sits in shared memory."""
         return self._shm_pool is not None
 
+    def share(self) -> None:
+        """Move the base dataset into shared memory, in place: one block
+        pair (features, labels), made once — a no-op while shared.  Where
+        blocks cannot be made the heap arrays stay, with the same values."""
+        if self._shm_pool is not None:
+            return
+        shared, blocks = share_dataset(self.train_set)
+        if blocks:
+            self._shm_pool = SharedMemoryPool()
+            self._shm_pool.adopt(blocks)
+            self.train_set = shared
+            self._cache.clear()  # their shards view the heap arrays
+
     def close(self) -> None:
-        """Release materialized clients and any shared-memory blocks."""
+        """Release materialized clients and the shared blocks
+        (idempotent).  The pool stays usable: a shared base set first
+        goes back to the heap, with the same values."""
         self._cache.clear()
         if self._shm_pool is not None:
+            self.train_set = self.train_set.to_heap()
             self._shm_pool.close()
             self._shm_pool = None
 

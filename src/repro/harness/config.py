@@ -57,10 +57,8 @@ VALID_DISPATCH = DISPATCH_POLICIES
 # impact-factor-weighted mean.
 VALID_ATTACKS = ("none", *ATTACK_MODELS)
 VALID_AGGREGATORS = ROBUST_AGGREGATORS
-# Aggregation topology (repro.fl.hierarchical) and client materialization
-# (repro.fleet.scale).
+# Aggregation topology (repro.fl.hierarchical).
 VALID_TOPOLOGIES = ("flat", "hier")
-VALID_FLEET_MODES = ("eager", "lazy")
 # Wire subsystem vocabularies (repro.fl.wire): upload codecs and the
 # bandwidth models that turn payload bytes into comm seconds; "none" =
 # fixed upload_s/download_s constants (the historical clock).
@@ -298,16 +296,11 @@ class ExperimentConfig:
     n_edges: int = _cli(
         2, 39, "--edges", "edge-server count for --topology hier", type=int
     )
-    # Client materialization (repro.fleet.scale): "eager" builds every
-    # Client object up front (the historical path); "lazy" keeps the
-    # population virtual and materializes only each round's sampled
-    # participants (bit-identical histories, O(K) resident clients).
-    fleet_mode: str = _cli(
-        "eager", 40, "--fleet-mode",
-        "client materialization: eager builds every Client up front; lazy "
-        "materializes only each round's participants (bit-identical history)",
-        choices=VALID_FLEET_MODES,
-    )
+    # Every run's clients are a LazyClientPool (repro.fleet.scale), so
+    # "lazy" is the one value.  The field is kept only because the e2e
+    # workload file benchmarks/e2e/workloads.json passes fleet_mode="lazy";
+    # it goes once that file stops naming it (ROADMAP item 7).
+    fleet_mode: str = "lazy"
     # Adversarial fleet (repro.fl.robust): `attack` marks a seeded
     # malicious_fraction of clients malicious and poisons their data
     # (label_flip, backdoor) or their submitted updates (sign_flip,
@@ -596,10 +589,10 @@ class ExperimentConfig:
                     "leaving fewer than n_edges distinct edges — use "
                     "topology='hier' with aggregation='sync'"
                 )
-        if self.fleet_mode == "lazy" and self.attack != "none":
+        if self.fleet_mode != "lazy":
             raise ValueError(
-                "attacks poison client shards at build time, which "
-                "materializes the whole fleet — use fleet_mode='eager'"
+                "fleet_mode must be 'lazy': every run builds its clients "
+                "on demand"
             )
 
     def _validate_robust(self) -> None:

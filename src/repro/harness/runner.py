@@ -13,7 +13,6 @@ from repro.data.partition import get_partitioner
 from repro.data.synthetic import cifar100_like, fashion_like, mnist_like
 from repro.fl.async_ import AsyncFederatedServer, get_staleness_weighting
 from repro.fl.client import make_clients
-from repro.fleet.scale import LazyClientPool
 from repro.fl.robust import AttackModel, RobustAggregator
 from repro.fl.simulation import FederatedSimulation, FLConfig, History
 from repro.fl.strategies import FedAvg, FedDRL, FedProx, Strategy
@@ -346,20 +345,12 @@ def build_simulation(
     set_default_dtype(cfg.dtype)
     train_set, test_set = build_dataset(cfg)
     parts = build_partition(cfg, train_set.y, run_rng(cfg.seed, STREAM_PARTITION))
-    if cfg.fleet_mode == "lazy":
-        # Same shards as make_clients — histories are bit-identical; only
-        # residency differs (O(K)).  The process backend ships the pool to
-        # its workers, so its base set goes to shared memory first.
-        clients = LazyClientPool(train_set, parts, share=cfg.backend == "process")
-    else:
-        clients = make_clients(train_set, parts)
+    # Data attacks poison a malicious client's shard as the pool builds
+    # that client; update attacks leave data untouched.
+    attack = build_attack(cfg)
+    clients = make_clients(train_set, parts, attack)
     model_factory = build_model_factory(cfg, train_set)
     strategy = build_strategy(cfg)
-    attack = build_attack(cfg)
-    if attack is not None:
-        # Data attacks poison the malicious shards before any executor
-        # replicates the client list; update attacks leave data untouched.
-        attack.poison_clients(clients)
     defense = build_defense(cfg)
     # executor=None lets the simulation build its serial default, which
     # reuses the evaluation model as its workspace; the simulation owns

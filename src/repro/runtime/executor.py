@@ -11,8 +11,8 @@ that contract; three backends implement it:
   NumPy releases the GIL inside its kernels, so medium/large models see
   real concurrency without any pickling.
 * :class:`ProcessExecutor` — a process pool with one long-lived model
-  replica per worker.  Clients (or a lazy client pool) are shipped to the
-  workers **once** at pool construction; each round the flat weight
+  replica per worker.  The client pool is shipped to the workers
+  **once** at pool construction; each round the flat weight
   vector is copied once into a shared-memory block every worker reads,
   the trained vectors come back through a shared arena, and a future
   pickles only ids, seeds and block names.  Where a block cannot be
@@ -81,24 +81,10 @@ from repro.runtime.seeding import STREAM_FORWARD, STREAM_MODEL_INIT, client_roun
 
 if TYPE_CHECKING:  # imported lazily to keep runtime free of an fl<->runtime cycle
     from repro.fl.client import Client, ClientUpdate
+    from repro.fleet.scale import LazyClientPool
     from repro.nn.model import Sequential
 
 BACKENDS = ("serial", "thread", "process")
-
-
-def _client_lookup(clients):
-    """An id -> Client mapping over either a list or a lazy provider.
-
-    Lazy providers (:class:`repro.fleet.scale.LazyClientPool`) already
-    support ``[client_id]`` lookup and must not be iterated (that would
-    materialize the whole fleet), so they pass through unchanged;
-    materialized lists become the historical dict.
-    """
-    from repro.fleet.scale import is_client_provider
-
-    if is_client_provider(clients):
-        return clients
-    return {c.client_id: c for c in clients}
 
 
 @dataclass(frozen=True)
@@ -348,10 +334,10 @@ class SerialExecutor(Executor):
     name = "serial"
 
     def __init__(
-        self, clients: list[Client], model_factory, model=None,
+        self, clients: LazyClientPool, model_factory, model=None,
         retry: RetryPolicy | None = None,
     ) -> None:
-        self.clients = _client_lookup(clients)
+        self.clients = clients
         # The caller may donate its workspace model (the simulation reuses
         # its evaluation model) — training overwrites all state anyway.
         self._model = model if model is not None else _replica(model_factory)
@@ -378,11 +364,11 @@ class ThreadExecutor(Executor):
     name = "thread"
 
     def __init__(
-        self, clients: list[Client], model_factory, workers: int | None = None,
+        self, clients: LazyClientPool, model_factory, workers: int | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
         self.workers = max(1, workers or (os.cpu_count() or 1))
-        self.clients = _client_lookup(clients)
+        self.clients = clients
         self._closed = False
         self._pool = ThreadPoolExecutor(
             max_workers=self.workers, thread_name_prefix="fl-client"
@@ -518,7 +504,7 @@ def _init_worker(clients, model_factory, dtype_name: str) -> None:
     # Workers inherit the parent's compute dtype so their model replicas
     # (and every allocation they make) match the parent substrate.
     set_default_dtype(dtype_name)
-    _WORKER_STATE["clients"] = _client_lookup(clients)
+    _WORKER_STATE["clients"] = clients
     _WORKER_STATE["model"] = _replica(model_factory)
     _WORKER_STATE["loss"] = SoftmaxCrossEntropy()
 
@@ -554,23 +540,21 @@ def _run_tasks(ctx: RoundContext, tasks: list[tuple[int, int, int]]):
             arena[pos] = update.weights
             update.weights = None
         results.append((pos, update, span))
-    if hasattr(clients, "release"):
-        # A lazy pool's clients are rebuilt bit-identically on demand; a
-        # worker keeps none of them resident between calls.
-        clients.release()
+    # The pool rebuilds its clients bit-identically on demand; a worker
+    # keeps none of them resident between calls.
+    clients.release()
     return results
 
 
 class ProcessExecutor(Executor):
     """Process pool with per-worker model replicas and one dispatch loop.
 
-    The training set the clients' shards view is moved into
-    :mod:`multiprocessing.shared_memory` once (:func:`repro.data.shm.
-    share_clients`) before the clients are shipped to the workers, so each
-    worker maps the parent's pages instead of materialising its own copy
-    (a shard pickles as block names plus its rows).  A lazy client pool is
-    shipped whole — it shares its own base set when built with
-    ``share=True`` — and each worker materializes its tasks' clients.
+    The client pool's training set is moved into
+    :mod:`multiprocessing.shared_memory` once, in place
+    (:meth:`repro.fleet.scale.LazyClientPool.share`), before the pool is
+    shipped to the workers, so each worker maps the parent's pages instead
+    of materialising its own copy, and builds its tasks' clients over them.
+    :meth:`close` unlinks those blocks with the exchange's.
 
     The round exchange goes the same way (:class:`_Exchange`): the parent
     copies the global weights into a ``(dim,)`` block once per round, the
@@ -597,30 +581,24 @@ class ProcessExecutor(Executor):
     name = "process"
 
     def __init__(
-        self, clients: list[Client], model_factory, workers: int | None = None,
+        self, clients: LazyClientPool, model_factory, workers: int | None = None,
         retry: RetryPolicy | None = None,
     ) -> None:
-        from repro.fleet.scale import is_client_provider
-
         self.workers = max(1, workers or (os.cpu_count() or 1))
         if retry is not None:
             self.retry = retry
         self._closed = False
         self._pool = None
-        self._shm_pool = None
         self._exchange: _Exchange | None = None
         self._pool_rebuilds = 0
         self._degraded = False
-        # Kept for the degraded in-parent fallback: the original clients
-        # (the caller holds them anyway) and a lazily built local model.
-        self._fallback_clients = _client_lookup(clients)
+        # The degraded in-parent fallback trains the same pool's clients
+        # on a lazily built local model.
+        self.clients = clients
         self._model_factory = model_factory
         self._local = None
-        if is_client_provider(clients):
-            shipped = clients
-        else:
-            shipped, self._shm_pool = shm.share_clients(list(clients))
-        self._initargs = (shipped, model_factory, get_default_dtype().name)
+        clients.share()
+        self._initargs = (clients, model_factory, get_default_dtype().name)
         try:
             self._pool = self._new_pool()
         except BaseException:
@@ -792,7 +770,7 @@ class ProcessExecutor(Executor):
         for pos in missing:
             model, loss = self._local
             pairs[pos] = self._train_in_parent(
-                self._fallback_clients[participants[pos]], model, loss, ctx, attempts[pos]
+                self.clients[participants[pos]], model, loss, ctx, attempts[pos]
             )
 
         return self._deliver(pairs)
@@ -808,18 +786,12 @@ class ProcessExecutor(Executor):
             except Exception:
                 pass
         self._drop_exchange()
-        # The shm pool stays referenced (callers introspect block counts
-        # post-close); the _closed guard makes the release single-shot.
-        if self._shm_pool is not None:
-            try:
-                self._shm_pool.close()
-            except Exception:
-                pass
+        self.clients.close()
 
 
 def make_executor(
     backend: str,
-    clients: list[Client],
+    clients: LazyClientPool,
     model_factory,
     workers: int | None = None,
     model=None,

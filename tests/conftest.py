@@ -12,6 +12,39 @@ def rng() -> np.random.Generator:
     return np.random.default_rng(12345)
 
 
+@pytest.fixture
+def live_blocks():
+    """``live_blocks()``: the names of the shared-memory blocks this test's
+    code created that are still linked.
+
+    Every block the program makes is adopted by a
+    :class:`repro.data.shm.SharedMemoryPool`; the fixture records the names
+    adopted during the test, so blocks of another run alive on the same
+    host never enter a leak assert.  It patches through its own
+    ``MonkeyPatch``, which a test's ``monkeypatch.undo()`` leaves in place.
+    """
+    import repro.data.shm as shm_mod
+
+    created: list[str] = []
+    adopt = shm_mod.SharedMemoryPool.adopt
+
+    def recording_adopt(self, blocks):
+        created.extend(block.name for block in blocks)
+        return adopt(self, blocks)
+
+    def linked(name: str) -> bool:
+        try:
+            block = shm_mod._attach_block(name)
+        except FileNotFoundError:
+            return False
+        block.close()
+        return True
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(shm_mod.SharedMemoryPool, "adopt", recording_adopt)
+        yield lambda: {name for name in created if linked(name)}
+
+
 def numerical_gradient(f, x: np.ndarray, eps: float = 1e-6) -> np.ndarray:
     """Central-difference gradient of scalar-valued ``f`` w.r.t. array ``x``.
 

@@ -135,10 +135,11 @@ class TestOneCopy:
         assert len(clients) == 100
         assert peak <= 1.15 * data, f"peak {peak / data:.3f}x the data"
 
-    def test_eager_clients_share_the_train_set(self):
+    def test_clients_share_the_train_set(self):
         cfg = ExperimentConfig(**{**self.CFG, "n_train": 2000, "n_test": 200})
         train, _ = build_dataset(cfg)
         parts = build_partition(cfg, train.y, run_rng(cfg.seed, STREAM_PARTITION))
-        for client, idx in zip(make_clients(train, parts), parts):
+        pool = make_clients(train, parts)
+        for client, idx in zip(pool.ensure(range(len(pool))), parts):
             assert np.shares_memory(client.dataset.parent.x, train.x)
             np.testing.assert_array_equal(client.dataset.rows, idx)

@@ -12,12 +12,8 @@ import pytest
 
 import repro.data.shm as shm_mod
 from repro.data.dataset import ArrayDataset, RowView
-from repro.data.shm import (
-    SharedArrayDataset,
-    SharedMemoryPool,
-    share_clients,
-    share_dataset,
-)
+from repro.data.shm import SharedArrayDataset, SharedMemoryPool, share_dataset
+
 
 @pytest.fixture
 def dataset():
@@ -140,45 +136,52 @@ class TestFallback:
         assert blocks == []
 
 
-class TestShareClients:
-    def test_one_block_pair_for_every_view_of_a_set(self, tiny_clients):
-        shared, pool = share_clients(tiny_clients)
+class TestPoolShare:
+    def test_one_block_pair_and_views_over_the_same_rows(self, tiny_clients, live_blocks):
+        heap = [tiny_clients[cid].dataset for cid in range(len(tiny_clients))]
+        tiny_clients.share()
         try:
-            assert len(shared) == len(tiny_clients)
-            assert pool.n_blocks == 2
-            parents = {id(clone.dataset.parent) for clone in shared}
-            assert len(parents) == 1
-            for orig, clone in zip(tiny_clients, shared):
-                assert clone.client_id == orig.client_id
-                assert isinstance(clone.dataset.parent, SharedArrayDataset)
-                np.testing.assert_array_equal(clone.dataset.rows, orig.dataset.rows)
-                # Originals keep their views of the heap-backed set.
-                assert type(orig.dataset.parent) is ArrayDataset
-                np.testing.assert_array_equal(clone.dataset.x, orig.dataset.x)
-            # One pickle of every client carries the set's names once.
-            assert len(pickle.dumps(shared)) < 8 * 240 + 4096
+            assert tiny_clients.shared and len(live_blocks()) == 2
+            shared = tiny_clients.train_set
+            assert isinstance(shared, SharedArrayDataset)
+            for cid, before in enumerate(heap):
+                view = tiny_clients[cid].dataset
+                assert type(view) is RowView and view.parent is shared
+                assert type(before.parent) is ArrayDataset
+                np.testing.assert_array_equal(view.rows, before.rows)
+                np.testing.assert_array_equal(view.x, before.x)
+                np.testing.assert_array_equal(view.y, before.y)
+            # Sharing again makes nothing new.
+            tiny_clients.share()
+            assert tiny_clients.train_set is shared and len(live_blocks()) == 2
+            # A pickle of the pool carries the set's names, not its arrays.
+            assert len(pickle.dumps(tiny_clients)) < 8 * 240 + 4096
         finally:
-            pool.close()
+            tiny_clients.close()
+        assert not tiny_clients.shared and not live_blocks()
 
-    def test_whole_datasets_and_shared_sets(self, dataset, tiny_clients):
-        from repro.fl.client import Client
+    def test_a_closed_pool_keeps_its_values_and_pickles_them(self, tiny_clients):
+        tiny_clients.share()
+        x = tiny_clients[3].dataset.x
+        tiny_clients.close()
+        assert type(tiny_clients.train_set) is ArrayDataset
+        clone = pickle.loads(pickle.dumps(tiny_clients))
+        np.testing.assert_array_equal(clone[3].dataset.x, x)
+        np.testing.assert_array_equal(tiny_clients[3].dataset.x, x)
 
-        whole = Client(99, dataset)
-        shared, pool = share_clients([whole, *tiny_clients])
-        try:
-            assert pool.n_blocks == 4
-            assert isinstance(shared[0].dataset, SharedArrayDataset)
-            np.testing.assert_array_equal(shared[0].dataset.x, dataset.x)
-            # Already shared: passed through, nothing new created.
-            again, more = share_clients(shared)
-            assert more.n_blocks == 0
-            assert all(a is b for a, b in zip(again, shared))
-        finally:
-            pool.close()
+    def test_without_shared_memory_the_heap_set_stays(self, tiny_clients, monkeypatch):
+        heap = tiny_clients.train_set
+
+        def no_shm(shape, dtype):
+            raise OSError(38, "Function not implemented")
+
+        monkeypatch.setattr(shm_mod, "create_array", no_shm)
+        tiny_clients.share()
+        assert not tiny_clients.shared and tiny_clients.train_set is heap
 
 
 class TestProcessExecutorIntegration:
-    def test_sixteen_clients_share_two_blocks(self, tiny_model_factory):
+    def test_sixteen_clients_share_two_blocks(self, tiny_model_factory, live_blocks):
         from repro.data.partition import iid_partition
         from repro.data.synthetic import SyntheticImageSpec, make_synthetic_dataset
         from repro.fl.client import make_clients
@@ -190,13 +193,7 @@ class TestProcessExecutorIntegration:
         clients = make_clients(train, parts)
         executor = ProcessExecutor(clients, tiny_model_factory, workers=2)
         try:
-            assert executor._shm_pool.n_blocks == 2
-            names = [block.name for block in executor._shm_pool._blocks]
+            assert clients.shared and len(live_blocks()) == 2
         finally:
             executor.close()
-        assert executor._shm_pool.n_blocks == 0
-        from multiprocessing import shared_memory
-
-        for name in names:
-            with pytest.raises(FileNotFoundError):
-                shared_memory.SharedMemory(name=name)
+        assert not clients.shared and not live_blocks()

@@ -98,7 +98,7 @@ class TestMakeClients:
     def test_one_client_per_part(self, tiny_data):
         train, _ = tiny_data
         parts = [np.arange(10), np.arange(10, 30), np.arange(30, 35)]
-        clients = make_clients(train, parts)
+        clients = make_clients(train, parts).ensure(range(3))
         assert [c.n_samples for c in clients] == [10, 20, 5]
         assert [c.client_id for c in clients] == [0, 1, 2]
 
@@ -107,4 +107,4 @@ class TestMakeClients:
         the runtime passes in; a client owns no stream of its own."""
         train, _ = tiny_data
         clients = make_clients(train, [np.arange(20), np.arange(20, 40)])
-        assert not any(hasattr(c, "rng") for c in clients)
+        assert not any(hasattr(c, "rng") for c in clients.ensure([0, 1]))

@@ -84,9 +84,12 @@ def _matrix() -> dict[str, dict]:
     fleet = dict(availability="markov", dropout_prob=0.2)
     wire = dict(codec="topk+qsgd8", topk_frac=0.1, bandwidth_model="lognormal")
     attack = dict(attack="sign_flip", malicious_fraction=0.25, attack_scale=2.0)
+    poison = dict(malicious_fraction=0.25)
     drl = dict(method="feddrl", drl_updates_per_round=2)
     cells.update({
         "sync-attack-krum": {**attack, "aggregator": "krum"},
+        "sync-label_flip": {**poison, "attack": "label_flip"},
+        "sync-backdoor": {**poison, "attack": "backdoor"},
         "fedbuff-attack-krum-delta": {**fedbuff, **attack, "aggregator": "krum",
                                       "server_mix": "delta"},
         "sync-wire-ef": wire,
@@ -94,9 +97,9 @@ def _matrix() -> dict[str, dict]:
         "sync-fleet": fleet,
         "fedbuff-fleet-fairness": {**fedbuff, **fleet, "dispatch": "fairness"},
         "sync-deadline-drop": dict(deadline_s=1.0),
-        "sync-lazy": dict(fleet_mode="lazy", partition="IID"),
-        "fedbuff-lazy-hier-krum": {**fedbuff, **hier, "fleet_mode": "lazy",
-                                   "partition": "IID", "aggregator": "krum"},
+        "sync-lazy": dict(partition="IID"),
+        "fedbuff-lazy-hier-krum": {**fedbuff, **hier, "partition": "IID",
+                                   "aggregator": "krum"},
         "sync-feddrl": drl,
         "sync-feddrl-hier": {**drl, **hier},
         "fedbuff-feddrl": {**fedbuff, **drl},
@@ -170,6 +173,13 @@ GOLDEN: dict[str, str] = {
         "d9cf07712a58754af29cc100bb491f0ca3b83451b22313a4c6e27e528e8994f8",
     "fedbuff-attack-krum-delta":
         "2d296f6aee5f02268b9612a398455774a50cc9a3a5185ef463e2259fc8b8fa9f",
+    # The two data attacks were recorded while their shards were poisoned
+    # in place on an eagerly built client list; the pool now poisons each
+    # shard as it creates the client.
+    "sync-label_flip":
+        "2f43c5dbf93066d4eb9531bdcc2a6a325380fe046cd65e23f85d7b9ca5200230",
+    "sync-backdoor":
+        "0b5799938fd2c293828f3861f9cfb07bde4ba72cfdd63b72ee2f21e12a5ad711",
     "sync-wire-ef":
         "31f31a92732892378bd35a1c7874abff5d2f8a8beec2c70af6969372e8309fe3",
     "fedbuff-wire-ef-hier":
@@ -204,6 +214,12 @@ def test_matrix_is_fully_pinned():
 @pytest.mark.parametrize("name", sorted(CELLS))
 def test_history_digest_matches_parent_commit(name):
     assert digest(CELLS[name]) == GOLDEN[name]
+
+
+def test_poisoned_shards_are_the_same_on_the_process_backend():
+    """Each process worker builds and poisons its own clients' shards."""
+    cell = CELLS["sync-backdoor"]
+    assert digest({**cell, "backend": "process", "workers": 2}) == digest(cell)
 
 
 @pytest.mark.parametrize("name", sorted(ONE_VOICE))

@@ -63,7 +63,7 @@ class TestOneClientRun:
 
     def test_engine_features_compose(self):
         result = run(
-            fleet_mode="lazy", latency_model="lognormal", availability="markov",
+            latency_model="lognormal", availability="markov",
             codec="topk+qsgd8", fault_exception_prob=0.2,
         )
         assert len(result.history.records) == 3

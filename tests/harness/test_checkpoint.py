@@ -438,13 +438,14 @@ class TestFingerprint:
         ("straggler_comm_slowdown", 2.0),
         ("labels_per_client", 3),
         ("drl_explore", True),
+        ("fleet_mode", "eager"),
     ])
     def test_resume_of_a_removed_setting_exits_2(self, field, value, monkeypatch,
                                                  capsys):
         # A snapshot written while the clock could be off, or while FedDRL's
         # replay rule, reward weight and exploration switch, the straggler
-        # comm factor or the labels-per-client override were fields:
-        # --resume names the field.
+        # comm factor or the labels-per-client override were fields, or
+        # while clients could be built eagerly: --resume names the field.
         cfg = ExperimentConfig(**FAST)
         old = {**checkpoint_fingerprint(cfg), field: value}
         monkeypatch.setattr(

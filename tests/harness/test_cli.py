@@ -14,6 +14,8 @@ CONFIG_ONLY = {
     "lr", "prox_mu", "n_train", "n_test", "local_epochs",
     "batch_size", "model", "eval_every", "drl_beta", "drl_gamma", "drl_noise_scale", "drl_updates_per_round",
     "drl_pretrain_workers", "drl_offline_updates",
+    # The one-value client-population field the frozen e2e workloads pass.
+    "fleet_mode",
 }
 
 # Removed spellings, each with the stderr text that names it.  Second
@@ -22,7 +24,8 @@ CONFIG_ONLY = {
 # codec names its bit width, and an injected transient is an injected
 # exception (both clear on retry).  Values no workload used are gone too:
 # three availability models, one attack and a separate straggler comm
-# factor.  The clock is always on: "--latency-model none" is gone.
+# factor.  The clock is always on: "--latency-model none" is gone, and
+# every run builds its clients on demand: "--fleet-mode" is gone.
 REMOVED_SPELLINGS = [
     (["--latency-model", "none"], "invalid choice: 'none'"),
     (["--aggregation", "fedasync"], "invalid choice: 'fedasync'"),
@@ -37,6 +40,7 @@ REMOVED_SPELLINGS = [
     (["--fault-transient", "0.1"], "unrecognized arguments: --fault-transient"),
     (["--straggler-comm-slowdown", "2"],
      "unrecognized arguments: --straggler-comm-slowdown"),
+    (["--fleet-mode", "lazy"], "unrecognized arguments: --fleet-mode"),
 ]
 
 # flag -> (argv setting one non-default value, the field value it must yield).
@@ -82,7 +86,6 @@ NON_DEFAULT = {
     ),
     "--topology": (["--topology", "hier"], "hier"),
     "--edges": (["--edges", "3"], 3),
-    "--fleet-mode": (["--fleet-mode", "lazy"], "lazy"),
     "--attack": (["--method", "fedavg", "--attack", "sign_flip"], "sign_flip"),
     "--malicious-fraction": (["--malicious-fraction", "0.3"], 0.3),
     "--attack-scale": (["--attack-scale", "2"], 2.0),

@@ -132,14 +132,19 @@ class TestExperimentConfig:
         ExperimentConfig(aggregator=aggregator, **{**fedasync, "buffer_size": 2})
 
     @pytest.mark.parametrize("availability", VALID_AVAILABILITY)
-    def test_lazy_fleet_takes_every_availability_model(self, availability):
-        """Only attacks force an eager fleet; availability never reads
-        client shards at build time."""
-        cfg = ExperimentConfig(fleet_mode="lazy", latency_model="lognormal",
-                               availability=availability, dropout_prob=0.1)
+    @pytest.mark.parametrize("attack", ["label_flip", "backdoor", "sign_flip"])
+    def test_the_client_pool_takes_attacks_and_every_availability_model(
+        self, availability, attack
+    ):
+        """Data attacks poison a shard when the pool builds its client, and
+        availability never reads client shards: neither needs the whole
+        fleet built up front."""
+        cfg = ExperimentConfig(latency_model="lognormal",
+                               availability=availability, dropout_prob=0.1,
+                               attack=attack, malicious_fraction=0.2)
         assert build_fleet(cfg).availability.name == availability
-        with pytest.raises(ValueError, match="fleet_mode='eager'"):
-            cfg.with_(attack="sign_flip")
+        with pytest.raises(ValueError, match="fleet_mode must be 'lazy'"):
+            cfg.with_(fleet_mode="eager")
 
     @pytest.mark.parametrize("field, value", [
         ("availability", "bernoulli"), ("availability", "sinusoidal"),

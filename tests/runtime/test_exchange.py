@@ -4,8 +4,8 @@ Global weights go out through one named block and client updates come
 back through a ``(slots, dim)`` arena; a future carries block names, not
 arrays.  Everything here runs the process backend at 2 workers against
 the serial executor: the exchange may change what crosses the process
-boundary, never a bit of an update — and it may leave nothing behind in
-``/dev/shm``.
+boundary, never a bit of an update — and it may leave none of the
+blocks it created behind (the ``live_blocks`` fixture counts only those).
 """
 
 import dataclasses
@@ -50,21 +50,6 @@ def assert_same_updates(updates, reference):
             want.loss_before, want.loss_after, want.n_samples)
 
 
-def live_blocks(*executors):
-    """The ``psm_*`` names under ``/dev/shm`` — or, where that directory
-    does not exist, the blocks the given executors still own."""
-    try:
-        return {name for name in os.listdir("/dev/shm") if name.startswith("psm_")}
-    except FileNotFoundError:
-        return {
-            block.name
-            for ex in executors
-            for pool in (ex._shm_pool, getattr(ex._exchange, "_pool", None))
-            if pool is not None
-            for block in pool._blocks
-        }
-
-
 def plan_injecting(kind, participants, **kw):
     """An only-``kind`` plan hitting at least one participant in round 0."""
     for seed in range(100):
@@ -100,19 +85,19 @@ class TestExchangeMatchesSerial:
             assert update.weights.flags.writeable
 
     def test_participant_count_growing_regrows_the_arena(
-        self, tiny_clients, tiny_model_factory
+        self, tiny_clients, tiny_model_factory, live_blocks
     ):
         ctx = make_ctx(tiny_model_factory)
-        before = live_blocks()
         with ProcessExecutor(tiny_clients, tiny_model_factory, workers=2) as ex:
             for participants in (PARTICIPANTS[:2], PARTICIPANTS, PARTICIPANTS[:3]):
                 reference = serial_updates(ctx, tiny_clients, tiny_model_factory, participants)
                 assert_same_updates(ex.run_round(ctx, participants), reference)
                 assert ex._exchange.ref.slots >= len(participants)
-            # The regrow unlinked what it replaced: the dataset blocks plus
-            # one weights block and one arena, nothing else.
-            assert len(live_blocks(ex) - before) == ex._shm_pool.n_blocks + 2
-        assert live_blocks(ex) == before
+            # The regrow unlinked what it replaced: the dataset's block pair
+            # plus one weights block and one arena, nothing else.
+            assert tiny_clients.shared
+            assert len(live_blocks()) == 2 + 2
+        assert not live_blocks()
 
     def test_model_size_changing_regrows_the_blocks(self, tiny_clients, tiny_model_factory):
         """dim is read off each round's weights, not fixed at construction."""
@@ -205,7 +190,7 @@ class TestWireContext:
 
 class TestFallback:
     def test_without_shared_memory_weights_are_pickled(
-        self, monkeypatch, tiny_clients, tiny_model_factory
+        self, monkeypatch, tiny_clients, tiny_model_factory, live_blocks
     ):
         """Block creation raising (no /dev/shm, a full mount) is how a run
         goes without shared memory: the training set, the weights and the
@@ -215,7 +200,7 @@ class TestFallback:
         with ProcessExecutor(tiny_clients, tiny_model_factory, workers=2) as ex:
             shared = ex.run_round(ctx, PARTICIPANTS)
             assert ex._exchange is not None
-        before = live_blocks()
+        assert not live_blocks()
 
         def no_shm(shape, dtype):
             raise OSError(38, "Function not implemented")
@@ -223,19 +208,18 @@ class TestFallback:
         monkeypatch.setattr(shm_mod, "create_array", no_shm)
         with ProcessExecutor(tiny_clients, tiny_model_factory, workers=2) as ex:
             updates = ex.run_round(ctx, PARTICIPANTS)
-            assert ex._exchange is None and ex._shm_pool.n_blocks == 0
-            assert live_blocks(ex) == before
+            assert ex._exchange is None and not tiny_clients.shared
+            assert not live_blocks()
             # One weight pickle per first-wave chunk, every vector unpickled.
             assert ex.last_ipc_bytes == {
                 "out": 2 * nbytes, "in": len(PARTICIPANTS) * nbytes}
         assert_same_updates(updates, shared)
 
     def test_block_creation_failing_falls_back_for_the_round(
-        self, monkeypatch, tiny_clients, tiny_model_factory
+        self, monkeypatch, tiny_clients, tiny_model_factory, live_blocks
     ):
         ctx = make_ctx(tiny_model_factory)
         reference = serial_updates(ctx, tiny_clients, tiny_model_factory, PARTICIPANTS)
-        before = live_blocks()
 
         def no_space(shape, dtype):
             raise OSError(28, "No space left on device")
@@ -248,7 +232,7 @@ class TestFallback:
             monkeypatch.undo()
             assert_same_updates(ex.run_round(ctx, PARTICIPANTS), reference)
             assert ex._exchange is not None
-        assert live_blocks(ex) == before
+        assert not live_blocks()
 
 
 class TestLifetime:
@@ -264,71 +248,69 @@ class TestLifetime:
         assert stats.pool_rebuilds >= 1 and not stats.degraded
         return old, ex._exchange.ref, reference
 
-    def test_crash_rebuild_allocates_fresh_blocks(self, tiny_clients, tiny_model_factory):
+    def test_crash_rebuild_allocates_fresh_blocks(
+        self, tiny_clients, tiny_model_factory, live_blocks
+    ):
         ctx = make_ctx(tiny_model_factory)
         plan = plan_injecting("crash", PARTICIPANTS)
-        before = live_blocks()
         with ProcessExecutor(tiny_clients, tiny_model_factory, workers=2) as ex:
             old, new, reference = self.rebuild_round(
                 ex, ctx, plan, tiny_clients, tiny_model_factory)
             stale = {old.weights_name, old.updates_name}
             assert stale.isdisjoint({new.weights_name, new.updates_name})
-            assert stale.isdisjoint(live_blocks(ex))
+            assert stale.isdisjoint(live_blocks())
             # The round after the rebuild runs on the new pool and blocks.
             assert_same_updates(ex.run_round(ctx, PARTICIPANTS), reference)
             assert ex._exchange.ref == new
-        assert live_blocks(ex) == before
+        assert not live_blocks()
 
     def test_stuck_worker_can_only_reach_a_dropped_arena(
-        self, tiny_clients, tiny_model_factory
+        self, tiny_clients, tiny_model_factory, live_blocks
     ):
         """A hung task outlives its timeout: the pool is terminated and the
         round finishes on fresh blocks, so whatever the orphan writes when
         it wakes lands where nobody reads."""
         ctx = make_ctx(tiny_model_factory)
         plan = plan_injecting("hang", PARTICIPANTS, hang_s=2.0)
-        before = live_blocks()
         with ProcessExecutor(tiny_clients, tiny_model_factory, workers=2,
                              retry=RetryPolicy(task_timeout_s=0.3)) as ex:
             old, new, reference = self.rebuild_round(
                 ex, ctx, plan, tiny_clients, tiny_model_factory)
             assert old.updates_name != new.updates_name
             assert_same_updates(ex.run_round(ctx, PARTICIPANTS), reference)
-        assert live_blocks(ex) == before
+        assert not live_blocks()
 
-    def test_degrading_drops_the_blocks(self, tiny_clients, tiny_model_factory):
+    def test_degrading_drops_the_blocks(self, tiny_clients, tiny_model_factory, live_blocks):
         ctx = make_ctx(tiny_model_factory, fault_plan=plan_injecting("crash", PARTICIPANTS))
-        before = live_blocks()
         with ProcessExecutor(tiny_clients, tiny_model_factory, workers=2,
                              retry=RetryPolicy(max_pool_rebuilds=0)) as ex:
             ex.run_round(ctx, PARTICIPANTS)
             assert ex.take_fault_stats().degraded
             assert ex._exchange is None
-            assert len(live_blocks(ex) - before) == ex._shm_pool.n_blocks
+            # Only the training set's pair is left, for in-parent work.
+            assert len(live_blocks()) == 2
+        assert not live_blocks()
 
     def test_close_unlinks_everything_and_is_idempotent(
-        self, tiny_clients, tiny_model_factory
+        self, tiny_clients, tiny_model_factory, live_blocks
     ):
-        before = live_blocks()
         ex = ProcessExecutor(tiny_clients, tiny_model_factory, workers=2)
         ex.run_round(make_ctx(tiny_model_factory), PARTICIPANTS)
         # One block pair for the training set, one for the round exchange.
-        assert len(live_blocks(ex) - before) == 2 + 2
+        assert len(live_blocks()) == 2 + 2
         ex.close()
         ex.close()
-        assert ex._exchange is None
-        assert live_blocks(ex) == before
+        assert ex._exchange is None and not tiny_clients.shared
+        assert not live_blocks()
 
     def test_constructor_failing_in_new_pool_leaks_nothing(
-        self, monkeypatch, tiny_clients, tiny_model_factory
+        self, monkeypatch, tiny_clients, tiny_model_factory, live_blocks
     ):
-        before = live_blocks()
-
         def no_pool(self):
-            assert self._shm_pool.n_blocks == 2
+            assert self.clients.shared and len(live_blocks()) == 2
             raise OSError("cannot fork")
 
         monkeypatch.setattr(ProcessExecutor, "_new_pool", no_pool)
         with pytest.raises(OSError, match="cannot fork"):
             ProcessExecutor(tiny_clients, tiny_model_factory, workers=2)
-        assert live_blocks() == before
+        assert not live_blocks()
