@@ -19,6 +19,7 @@ optimisation, never a semantic change.
 from __future__ import annotations
 
 import math
+import weakref
 from multiprocessing import resource_tracker, shared_memory
 
 import numpy as np
@@ -59,6 +60,21 @@ def create_array(shape: tuple, dtype) -> tuple:
     nbytes = math.prod(shape) * dtype.itemsize
     block = shared_memory.SharedMemory(create=True, size=max(1, nbytes))
     return block, np.ndarray(shape, dtype=dtype, buffer=block.buf)
+
+
+def create_owned_array(shape: tuple, dtype) -> tuple:
+    """Like :func:`create_array`, but the array owns this process's
+    mapping: the block's handle closes once the array is garbage
+    (``weakref.finalize``), and every view of the array — a row, a slice —
+    keeps it alive, so no close can unmap pages under a live view.
+
+    Returns ``(block, array)``.  The caller still owns the block's *name*
+    and unlinks it (:meth:`SharedMemoryPool.unlink`) once no other
+    process needs to attach; it never calls ``block.close()`` itself.
+    """
+    block, array = create_array(shape, dtype)
+    weakref.finalize(array, block.close)
+    return block, array
 
 
 def attach_array(name: str, shape: tuple, dtype) -> tuple:
@@ -150,7 +166,8 @@ def share_dataset(dataset: ArrayDataset) -> tuple[ArrayDataset, list]:
 
 
 class SharedMemoryPool:
-    """Owns a set of shared blocks and unlinks them on :meth:`close`."""
+    """Owns a set of shared blocks and unlinks them on :meth:`close` (or
+    :meth:`unlink`, for blocks from :func:`create_owned_array`)."""
 
     def __init__(self) -> None:
         self._blocks: list = []
@@ -162,6 +179,18 @@ class SharedMemoryPool:
     def n_blocks(self) -> int:
         return len(self._blocks)
 
+    def unlink(self) -> list:
+        """Unlink every block's name and forget the blocks (idempotent);
+        returns them.  Mappings stay open: what a caller still views stays
+        valid, and a :func:`create_owned_array` block closes itself."""
+        blocks, self._blocks = self._blocks, []
+        for block in blocks:
+            try:
+                block.unlink()
+            except FileNotFoundError:  # pragma: no cover - already gone
+                pass
+        return blocks
+
     def close(self) -> None:
         """Unlink every block (idempotent).
 
@@ -172,12 +201,7 @@ class SharedMemoryPool:
         (:meth:`SharedArrayDataset.to_heap`); the close is best-effort
         where a buffer export does keep the mapping open.
         """
-        blocks, self._blocks = self._blocks, []
-        for block in blocks:
-            try:
-                block.unlink()
-            except FileNotFoundError:  # pragma: no cover - already gone
-                pass
+        for block in self.unlink():
             try:
                 block.close()
             except BufferError:

@@ -686,9 +686,6 @@ class FederatedEngine:
             trace=self.tracer is not None,
             fault_plan=self.faults,
         )
-        # Materialize the batch parent-side, release after: the resident
-        # Client set stays O(batch), not O(N).
-        self.clients.ensure(ids)
         with self._wall_span(span, **span_args):
             updates = self.executor.run_round(ctx, ids)
         tr = self.tracer
@@ -700,12 +697,15 @@ class FederatedEngine:
             tr.add_worker_spans(self.executor.take_worker_spans())
             # Process backend only: the weights staged into its shared
             # block (once per round, not per future) and the update
-            # vectors copied back out of the arena; 0 / 0 for a round run
-            # in the parent.
+            # vectors received as result-block rows; 0 / 0 for a round
+            # run in the parent.
             ipc = getattr(self.executor, "last_ipc_bytes", None)
             if ipc is not None:
                 tr.metrics.inc("rt.ipc.bytes_out", ipc["out"])
                 tr.metrics.inc("rt.ipc.bytes_in", ipc["in"])
+        # Executors that train in this process build the batch's clients
+        # (``ensure``); dropping them after keeps the resident Client set
+        # O(batch), not O(N).
         self.clients.release(ids)
         return updates
 

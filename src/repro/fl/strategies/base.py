@@ -16,13 +16,51 @@ from repro.fl.client import ClientUpdate
 from repro.nn.dtypes import get_default_dtype
 
 
+def _address(array: np.ndarray) -> int:
+    return array.__array_interface__["data"][0]
+
+
+def _row_block(vectors: list[np.ndarray]) -> np.ndarray | None:
+    """The ``(K, D)`` slice of one C-contiguous 2-D array whose
+    consecutive rows, in order, *are* ``vectors`` — or ``None``.
+
+    A row view's ``base`` is its matrix, so the test is exact and cheap:
+    every vector is a contiguous 1-D view of the same matrix, with the
+    same dtype, starting one row stride after the previous one.
+    """
+    matrix = vectors[0].base
+    if not (
+        isinstance(matrix, np.ndarray)
+        and matrix.ndim == 2
+        and matrix.flags.c_contiguous
+    ):
+        return None
+    stride = matrix.strides[0]
+    start = (_address(vectors[0]) - _address(matrix)) // stride
+    for i, vector in enumerate(vectors):
+        if (
+            vector.base is not matrix
+            or vector.dtype != matrix.dtype
+            or vector.shape != matrix.shape[1:]
+            or vector.strides != (matrix.itemsize,)
+            or _address(vector) != _address(matrix) + (start + i) * stride
+        ):
+            return None
+    return matrix[start:start + len(vectors)]
+
+
 def combine_updates(
     updates: list[ClientUpdate], alphas: np.ndarray, normalize: bool = False
 ) -> np.ndarray:
     """Eq. (4): the convex combination of client weight vectors.
 
-    Vectorised as a single ``alpha @ W`` product over the stacked client
-    weight matrix — this is the hot path the paper times in Fig. 9.
+    Vectorised as a single ``alpha @ W`` product over the ``(K, D)``
+    client weight matrix — this is the hot path the paper times in
+    Fig. 9.  When the update vectors already are consecutive, in-order
+    rows of one 2-D array (the process backend's result block), ``W`` is
+    that slice, read in place; otherwise the vectors are stacked into a
+    copy.  Both give the same bits: the product sees the same values in
+    the same layout.
 
     Synchronous strategies produce alphas that already sum to 1, and the
     default enforces that.  Asynchronous aggregation composes impact
@@ -52,7 +90,10 @@ def combine_updates(
         alphas = alphas / total
     elif not np.isclose(total, 1.0, atol=1e-6):
         raise ValueError(f"impact factors must sum to 1 (got {total})")
-    weight_matrix = np.stack([u.weights for u in updates])  # (K, D)
+    vectors = [u.weights for u in updates]
+    weight_matrix = _row_block(vectors)
+    if weight_matrix is None:
+        weight_matrix = np.stack(vectors)  # (K, D)
     # Cast alphas into the weight dtype so a float32 substrate aggregates
     # in float32 (one GEMV, no float64 round trip).
     return alphas.astype(weight_matrix.dtype, copy=False) @ weight_matrix

@@ -83,10 +83,11 @@ class LazyClientPool:
     Engines hold it as their population — ``len()`` for its size,
     ``pool[cid]`` for a participant — plus the provider protocol:
     ``shard_sizes`` answers size queries without building anything,
-    ``ensure(ids)`` materializes a round's participants up front
-    (parent-side, before executor dispatch), and ``release()`` drops them
-    once the round's updates are aggregated, so resident ``Client``
-    objects stay O(K) instead of O(N).
+    ``ensure(ids)`` materializes a round's participants up front (the
+    executors that train in this process call it; process workers build
+    their own), and ``release()`` drops them once the engine has the
+    round's updates, so resident ``Client`` objects stay O(K) instead of
+    O(N).
 
     ``attack`` poisons each malicious client's shard as the client is
     built (data attacks only; any other attack leaves shards alone).

@@ -14,9 +14,10 @@ that contract; three backends implement it:
   replica per worker.  The client pool is shipped to the workers
   **once** at pool construction; each round the flat weight
   vector is copied once into a shared-memory block every worker reads,
-  the trained vectors come back through a shared arena, and a future
-  pickles only ids, seeds and block names.  Where a block cannot be
-  created, the vectors are pickled instead, with identical results.
+  the trained vectors come back as the rows of one shared matrix per
+  round that the updates then view in place, and a future pickles only
+  ids, seeds and block names.  Where a block cannot be created, the
+  vectors are pickled instead, with identical results.
 
 All three produce bit-identical updates for the same experiment seed
 because per-client batch schedules *and* forward-time randomness (Dropout
@@ -347,6 +348,7 @@ class SerialExecutor(Executor):
 
     def run_round(self, ctx: RoundContext, participants: list[int]) -> list[ClientUpdate]:
         self._prerecord_injections(ctx, participants)
+        self.clients.ensure(participants)
         return self._deliver([
             self._train_in_parent(self.clients[cid], self._model, self._loss, ctx)
             for cid in participants
@@ -404,6 +406,8 @@ class ThreadExecutor(Executor):
 
     def run_round(self, ctx: RoundContext, participants: list[int]) -> list[ClientUpdate]:
         self._prerecord_injections(ctx, participants)
+        # Built here, before the threads only read the pool's cache.
+        self.clients.ensure(participants)
         futures = [self._pool.submit(self._run, cid, ctx) for cid in participants]
         return self._deliver(
             [self._collect(f, cid, ctx) for f, cid in zip(futures, participants)]
@@ -432,67 +436,83 @@ class _ExchangeRef:
     bytes whatever the model size."""
 
     weights_name: str
-    updates_name: str
+    results_name: str
     dtype: str
     dim: int
-    slots: int
+    rows: int
 
 
 class _Exchange:
     """The parent's end of the shared-memory round exchange.
 
-    Two named blocks: a ``(dim,)`` vector the parent fills with the
-    round's global weights and every worker reads, and a ``(slots, dim)``
-    arena where the task at participant position ``pos`` writes its
-    trained weights into row ``pos``.  A re-dispatched task rewrites the
-    same row with the same bits.  Blocks are never reused across a pool
-    rebuild (see :meth:`ProcessExecutor._rebuild_pool`).
+    A ``(dim,)`` weights block the parent fills with the round's global
+    weights and every worker reads, made once and kept while dim and
+    dtype hold; and, per ``run_round`` call, a fresh ``(rows, dim)``
+    result block where the task at participant position ``pos`` writes
+    its trained weights into row ``pos`` (a re-dispatched task rewrites
+    the same row with the same bits).  The parent's updates *are* those
+    rows, so a result block is never reused: its name is unlinked when
+    the call returns (:meth:`unlink_results`) and the parent's mapping
+    closes when the last row is garbage
+    (:func:`~repro.data.shm.create_owned_array`) — which may be several
+    calls later, when FedBuff buffers rows.  Blocks are never reused
+    across a pool rebuild either (see
+    :meth:`ProcessExecutor._rebuild_pool`).
     """
 
-    def __init__(self, dim: int, dtype: np.dtype, slots: int) -> None:
+    def __init__(self, dim: int, dtype: np.dtype) -> None:
         self._pool = shm.SharedMemoryPool()
-        try:
-            wblk, self.weights = shm.create_array((dim,), dtype)
-            self._pool.adopt([wblk])
-            ublk, self.updates = shm.create_array((slots, dim), dtype)
-            self._pool.adopt([ublk])
-        except BaseException:
-            self.close()
-            raise
-        self.ref = _ExchangeRef(wblk.name, ublk.name, dtype.str, dim, slots)
+        self._results_pool = shm.SharedMemoryPool()
+        wblk, self.weights = shm.create_array((dim,), dtype)
+        self._pool.adopt([wblk])
+        self._weights_name = wblk.name
+        self.results: np.ndarray | None = None
+        self.ref: _ExchangeRef | None = None
 
-    def fits(self, weights: np.ndarray, n: int) -> bool:
-        return (
-            weights.shape == self.weights.shape
-            and weights.dtype == self.weights.dtype
-            and n <= len(self.updates)
+    def stage(self, weights: np.ndarray, n: int) -> _ExchangeRef:
+        """Copy ``weights`` into the weights block and open this call's
+        ``(n, dim)`` result block; returns what the futures carry."""
+        rblk, self.results = shm.create_owned_array(
+            (n, self.weights.size), self.weights.dtype
         )
+        self._results_pool.adopt([rblk])
+        np.copyto(self.weights, weights)
+        self.ref = _ExchangeRef(
+            self._weights_name, rblk.name, self.weights.dtype.str, self.weights.size, n
+        )
+        return self.ref
+
+    def unlink_results(self) -> None:
+        """Unlink the current result block's name (idempotent).  Rows
+        already handed out stay valid; no worker can attach any more."""
+        self.results = None
+        self._results_pool.unlink()
 
     def close(self) -> None:
-        """Unlink both blocks (idempotent); views go first so the parent's
-        mappings close with them."""
-        self.weights = self.updates = None
+        """Unlink both blocks (idempotent); the weights view goes first so
+        the parent's mapping closes with it."""
+        self.unlink_results()
+        self.weights = None
         self._pool.close()
 
 
-def _attached_exchange(ref: _ExchangeRef) -> tuple[np.ndarray, np.ndarray]:
-    """This worker's views of the blocks ``ref`` names: the read-only
-    weights and the updates arena.  The attachment is cached until a
-    different ``ref`` arrives (regrow, or fresh blocks after a rebuild)."""
-    cached = _WORKER_STATE.get("exchange")
-    if cached is not None and cached[0] == ref:
-        return cached[1], cached[2]
+def _attached_weights(ref: _ExchangeRef) -> np.ndarray:
+    """This worker's read-only view of the weights block ``ref`` names.
+    The attachment is cached until another block arrives (a new dim or
+    dtype, or a fresh block after a rebuild)."""
+    key = (ref.weights_name, ref.dim, ref.dtype)
+    cached = _WORKER_STATE.get("weights")
+    if cached is not None and cached[0] == key:
+        return cached[1]
     if cached is not None:
-        del _WORKER_STATE["exchange"]
-        blocks = cached[3]
-        del cached  # the views die with the tuple, releasing the buffers
-        for block in blocks:
-            block.close()
-    wblk, weights = shm.attach_array(ref.weights_name, (ref.dim,), ref.dtype)
+        del _WORKER_STATE["weights"]
+        block = cached[2]
+        del cached  # the view dies with the tuple, releasing the buffer
+        block.close()
+    block, weights = shm.attach_array(ref.weights_name, (ref.dim,), ref.dtype)
     weights.flags.writeable = False
-    ublk, updates = shm.attach_array(ref.updates_name, (ref.slots, ref.dim), ref.dtype)
-    _WORKER_STATE["exchange"] = (ref, weights, updates, (wblk, ublk))
-    return weights, updates
+    _WORKER_STATE["weights"] = (key, weights, block)
+    return weights
 
 
 def _replica(model_factory) -> Sequential:
@@ -515,8 +535,9 @@ def _run_tasks(ctx: RoundContext, tasks: list[tuple[int, int, int]]):
 
     A ``ctx`` whose ``global_weights`` is an :class:`_ExchangeRef` trains
     against the shared weights block, and each update leaves its vector
-    in arena row ``pos`` and travels back with ``weights=None``; when
-    ``ctx`` carries the array itself, every vector is pickled.
+    in row ``pos`` of the call's result block (attached for this call
+    only) and travels back with ``weights=None``; when ``ctx`` carries
+    the array itself, every vector is pickled.
 
     ``real_crash=True`` lets an injected ``crash`` genuinely kill this
     worker process (``os._exit``), so the parent's ``BrokenProcessPool``
@@ -525,21 +546,27 @@ def _run_tasks(ctx: RoundContext, tasks: list[tuple[int, int, int]]):
     clients = _WORKER_STATE["clients"]
     model = _WORKER_STATE["model"]
     loss = _WORKER_STATE["loss"]
-    arena = None
+    block = rows = None
     if isinstance(ctx.global_weights, _ExchangeRef):
-        weights, arena = _attached_exchange(ctx.global_weights)
-        ctx = replace(ctx, global_weights=weights)
+        ref = ctx.global_weights
+        block, rows = shm.attach_array(ref.results_name, (ref.rows, ref.dim), ref.dtype)
+        ctx = replace(ctx, global_weights=_attached_weights(ref))
     results = []
-    for pos, cid, attempt in tasks:
-        update, span = _train_one(
-            clients[cid], model, loss, ctx, attempt, real_crash=True
-        )
-        if arena is not None:
-            # The replica shares the parent's dtype and the flat weights'
-            # dim, so the row holds the vector bit for bit.
-            arena[pos] = update.weights
-            update.weights = None
-        results.append((pos, update, span))
+    try:
+        for pos, cid, attempt in tasks:
+            update, span = _train_one(
+                clients[cid], model, loss, ctx, attempt, real_crash=True
+            )
+            if rows is not None:
+                # The replica shares the parent's dtype and the flat
+                # weights' dim, so the row holds the vector bit for bit.
+                rows[pos] = update.weights
+                update.weights = None
+            results.append((pos, update, span))
+    finally:
+        if block is not None:
+            rows = None
+            block.close()
     # The pool rebuilds its clients bit-identically on demand; a worker
     # keeps none of them resident between calls.
     clients.release()
@@ -557,13 +584,17 @@ class ProcessExecutor(Executor):
     :meth:`close` unlinks those blocks with the exchange's.
 
     The round exchange goes the same way (:class:`_Exchange`): the parent
-    copies the global weights into a ``(dim,)`` block once per round, the
-    task at participant position ``pos`` leaves its trained vector in row
-    ``pos`` of a ``(slots, dim)`` arena, and the parent copies each row
-    out as its future completes.  The blocks are created by the first
-    round that reaches the pool, regrown when dim, dtype or the
-    participant count outgrows them, replaced by fresh ones whenever the
-    pool is rebuilt, and unlinked by :meth:`close`.
+    copies the global weights into a ``(dim,)`` block once per round, and
+    the task at participant position ``pos`` leaves its trained vector in
+    row ``pos`` of the call's own ``(n, dim)`` result block.  Each returned
+    update's ``weights`` is that row, a view: the call's updates are the
+    consecutive, in-order rows of one matrix, which
+    :func:`~repro.fl.strategies.base.combine_updates` multiplies in place.
+    The weights block is created by the first round that reaches the pool,
+    regrown when dim or dtype change, replaced by a fresh one whenever the
+    pool is rebuilt, and unlinked by :meth:`close`; a result block is
+    unlinked when its call returns and unmapped when its last row is
+    garbage.
 
     Both fall back to plain pickling where block creation raises — the
     only path that runs there, chosen by what the executor observes;
@@ -573,9 +604,9 @@ class ProcessExecutor(Executor):
     processes: ``out``, ``global_weights.nbytes`` for each staging into
     the weights block (one per round; a pool rebuild re-stages into its
     fresh block) however many futures and retries read it — or, pickled,
-    once per submitted future; ``in``, the weight bytes copied out of the
-    arena (or unpickled).  Both are 0 for a round run wholly in the
-    parent.
+    once per submitted future; ``in``, the row bytes received in the
+    result block (or unpickled), the same count either way.  Both are 0
+    for a round run wholly in the parent.
     """
 
     name = "process"
@@ -638,31 +669,36 @@ class ProcessExecutor(Executor):
 
     def _wire_context(self, ctx: RoundContext, n: int) -> RoundContext:
         """The context this round's futures carry: ``ctx`` with its weights
-        staged in the shared block and replaced by the block reference.
+        staged in the shared block and replaced by the block reference,
+        and a fresh ``(n, dim)`` result block opened for the call.
 
-        The blocks are built on first use from the weights' own dim and
-        dtype and rebuilt when those change or ``n`` outgrows the arena.
-        Where the blocks cannot be created the answer is ``ctx`` itself —
-        the weights are then pickled into every future.
+        The weights block is built on first use from the weights' own dim
+        and dtype and rebuilt when those change.  Where a block cannot be
+        created the answer is ``ctx`` itself — the weights and the
+        updates are then pickled.
         """
         weights = ctx.global_weights
-        if self._exchange is not None and not self._exchange.fits(weights, n):
+        exchange = self._exchange
+        if exchange is not None and (
+            exchange.weights.shape != weights.shape
+            or exchange.weights.dtype != weights.dtype
+        ):
             self._drop_exchange()
-        if self._exchange is None:
-            try:
-                self._exchange = _Exchange(weights.size, weights.dtype, n)
-            except Exception:
-                return ctx
-        np.copyto(self._exchange.weights, weights)
-        return replace(ctx, global_weights=self._exchange.ref)
+        try:
+            if self._exchange is None:
+                self._exchange = _Exchange(weights.size, weights.dtype)
+            return replace(ctx, global_weights=self._exchange.stage(weights, n))
+        except Exception:
+            return ctx
 
     def _rebuild_pool(self) -> None:
         """Replace a broken/stuck pool; degrade to in-parent serial work
         once the lifetime rebuild budget is spent.
 
         The exchange blocks go with the pool: a stuck worker that outlives
-        ``_terminate_pool`` still holds the old mapping, and must only ever
-        scribble on an arena nobody reads any more.
+        ``_terminate_pool`` still holds the old mappings, and must only
+        ever scribble on a result block nobody reads any more — so the
+        caller first copies out the rows it already holds.
         """
         stats = self._stats()
         self._pool_rebuilds += 1
@@ -686,16 +722,18 @@ class ProcessExecutor(Executor):
         # moves (deterministic for a fixed worker count and fault
         # schedule): out, the weights staged into the shared block — or,
         # without one, pickled into each future; in, the update vectors
-        # copied out of the arena or unpickled.
+        # received as result-block rows or unpickled.
         ipc = self.last_ipc_bytes = {"out": 0, "in": 0}
         wire: RoundContext | None = None  # staged by the first submit
+        rows: np.ndarray | None = None  # the staged call's result block
 
         def submit(positions: list[int]) -> None:
-            nonlocal wire
+            nonlocal wire, rows
             tasks = [(pos, participants[pos], attempts[pos]) for pos in positions]
             if wire is None:
                 wire = self._wire_context(ctx, n)
                 if wire is not ctx:
+                    rows = self._exchange.results
                     ipc["out"] += ctx.global_weights.nbytes
             try:
                 future = self._pool.submit(_run_tasks, wire, tasks)
@@ -708,70 +746,83 @@ class ProcessExecutor(Executor):
                 future.set_exception(exc)
             in_flight[future] = positions
 
-        if not self._degraded:
-            # First wave.  Strided chunks, one per worker: client sizes are
-            # typically sorted-ish per partition, so striding balances work
-            # better than contiguous splits.  With a fault plan or a task
-            # timeout armed, failures are expected and recovery (timeout,
-            # retry) is per task, so every task gets its own future from
-            # the start.
-            per_task = timeout is not None or (
-                ctx.fault_plan is not None and ctx.fault_plan.active
-            )
-            n_first = n if per_task else min(self.workers, n)
-            for i in range(n_first):
-                submit(list(range(i, n, n_first)))
+        try:
+            if not self._degraded:
+                # First wave.  Strided chunks, one per worker: client sizes
+                # are typically sorted-ish per partition, so striding
+                # balances work better than contiguous splits.  With a
+                # fault plan or a task timeout armed, failures are expected
+                # and recovery (timeout, retry) is per task, so every task
+                # gets its own future from the start.
+                per_task = timeout is not None or (
+                    ctx.fault_plan is not None and ctx.fault_plan.active
+                )
+                n_first = n if per_task else min(self.workers, n)
+                for i in range(n_first):
+                    submit(list(range(i, n, n_first)))
 
-        while in_flight:
-            done, _ = wait(in_flight, timeout=timeout, return_when=FIRST_COMPLETED)
-            failed: list[tuple[list[int], Exception]] = []
-            for future in done:
-                positions = in_flight.pop(future)
-                try:
-                    for pos, update, span in future.result():
-                        if update.weights is None:
-                            # A copy, not a view: callers keep weight
-                            # vectors past the round, the arena is reused.
-                            update.weights = self._exchange.updates[pos].copy()
-                        ipc["in"] += update.weights.nbytes
-                        pairs[pos] = (update, span)
-                except Exception as exc:
-                    failed.append((positions, exc))
-            if not done:
-                # Nothing finished inside the timeout window: the pool is
-                # stuck (hung worker).  Processes can be preempted, so the
-                # recovery is the dead pool's.
-                self._stats().rt_timeouts += 1
-            if not done or any(isinstance(exc, BrokenProcessPool) for _, exc in failed):
-                # Every outstanding future is doomed (broken pool) or being
-                # abandoned (stuck pool): rebuild and re-dispatch the lot.
-                # Collateral victims are rt-domain retries — backend-
-                # dependent by nature, invisible to the sim counters.
-                collateral = BrokenProcessPool("pool recycled with the task in flight")
-                failed.extend((positions, collateral) for positions in in_flight.values())
-                in_flight.clear()
-                self._rebuild_pool()
-                wire = None  # fresh blocks: the next submit re-stages
-            # Every task a failed future carried is re-run on its own,
-            # finished chunk-mates included — recomputing is bit-identical.
-            for positions, exc in failed:
-                for pos in positions:
-                    attempts[pos] = self._next_attempt(
-                        exc, attempts[pos], ctx, participants[pos]
-                    )
-                    if not self._degraded:
-                        submit([pos])
+            while in_flight:
+                done, _ = wait(in_flight, timeout=timeout, return_when=FIRST_COMPLETED)
+                failed: list[tuple[list[int], Exception]] = []
+                for future in done:
+                    positions = in_flight.pop(future)
+                    try:
+                        for pos, update, span in future.result():
+                            if update.weights is None:
+                                # A view: the row is the update.
+                                update.weights = rows[pos]
+                            ipc["in"] += update.weights.nbytes
+                            pairs[pos] = (update, span)
+                    except Exception as exc:
+                        failed.append((positions, exc))
+                if not done:
+                    # Nothing finished inside the timeout window: the pool
+                    # is stuck (hung worker).  Processes can be preempted,
+                    # so the recovery is the dead pool's.
+                    self._stats().rt_timeouts += 1
+                if not done or any(isinstance(exc, BrokenProcessPool) for _, exc in failed):
+                    # Every outstanding future is doomed (broken pool) or
+                    # being abandoned (stuck pool): rebuild and re-dispatch
+                    # the lot.  Collateral victims are rt-domain retries —
+                    # backend-dependent by nature, invisible to the sim
+                    # counters.
+                    collateral = BrokenProcessPool("pool recycled with the task in flight")
+                    failed.extend((positions, collateral) for positions in in_flight.values())
+                    in_flight.clear()
+                    if rows is not None:
+                        # The rows held so far leave the block the rebuild
+                        # abandons: an orphaned worker may still write it.
+                        for pair in pairs:
+                            if pair is not None:
+                                pair[0].weights = pair[0].weights.copy()
+                    self._rebuild_pool()
+                    wire = rows = None  # fresh blocks: the next submit re-stages
+                # Every task a failed future carried is re-run on its own,
+                # finished chunk-mates included — recomputing is
+                # bit-identical.
+                for positions, exc in failed:
+                    for pos in positions:
+                        attempts[pos] = self._next_attempt(
+                            exc, attempts[pos], ctx, participants[pos]
+                        )
+                        if not self._degraded:
+                            submit([pos])
 
-        # Degraded (in this round or an earlier one): whatever has no
-        # result runs in the parent, serial-style.
-        missing = [pos for pos in range(n) if pairs[pos] is None]
-        if missing and self._local is None:
-            self._local = (_replica(self._model_factory), SoftmaxCrossEntropy())
-        for pos in missing:
-            model, loss = self._local
-            pairs[pos] = self._train_in_parent(
-                self.clients[participants[pos]], model, loss, ctx, attempts[pos]
-            )
+            # Degraded (in this round or an earlier one): whatever has no
+            # result runs in the parent, serial-style.
+            missing = [pos for pos in range(n) if pairs[pos] is None]
+            if missing:
+                self.clients.ensure([participants[pos] for pos in missing])
+                if self._local is None:
+                    self._local = (_replica(self._model_factory), SoftmaxCrossEntropy())
+            for pos in missing:
+                model, loss = self._local
+                pairs[pos] = self._train_in_parent(
+                    self.clients[participants[pos]], model, loss, ctx, attempts[pos]
+                )
+        finally:
+            if self._exchange is not None:
+                self._exchange.unlink_results()
 
         return self._deliver(pairs)
 

@@ -1,11 +1,13 @@
 """The process backend's shared-memory round exchange.
 
 Global weights go out through one named block and client updates come
-back through a ``(slots, dim)`` arena; a future carries block names, not
-arrays.  Everything here runs the process backend at 2 workers against
-the serial executor: the exchange may change what crosses the process
-boundary, never a bit of an update — and it may leave none of the
-blocks it created behind (the ``live_blocks`` fixture counts only those).
+back as the rows of a fresh ``(n, dim)`` result block per ``run_round``
+call, which the returned updates view in place; a future carries block
+names, not arrays.  Everything here runs the process backend at 2
+workers against the serial executor: the exchange may change what
+crosses the process boundary, never a bit of an update — and it may
+leave none of the blocks it created behind (the ``live_blocks`` fixture
+counts only those).
 """
 
 import dataclasses
@@ -69,12 +71,14 @@ class TestExchangeMatchesSerial:
             # K = 6 > 2 workers: each first-wave chunk carries three tasks.
             with ProcessExecutor(tiny_clients, tiny_model_factory, workers=2) as ex:
                 updates = ex.run_round(ctx, PARTICIPANTS)
-                assert ex._exchange.updates.dtype == np.dtype(dtype)
+                assert ex._exchange.weights.dtype == np.dtype(dtype)
+                assert updates[0].weights.base.dtype == np.dtype(dtype)
         assert_same_updates(updates, reference)
 
     def test_updates_survive_the_next_round(self, tiny_clients, tiny_model_factory):
-        """Callers hold weight vectors past the round (History, EF
-        residuals, the defenses): what they got is a copy, not arena rows."""
+        """Callers hold weight vectors past the round (FedBuff's buffer,
+        the defenses): what they got are rows of the call's own block,
+        which no later call writes."""
         ctx = make_ctx(tiny_model_factory)
         with ProcessExecutor(tiny_clients, tiny_model_factory, workers=2) as ex:
             first = ex.run_round(ctx, PARTICIPANTS)
@@ -84,19 +88,22 @@ class TestExchangeMatchesSerial:
             np.testing.assert_array_equal(update.weights, want)
             assert update.weights.flags.writeable
 
-    def test_participant_count_growing_regrows_the_arena(
+    def test_each_call_sizes_its_own_result_block(
         self, tiny_clients, tiny_model_factory, live_blocks
     ):
         ctx = make_ctx(tiny_model_factory)
         with ProcessExecutor(tiny_clients, tiny_model_factory, workers=2) as ex:
             for participants in (PARTICIPANTS[:2], PARTICIPANTS, PARTICIPANTS[:3]):
                 reference = serial_updates(ctx, tiny_clients, tiny_model_factory, participants)
-                assert_same_updates(ex.run_round(ctx, participants), reference)
-                assert ex._exchange.ref.slots >= len(participants)
-            # The regrow unlinked what it replaced: the dataset's block pair
-            # plus one weights block and one arena, nothing else.
-            assert tiny_clients.shared
-            assert len(live_blocks()) == 2 + 2
+                updates = ex.run_round(ctx, participants)
+                assert_same_updates(updates, reference)
+                assert ex._exchange.ref.rows == len(participants)
+                assert updates[0].weights.base.shape == (
+                    len(participants), ctx.global_weights.size)
+                # The call unlinked its result block on return: the
+                # dataset's block pair plus one weights block, nothing else.
+                assert tiny_clients.shared
+                assert len(live_blocks()) == 2 + 1
         assert not live_blocks()
 
     def test_model_size_changing_regrows_the_blocks(self, tiny_clients, tiny_model_factory):
@@ -256,12 +263,14 @@ class TestLifetime:
         with ProcessExecutor(tiny_clients, tiny_model_factory, workers=2) as ex:
             old, new, reference = self.rebuild_round(
                 ex, ctx, plan, tiny_clients, tiny_model_factory)
-            stale = {old.weights_name, old.updates_name}
-            assert stale.isdisjoint({new.weights_name, new.updates_name})
+            stale = {old.weights_name, old.results_name}
+            assert stale.isdisjoint({new.weights_name, new.results_name})
             assert stale.isdisjoint(live_blocks())
-            # The round after the rebuild runs on the new pool and blocks.
+            # The round after the rebuild runs on the new pool and weights
+            # block, with a result block of its own.
             assert_same_updates(ex.run_round(ctx, PARTICIPANTS), reference)
-            assert ex._exchange.ref == new
+            assert ex._exchange.ref.weights_name == new.weights_name
+            assert ex._exchange.ref.results_name != new.results_name
         assert not live_blocks()
 
     def test_stuck_worker_can_only_reach_a_dropped_arena(
@@ -276,7 +285,7 @@ class TestLifetime:
                              retry=RetryPolicy(task_timeout_s=0.3)) as ex:
             old, new, reference = self.rebuild_round(
                 ex, ctx, plan, tiny_clients, tiny_model_factory)
-            assert old.updates_name != new.updates_name
+            assert old.results_name != new.results_name
             assert_same_updates(ex.run_round(ctx, PARTICIPANTS), reference)
         assert not live_blocks()
 
@@ -296,8 +305,9 @@ class TestLifetime:
     ):
         ex = ProcessExecutor(tiny_clients, tiny_model_factory, workers=2)
         ex.run_round(make_ctx(tiny_model_factory), PARTICIPANTS)
-        # One block pair for the training set, one for the round exchange.
-        assert len(live_blocks()) == 2 + 2
+        # One block pair for the training set, the exchange's weights
+        # block; the call unlinked its result block when it returned.
+        assert len(live_blocks()) == 2 + 1
         ex.close()
         ex.close()
         assert ex._exchange is None and not tiny_clients.shared
@@ -314,3 +324,176 @@ class TestLifetime:
         with pytest.raises(OSError, match="cannot fork"):
             ProcessExecutor(tiny_clients, tiny_model_factory, workers=2)
         assert not live_blocks()
+
+
+def fedbuff_cfg(backend, **kw):
+    """A FedBuff run whose buffers mix rows of several ``run_round`` calls
+    on the process backend (the arrival order interleaves dispatch groups)."""
+    from repro.harness import ExperimentConfig
+
+    return ExperimentConfig(
+        method="fedavg", scale="ci", n_clients=5, clients_per_round=5,
+        aggregation="fedbuff", latency_model="lognormal", buffer_size=3,
+        backend=backend, workers=2 if backend == "process" else None, **kw,
+    ).with_(rounds=6)
+
+
+def row_blocks(updates) -> set[int]:
+    """The distinct 2-D arrays the updates' weight vectors are rows of."""
+    return {id(u.weights.base) for u in updates
+            if isinstance(u.weights.base, np.ndarray) and u.weights.base.ndim == 2}
+
+
+class TestRowsInPlace:
+    """The parent's updates are rows of the call's result block, not
+    copies; aggregation reads them where the workers wrote them."""
+
+    def test_rows_are_one_matrix_per_call_in_participant_order(
+        self, tiny_clients, tiny_model_factory
+    ):
+        ctx = make_ctx(tiny_model_factory)
+        with ProcessExecutor(tiny_clients, tiny_model_factory, workers=2) as ex:
+            first = ex.run_round(ctx, PARTICIPANTS)
+            second = ex.run_round(dataclasses.replace(ctx, round_idx=1), PARTICIPANTS)
+        matrix = first[0].weights.base
+        assert matrix.shape == (len(PARTICIPANTS), ctx.global_weights.size)
+        for pos, update in enumerate(first):
+            assert update.weights.base is matrix
+            assert np.shares_memory(update.weights, matrix[pos])
+            assert (update.weights.__array_interface__["data"][0]
+                    == matrix[pos].__array_interface__["data"][0])
+        # A call never writes into an earlier call's block.
+        assert second[0].weights.base is not matrix
+        assert not np.shares_memory(second[0].weights.base, matrix)
+
+    @pytest.mark.parametrize("dtype", ["float32", "float64"])
+    def test_combine_over_rows_equals_the_stacked_product(
+        self, dtype, tiny_clients, tiny_model_factory
+    ):
+        from repro.fl.strategies.base import combine_updates
+
+        with default_dtype(dtype):
+            ctx = make_ctx(tiny_model_factory)
+            with ProcessExecutor(tiny_clients, tiny_model_factory, workers=2) as ex:
+                updates = ex.run_round(ctx, PARTICIPANTS)
+        alphas = np.random.default_rng(3).random(len(updates))
+        alphas /= alphas.sum()
+        stacked = np.stack([u.weights.copy() for u in updates])
+        want = alphas.astype(stacked.dtype) @ stacked
+        got = combine_updates(updates, alphas)
+        assert got.dtype == np.dtype(dtype)
+        np.testing.assert_array_equal(got, want)
+
+    def test_rows_outlive_close_and_a_forced_rebuild(
+        self, tiny_clients, tiny_model_factory, live_blocks
+    ):
+        """The parent's mapping of a result block closes only when its
+        last row is garbage: neither a pool rebuild nor ``close`` may
+        unmap pages under rows a caller still holds."""
+        ctx = make_ctx(tiny_model_factory)
+        reference = serial_updates(ctx, tiny_clients, tiny_model_factory, PARTICIPANTS)
+        ex = ProcessExecutor(tiny_clients, tiny_model_factory, workers=2)
+        held = ex.run_round(ctx, PARTICIPANTS)
+        ex._rebuild_pool()
+        assert_same_updates(held, reference)
+        after_rebuild = ex.run_round(ctx, PARTICIPANTS)
+        assert_same_updates(after_rebuild, reference)
+        ex.close()
+        assert not live_blocks()
+        assert_same_updates(held, reference)
+        assert_same_updates(after_rebuild, reference)
+        # Still writable memory the parent owns, after every unlink.
+        held[0].weights += 1
+        np.testing.assert_array_equal(held[0].weights, reference[0].weights + 1)
+
+    def test_a_rebuild_mid_call_copies_out_the_rows_it_held(
+        self, tiny_clients, tiny_model_factory, live_blocks
+    ):
+        """Rows collected before a crash rebuild leave the abandoned block
+        (an orphaned worker may still write it); the rest are rows of the
+        re-staged block.  Either way every update is serial's."""
+        ctx = make_ctx(tiny_model_factory,
+                       fault_plan=plan_injecting("crash", PARTICIPANTS))
+        reference = serial_updates(ctx, tiny_clients, tiny_model_factory, PARTICIPANTS)
+        with ProcessExecutor(tiny_clients, tiny_model_factory, workers=2) as ex:
+            updates = ex.run_round(ctx, PARTICIPANTS)
+            assert ex.take_fault_stats().pool_rebuilds >= 1
+        assert_same_updates(updates, reference)
+        # Nothing views the abandoned block: heap copies, plus rows of
+        # the one block the re-dispatch staged.
+        assert len(row_blocks(updates)) <= 1
+        assert not live_blocks()
+
+    def test_no_psm_entry_after_close(self, tiny_clients, tiny_model_factory, monkeypatch):
+        if not os.path.isdir("/dev/shm"):
+            pytest.skip("no /dev/shm on this platform")
+        names: list[str] = []
+        real_create = shm_mod.create_array
+
+        def recording_create(shape, dtype):
+            block, array = real_create(shape, dtype)
+            names.append(block.name.lstrip("/"))
+            return block, array
+
+        monkeypatch.setattr(shm_mod, "create_array", recording_create)
+        ctx = make_ctx(tiny_model_factory)
+        with ProcessExecutor(tiny_clients, tiny_model_factory, workers=2) as ex:
+            # Every call's rows stay referenced through close().
+            held = [ex.run_round(dataclasses.replace(ctx, round_idx=r), PARTICIPANTS)
+                    for r in range(3)]
+        # Training set pair, one weights block, three result blocks.
+        assert len(names) == 2 + 1 + 3
+        assert all(name.startswith("psm_") for name in names)
+        assert not [n for n in names if os.path.exists(os.path.join("/dev/shm", n))]
+        assert all(len(updates) == len(PARTICIPANTS) for updates in held)
+
+    def test_fedbuff_buffers_spanning_calls_match_serial(self, monkeypatch):
+        import repro.fl.simulation as simulation
+        from repro.harness import run_experiment
+        from repro.harness.reporting import history_digest
+
+        spans: list[int] = []
+        real_combine = simulation.combine_updates
+
+        def spying_combine(updates, alphas, normalize=False):
+            spans.append(len(row_blocks(updates)))
+            return real_combine(updates, alphas, normalize)
+
+        monkeypatch.setattr(simulation, "combine_updates", spying_combine)
+        process = history_digest(run_experiment(fedbuff_cfg("process")).history)
+        assert max(spans) >= 2  # some buffer held rows of two or more calls
+        monkeypatch.undo()
+        assert process == history_digest(run_experiment(fedbuff_cfg("serial")).history)
+
+    def test_fedbuff_resume_with_buffered_rows_matches_uninterrupted(
+        self, tmp_path, monkeypatch
+    ):
+        """A snapshot taken while trained-but-unarrived updates are rows of
+        live result blocks pickles their values; the resumed run is the
+        uninterrupted one, bit for bit."""
+        from repro.harness import run_experiment
+        from repro.harness.reporting import history_digest
+        from repro.runtime.checkpoint import Checkpointer
+
+        clean = history_digest(run_experiment(fedbuff_cfg("process")).history)
+        pending: list[int] = []
+        real_step = Checkpointer.step
+
+        class Interrupted(Exception):
+            pass
+
+        def step_then_interrupt(self, state_fn):
+            pending.append(len(row_blocks(state_fn()["loop"]["computed"].values())))
+            saved = real_step(self, state_fn)
+            if self.saves >= 3:
+                raise Interrupted
+            return saved
+
+        ck = str(tmp_path / "run.ckpt")
+        monkeypatch.setattr(Checkpointer, "step", step_then_interrupt)
+        with pytest.raises(Interrupted):
+            run_experiment(fedbuff_cfg("process", checkpoint_path=ck))
+        monkeypatch.undo()
+        assert any(pending)  # a save held rows of a live result block
+        resumed = run_experiment(fedbuff_cfg("process", resume=ck))
+        assert history_digest(resumed.history) == clean
