@@ -17,7 +17,9 @@ never having been killed.  Three cells: the synchronous barrier loop, the
 event-driven FedBuff engine, and FedBuff with everything on
 (``benchmarks/e2e``'s ``fedbuff_full`` in miniature), whose snapshot
 carries live error-feedback residuals and the dispatcher's idle column.
-That cell is killed at a second point too: inside a save, after the new
+That cell also runs uninterrupted with ``--checkpoint`` — after each save
+its residuals are read-only views of the array file — and must give the
+hash of the run without one.  It is killed at a second point too: inside a save, after the new
 residuals reached the array file and were fsync'd but before the head's
 ``os.replace`` — the crash window of the two-file snapshot, which must
 resume from the previous head.  At both kill points the resumed run's
@@ -109,11 +111,23 @@ def base_config(cell: str, rounds: int) -> dict:
     return cfg
 
 
-def smoke_engine(cell: str, rounds: int, kill_after: int, point: str,
-                 workdir: str) -> bool:
-    clean = run_experiment(ExperimentConfig(**base_config(cell, rounds)))
-    clean_hash = history_digest(clean.history)
+def smoke_checkpointed(cell: str, rounds: int, workdir: str,
+                       clean_hash: str) -> bool:
+    """Run ``cell`` uninterrupted with ``--checkpoint``: same hash as without."""
+    ck = os.path.join(workdir, f"{cell}-uninterrupted.ckpt")
+    run = run_experiment(ExperimentConfig(
+        **dict(base_config(cell, rounds), checkpoint_path=ck)))
+    run_hash = history_digest(run.history)
+    identical = run_hash == clean_hash
+    print(f"  {cell}: uninterrupted with --checkpoint "
+          f"({run.extra['checkpoint']['saves']} saves) -> "
+          f"{'bit-identical' if identical else 'DIVERGED'} "
+          f"({run_hash[:12]} vs {clean_hash[:12]})")
+    return identical
 
+
+def smoke_engine(cell: str, rounds: int, kill_after: int, point: str,
+                 workdir: str, clean_hash: str) -> bool:
     ck = os.path.join(workdir, f"{cell}-{point}.ckpt")
     victim_cfg = dict(base_config(cell, rounds), checkpoint_path=ck)
     env = dict(os.environ)
@@ -184,9 +198,13 @@ def main(argv=None) -> int:
     ok = True
     with tempfile.TemporaryDirectory(prefix="kill-resume-") as workdir:
         for cell in CELLS:
+            clean = run_experiment(ExperimentConfig(**base_config(cell, args.rounds)))
+            clean_hash = history_digest(clean.history)
+            if cell == "fedbuff-full":
+                ok = smoke_checkpointed(cell, args.rounds, workdir, clean_hash) and ok
             for point in KILL_POINTS[cell]:
                 ok = smoke_engine(cell, args.rounds, args.kill_after, point,
-                                  workdir) and ok
+                                  workdir, clean_hash) and ok
     print("kill-and-resume smoke:", "PASS" if ok else "FAIL")
     return 0 if ok else 1
 

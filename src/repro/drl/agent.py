@@ -108,8 +108,8 @@ class DDPGAgent:
         self.total_updates = 0
 
     def __setstate__(self, state: dict) -> None:
-        # The networks rebind their own layers on unpickling; the optimisers'
-        # arena views came back as copies, so point them at the networks.
+        # The networks rebind their own layers on unpickling; the optimisers
+        # pickle without their arena views, so point them at the networks.
         self.__dict__.update(state)
         self.policy_opt.bind(self.policy_main)
         self.value_opt.bind(self.value_main)

@@ -717,7 +717,10 @@ class FederatedEngine:
         After each window the attached checkpointer (if any) may snapshot,
         so a kill at any instant loses at most ``checkpoint_every``
         windows of work and a restored engine continues at the
-        scheduler's cursor.  The final record is always evaluated,
+        scheduler's cursor.  After a save the error-feedback residuals it
+        wrote are held as its read-only views of the snapshot's array
+        file, as a resume from it would hold them.  The final record is
+        always evaluated,
         whatever ``eval_every`` is.
         """
         while (window := self._next_window()) is not None:
@@ -726,6 +729,8 @@ class FederatedEngine:
             if self.checkpointer is not None:
                 start = time.perf_counter()
                 if self.checkpointer.step(self._state_view):
+                    if self.wire is not None:
+                        self.wire.ef.adopt(self.checkpointer.mapped)
                     self._trace_save(start)
         records = self.history.records
         if records and records[-1].test_accuracy is None:

@@ -40,7 +40,10 @@ class ErrorFeedback:
     participate in different rounds, so the state must survive between
     them (and through checkpoint/resume).
 
-    Residuals are read-only: one is replaced, never written into.
+    Residuals are read-only: one is replaced, never written into.  A
+    residual lives on the heap from :meth:`absorb` until the next
+    checkpoint save, then as a read-only view of the snapshot's array
+    file (:meth:`adopt`), as a resumed run's residuals do.
     """
 
     def __init__(self) -> None:
@@ -56,6 +59,14 @@ class ErrorFeedback:
         self, client_id: int, compensated: np.ndarray, decoded: np.ndarray
     ) -> None:
         self.residuals[client_id] = _read_only(compensated - decoded)
+
+    def adopt(self, mapped) -> None:
+        """Replace each residual by ``mapped(residual)`` — a checkpoint's
+        view of the bytes it saved (see
+        :meth:`repro.runtime.checkpoint.Checkpointer.mapped`) — freeing
+        the heap copies a save wrote."""
+        for cid, residual in self.residuals.items():
+            self.residuals[cid] = mapped(residual)
 
     def snapshot(self) -> dict:
         """The residuals by reference: :meth:`absorb` replaces an array,

@@ -32,6 +32,8 @@ aggregated index-wise, exactly as before.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
 
 from repro.nn.dtypes import get_default_dtype, resolve_dtype
@@ -51,6 +53,18 @@ def _head_index(layers: list[Layer]) -> int | None:
         if not isinstance(layer, Flatten):
             break
     return None
+
+
+def _hollow(layer: Layer) -> Layer:
+    """A shallow copy of ``layer`` whose array dicts hold shapes in place
+    of arena views."""
+    hollow = object.__new__(type(layer))
+    hollow.__dict__ = {
+        **layer.__dict__,
+        **{attr: {name: a.shape for name, a in getattr(layer, attr).items()}
+           for attr in ("params", "grads", "buffers")},
+    }
+    return hollow
 
 
 class Sequential:
@@ -80,12 +94,15 @@ class Sequential:
 
     def _bind_views(self, copy: bool) -> None:
         """Rebind every layer array to its arena view, in layer-major order
-        (params, then buffers); ``copy`` first writes the layer's values in."""
+        (params, then buffers).  ``copy`` first writes the layer's values
+        in; without it the layer dicts hold the shapes an unpickled model
+        comes with (see :meth:`__getstate__`)."""
         offset = 0
 
         def bind(arrays: dict, name: str, arena: np.ndarray) -> None:
             old = arrays[name]
-            view = arena[offset : offset + old.size].reshape(old.shape)
+            shape = old.shape if copy else old
+            view = arena[offset : offset + math.prod(shape)].reshape(shape)
             if copy:
                 np.copyto(view, old)
             arrays[name] = view
@@ -100,11 +117,18 @@ class Sequential:
                 bind(layer.buffers, name, self._values)
                 offset += layer.buffers[name].size
 
+    def __getstate__(self) -> dict:
+        # The value arena is the one pickled copy of the values: the layers
+        # go with their arrays' shapes in place of their arena views, and
+        # the grad arena not at all (a step reads only what backward wrote).
+        state = self.__dict__.copy()
+        del state["_grads"]
+        state["layers"] = [_hollow(layer) for layer in self.layers]
+        return state
+
     def __setstate__(self, state: dict) -> None:
-        # Pickling copies each layer's arena views into arrays of their own;
-        # the unpickled arenas hold the same values, so point the layers
-        # back at them.
         self.__dict__.update(state)
+        self._grads = np.zeros(self._n_params, dtype=self._values.dtype)
         self._bind_views(copy=False)
 
     # -- arena views ---------------------------------------------------------

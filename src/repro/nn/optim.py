@@ -44,16 +44,25 @@ class Optimizer:
             raise ValueError("learning rate must be positive")
         self.bind(model)
         self.lr = lr
-        self._scratch = np.empty_like(self._flat[0])
 
     def bind(self, model) -> None:
-        """Step ``model``'s arenas.  Unpickling copies the arena views an
-        optimiser holds, so an owner that pickles a model together with its
-        optimiser binds them again afterwards (the DDPG agent does)."""
+        """Step ``model``'s arenas, staging through fresh scratch.  An
+        optimiser pickles without either, so an owner that pickles a model
+        together with its optimiser binds them again afterwards (the DDPG
+        agent does)."""
         params = model.flat_parameters()
         if not params.size:
             raise ValueError("optimizer needs at least one parameter")
         self._flat = (params, model.flat_grads())
+        self._scratch = self._new_scratch(params)
+
+    def _new_scratch(self, params: np.ndarray) -> np.ndarray:
+        return np.empty_like(params)
+
+    def __getstate__(self) -> dict:
+        state = self.__dict__.copy()
+        del state["_flat"], state["_scratch"]
+        return state
 
     def step(self) -> None:
         raise NotImplementedError
@@ -173,8 +182,10 @@ class Adam(Optimizer):
         self.eps = eps
         self._m = np.zeros_like(self._flat[0])
         self._v = np.zeros_like(self._flat[0])
-        self._scratch = np.empty((2, min(BLOCK, self._m.size)), self._m.dtype)
         self._t = 0
+
+    def _new_scratch(self, params: np.ndarray) -> np.ndarray:
+        return np.empty((2, min(BLOCK, params.size)), params.dtype)
 
     def step(self) -> None:
         self._t += 1

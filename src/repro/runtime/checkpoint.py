@@ -17,11 +17,15 @@ A snapshot is two files in one directory:
   this safe: whoever holds such an array never writes into it.
 
 :func:`load_snapshot` maps each array file read-only and resolves every
-reference to a view of it, so a load costs the head.  A :class:`Checkpointer`
-whose first save holds views of its head's own array file appends to that
-file past the end the head references; otherwise it starts a new generation.
-Unlinking a mapped file is safe, but truncating one below a view's bytes
-makes reading them raise SIGBUS: nothing here cuts below a head's end.
+reference to a view of it, so a load costs the head.  After each save a
+:class:`Checkpointer` maps the extent that save appended and offers the
+same kind of view for every array it wrote (:meth:`Checkpointer.mapped`),
+so a running owner can drop its heap copies and hold what a resume from
+that save would.  A :class:`Checkpointer` whose first save holds views of
+its head's own array file appends to that file past the end the head
+references; otherwise it starts a new generation.  Unlinking a mapped file
+is safe, but truncating one below a view's bytes makes reading them raise
+SIGBUS: nothing here cuts below a head's end.
 
 Writes are crash-atomic: the head is pickled into a temp file in the
 destination directory, the new arrays are appended past everything the
@@ -71,8 +75,9 @@ def _tmp_prefix(path: str) -> str:
 
 
 class _ArrayFile(np.memmap):
-    """An array file as :func:`load_snapshot` maps it, with its
-    :func:`_file_id`: views match that very file, never a namesake."""
+    """An array file (or, after a save, the extent it appended) mapped
+    read-only, with its :func:`_file_id`: views match that very file,
+    never a namesake."""
 
 
 def _file_id(file) -> tuple[int, int]:
@@ -82,8 +87,9 @@ def _file_id(file) -> tuple[int, int]:
 
 
 def _mapping(obj: np.ndarray) -> _ArrayFile | None:
-    """The array file ``obj`` is a view of, if :func:`load_snapshot`
-    mapped it (a view's ``.base`` chain ends there)."""
+    """The array file ``obj`` is a view of, if :func:`load_snapshot` or a
+    :class:`Checkpointer` mapped it (a view's ``.base`` chain ends there).
+    A mapping may start past the file's first byte, at its ``.offset``."""
     base = obj.base
     while type(base) is np.ndarray:
         base = base.base
@@ -132,7 +138,7 @@ class _StatePickler(pickle.Pickler):
         if hit is not None and hit[0]() is obj:
             offset = hit[1]
         elif mapping is not None and mapping.file_id == self.file_id:
-            offset = obj.ctypes.data - mapping.ctypes.data
+            offset = obj.ctypes.data - mapping.ctypes.data + mapping.offset
             self.inherited += obj.nbytes
         else:
             if self.arrays is None:
@@ -259,7 +265,8 @@ class Checkpointer:
     flush (async) with a zero-argument callable producing its state dict;
     the callable only runs on the steps that actually save, and may
     return live state: it is pickled before ``step`` returns.
-    ``last_bytes`` is what the latest save wrote (head + array file).
+    ``last_bytes`` is what the latest save wrote (head + array file);
+    :meth:`mapped` swaps an array that save wrote for its view of the file.
     """
 
     def __init__(self, path: str, every: int = 1, meta: dict | None = None) -> None:
@@ -292,6 +299,8 @@ class Checkpointer:
             if self._pattern.fullmatch(name) and os.path.exists(own):
                 self._arrays, self._end, self._file_id = name, end, _file_id(own)
         self._known: dict[int, tuple[weakref.ref, int]] = {}
+        # The latest save's arrays as views of the file: id -> (weakref, view).
+        self._views: dict[int, tuple[weakref.ref, np.ndarray]] = {}
 
     def _sweep_generations(self) -> int:
         """Delete this target's array files the head does not reference (a
@@ -363,9 +372,44 @@ class Checkpointer:
             if name != self._arrays and self._pattern.fullmatch(name):
                 os.unlink(os.path.join(self.directory, name))
         self._head_arrays = {} if self._arrays is None else {self._arrays: self._end}
+        self._views = self._map(pickled)
         self.saves += 1
         self.last_bytes = written
         return written
+
+    def mapped(self, array: np.ndarray) -> np.ndarray:
+        """The read-only view of the array file that the latest save wrote
+        ``array`` to (equal bits, what :func:`load_snapshot` would return
+        for it), or ``array`` itself when that save did not write it or
+        could not map the file."""
+        hit = self._views.get(id(array))
+        return hit[1] if hit is not None and hit[0]() is array else array
+
+    def _map(self, pickled: _StatePickler) -> dict:
+        """Views of the arrays a committed save appended, through one
+        mapping of only the extent it appended (a whole-file map per save
+        would hold O(saves x file) of address space), each known at its
+        offset; none when the file cannot be mapped, so the arrays stay
+        where they are."""
+        if not pickled.new:
+            return {}
+        start = pickled.new[0][1]
+        try:
+            with open(os.path.join(self.directory, pickled.arrays), "rb") as f:
+                if _file_id(f.fileno()) != pickled.file_id:
+                    return {}  # a namesake, not the file this save wrote
+                mapping = _ArrayFile(f, np.uint8, "r", offset=start,
+                                     shape=(pickled.end - start,))
+        except OSError:
+            return {}
+        mapping.file_id = pickled.file_id
+        views = {}
+        for obj, offset in pickled.new:
+            view = np.ndarray(obj.shape, obj.dtype, buffer=mapping,
+                              offset=offset - start)
+            views[id(obj)] = (weakref.ref(obj), view)
+            self._known[id(view)] = (weakref.ref(view), offset)
+        return views
 
     def _pickle(self, f, payload, known, end, arrays, file_id) -> _StatePickler:
         pickled = _StatePickler(f, known, end, arrays, file_id, self._new_file)

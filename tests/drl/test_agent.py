@@ -1,5 +1,7 @@
 """Tests for the DDPG agent: shapes, update mechanics, and learning."""
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -163,6 +165,30 @@ class TestTraining:
         s, a, _, _ = agent.buffer.snapshot()
         q = agent._q(agent.value_main, s, a)
         assert np.abs(q - 5.0).mean() < 0.5
+
+
+class TestPickle:
+    def test_an_agent_pickles_each_arena_once_and_trains_on(self):
+        """The networks' value arenas, the Adam moments and the replay ring
+        are the pickle: no gradient arenas, optimiser views or scratch."""
+        agent = make_agent()
+        TestTraining().fill_buffer(agent)
+        nets = (agent.policy_main, agent.policy_target, agent.value_main,
+                agent.value_target)
+        arenas = sum(net.flat_state().nbytes for net in nets) + sum(
+            opt._m.nbytes + opt._v.nbytes for opt in (agent.policy_opt, agent.value_opt))
+        assert len(pickle.dumps(agent)) < arenas + len(pickle.dumps(agent.buffer)) + 8192
+
+        agent.train()
+        clone = pickle.loads(pickle.dumps(agent))
+        for net, opt in ((clone.policy_main, clone.policy_opt),
+                         (clone.value_main, clone.value_opt)):
+            assert np.shares_memory(opt._flat[0], net.flat_parameters())
+            assert np.shares_memory(opt._flat[1], net.flat_grads())
+        agent.train()
+        clone.train()
+        for name, weights in agent.network_weights().items():
+            np.testing.assert_array_equal(clone.network_weights()[name], weights)
 
 
 class TestLearning:

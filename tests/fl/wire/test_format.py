@@ -10,7 +10,8 @@ import pytest
 
 from repro.fl.client import ClientUpdate
 from repro.fl.wire import WireFormat, get_codec
-from repro.runtime.checkpoint import Checkpointer, _mapping, load_snapshot
+from repro.runtime import checkpoint
+from repro.runtime.checkpoint import Checkpointer, _file_id, _mapping, load_snapshot
 
 
 def _update(weights, cid=3):
@@ -230,6 +231,125 @@ class TestReadOnlyResiduals:
         assert os.path.getsize(arrays) - first == 2 * self.DIM * 8
         restored = load_snapshot(path)["state"]["residuals"]
         for cid, residual in wire.ef.residuals.items():
+            np.testing.assert_array_equal(restored[cid], residual)
+
+
+class TestAdoptedResiduals:
+    """After a save, ``ErrorFeedback.adopt(checkpointer.mapped)`` swaps
+    every residual that save wrote for a read-only view of the array
+    file: the bits a resume from that save would hold."""
+
+    DIM = TestReadOnlyResiduals.DIM
+
+    def _send(self, wire, cids, index):
+        rng = np.random.default_rng(index)
+        for cid in cids:
+            wire.transmit(
+                _update(rng.standard_normal(self.DIM), cid=cid), index,
+                np.zeros(self.DIM))
+
+    def _saved(self, tmp_path, cids=(0, 1, 2)):
+        wire = _wire("topk+qsgd8", topk_frac=0.1)
+        self._send(wire, cids, 0)
+        ck = Checkpointer(str(tmp_path / "wire.ckpt"))
+        ck.save(wire.snapshot())
+        return wire, ck
+
+    @staticmethod
+    def _on_current_file(ck, residual) -> bool:
+        mapping = _mapping(residual)
+        current = _file_id(os.path.join(ck.directory, ck._arrays))
+        return mapping is not None and mapping.file_id == current
+
+    def test_adopted_residuals_are_views_of_the_array_file(self, tmp_path):
+        wire, ck = self._saved(tmp_path)
+        heap = dict(wire.ef.residuals)
+        wire.ef.adopt(ck.mapped)
+        for cid, residual in wire.ef.residuals.items():
+            assert residual is not heap[cid] and self._on_current_file(ck, residual)
+            assert not residual.flags.writeable
+            np.testing.assert_array_equal(residual, heap[cid])
+
+    def test_mapped_passes_through_what_the_save_did_not_write(self, tmp_path):
+        wire, ck = self._saved(tmp_path)
+        other = np.ones(self.DIM)
+        assert ck.mapped(other) is other
+        self._send(wire, [0], 1)  # absorbed after the save
+        fresh = wire.ef.residuals[0]
+        wire.ef.adopt(ck.mapped)
+        assert wire.ef.residuals[0] is fresh and _mapping(fresh) is None
+
+    def test_an_adopted_run_continues_identically(self, tmp_path):
+        wire, ck = self._saved(tmp_path)
+        twin = _wire("topk+qsgd8", topk_frac=0.1)
+        self._send(twin, (0, 1, 2), 0)
+        wire.ef.adopt(ck.mapped)
+        self._send(wire, [0, 1, 5], 1)
+        self._send(twin, [0, 1, 5], 1)
+        for cid, residual in twin.ef.residuals.items():
+            np.testing.assert_array_equal(wire.ef.residuals[cid], residual)
+
+    def test_a_save_of_adopted_residuals_writes_only_the_head(self, tmp_path):
+        """The views keep their offsets in the file (a mapping starts where
+        its save's extent did), so the next save references them."""
+        wire, ck = self._saved(tmp_path)
+        wire.ef.adopt(ck.mapped)
+        self._send(wire, [1, 7], 1)  # one replaced, one new
+        ck.save(wire.snapshot())
+        assert ck.last_bytes - os.path.getsize(ck.path) == 2 * self.DIM * 8
+        wire.ef.adopt(ck.mapped)
+        ck.save(wire.snapshot())
+        assert ck.last_bytes == os.path.getsize(ck.path)
+        restored = load_snapshot(ck.path)["state"]["residuals"]
+        for cid, residual in wire.ef.residuals.items():
+            assert self._on_current_file(ck, residual)
+            np.testing.assert_array_equal(restored[cid], residual)
+
+    def test_a_new_checkpointer_finds_the_views_offsets(self, tmp_path):
+        """A checkpointer that did not write the views (a restart on the
+        same target) reads their offsets off their mappings, the second
+        of which starts past the file's first byte, and continues."""
+        wire, ck = self._saved(tmp_path)
+        wire.ef.adopt(ck.mapped)
+        self._send(wire, [1, 7], 1)
+        ck.save(wire.snapshot())
+        wire.ef.adopt(ck.mapped)
+        again = Checkpointer(ck.path)
+        again.save(wire.snapshot())
+        assert again.last_bytes == os.path.getsize(ck.path)
+        restored = load_snapshot(ck.path)["state"]["residuals"]
+        for cid, residual in wire.ef.residuals.items():
+            np.testing.assert_array_equal(restored[cid], residual)
+
+    def test_a_compaction_rebinds_every_residual(self, tmp_path):
+        """Replacing the residuals save after save pushes the file past 2x
+        its live bytes: the compacting save writes a new generation, and
+        adoption moves every residual onto it."""
+        wire, ck = self._saved(tmp_path)
+        generations = {ck._arrays}
+        for index in range(1, 8):
+            wire.ef.adopt(ck.mapped)
+            self._send(wire, [index % 3], index)
+            ck.save(wire.snapshot())
+            wire.ef.adopt(ck.mapped)
+            generations.add(ck._arrays)
+            assert all(self._on_current_file(ck, r) for r in wire.ef.residuals.values())
+        assert len(generations) > 1
+        assert sorted(os.listdir(tmp_path)) == ["wire.ckpt", ck._arrays]
+
+    def test_an_unmappable_file_leaves_the_residuals_on_the_heap(
+            self, tmp_path, monkeypatch):
+        def refuse(cls, *args, **kwargs):
+            raise OSError("mmap refused")
+
+        monkeypatch.setattr(checkpoint._ArrayFile, "__new__", refuse)
+        wire, ck = self._saved(tmp_path)
+        heap = dict(wire.ef.residuals)
+        wire.ef.adopt(ck.mapped)
+        assert all(wire.ef.residuals[cid] is r for cid, r in heap.items())
+        monkeypatch.undo()
+        restored = load_snapshot(ck.path)["state"]["residuals"]
+        for cid, residual in heap.items():
             np.testing.assert_array_equal(restored[cid], residual)
 
 

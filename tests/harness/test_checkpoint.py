@@ -5,6 +5,7 @@ with SIGKILL mid-round — resumes to a History bit-identical to an
 uninterrupted run, for both the sync and the FedBuff engines.
 """
 
+import gc
 import glob
 import json
 import os
@@ -14,11 +15,13 @@ import subprocess
 import sys
 import tempfile
 import textwrap
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from repro.__main__ import main
+from repro.fl.wire.format import ErrorFeedback
 from repro.harness.checkpoint import (
     EXCLUDED_FROM_FINGERPRINT,
     checkpoint_fingerprint,
@@ -27,12 +30,14 @@ from repro.harness.checkpoint import (
 from repro.harness.config import ExperimentConfig
 from repro.harness.reporting import history_digest
 from repro.harness.runner import run_experiment
+from repro.runtime import checkpoint
 from repro.runtime.checkpoint import (
     MIN_EXTERNAL_NBYTES,
     SNAPSHOT_SCHEMA,
     CheckpointError,
     Checkpointer,
     _external,
+    _file_id,
     _mapping,
     _tmp_prefix,
     load_snapshot,
@@ -654,7 +659,131 @@ class TestResumeEndToEnd:
             run_experiment(fast_cfg(resume=ck, seed=123))
 
 
+def after_each_adoption(monkeypatch, check) -> None:
+    """Call ``check(ef, checkpointer)`` once the engine has handed a save's
+    views to the error feedback."""
+    original = ErrorFeedback.adopt
+
+    def adopt_then_check(self, mapped):
+        original(self, mapped)
+        check(self, mapped.__self__)
+
+    monkeypatch.setattr(ErrorFeedback, "adopt", adopt_then_check)
+
+
+def current_arrays(ck: Checkpointer) -> str:
+    return os.path.join(ck.directory, ck._arrays)
+
+
+def numpy_heap() -> int:
+    """Bytes of live numpy data allocations tracemalloc sees."""
+    snap = tracemalloc.take_snapshot().filter_traces(
+        [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+    return sum(stat.size for stat in snap.statistics("filename"))
+
+
 class TestArrayFileEndToEnd:
+    SMALL = dict(n_clients=10, clients_per_round=3)
+
+    def test_saved_residuals_are_views_of_the_array_file(self, tmp_path,
+                                                          monkeypatch):
+        """An uninterrupted topk+qsgd8 FedBuff run: after each save every
+        residual is a view of the current array file, and the run's
+        History is the run's without a checkpoint and the resumed one's."""
+        cfg = fast_cfg("fedbuff", codec="topk+qsgd8").with_(**self.SMALL, rounds=12)
+        clean = history_digest(run_experiment(cfg).history)
+        adopted = []
+
+        def check(ef, ck):
+            current = _file_id(current_arrays(ck))
+            assert ef.residuals and all(
+                _mapping(r) is not None and _mapping(r).file_id == current
+                for r in ef.residuals.values())
+            adopted.append(len(ef.residuals))
+
+        after_each_adoption(monkeypatch, check)
+        run = run_experiment(cfg.with_(checkpoint_path=str(tmp_path / "a.ckpt")))
+        monkeypatch.undo()
+        assert history_digest(run.history) == clean
+        assert len(adopted) == run.extra["checkpoint"]["saves"] > 2
+
+        ck = str(tmp_path / "b.ckpt")
+        interrupt_after_saves(monkeypatch, 2)
+        with pytest.raises(_Interrupted):
+            run_experiment(cfg.with_(checkpoint_path=ck))
+        monkeypatch.undo()
+        assert history_digest(run_experiment(cfg.with_(resume=ck)).history) == clean
+
+    def test_every_save_maps_no_more_than_the_array_file(self, tmp_path,
+                                                         monkeypatch):
+        """150 saves at checkpoint_every=1: each maps only the extent it
+        appended, so the mappings live residuals hold never add up past
+        the array file, and after the compactions none is of a deleted
+        generation."""
+        cfg = fast_cfg(codec="topk+qsgd8").with_(**self.SMALL, rounds=150)
+        generations = set()
+
+        def check(ef, ck):
+            path = current_arrays(ck)
+            mappings = {id(m): m for r in ef.residuals.values()
+                        if (m := _mapping(r)) is not None}
+            assert all(m.file_id == _file_id(path) for m in mappings.values())
+            assert sum(m.size for m in mappings.values()) <= os.path.getsize(path)
+            generations.add(ck._arrays)
+
+        after_each_adoption(monkeypatch, check)
+        run = run_experiment(cfg.with_(checkpoint_path=str(tmp_path / "run.ckpt")))
+        assert run.extra["checkpoint"]["saves"] == 150
+        assert len(generations) > 1  # it compacted
+
+    def test_after_the_last_save_the_heap_holds_only_newer_residuals(
+            self, tmp_path, monkeypatch):
+        """tracemalloc: once the run is over, the residual bytes on the heap
+        are at most those absorbed since the last save."""
+        cfg = fast_cfg("fedbuff", codec="topk+qsgd8").with_(**self.SMALL, rounds=12)
+        seen = {"since": {}}
+        original = ErrorFeedback.absorb
+
+        def absorb(self, client_id, compensated, decoded):
+            original(self, client_id, compensated, decoded)
+            seen["ef"] = self
+            seen["since"][client_id] = self.residuals[client_id].nbytes
+
+        monkeypatch.setattr(ErrorFeedback, "absorb", absorb)
+        after_each_adoption(monkeypatch, lambda ef, ck: seen.update(since={}))
+        tracemalloc.start()
+        try:
+            run_experiment(cfg.with_(checkpoint_path=str(tmp_path / "run.ckpt"),
+                                     checkpoint_every=5))
+            gc.collect()
+            held = numpy_heap()
+            seen["ef"].residuals.clear()
+            gc.collect()
+            held -= numpy_heap()
+        finally:
+            tracemalloc.stop()
+        absorbed = sum(seen["since"].values())
+        assert 0 < held <= absorbed
+
+    def test_an_unmappable_array_file_keeps_residuals_on_the_heap(
+            self, tmp_path, monkeypatch):
+        cfg = fast_cfg("fedbuff", codec="topk+qsgd8").with_(**self.SMALL, rounds=12)
+        clean = history_digest(run_experiment(cfg).history)
+        adopted = []
+
+        def refuse(cls, *args, **kwargs):
+            raise OSError("mmap refused")
+
+        def check(ef, ck):
+            assert ef.residuals and all(_mapping(r) is None and _external(r)
+                                        for r in ef.residuals.values())
+            adopted.append(len(ef.residuals))
+
+        monkeypatch.setattr(checkpoint._ArrayFile, "__new__", refuse)
+        after_each_adoption(monkeypatch, check)
+        run = run_experiment(cfg.with_(checkpoint_path=str(tmp_path / "run.ckpt")))
+        assert adopted and history_digest(run.history) == clean
+
     def test_every_save_run_stays_bounded_and_resumes(self, tmp_path, monkeypatch):
         """200 saves at checkpoint_every=1 with topk+qsgd8 error feedback:
         after every save the array file is at most 2x the residual bytes

@@ -9,6 +9,7 @@ pre-arena seed implementation (golden hashes recorded from the seed).
 """
 
 import hashlib
+import pickle
 from functools import partial
 
 import numpy as np
@@ -16,6 +17,7 @@ import pytest
 
 from repro.nn.dtypes import default_dtype, get_default_dtype, set_default_dtype
 from repro.nn.layers import BatchNorm1d, Dense, Flatten, ReLU
+from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.nn.models import mlp, simple_cnn
 from repro.nn.optim import SGD, Adam, ProximalSGD
@@ -71,6 +73,40 @@ class TestArenaContract:
         model.zero_grad()
         assert np.all(model.flat_grads() == 0)
         assert all(np.all(g == 0) for _, g in model.parameters())
+
+
+class TestPickledArenas:
+    """A model pickles its value arena once: the layers carry their arrays'
+    shapes in place of arena views, and the grad arena is not pickled."""
+
+    def test_a_model_pickles_its_values_once(self, rng):
+        model = mlp(64, 10, rng, hidden=(64, 32))
+        assert model.num_parameters() == 6570
+        # Values, grads and both again as layer views: 4x before.
+        assert len(pickle.dumps(model)) < model.flat_state().nbytes + 2048
+
+    def test_an_unpickled_model_is_rebound_and_trains_on_identically(self, rng):
+        model = Sequential([Flatten(), Dense(16, 12, rng), BatchNorm1d(12), ReLU(),
+                            Dense(12, 4, rng)])
+        x, y = rng.normal(size=(8, 16)), rng.integers(0, 4, size=8)
+
+        def step(m):
+            opt = SGD(m, lr=0.1)
+            m.train_batch(SoftmaxCrossEntropy(), x, y)
+            opt.step()
+
+        step(model)
+        clone = pickle.loads(pickle.dumps(model))
+        np.testing.assert_array_equal(clone.flat_state(), model.flat_state())
+        assert not clone.flat_grads().any()
+        for layer in clone.layers:
+            for arrays, arena in ((layer.params, clone.flat_state()),
+                                  (layer.grads, clone.flat_grads()),
+                                  (layer.buffers, clone.flat_state())):
+                assert all(np.shares_memory(a, arena) for a in arrays.values())
+        step(model)
+        step(clone)
+        np.testing.assert_array_equal(clone.flat_state(), model.flat_state())
 
 
 class TestFusedOptimizerEquivalence:
