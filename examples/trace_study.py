@@ -17,9 +17,10 @@ CLI exposes as ``--trace`` — and compares their trace-summary breakdowns:
   only ever delays itself, so device time shifts from ``idle`` into
   ``compute`` and the server timeline compresses.
 
-Artifacts land in ``./traces/`` — load the ``.chrome.json`` files in
-https://ui.perfetto.dev to see the two timelines side by side, or rerun
-the breakdown later with ``python -m repro trace-summary PATH``.
+Each run writes one trace to ``./traces/``, its manifest in the header
+line.  Rerun the breakdown later with ``python -m repro trace-summary
+PATH``; add ``--chrome OUT`` to convert the trace for
+https://ui.perfetto.dev and see the two timelines side by side.
 
 Run:  python examples/trace_study.py
 """
@@ -72,9 +73,10 @@ def main() -> None:
         "\ndominated by 'idle' (fast clients parked at the round barrier"
         "\nbehind 8x stragglers), while fedbuff's idle share collapses —"
         "\nits windows close on arrivals, not on the slowest device."
-        "\nLoad traces/*.chrome.json in https://ui.perfetto.dev to see the"
-        "\nper-client timelines; the .manifest.json next to each trace"
-        "\nrecords the exact config, seeds, and versions that produced it."
+        "\nConvert a trace with `python -m repro trace-summary PATH --chrome"
+        "\nOUT` and load OUT in https://ui.perfetto.dev to see the per-client"
+        "\ntimelines; each trace's header records the exact config, seeds,"
+        "\nand versions that produced it."
     )
 
 

@@ -15,7 +15,7 @@ Examples::
         --dropout-prob 0.1 --completeness 0.5
     python -m repro --method fedavg --latency-model lognormal \
         --trace run.trace.jsonl --metrics-interval 10
-    python -m repro trace-summary run.trace.jsonl
+    python -m repro trace-summary run.trace.jsonl --chrome run.chrome.json
     python -m repro --list            # show the valid grid values
 """
 
@@ -66,7 +66,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def trace_summary_main(argv: list[str]) -> int:
-    """``python -m repro trace-summary PATH`` — per-phase trace breakdown."""
+    """``python -m repro trace-summary PATH`` — per-phase trace breakdown,
+    and with ``--chrome OUT`` the trace's Perfetto view."""
     parser = argparse.ArgumentParser(
         prog="python -m repro trace-summary",
         description="Summarize a repro trace: per-phase simulated/wall time.",
@@ -74,14 +75,21 @@ def trace_summary_main(argv: list[str]) -> int:
     parser.add_argument("path", help="JSONL trace written by --trace")
     parser.add_argument("--json", action="store_true",
                         help="emit the summary as JSON")
+    parser.add_argument("--chrome", metavar="OUT",
+                        help="also write the trace as Chrome trace_event JSON "
+                             "(open in https://ui.perfetto.dev)")
     args = parser.parse_args(argv)
-    from repro.obs import format_summary, summarize_trace
+    from repro.obs import format_summary, read_trace, summarize_records, write_chrome
 
     try:
-        summary = summarize_trace(args.path)
+        header, records = read_trace(args.path)
+        if args.chrome is not None:
+            write_chrome(args.chrome, header, records)
     except (OSError, ValueError) as err:
         print(f"python -m repro trace-summary: error: {err}", file=sys.stderr)
         return 2
+    summary = summarize_records(header, records)
+    summary["path"] = args.path
     if args.json:
         print(json.dumps(summary))
     else:
@@ -208,9 +216,8 @@ def main(argv: list[str] | None = None) -> int:
                   f"(every {c['every']}, {c['saves']} saves)")
         if "resumed_from" in extra:
             print(f"  resumed from:        {extra['resumed_from']}")
-        if "trace_paths" in extra:
-            print(f"  trace:               {extra['trace_paths']['trace']} "
-                  f"(+ .chrome.json, .manifest.json)")
+        if "trace_path" in extra:
+            print(f"  trace:               {extra['trace_path']}")
         tail = result.history.accuracy_series()[-3:]
         series = "  ".join(f"r{r}:{v:.3f}" for r, v in tail)
         print(f"  final rounds:        {series}")

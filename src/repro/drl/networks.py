@@ -33,6 +33,8 @@ class GaussianPolicyHead(Layer):
       ``beta * |mu|``, i.e. eq. (6) holds by construction.
     """
 
+    caches = ("_cache",)
+
     def __init__(self, n_clients: int, beta: float = 0.5) -> None:
         super().__init__()
         if n_clients <= 0:

@@ -5,17 +5,18 @@ next round's client work.  A Python thread would hold the GIL against the
 round, so :class:`SideTrainer` forks a helper process instead, at the first
 pass that has work to do.  The helper keeps a replica of the agent and
 shares one block of memory with the parent, laid out as the arrays a pass
-writes (:func:`pass_arrays`): each network's value arena, the two main
-networks' gradient arenas, then both Adams' moments.
+leaves live (:func:`pass_arrays`): each network's value arena, then both
+Adams' moments.
 
 :meth:`SideTrainer.start` sends the transitions observed since the last
 pass and the agent's rng state, and returns at once.
 :meth:`SideTrainer.join` waits for the helper, copies the block into the
 parent's agent and restores the rng state, ``total_updates`` and each
 Adam's step count, so the parent's agent holds the bits an inline
-``agent.train()`` would have left.  Between the two calls the parent must
-leave the agent's networks, optimisers, rng and buffer alone; transitions
-go in through :meth:`SideTrainer.observe` after the join.
+``agent.train()`` would have left (its dead gradient arenas aside).
+Between the two calls the parent must leave the agent's networks,
+optimisers, rng and buffer alone; transitions go in through
+:meth:`SideTrainer.observe` after the join.
 
 The helper runs only where the code can observe that it is safe and pays
 (:func:`side_process_available`).  Everywhere else a pass calls
@@ -74,10 +75,10 @@ def side_process_available() -> bool:
 
 
 def pass_arrays(agent: DDPGAgent) -> list[np.ndarray]:
-    """The live arrays a training pass writes, in the shared block's order."""
+    """The arrays a training pass leaves live, in the shared block's order
+    (not the gradient arenas: every backward overwrites them)."""
     nets = (agent.policy_main, agent.policy_target, agent.value_main, agent.value_target)
     arrays = [net.flat_state() for net in nets]
-    arrays += [agent.policy_main.flat_grads(), agent.value_main.flat_grads()]
     for opt in (agent.policy_opt, agent.value_opt):
         arrays += [opt._m, opt._v]
     return arrays

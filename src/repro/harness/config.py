@@ -331,15 +331,16 @@ class ExperimentConfig:
         "defense (median, trimmed_mean, krum, multikrum, norm_clip)",
         choices=VALID_AGGREGATORS,
     )
-    # Observability (repro.obs): trace=PATH streams spans/metrics to a
-    # JSONL trace (plus a Chrome trace and a run manifest next to it);
-    # None disables tracing entirely (no-op at every call site).
+    # Observability (repro.obs): trace=PATH streams spans/metrics to one
+    # JSONL trace whose header carries the run manifest; None disables
+    # tracing entirely (no-op at every call site).
     # metrics_interval > 0 snapshots the metrics registry into the trace
     # every that-many simulated seconds.
     trace: str | None = _cli(
         None, 45, "--trace",
-        "stream spans/metrics to a JSONL trace at PATH (a Chrome trace and a "
-        "run manifest are written next to it)", metavar="PATH",
+        "stream spans/metrics to a JSONL trace at PATH, the run manifest in "
+        "its header (trace-summary PATH --chrome OUT converts it for "
+        "Perfetto)", metavar="PATH",
     )
     metrics_interval: float = _cli(
         0.0, 46, "--metrics-interval",

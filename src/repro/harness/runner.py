@@ -478,8 +478,7 @@ def _run_experiment(cfg: ExperimentConfig, start: float) -> ExperimentResult:
     if cfg.resume is not None:
         extra["resumed_from"] = cfg.resume
     if tracer is not None:
-        paths = write_run_artifacts(tracer, cfg.trace, config=cfg)
-        extra["trace_paths"] = paths
+        extra["trace_path"] = str(write_run_artifacts(tracer, cfg.trace, config=cfg))
     return ExperimentResult(
         config=cfg,
         best_accuracy=history.best_accuracy() if history.records else None,

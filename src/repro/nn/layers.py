@@ -47,6 +47,9 @@ class Layer:
     #: True for layers that draw randomness at forward time (Dropout); the
     #: runtime reseeds these per (round, client) via ``Sequential.seed_forward``.
     stochastic: bool = False
+    #: What a training forward keeps for the next backward.  A pickle
+    #: leaves these out: no backward reads one before a forward writes it.
+    caches: tuple[str, ...] = ()
 
     def __init__(self) -> None:
         self.params: dict[str, np.ndarray] = {}
@@ -79,6 +82,8 @@ class Layer:
 
 class Dense(Layer):
     """Fully connected layer ``y = x @ W + b``."""
+
+    caches = ("_x",)
 
     def __init__(
         self,
@@ -186,6 +191,8 @@ class Conv2D(Layer):
     layout until ``Flatten``'s reshape.
     """
 
+    caches = ("_cols", "_x_shape")
+
     def __init__(
         self,
         in_channels: int,
@@ -292,6 +299,8 @@ class MaxPool2D(Layer):
     windows are often all-zero, so the rule decides where the gradient lands).
     """
 
+    caches = ("_argmax", "_x_shape")
+
     def __init__(self, kernel_size: int, stride: int | None = None) -> None:
         super().__init__()
         self.kernel_size = kernel_size
@@ -378,6 +387,7 @@ class Dropout(Layer):
     """
 
     stochastic = True
+    caches = ("_mask",)
 
     def __init__(self, p: float, rng: np.random.Generator) -> None:
         super().__init__()
@@ -405,6 +415,8 @@ class Dropout(Layer):
 
 class _BatchNorm(Layer):
     """Shared implementation for 1d/2d batch normalisation."""
+
+    caches = ("_cache",)
 
     def __init__(self, num_features: int, momentum: float = 0.1, eps: float = 1e-5) -> None:
         super().__init__()
@@ -490,6 +502,8 @@ class BatchNorm2d(_BatchNorm):
 
 class _Activation(Layer):
     """Base for stateless element-wise activations."""
+
+    caches = ("_x",)
 
     def __init__(self) -> None:
         super().__init__()

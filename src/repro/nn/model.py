@@ -57,12 +57,13 @@ def _head_index(layers: list[Layer]) -> int | None:
 
 def _hollow(layer: Layer) -> Layer:
     """A shallow copy of ``layer`` whose array dicts hold shapes in place
-    of arena views."""
+    of arena views, and whose forward caches are empty."""
     hollow = object.__new__(type(layer))
     hollow.__dict__ = {
         **layer.__dict__,
         **{attr: {name: a.shape for name, a in getattr(layer, attr).items()}
            for attr in ("params", "grads", "buffers")},
+        **dict.fromkeys(layer.caches),
     }
     return hollow
 
@@ -119,8 +120,9 @@ class Sequential:
 
     def __getstate__(self) -> dict:
         # The value arena is the one pickled copy of the values: the layers
-        # go with their arrays' shapes in place of their arena views, and
-        # the grad arena not at all (a step reads only what backward wrote).
+        # go with their arrays' shapes in place of their arena views and
+        # without their forward caches, and the grad arena not at all (a
+        # step reads only what backward wrote).
         state = self.__dict__.copy()
         del state["_grads"]
         state["layers"] = [_hollow(layer) for layer in self.layers]

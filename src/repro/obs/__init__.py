@@ -5,14 +5,16 @@ backend:
 
 * :class:`Tracer` — bounded span buffer with **dual timestamps** (wall
   time and :class:`~repro.runtime.clock.VirtualClock` simulated time),
-  JSONL and Chrome ``trace_event`` (Perfetto-loadable) exporters.
+  exported as one JSONL file per run; the Chrome ``trace_event``
+  (Perfetto-loadable) view is converted from it on demand
+  (:func:`write_chrome`).
 * :class:`MetricsRegistry` — counters / gauges / histograms with
   periodic snapshots into the trace stream; ``sim.*`` metrics are
   bit-identical across backends, ``rt.*`` describe the physical runtime.
 * run manifests — the resolved config, seed streams, dtype, backend,
-  package versions and git SHA written next to every trace.
+  package versions and git SHA, carried in every trace's header line.
 * trace summaries — the per-phase breakdown behind
-  ``python -m repro trace-summary PATH``.
+  ``python -m repro trace-summary PATH [--chrome OUT]``.
 
 Design rules: a disabled tracer is ``None`` guarded at every call site
 (<1% overhead target), the obs path draws **zero** random numbers, and
@@ -25,7 +27,6 @@ from repro.obs.manifest import (
     build_manifest,
     git_sha,
     seed_stream_names,
-    write_manifest,
     write_run_artifacts,
 )
 from repro.obs.metrics import (
@@ -43,6 +44,7 @@ from repro.obs.trace import (
     chrome_events,
     read_trace,
     validate_record,
+    write_chrome,
 )
 
 __all__ = [
@@ -64,6 +66,6 @@ __all__ = [
     "summarize_records",
     "summarize_trace",
     "validate_record",
-    "write_manifest",
+    "write_chrome",
     "write_run_artifacts",
 ]

@@ -1,18 +1,17 @@
 """Run manifests: everything needed to reproduce a trace's experiment.
 
-A manifest is written next to every exported trace and records the
-*resolved* experiment configuration (every scale-preset fallback filled
-in), the named seed streams the run can draw from and the derived seed
-offsets the harness hands to each subsystem, the compute dtype, the
-execution backend, package versions, and the repository's git SHA when
-available.  Any result artifact is then reproducible from its manifest
-alone: ``python -m repro`` flags map 1:1 onto the recorded config.
+A manifest rides in the header line of every run's trace
+(:func:`write_run_artifacts`) and records the *resolved* experiment
+configuration (every scale-preset fallback filled in), the named seed
+streams the run can draw from, the compute dtype, the execution
+backend, package versions, and the repository's git SHA when available.
+Any traced result is then reproducible from its manifest alone:
+``python -m repro`` flags map 1:1 onto the recorded config.
 """
 
 from __future__ import annotations
 
 import dataclasses
-import json
 import os
 import platform
 import subprocess
@@ -23,22 +22,7 @@ import numpy as np
 import repro
 from repro.runtime import seeding
 
-MANIFEST_SCHEMA = "repro-manifest/v1"
-
-# The (seed-offset -> consumer) map the harness uses when deriving
-# subsystem seeds from ExperimentConfig.seed; recorded so a manifest
-# explains every generator a run constructed.
-SEED_OFFSETS = {
-    "model_init": 0,
-    "dataset": 0,
-    "partition": 5,
-    "clients": 11,
-    "feddrl_agent": 13,
-    "selector": 17,
-    "virtual_clock": 23,
-    "async_dispatch": 29,
-    "fleet": 31,
-}
+MANIFEST_SCHEMA = "repro-manifest/v2"
 
 
 def seed_stream_names() -> dict[str, int]:
@@ -65,12 +49,11 @@ def git_sha(repo_dir: str | Path | None = None) -> str | None:
     return sha if out.returncode == 0 and sha else None
 
 
-def build_manifest(config=None, extra: dict | None = None) -> dict:
+def build_manifest(config=None) -> dict:
     """Assemble the manifest dict for one run.
 
     ``config`` is an :class:`~repro.harness.config.ExperimentConfig` (or
-    None for library-level runs without one); ``extra`` lets callers
-    attach run outcomes (trace paths, headline metrics).
+    None for library-level runs without one).
     """
     manifest: dict = {
         "schema": MANIFEST_SCHEMA,
@@ -86,7 +69,6 @@ def build_manifest(config=None, extra: dict | None = None) -> dict:
         },
         "git_sha": git_sha(),
         "seed_streams": seed_stream_names(),
-        "seed_offsets": dict(SEED_OFFSETS),
     }
     if config is not None:
         resolved = dataclasses.asdict(config)
@@ -99,34 +81,10 @@ def build_manifest(config=None, extra: dict | None = None) -> dict:
         manifest["seed"] = config.seed
         manifest["dtype"] = config.dtype
         manifest["backend"] = config.backend
-    if extra:
-        manifest["extra"] = extra
     return manifest
 
 
-def write_manifest(path: str | Path, config=None, extra: dict | None = None) -> Path:
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    path.write_text(json.dumps(build_manifest(config, extra), indent=1) + "\n")
-    return path
-
-
-def write_run_artifacts(tracer, trace_path: str | Path, config=None,
-                        extra: dict | None = None) -> dict[str, str]:
-    """Export the full artifact set for one traced run.
-
-    ``trace_path`` receives the JSONL trace; the Perfetto-loadable Chrome
-    JSON and the manifest are written next to it with ``.chrome.json``
-    and ``.manifest.json`` suffixes appended.  Returns the paths.
-    """
-    trace_path = Path(trace_path)
-    jsonl = tracer.export_jsonl(trace_path)
-    chrome = tracer.export_chrome(Path(str(trace_path) + ".chrome.json"))
-    manifest = write_manifest(
-        Path(str(trace_path) + ".manifest.json"), config, extra
-    )
-    return {
-        "trace": str(jsonl),
-        "chrome": str(chrome),
-        "manifest": str(manifest),
-    }
+def write_run_artifacts(tracer, trace_path: str | Path, config=None) -> Path:
+    """Export one traced run: its JSONL trace, whose header carries the
+    run's manifest.  Returns the trace's path."""
+    return tracer.export_jsonl(trace_path, manifest=build_manifest(config))

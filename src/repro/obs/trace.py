@@ -12,19 +12,18 @@ Every record carries up to two clock domains:
 
 The tracer is a bounded in-memory buffer of plain dicts; exceeding
 ``max_records`` drops new records (the count is reported in the export
-header) rather than growing without bound or stalling the run.  Nothing
-in this module draws random numbers, so tracing can never perturb an
-experiment's RNG streams.
+header, and the export warns) rather than growing without bound or
+stalling the run.  Nothing in this module draws random numbers, so
+tracing can never perturb an experiment's RNG streams.
 
-Exports:
-
-* :meth:`Tracer.export_jsonl` — one record per line, schema
-  ``repro-trace/v1`` (the canonical machine-readable artifact; see
-  :func:`validate_record`).
-* :meth:`Tracer.export_chrome` — Chrome ``trace_event`` JSON, loadable
-  in Perfetto (https://ui.perfetto.dev) or ``chrome://tracing``.  The
-  two clock domains appear as two processes ("simulated time" and
-  "wall time"), with one thread track per client / server / worker.
+A run writes one artifact, :meth:`Tracer.export_jsonl`: a header line
+(schema ``repro-trace/v1``, the record counts and the run's manifest),
+then one record per line (see :func:`validate_record`).  The Chrome
+``trace_event`` view, loadable in Perfetto (https://ui.perfetto.dev) or
+``chrome://tracing``, is derived from a written trace on demand
+(:func:`write_chrome`, ``python -m repro trace-summary PATH --chrome
+OUT``): the two clock domains appear as two processes ("simulated time"
+and "wall time"), with one thread track per client / server / worker.
 
 Worker-side spans (measured inside executor processes) are shipped back
 with task results and merged via :meth:`Tracer.add_worker_spans` — the
@@ -35,6 +34,7 @@ from __future__ import annotations
 
 import json
 import time
+import warnings
 from contextlib import contextmanager
 from pathlib import Path
 
@@ -250,38 +250,29 @@ class Tracer:
             self.snapshot_metrics(sim_t)
 
     # -- export ---------------------------------------------------------------
-    def _header(self) -> dict:
-        return {
-            "type": "header",
-            "schema": TRACE_SCHEMA,
-            "records": len(self.records),
-            "dropped_records": self.dropped_records,
-        }
-
-    def export_jsonl(self, path: str | Path) -> Path:
-        """Canonical export: a header line, then one record per line."""
+    def export_jsonl(self, path: str | Path, manifest: dict | None = None) -> Path:
+        """The run's trace: a header line (carrying ``manifest`` when
+        given), then one record per line, then the final metrics."""
         path = Path(path)
+        if self.dropped_records:
+            warnings.warn(
+                f"trace {path}: {self.dropped_records} records dropped past "
+                f"max_records={self.max_records}", RuntimeWarning, stacklevel=2,
+            )
+        header = {"type": "header", "schema": TRACE_SCHEMA,
+                  "records": len(self.records),
+                  "dropped_records": self.dropped_records}
+        if manifest is not None:
+            header["manifest"] = manifest
         path.parent.mkdir(parents=True, exist_ok=True)
         with path.open("w") as fh:
-            fh.write(json.dumps(self._header()) + "\n")
+            fh.write(json.dumps(header) + "\n")
             for rec in self.records:
                 fh.write(json.dumps(rec, default=_json_default) + "\n")
             final = self.metrics.snapshot()
             final.update({"type": "metrics", "sim_t": None, "wall_t": None,
                           "final": True})
             fh.write(json.dumps(final, default=_json_default) + "\n")
-        return path
-
-    def export_chrome(self, path: str | Path) -> Path:
-        """Chrome ``trace_event`` JSON (open in Perfetto)."""
-        path = Path(path)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        events = chrome_events(self.records)
-        path.write_text(json.dumps(
-            {"traceEvents": events, "displayTimeUnit": "ms",
-             "otherData": self._header()},
-            default=_json_default,
-        ))
         return path
 
 
@@ -401,3 +392,15 @@ def read_trace(path: str | Path) -> tuple[dict, list[dict]]:
             f"(schema={header.get('schema')!r})"
         )
     return header, records
+
+
+def write_chrome(path: str | Path, header: dict, records: list[dict]) -> Path:
+    """Write a read-back trace as Chrome ``trace_event`` JSON (open in
+    Perfetto); ``otherData`` is the trace's header."""
+    path = Path(path)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_text(json.dumps(
+        {"traceEvents": chrome_events(records), "displayTimeUnit": "ms",
+         "otherData": header},
+    ))
+    return path

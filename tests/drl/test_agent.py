@@ -190,6 +190,27 @@ class TestPickle:
         for name, weights in agent.network_weights().items():
             np.testing.assert_array_equal(clone.network_weights()[name], weights)
 
+    def test_a_trained_agent_pickles_no_forward_caches(self):
+        """A pass leaves each layer's last batch behind; no pickle carries
+        it, and an unpickled agent trains to the same bits."""
+        agent = make_agent()
+        TestTraining().fill_buffer(agent)
+        before = len(pickle.dumps(agent))
+        agent.train()
+        assert len(pickle.dumps(agent)) - before < 1024
+        clone = pickle.loads(pickle.dumps(agent))
+        for net in (clone.policy_main, clone.value_main):
+            for layer in net.layers:
+                assert all(getattr(layer, name) is None for name in layer.caches)
+        agent.train()
+        clone.train()
+        for name, weights in agent.network_weights().items():
+            np.testing.assert_array_equal(clone.network_weights()[name], weights)
+        for a, b in ((agent.policy_opt, clone.policy_opt), (agent.value_opt, clone.value_opt)):
+            np.testing.assert_array_equal(a._m, b._m)
+            np.testing.assert_array_equal(a._v, b._v)
+        assert agent.rng.bit_generator.state == clone.rng.bit_generator.state
+
 
 class TestLearning:
     def test_agent_improves_on_quadratic_bandit(self):

@@ -20,6 +20,7 @@ import numpy as np
 import pytest
 
 from repro.drl import side
+from repro.drl.agent import DDPGAgent, DRLConfig
 from repro.fl.strategies import FedDRL
 from repro.harness.config import ExperimentConfig
 from repro.harness.reporting import history_digest
@@ -104,6 +105,18 @@ class TestRule:
     def test_no_fork_trains_inline(self, monkeypatch):
         monkeypatch.setattr(multiprocessing, "get_all_start_methods", lambda: ["spawn"])
         assert not side.side_process_available()
+
+
+def test_the_block_holds_only_what_a_pass_leaves_live():
+    """Four value arenas and both Adams' moments; the gradient arenas stay
+    out, since every backward overwrites them before a step reads them."""
+    agent = DDPGAgent(9, 3, DRLConfig(), rng=np.random.default_rng(0))
+    arrays = side.pass_arrays(agent)
+    grads = (agent.policy_main.flat_grads(), agent.value_main.flat_grads())
+    assert not any(np.shares_memory(a, g) for a in arrays for g in grads)
+    nets = (agent.policy_main, agent.policy_target, agent.value_main, agent.value_target)
+    moments = sum(opt._m.nbytes + opt._v.nbytes for opt in (agent.policy_opt, agent.value_opt))
+    assert sum(a.nbytes for a in arrays) == sum(n.flat_state().nbytes for n in nets) + moments
 
 
 @can_fork

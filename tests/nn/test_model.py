@@ -1,11 +1,22 @@
 """Tests for the Sequential container and flat-weight (de)serialisation."""
 
+import pickle
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.nn.layers import BatchNorm1d, Conv2D, Dense, Flatten, ReLU
+from repro.nn.layers import (
+    BatchNorm1d,
+    BatchNorm2d,
+    Conv2D,
+    Dense,
+    Dropout,
+    Flatten,
+    MaxPool2D,
+    ReLU,
+)
 from repro.nn.losses import SoftmaxCrossEntropy
 from repro.nn.model import Sequential
 from repro.nn.models import mlp, simple_cnn, vgg11, vgg_mini
@@ -295,3 +306,33 @@ class TestModelZoo:
             opt.step()
         acc = float(np.mean(model.predict(x) == y))
         assert acc > 0.9
+
+
+class TestPickledForwardCaches:
+    """A training forward leaves each layer's cache behind for backward;
+    a pickle carries none of them, since the next forward rewrites them."""
+
+    def test_a_trained_model_pickles_without_caches_and_trains_on(self, rng):
+        model = Sequential([
+            Conv2D(1, 4, 3, rng, padding=1), BatchNorm2d(4), ReLU(), MaxPool2D(2),
+            Flatten(), Dropout(0.25, rng), Dense(64, 8, rng), BatchNorm1d(8),
+            ReLU(), Dense(8, 3, rng),
+        ])
+        x, y = rng.normal(size=(6, 1, 8, 8)), rng.integers(0, 3, size=6)
+
+        def step(m):
+            opt = SGD(m, lr=0.1)
+            m.train_batch(SoftmaxCrossEntropy(), x, y)
+            opt.step()
+
+        fresh = len(pickle.dumps(model))
+        step(model)
+        assert all(getattr(layer, name) is not None
+                   for layer in model.layers for name in layer.caches)
+        assert len(pickle.dumps(model)) - fresh < 256
+        clone = pickle.loads(pickle.dumps(model))
+        assert all(getattr(layer, name) is None
+                   for layer in clone.layers for name in layer.caches)
+        step(model)
+        step(clone)
+        np.testing.assert_array_equal(clone.flat_state(), model.flat_state())

@@ -1,4 +1,5 @@
-"""Tests for the tracer, record schema, and exporters (repro.obs.trace)."""
+"""Tests for the tracer, record schema, the JSONL export and the Chrome
+conversion (repro.obs.trace)."""
 
 import json
 
@@ -16,6 +17,7 @@ from repro.obs.trace import (
     chrome_events,
     read_trace,
     validate_record,
+    write_chrome,
 )
 from tests.obs import reference_trace as R
 
@@ -130,10 +132,26 @@ class TestExports:
                 client=np.int64(3), batches=np.int32(7))
         tr.metrics.inc("sim.updates.aggregated", np.int64(2))
         path = tr.export_jsonl(tmp_path / "np.jsonl")
-        _, records = read_trace(path)
+        header, records = read_trace(path)
         assert records[0]["args"] == {"client": 3, "batches": 7}
-        chrome = tr.export_chrome(tmp_path / "np.chrome.json")
+        chrome = write_chrome(tmp_path / "np.chrome.json", header, records)
         json.loads(chrome.read_text())
+
+    def test_header_carries_the_manifest_beside_the_counts(self, tmp_path):
+        tr = self._small_tracer()
+        header, _ = read_trace(tr.export_jsonl(tmp_path / "t.jsonl", manifest={"seed": 7}))
+        assert header == {"type": "header", "schema": TRACE_SCHEMA,
+                          "records": len(tr.records), "dropped_records": 0,
+                          "manifest": {"seed": 7}}
+
+    def test_export_warns_when_the_bound_dropped_records(self, tmp_path):
+        tr = Tracer(max_records=2)
+        for i in range(5):
+            tr.span("s", CAT_COMPUTE, sim_t0=float(i), sim_dur=1.0)
+        with pytest.warns(RuntimeWarning, match="3 records dropped past max_records=2"):
+            path = tr.export_jsonl(tmp_path / "t.jsonl")
+        header, _ = read_trace(path)
+        assert (header["records"], header["dropped_records"]) == (2, 3)
 
     def test_read_trace_rejects_foreign_file(self, tmp_path):
         path = tmp_path / "x.jsonl"
@@ -145,8 +163,9 @@ class TestExports:
         tr = self._small_tracer()
         with tr.wall_span("aggregate", CAT_AGGREGATION):
             pass
-        path = tr.export_chrome(tmp_path / "t.chrome.json")
-        doc = json.loads(path.read_text())
+        header, records = read_trace(tr.export_jsonl(tmp_path / "t.jsonl"))
+        doc = json.loads(write_chrome(tmp_path / "t.chrome.json", header, records).read_text())
+        assert doc["otherData"] == header
         events = doc["traceEvents"]
         pids = {e["pid"] for e in events}
         assert pids == {1, 2}
