@@ -112,8 +112,8 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="seconds-long pass with the same JSON shape")
     parser.add_argument("--seed", type=int, default=0)
-    parser.add_argument("--out", default=os.path.join(
-        os.path.dirname(__file__), "..", "BENCH_async.json"))
+    parser.add_argument("--out", help="default: BENCH_async.json, or the "
+                        "git-ignored bench_smoke/BENCH_async.json under --smoke")
     args = parser.parse_args(argv)
 
     scale, sync_rounds = ("ci", 12) if args.smoke else ("bench", 30)
@@ -131,7 +131,10 @@ def main(argv=None) -> int:
         **result,
         "bench_wall_s": round(time.perf_counter() - t_start, 2),
     }
-    out_path = os.path.abspath(args.out)
+    out_path = os.path.abspath(args.out or os.path.join(
+        os.path.dirname(__file__), "..", "bench_smoke" if args.smoke else "",
+        "BENCH_async.json"))
+    os.makedirs(os.path.dirname(out_path), exist_ok=True)
     with open(out_path, "w") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")

@@ -162,8 +162,8 @@ def main(argv=None) -> int:
     parser.add_argument("--smoke", action="store_true",
                         help="seconds-long pass; records overhead but only "
                              "gates bit-identity")
-    parser.add_argument("--out", default=os.path.join(
-        os.path.dirname(__file__), "..", "BENCH_faults.json"))
+    parser.add_argument("--out", help="default: BENCH_faults.json, or the "
+                        "git-ignored bench_smoke/BENCH_faults.json under --smoke")
     args = parser.parse_args(argv)
 
     if args.smoke:
@@ -188,7 +188,10 @@ def main(argv=None) -> int:
         "bit_identical": identical,
         "bench_wall_s": round(time.perf_counter() - t_start, 2),
     }
-    out_path = os.path.abspath(args.out)
+    out_path = os.path.abspath(args.out or os.path.join(
+        os.path.dirname(__file__), "..", "bench_smoke" if args.smoke else "",
+        "BENCH_faults.json"))
+    os.makedirs(os.path.dirname(out_path), exist_ok=True)
     with open(out_path, "w") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")

@@ -102,8 +102,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="seconds-long pass; records but does not gate")
-    parser.add_argument("--out", default=os.path.join(
-        os.path.dirname(__file__), "..", "BENCH_obs.json"))
+    parser.add_argument("--out", help="default: BENCH_obs.json, or the "
+                        "git-ignored bench_smoke/BENCH_obs.json under --smoke")
     args = parser.parse_args(argv)
 
     scale, rounds, repeats = ("ci", 6, 1) if args.smoke else ("bench", 20, 5)
@@ -129,7 +129,10 @@ def main(argv=None) -> int:
         "engines": engines,
         "bench_wall_s": round(time.perf_counter() - t_start, 2),
     }
-    out_path = os.path.abspath(args.out)
+    out_path = os.path.abspath(args.out or os.path.join(
+        os.path.dirname(__file__), "..", "bench_smoke" if args.smoke else "",
+        "BENCH_obs.json"))
+    os.makedirs(os.path.dirname(out_path), exist_ok=True)
     with open(out_path, "w") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")

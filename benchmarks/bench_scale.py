@@ -41,7 +41,8 @@ level, after synthesis and after the clients, next to the size of the
 data itself; it carries its own host block.
 
 Run with ``--smoke`` for a seconds-long pass (fleet 1k/10k, clock 10k,
-build at the first shape) with the same JSON shape; ``--only fleet`` /
+build at the first shape) with the same JSON shape, written to the
+git-ignored ``bench_smoke/BENCH_scale.json``; ``--only fleet`` /
 ``--only clock`` / ``--only build`` re-records one row of an existing
 ``--out`` file and leaves the rest untouched.
 """
@@ -90,7 +91,7 @@ def build_fleet(n_clients: int):
         "markov", n_clients, SEED,
         offline_fraction=OFFLINE_FRACTION, churn_rate=CHURN_RATE,
     )
-    state = FleetState(n_clients, SEED, availability=availability,
+    state = FleetState(n_clients, availability=availability,
                        shard_sizes=parts.shard_sizes)
     selector = UniformSelection(run_rng(SEED, STREAM_SELECTION))
     return state, clients, selector
@@ -99,7 +100,7 @@ def build_fleet(n_clients: int):
 def bench_population(n_clients: int, rounds: int) -> dict:
     state, clients, selector = build_fleet(n_clients)
     # Warm up: first slot pays one-off kernel allocations.
-    state.online_ids(0)
+    state.availability.online_ids(0)
     clients.ensure(selector.select(n_clients, K, 0))
     clients.release()
 
@@ -109,7 +110,7 @@ def bench_population(n_clients: int, rounds: int) -> dict:
         slot = r // ROUNDS_PER_SLOT
 
         t0 = time.perf_counter()
-        pool = state.online_ids(slot)
+        pool = state.availability.online_ids(slot)
         t1 = time.perf_counter()
         picked = selector.select(n_clients, min(K, pool.size), r,
                                  available=pool)
@@ -143,15 +144,14 @@ def bench_population(n_clients: int, rounds: int) -> dict:
 
 CLOCK_CHILD = """
 import json, resource, sys, time
-from repro.runtime.clock import VirtualClock, get_bandwidth_model, get_latency_model
+from repro.runtime.clock import VirtualClock
 n = int(sys.argv[1])
-latency, bandwidth = get_latency_model("lognormal"), get_bandwidth_model("lognormal")
 rss0 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
 t0 = time.perf_counter()
-clock = VirtualClock(latency, n, seed=0, bandwidth=bandwidth)
+clock = VirtualClock("lognormal", n, seed=0, bandwidth="lognormal")
 build_s = time.perf_counter() - t0
 rss1 = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
-columns = (clock.compute_s, clock.upload_s, clock.download_s, clock.up_bps, clock.down_bps)
+columns = (clock.compute_s, clock.comm_s, clock.up_bps, clock.down_bps)
 print(json.dumps({
     "n_clients": n,
     "build_s": round(build_s, 4),
@@ -301,12 +301,15 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="seconds-long 1k/10k pass with the same JSON shape")
-    parser.add_argument("--out", default=os.path.join(
-        os.path.dirname(__file__), "..", "BENCH_scale.json"))
+    parser.add_argument("--out", help="default: BENCH_scale.json, or the "
+                        "git-ignored bench_smoke/BENCH_scale.json under --smoke")
     parser.add_argument("--only", choices=tuple(ROWS),
                         help="re-record one row of an existing --out file")
     args = parser.parse_args(argv)
-    out_path = os.path.abspath(args.out)
+    out_path = os.path.abspath(args.out or os.path.join(
+        os.path.dirname(__file__), "..", "bench_smoke" if args.smoke else "",
+        "BENCH_scale.json"))
+    os.makedirs(os.path.dirname(out_path), exist_ok=True)
 
     t_start = time.perf_counter()
     if args.only is not None:

@@ -417,8 +417,8 @@ def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
     parser.add_argument("--smoke", action="store_true",
                         help="seconds-long pass with the same JSON shape")
-    parser.add_argument("--out", default=os.path.join(
-        os.path.dirname(__file__), "..", "BENCH_substrate.json"))
+    parser.add_argument("--out", help="default: BENCH_substrate.json, or the "
+                        "git-ignored bench_smoke/BENCH_substrate.json under --smoke")
     args = parser.parse_args(argv)
 
     if args.smoke:
@@ -450,7 +450,10 @@ def main(argv=None) -> int:
         "train_step": train_step,
         "bench_wall_s": round(time.perf_counter() - t_start, 2),
     }
-    out_path = os.path.abspath(args.out)
+    out_path = os.path.abspath(args.out or os.path.join(
+        os.path.dirname(__file__), "..", "bench_smoke" if args.smoke else "",
+        "BENCH_substrate.json"))
+    os.makedirs(os.path.dirname(out_path), exist_ok=True)
     with open(out_path, "w") as fh:
         json.dump(payload, fh, indent=1)
         fh.write("\n")

@@ -12,13 +12,9 @@ from repro.fl.async_ import (
     DELTA_MIX,
     DISPATCH_POLICIES,
     AsyncFederatedServer,
-    ConstantStaleness,
     EventQueue,
-    HingeStaleness,
-    PolynomialStaleness,
     STALENESS_POLICIES,
-    StalenessWeighting,
-    get_staleness_weighting,
+    staleness_factor,
 )
 from repro.fl.client import Client, ClientUpdate
 from repro.fl.selection import UniformSelection
@@ -55,14 +51,10 @@ __all__ = [
     "AsyncFederatedServer",
     "Client",
     "ClientUpdate",
-    "ConstantStaleness",
     "EventQueue",
     "EventRecord",
-    "HingeStaleness",
-    "PolynomialStaleness",
     "STALENESS_POLICIES",
-    "StalenessWeighting",
-    "get_staleness_weighting",
+    "staleness_factor",
     "FederatedSimulation",
     "FLConfig",
     "History",

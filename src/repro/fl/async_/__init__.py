@@ -5,8 +5,10 @@ queue over :class:`~repro.runtime.clock.VirtualClock` finish times: up to
 ``max_concurrency`` client jobs train concurrently against whatever
 global model existed when they were dispatched, and the server aggregates
 whenever ``buffer_size`` updates have *arrived* in virtual time (FedBuff;
-``buffer_size=1`` is FedAsync), weighting each update by a staleness
-decay composed with the configured :class:`~repro.fl.strategies.Strategy`.
+``buffer_size=1`` is FedAsync), weighting each update by the staleness
+decay :func:`staleness_factor` names (``constant`` / ``polynomial`` /
+``hinge``) composed with the configured
+:class:`~repro.fl.strategies.Strategy`.
 
 Event order is a pure function of the experiment seed — job latencies
 come from ``(job, client)``-keyed streams, ties break by dispatch order —
@@ -22,11 +24,7 @@ from repro.fl.async_.server import (
 )
 from repro.fl.async_.staleness import (
     STALENESS_POLICIES,
-    ConstantStaleness,
-    HingeStaleness,
-    PolynomialStaleness,
-    StalenessWeighting,
-    get_staleness_weighting,
+    staleness_factor,
 )
 
 __all__ = [
@@ -36,10 +34,6 @@ __all__ = [
     "ArrivalEvent",
     "AsyncFederatedServer",
     "ClientJob",
-    "ConstantStaleness",
     "EventQueue",
-    "HingeStaleness",
-    "PolynomialStaleness",
-    "StalenessWeighting",
-    "get_staleness_weighting",
+    "staleness_factor",
 ]

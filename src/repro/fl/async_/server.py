@@ -43,7 +43,7 @@ import numpy as np
 
 from repro.data.dataset import ArrayDataset
 from repro.fl.async_.events import ClientJob, EventQueue
-from repro.fl.async_.staleness import PolynomialStaleness, StalenessWeighting
+from repro.fl.async_.staleness import STALENESS_POLICIES, staleness_factor
 from repro.fl.client import ClientUpdate
 # The window path lives in repro.fl.simulation and calls the last four
 # through that module's globals; they stay bound here, and run / close stay
@@ -107,7 +107,7 @@ class AsyncFederatedServer(FederatedEngine):
         executor: Executor | None = None,
         buffer_size: int = 5,
         max_concurrency: int | None = None,
-        staleness: StalenessWeighting | None = None,
+        staleness: str = "polynomial",
         server_mix: float | str | None = None,
         fleet: FleetSimulator | None = None,
         dispatch: str = "random",
@@ -151,9 +151,13 @@ class AsyncFederatedServer(FederatedEngine):
             raise ValueError(
                 f"dispatch must be one of {DISPATCH_POLICIES}, got {dispatch!r}"
             )
+        if staleness not in STALENESS_POLICIES:
+            raise ValueError(
+                f"staleness policy must be one of {STALENESS_POLICIES}, got {staleness!r}"
+            )
         self.buffer_size = buffer_size
         self.max_concurrency = max_concurrency
-        self.staleness = staleness if staleness is not None else PolynomialStaleness()
+        self.staleness = staleness
         self.server_mix = float(server_mix)
         # Total local-work budget: identical to the synchronous loop's.
         self.total_jobs = config.rounds * config.clients_per_round
@@ -353,7 +357,7 @@ class AsyncFederatedServer(FederatedEngine):
         st["idle"][job.client_id] = True
 
         staleness = st["version"] - job.model_version
-        factor = self.staleness.factor(staleness)
+        factor = staleness_factor(self.staleness, staleness)
         self.history.append_event(EventRecord(
             job_idx=job.job_idx,
             client_id=job.client_id,

@@ -66,7 +66,7 @@ from repro.obs.trace import (
     CAT_WINDOW,
     Tracer,
 )
-from repro.runtime.clock import HomogeneousLatency, VirtualClock, n_local_batches
+from repro.runtime.clock import VirtualClock, n_local_batches
 from repro.runtime.executor import Executor, RoundContext, SerialExecutor
 from repro.runtime.faults import FaultPlan, FaultStats, absorb_fault_stats
 from repro.runtime.seeding import STREAM_MODEL_INIT, STREAM_SELECTION, run_rng
@@ -568,7 +568,7 @@ class FederatedEngine:
             executor = SerialExecutor(clients, model_factory, model=self.model)
         self.executor = executor
         # Every engine runs on a virtual clock: identical devices by default.
-        self.clock = clock or VirtualClock(HomogeneousLatency(), len(clients), seed=config.seed)
+        self.clock = clock or VirtualClock("homogeneous", len(clients), seed=config.seed)
         self.fleet = fleet
         # Adversarial fleet (repro.fl.robust): `attack` perturbs malicious
         # clients' uploads relative to the weights they were dispatched
@@ -609,7 +609,6 @@ class FederatedEngine:
         # the jobs-served column.
         self.fleet_state = FleetState(
             len(clients),
-            config.seed,
             availability=fleet.availability if fleet is not None else None,
             shard_sizes=clients.shard_sizes,
         )

@@ -214,15 +214,14 @@ class FleetState:
     def __init__(
         self,
         n_clients: int,
-        seed: int,
         availability: ColumnarAvailability | None = None,
         shard_sizes: np.ndarray | None = None,
     ) -> None:
         if n_clients <= 0:
             raise ValueError("n_clients must be positive")
         self.n_clients = n_clients
-        self.seed = seed
-        self.availability = availability or ColumnarAvailability("always", n_clients, seed)
+        # "always" draws nothing, so its seed is immaterial.
+        self.availability = availability or ColumnarAvailability("always", n_clients, 0)
         if self.availability.n_clients != n_clients:
             raise ValueError("availability engine sized for a different fleet")
         if shard_sizes is None:
@@ -231,9 +230,6 @@ class FleetState:
         if self.shard_sizes.shape != (n_clients,):
             raise ValueError("shard_sizes must have one entry per client")
         self.jobs_served = np.zeros(n_clients, dtype=np.int64)
-
-    def online_ids(self, slot: int, ids: np.ndarray | None = None) -> np.ndarray:
-        return self.availability.online_ids(slot, ids)
 
     # ------------------------------------------------------------- columns
 

@@ -61,7 +61,7 @@ VALID_AGGREGATORS = ROBUST_AGGREGATORS
 VALID_TOPOLOGIES = ("flat", "hier")
 # Wire subsystem vocabularies (repro.fl.wire): upload codecs and the
 # bandwidth models that turn payload bytes into comm seconds; "none" =
-# fixed upload_s/download_s constants (the historical clock).
+# the clock's fixed per-transfer COMM_S (the historical clock).
 VALID_CODECS = WIRE_CODECS
 VALID_BANDWIDTH_MODELS = ("none", *BANDWIDTH_MODELS)
 

@@ -11,7 +11,7 @@ import numpy as np
 from repro.data.dataset import ArrayDataset
 from repro.data.partition import get_partitioner
 from repro.data.synthetic import cifar100_like, fashion_like, mnist_like
-from repro.fl.async_ import AsyncFederatedServer, get_staleness_weighting
+from repro.fl.async_ import AsyncFederatedServer
 from repro.fl.client import make_clients
 from repro.fl.robust import AttackModel, RobustAggregator
 from repro.fl.simulation import FederatedSimulation, FLConfig, History
@@ -28,8 +28,6 @@ from repro.runtime import (
     FaultPlan,
     RetryPolicy,
     VirtualClock,
-    get_bandwidth_model,
-    get_latency_model,
     load_snapshot,
     make_executor,
 )
@@ -200,26 +198,22 @@ def build_retry_policy(cfg: ExperimentConfig) -> RetryPolicy:
 def build_executor(cfg: ExperimentConfig, clients, model_factory, model=None):
     """The execution backend named by ``cfg.backend`` (see repro.runtime)."""
     return make_executor(
-        cfg.backend, clients, model_factory, workers=cfg.workers, model=model,
-        retry=build_retry_policy(cfg),
+        cfg.backend, clients, model_factory, workers=cfg.workers, model=model
     )
 
 
 def build_clock(cfg: ExperimentConfig) -> VirtualClock:
     """The virtual device clock."""
-    bandwidth = None
-    if cfg.bandwidth_model != "none":
-        bandwidth = get_bandwidth_model(
-            cfg.bandwidth_model, up_mbps=cfg.up_mbps, down_mbps=cfg.down_mbps
-        )
     return VirtualClock(
-        get_latency_model(cfg.latency_model),
+        cfg.latency_model,
         cfg.n_clients,
         seed=cfg.seed,
         deadline_s=cfg.deadline_s,
         straggler_fraction=cfg.straggler_fraction,
         straggler_slowdown=cfg.straggler_slowdown,
-        bandwidth=bandwidth,
+        bandwidth=None if cfg.bandwidth_model == "none" else cfg.bandwidth_model,
+        up_mbps=cfg.up_mbps,
+        down_mbps=cfg.down_mbps,
     )
 
 
@@ -368,7 +362,7 @@ def build_simulation(
             executor=executor,
             buffer_size=cfg.buffer_size,
             max_concurrency=cfg.max_concurrency,
-            staleness=get_staleness_weighting(cfg.staleness),
+            staleness=cfg.staleness,
             server_mix=cfg.server_mix,
             fleet=fleet,
             dispatch=cfg.dispatch,

@@ -5,7 +5,10 @@ and *when* it runs: pluggable execution backends (serial / thread /
 process) that train a round's participants concurrently yet
 bit-identically, order-independent per-``(round, client)`` seeding, and
 a virtual clock that simulates heterogeneous device latency (stragglers,
-deadlines) independently of the host's real speed.
+deadlines) independently of the host's real speed.  Each
+``--latency-model`` / ``--bandwidth-model`` value is one rule in
+:func:`latency_factors` / :func:`link_factors` over the clock's module
+constants.
 """
 
 from repro.runtime.checkpoint import (
@@ -18,19 +21,10 @@ from repro.runtime.checkpoint import (
 from repro.runtime.clock import (
     BANDWIDTH_MODELS,
     LATENCY_MODELS,
-    BandwidthModel,
-    DeviceProfile,
-    HomogeneousBandwidth,
-    HomogeneousLatency,
-    LatencyModel,
-    LogNormalBandwidth,
-    LogNormalLatency,
     RoundTiming,
-    UniformBandwidth,
-    UniformLatency,
     VirtualClock,
-    get_bandwidth_model,
-    get_latency_model,
+    latency_factors,
+    link_factors,
     n_local_batches,
 )
 from repro.runtime.executor import (
@@ -61,13 +55,8 @@ __all__ = [
     "FAULT_KINDS",
     "LATENCY_MODELS",
     "SNAPSHOT_SCHEMA",
-    "BandwidthModel",
     "CheckpointError",
     "Checkpointer",
-    "DeviceProfile",
-    "HomogeneousBandwidth",
-    "LogNormalBandwidth",
-    "UniformBandwidth",
     "Executor",
     "FaultInjected",
     "FaultPlan",
@@ -77,20 +66,16 @@ __all__ = [
     "InjectedTaskError",
     "RetriesExhausted",
     "RetryPolicy",
-    "HomogeneousLatency",
-    "LatencyModel",
-    "LogNormalLatency",
     "ProcessExecutor",
     "RoundContext",
     "RoundTiming",
     "SerialExecutor",
     "ThreadExecutor",
-    "UniformLatency",
     "VirtualClock",
     "client_round_rng",
     "client_round_seed",
-    "get_bandwidth_model",
-    "get_latency_model",
+    "latency_factors",
+    "link_factors",
     "load_snapshot",
     "make_executor",
     "n_local_batches",

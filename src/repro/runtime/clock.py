@@ -3,18 +3,24 @@
 The paper's setting is a fleet of heterogeneous edge devices, but the
 reproduction's real wall-clock only measures this host.  The virtual
 clock decouples *simulated* time from *execution* time, in the spirit of
-FLGo's ``system_simulator``: every client gets a per-batch compute
-latency plus upload/download cost scaled by a factor drawn from a
-:class:`LatencyModel`, a configurable fraction of clients are stragglers
-slowed by a constant factor, and each round's simulated makespan is the
-slowest participant — optionally clipped by a round deadline that drops
-the late updates before aggregation (changing the training trajectory, as
-a real deadline would).
+FLGo's ``system_simulator``: a factor-1 device spends
+``COMPUTE_S_PER_BATCH`` (2 ms) per local batch and ``COMM_S`` (0.1 s) per
+upload and per download, and each client's times are scaled by one
+factor drawn by :func:`latency_factors` (``homogeneous``: 1;
+``uniform``: U[0.5, 2]; ``lognormal``: sigma 0.5).  A configurable
+fraction of clients are stragglers slowed by a constant factor, and each
+round's simulated makespan is the slowest participant — optionally
+clipped by a round deadline that drops the late updates before
+aggregation (changing the training trajectory, as a real deadline would).
 
-The fleet is columnar: one float64 column per trait (compute, upload,
-download seconds; link rates), each drawn in one vectorised pass, so a
-million-client clock costs arrays, not objects; ``profile(cid)`` builds
-one client's :class:`DeviceProfile` on demand.
+With a bandwidth model, :func:`link_factors` draws one link factor per
+client by the same three rules, and a comm phase with a known payload
+size costs ``bytes / rate`` at ``up_mbps`` / ``down_mbps`` times that
+factor instead of ``COMM_S``.
+
+The fleet is columnar: one float64 column per trait (compute and comm
+seconds; link rates), each drawn in one vectorised pass, so a
+million-client clock costs arrays, not objects.
 
 Per-round latency jitter is keyed on ``(round, client)`` through
 :mod:`repro.runtime.seeding`, so simulated timings are identical under
@@ -34,31 +40,15 @@ from repro.runtime.seeding import (
 )
 
 LATENCY_MODELS = ("homogeneous", "uniform", "lognormal")
-BANDWIDTH_MODELS = ("homogeneous", "uniform", "lognormal")
+BANDWIDTH_MODELS = LATENCY_MODELS
 
-
-@dataclass(frozen=True)
-class DeviceProfile:
-    """Static latency characteristics of one simulated device.
-
-    ``up_bps`` / ``down_bps`` are optional link rates (bytes per
-    second).  When a rate is present *and* the caller supplies a payload
-    size, the corresponding comm phase is ``bytes / rate`` instead of
-    the fixed ``upload_s`` / ``download_s`` constant — the wire
-    subsystem's byte accounting then drives simulated comm time.  With
-    no rates (the default) the constants apply and all existing timing
-    is unchanged.
-    """
-
-    compute_s_per_batch: float
-    upload_s: float
-    download_s: float
-    up_bps: float | None = None
-    down_bps: float | None = None
-
-    def round_seconds(self, n_batches: int) -> float:
-        """Deterministic (jitter-free) time for one round of local work."""
-        return self.download_s + n_batches * self.compute_s_per_batch + self.upload_s
+# A factor-1 device: seconds per local batch, and per upload or download
+# when no link rate turns payload bytes into comm time.
+COMPUTE_S_PER_BATCH = 2e-3
+COMM_S = 0.1
+# The spread of the "uniform" and "lognormal" per-client factors.
+UNIFORM_RANGE = (0.5, 2.0)
+LOGNORMAL_SIGMA = 0.5
 
 
 def n_local_batches(n_samples: int, epochs: int, batch_size: int) -> int:
@@ -66,177 +56,40 @@ def n_local_batches(n_samples: int, epochs: int, batch_size: int) -> int:
     return epochs * math.ceil(n_samples / batch_size)
 
 
-class LatencyModel:
-    """Draws one factor per client that scales ``base``'s latencies."""
+def latency_factors(name: str, n: int, rng: np.random.Generator) -> np.ndarray:
+    """One speed factor per client, drawn from the clock's run stream.
 
-    name: str = "base"
-    base: HomogeneousLatency
-
-    def factors(self, n_clients: int, rng: np.random.Generator) -> np.ndarray:
-        raise NotImplementedError
-
-
-class HomogeneousLatency(LatencyModel):
-    """Identical devices — isolates deadline/straggler effects."""
-
-    name = "homogeneous"
-
-    def __init__(
-        self,
-        compute_s_per_batch: float = 2e-3,
-        upload_s: float = 0.1,
-        download_s: float = 0.1,
-    ) -> None:
-        self.compute_s_per_batch = compute_s_per_batch
-        self.upload_s = upload_s
-        self.download_s = download_s
-
-    @property
-    def base(self) -> HomogeneousLatency:
-        return self
-
-    def factors(self, n_clients: int, rng: np.random.Generator) -> np.ndarray:
-        return np.ones(n_clients)
-
-
-class UniformLatency(LatencyModel):
-    """Device speeds spread uniformly over a bounded multiplier range."""
-
-    name = "uniform"
-
-    def __init__(
-        self,
-        base: HomogeneousLatency | None = None,
-        low: float = 0.5,
-        high: float = 2.0,
-    ) -> None:
-        if not 0 < low <= high:
-            raise ValueError("need 0 < low <= high")
-        self.base = base or HomogeneousLatency()
-        self.low = low
-        self.high = high
-
-    def factors(self, n_clients: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.uniform(self.low, self.high, size=n_clients)
-
-
-class LogNormalLatency(LatencyModel):
-    """Heavy-tailed device speeds — a few naturally slow devices."""
-
-    name = "lognormal"
-
-    def __init__(self, base: HomogeneousLatency | None = None, sigma: float = 0.5) -> None:
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        self.base = base or HomogeneousLatency()
-        self.sigma = sigma
-
-    def factors(self, n_clients: int, rng: np.random.Generator) -> np.ndarray:
-        return rng.lognormal(mean=0.0, sigma=self.sigma, size=n_clients)
-
-
-def get_latency_model(name: str, **kwargs) -> LatencyModel:
-    """Latency model by CLI name."""
-    models = {
-        "homogeneous": HomogeneousLatency,
-        "uniform": UniformLatency,
-        "lognormal": LogNormalLatency,
-    }
-    if name not in models:
-        raise ValueError(f"latency model must be one of {LATENCY_MODELS}, got {name!r}")
-    return models[name](**kwargs)
-
-
-class BandwidthModel:
-    """Draws one link-quality factor per client.
-
-    Link quality is a *device trait*, so each client's draw comes from
-    its static ``(client, STREAM_WIRE)`` RNG cell — a pure function of
-    the experiment seed and the client id, independent of how many
-    clients exist.  One factor scales both directions: a client on a bad
-    link is slow both ways.
+    ``homogeneous`` is all ones and draws nothing; ``uniform`` is
+    U[0.5, 2]; ``lognormal`` is heavy-tailed with sigma 0.5.
     """
-
-    name: str = "base"
-
-    def __init__(self, up_bps: float, down_bps: float) -> None:
-        if up_bps <= 0 or down_bps <= 0:
-            raise ValueError("bandwidth rates must be positive")
-        self.up_bps = up_bps
-        self.down_bps = down_bps
-
-    def factors(self, n_clients: int, base_seed: int) -> np.ndarray:
-        raise NotImplementedError
-
-    def rates(self, n_clients: int, base_seed: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(up_bps, down_bps)`` columns, one entry per client."""
-        f = self.factors(n_clients, base_seed)
-        return self.up_bps * f, self.down_bps * f
+    if name == "homogeneous":
+        return np.ones(n)
+    if name == "uniform":
+        return rng.uniform(*UNIFORM_RANGE, size=n)
+    if name == "lognormal":
+        return rng.lognormal(mean=0.0, sigma=LOGNORMAL_SIGMA, size=n)
+    raise ValueError(f"latency model must be one of {LATENCY_MODELS}, got {name!r}")
 
 
-class HomogeneousBandwidth(BandwidthModel):
-    """Every client gets the same link — isolates payload-size effects."""
+def link_factors(name: str, n: int, seed: int) -> np.ndarray:
+    """One link-quality factor per client, scaling both directions.
 
-    name = "homogeneous"
-
-    def factors(self, n_clients: int, base_seed: int) -> np.ndarray:
-        return np.ones(n_clients)
-
-
-class UniformBandwidth(BandwidthModel):
-    """Link quality spread uniformly over a bounded multiplier range."""
-
-    name = "uniform"
-
-    def __init__(
-        self, up_bps: float, down_bps: float, low: float = 0.5, high: float = 2.0
-    ) -> None:
-        super().__init__(up_bps, down_bps)
-        if not 0 < low <= high:
-            raise ValueError("need 0 < low <= high")
-        self.low = low
-        self.high = high
-
-    def factors(self, n_clients: int, base_seed: int) -> np.ndarray:
+    Link quality is a *device trait*: client ``c``'s draw comes from its
+    static ``(c, STREAM_WIRE)`` RNG cell, a pure function of the seed and
+    the client id, independent of how many clients exist.  The rules
+    match :func:`latency_factors`.
+    """
+    if name == "homogeneous":
+        return np.ones(n)
+    if name == "uniform":
         # Generator.uniform(low, high) is exactly low + (high - low) * u.
-        kernel = vecrng.CellBatchKernel(base_seed, np.arange(n_clients), 0, 1)
-        u = kernel.uniforms((), (STREAM_WIRE,))
-        return self.low + (self.high - self.low) * u
-
-
-class LogNormalBandwidth(BandwidthModel):
-    """Heavy-tailed link quality — a few clients on very poor links."""
-
-    name = "lognormal"
-
-    def __init__(self, up_bps: float, down_bps: float, sigma: float = 0.5) -> None:
-        super().__init__(up_bps, down_bps)
-        if sigma <= 0:
-            raise ValueError("sigma must be positive")
-        self.sigma = sigma
-
-    def factors(self, n_clients: int, base_seed: int) -> np.ndarray:
-        cells = (np.arange(n_clients), STREAM_WIRE)
-        return vecrng.spawn_key_draws(base_seed, cells, "lognormal", 0.0, self.sigma)
-
-
-def get_bandwidth_model(
-    name: str, up_mbps: float = 1.0, down_mbps: float = 10.0, **kwargs
-) -> BandwidthModel:
-    """Bandwidth model by CLI name; rates given in megabits per second."""
-    models = {
-        "homogeneous": HomogeneousBandwidth,
-        "uniform": UniformBandwidth,
-        "lognormal": LogNormalBandwidth,
-    }
-    if name not in models:
-        raise ValueError(
-            f"bandwidth model must be one of {BANDWIDTH_MODELS}, got {name!r}"
-        )
-    if up_mbps <= 0 or down_mbps <= 0:
-        raise ValueError("bandwidth rates must be positive")
-    # Mbit/s -> bytes/s: 1e6 bits / 8.
-    return models[name](up_bps=up_mbps * 125_000.0, down_bps=down_mbps * 125_000.0, **kwargs)
+        low, high = UNIFORM_RANGE
+        u = vecrng.CellBatchKernel(seed, np.arange(n), 0, 1).uniforms((), (STREAM_WIRE,))
+        return low + (high - low) * u
+    if name == "lognormal":
+        cells = (np.arange(n), STREAM_WIRE)
+        return vecrng.spawn_key_draws(seed, cells, "lognormal", 0.0, LOGNORMAL_SIGMA)
+    raise ValueError(f"bandwidth model must be one of {BANDWIDTH_MODELS}, got {name!r}")
 
 
 @dataclass
@@ -263,14 +116,16 @@ class VirtualClock:
 
     def __init__(
         self,
-        latency_model: LatencyModel,
+        latency: str,
         n_clients: int,
         seed: int = 0,
         deadline_s: float | None = None,
         straggler_fraction: float = 0.0,
         straggler_slowdown: float = 8.0,
         jitter_sigma: float = 0.05,
-        bandwidth: BandwidthModel | None = None,
+        bandwidth: str | None = None,
+        up_mbps: float = 1.0,
+        down_mbps: float = 10.0,
     ) -> None:
         if not 0.0 <= straggler_fraction <= 1.0:
             raise ValueError("straggler_fraction must be in [0, 1]")
@@ -278,19 +133,21 @@ class VirtualClock:
             raise ValueError("straggler_slowdown must be >= 1")
         if deadline_s is not None and deadline_s <= 0:
             raise ValueError("deadline_s must be positive")
+        if up_mbps <= 0 or down_mbps <= 0:
+            raise ValueError("bandwidth rates must be positive")
         rng = run_rng(seed, STREAM_CLOCK_PROFILE)
         self.seed = seed
-        f = latency_model.factors(n_clients, rng)
-        base = latency_model.base
-        self.compute_s = base.compute_s_per_batch * f
-        self.upload_s = base.upload_s * f
-        self.download_s = base.download_s * f
-        # Link rates come from static RNG cells, not from `rng`, so adding
-        # bandwidth never reshuffles the latency draw or the straggler
-        # choice below.
-        self.up_bps, self.down_bps = (
-            (None, None) if bandwidth is None else bandwidth.rates(n_clients, seed)
-        )
+        f = latency_factors(latency, n_clients, rng)
+        self.compute_s = COMPUTE_S_PER_BATCH * f
+        self.comm_s = COMM_S * f
+        # Link rates (bytes/s; 1 Mbit/s = 125 000 B/s) come from static RNG
+        # cells, not from `rng`, so adding bandwidth never reshuffles the
+        # latency draw or the straggler choice below.
+        self.up_bps = self.down_bps = None
+        if bandwidth is not None:
+            link = link_factors(bandwidth, n_clients, seed)
+            self.up_bps = up_mbps * 125_000.0 * link
+            self.down_bps = down_mbps * 125_000.0 * link
         n_stragglers = int(round(straggler_fraction * n_clients))
         self.stragglers = set(
             rng.choice(n_clients, size=n_stragglers, replace=False).tolist()
@@ -319,16 +176,6 @@ class VirtualClock:
             raise ValueError("cannot charge negative recovery time")
         self.fault_recovery_s += seconds
 
-    def profile(self, client_id: int) -> DeviceProfile:
-        """One client's static latency and link traits."""
-        return DeviceProfile(
-            self.compute_s.item(client_id),
-            self.upload_s.item(client_id),
-            self.download_s.item(client_id),
-            None if self.up_bps is None else self.up_bps.item(client_id),
-            None if self.down_bps is None else self.down_bps.item(client_id),
-        )
-
     def _phases(
         self,
         client_id: int,
@@ -339,18 +186,18 @@ class VirtualClock:
         """Raw (unjittered, un-slowed) phase times for one client's round.
 
         Comm phases are ``bytes / rate`` when both a payload size and a
-        link rate exist; otherwise the fixed per-client constants — so
-        runs without the wire subsystem (or without a bandwidth model)
-        are byte-blind exactly as before.
+        link rate exist; otherwise the client's ``comm_s`` — so runs
+        without the wire subsystem (or without a bandwidth model) are
+        byte-blind.
         """
         if download_bytes is not None and self.down_bps is not None:
             download = download_bytes / self.down_bps.item(client_id)
         else:
-            download = self.download_s.item(client_id)
+            download = self.comm_s.item(client_id)
         if upload_bytes is not None and self.up_bps is not None:
             upload = upload_bytes / self.up_bps.item(client_id)
         else:
-            upload = self.upload_s.item(client_id)
+            upload = self.comm_s.item(client_id)
         return download, n_batches * self.compute_s.item(client_id), upload
 
     def client_time(
@@ -365,7 +212,6 @@ class VirtualClock:
         download, compute, upload = self._phases(
             client_id, n_batches, upload_bytes, download_bytes
         )
-        # Same left-to-right sum as DeviceProfile.round_seconds.
         base = download + compute + upload
         if client_id in self.stragglers:
             base *= self.straggler_slowdown
@@ -387,7 +233,7 @@ class VirtualClock:
         Returns ``(download_s, compute_s, upload_s)`` scaled so they sum
         to ``total_s`` (the jittered/straggler-multiplied actual time):
         jitter and the straggler factor scale the whole round, so each
-        phase keeps its profile share.  Pure arithmetic — no RNG draws —
+        phase keeps its unscaled share.  Pure arithmetic — no RNG draws —
         so tracing a round never perturbs the timing streams.
         """
         download, compute, upload = self._phases(

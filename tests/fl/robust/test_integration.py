@@ -12,7 +12,6 @@ import numpy as np
 import pytest
 
 from repro.fl.async_ import AsyncFederatedServer
-from repro.fl.async_.staleness import StalenessWeighting
 from repro.fl.client import ClientUpdate
 from repro.fl.robust import AttackModel, RobustAggregator
 from repro.fl.simulation import FederatedSimulation, FLConfig
@@ -20,7 +19,7 @@ from repro.fl.strategies import FedAvg
 from repro.fl.strategies.base import combine_updates
 from repro.harness import ExperimentConfig, run_experiment
 from repro.obs import Tracer
-from repro.runtime import LogNormalLatency, VirtualClock
+from repro.runtime import VirtualClock
 
 
 def _update(client_id, weights):
@@ -43,29 +42,27 @@ class TestCombineUpdatesHardening:
             combine_updates(updates, np.array([1.0, -0.5]), normalize=True)
 
 
-class _ZeroStaleness(StalenessWeighting):
-    """Pathological decay that zeroes every update — exercises the
-    zero-mass guard in the FedBuff flush."""
-
-    name = "zero"
-
-    def factor(self, staleness: int) -> float:
-        return 0.0
-
-
 class TestAsyncZeroMassSkip:
+    @pytest.fixture(autouse=True)
+    def _zero_staleness(self, monkeypatch):
+        """Pathological decay that zeroes every update — exercises the
+        zero-mass guard in the FedBuff flush."""
+        monkeypatch.setattr(
+            "repro.fl.async_.server.staleness_factor", lambda policy, s: 0.0
+        )
+
     @pytest.mark.parametrize("server_mix", [0.5, "delta"])
     def test_flush_skips_mix_instead_of_nan(
         self, tiny_data, tiny_clients, tiny_model_factory, server_mix
     ):
         _, test = tiny_data
-        clock = VirtualClock(LogNormalLatency(), len(tiny_clients), seed=23)
+        clock = VirtualClock("lognormal", len(tiny_clients), seed=23)
         server = AsyncFederatedServer(
             tiny_clients, test, tiny_model_factory, FedAvg(),
             FLConfig(rounds=2, clients_per_round=4, local_epochs=1, lr=0.05,
                      batch_size=16, seed=0),
             clock=clock, buffer_size=3, max_concurrency=4,
-            staleness=_ZeroStaleness(), server_mix=server_mix,
+            server_mix=server_mix,
         )
         initial = np.array(server.global_weights, copy=True)
         with server:
@@ -83,13 +80,13 @@ class TestAsyncZeroMassSkip:
         self, tiny_data, tiny_clients, tiny_model_factory
     ):
         _, test = tiny_data
-        clock = VirtualClock(LogNormalLatency(), len(tiny_clients), seed=23)
+        clock = VirtualClock("lognormal", len(tiny_clients), seed=23)
         server = AsyncFederatedServer(
             tiny_clients, test, tiny_model_factory, FedAvg(),
             FLConfig(rounds=2, clients_per_round=4, local_epochs=1, lr=0.05,
                      batch_size=16, seed=0),
             clock=clock, buffer_size=3, max_concurrency=4,
-            staleness=_ZeroStaleness(), defense=RobustAggregator("median"),
+            defense=RobustAggregator("median"),
         )
         initial = np.array(server.global_weights, copy=True)
         with server:

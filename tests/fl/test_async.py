@@ -13,12 +13,10 @@ import numpy as np
 import pytest
 
 from repro.fl.async_ import (
+    STALENESS_POLICIES,
     AsyncFederatedServer,
-    ConstantStaleness,
     EventQueue,
-    HingeStaleness,
-    PolynomialStaleness,
-    get_staleness_weighting,
+    staleness_factor,
 )
 from repro.fl.async_.events import ClientJob
 from repro.fl.client import ClientUpdate
@@ -26,7 +24,7 @@ from repro.fl.simulation import FLConfig
 from repro.fl.strategies import FedAvg, FedProx
 from repro.fl.strategies.base import combine_updates
 from repro.harness import ExperimentConfig, run_experiment
-from repro.runtime import LogNormalLatency, VirtualClock, make_executor
+from repro.runtime import VirtualClock, make_executor
 
 BACKEND_WORKERS = [("serial", None), ("thread", 2), ("process", 2)]
 
@@ -63,39 +61,27 @@ class TestEventQueue:
 
 class TestStaleness:
     def test_constant_ignores_staleness(self):
-        policy = ConstantStaleness()
-        assert [policy.factor(s) for s in (0, 1, 50)] == [1.0, 1.0, 1.0]
+        assert [staleness_factor("constant", s) for s in (0, 1, 50)] == [1.0, 1.0, 1.0]
 
     def test_polynomial_decay_values(self):
-        policy = PolynomialStaleness(exponent=0.5)
-        assert policy.factor(0) == 1.0
-        assert policy.factor(3) == pytest.approx(0.5)  # (1+3)^-0.5
-        assert policy.factor(8) == pytest.approx(1.0 / 3.0)
+        assert staleness_factor("polynomial", 0) == 1.0
+        assert staleness_factor("polynomial", 3) == pytest.approx(0.5)  # (1+3)^-0.5
+        assert staleness_factor("polynomial", 8) == pytest.approx(1.0 / 3.0)
 
     def test_hinge_tolerates_then_decays(self):
-        policy = HingeStaleness(a=1.0, b=4)
-        assert [policy.factor(s) for s in (0, 4)] == [1.0, 1.0]
-        assert policy.factor(6) == pytest.approx(1.0 / 3.0)
-        assert policy.factor(14) == pytest.approx(1.0 / 11.0)
+        assert [staleness_factor("hinge", s) for s in (0, 4)] == [1.0, 1.0]
+        assert staleness_factor("hinge", 6) == pytest.approx(1.0 / 3.0)
+        assert staleness_factor("hinge", 14) == pytest.approx(1.0 / 11.0)
 
     def test_negative_staleness_rejected(self):
-        for policy in (ConstantStaleness(), PolynomialStaleness(), HingeStaleness()):
+        for policy in STALENESS_POLICIES:
             with pytest.raises(ValueError):
-                policy.factor(-1)
+                staleness_factor(policy, -1)
 
-    def test_factory(self):
-        assert isinstance(get_staleness_weighting("hinge"), HingeStaleness)
-        assert get_staleness_weighting("polynomial", exponent=1.0).factor(1) == 0.5
-        with pytest.raises(ValueError):
-            get_staleness_weighting("exponential")
-
-    def test_invalid_parameters(self):
-        with pytest.raises(ValueError):
-            PolynomialStaleness(exponent=0.0)
-        with pytest.raises(ValueError):
-            HingeStaleness(a=0.0)
-        with pytest.raises(ValueError):
-            HingeStaleness(b=-1)
+    def test_unknown_policy_rejected(self, tiny_data, tiny_clients, tiny_model_factory):
+        with pytest.raises(ValueError, match="staleness policy"):
+            run_async(tiny_clients, tiny_model_factory, tiny_data, "serial", None,
+                      staleness="exponential")
 
 
 class TestCombineUpdatesNormalize:
@@ -133,7 +119,7 @@ def run_async(tiny_clients, tiny_model_factory, tiny_data, backend, workers,
               buffer_size=3, rounds=4, strategy=None, **server_kw):
     _, test = tiny_data
     clock = VirtualClock(
-        LogNormalLatency(), len(tiny_clients), seed=23,
+        "lognormal", len(tiny_clients), seed=23,
         straggler_fraction=0.3, straggler_slowdown=8.0,
     )
     executor = make_executor(backend, tiny_clients, tiny_model_factory, workers=workers)
@@ -213,14 +199,13 @@ class TestFedBuffMechanics:
     def test_staleness_recorded_and_weighted(
         self, tiny_data, tiny_clients, tiny_model_factory
     ):
-        policy = PolynomialStaleness(exponent=0.5)
         hist, _ = run_async(tiny_clients, tiny_model_factory, tiny_data,
-                            "serial", None, staleness=policy)
+                            "serial", None, staleness="polynomial")
         assert any(e.staleness > 0 for e in hist.events)  # stragglers go stale
         for event in hist.events:
             assert event.staleness == event.arrival_version - event.dispatch_version
             assert event.staleness_factor == pytest.approx(
-                policy.factor(event.staleness)
+                staleness_factor("polynomial", event.staleness)
             )
         for record in hist.records:
             assert len(record.staleness) == len(record.participants)
@@ -282,7 +267,7 @@ class TestFedBuffMechanics:
     ):
         # One default for every buffer size; FedAsync's 0.6 is asked for.
         _, test = tiny_data
-        clock = VirtualClock(LogNormalLatency(), len(tiny_clients), seed=23)
+        clock = VirtualClock("lognormal", len(tiny_clients), seed=23)
         cfg = FLConfig(rounds=2, clients_per_round=4, local_epochs=1,
                        lr=0.05, batch_size=16, seed=0)
         server = AsyncFederatedServer(
@@ -294,7 +279,7 @@ class TestFedBuffMechanics:
 
     def test_rejects_bad_parameters(self, tiny_data, tiny_clients, tiny_model_factory):
         _, test = tiny_data
-        clock = VirtualClock(LogNormalLatency(), len(tiny_clients), seed=23)
+        clock = VirtualClock("lognormal", len(tiny_clients), seed=23)
         cfg = FLConfig(rounds=2, clients_per_round=4, local_epochs=1,
                        lr=0.05, batch_size=16, seed=0)
         common = (tiny_clients, test, tiny_model_factory, FedAvg(), cfg)

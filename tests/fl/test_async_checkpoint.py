@@ -15,7 +15,7 @@ import pytest
 from repro.fl.async_ import AsyncFederatedServer
 from repro.fl.simulation import FLConfig
 from repro.fl.strategies import FedAvg
-from repro.runtime import LogNormalLatency, VirtualClock
+from repro.runtime import VirtualClock
 
 
 # FedBuff with a buffer of three, and FedAsync: a buffer of one at mix 0.6.
@@ -29,7 +29,7 @@ def make_server(tiny_clients, tiny_model_factory, tiny_data, rounds=4,
                 buffer_size=3, server_mix=None):
     _, test = tiny_data
     clock = VirtualClock(
-        LogNormalLatency(), len(tiny_clients), seed=23,
+        "lognormal", len(tiny_clients), seed=23,
         straggler_fraction=0.3, straggler_slowdown=8.0,
     )
     return AsyncFederatedServer(

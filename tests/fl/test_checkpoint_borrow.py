@@ -27,7 +27,7 @@ from repro.fleet import ColumnarAvailability, FleetSimulator
 from repro.fleet.scale import LazyClientPool
 from repro.harness.reporting import history_digest
 from repro.nn.models import mlp
-from repro.runtime import LogNormalLatency, VirtualClock
+from repro.runtime import VirtualClock
 from repro.runtime.checkpoint import Checkpointer, load_snapshot
 from repro.runtime.seeding import STREAM_DISPATCH, run_rng
 
@@ -48,7 +48,7 @@ def build_engine(engine: str, n_clients: int = 12, dispatch: str = "random"):
                  batch_size=8, eval_every=1, seed=0),
     )
     common = dict(
-        clock=VirtualClock(LogNormalLatency(), n_clients, seed=23,
+        clock=VirtualClock("lognormal", n_clients, seed=23,
                            straggler_fraction=0.3, straggler_slowdown=8.0),
         fleet=FleetSimulator(n_clients, availability, seed=31, dropout_prob=0.1),
         wire=WireFormat(get_codec("topk+qsgd8", topk_frac=0.1), 0),

@@ -17,7 +17,7 @@ from repro.fl.robust import RobustAggregator
 from repro.fl.simulation import FederatedSimulation, FLConfig
 from repro.fl.strategies import FedAvg
 from repro.fl.async_.server import AsyncFederatedServer
-from repro.runtime import LogNormalLatency, VirtualClock
+from repro.runtime import VirtualClock
 
 
 def sync_sim(clients, factory, test, topology="flat", rounds=4, **kw):
@@ -28,7 +28,7 @@ def sync_sim(clients, factory, test, topology="flat", rounds=4, **kw):
 
 
 def async_server(clients, factory, test, topology="flat", **kw):
-    clock = VirtualClock(LogNormalLatency(), len(clients), seed=23)
+    clock = VirtualClock("lognormal", len(clients), seed=23)
     cfg = FLConfig(rounds=4, clients_per_round=4, local_epochs=1, lr=0.05,
                    batch_size=16, seed=0)
     return AsyncFederatedServer(

@@ -22,7 +22,7 @@ from repro.fl.simulation import (
     aggregate_window,
 )
 from repro.fl.strategies import FedAvg
-from repro.runtime import LogNormalLatency, VirtualClock
+from repro.runtime import VirtualClock
 
 TOPOLOGIES = {"flat": None, "hier": 3}
 DEFENSES = {
@@ -137,7 +137,7 @@ class TestNonFiniteUpload:
         _, test = tiny_data
         cfg = FLConfig(rounds=4, clients_per_round=4, local_epochs=1, lr=0.05,
                        batch_size=16, seed=0)
-        clock = VirtualClock(LogNormalLatency(), len(tiny_clients), seed=23)
+        clock = VirtualClock("lognormal", len(tiny_clients), seed=23)
         with AsyncFederatedServer(
             tiny_clients, test, tiny_model_factory, FedAvg(), cfg, clock=clock,
             buffer_size=3, max_concurrency=4,

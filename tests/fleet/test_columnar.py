@@ -205,7 +205,7 @@ class TestOnlineIds:
 class TestFleetState:
     def test_fairest_matches_sequential_min_scan(self):
         rng = np.random.default_rng(3)
-        state = FleetState(50, SEED)
+        state = FleetState(50)
         state.jobs_served[:] = rng.integers(0, 4, size=50)
         for trial in range(20):
             pool = rng.choice(50, size=rng.integers(1, 20), replace=False)
@@ -223,7 +223,7 @@ class TestFleetState:
 
     def test_record_jobs_and_n_samples(self):
         sizes = np.arange(1, 9, dtype=np.int64)
-        state = FleetState(8, SEED, shard_sizes=sizes)
+        state = FleetState(8, shard_sizes=sizes)
         assert state.n_samples(5) == 6
         state.record_jobs([1, 3])
         state.record_jobs([3], count=2)
@@ -231,27 +231,25 @@ class TestFleetState:
 
     def test_availability_plumbing(self):
         engine = columnar_engine("markov")
-        state = FleetState(N, SEED, availability=engine)
-        np.testing.assert_array_equal(
-            state.online_ids(4), np.flatnonzero(engine.mask(4))
-        )
+        assert FleetState(N, availability=engine).availability is engine
+        default = FleetState(8).availability
+        assert default.name == "always"
+        np.testing.assert_array_equal(default.online_ids(4), np.arange(8))
 
     def test_validation(self):
         with pytest.raises(ValueError):
-            FleetState(0, SEED)
+            FleetState(0)
         with pytest.raises(ValueError):
-            FleetState(4, SEED, shard_sizes=np.ones(3, dtype=np.int64))
+            FleetState(4, shard_sizes=np.ones(3, dtype=np.int64))
         with pytest.raises(ValueError):
-            FleetState(
-                4, SEED, availability=ColumnarAvailability("always", 5, SEED)
-            )
+            FleetState(4, availability=ColumnarAvailability("always", 5, SEED))
 
     def test_nbytes_counts_shard_and_jobs_columns_and_engine(self):
         """Two int64 columns per client plus the availability engine —
         no other per-client column is resident."""
         engine = columnar_engine("markov")
-        state = FleetState(N, SEED, availability=engine)
-        state.online_ids(3)
+        state = FleetState(N, availability=engine)
+        state.availability.online_ids(3)
         assert state.nbytes == 16 * N + engine.nbytes
 
     def test_million_client_state_under_100mb(self):
@@ -259,11 +257,11 @@ class TestFleetState:
         availability kernel's scratch — fits in ~100 MB at N=1M."""
         n = 1_000_000
         state = FleetState(
-            n, SEED,
+            n,
             availability=ColumnarAvailability(
                 "markov", n, SEED, offline_fraction=OFF
             ),
         )
-        state.online_ids(0)  # touch a slot so kernel scratch is resident
+        state.availability.online_ids(0)  # touch a slot so kernel scratch is resident
         assert state.nbytes < 100 * 1024 * 1024
         assert state.nbytes > 0

@@ -18,7 +18,7 @@ from repro.fl.simulation import FederatedSimulation, FLConfig
 from repro.fl.strategies import FedAvg
 from repro.fleet import ColumnarAvailability, FleetSimulator
 from repro.harness import ExperimentConfig, run_experiment
-from repro.runtime import LogNormalLatency, VirtualClock, make_executor
+from repro.runtime import VirtualClock, make_executor
 
 BACKEND_WORKERS = [("serial", None), ("thread", 2), ("process", 2)]
 
@@ -36,7 +36,7 @@ def make_fleet(n_clients, dropout_prob=0.1, completeness=0.5, seed=31):
 
 
 def run_sync(clients, model_factory, test_set, backend, workers, **fleet_kw):
-    clock = VirtualClock(LogNormalLatency(), len(clients), seed=23)
+    clock = VirtualClock("lognormal", len(clients), seed=23)
     executor = make_executor(backend, clients, model_factory, workers=workers)
     sim = FederatedSimulation(
         clients, test_set, model_factory, FedAvg(),
@@ -54,7 +54,7 @@ def run_async_fleet(clients, model_factory, test_set, backend, workers,
                     dispatch="random", server_mix=None, rounds=4,
                     straggler_fraction=0.3, **fleet_kw):
     clock = VirtualClock(
-        LogNormalLatency(), len(clients), seed=23,
+        "lognormal", len(clients), seed=23,
         straggler_fraction=straggler_fraction, straggler_slowdown=8.0,
     )
     executor = make_executor(backend, clients, model_factory, workers=workers)
@@ -257,7 +257,7 @@ class TestAsyncFleet:
     def test_rejects_bad_dispatch_and_mix(self, tiny_clients, tiny_model_factory,
                                           tiny_data):
         _, test = tiny_data
-        clock = VirtualClock(LogNormalLatency(), len(tiny_clients), seed=23)
+        clock = VirtualClock("lognormal", len(tiny_clients), seed=23)
         cfg = FLConfig(rounds=2, clients_per_round=4, local_epochs=1, lr=0.05,
                        batch_size=16, seed=0)
         common = (tiny_clients, test, tiny_model_factory, FedAvg(), cfg)

@@ -2,26 +2,24 @@
 
 :class:`repro.runtime.clock.VirtualClock` builds its per-client latency
 and link columns in one vectorised pass.  This module keeps the original
-build — one :class:`DeviceProfile` per client from the latency model's
-draw, one ``client_static_rng`` generator per client for its link rate,
-then a ``dataclasses.replace`` pass — and the original phase arithmetic,
-so tests can pin the columnar clock to it bit for bit.
+build — one :class:`DeviceProfile` per client from the latency draw, one
+``client_static_rng`` generator per client for its link rate, then a
+``dataclasses.replace`` pass — and the original phase arithmetic, so
+tests can pin the columnar clock to it bit for bit.  Only the model
+names and the clock's module constants are shared.
 """
 
 from __future__ import annotations
 
-from dataclasses import replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from repro.runtime.clock import (
-    DeviceProfile,
-    HomogeneousBandwidth,
-    HomogeneousLatency,
-    LogNormalBandwidth,
-    LogNormalLatency,
-    UniformBandwidth,
-    UniformLatency,
+    COMM_S,
+    COMPUTE_S_PER_BATCH,
+    LOGNORMAL_SIGMA,
+    UNIFORM_RANGE,
 )
 from repro.runtime.seeding import (
     STREAM_CLOCK_PROFILE,
@@ -33,44 +31,55 @@ from repro.runtime.seeding import (
 )
 
 
-def reference_profiles(model, n_clients: int, rng: np.random.Generator) -> list[DeviceProfile]:
+@dataclass(frozen=True)
+class DeviceProfile:
+    """Static latency and link traits of one simulated device."""
+
+    compute_s_per_batch: float
+    upload_s: float
+    download_s: float
+    up_bps: float | None = None
+    down_bps: float | None = None
+
+
+def reference_profiles(
+    latency: str, n_clients: int, rng: np.random.Generator
+) -> list[DeviceProfile]:
     """One profile per client, drawn as the object-per-client models did."""
-    if isinstance(model, HomogeneousLatency):
-        return [
-            DeviceProfile(model.compute_s_per_batch, model.upload_s, model.download_s)
-            for _ in range(n_clients)
-        ]
-    if isinstance(model, UniformLatency):
-        factors = rng.uniform(model.low, model.high, size=n_clients)
-    elif isinstance(model, LogNormalLatency):
-        factors = rng.lognormal(mean=0.0, sigma=model.sigma, size=n_clients)
+    if latency == "homogeneous":
+        return [DeviceProfile(COMPUTE_S_PER_BATCH, COMM_S, COMM_S) for _ in range(n_clients)]
+    if latency == "uniform":
+        factors = rng.uniform(*UNIFORM_RANGE, size=n_clients)
+    elif latency == "lognormal":
+        factors = rng.lognormal(mean=0.0, sigma=LOGNORMAL_SIGMA, size=n_clients)
     else:
-        raise TypeError(f"no reference for {type(model).__name__}")
-    base = model.base
+        raise ValueError(f"no reference for latency model {latency!r}")
     return [
-        DeviceProfile(
-            base.compute_s_per_batch * f, base.upload_s * f, base.download_s * f
-        )
+        DeviceProfile(COMPUTE_S_PER_BATCH * f, COMM_S * f, COMM_S * f)
         for f in factors
     ]
 
 
-def _reference_factor(model, rng: np.random.Generator) -> float:
-    if isinstance(model, HomogeneousBandwidth):
+def _reference_factor(bandwidth: str, rng: np.random.Generator) -> float:
+    if bandwidth == "homogeneous":
         return 1.0
-    if isinstance(model, UniformBandwidth):
-        return float(rng.uniform(model.low, model.high))
-    if isinstance(model, LogNormalBandwidth):
-        return float(rng.lognormal(mean=0.0, sigma=model.sigma))
-    raise TypeError(f"no reference for {type(model).__name__}")
+    if bandwidth == "uniform":
+        return float(rng.uniform(*UNIFORM_RANGE))
+    if bandwidth == "lognormal":
+        return float(rng.lognormal(mean=0.0, sigma=LOGNORMAL_SIGMA))
+    raise ValueError(f"no reference for bandwidth model {bandwidth!r}")
 
 
-def reference_rates(model, n_clients: int, base_seed: int) -> list[tuple[float, float]]:
+def reference_rates(
+    bandwidth: str, n_clients: int, base_seed: int,
+    up_mbps: float = 1.0, down_mbps: float = 10.0,
+) -> list[tuple[float, float]]:
     """``(up_bps, down_bps)`` per client from its own static STREAM_WIRE cell."""
+    up_bps, down_bps = up_mbps * 125_000.0, down_mbps * 125_000.0
     out = []
     for cid in range(n_clients):
-        f = _reference_factor(model, client_static_rng(base_seed, cid, STREAM_WIRE))
-        out.append((model.up_bps * f, model.down_bps * f))
+        f = _reference_factor(bandwidth, client_static_rng(base_seed, cid, STREAM_WIRE))
+        out.append((up_bps * f, down_bps * f))
     return out
 
 
@@ -79,24 +88,25 @@ class ReferenceClock:
 
     def __init__(
         self,
-        latency_model,
+        latency: str,
         n_clients: int,
         seed: int = 0,
         straggler_fraction: float = 0.0,
         straggler_slowdown: float = 8.0,
         jitter_sigma: float = 0.05,
-        bandwidth=None,
+        bandwidth: str | None = None,
+        up_mbps: float = 1.0,
+        down_mbps: float = 10.0,
         straggler_comm_slowdown: float | None = None,
     ) -> None:
         rng = run_rng(seed, STREAM_CLOCK_PROFILE)
         self.seed = seed
-        self.profiles = reference_profiles(latency_model, n_clients, rng)
+        self.profiles = reference_profiles(latency, n_clients, rng)
         if bandwidth is not None:
+            rates = reference_rates(bandwidth, n_clients, seed, up_mbps, down_mbps)
             self.profiles = [
                 replace(p, up_bps=up, down_bps=down)
-                for p, (up, down) in zip(
-                    self.profiles, reference_rates(bandwidth, n_clients, seed)
-                )
+                for p, (up, down) in zip(self.profiles, rates)
             ]
         n_stragglers = int(round(straggler_fraction * n_clients))
         self.stragglers = set(

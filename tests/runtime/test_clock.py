@@ -1,17 +1,21 @@
-"""Virtual-clock device simulator: latency models, stragglers, deadlines."""
+"""Virtual-clock device simulator: latency rules, stragglers, deadlines."""
 
 import numpy as np
 import pytest
 
 from repro.runtime.clock import (
-    DeviceProfile,
-    HomogeneousLatency,
-    LogNormalLatency,
-    UniformLatency,
+    COMM_S,
+    COMPUTE_S_PER_BATCH,
+    LATENCY_MODELS,
     VirtualClock,
-    get_latency_model,
+    latency_factors,
     n_local_batches,
 )
+
+
+def round_s(n_batches: int) -> float:
+    """A factor-1 device's jitter-free round: download, compute, upload."""
+    return COMM_S + n_batches * COMPUTE_S_PER_BATCH + COMM_S
 
 
 class TestHelpers:
@@ -19,42 +23,39 @@ class TestHelpers:
         assert n_local_batches(40, epochs=2, batch_size=16) == 2 * 3
         assert n_local_batches(32, epochs=1, batch_size=16) == 2
 
-    def test_device_profile_round_seconds(self):
-        p = DeviceProfile(compute_s_per_batch=0.1, upload_s=1.0, download_s=0.5)
-        assert p.round_seconds(10) == pytest.approx(2.5)
+    def test_factor_one_round_seconds(self):
+        clock = VirtualClock("homogeneous", 1, jitter_sigma=0.0)
+        assert clock.client_time(0, 0, 10) == round_s(10)
+        assert round_s(10) == pytest.approx(0.1 + 10 * 2e-3 + 0.1)
 
 
-class TestLatencyModels:
-    def test_homogeneous_identical(self):
-        factors = HomogeneousLatency().factors(5, np.random.default_rng(0))
-        assert factors.tolist() == [1.0] * 5
+class TestLatencyFactors:
+    def test_homogeneous_identical_and_draws_nothing(self):
+        rng = np.random.default_rng(0)
+        before = rng.bit_generator.state
+        assert latency_factors("homogeneous", 5, rng).tolist() == [1.0] * 5
+        assert rng.bit_generator.state == before
 
-    @pytest.mark.parametrize("name", ["homogeneous", "uniform", "lognormal"])
-    def test_registry(self, name):
-        model = get_latency_model(name)
-        assert model.name == name
-        assert model.factors(8, np.random.default_rng(0)).shape == (8,)
+    @pytest.mark.parametrize("name", LATENCY_MODELS)
+    def test_names(self, name):
+        assert latency_factors(name, 8, np.random.default_rng(0)).shape == (8,)
 
-    def test_registry_rejects_unknown(self):
-        with pytest.raises(ValueError):
-            get_latency_model("fractal")
+    def test_clock_rejects_unknown(self):
+        with pytest.raises(ValueError, match="latency model"):
+            VirtualClock("fractal", 8)
 
     def test_uniform_bounded(self):
-        base = HomogeneousLatency(compute_s_per_batch=1.0, upload_s=0.0, download_s=0.0)
-        clock = VirtualClock(UniformLatency(base, low=0.5, high=2.0), 100)
-        assert all(0.5 <= clock.profile(c).compute_s_per_batch <= 2.0
-                   for c in range(100))
+        factors = latency_factors("uniform", 100, np.random.default_rng(0))
+        assert ((0.5 <= factors) & (factors <= 2.0)).all()
 
     def test_lognormal_spreads(self):
-        speeds = VirtualClock(LogNormalLatency(sigma=1.0), 100).compute_s
+        speeds = VirtualClock("lognormal", 100).compute_s
         assert speeds.max() / speeds.min() > 2.0
 
 
 class TestVirtualClock:
     def make_clock(self, **kwargs):
-        defaults = dict(latency_model=HomogeneousLatency(
-            compute_s_per_batch=0.1, upload_s=0.0, download_s=0.0),
-            n_clients=6, seed=0, jitter_sigma=0.0)
+        defaults = dict(latency="homogeneous", n_clients=6, seed=0, jitter_sigma=0.0)
         defaults.update(kwargs)
         return VirtualClock(**defaults)
 
@@ -76,7 +77,7 @@ class TestVirtualClock:
         assert len(clock.stragglers) == 3
         timing = clock.observe_round(0, list(range(6)), {c: 10 for c in range(6)})
         for cid in range(6):
-            expected = 1.0 * (10.0 if cid in clock.stragglers else 1.0)
+            expected = round_s(10) * (10.0 if cid in clock.stragglers else 1.0)
             assert timing.client_times_s[cid] == pytest.approx(expected)
 
     def test_deadline_discards_late_clients(self):
@@ -91,18 +92,18 @@ class TestVirtualClock:
         clock = self.make_clock(deadline_s=0.1)
         timing = clock.observe_round(0, [1, 4], {1: 10, 4: 20})
         assert timing.dropped == [4]  # the faster client survives
-        assert timing.makespan_s >= 1.0  # waited for the kept client
+        assert timing.makespan_s == pytest.approx(round_s(10))  # waited for it
 
     def test_simulated_time_accumulates(self):
         clock = self.make_clock()
         for r in range(3):
             clock.observe_round(r, [0, 1], {0: 10, 1: 10})
-        assert clock.elapsed_s == pytest.approx(3.0)
+        assert clock.elapsed_s == pytest.approx(3 * round_s(10))
         assert len(clock.timings) == 3
 
     def test_jitter_deterministic_and_order_independent(self):
         def times(order):
-            clock = VirtualClock(HomogeneousLatency(), 6, seed=0, jitter_sigma=0.2)
+            clock = VirtualClock("homogeneous", 6, seed=0, jitter_sigma=0.2)
             return {cid: clock.client_time(1, cid, 10) for cid in order}
 
         a = times([0, 1, 2, 3])
@@ -127,7 +128,7 @@ class TestClockInSimulation:
     def test_wait_clock_records_makespans_only(
         self, tiny_data, tiny_clients, tiny_model_factory
     ):
-        clock = VirtualClock(LogNormalLatency(), 6, seed=1,
+        clock = VirtualClock("lognormal", 6, seed=1,
                              straggler_fraction=0.3, straggler_slowdown=10.0)
         hist = self.run_sim(tiny_data, tiny_clients, tiny_model_factory, clock)
         assert len(hist.makespan_series()) == 3
@@ -138,11 +139,10 @@ class TestClockInSimulation:
     def test_drop_clock_shrinks_aggregation(
         self, tiny_data, tiny_clients, tiny_model_factory
     ):
-        # Every client straggles 50x past a tight deadline except the
-        # per-round fastest, so each record keeps a strict subset.
+        # Three of six clients straggle 50x past a tight deadline, so a
+        # round that samples one keeps a strict subset.
         clock = VirtualClock(
-            HomogeneousLatency(compute_s_per_batch=0.1, upload_s=0, download_s=0),
-            6, seed=1, straggler_fraction=0.5, straggler_slowdown=50.0,
+            "homogeneous", 6, seed=1, straggler_fraction=0.5, straggler_slowdown=50.0,
             deadline_s=2.0, jitter_sigma=0.0,
         )
         hist = self.run_sim(tiny_data, tiny_clients, tiny_model_factory, clock)
@@ -160,7 +160,7 @@ class TestClockInSimulation:
         from repro.harness.reporting import history_digest
         from repro.harness.runner import run_experiment
 
-        homogeneous = VirtualClock(HomogeneousLatency(), len(tiny_clients), seed=0)
+        homogeneous = VirtualClock("homogeneous", len(tiny_clients), seed=0)
         runs = [self.run_sim(tiny_data, tiny_clients, tiny_model_factory, clock)
                 for clock in (None, homogeneous)]
         assert len(runs[0].makespan_series()) == len(runs[0].records) == 3

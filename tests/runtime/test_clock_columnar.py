@@ -3,8 +3,8 @@
 ``reference_clock.ReferenceClock`` is the original construction (one
 ``DeviceProfile`` per client, one static generator per client for its
 link, a ``replace`` pass); the columnar :class:`VirtualClock` must give
-the same phases, stragglers, round times and phase splits — as Python
-floats — for every latency × bandwidth model pair.
+the same per-client columns, stragglers, phases, round times and phase
+splits — as Python floats — for every latency × bandwidth model pair.
 """
 
 from __future__ import annotations
@@ -17,12 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.runtime import vecrng
-from repro.runtime.clock import (
-    DeviceProfile,
-    VirtualClock,
-    get_bandwidth_model,
-    get_latency_model,
-)
+from repro.runtime.clock import VirtualClock
 from repro.runtime.seeding import STREAM_WIRE, client_static_rng
 
 from tests.runtime.reference_clock import ReferenceClock
@@ -35,10 +30,8 @@ KW = dict(straggler_fraction=0.1, straggler_slowdown=4.0)
 def _pair(latency: str, bandwidth: str, seed: int, **kw):
     args = dict(KW, **kw)
     return (
-        VirtualClock(get_latency_model(latency), N_CLIENTS, seed=seed,
-                     bandwidth=get_bandwidth_model(bandwidth), **args),
-        ReferenceClock(get_latency_model(latency), N_CLIENTS, seed=seed,
-                       bandwidth=get_bandwidth_model(bandwidth), **args),
+        VirtualClock(latency, N_CLIENTS, seed=seed, bandwidth=bandwidth, **args),
+        ReferenceClock(latency, N_CLIENTS, seed=seed, bandwidth=bandwidth, **args),
     )
 
 
@@ -50,14 +43,15 @@ def _same(a, b) -> None:
 @pytest.mark.parametrize("seed", [0, 1, 2])
 @pytest.mark.parametrize("latency,bandwidth", list(itertools.product(MODELS, MODELS)))
 class TestMatchesReference:
-    def test_profiles_and_stragglers(self, latency, bandwidth, seed):
+    def test_columns_and_stragglers(self, latency, bandwidth, seed):
         clock, ref = _pair(latency, bandwidth, seed)
         assert clock.stragglers == ref.stragglers
-        for cid in range(N_CLIENTS):
-            got, want = clock.profile(cid), ref.profiles[cid]
-            for name in ("compute_s_per_batch", "upload_s", "download_s",
-                         "up_bps", "down_bps"):
-                _same(getattr(got, name), getattr(want, name))
+        for cid, want in enumerate(ref.profiles):
+            _same(clock.compute_s.item(cid), want.compute_s_per_batch)
+            _same(clock.comm_s.item(cid), want.upload_s)
+            _same(clock.comm_s.item(cid), want.download_s)
+            _same(clock.up_bps.item(cid), want.up_bps)
+            _same(clock.down_bps.item(cid), want.down_bps)
 
     def test_phases(self, latency, bandwidth, seed):
         clock, ref = _pair(latency, bandwidth, seed)
@@ -83,11 +77,17 @@ class TestMatchesReference:
                     _same(g, w)
 
 
-def test_no_bandwidth_profile_has_no_rates():
-    clock = VirtualClock(get_latency_model("uniform"), 4, seed=0)
+def test_no_bandwidth_has_no_rates():
+    clock = VirtualClock("uniform", 4, seed=0)
     assert clock.up_bps is None and clock.down_bps is None
-    assert all(clock.profile(c).up_bps is None for c in range(4))
-    assert isinstance(clock.profile(0), DeviceProfile)
+
+
+def test_rates_match_reference_at_other_mbps():
+    kw = dict(seed=5, bandwidth="lognormal", up_mbps=8.0, down_mbps=80.0)
+    clock, ref = VirtualClock("uniform", 50, **kw), ReferenceClock("uniform", 50, **kw)
+    for cid, want in enumerate(ref.profiles):
+        _same(clock.up_bps.item(cid), want.up_bps)
+        _same(clock.down_bps.item(cid), want.down_bps)
 
 
 U32_MAX = 2**32 - 1

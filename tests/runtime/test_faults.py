@@ -14,7 +14,7 @@ import pytest
 
 from repro.fl.simulation import FederatedSimulation, FLConfig
 from repro.fl.strategies import FedAvg
-from repro.runtime.clock import HomogeneousLatency, VirtualClock
+from repro.runtime.clock import VirtualClock
 from repro.runtime.executor import (
     ProcessExecutor,
     RoundContext,
@@ -144,7 +144,7 @@ def run_faulted(tiny_data, tiny_clients, tiny_model_factory, backend, workers,
         FLConfig(rounds=rounds, clients_per_round=4, local_epochs=1, lr=0.05,
                  batch_size=16, seed=0),
         executor=executor,
-        clock=VirtualClock(HomogeneousLatency(), len(tiny_clients), seed=0),
+        clock=VirtualClock("homogeneous", len(tiny_clients), seed=0),
         faults=plan,
     )
     with sim:
@@ -378,7 +378,7 @@ class TestCloseIdempotent:
 
 class TestVirtualClockRecoveryLedger:
     def make_clock(self):
-        return VirtualClock(HomogeneousLatency(), 4, seed=0)
+        return VirtualClock("homogeneous", 4, seed=0)
 
     def test_charge_recovery_accumulates(self):
         clock = self.make_clock()
