@@ -12,7 +12,7 @@ import pytest
 from repro.drl.agent import DRLConfig
 from repro.fl.simulation import FederatedSimulation
 from repro.fl.strategies import FedDRL
-from repro.fl.wire import TopKCodec, WireFormat
+from repro.fl.wire import WireFormat
 from repro.harness.config import ExperimentConfig
 from repro.harness.runner import (
     build_dataset,
@@ -52,7 +52,7 @@ def test_feddrl_under_sparse_compression(benchmark, once):
             clients, test, factory = build_pieces(cfg)
             wire = None
             if k_fraction is not None:
-                wire = WireFormat(TopKCodec(frac=k_fraction), cfg.seed,
+                wire = WireFormat("topk", cfg.seed, topk_frac=k_fraction,
                                   error_feedback=False)
             strat = FedDRL(clients_per_round=10, drl_config=drl_cfg(), seed=13)
             sim = FederatedSimulation(clients, test, factory, strat,

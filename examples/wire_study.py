@@ -8,7 +8,7 @@ then the composition again with error feedback off to show what the
 residual carry buys.
 
 Every run reports its *exact* uploaded bytes (header + indices + scales
-+ packed levels, the size ``WirePayload.to_bytes()`` would serialize),
++ packed levels, the size ``repro.fl.wire.payload_nbytes`` counts),
 the compression ratio against the dense-float32 baseline over the same
 schedule, and the final accuracy.  A second pass puts the two headline
 codecs on a constrained 1 Mbit/s uplink with heterogeneous per-client

@@ -37,12 +37,7 @@ from repro.fl.strategies import (
     get_strategy,
 )
 from repro.fl.timing import measure_server_overhead
-from repro.fl.wire import (
-    WIRE_CODECS,
-    WireFormat,
-    WirePayload,
-    get_codec,
-)
+from repro.fl.wire import WIRE_CODECS, WireFormat
 from repro.obs.metrics import Timer
 
 __all__ = [
@@ -72,7 +67,5 @@ __all__ = [
     "measure_server_overhead",
     "WIRE_CODECS",
     "WireFormat",
-    "WirePayload",
-    "get_codec",
     "UniformSelection",
 ]

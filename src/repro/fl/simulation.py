@@ -906,7 +906,6 @@ class FederatedEngine:
             "clock": {
                 "elapsed_s": self.clock.elapsed_s,
                 "fault_recovery_s": self.clock.fault_recovery_s,
-                "timings": self.clock.timings,
             },
         }
 
@@ -941,7 +940,6 @@ class FederatedEngine:
             self.wire.restore(wire_state)
         self.clock.elapsed_s = clock_state["elapsed_s"]
         self.clock.fault_recovery_s = clock_state["fault_recovery_s"]
-        self.clock.timings = clock_state["timings"]
 
     def close(self) -> None:
         """Release the execution backend's workers, the client pool's

@@ -7,37 +7,25 @@ pipeline with error feedback and byte-exact accounting
 """
 
 from repro.fl.wire.codecs import (
-    DEFAULT_CHUNK,
+    CHUNK,
     HEADER_NBYTES,
     QUANT_BITS,
     WIRE_CODECS,
-    Codec,
-    DenseCodec,
-    QSGDCodec,
-    TopKCodec,
-    TopKQSGDCodec,
-    WirePayload,
-    get_codec,
-    payload_from_bytes,
+    payload_nbytes,
+    roundtrip,
     topk_indices,
 )
 from repro.fl.wire.format import ErrorFeedback, WireFormat, WireStats
 
 __all__ = [
-    "DEFAULT_CHUNK",
+    "CHUNK",
     "HEADER_NBYTES",
     "QUANT_BITS",
     "WIRE_CODECS",
-    "Codec",
-    "DenseCodec",
     "ErrorFeedback",
-    "QSGDCodec",
-    "TopKCodec",
-    "TopKQSGDCodec",
     "WireFormat",
-    "WirePayload",
     "WireStats",
-    "get_codec",
-    "payload_from_bytes",
+    "payload_nbytes",
+    "roundtrip",
     "topk_indices",
 ]

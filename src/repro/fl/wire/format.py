@@ -1,20 +1,22 @@
 """The wire format: what actually moves between client and server.
 
 :class:`WireFormat` sits between training and aggregation in both
-engines.  For each upload it (1) forms the delta against the weights the
-client was dispatched (``update.weights - anchor``), (2) adds the
-client's carried error-feedback residual, (3) encodes with the
-configured codec — stochastic rounding drawn from the ``STREAM_WIRE``
-``(round|job, client)`` cell so no pool schedule can reorder draws —
-(4) decodes server-side into the dense delta every downstream consumer
-(robust aggregators, delta mixing, hierarchical folding) already
-expects, and (5) stores the new residual ``compensated - decoded`` for
-the client's next participating round.
+engines.  For each upload it (1) refuses non-finite weights, naming the
+client, (2) forms the delta against the weights the client was
+dispatched (``update.weights - anchor``), (3) adds the client's carried
+error-feedback residual, (4) round-trips it through the configured codec
+(:func:`repro.fl.wire.codecs.roundtrip`) — stochastic rounding drawn
+from the ``STREAM_WIRE`` ``(round|job, client)`` cell so no pool
+schedule can reorder draws — into the dense reconstruction every
+downstream consumer (robust aggregators, delta mixing, hierarchical
+folding) already expects, and (5) keeps what was not transmitted,
+``compensated - decoded``, as the client's residual for its next
+participating round.
 
-Byte accounting is exact and a-priori: ``upload_nbytes(dim, dtype)``
-equals ``len(payload.to_bytes())`` and depends only on the arena shape,
-so the async engine can charge bandwidth-accurate upload durations at
-dispatch time, before the payload exists.
+Byte accounting is exact and a-priori: ``upload_nbytes(dim, dtype)`` is
+:func:`repro.fl.wire.codecs.payload_nbytes` and depends only on the
+arena shape, so the async engine can charge bandwidth-accurate upload
+durations at dispatch time, before the payload exists.
 
 The ``dense`` codec short-circuits: the update object passes through
 untouched (only counters move), because ``anchor + (w - anchor)`` is not
@@ -27,7 +29,8 @@ from __future__ import annotations
 import numpy as np
 
 from repro.fl.client import ClientUpdate
-from repro.fl.wire.codecs import Codec, DenseCodec
+from repro.fl.simulation import NonFiniteUpdateError
+from repro.fl.wire.codecs import payload_nbytes, roundtrip
 from repro.runtime.seeding import STREAM_WIRE, client_round_rng
 
 
@@ -49,16 +52,22 @@ class ErrorFeedback:
     def __init__(self) -> None:
         self.residuals: dict[int, np.ndarray] = {}
 
-    def compensate(self, client_id: int, delta: np.ndarray) -> np.ndarray:
-        residual = self.residuals.get(client_id)
-        if residual is None:
-            return delta
-        return delta + residual.astype(delta.dtype, copy=False)
+    def compensate(self, client_id: int, delta: np.ndarray) -> None:
+        """Add the client's carried residual into ``delta`` in place.
 
-    def absorb(
-        self, client_id: int, compensated: np.ndarray, decoded: np.ndarray
-    ) -> None:
-        self.residuals[client_id] = _read_only(compensated - decoded)
+        The residual is dropped here, not when :meth:`absorb` replaces
+        it, so the encoding's temporaries can reuse its memory: kept
+        until then, a large arena's temporaries land on fresh pages each
+        upload (about 7x the minor page faults at 100k float64
+        coordinates).
+        """
+        residual = self.residuals.pop(client_id, None)
+        if residual is not None:
+            delta += residual.astype(delta.dtype, copy=False)
+
+    def absorb(self, client_id: int, residual: np.ndarray) -> None:
+        """Keep ``residual`` (frozen read-only) for the client's next upload."""
+        self.residuals[client_id] = _read_only(residual)
 
     def adopt(self, mapped) -> None:
         """Replace each residual by ``mapped(residual)`` — a checkpoint's
@@ -124,30 +133,33 @@ class WireFormat:
     """
 
     def __init__(
-        self, codec: Codec, base_seed: int, error_feedback: bool = True
+        self,
+        codec_name: str,
+        base_seed: int,
+        topk_frac: float = 0.01,
+        error_feedback: bool = True,
     ) -> None:
-        self.codec = codec
+        self.codec = codec_name
         self.base_seed = base_seed
+        self.topk_frac = topk_frac
         self.error_feedback = error_feedback
+        self.lossless = codec_name == "dense"
+        self._stochastic = "qsgd" in codec_name
         self.ef = ErrorFeedback()
         self.stats = WireStats()
         # (dim, dtype) -> (upload, dense) bytes; one shape per run.
         self._size_key = self._sizes = None
-
-    @property
-    def lossless(self) -> bool:
-        return isinstance(self.codec, DenseCodec)
 
     # ------------------------------------------------------------------
     # byte accounting (pure functions of the arena shape)
     # ------------------------------------------------------------------
 
     def upload_nbytes(self, dim: int, dtype) -> int:
-        return self.codec.payload_nbytes(dim, dtype)
+        return payload_nbytes(self.codec, dim, dtype, self.topk_frac)
 
     def download_nbytes(self, dim: int, dtype) -> int:
         """Server→client broadcast: always the dense global model."""
-        return DenseCodec().payload_nbytes(dim, dtype)
+        return payload_nbytes("dense", dim, dtype)
 
     def record_downloads(self, n: int, dim: int, dtype) -> int:
         """Charge ``n`` global-model broadcasts; returns bytes added."""
@@ -169,7 +181,16 @@ class WireFormat:
         time coordinate of the STREAM_WIRE cell.  ``anchor`` is the
         global weight vector the client trained from.  Returns the
         server-side reconstruction and the exact payload byte size.
+        Raises :class:`NonFiniteUpdateError` for NaN/inf weights: a top-k
+        selection never picks a NaN, so encoding would hand the server a
+        finite upload and keep the NaN in the client's residual.
         """
+        cid = update.client_id
+        if not np.isfinite(update.weights).all():
+            raise NonFiniteUpdateError(
+                f"non-finite weights uploaded by client {cid}; the upload "
+                "was not encoded"
+            )
         key = (update.weights.shape[0], update.weights.dtype)
         if key != self._size_key:
             self._size_key = key
@@ -182,23 +203,31 @@ class WireFormat:
             # Passthrough: reconstructing anchor + (w - anchor) would
             # perturb numerics; dense runs must match no-wire runs.
             return update, nbytes
-        delta = update.weights - anchor
+        anchor = np.asarray(anchor)
+        compensated = update.weights - anchor
         if self.error_feedback:
-            compensated = self.ef.compensate(update.client_id, delta)
-        else:
-            compensated = delta
+            self.ef.compensate(cid, compensated)
         rng = None
-        if self.codec.stochastic:
-            rng = client_round_rng(
-                self.base_seed, index, update.client_id, STREAM_WIRE
-            )
-        payload = self.codec.encode(compensated, rng=rng)
-        decoded = self.codec.decode(payload)
+        if self._stochastic:
+            rng = client_round_rng(self.base_seed, index, cid, STREAM_WIRE)
+        idx, values = roundtrip(self.codec, compensated, rng, self.topk_frac)
+        # anchor + decoded, without building the dense decoded delta:
+        # adding 0.0 turns a -0.0 anchor entry into 0.0, as it would.
+        if idx is None:
+            weights = anchor + values
+        else:
+            weights = anchor + 0.0
+            weights[idx] = anchor[idx] + values
         if self.error_feedback:
-            self.ef.absorb(update.client_id, compensated, decoded)
+            # compensated - decoded, in place: the delta becomes the residual.
+            if idx is None:
+                compensated -= values
+            else:
+                compensated[idx] -= values
+            self.ef.absorb(cid, compensated)
         reconstructed = ClientUpdate(
-            client_id=update.client_id,
-            weights=anchor + decoded,
+            client_id=cid,
+            weights=weights,
             loss_before=update.loss_before,
             loss_after=update.loss_after,
             n_samples=update.n_samples,
@@ -211,17 +240,17 @@ class WireFormat:
 
     def snapshot(self) -> dict:
         return {
-            "codec": self.codec.name,
+            "codec": self.codec,
             "error_feedback": self.error_feedback,
             "residuals": self.ef.snapshot(),
             "stats": self.stats.snapshot(),
         }
 
     def restore(self, state: dict) -> None:
-        if state.get("codec") != self.codec.name:
+        if state.get("codec") != self.codec:
             raise ValueError(
                 f"checkpoint was taken with codec {state.get('codec')!r}, "
-                f"this run uses {self.codec.name!r}"
+                f"this run uses {self.codec!r}"
             )
         self.ef.restore(state["residuals"])
         self.stats.restore(state["stats"])

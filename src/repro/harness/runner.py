@@ -16,7 +16,7 @@ from repro.fl.client import make_clients
 from repro.fl.robust import AttackModel, RobustAggregator
 from repro.fl.simulation import FederatedSimulation, FLConfig, History
 from repro.fl.strategies import FedAvg, FedDRL, FedProx, Strategy
-from repro.fl.wire import WireFormat, get_codec
+from repro.fl.wire import WireFormat
 from repro.fleet import ColumnarAvailability, FleetSimulator
 from repro.harness.checkpoint import checkpoint_fingerprint, validate_resume
 from repro.harness.config import ExperimentConfig
@@ -195,11 +195,9 @@ def build_retry_policy(cfg: ExperimentConfig) -> RetryPolicy:
     )
 
 
-def build_executor(cfg: ExperimentConfig, clients, model_factory, model=None):
+def build_executor(cfg: ExperimentConfig, clients, model_factory):
     """The execution backend named by ``cfg.backend`` (see repro.runtime)."""
-    return make_executor(
-        cfg.backend, clients, model_factory, workers=cfg.workers, model=model
-    )
+    return make_executor(cfg.backend, clients, model_factory, workers=cfg.workers)
 
 
 def build_clock(cfg: ExperimentConfig) -> VirtualClock:
@@ -227,8 +225,8 @@ def build_wire(cfg: ExperimentConfig) -> WireFormat | None:
     """
     if not cfg.wire_active:
         return None
-    codec = get_codec(cfg.codec, topk_frac=cfg.topk_frac)
-    return WireFormat(codec, cfg.seed, error_feedback=cfg.error_feedback)
+    return WireFormat(cfg.codec, cfg.seed, topk_frac=cfg.topk_frac,
+                      error_feedback=cfg.error_feedback)
 
 
 def build_fleet(cfg: ExperimentConfig) -> FleetSimulator | None:

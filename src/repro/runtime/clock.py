@@ -161,7 +161,6 @@ class VirtualClock:
         # main clock would shift availability slots and round makespans,
         # breaking the "faulted run bit-identical to clean run" guarantee.
         self.fault_recovery_s = 0.0
-        self.timings: list[RoundTiming] = []
 
     def advance(self, seconds: float) -> None:
         """Advance simulated time outside a round (e.g. the server waiting
@@ -280,5 +279,4 @@ class VirtualClock:
             deadline_s=self.deadline_s,
         )
         self.elapsed_s += timing.makespan_s
-        self.timings.append(timing)
         return timing

@@ -845,12 +845,11 @@ def make_executor(
     clients: LazyClientPool,
     model_factory,
     workers: int | None = None,
-    model=None,
     retry: RetryPolicy | None = None,
 ) -> Executor:
     """Factory for the CLI/harness ``--backend`` flag."""
     if backend == "serial":
-        return SerialExecutor(clients, model_factory, model=model, retry=retry)
+        return SerialExecutor(clients, model_factory, retry=retry)
     if backend == "thread":
         return ThreadExecutor(clients, model_factory, workers=workers, retry=retry)
     if backend == "process":

@@ -22,7 +22,7 @@ from repro.data.synthetic import SyntheticImageSpec, make_synthetic_dataset
 from repro.fl.async_ import AsyncFederatedServer
 from repro.fl.simulation import FederatedSimulation, FLConfig
 from repro.fl.strategies import FedAvg
-from repro.fl.wire import WireFormat, get_codec
+from repro.fl.wire import WireFormat
 from repro.fleet import ColumnarAvailability, FleetSimulator
 from repro.fleet.scale import LazyClientPool
 from repro.harness.reporting import history_digest
@@ -51,7 +51,7 @@ def build_engine(engine: str, n_clients: int = 12, dispatch: str = "random"):
         clock=VirtualClock("lognormal", n_clients, seed=23,
                            straggler_fraction=0.3, straggler_slowdown=8.0),
         fleet=FleetSimulator(n_clients, availability, seed=31, dropout_prob=0.1),
-        wire=WireFormat(get_codec("topk+qsgd8", topk_frac=0.1), 0),
+        wire=WireFormat("topk+qsgd8", 0, topk_frac=0.1),
         topology="hier", n_edges=3,
     )
     if engine == "sync":

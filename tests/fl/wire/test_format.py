@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.fl.client import ClientUpdate
-from repro.fl.wire import WireFormat, get_codec
+from repro.fl.wire import WireFormat
 from repro.runtime import checkpoint
 from repro.runtime.checkpoint import Checkpointer, _file_id, _mapping, load_snapshot
 
@@ -22,8 +22,7 @@ def _update(weights, cid=3):
 
 
 def _wire(name="topk", **kw):
-    ef = kw.pop("error_feedback", True)
-    return WireFormat(get_codec(name, **kw), base_seed=0, error_feedback=ef)
+    return WireFormat(name, base_seed=0, **kw)
 
 
 class TestDenseShortCircuit:

@@ -744,8 +744,8 @@ class TestArrayFileEndToEnd:
         seen = {"since": {}}
         original = ErrorFeedback.absorb
 
-        def absorb(self, client_id, compensated, decoded):
-            original(self, client_id, compensated, decoded)
+        def absorb(self, client_id, residual):
+            original(self, client_id, residual)
             seen["ef"] = self
             seen["since"][client_id] = self.residuals[client_id].nbytes
 

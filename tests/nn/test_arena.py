@@ -215,11 +215,11 @@ class TestDtypePlumbing:
 
     def test_decompress_accepts_integer_global_weights(self):
         from repro.fl.client import ClientUpdate
-        from repro.fl.wire import TopKCodec, WireFormat
+        from repro.fl.wire import WireFormat
 
         u = ClientUpdate(client_id=0, weights=[0, 0.5, 0, -0.5, 0, 0],
                          loss_before=1.0, loss_after=0.5, n_samples=2)
-        wire = WireFormat(TopKCodec(frac=2 / 6), base_seed=0)
+        wire = WireFormat("topk", base_seed=0, topk_frac=2 / 6)
         restored, _ = wire.transmit(u, 0, [0, 0, 0, 0, 0, 0])
         assert restored.weights.dtype.kind == "f"
         assert restored.weights[1] == pytest.approx(0.5)

@@ -96,10 +96,10 @@ class TestVirtualClock:
 
     def test_simulated_time_accumulates(self):
         clock = self.make_clock()
-        for r in range(3):
-            clock.observe_round(r, [0, 1], {0: 10, 1: 10})
+        timings = [clock.observe_round(r, [0, 1], {0: 10, 1: 10}) for r in range(3)]
+        assert [t.round_idx for t in timings] == [0, 1, 2]
+        assert clock.elapsed_s == pytest.approx(sum(t.makespan_s for t in timings))
         assert clock.elapsed_s == pytest.approx(3 * round_s(10))
-        assert len(clock.timings) == 3
 
     def test_jitter_deterministic_and_order_independent(self):
         def times(order):
